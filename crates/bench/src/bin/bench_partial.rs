@@ -48,7 +48,7 @@ fn conf() -> SparkConf {
     let mut conf = SparkConf::default();
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 10_000;
-    conf.with_partial_enabled()
+    conf
 }
 
 /// The bounded action: GroupBy over uniform keys, approximate group count.

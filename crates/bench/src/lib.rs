@@ -1,5 +1,5 @@
 //! Benchmark harness support: experiment runners shared by the per-figure
-//! binaries, the criterion benches, and the calibration tests.
+//! binaries and the calibration tests.
 //!
 //! Every figure/table of the paper's evaluation (§VII) has a binary in
 //! `src/bin/` that prints the same rows/series the paper reports, built on
@@ -19,7 +19,7 @@ use fabric::ClusterSpec;
 pub enum Scale {
     /// Paper-scale clusters and data volumes.
     Full,
-    /// Shrunk for smoke tests and criterion runs.
+    /// Shrunk for smoke tests.
     Small,
 }
 

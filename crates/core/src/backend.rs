@@ -7,7 +7,7 @@ use netz::{RoutePolicy, TransportConf};
 use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity};
 
 use crate::ctx::MpiProcCtx;
-use crate::transport::{BasicTuning, BodyCompletion, MpiTransportBasic, MpiTransportOptimized};
+use crate::transport::{BasicTuning, MpiTransportBasic, MpiTransportOptimized};
 
 /// Which of the paper's two designs to run (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,6 @@ pub struct MpiBackend {
     basic_tuning: BasicTuning,
     route: RoutePolicy,
     body_timeout_ns: u64,
-    body_completion: BodyCompletion,
 }
 
 impl MpiBackend {
@@ -50,7 +49,6 @@ impl MpiBackend {
             basic_tuning: BasicTuning::default(),
             route: design.default_route_policy(),
             body_timeout_ns: simt::time::secs(120),
-            body_completion: BodyCompletion::default(),
         }
     }
 
@@ -76,14 +74,6 @@ impl MpiBackend {
     /// body, or only chunk bodies, without touching transport code).
     pub fn with_route_policy(mut self, route: RoutePolicy) -> Self {
         self.route = route;
-        self
-    }
-
-    /// Select the Optimized design's body-completion path (fan-in
-    /// ablations): request-based batched completion (default) or the legacy
-    /// one-blocking-recv-at-a-time event loop.
-    pub fn with_body_completion(mut self, completion: BodyCompletion) -> Self {
-        self.body_completion = completion;
         self
     }
 
@@ -121,8 +111,7 @@ impl NetworkBackend for MpiBackend {
         let transport: Arc<dyn netz::Transport> = match self.design {
             Design::Optimized => Arc::new(
                 MpiTransportOptimized::with_policy(ctx, self.route)
-                    .with_body_timeout(self.body_timeout_ns)
-                    .with_body_completion(self.body_completion),
+                    .with_body_timeout(self.body_timeout_ns),
             ),
             Design::Basic => Arc::new(MpiTransportBasic::with_tuning_and_policy(
                 ctx,

@@ -34,4 +34,3 @@ pub mod transport;
 pub use backend::{Design, MpiBackend};
 pub use ctx::MpiProcCtx;
 pub use launch::{run_app, run_app_with_backend, DpmLauncher};
-pub use transport::BodyCompletion;

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 use fabric::Payload;
 use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
-    OutboundAction, OutboundHandler, RoutePolicy, Transport, WireEvent,
+    OutboundAction, OutboundHandler, RoutePolicy, Transport, WeakEndpoint, WireEvent,
 };
 use parking_lot::Mutex;
 
@@ -61,27 +61,11 @@ fn opt_tag(chan: ChannelId, key: u64) -> u64 {
 
 // =========================== Optimized design ===============================
 
-/// How the Optimized transport completes policy-routed bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BodyCompletion {
-    /// Legacy path: the endpoint event loop blocks in `recv_timeout` for
-    /// one body at a time — concurrent fetches into the same endpoint
-    /// serialize behind each other. Kept for the fan-in ablation.
-    Blocking,
-    /// Request path: each parsed header posts a nonblocking `irecv`, and a
-    /// per-endpoint pump completes arrivals through a batched
-    /// [`rmpi::CompletionSet`] — 32 outstanding fetches overlap instead of
-    /// queueing the event loop.
-    #[default]
-    Batched,
-}
-
 /// The MPI4Spark-Optimized transport (§VI-E).
 pub struct MpiTransportOptimized {
     ctx: Arc<MpiProcCtx>,
     policy: RoutePolicy,
     body_timeout_ns: u64,
-    completion: BodyCompletion,
     pump: OnceLock<Arc<BodyPump>>,
 }
 
@@ -98,7 +82,6 @@ impl MpiTransportOptimized {
             ctx,
             policy,
             body_timeout_ns: simt::time::secs(120),
-            completion: BodyCompletion::default(),
             pump: OnceLock::new(),
         }
     }
@@ -109,12 +92,6 @@ impl MpiTransportOptimized {
     /// body) and the fetch surfaces as a missing chunk to the retry layer.
     pub fn with_body_timeout(mut self, timeout_ns: u64) -> Self {
         self.body_timeout_ns = timeout_ns;
-        self
-    }
-
-    /// Select the body-completion path (fan-in ablations).
-    pub fn with_body_completion(mut self, completion: BodyCompletion) -> Self {
-        self.completion = completion;
         self
     }
 }
@@ -129,9 +106,7 @@ impl Transport for MpiTransportOptimized {
     }
 
     fn start(&self, endpoint: &Endpoint) {
-        if self.completion == BodyCompletion::Batched {
-            let _ = self.pump.set(BodyPump::spawn(endpoint.clone()));
-        }
+        let _ = self.pump.set(BodyPump::spawn(endpoint.clone()));
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
@@ -154,7 +129,7 @@ impl Transport for MpiTransportOptimized {
                 policy: self.policy,
                 received: AtomicU64::new(0),
                 body_timeout_ns: self.body_timeout_ns,
-                pump: self.pump.get().cloned(),
+                pump: self.pump.get().expect("transport started").clone(),
             }),
         );
     }
@@ -168,7 +143,7 @@ struct PendingBody {
     deadline: u64,
 }
 
-/// Per-endpoint body-completion pump (Batched mode).
+/// Per-endpoint body-completion pump.
 ///
 /// `OptInbound` posts one nonblocking `irecv` per parsed header and files
 /// the pending entry here; the pump daemon completes arrivals through one
@@ -177,8 +152,12 @@ struct PendingBody {
 /// passes are cancelled with a drain: the posted slot is released and the
 /// late body, if it ever lands, is absorbed instead of leaking into the
 /// message store.
+///
+/// The pump holds no `Endpoint`: the endpoint owns its transport, which owns
+/// the pump, so a handle here would close an `Arc` cycle and keep the
+/// endpoint (and its handler's block manager) alive past shutdown. The
+/// daemon's closure owns the handle instead and is unwound with the sim.
 struct BodyPump {
-    endpoint: Endpoint,
     set: rmpi::CompletionSet,
     entries: Mutex<BTreeMap<u64, PendingBody>>,
     next_user: AtomicU64,
@@ -187,14 +166,13 @@ struct BodyPump {
 impl BodyPump {
     fn spawn(endpoint: Endpoint) -> Arc<BodyPump> {
         let pump = Arc::new(BodyPump {
-            endpoint: endpoint.clone(),
             set: rmpi::CompletionSet::default(),
             entries: Mutex::new(BTreeMap::new()),
             next_user: AtomicU64::new(0),
         });
         let runner = pump.clone();
         simt::spawn_daemon(format!("mpi-opt-body-pump:n{}", endpoint.node()), move || {
-            runner.run();
+            runner.run(&endpoint);
         });
         pump
     }
@@ -214,7 +192,7 @@ impl BodyPump {
         req.attach(&self.set, user);
     }
 
-    fn run(&self) {
+    fn run(&self, endpoint: &Endpoint) {
         loop {
             let next_deadline = self.entries.lock().values().map(|e| e.deadline).min();
             match self.set.wait_next(next_deadline) {
@@ -222,7 +200,7 @@ impl BodyPump {
                     let Some(entry) = self.entries.lock().remove(&user) else {
                         continue;
                     };
-                    self.deliver(entry, msg.payload);
+                    Self::deliver(endpoint, entry, msg.payload);
                 }
                 rmpi::Completed::TimedOut => self.expire(),
                 rmpi::Completed::Closed => break,
@@ -233,7 +211,7 @@ impl BodyPump {
     /// Decode the completed body against its saved header and hand the
     /// message to the endpoint, with the receive span causally linked to
     /// the sender (same convention as the Basic router's receiver threads).
-    fn deliver(&self, entry: PendingBody, body: Payload) {
+    fn deliver(endpoint: &Endpoint, entry: PendingBody, body: Payload) {
         let obs = entry.chan.net.obs();
         let _span = obs.is_traced().then(|| {
             let link = Message::peek_span_id(&entry.header).unwrap_or(0);
@@ -244,7 +222,7 @@ impl BodyPump {
             )
         });
         if let Ok(msg) = Message::decode(&entry.header, body) {
-            self.endpoint.dispatch_received(&entry.chan, msg, entry.header.len() as u64);
+            endpoint.dispatch_received(&entry.chan, msg, entry.header.len() as u64);
         }
     }
 
@@ -312,8 +290,7 @@ struct OptInbound {
     policy: RoutePolicy,
     received: AtomicU64,
     body_timeout_ns: u64,
-    /// Present in Batched mode; `None` selects the legacy blocking path.
-    pump: Option<Arc<BodyPump>>,
+    pump: Arc<BodyPump>,
 }
 
 impl InboundHandler for OptInbound {
@@ -334,39 +311,13 @@ impl InboundHandler for OptInbound {
         let tag = opt_tag(chan.id, key);
         let (comm, src) = self.ctx.route(peer_rank, peer.comm);
 
-        if let Some(pump) = &self.pump {
-            // Batched: post the receive and return immediately — the event
-            // loop goes back to parsing headers while the pump completes
-            // arrivals, so concurrent fetches into this endpoint overlap.
-            let req = comm.irecv(Some(src), Some(tag));
-            let deadline = simt::now().saturating_add(self.body_timeout_ns);
-            pump.submit(chan, frame.header, req, deadline);
-            return InboundAction::Consume;
-        }
-
-        // Blocking (legacy): park the event loop until this one body lands.
-        // Bounded so a lost body surfaces as a missing chunk to the retry
-        // layer instead of wedging the endpoint forever. Waiting on a
-        // posted receive (rather than the old bare `recv_timeout`) means a
-        // timeout installs a drain: the late body is absorbed on arrival
-        // instead of leaking into the message store.
-        let obs = chan.net.obs();
-        let recv = {
-            let _wait = obs.is_traced().then(|| {
-                obs.span(
-                    "rmpi.body.wait",
-                    obs::kv! {"key" => key, "src" => chan.remote_node, "dst" => chan.local_node},
-                )
-            });
-            comm.irecv(Some(src), Some(tag)).wait_timeout(self.body_timeout_ns)
-        };
-        match recv {
-            Ok(Some((body, _status))) => match Message::decode(&frame.header, body) {
-                Ok(msg) => InboundAction::Decoded(msg),
-                Err(_) => InboundAction::Consume,
-            },
-            Ok(None) | Err(_) => InboundAction::Consume,
-        }
+        // Post the receive and return immediately — the event loop goes
+        // back to parsing headers while the pump completes arrivals, so
+        // concurrent fetches into this endpoint overlap.
+        let req = comm.irecv(Some(src), Some(tag));
+        let deadline = simt::now().saturating_add(self.body_timeout_ns);
+        self.pump.submit(chan, frame.header, req, deadline);
+        InboundAction::Consume
     }
 }
 
@@ -405,9 +356,10 @@ struct BasicMsg {
 
 /// Per-process demultiplexer for Basic-design traffic: receiver threads per
 /// communicator pull `BASIC_TAG` messages and dispatch them to the owning
-/// channel's endpoint.
+/// channel's endpoint. Endpoints are held weakly: each owns its transport,
+/// which owns the process context and with it this router.
 pub struct BasicRouter {
-    channels: Mutex<BTreeMap<ChannelId, (Endpoint, Arc<ChannelCore>)>>,
+    channels: Mutex<BTreeMap<ChannelId, (WeakEndpoint, Arc<ChannelCore>)>>,
     world_started: AtomicBool,
     inter_started: AtomicBool,
     tuning: Mutex<BasicTuning>,
@@ -421,10 +373,6 @@ impl BasicRouter {
             inter_started: AtomicBool::new(false),
             tuning: Mutex::new(BasicTuning::default()),
         })
-    }
-
-    fn register(&self, chan: &Arc<ChannelCore>, endpoint: Endpoint) {
-        self.channels.lock().insert(chan.id, (endpoint, chan.clone()));
     }
 
     fn ensure_receivers(self: &Arc<Self>, ctx: &Arc<MpiProcCtx>) {
@@ -463,6 +411,9 @@ impl BasicRouter {
             let Some((endpoint, chan)) = target else {
                 continue;
             };
+            let Some(endpoint) = endpoint.upgrade() else {
+                continue; // endpoint shut down and dropped
+            };
             // The Basic path bypasses the endpoint's frame pipeline, so the
             // recv span (linked to the sender's span id from the header) is
             // opened here instead of in `Endpoint::on_frame`.
@@ -475,7 +426,7 @@ impl BasicRouter {
                 )
             });
             match Message::decode(&msg.header, msg.body.clone()) {
-                Ok(decoded) => endpoint.dispatch(&chan, decoded),
+                Ok(decoded) => endpoint.dispatch_received(&chan, decoded, msg.header.len() as u64),
                 Err(_) => continue,
             }
         });
@@ -485,7 +436,7 @@ impl BasicRouter {
 /// The MPI4Spark-Basic transport (§VI-D).
 pub struct MpiTransportBasic {
     ctx: Arc<MpiProcCtx>,
-    endpoint: OnceLock<Endpoint>,
+    endpoint: OnceLock<WeakEndpoint>,
     tuning: BasicTuning,
     policy: RoutePolicy,
 }
@@ -523,7 +474,7 @@ impl Transport for MpiTransportBasic {
     }
 
     fn start(&self, endpoint: &Endpoint) {
-        let _ = self.endpoint.set(endpoint.clone());
+        let _ = self.endpoint.set(endpoint.downgrade());
         *self.ctx.basic_router().tuning.lock() = self.tuning;
         // The endpoint's selector loop now spins (non-blocking select +
         // iprobe) instead of blocking: continuous background CPU load.
@@ -536,7 +487,7 @@ impl Transport for MpiTransportBasic {
         }
         let router = self.ctx.basic_router();
         let endpoint = self.endpoint.get().expect("transport started").clone();
-        router.register(chan, endpoint);
+        router.channels.lock().insert(chan.id, (endpoint, chan.clone()));
         router.ensure_receivers(&self.ctx);
         chan.pipeline.lock().add_outbound(
             "mpi-all-send",

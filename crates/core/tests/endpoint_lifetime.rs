@@ -1,0 +1,87 @@
+//! An MPI-transport endpoint must not outlive the simulation: the endpoint
+//! owns its transport, so anything the transport keeps about the endpoint
+//! (the Optimized body pump, the Basic per-process router) has to avoid
+//! closing an `Arc` cycle. A cycle there once kept every shuffle endpoint —
+//! and through its handler the executor's block manager with the cached
+//! dataset — alive after `sim.shutdown()`.
+
+use std::sync::{Arc, Weak};
+
+use fabric::{ClusterSpec, Net, Payload};
+use mpi4spark::transport::{MpiTransportBasic, MpiTransportOptimized};
+use mpi4spark::MpiProcCtx;
+use netz::context::RpcResponseCallback;
+use netz::{ChannelCore, RpcHandler, StreamManager, Transport, TransportConf, TransportContext};
+use parking_lot::Mutex;
+use simt::sync::OnceCell;
+use simt::Sim;
+
+/// Serves one 1 MiB chunk per request — a routed body under both designs.
+struct Chunks;
+
+impl RpcHandler for Chunks {
+    fn receive(&self, _chan: &Arc<ChannelCore>, _body: Payload, reply: RpcResponseCallback) {
+        reply(Err("chunks only".into()));
+    }
+
+    fn stream_manager(&self) -> Arc<dyn StreamManager> {
+        Arc::new(Chunks)
+    }
+}
+
+impl StreamManager for Chunks {
+    fn get_chunk(&self, _stream_id: u64, _chunk_index: u32) -> Result<Payload, String> {
+        Ok(Payload::bytes_scaled(bytes::Bytes::new(), 1 << 20))
+    }
+}
+
+/// Rank 1 fetches one chunk from rank 0 over `transport`. True when, after
+/// shutdown, neither endpoint's handler is still held by anything.
+fn handlers_freed_at_shutdown(transport: fn(Arc<MpiProcCtx>) -> Arc<dyn Transport>) -> bool {
+    let handlers: Arc<Mutex<Vec<Weak<dyn RpcHandler>>>> = Arc::default();
+    let seen = handlers.clone();
+    let sim = Sim::new();
+    sim.spawn("launcher", move || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let (net2, done) = (net.clone(), OnceCell::<()>::new());
+        rmpi::mpiexec(&net, &[0, 1], move |world| {
+            let rank = world.rank();
+            let handler: Arc<dyn RpcHandler> = Arc::new(Chunks);
+            seen.lock().push(Arc::downgrade(&handler));
+            let ctx = TransportContext::with_transport(
+                net2.clone(),
+                TransportConf::default_sockets(),
+                handler,
+                transport(MpiProcCtx::world_proc(world)),
+            );
+            if rank == 0 {
+                let server = ctx.create_server("server", 0, 500);
+                done.take();
+                server.shutdown();
+            } else {
+                simt::sleep(simt::time::millis(1)); // the server binds first
+                let ep = ctx.create_client_endpoint("client", 1);
+                let client = ep.connect(fabric::PortAddr { node: 0, port: 500 }).expect("connect");
+                assert_eq!(client.fetch_chunk(1, 0).expect("chunk over MPI").virtual_len, 1 << 20);
+                client.close();
+                ep.shutdown();
+                done.put(());
+            }
+        });
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+    let handlers = handlers.lock();
+    assert_eq!(handlers.len(), 2, "both endpoints were built");
+    handlers.iter().all(|h| h.upgrade().is_none())
+}
+
+#[test]
+fn optimized_endpoint_is_freed_at_shutdown() {
+    assert!(handlers_freed_at_shutdown(|ctx| Arc::new(MpiTransportOptimized::new(ctx))));
+}
+
+#[test]
+fn basic_endpoint_is_freed_at_shutdown() {
+    assert!(handlers_freed_at_shutdown(|ctx| Arc::new(MpiTransportBasic::new(ctx))));
+}

@@ -9,10 +9,8 @@ use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
 use mpi4spark::Design;
-use proptest::collection::vec;
-use proptest::prelude::*;
 use simt::sync::OnceCell;
-use simt::Sim;
+use simt::{for_each_case, Sim};
 use sparklet::deploy::ClusterConfig;
 use sparklet::SparkConf;
 
@@ -72,39 +70,30 @@ fn run_grouping(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+#[test]
+fn streamed_chunks_decode_identically_on_every_transport() {
+    for_each_case(3, |rng| {
+        let n = rng.next_range(1, 100);
+        let pairs: Vec<(u64, u64)> =
+            (0..n).map(|_| (rng.next_range(0, 12), rng.next_range(0, 1_000_000_000))).collect();
+        let parts = rng.next_range(2, 7) as usize;
+        let reduces = rng.next_range(2, 6) as usize;
 
-    #[test]
-    fn streamed_chunks_decode_identically_on_every_transport(
-        pairs in vec((0u64..12, 0u64..1_000_000_000), 1..100),
-        parts in 2usize..7,
-        reduces in 2usize..6,
-    ) {
         let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
         for (k, v) in &pairs {
             oracle.entry(*k).or_default().push(*v);
         }
-        let mut expected: Vec<(u64, Vec<u64>)> = oracle.into_iter().collect();
-        expected = canonical(expected);
+        let expected = canonical(oracle.into_iter().collect());
 
         for design in [None, Some(Design::Basic), Some(Design::Optimized)] {
             for merge_chunks in [true, false] {
-                let got = canonical(run_grouping(
-                    design,
-                    merge_chunks,
-                    pairs.clone(),
-                    parts,
-                    reduces,
-                ));
-                prop_assert_eq!(
-                    &got,
-                    &expected,
-                    "transport {:?} merge_chunks={} diverged from oracle",
-                    design,
-                    merge_chunks
+                let got =
+                    canonical(run_grouping(design, merge_chunks, pairs.clone(), parts, reduces));
+                assert_eq!(
+                    got, expected,
+                    "transport {design:?} merge_chunks={merge_chunks} diverged from oracle"
                 );
             }
         }
-    }
+    });
 }

@@ -578,7 +578,7 @@ mod tests {
                     &StackModel::native_mpi(),
                     0,
                     PortAddr { node: 1, port: 3 },
-                    Payload::bytes(Bytes::copy_from_slice(&[i])),
+                    Payload::bytes(Bytes::from(vec![i])),
                 );
             }
         });

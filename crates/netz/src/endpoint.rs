@@ -8,7 +8,7 @@
 //! the loop thread, exactly like a Netty event loop running its pipeline.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use fabric::{Net, NodeId, Packet, Payload, PortAddr};
 use parking_lot::Mutex;
@@ -44,6 +44,21 @@ pub(crate) struct EndpointInner {
 #[derive(Clone)]
 pub struct Endpoint {
     inner: Arc<EndpointInner>,
+}
+
+/// A handle that does not keep the endpoint alive. An endpoint owns its
+/// transport, so anything the transport (or state it shares per process)
+/// stores about the endpoint must be weak, or neither is ever freed.
+#[derive(Clone)]
+pub struct WeakEndpoint {
+    inner: Weak<EndpointInner>,
+}
+
+impl WeakEndpoint {
+    /// The endpoint, if an event loop or an owner still holds it.
+    pub fn upgrade(&self) -> Option<Endpoint> {
+        self.inner.upgrade().map(|inner| Endpoint { inner })
+    }
 }
 
 impl Endpoint {
@@ -85,6 +100,11 @@ impl Endpoint {
         });
         ep.inner.transport.clone().start(&ep);
         ep
+    }
+
+    /// A handle for state the endpoint itself (transitively) owns.
+    pub fn downgrade(&self) -> WeakEndpoint {
+        WeakEndpoint { inner: Arc::downgrade(&self.inner) }
     }
 
     /// Address peers connect to.
@@ -339,32 +359,25 @@ impl Endpoint {
                 _ => break,
             }
         }
-        let msg = match action {
-            InboundAction::Consume => return,
-            InboundAction::Decoded(m) => m,
-            InboundAction::Forward(fr) => match Message::decode(&fr.header, fr.body) {
-                Ok(m) => m,
-                Err(_) => return, // malformed frame: drop (Netty would fire exceptionCaught)
-            },
+        let InboundAction::Forward(frame) = action else {
+            return; // consumed by a handler
         };
-        chan.note_received(header_len + msg.body_virtual_len());
-        self.dispatch(chan, msg);
+        // A malformed frame is dropped (Netty would fire exceptionCaught).
+        if let Ok(msg) = Message::decode(&frame.header, frame.body) {
+            self.dispatch_received(chan, msg, header_len);
+        }
     }
 
-    /// Account a message received outside the socket frame path (its body
-    /// arrived over a side transport after the header was parsed), then
-    /// dispatch it. Used by the Optimized design's body-completion pump,
-    /// which finishes decode asynchronously once the MPI body lands.
+    /// Account a received message, then dispatch it — the one way a decoded
+    /// message enters an endpoint. The socket frame path ends here, and so
+    /// do the MPI transports' receiver threads, which decode outside it:
+    /// the Optimized design's body pump once the MPI body lands, the Basic
+    /// design's router for every message.
+    ///
+    /// Requests go to the handler / stream manager, responses to their
+    /// registered callbacks.
     pub fn dispatch_received(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64) {
         chan.note_received(header_len + msg.body_virtual_len());
-        self.dispatch(chan, msg);
-    }
-
-    /// Dispatch a fully decoded message: requests to the handler / stream
-    /// manager, responses to their registered callbacks. Public so that
-    /// MPI-side receiver threads (which bypass the socket path entirely,
-    /// as in MPI4Spark-Basic) can inject messages.
-    pub fn dispatch(&self, chan: &Arc<ChannelCore>, msg: Message) {
         match msg {
             Message::RpcRequest { request_id, body } => {
                 let reply_chan = chan.clone();

@@ -41,7 +41,7 @@ pub use buf::{ByteReader, ByteWriter};
 pub use channel::{ChannelCore, ChannelId};
 pub use client::TransportClient;
 pub use context::{NoOpRpcHandler, RpcHandler, StreamManager, TransportConf, TransportContext};
-pub use endpoint::Endpoint;
+pub use endpoint::{Endpoint, WeakEndpoint};
 pub use error::NetzError;
 pub use message::Message;
 pub use pipeline::{InboundAction, InboundHandler, OutboundAction, OutboundHandler, Pipeline};

@@ -19,8 +19,6 @@ pub enum InboundAction {
     /// Pass a (possibly rewritten) frame to the next handler / the default
     /// decoder.
     Forward(Frame),
-    /// Handler produced the complete message; skip the default decoder.
-    Decoded(Message),
     /// Frame fully consumed (e.g. keep-alive); dispatch nothing.
     Consume,
 }

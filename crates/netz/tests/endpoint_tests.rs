@@ -37,14 +37,14 @@ impl StreamManager for EchoStreams {
             return Err("no such stream".to_string());
         }
         let data = format!("chunk-{stream_id}-{chunk_index}");
-        Ok(Payload::bytes_scaled(Bytes::from(data), 1 << 16))
+        Ok(Payload::bytes_scaled(Bytes::from(data.into_bytes()), 1 << 16))
     }
 
     fn open_stream(&self, stream_id: &str) -> Result<Payload, String> {
         if stream_id == "/missing" {
             return Err("not found".to_string());
         }
-        Ok(Payload::bytes_scaled(Bytes::from(format!("stream:{stream_id}")), 4096))
+        Ok(Payload::bytes_scaled(Bytes::from(format!("stream:{stream_id}").into_bytes()), 4096))
     }
 }
 
@@ -241,8 +241,10 @@ fn many_clients_one_server() {
                         .create_client_endpoint(format!("c{node}{i}"), node);
                     let client = ep.connect(addr).unwrap();
                     let msg = format!("hello-{node}-{i}");
-                    let reply = client.send_rpc(Payload::bytes(Bytes::from(msg.clone()))).unwrap();
-                    assert_eq!(reply.bytes, Bytes::from(msg));
+                    let reply = client
+                        .send_rpc(Payload::bytes(Bytes::from(msg.clone().into_bytes())))
+                        .unwrap();
+                    assert_eq!(&reply.bytes[..], msg.as_bytes());
                     *done.lock() += 1;
                 });
             }

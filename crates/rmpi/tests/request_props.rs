@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
 use parking_lot::Mutex;
-use proptest::prelude::*;
 use rmpi::{mpiexec, waitall, Comm};
-use simt::Sim;
+use simt::{for_each_case, SeededRng, Sim};
 
 const TAG_BASE: u64 = 10_000;
 
@@ -30,23 +29,16 @@ struct Observed {
     done_at: u64,
 }
 
-/// Deterministic permutation of `0..n` derived from `seed` (Fisher–Yates
-/// over a splitmix64 stream).
-fn permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+/// `lo..hi` send times below `horizon`, and a posting order for them (a
+/// Fisher–Yates permutation of the indices).
+fn draw_case(rng: &mut SeededRng, horizon: u64, lo: u64, hi: u64) -> (Vec<u64>, Vec<usize>) {
+    let n = rng.next_range(lo, hi) as usize;
+    let times = (0..n).map(|_| rng.next_range(0, horizon)).collect();
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
+        perm.swap(i, rng.next_range(0, i as u64 + 1) as usize);
     }
-    perm
+    (times, perm)
 }
 
 /// Rank 0 sends message `i` (value `i`, tag `TAG_BASE + i`) at absolute
@@ -105,49 +97,43 @@ fn run_fanin(times: Vec<u64>, perm: Vec<usize>, mode: Completion) -> Observed {
     observed
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn waitall_matches_sequential_waits(
-        times in proptest::collection::vec(0u64..200_000, 1..14),
-        perm_seed in any::<u64>(),
-    ) {
-        let perm = permutation(times.len(), perm_seed);
+#[test]
+fn waitall_matches_sequential_waits() {
+    for_each_case(24, |rng| {
+        let (times, perm) = draw_case(rng, 200_000, 1, 14);
 
         let batched = run_fanin(times.clone(), perm.clone(), Completion::Waitall);
         let sequential = run_fanin(times.clone(), perm.clone(), Completion::Sequential);
 
         // Same payloads, same sources, same virtual completion time.
-        prop_assert_eq!(&batched, &sequential);
+        assert_eq!(batched, sequential);
 
         // And both honour the reservation contract: request order is the
         // posting permutation, whatever order the messages arrived in.
         let expected: Vec<u64> = perm.iter().map(|&i| i as u64).collect();
-        prop_assert_eq!(&batched.values, &expected);
-        prop_assert!(batched.sources.iter().all(|&s| s == 0));
+        assert_eq!(batched.values, expected);
+        assert!(batched.sources.iter().all(|&s| s == 0));
 
         // A batch can never finish before its slowest member arrives.
         let slowest = times.iter().copied().max().unwrap_or(0);
-        prop_assert!(
+        assert!(
             batched.done_at >= slowest,
             "batch completed at {} before the last send at {}",
             batched.done_at,
             slowest
         );
-    }
+    });
+}
 
-    #[test]
-    fn repeated_runs_are_bit_identical(
-        times in proptest::collection::vec(0u64..100_000, 1..10),
-        perm_seed in any::<u64>(),
-    ) {
-        // Same seed ⇒ byte-identical observations, run to run: completion
-        // order inside the store derives from virtual time + posting order,
-        // never from host scheduling.
-        let perm = permutation(times.len(), perm_seed);
+#[test]
+fn repeated_runs_are_bit_identical() {
+    // Same seed ⇒ byte-identical observations, run to run: completion
+    // order inside the store derives from virtual time + posting order,
+    // never from host scheduling.
+    for_each_case(24, |rng| {
+        let (times, perm) = draw_case(rng, 100_000, 1, 10);
         let a = run_fanin(times.clone(), perm.clone(), Completion::Waitall);
-        let b = run_fanin(times.clone(), perm.clone(), Completion::Waitall);
-        prop_assert_eq!(a, b);
-    }
+        let b = run_fanin(times, perm, Completion::Waitall);
+        assert_eq!(a, b);
+    });
 }

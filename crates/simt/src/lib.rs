@@ -52,7 +52,7 @@ pub mod timer;
 
 pub use cpu::Cpu;
 pub use engine::{Sim, SimError, SimReport, TaskId, TaskObserver};
-pub use rng::SeededRng;
+pub use rng::{for_each_case, SeededRng};
 pub use time::{Duration, Instant};
 pub use timer::DeadlineTimer;
 

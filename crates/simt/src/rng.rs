@@ -59,6 +59,25 @@ impl SeededRng {
     }
 }
 
+/// Property-test driver: runs `body` once per case seed in `0..cases`, each
+/// with a generator seeded from it to draw the case's inputs. A case that
+/// panics names its seed on the way out; `SeededRng::from_seed(seed)` replays
+/// exactly that case.
+pub fn for_each_case(cases: u64, mut body: impl FnMut(&mut SeededRng)) {
+    struct NameSeedOnPanic(u64);
+    impl Drop for NameSeedOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed at case seed {}", self.0);
+            }
+        }
+    }
+    for seed in 0..cases {
+        let _guard = NameSeedOnPanic(seed);
+        body(&mut SeededRng::from_seed(seed));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,7 @@
 //!
 //! The plan is a **partition of the reduce space**: every `(map, reduce)`
 //! cell is covered by exactly one task ([`ReducePlan::verify_partition_of_space`]
-//! machine-checks it, and a proptest in `tests/aqe_tests.rs` pins it for
+//! machine-checks it, and a seeded property in `tests/aqe_tests.rs` pins it for
 //! arbitrary matrices).
 
 use std::sync::Arc;

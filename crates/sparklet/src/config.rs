@@ -172,29 +172,6 @@ impl Default for AqeConf {
     }
 }
 
-/// Partial/approximate result policy for deadline-bounded actions
-/// (`count_approx` and friends; Spark's `spark.partial.*` analogs).
-///
-/// Off by default: with `enabled: false` the approximate actions degrade to
-/// their exact counterparts — no deadline timer is armed, no evaluator is
-/// attached at submission, and every run is bit-identical to the engine
-/// without this subsystem (the acceptance bar shared with speculation and
-/// AQE).
-#[derive(Debug, Clone, Copy)]
-pub struct PartialConf {
-    /// Master switch for deadline-bounded evaluation.
-    pub enabled: bool,
-    /// Confidence level used when an approximate action does not pass one
-    /// explicitly (`count_approx(timeout)` → bounds at this level).
-    pub default_confidence: f64,
-}
-
-impl Default for PartialConf {
-    fn default() -> Self {
-        PartialConf { enabled: false, default_confidence: 0.95 }
-    }
-}
-
 /// Engine configuration (the `spark.*` properties the paper tunes, §VII-C).
 #[derive(Debug, Clone, Copy)]
 pub struct SparkConf {
@@ -231,20 +208,10 @@ pub struct SparkConf {
     /// Consecutive plane-level fetch failures (connect/timeout/closed)
     /// before an accelerated data plane falls back to sockets.
     pub plane_failure_threshold: u32,
-    /// Seed for retry jitter; combined with process identity so executors
-    /// don't retry in lockstep, yet every run with the same seed replays
-    /// identically.
-    pub retry_seed: u64,
     /// Straggler-speculation policy.
     pub speculation: SpeculationConf,
     /// Adaptive query execution policy.
     pub aqe: AqeConf,
-    /// Partial/approximate result policy for deadline-bounded actions.
-    pub partial: PartialConf,
-    /// Cap on attempts of one stage (first run + resubmissions after
-    /// `FetchFailed`); exceeding it panics the job, mirroring Spark's
-    /// `spark.stage.maxConsecutiveAttempts` abort.
-    pub max_stage_attempts: u32,
     /// Record tracing spans during the run and export a deterministic
     /// Chrome-trace timeline (virtual-time ticks). Off by default: spans
     /// cost host memory, never virtual time, so enabling it does not
@@ -270,11 +237,8 @@ impl Default for SparkConf {
             fetch_retry_max_ns: simt::time::secs(5),
             fetch_timeout_ns: simt::time::secs(120),
             plane_failure_threshold: 3,
-            retry_seed: 0,
             speculation: SpeculationConf::default(),
             aqe: AqeConf::default(),
-            partial: PartialConf::default(),
-            max_stage_attempts: 4,
             trace_timeline: false,
             cost: CostModel::default(),
         }
@@ -298,17 +262,6 @@ impl SparkConf {
     pub fn with_aqe(mut self, aqe: AqeConf) -> Self {
         self.aqe = aqe;
         self
-    }
-
-    /// Replace the partial-result policy (builder style).
-    pub fn with_partial(mut self, partial: PartialConf) -> Self {
-        self.partial = partial;
-        self
-    }
-
-    /// Enable deadline-bounded evaluation with the default confidence.
-    pub fn with_partial_enabled(self) -> Self {
-        self.with_partial(PartialConf { enabled: true, ..PartialConf::default() })
     }
 }
 
@@ -339,14 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn partial_is_off_by_default_and_builders_compose() {
-        let c = SparkConf::default();
-        assert!(!c.partial.enabled);
-        assert_eq!(c.partial.default_confidence, 0.95);
+    fn builders_compose() {
         let c = SparkConf::default()
-            .with_partial_enabled()
             .with_aqe(AqeConf { enabled: true, ..AqeConf::default() })
             .with_speculation(SpeculationConf { enabled: true, ..SpeculationConf::default() });
-        assert!(c.partial.enabled && c.aqe.enabled && c.speculation.enabled);
+        assert!(c.aqe.enabled && c.speculation.enabled);
     }
 }

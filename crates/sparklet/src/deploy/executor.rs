@@ -81,19 +81,7 @@ impl RpcEndpoint for ExecutorEndpoint {
                     .speculative(task.speculative);
                 ctx.charge(ctx.cost().task_overhead_ns);
                 let t0 = simt::now();
-                let output = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    task.runner.run(&ctx)
-                })) {
-                    Ok(out) => out,
-                    Err(payload) => match payload.downcast::<crate::shuffle::FetchFailedSignal>() {
-                        Ok(sig) => crate::rdd::TaskOutput::FetchFailed {
-                            shuffle_id: sig.shuffle_id,
-                            exec_id: sig.exec_id,
-                            map_id: sig.map_id,
-                        },
-                        Err(other) => std::panic::resume_unwind(other),
-                    },
-                };
+                let output = task.runner.run(&ctx);
                 ctx.metrics.counter(obs::keys::TASK_RUN_NS).add(simt::now() - t0);
                 let metrics = ctx.metrics.snapshot();
                 let wire = 256 + metrics.counter(obs::keys::TASK_RESULT_BYTES);

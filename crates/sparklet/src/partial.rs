@@ -190,6 +190,10 @@ fn total_estimate(values: &[f64], total: usize, z: f64) -> Option<(f64, f64)> {
 
 // --- evaluators --------------------------------------------------------------
 
+/// Confidence level of an approximate action called with `confidence: None`
+/// (`count_approx(timeout, None)` → bounds at this level).
+pub const DEFAULT_CONFIDENCE: f64 = 0.95;
+
 /// Approximate `count()`: tasks emit `u64` partition counts.
 pub struct CountEvaluator {
     confidence: f64,

@@ -19,10 +19,10 @@ use crate::config::SparkConf;
 use crate::data::Element;
 use crate::partial::{
     AsF64, BoundedDouble, CountEvaluator, Erased, ErasedEvaluator, GroupedCountEvaluator,
-    MeanEvaluator, PartialResult, Stat, SumEvaluator,
+    MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
 };
 use crate::rpc::AnyMsg;
-use crate::shuffle::MapStatus;
+use crate::shuffle::{FetchFailed, MapStatus};
 use crate::task::TaskContext;
 
 use ops::*;
@@ -37,15 +37,7 @@ pub enum TaskOutput {
     /// The task could not fetch shuffle blocks (Spark's
     /// `FetchFailedException`); the scheduler recomputes the lost map
     /// outputs via lineage and retries.
-    FetchFailed {
-        /// Shuffle whose blocks were unreachable.
-        shuffle_id: u32,
-        /// Executor that failed to serve them (`None`: the map-output
-        /// *metadata* lookup failed, nobody to quarantine).
-        exec_id: Option<usize>,
-        /// First implicated map output, when the failed block is known.
-        map_id: Option<u32>,
-    },
+    FetchFailed(FetchFailed),
 }
 
 /// A schedulable unit of work.
@@ -78,10 +70,20 @@ pub trait AdaptiveResultOps<T: Element>: Send + Sync + 'static {
     fn dep(&self) -> Arc<dyn ShuffleDepMeta>;
     /// Fetch `buckets` in one batched pass and post-process each; returns
     /// one `(bucket, records)` entry per requested bucket, in request order.
-    fn compute_buckets(&self, ctx: &TaskContext, buckets: &[u32]) -> Vec<(u32, Vec<T>)>;
+    fn compute_buckets(
+        &self,
+        ctx: &TaskContext,
+        buckets: &[u32],
+    ) -> Result<Vec<(u32, Vec<T>)>, FetchFailed>;
     /// Fetch map partitions `map_lo..map_hi` of `bucket` and post-process
     /// the slice — the salted pre-aggregate of two-phase aggregation.
-    fn compute_slice(&self, ctx: &TaskContext, bucket: u32, map_lo: u32, map_hi: u32) -> Vec<T>;
+    fn compute_slice(
+        &self,
+        ctx: &TaskContext,
+        bucket: u32,
+        map_lo: u32,
+        map_hi: u32,
+    ) -> Result<Vec<T>, FetchFailed>;
     /// Combine slice partials (ascending map-range order) into the bucket's
     /// final records — the cheap final merge of two-phase aggregation.
     fn merge(&self, ctx: &TaskContext, partials: Vec<Vec<T>>) -> Vec<T>;
@@ -341,8 +343,9 @@ pub trait RddOps<T: Element>: Send + Sync + 'static {
     fn id(&self) -> u64;
     /// Partition count.
     fn num_partitions(&self) -> usize;
-    /// Materialize partition `part`.
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<T>;
+    /// Materialize partition `part`, or report the shuffle fetch that
+    /// failed somewhere in its lineage.
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed>;
     /// Direct shuffle dependencies.
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
     /// Adaptive view of this node, when it is a shuffle read that supports
@@ -541,11 +544,6 @@ impl<T: Element> Rdd<T> {
             .collect()
     }
 
-    /// Resolve an optional per-call confidence against the conf default.
-    fn confidence(&self, confidence: impl Into<Option<f64>>) -> f64 {
-        confidence.into().unwrap_or(self.core.conf.partial.default_confidence)
-    }
-
     /// Number of records.
     pub fn count(&self) -> u64 {
         self.run_partitions("count", |_ctx, v| v.len() as u64).iter().map(|x| **x).sum()
@@ -580,27 +578,16 @@ impl<T: Element> Rdd<T> {
     /// Approximate record count with a virtual-clock budget: if the job has
     /// not completed after `timeout_ns`, the answer is a confidence
     /// interval extrapolated from the partitions seen so far
-    /// (`confidence: None` uses `partial.default_confidence`).
-    ///
-    /// With `partial.enabled == false` this degrades to the exact `count`
-    /// job — same spec, same action label, same timings.
+    /// (`confidence: None` uses [`DEFAULT_CONFIDENCE`]). A deadline that
+    /// never fires yields the exact count as a degenerate interval.
     pub fn count_approx(
         &self,
         timeout_ns: u64,
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
         let f = |_ctx: &TaskContext, v: Vec<T>| v.len() as u64;
-        if !self.core.conf.partial.enabled {
-            let total = self.num_partitions();
-            let n: u64 = self.run_partitions("count", f).iter().map(|x| **x).sum();
-            return PartialResult {
-                value: BoundedDouble::exact(n as f64),
-                partitions_seen: total,
-                total_partitions: total,
-                is_final: true,
-            };
-        }
-        let evaluator = Erased::boxed(CountEvaluator::new(self.confidence(confidence)));
+        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
+        let evaluator = Erased::boxed(CountEvaluator::new(confidence));
         let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
         self.submit_job("count_approx", f, opts).wait().partial::<BoundedDouble>()
     }
@@ -618,53 +605,28 @@ impl<T: Element + AsF64> Rdd<T> {
 
     /// Approximate sum under a virtual-clock deadline; see
     /// [`count_approx`](Rdd::count_approx) for the timeout/confidence
-    /// semantics. Disabled partial conf degrades to the exact sum.
+    /// semantics.
     pub fn sum_approx(
         &self,
         timeout_ns: u64,
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
-        if !self.core.conf.partial.enabled {
-            let total = self.num_partitions();
-            let sum: f64 =
-                self.run_partitions("sum", Self::stat_task()).iter().map(|s| s.sum).sum();
-            return PartialResult {
-                value: BoundedDouble::exact(sum),
-                partitions_seen: total,
-                total_partitions: total,
-                is_final: true,
-            };
-        }
-        let evaluator = Erased::boxed(SumEvaluator::new(self.confidence(confidence)));
+        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
+        let evaluator = Erased::boxed(SumEvaluator::new(confidence));
         let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
         self.submit_job("sum_approx", Self::stat_task(), opts).wait().partial::<BoundedDouble>()
     }
 
     /// Approximate mean under a virtual-clock deadline; see
     /// [`count_approx`](Rdd::count_approx) for the timeout/confidence
-    /// semantics. Disabled partial conf degrades to the exact mean.
+    /// semantics.
     pub fn mean_approx(
         &self,
         timeout_ns: u64,
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
-        if !self.core.conf.partial.enabled {
-            let total = self.num_partitions();
-            let mut pooled = Stat::default();
-            for s in self.run_partitions("mean", Self::stat_task()) {
-                pooled.n += s.n;
-                pooled.sum += s.sum;
-                pooled.sum_sq += s.sum_sq;
-            }
-            let mean = if pooled.n == 0 { f64::NAN } else { pooled.sum / pooled.n as f64 };
-            return PartialResult {
-                value: BoundedDouble::exact(mean),
-                partitions_seen: total,
-                total_partitions: total,
-                is_final: true,
-            };
-        }
-        let evaluator = Erased::boxed(MeanEvaluator::new(self.confidence(confidence)));
+        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
+        let evaluator = Erased::boxed(MeanEvaluator::new(confidence));
         let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
         self.submit_job("mean_approx", Self::stat_task(), opts).wait().partial::<BoundedDouble>()
     }
@@ -927,31 +889,14 @@ where
     /// Approximate per-key counts under a virtual-clock deadline: each
     /// key's total is a [`BoundedDouble`] extrapolated from the partitions
     /// seen (see [`count_approx`](Rdd::count_approx) for timeout/confidence
-    /// semantics). Disabled partial conf degrades to exact local counting.
+    /// semantics).
     pub fn count_by_key_approx(
         &self,
         timeout_ns: u64,
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<Vec<(K, BoundedDouble)>> {
-        if !self.core.conf.partial.enabled {
-            let total = self.num_partitions();
-            let mut merged: BTreeMap<K, u64> = BTreeMap::new();
-            for part in self.run_partitions("count_by_key_local", Self::key_histogram_task()) {
-                for (k, c) in part.iter() {
-                    *merged.entry(k.clone()).or_insert(0) += c;
-                }
-            }
-            return PartialResult {
-                value: merged
-                    .into_iter()
-                    .map(|(k, c)| (k, BoundedDouble::exact(c as f64)))
-                    .collect(),
-                partitions_seen: total,
-                total_partitions: total,
-                is_final: true,
-            };
-        }
-        let evaluator = Erased::boxed(GroupedCountEvaluator::<K>::new(self.confidence(confidence)));
+        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
+        let evaluator = Erased::boxed(GroupedCountEvaluator::<K>::new(confidence));
         let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
         self.submit_job("count_by_key_approx", Self::key_histogram_task(), opts)
             .wait()

@@ -8,7 +8,7 @@ use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
 use crate::rdd::{AdaptiveResultOps, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
-use crate::shuffle::{read_shuffle, read_shuffle_buckets, write_shuffle};
+use crate::shuffle::{read_shuffle, write_shuffle, FetchFailed};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
 
@@ -43,11 +43,11 @@ impl<T: Element> RddOps<T> for GenerateRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parts
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<T> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
         let v = (self.f)(part);
         let bytes: u64 = v.iter().map(Element::virtual_size).sum();
         ctx.charge(ctx.cost().gen(v.len() as u64, bytes));
-        v
+        Ok(v)
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         Vec::new()
@@ -69,8 +69,8 @@ impl<T: Element> RddOps<T> for ParallelizeRdd<T> {
     fn num_partitions(&self) -> usize {
         self.data.len()
     }
-    fn compute(&self, part: usize, _ctx: &TaskContext) -> Vec<T> {
-        self.data[part].clone()
+    fn compute(&self, part: usize, _ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+        Ok(self.data[part].clone())
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         Vec::new()
@@ -96,9 +96,9 @@ impl<U: Element, T: Element> RddOps<T> for MapPartitionsRdd<U, T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<T> {
-        let input = self.parent.compute(part, ctx);
-        (self.f)(ctx, input)
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+        let input = self.parent.compute(part, ctx)?;
+        Ok((self.f)(ctx, input))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         self.parent.shuffle_deps()
@@ -122,15 +122,15 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<T> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
         let bm = &ctx.services.block_manager;
         if let Some(hit) = bm.cache_get::<T>(self.id, part as u32) {
             // Reading from the in-memory cache: a memory-scan charge.
             let bytes: u64 = hit.iter().map(Element::virtual_size).sum();
             ctx.charge(ctx.cost().map(hit.len() as u64, bytes));
-            return hit.as_ref().clone();
+            return Ok(hit.as_ref().clone());
         }
-        let data = self.parent.compute(part, ctx);
+        let data = self.parent.compute(part, ctx)?;
         let bytes: u64 = data.iter().map(Element::virtual_size).sum();
         bm.cache_put(self.id, part as u32, Arc::new(data.clone()));
         bm.put(
@@ -141,7 +141,7 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
                 records: data.len() as u64,
             },
         );
-        data
+        Ok(data)
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         self.parent.shuffle_deps()
@@ -163,7 +163,7 @@ impl<T: Element> RddOps<T> for UnionRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parents.iter().map(|p| p.num_partitions()).sum()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<T> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
         let mut offset = part;
         for parent in &self.parents {
             if offset < parent.num_partitions() {
@@ -214,7 +214,10 @@ where
     M: Element,
 {
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let mut records = self.dep.parent.compute(self.part, ctx);
+        let mut records = match self.dep.parent.compute(self.part, ctx) {
+            Ok(records) => records,
+            Err(failed) => return TaskOutput::FetchFailed(failed),
+        };
         if let Some(combine) = &self.dep.map_side_combine {
             records = combine(ctx, records);
         }
@@ -318,9 +321,9 @@ where
     fn num_partitions(&self) -> usize {
         self.dep.partitioner.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<U> {
-        let pairs = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, part as u32);
-        (self.post)(ctx, pairs)
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<U>, FetchFailed> {
+        let mut buckets = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, &[part as u32], None)?;
+        Ok((self.post)(ctx, buckets.pop().expect("one bucket requested").1))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep.clone()]
@@ -339,20 +342,26 @@ where
     fn dep(&self) -> Arc<dyn ShuffleDepMeta> {
         self.dep.clone() as Arc<dyn ShuffleDepMeta>
     }
-    fn compute_buckets(&self, ctx: &TaskContext, buckets: &[u32]) -> Vec<(u32, Vec<U>)> {
-        read_shuffle_buckets::<(K, M)>(ctx, self.dep.shuffle_id, buckets, None)
+    fn compute_buckets(
+        &self,
+        ctx: &TaskContext,
+        buckets: &[u32],
+    ) -> Result<Vec<(u32, Vec<U>)>, FetchFailed> {
+        Ok(read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, buckets, None)?
             .into_iter()
             .map(|(b, pairs)| (b, (self.post)(ctx, pairs)))
-            .collect()
+            .collect())
     }
-    fn compute_slice(&self, ctx: &TaskContext, bucket: u32, map_lo: u32, map_hi: u32) -> Vec<U> {
-        let mut slices = read_shuffle_buckets::<(K, M)>(
-            ctx,
-            self.dep.shuffle_id,
-            &[bucket],
-            Some((map_lo, map_hi)),
-        );
-        (self.post)(ctx, slices.pop().expect("one bucket requested").1)
+    fn compute_slice(
+        &self,
+        ctx: &TaskContext,
+        bucket: u32,
+        map_lo: u32,
+        map_hi: u32,
+    ) -> Result<Vec<U>, FetchFailed> {
+        let mut slices =
+            read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, &[bucket], Some((map_lo, map_hi)))?;
+        Ok((self.post)(ctx, slices.pop().expect("one bucket requested").1))
     }
     fn merge(&self, ctx: &TaskContext, partials: Vec<Vec<U>>) -> Vec<U> {
         (self.merge.as_ref().expect("adaptive ops require a merge"))(ctx, partials)
@@ -386,10 +395,21 @@ where
     fn num_partitions(&self) -> usize {
         self.dep_a.partitioner.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Vec<(K, (Vec<V>, Vec<W>))> {
+    fn compute(
+        &self,
+        part: usize,
+        ctx: &TaskContext,
+    ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
         use std::collections::BTreeMap;
-        let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, part as u32);
-        let b = read_shuffle::<(K, W)>(ctx, self.dep_b.shuffle_id, part as u32);
+        let reduce = [part as u32];
+        let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, &reduce, None)?
+            .pop()
+            .expect("one bucket requested")
+            .1;
+        let b = read_shuffle::<(K, W)>(ctx, self.dep_b.shuffle_id, &reduce, None)?
+            .pop()
+            .expect("one bucket requested")
+            .1;
         ctx.charge(ctx.cost().group((a.len() + b.len()) as u64, 0));
         let mut table: BTreeMap<K, (Vec<V>, Vec<W>)> = BTreeMap::new();
         for (k, v) in a {
@@ -398,7 +418,7 @@ where
         for (k, w) in b {
             table.entry(k).or_default().1.push(w);
         }
-        table.into_iter().collect()
+        Ok(table.into_iter().collect())
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep_a.clone(), self.dep_b.clone()]
@@ -419,7 +439,10 @@ pub struct ResultTask<T: Element, R: Send + Sync + 'static> {
 
 impl<T: Element, R: Send + Sync + 'static> TaskRunner for ResultTask<T, R> {
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let data = self.ops.compute(self.part, ctx);
+        let data = match self.ops.compute(self.part, ctx) {
+            Ok(data) => data,
+            Err(failed) => return TaskOutput::FetchFailed(failed),
+        };
         ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
         TaskOutput::Result(Arc::new((self.f)(ctx, data)))
     }
@@ -471,8 +494,12 @@ struct AqeBucketsTask<T: Element, R: Send + Sync + 'static> {
 
 impl<T: Element, R: Send + Sync + 'static> TaskRunner for AqeBucketsTask<T, R> {
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
+        let computed = match self.ops.compute_buckets(ctx, &self.buckets) {
+            Ok(computed) => computed,
+            Err(failed) => return TaskOutput::FetchFailed(failed),
+        };
         let mut out = Vec::with_capacity(self.buckets.len());
-        for (bucket, data) in self.ops.compute_buckets(ctx, &self.buckets) {
+        for (bucket, data) in computed {
             ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
             out.push((bucket, Arc::new((self.f)(ctx, data)) as AnyMsg));
         }
@@ -491,7 +518,10 @@ struct AqeSliceTask<T: Element> {
 
 impl<T: Element> TaskRunner for AqeSliceTask<T> {
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let data = self.ops.compute_slice(ctx, self.bucket, self.map_lo, self.map_hi);
+        let data = match self.ops.compute_slice(ctx, self.bucket, self.map_lo, self.map_hi) {
+            Ok(data) => data,
+            Err(failed) => return TaskOutput::FetchFailed(failed),
+        };
         ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
         TaskOutput::Result(Arc::new(SlicePartial {
             bucket: self.bucket,

@@ -27,19 +27,17 @@ use crate::aqe::{self, AdaptiveJobSpec, BucketResults, SlicePartial};
 use crate::config::SpeculationConf;
 use crate::rdd::{JobSpec, JobState, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
+use crate::shuffle::FetchFailed;
 
 use super::speculation::{pick_speculation_target, DurationStats};
 use super::{
     DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, SchedEvent, StageMetrics,
 };
 
-/// One `FetchFailed` task outcome collected by an attempt.
-#[derive(Debug, Clone, Copy)]
-struct FetchFailure {
-    shuffle_id: u32,
-    /// `None`: a map-output metadata lookup failed; retry without blame.
-    exec_id: Option<usize>,
-}
+/// Cap on attempts of one stage (first run + resubmissions after
+/// `FetchFailed`); exceeding it panics the job, mirroring Spark's
+/// `spark.stage.maxConsecutiveAttempts` abort.
+const MAX_STAGE_ATTEMPTS: u32 = 4;
 
 /// What the tasks of a stage compute.
 enum StageTasks<'j> {
@@ -333,10 +331,9 @@ impl JobEngine<'_> {
                 return collected;
             }
             attempt += 1;
-            let max = self.sched.conf.max_stage_attempts;
             assert!(
-                attempt < max,
-                "stage {name} failed after {attempt} attempts (max_stage_attempts = {max})"
+                attempt < MAX_STAGE_ATTEMPTS,
+                "stage {name} failed after {attempt} attempts (max {MAX_STAGE_ATTEMPTS})"
             );
             self.recover(&name, &failures);
             // Map outputs computed on a now-quarantined executor point at
@@ -356,7 +353,7 @@ impl JobEngine<'_> {
     /// broadcast the invalidation, and recompute lost parents by lineage.
     /// Lost shuffles outside this job's lineage heal lazily — the next job
     /// reading them finds the holes in [`JobEngine::ensure_shuffle`].
-    fn recover(&mut self, stage: &str, failures: &[FetchFailure]) {
+    fn recover(&mut self, stage: &str, failures: &[FetchFailed]) {
         let sched = self.sched;
         let obs = sched.obs();
         let failed_execs: BTreeSet<usize> = failures.iter().filter_map(|f| f.exec_id).collect();
@@ -412,7 +409,7 @@ impl JobEngine<'_> {
         kind: &StageTasks,
         parts: &[usize],
         attempt: u32,
-    ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailure>) {
+    ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailed>) {
         let sched = self.sched;
         let obs = sched.obs();
         let _span = obs.is_traced().then(|| {
@@ -440,7 +437,7 @@ impl JobEngine<'_> {
         let mut done = 0usize;
         let mut stats = DurationStats::default();
         let mut outputs: Vec<(usize, TaskOutput)> = Vec::with_capacity(n);
-        let mut failures: Vec<FetchFailure> = Vec::new();
+        let mut failures: Vec<FetchFailed> = Vec::new();
         let mut stage_snapshot = obs::MetricsSnapshot::default();
         let mut next_tick = start_ns + spec.interval_ns;
 
@@ -512,9 +509,7 @@ impl JobEngine<'_> {
                     stats.record(metrics.counter(obs::keys::TASK_RUN_NS));
                     stage_snapshot.merge(&metrics);
                     match output {
-                        TaskOutput::FetchFailed { shuffle_id, exec_id, map_id: _ } => {
-                            failures.push(FetchFailure { shuffle_id, exec_id });
-                        }
+                        TaskOutput::FetchFailed(failed) => failures.push(failed),
                         other => {
                             // The fold seam: result partitions stream into
                             // the job's evaluator in completion order.

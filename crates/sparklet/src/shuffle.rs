@@ -22,13 +22,13 @@ use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
 use crate::transfer::FetchResult;
 
-/// Panic payload thrown by [`read_shuffle`] when remote blocks cannot be
-/// fetched. The executor's task wrapper catches it and reports
-/// `TaskOutput::FetchFailed` to the driver, which triggers lineage-based
-/// recomputation of the lost map outputs (Spark's `FetchFailedException`
-/// path).
-#[derive(Debug, Clone, Copy)]
-pub struct FetchFailedSignal {
+/// Shuffle blocks (or their locations) could not be fetched — Spark's
+/// `FetchFailedException` as an ordinary value. [`read_shuffle`] returns it,
+/// `RddOps::compute` propagates it, the task runner reports it to the driver
+/// as `TaskOutput::FetchFailed`, and the scheduler answers with lineage-based
+/// recomputation of the lost map outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchFailed {
     /// Shuffle whose blocks were unreachable.
     pub shuffle_id: u32,
     /// Executor that failed to serve them; `None` when the failure was a
@@ -37,23 +37,6 @@ pub struct FetchFailedSignal {
     pub exec_id: Option<usize>,
     /// First map output implicated by the failed block, when known.
     pub map_id: Option<u32>,
-}
-
-/// Throw a [`FetchFailedSignal`] out of the current task. The signal is
-/// control flow, not a bug — the executor's task wrapper always catches it —
-/// so the global panic printer is taught (once) to stay quiet about this
-/// payload type while still reporting every other panic.
-fn throw_fetch_failed(signal: FetchFailedSignal) -> ! {
-    static SILENCE: std::sync::Once = std::sync::Once::new();
-    SILENCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<FetchFailedSignal>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-    std::panic::panic_any(signal)
 }
 
 /// Location and sizes of one map task's output (Spark's `MapStatus`).
@@ -229,7 +212,7 @@ pub struct MapOutputClient {
 
 impl MapOutputClient {
     /// Tracker lookup attempts before the failure surfaces as a
-    /// metadata-level [`FetchFailedSignal`].
+    /// metadata-level [`FetchFailed`].
     const ASK_ATTEMPTS: u32 = 3;
 
     /// Client talking to the driver's tracker endpoint.
@@ -249,11 +232,11 @@ impl MapOutputClient {
     /// tracker is retried a few times, then reported as a metadata fetch
     /// failure (`exec_id: None`) so the scheduler retries the partition
     /// without quarantining anyone.
-    pub fn get(&self, shuffle_id: u32) -> Arc<Vec<MapStatus>> {
+    pub fn get(&self, shuffle_id: u32) -> Result<Arc<Vec<MapStatus>>, FetchFailed> {
         let floor = self.seen_epoch.load(Ordering::SeqCst);
         if let Some(c) = self.cache.lock().get(&shuffle_id) {
             if c.epoch >= floor {
-                return c.statuses.clone();
+                return Ok(c.statuses.clone());
             }
         }
         let mut attempt = 0;
@@ -263,11 +246,7 @@ impl MapOutputClient {
                 Err(_) => {
                     attempt += 1;
                     if attempt >= Self::ASK_ATTEMPTS {
-                        throw_fetch_failed(FetchFailedSignal {
-                            shuffle_id,
-                            exec_id: None,
-                            map_id: None,
-                        });
+                        return Err(FetchFailed { shuffle_id, exec_id: None, map_id: None });
                     }
                     simt::sleep(self.retry_wait_ns);
                 }
@@ -277,7 +256,7 @@ impl MapOutputClient {
         self.cache
             .lock()
             .insert(shuffle_id, CachedOutputs { epoch: reply.epoch, statuses: statuses.clone() });
-        statuses
+        Ok(statuses)
     }
 
     /// Raise the observed epoch (from a task launch or an invalidation
@@ -351,33 +330,24 @@ pub fn write_shuffle<T: Element>(
 
 // --- shuffle read ----------------------------------------------------------
 
-/// Read every block of `reduce_id`, local blocks directly and remote blocks
-/// through the batched fetcher. Returns the decoded records.
-pub fn read_shuffle<T: Element>(ctx: &TaskContext, shuffle_id: u32, reduce_id: u32) -> Vec<T> {
-    let obs = ctx.services.net.obs().clone();
-    let _span = obs.is_traced().then(|| {
-        obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce_id})
-    });
-    let mut buckets = read_shuffle_buckets(ctx, shuffle_id, &[reduce_id], None);
-    buckets.pop().expect("one bucket requested").1
-}
-
-/// Generalized shuffle read behind both the static and the adaptive paths:
-/// fetch any set of reduce buckets, optionally restricted to map partitions
-/// `map_lo..map_hi` (an AQE slice of one split bucket), in *one* batched
-/// fetch pass. Returns one `(reduce_id, records)` entry per requested bucket
-/// in request order (empty buckets included).
-///
-/// With a single bucket and no map range this is byte-for-byte the classic
-/// `read_shuffle`: same status walk, same request packing, same charge
-/// order, same metrics — the static path merely wraps it.
-pub fn read_shuffle_buckets<T: Element>(
+/// The shuffle read: fetch the reduce buckets `reduce_ids`, optionally
+/// restricted to map partitions `map_lo..map_hi` (an AQE slice of one split
+/// bucket), in *one* batched fetch pass — local blocks directly, remote
+/// blocks through the batched fetcher. Returns one `(reduce_id, records)`
+/// entry per requested bucket in request order (empty buckets included), or
+/// the [`FetchFailed`] that names what could not be fetched.
+pub fn read_shuffle<T: Element>(
     ctx: &TaskContext,
     shuffle_id: u32,
     reduce_ids: &[u32],
     map_range: Option<(u32, u32)>,
-) -> Vec<(u32, Vec<T>)> {
-    let statuses = ctx.services.map_outputs.get(shuffle_id);
+) -> Result<Vec<(u32, Vec<T>)>, FetchFailed> {
+    let obs = ctx.services.net.obs().clone();
+    let _span = obs.is_traced().then(|| {
+        let reduce = reduce_ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
+        obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce})
+    });
+    let statuses = ctx.services.map_outputs.get(shuffle_id)?;
     let conf = &ctx.services.conf;
     let cost = ctx.cost();
     let my_exec = ctx.services.exec_id;
@@ -501,7 +471,7 @@ pub fn read_shuffle_buckets<T: Element>(
                 // Invalidate the cached map-output table so the retry sees
                 // the recomputed locations.
                 ctx.services.map_outputs.invalidate(shuffle_id);
-                throw_fetch_failed(FetchFailedSignal { shuffle_id, exec_id, map_id });
+                return Err(FetchFailed { shuffle_id, exec_id, map_id });
             }
         };
         if res.last {
@@ -530,7 +500,7 @@ pub fn read_shuffle_buckets<T: Element>(
     ctx.metrics.counter(obs::keys::TASK_FETCH_WAIT_NS).add(fetch_wait);
     ctx.metrics.counter(obs::keys::TASK_REMOTE_BYTES).add(remote_bytes);
     ctx.metrics.counter(obs::keys::TASK_LOCAL_BYTES).add(local_bytes);
-    outs
+    Ok(outs)
 }
 
 /// Group `(K, V)` records into `(K, Vec<V>)` with hash-aggregation costs

@@ -407,7 +407,9 @@ impl RetryConf {
             },
             fetch_timeout_ns: conf.fetch_timeout_ns,
             plane_failure_threshold: conf.plane_failure_threshold,
-            seed: conf.retry_seed,
+            // One jitter stream per process: the constructor's salt tells
+            // executors apart, so they do not retry in lockstep.
+            seed: 0,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Adaptive query execution: oracle-equivalence matrix, planner proptests,
+//! Adaptive query execution: oracle-equivalence matrix, planner properties,
 //! and the chaos/recovery interaction.
 //!
 //! The correctness story is test-first: adaptive execution may change *how*
@@ -15,7 +15,7 @@
 //! all four of the paper's stacks.
 
 use fabric::{ClusterSpec, FaultPlan};
-use proptest::prelude::*;
+use simt::{for_each_case, SeededRng};
 use sparklet::aqe::{plan, PlanTask};
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
@@ -282,66 +282,52 @@ fn crash_during_adaptive_reduce_fetch_replans_and_matches_oracle() {
     }
 }
 
-// --- planner proptests -------------------------------------------------------
+// --- planner properties ------------------------------------------------------
 
-/// Assemble a `maps × reduces` size matrix from a flat pool of cell bytes.
-/// The vendored proptest shim has no strategy combinators, so shape and cells
-/// are drawn as separate arguments and zipped here; degenerate empty shapes
-/// (0 maps or 0 reduces) are covered by the shape ranges starting at 0.
-fn size_matrix(maps: usize, reduces: usize, cells: &[u64]) -> Vec<Vec<u64>> {
-    (0..maps).map(|m| (0..reduces).map(|r| cells[m * reduces + r]).collect()).collect()
+/// Cases per planner property.
+const PLAN_CASES: u64 = 256;
+
+/// A random `maps × reduces` size matrix (degenerate empty shapes included)
+/// and a random enabled policy.
+fn draw_plan_input(rng: &mut SeededRng) -> (Vec<Vec<u64>>, AqeConf) {
+    let maps = rng.next_range(0, 8);
+    let reduces = rng.next_range(0, 12);
+    let sizes =
+        (0..maps).map(|_| (0..reduces).map(|_| rng.next_range(0, 10_000)).collect()).collect();
+    let conf = AqeConf {
+        enabled: true,
+        target_bytes: rng.next_range(1, 5_000),
+        skew_factor: 1.0 + 7.0 * rng.next_f64(),
+        max_slices: rng.next_range(2, 6) as u32,
+    };
+    (sizes, conf)
 }
 
-fn aqe_conf(target_bytes: u64, skew_factor: f64, max_slices: u32) -> AqeConf {
-    AqeConf { enabled: true, target_bytes, skew_factor, max_slices }
+/// Every (map, reduce) cell of any matrix lands in exactly one task.
+#[test]
+fn plan_is_a_partition_of_the_reduce_space() {
+    for_each_case(PLAN_CASES, |rng| {
+        let (sizes, conf) = draw_plan_input(rng);
+        assert_eq!(plan(&sizes, &conf).verify_partition_of_space(), Ok(()));
+    });
 }
 
-proptest! {
-    /// Every (map, reduce) cell of any matrix lands in exactly one task.
-    #[test]
-    fn plan_is_a_partition_of_the_reduce_space(
-        maps in 0usize..8,
-        reduces in 0usize..12,
-        cells in proptest::collection::vec(0u64..10_000, 96..97),
-        target_bytes in 1u64..5_000,
-        skew_factor in 1.0f64..8.0,
-        max_slices in 2u32..6,
-    ) {
-        let sizes = size_matrix(maps, reduces, &cells);
-        let conf = aqe_conf(target_bytes, skew_factor, max_slices);
-        let p = plan(&sizes, &conf);
-        prop_assert_eq!(p.verify_partition_of_space(), Ok(()));
-    }
+/// Equal inputs produce equal plans.
+#[test]
+fn plan_is_deterministic() {
+    for_each_case(PLAN_CASES, |rng| {
+        let (sizes, conf) = draw_plan_input(rng);
+        assert_eq!(plan(&sizes, &conf), plan(&sizes, &conf));
+    });
+}
 
-    /// Equal inputs produce equal plans.
-    #[test]
-    fn plan_is_deterministic(
-        maps in 0usize..8,
-        reduces in 0usize..12,
-        cells in proptest::collection::vec(0u64..10_000, 96..97),
-        target_bytes in 1u64..5_000,
-        skew_factor in 1.0f64..8.0,
-        max_slices in 2u32..6,
-    ) {
-        let sizes = size_matrix(maps, reduces, &cells);
-        let conf = aqe_conf(target_bytes, skew_factor, max_slices);
-        prop_assert_eq!(plan(&sizes, &conf), plan(&sizes, &conf));
-    }
-
-    /// Coalesce and split respect their thresholds: multi-bucket runs never
-    /// exceed the target, only above-target buckets split, and split widths
-    /// honor `max_slices` with at least two slices.
-    #[test]
-    fn plan_respects_thresholds(
-        maps in 0usize..8,
-        reduces in 0usize..12,
-        cells in proptest::collection::vec(0u64..10_000, 96..97),
-        target_bytes in 1u64..5_000,
-        skew_factor in 1.0f64..8.0,
-        max_slices in 2u32..6,
-    ) {
-        let sizes = size_matrix(maps, reduces, &cells);
-        let conf = aqe_conf(target_bytes, skew_factor, max_slices);
+/// Coalesce and split respect their thresholds: multi-bucket runs never
+/// exceed the target, only above-target buckets split, and split widths
+/// honor `max_slices` with at least two slices.
+#[test]
+fn plan_respects_thresholds() {
+    for_each_case(PLAN_CASES, |rng| {
+        let (sizes, conf) = draw_plan_input(rng);
         let p = plan(&sizes, &conf);
         let reduces = sizes.first().map_or(0, Vec::len);
         let bucket_bytes = |r: usize| -> u64 { sizes.iter().map(|row| row[r]).sum() };
@@ -351,7 +337,7 @@ proptest! {
                 PlanTask::Buckets { buckets } => {
                     if buckets.len() > 1 {
                         let total: u64 = buckets.iter().map(|&b| bucket_bytes(b as usize)).sum();
-                        prop_assert!(
+                        assert!(
                             total <= conf.target_bytes,
                             "coalesced run of {} buckets holds {total} > target {}",
                             buckets.len(),
@@ -364,10 +350,10 @@ proptest! {
         }
         for (r, &n) in slices_of.iter().enumerate() {
             if n > 0 {
-                prop_assert!(bucket_bytes(r) > conf.target_bytes, "split an under-target bucket");
-                prop_assert!((2..=conf.max_slices).contains(&n), "{n} slices for bucket {r}");
-                prop_assert!(p.split_buckets.contains(&(r as u32)));
+                assert!(bucket_bytes(r) > conf.target_bytes, "split an under-target bucket");
+                assert!((2..=conf.max_slices).contains(&n), "{n} slices for bucket {r}");
+                assert!(p.split_buckets.contains(&(r as u32)));
             }
         }
-    }
+    });
 }

@@ -1,24 +1,20 @@
 //! Bounded-latency jobs: the `JobHandle` submission seam and the
 //! partial/approximate actions built on it.
 //!
-//! Three correctness stories:
+//! Two correctness stories:
 //!
 //! 1. **Never-firing deadline ⇒ exact.** An approximate action whose
 //!    virtual-clock budget outlives the job must return the exact answer
-//!    (`is_final`, full coverage, degenerate interval) — proptested over
-//!    random data on all four of the paper's systems.
+//!    (`is_final`, full coverage, degenerate interval) — checked over
+//!    seeded random data on all four of the paper's systems.
 //! 2. **Deadline mid-recovery ⇒ honest interval.** A chaos cell crashes a
 //!    node during the reduce fetch so lineage recovery is in flight when
 //!    the deadline fires; the returned confidence interval must bracket the
 //!    true count, cover strictly fewer than all partitions, and be
 //!    byte-identical across same-seed re-runs.
-//! 3. **Disabled ⇒ bit-identical.** With `partial.enabled == false` the
-//!    approximate actions degrade to the exact jobs — same results, same
-//!    virtual timings, same Chrome-trace timeline, no `spark.partial_*`
-//!    counter movement.
 
 use fabric::{ClusterSpec, FaultPlan};
-use proptest::prelude::*;
+use simt::for_each_case;
 use sparklet::deploy::ClusterConfig;
 use sparklet::partial::Erased;
 use sparklet::scheduler::SparkContext;
@@ -36,12 +32,12 @@ fn all_systems() -> [System; 4] {
     [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark]
 }
 
-/// Baseline conf of the AQE/recovery suites with the partial subsystem on.
+/// Baseline conf of the AQE/recovery suites.
 fn partial_conf() -> SparkConf {
     let mut conf = SparkConf::default();
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 10_000;
-    conf.with_partial_enabled()
+    conf
 }
 
 fn run<R: Send + Sync + 'static>(
@@ -56,18 +52,15 @@ fn run<R: Send + Sync + 'static>(
 
 // --- 1. never-firing deadline equals the exact action ----------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// `count_approx` / `sum_approx` / `mean_approx` with an unreachable
-    /// deadline return the exact answers on every system. Data is integer-
-    /// valued so partition sums are exact in `f64` regardless of the fold
-    /// order, making float equality legitimate.
-    #[test]
-    fn approx_equals_exact_under_never_firing_deadline(
-        vals in proptest::collection::vec(0u64..100_000, 40..41),
-        parts in 2usize..6,
-    ) {
+/// `count_approx` / `sum_approx` / `mean_approx` with an unreachable
+/// deadline return the exact answers on every system. Data is integer-
+/// valued so partition sums are exact in `f64` regardless of the fold
+/// order, making float equality legitimate.
+#[test]
+fn approx_equals_exact_under_never_firing_deadline() {
+    for_each_case(3, |rng| {
+        let vals: Vec<u64> = (0..40).map(|_| rng.next_range(0, 100_000)).collect();
+        let parts = rng.next_range(2, 6) as usize;
         let n = vals.len() as f64;
         let sum: f64 = vals.iter().map(|&v| v as f64).sum();
         let mean = sum / n;
@@ -82,18 +75,18 @@ proptest! {
                 (exact, c, s, m)
             });
             let (exact, c, s, m) = out.result.clone();
-            prop_assert_eq!(c.value, BoundedDouble::exact(exact as f64));
-            prop_assert!(c.is_final && c.partitions_seen == c.total_partitions);
-            prop_assert_eq!(s.value, BoundedDouble::exact(sum));
-            prop_assert!(s.is_final);
-            prop_assert_eq!(m.value, BoundedDouble::exact(mean));
-            prop_assert!(m.is_final);
+            assert_eq!(c.value, BoundedDouble::exact(exact as f64));
+            assert!(c.is_final && c.partitions_seen == c.total_partitions);
+            assert_eq!(s.value, BoundedDouble::exact(sum));
+            assert!(s.is_final);
+            assert_eq!(m.value, BoundedDouble::exact(mean));
+            assert!(m.is_final);
             // The three approximate submissions rode the partial path (the
             // exact `count` did not), and none expired.
-            prop_assert_eq!(out.partial_results(), 3);
-            prop_assert!(!out.deadline_fired());
+            assert_eq!(out.partial_results(), 3);
+            assert!(!out.deadline_fired());
         }
-    }
+    });
 }
 
 #[test]
@@ -136,11 +129,9 @@ fn zero_budget_deadline_yields_zero_information_interval() {
 }
 
 /// Chaos-tuned conf: compressed fetch/RPC timeouts (as in
-/// `recovery_chaos_tests`) with the partial subsystem enabled.
+/// `recovery_chaos_tests`).
 fn chaos_conf() -> SparkConf {
-    let mut conf = SparkConf::default();
-    conf.executor_cores = 4;
-    conf.cost.task_overhead_ns = 10_000;
+    let mut conf = partial_conf();
     conf.merge_chunks_per_request = false;
     conf.connect_timeout_ns = 50 * MS;
     conf.request_timeout_ns = 100 * MS;
@@ -148,7 +139,7 @@ fn chaos_conf() -> SparkConf {
     conf.fetch_max_retries = 1;
     conf.fetch_retry_base_ns = 20 * MS;
     conf.fetch_retry_max_ns = 100 * MS;
-    conf.with_partial_enabled()
+    conf
 }
 
 /// `count_approx` over a 9-map × 24-reduce groupBy — more reduce partitions
@@ -266,54 +257,6 @@ fn expiry_mid_stage_teardown_races_inflight_task_sends() {
                 r.value.high
             );
         }
-    }
-}
-
-// --- 3. disabled subsystem is bit-identical to the exact actions ------------
-
-#[test]
-fn disabled_partial_is_bit_identical_to_exact_actions_on_all_systems() {
-    // `count_approx` with `partial.enabled == false` must be
-    // indistinguishable from `count`: same job spec, same action label,
-    // same virtual timings — the traced timelines compare byte-for-byte.
-    let traced = || {
-        let mut conf = SparkConf::default();
-        conf.executor_cores = 4;
-        conf.cost.task_overhead_ns = 10_000;
-        conf.trace_timeline = true;
-        conf
-    };
-    for system in all_systems() {
-        let exact = run(system, traced(), |sc| {
-            let rdd = sc.parallelize((0..300u64).collect(), 6);
-            (rdd.count(), rdd.sum_approx(NEVER, None).value)
-        });
-        let approx = run(system, traced(), |sc| {
-            let rdd = sc.parallelize((0..300u64).collect(), 6);
-            (rdd.count_approx(NEVER, None).value, rdd.sum_approx(NEVER, None).value)
-        });
-        let (n, s1) = exact.result;
-        let (c, s2) = approx.result;
-        assert_eq!(c, BoundedDouble::exact(n as f64), "{}: wrong count", system.label());
-        assert_eq!(s1, s2, "{}: sums disagree", system.label());
-        assert_eq!(
-            exact.timeline,
-            approx.timeline,
-            "{}: disabled partial must not perturb the timeline",
-            system.label()
-        );
-        fn quiet<R>(o: &RunOutcome<R>, label: &str) {
-            assert_eq!(o.partial_results(), 0, "{label}: partial counters moved");
-            assert_eq!(o.partial_partitions_seen(), 0, "{label}: fold counter moved");
-            assert!(!o.deadline_fired(), "{label}: phantom deadline");
-        }
-        quiet(&exact, system.label());
-        quiet(&approx, system.label());
-        // And the job durations match action-for-action.
-        fn d<R>(o: &RunOutcome<R>) -> Vec<(String, u64)> {
-            o.jobs.iter().map(|j| (j.action.clone(), j.duration_ns())).collect()
-        }
-        assert_eq!(d(&exact), d(&approx), "{}: job timings diverged", system.label());
     }
 }
 

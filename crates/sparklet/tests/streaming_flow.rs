@@ -4,6 +4,10 @@
 //! chunk has even left the server. This is the Spark
 //! `ShuffleBlockFetcherIterator` behaviour (budget released per landed
 //! buffer, not per retired request) that the streaming data plane restores.
+//!
+//! The same harness pins the fetch-failure path as plain values: a failed
+//! chunk makes `read_shuffle` return `Err(FetchFailed)`, and a task runner
+//! turns a lineage `Err` into `TaskOutput::FetchFailed`.
 
 use std::sync::Arc;
 
@@ -13,11 +17,15 @@ use simt::queue::Queue;
 use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
+use sparklet::rdd::ops::ResultTask;
+use sparklet::rdd::{RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use sparklet::rpc::RpcEnv;
-use sparklet::shuffle::{read_shuffle, MapOutputClient, MapOutputTrackerMaster, MapStatus};
+use sparklet::shuffle::{
+    read_shuffle, FetchFailed, MapOutputClient, MapOutputTrackerMaster, MapStatus,
+};
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::task::{ExecutorServices, TaskContext};
-use sparklet::transfer::{BlockTransferService, FetchResult};
+use sparklet::transfer::{BlockTransferService, FetchError, FetchResult};
 use sparklet::SparkConf;
 
 const MS: u64 = 1_000_000;
@@ -151,7 +159,8 @@ fn follow_on_request_departs_before_first_requests_last_chunk() {
         });
         let ctx = harness(&net, conf, &[(0, 1), (1, 1), (2, 1), (3, 2)], transfer.clone());
 
-        let mut out: Vec<u64> = read_shuffle(&ctx, 7, 0);
+        let (_, mut out): (u32, Vec<u64>) =
+            read_shuffle(&ctx, 7, &[0], None).expect("every block fetched").remove(0);
         out.sort_unstable();
         assert_eq!(out, vec![0, 100, 200, 300], "all four remote blocks decoded");
 
@@ -198,10 +207,80 @@ fn oversized_request_departs_on_empty_budget() {
             emissions: Arc::default(),
         });
         let ctx = harness(&net, conf, &[(0, 1), (1, 1)], transfer.clone());
-        let mut out: Vec<u64> = read_shuffle(&ctx, 7, 0);
+        let (_, mut out): (u32, Vec<u64>) =
+            read_shuffle(&ctx, 7, &[0], None).expect("every block fetched").remove(0);
         out.sort_unstable();
         assert_eq!(out, vec![0, 100]);
         assert_eq!(transfer.calls.lock().len(), 1);
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+/// Transfer service whose every request fails outright.
+struct FailingTransfer;
+
+impl BlockTransferService for FailingTransfer {
+    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
+        sink.send(FetchResult {
+            blocks,
+            chunk_index: 0,
+            last: true,
+            result: Err(FetchError::plane("peer unreachable")),
+        });
+    }
+
+    fn close(&self) {}
+}
+
+#[test]
+fn failed_chunk_surfaces_as_an_err_naming_the_serving_executor() {
+    let sim = Sim::new();
+    sim.spawn("main", move || {
+        let net = Net::new(&ClusterSpec::test(3));
+        let ctx = harness(&net, SparkConf::default(), &[(0, 2)], Arc::new(FailingTransfer));
+        let failed = read_shuffle::<u64>(&ctx, 7, &[0], None).expect_err("the only block failed");
+        assert_eq!(failed, FetchFailed { shuffle_id: 7, exec_id: Some(2), map_id: Some(0) });
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+/// Lineage node whose every partition reports a lost shuffle block.
+struct LostBlocks(FetchFailed);
+
+impl RddOps<u64> for LostBlocks {
+    fn id(&self) -> u64 {
+        0
+    }
+    fn num_partitions(&self) -> usize {
+        1
+    }
+    fn compute(&self, _part: usize, _ctx: &TaskContext) -> Result<Vec<u64>, FetchFailed> {
+        Err(self.0)
+    }
+    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn result_task_reports_a_lineage_err_as_fetch_failed_output() {
+    let sim = Sim::new();
+    sim.spawn("main", move || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let ctx = harness(&net, SparkConf::default(), &[], Arc::new(FailingTransfer));
+        let lost = FetchFailed { shuffle_id: 3, exec_id: Some(1), map_id: Some(9) };
+        let task = ResultTask {
+            ops: Arc::new(LostBlocks(lost)),
+            f: Arc::new(|_ctx: &TaskContext, v: Vec<u64>| v.len()),
+            part: 0,
+        };
+        match task.run(&ctx) {
+            TaskOutput::FetchFailed(got) => assert_eq!(got, lost),
+            _ => panic!("a failed compute must not produce a result"),
+        }
+        assert_eq!(ctx.metrics.snapshot().counter(obs::keys::TASK_RECORDS_OUT), 0);
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();

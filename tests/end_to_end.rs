@@ -35,6 +35,14 @@ fn groupby_results_identical_across_all_four_systems() {
             groups.iter_mut().for_each(|(_, v)| v.sort_unstable());
             groups
         });
+        // Every netz message is accounted at both ends, whichever transport
+        // carried it (socket frames, MPI bodies, MPI envelopes).
+        assert_eq!(
+            out.metrics.counter(obs::keys::NETZ_MSGS_SENT),
+            out.metrics.counter(obs::keys::NETZ_MSGS_RECEIVED),
+            "{}: netz sent vs received",
+            system.label()
+        );
         outcomes.push((system.label(), out.result));
     }
     let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
@@ -52,7 +60,7 @@ fn groupby_results_identical_across_all_four_systems() {
 #[test]
 fn paper_performance_ordering_holds() {
     // The paper's central result at reduced scale: shuffle-read time
-    // IPoIB > RDMA > MPI, and MPI-Basic slower than MPI-Optimized overall.
+    // IPoIB > RDMA > MPI, and both MPI designs beat IPoIB overall.
     let spec = ClusterSpec::frontera(4); // 2 workers
     let cfg = OhbConfig {
         partitions: 8,
@@ -72,8 +80,31 @@ fn paper_performance_ordering_holds() {
     }
     assert!(read["IPoIB"] > read["RDMA"], "{read:?}");
     assert!(read["RDMA"] > read["MPI"], "{read:?}");
-    assert!(total["MPI-Basic"] > total["MPI"], "{total:?}");
     assert!(total["IPoIB"] > total["MPI-Basic"], "{total:?}");
+    assert!(total["IPoIB"] > total["MPI"], "{total:?}");
+}
+
+#[test]
+fn basic_is_slower_than_optimized_with_many_cores_per_worker() {
+    // Fig. 9's regime: every one of a worker's 56 cores runs a task, so the
+    // Basic design's spinning selector loops take CPU from compute (§VII-B).
+    // On a few cores per worker the two designs tie to within 0.2 % and the
+    // order follows the key stream; here the gap is above 15 %.
+    let spec = ClusterSpec::frontera(4); // 2 workers
+    let cfg = OhbConfig {
+        partitions: 112,
+        records_per_partition: 2,
+        value_bytes: 1 << 20,
+        key_range: 64,
+        seed: 5,
+    };
+    let total = |system: System| {
+        let conf = SparkConf { executor_cores: 56, ..conf() };
+        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
+        system.run(&spec, cluster, move |sc| group_by_app(sc, cfg)).total_ns()
+    };
+    let (basic, optimized) = (total(System::Mpi4SparkBasic), total(System::Mpi4Spark));
+    assert!(basic > optimized + optimized / 10, "basic {basic} ns vs optimized {optimized} ns");
 }
 
 #[test]

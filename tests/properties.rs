@@ -1,172 +1,207 @@
-//! Property-based tests (proptest) over the stack's core invariants:
+//! Property-based tests (seeded case loops) over the stack's core invariants:
 //! codecs round-trip, partitioners cover and stay stable, shuffles preserve
 //! multisets, sorts order totally, the virtual clock never regresses, and
 //! retried fetches decode identically to fault-free runs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use proptest::prelude::*;
+use simt::{for_each_case, SeededRng};
 use sparklet::data::{decode_batch, encode_batch};
 use sparklet::rdd::partitioner::{HashPartitioner, Partitioner, RangePartitioner};
 use sparklet::Blob;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `lo..hi` draws of `item`.
+fn draw_vec<T>(
+    rng: &mut SeededRng,
+    lo: u64,
+    hi: u64,
+    mut item: impl FnMut(&mut SeededRng) -> T,
+) -> Vec<T> {
+    let n = rng.next_range(lo, hi);
+    (0..n).map(|_| item(rng)).collect()
+}
 
-    #[test]
-    fn element_batches_roundtrip(v in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..200)) {
+#[test]
+fn element_batches_roundtrip() {
+    for_each_case(64, |rng| {
+        let v = draw_vec(rng, 0, 200, |r| (r.next_u64(), r.next_u64()));
         let (bytes, virt) = encode_batch(&v);
         let back: Vec<(u64, u64)> = decode_batch(&bytes);
-        prop_assert_eq!(back, v.clone());
-        prop_assert_eq!(virt, 4 + 16 * v.len() as u64);
-    }
+        assert_eq!(back, v);
+        assert_eq!(virt, 4 + 16 * v.len() as u64);
+    });
+}
 
-    #[test]
-    fn blob_batches_roundtrip(v in proptest::collection::vec((any::<u64>(), 0u32..10_000_000), 0..100)) {
-        let blobs: Vec<Blob> = v.iter().map(|(s, l)| Blob::new(*s, *l)).collect();
+#[test]
+fn blob_batches_roundtrip() {
+    for_each_case(64, |rng| {
+        let blobs =
+            draw_vec(rng, 0, 100, |r| Blob::new(r.next_u64(), r.next_range(0, 10_000_000) as u32));
         let (bytes, virt) = encode_batch(&blobs);
         let back: Vec<Blob> = decode_batch(&bytes);
-        prop_assert_eq!(back, blobs.clone());
+        assert_eq!(back, blobs);
         let expected: u64 = 4 + blobs.iter().map(|b| u64::from(b.len)).sum::<u64>();
-        prop_assert_eq!(virt, expected);
-    }
+        assert_eq!(virt, expected);
+    });
+}
 
-    #[test]
-    fn string_batches_roundtrip(v in proptest::collection::vec(".{0,40}", 0..50)) {
+#[test]
+fn string_batches_roundtrip() {
+    // One- to four-byte UTF-8 scalars, so length prefixes count bytes.
+    const ALPHABET: [char; 8] = ['a', 'Z', '7', ' ', 'é', 'ß', '√', '🦀'];
+    for_each_case(64, |rng| {
+        let v = draw_vec(rng, 0, 50, |r| {
+            draw_vec(r, 0, 41, |r| ALPHABET[r.next_range(0, 8) as usize])
+                .into_iter()
+                .collect::<String>()
+        });
         let (bytes, _) = encode_batch(&v);
         let back: Vec<String> = decode_batch(&bytes);
-        prop_assert_eq!(back, v);
-    }
+        assert_eq!(back, v);
+    });
+}
 
-    #[test]
-    fn hash_partitioner_in_range_and_stable(keys in proptest::collection::vec(any::<u64>(), 1..500), parts in 1usize..64) {
+#[test]
+fn hash_partitioner_in_range_and_stable() {
+    for_each_case(64, |rng| {
+        let keys = draw_vec(rng, 1, 500, SeededRng::next_u64);
+        let parts = rng.next_range(1, 64) as usize;
         let p = HashPartitioner::new(parts);
         for k in &keys {
             let a = Partitioner::<u64>::partition(&p, k);
-            prop_assert!(a < parts);
-            prop_assert_eq!(a, Partitioner::<u64>::partition(&p, k));
+            assert!(a < parts);
+            assert_eq!(a, Partitioner::<u64>::partition(&p, k));
         }
-    }
+    });
+}
 
-    #[test]
-    fn range_partitioner_is_monotone(mut sample in proptest::collection::vec(any::<u64>(), 1..300), parts in 1usize..16, probes in proptest::collection::vec(any::<u64>(), 0..100)) {
-        let p = RangePartitioner::from_sample(sample.clone(), parts);
-        sample.sort_unstable();
-        let mut probes = probes;
+#[test]
+fn range_partitioner_is_monotone() {
+    for_each_case(64, |rng| {
+        let sample = draw_vec(rng, 1, 300, SeededRng::next_u64);
+        let parts = rng.next_range(1, 16) as usize;
+        let mut probes = draw_vec(rng, 0, 100, SeededRng::next_u64);
+        let p = RangePartitioner::from_sample(sample, parts);
         probes.sort_unstable();
         let mut last = 0usize;
         for k in &probes {
             let part = p.partition(k);
-            prop_assert!(part < p.num_partitions());
-            prop_assert!(part >= last, "monotonicity violated");
+            assert!(part < p.num_partitions());
+            assert!(part >= last, "monotonicity violated");
             last = part;
         }
-    }
+    });
+}
 
-    #[test]
-    fn message_codec_roundtrips(request_id in any::<u64>(), stream in any::<u64>(), chunk in any::<u32>(), virt in 0u64..100_000_000) {
-        use netz::Message;
+#[test]
+fn message_codec_roundtrips() {
+    use fabric::Payload;
+    use netz::Message;
+    for_each_case(64, |rng| {
+        let (request_id, stream) = (rng.next_u64(), rng.next_u64());
+        let chunk = rng.next_u64() as u32;
+        let virt = rng.next_range(0, 100_000_000);
+        let body = || Payload::bytes_scaled(bytes::Bytes::new(), virt);
         let cases = vec![
-            Message::RpcRequest { request_id, body: fabric::Payload::bytes_scaled(bytes::Bytes::new(), virt) },
+            Message::RpcRequest { request_id, body: body() },
             Message::ChunkFetchRequest { stream_id: stream, chunk_index: chunk },
-            Message::ChunkFetchSuccess { stream_id: stream, chunk_index: chunk, body: fabric::Payload::bytes_scaled(bytes::Bytes::new(), virt) },
-            Message::StreamResponse { stream_id: format!("s{stream}"), byte_count: virt, body: fabric::Payload::bytes_scaled(bytes::Bytes::new(), virt) },
+            Message::ChunkFetchSuccess { stream_id: stream, chunk_index: chunk, body: body() },
+            Message::StreamResponse {
+                stream_id: format!("s{stream}"),
+                byte_count: virt,
+                body: body(),
+            },
         ];
         for msg in cases {
             let header = msg.encode_header();
-            let body = msg.body().cloned().unwrap_or_else(fabric::Payload::empty);
+            let body = msg.body().cloned().unwrap_or_else(Payload::empty);
             let back = Message::decode(&header, body).unwrap();
-            prop_assert_eq!(header.clone(), back.encode_header());
-            prop_assert_eq!(Message::peek_body_len(&header).unwrap(), msg.body_virtual_len());
+            assert_eq!(&header[..], &back.encode_header()[..]);
+            assert_eq!(Message::peek_body_len(&header).unwrap(), msg.body_virtual_len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn virtual_clock_is_monotone(delays in proptest::collection::vec(0u64..10_000, 1..40)) {
+#[test]
+fn virtual_clock_is_monotone() {
+    for_each_case(64, |rng| {
+        let delays = draw_vec(rng, 1, 40, |r| r.next_range(0, 10_000));
+        let expected: u64 = delays.iter().sum();
         let sim = simt::Sim::new();
-        let delays2 = delays.clone();
         sim.spawn("t", move || {
             let mut last = simt::now();
-            for d in delays2 {
+            for d in delays {
                 simt::sleep(d);
                 let now = simt::now();
                 assert!(now >= last);
                 last = now;
             }
         });
-        let expected: u64 = delays.iter().sum();
-        prop_assert_eq!(sim.run().unwrap().now, expected);
-    }
+        assert_eq!(sim.run().unwrap().now, expected);
+    });
+}
+
+/// The small Vanilla cluster the cluster-backed properties run on.
+fn run_vanilla<R: Send + Sync + 'static>(
+    app: impl FnOnce(&sparklet::scheduler::SparkContext) -> R + Send + 'static,
+) -> R {
+    use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
+    let spec = fabric::ClusterSpec::test(4);
+    let mut conf = sparklet::SparkConf::default();
+    conf.executor_cores = 4;
+    conf.cost.task_overhead_ns = 1_000;
+    let cluster = ClusterConfig::paper_layout(spec.len(), conf);
+    let (out, _) = simulate(
+        &spec,
+        cluster,
+        Arc::new(sparklet::VanillaBackend::default()),
+        Arc::new(ProcessBuilderLauncher),
+        app,
+    );
+    out
 }
 
 // Cluster-backed properties use fewer cases — each runs a full simulated
 // Spark cluster.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn shuffle_preserves_multisets(records in proptest::collection::vec((0u64..50, any::<u64>()), 1..300), parts in 1usize..12) {
-        use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
-        let spec = fabric::ClusterSpec::test(4);
-        let mut conf = sparklet::SparkConf::default();
-        conf.executor_cores = 4;
-        conf.cost.task_overhead_ns = 1_000;
-        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-        let records2 = records.clone();
-        let (mut out, _) = simulate(
-            &spec,
-            cluster,
-            std::sync::Arc::new(sparklet::VanillaBackend::default()),
-            std::sync::Arc::new(ProcessBuilderLauncher),
-            move |sc| {
-                sc.parallelize(records2, 5)
-                    .partition_by(std::sync::Arc::new(HashPartitioner::new(parts)))
-                    .collect()
-            },
-        );
-        let mut expect = records;
+#[test]
+fn shuffle_preserves_multisets() {
+    for_each_case(8, |rng| {
+        let mut records = draw_vec(rng, 1, 300, |r| (r.next_range(0, 50), r.next_u64()));
+        let parts = rng.next_range(1, 12) as usize;
+        let input = records.clone();
+        let mut out = run_vanilla(move |sc| {
+            sc.parallelize(input, 5).partition_by(Arc::new(HashPartitioner::new(parts))).collect()
+        });
         out.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(out, expect);
-    }
+        records.sort_unstable();
+        assert_eq!(out, records);
+    });
+}
 
-    #[test]
-    fn distributed_groupby_matches_local(records in proptest::collection::vec((0u64..20, 0u64..1000), 1..200)) {
-        use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
-        let spec = fabric::ClusterSpec::test(4);
-        let mut conf = sparklet::SparkConf::default();
-        conf.executor_cores = 4;
-        conf.cost.task_overhead_ns = 1_000;
-        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-        let records2 = records.clone();
-        let (out, _) = simulate(
-            &spec,
-            cluster,
-            std::sync::Arc::new(sparklet::VanillaBackend::default()),
-            std::sync::Arc::new(ProcessBuilderLauncher),
-            move |sc| sc.parallelize(records2, 4).group_by_key(3).collect(),
-        );
+#[test]
+fn distributed_groupby_matches_local() {
+    for_each_case(8, |rng| {
+        let records = draw_vec(rng, 1, 200, |r| (r.next_range(0, 20), r.next_range(0, 1000)));
+        let input = records.clone();
+        let out = run_vanilla(move |sc| sc.parallelize(input, 4).group_by_key(3).collect());
         let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
         for (k, v) in &records {
             oracle.entry(*k).or_default().push(*v);
         }
-        prop_assert_eq!(out.len(), oracle.len());
+        assert_eq!(out.len(), oracle.len());
         for (k, mut vs) in out {
             vs.sort_unstable();
             let mut expect = oracle[&k].clone();
             expect.sort_unstable();
-            prop_assert_eq!(vs, expect);
+            assert_eq!(vs, expect);
         }
-    }
+    });
 }
 
 // Chaos equivalence uses even fewer cases: each runs a clean cluster to
-// measure the shuffle-read window, then a faulted one against it. The body
-// lives in a helper so the proptest macro stays within its expansion budget.
-fn chaos_equivalence_case(
-    records: Vec<(u64, u64)>,
-    chaos_seed: u64,
-) -> Result<(), proptest::test_runner::TestCaseError> {
+// measure the shuffle-read window, then a faulted one against it.
+fn chaos_equivalence_case(records: Vec<(u64, u64)>, chaos_seed: u64) {
     use sparklet::deploy::ClusterConfig;
     use workloads::System;
 
@@ -212,18 +247,16 @@ fn chaos_equivalence_case(
         plan.build(),
         app,
     );
-    prop_assert_eq!(faulted.result, clean.result);
-    Ok(())
+    assert_eq!(faulted.result, clean.result);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    // A fetch completed *through retries* decodes byte-identically to a
-    // fault-free run: a mid-shuffle drop window changes timing, retry
-    // counts, and message fates — never the collected data.
-    #[test]
-    fn retried_fetches_decode_identically_to_fault_free_runs(records in proptest::collection::vec((0u64..20, any::<u64>()), 50..200), chaos_seed in any::<u64>()) {
-        chaos_equivalence_case(records, chaos_seed)?;
-    }
+// A fetch completed *through retries* decodes byte-identically to a
+// fault-free run: a mid-shuffle drop window changes timing, retry
+// counts, and message fates — never the collected data.
+#[test]
+fn retried_fetches_decode_identically_to_fault_free_runs() {
+    for_each_case(6, |rng| {
+        let records = draw_vec(rng, 50, 200, |r| (r.next_range(0, 20), r.next_u64()));
+        chaos_equivalence_case(records, rng.next_u64());
+    });
 }
