@@ -144,17 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_hibench_cells_run_on_all_systems() {
-        let spec = crate::frontera_cluster(2);
-        let params = HiBenchParams { workers: 2, cores: 4, shrink: 64 };
-        for w in [HiBenchWorkload::Gmm, HiBenchWorkload::Repartition] {
-            let van = run_hibench(System::Vanilla, &spec, params, w);
-            let mpi = run_hibench(System::Mpi4Spark, &spec, params, w);
-            assert!(van > 0 && mpi > 0);
-        }
-    }
-
-    #[test]
     fn workload_sets_match_figure_12() {
         assert_eq!(HiBenchWorkload::frontera_set().len(), 6);
         assert_eq!(HiBenchWorkload::stampede2_set().len(), 4);

@@ -1,18 +1,25 @@
-//! Benchmark harness support: experiment runners shared by the per-figure
-//! binaries and the calibration tests.
+//! The `repro` harness: every figure, table, ablation and feature bench of
+//! the paper's evaluation (§VII) is a *suite* — a plain function that runs
+//! its cells and emits one [`Record`] per cell through the [`Run`] it is
+//! given. `repro <suite>… --scale small|full` runs them; `all` runs every
+//! suite in [`SUITES`] order.
 //!
-//! Every figure/table of the paper's evaluation (§VII) has a binary in
-//! `src/bin/` that prints the same rows/series the paper reports, built on
-//! the runners here. `REPRO_SCALE=small` (or `--scale small`) shrinks the
-//! clusters and data volumes for quick smoke runs; the default reproduces
-//! the paper's sizes.
+//! Ledger lines go to stdout when it is redirected, the human table to
+//! stderr: `repro all --scale small > /tmp/l` regenerates the small-scale
+//! records of `results/ledger.json` byte for byte.
 
 pub mod hibench;
 pub mod ohb_runner;
 pub mod pingpong;
-pub mod report;
+pub mod record;
+mod suites;
+
+use std::io::Write;
+use std::path::PathBuf;
 
 use fabric::ClusterSpec;
+use netz::RoutePolicy;
+pub use record::{Record, Run};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,26 +31,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Resolve from `--scale` argv or the `REPRO_SCALE` env var.
-    pub fn from_env_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                if let Some(v) = args.get(i + 1) {
-                    return Scale::parse(v);
-                }
-            }
-        }
-        match std::env::var("REPRO_SCALE") {
-            Ok(v) => Scale::parse(&v),
-            Err(_) => Scale::Full,
-        }
-    }
-
-    fn parse(v: &str) -> Scale {
-        match v {
-            "small" | "smoke" => Scale::Small,
-            _ => Scale::Full,
+    /// The `--scale` value naming this scale.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Full => "full",
+            Scale::Small => "small",
         }
     }
 
@@ -83,15 +75,129 @@ pub fn stampede2_cluster(workers: usize) -> ClusterSpec {
     ClusterSpec::stampede2(workers + 2)
 }
 
+/// A suite: runs its cells, emits a record per cell, asserts its contracts.
+pub type Suite = fn(&mut Run<'_>);
+
+/// Every suite by name, in `all` order.
+pub const SUITES: &[(&str, Suite)] = &[
+    ("fig08", suites::fig08),
+    ("fig09", suites::fig09),
+    ("fig10", suites::fig10),
+    ("fig11", suites::fig11),
+    ("fig12-frontera", suites::fig12_frontera),
+    ("fig12-stampede2", suites::fig12_stampede2),
+    ("table4", suites::table4),
+    ("ablation-polling", suites::ablation_polling),
+    ("ablation-batching", suites::ablation_batching),
+    ("ablation-routing", suites::ablation_routing),
+    ("recovery", suites::recovery),
+    ("aqe", suites::aqe),
+    ("partial", suites::partial),
+    ("detlint", suites::detlint),
+    ("traced", suites::traced),
+];
+
+/// A parsed `repro` command line.
+pub struct Args {
+    /// Suites to run, in command-line order.
+    pub suites: Vec<(&'static str, Suite)>,
+    /// `--scale` (default: full, the paper's sizes).
+    pub scale: Scale,
+    /// `--trace-dir`.
+    pub trace_dir: Option<PathBuf>,
+    /// `--route-policy`.
+    pub route_policy: Option<RoutePolicy>,
+}
+
+/// Parse `repro`'s arguments (without the program name). Unknown suites,
+/// scales, policies and flags are errors that list the valid values.
+pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let names = || SUITES.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ");
+    let mut args =
+        Args { suites: Vec::new(), scale: Scale::Full, trace_dir: None, route_policy: None };
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        let mut value = || argv.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--scale" => {
+                args.scale = match value()?.as_str() {
+                    "small" => Scale::Small,
+                    "full" => Scale::Full,
+                    v => return Err(format!("unknown --scale '{v}'; valid: small full")),
+                }
+            }
+            "--trace-dir" => args.trace_dir = Some(PathBuf::from(value()?)),
+            "--route-policy" => {
+                let v = value()?;
+                args.route_policy = Some(RoutePolicy::from_flag(&v).ok_or(format!(
+                    "unknown --route-policy '{v}'; valid: none chunk-bodies shuffle-bodies \
+                     all-bodies all-messages"
+                ))?);
+            }
+            "all" => args.suites.extend_from_slice(SUITES),
+            name => match SUITES.iter().find(|(n, _)| *n == name) {
+                Some(suite) => args.suites.push(*suite),
+                None => return Err(format!("unknown suite '{name}'; valid: {} all", names())),
+            },
+        }
+    }
+    if args.suites.is_empty() {
+        return Err(format!(
+            "usage: repro <suite>… [--scale small|full] [--trace-dir DIR] \
+             [--route-policy POLICY]; suites: {} all",
+            names()
+        ));
+    }
+    Ok(args)
+}
+
+impl Args {
+    /// Run the suites, ledger lines to `ledger`, the human table to `table`;
+    /// returns every record emitted.
+    pub fn run(&self, ledger: &mut dyn Write, table: &mut dyn Write) -> Vec<Record> {
+        let mut run = Run::new(self.scale, ledger, table);
+        run.trace_dir = self.trace_dir.clone();
+        run.route_policy = self.route_policy;
+        for (name, suite) in &self.suites {
+            run.suite = name;
+            suite(&mut run);
+        }
+        run.records
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    fn run(argv: &[&str]) -> (Vec<Record>, String) {
+        let mut ledger = Vec::new();
+        let records = parse(argv).unwrap().run(&mut ledger, &mut std::io::sink());
+        (records, String::from_utf8(ledger).unwrap())
+    }
+
     #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("small"), Scale::Small);
-        assert_eq!(Scale::parse("full"), Scale::Full);
-        assert_eq!(Scale::parse("anything"), Scale::Full);
+    fn a_scale_typo_is_rejected_not_run_at_full_scale() {
+        let err = parse(&["fig09", "--scale", "samll"]).err().expect("typo must be rejected");
+        assert!(err.contains("samll") && err.contains("small full"), "{err}");
+        assert!(parse(&["fig09", "--scale"]).is_err());
+        assert!(parse(&["fig09", "--scale", "small"]).unwrap().scale == Scale::Small);
+        assert!(parse(&["fig09"]).unwrap().scale == Scale::Full);
+    }
+
+    #[test]
+    fn an_unknown_suite_is_rejected_with_the_valid_names() {
+        let err = parse(&["fig13"]).err().expect("unknown suite must be rejected");
+        for (name, _) in SUITES {
+            assert!(err.contains(name), "{err}");
+        }
+        assert!(parse(&["--json", "recovery"]).is_err(), "removed flags are unknown suites");
+        assert!(parse(&["--scale", "small"]).is_err(), "no suite named");
+        assert_eq!(parse(&["all"]).unwrap().suites.len(), SUITES.len());
     }
 
     #[test]
@@ -99,5 +205,33 @@ mod tests {
         assert!(Scale::Small.workers(32) < 32);
         assert!(Scale::Small.gb(14) < 14);
         assert_eq!(Scale::Full.workers(32), 32);
+    }
+
+    #[test]
+    fn emitting_a_suite_twice_yields_identical_ledger_bytes() {
+        let (records, first) = run(&["recovery", "table4", "--scale", "small"]);
+        assert_eq!(first, run(&["recovery", "table4", "--scale", "small"]).1);
+        let lines: Vec<String> = records.iter().map(Record::ledger_line).collect();
+        assert_eq!(first.lines().collect::<Vec<_>>(), lines);
+        assert_eq!(lines.len(), 6 + 9);
+    }
+
+    /// Every suite runs at small scale and emits records with a positive
+    /// virtual time; where a cell carries a workload check value or a
+    /// shuffle-read time, those are positive too (every system of the
+    /// fig10 GroupBy cell and of the fig12 HiBench cells included).
+    #[test]
+    fn every_suite_runs_at_small_scale() {
+        for (name, _) in SUITES {
+            let (records, _) = run(&[name, "--scale", "small"]);
+            assert!(!records.is_empty(), "{name} emitted nothing");
+            for r in &records {
+                assert_eq!((r.suite, r.scale), (*name, Scale::Small));
+                assert!(r.virtual_ns > 0 || *name == "detlint", "{r:?}");
+                for (value, v) in &r.values {
+                    assert!(*v > 0 || !["check", "shuffle_read_ns"].contains(value), "{r:?}");
+                }
+            }
+        }
     }
 }

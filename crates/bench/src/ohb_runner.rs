@@ -1,6 +1,5 @@
 //! Runner for the OHB RDD benchmark cells (Figs. 9, 10, 11).
 
-use fabric::ClusterSpec;
 use sparklet::deploy::ClusterConfig;
 use sparklet::SparkConf;
 use workloads::ohb::{group_by_app, sort_by_app, OhbConfig, StageBreakdown};
@@ -26,7 +25,7 @@ impl OhbBench {
 }
 
 /// One experiment cell's outcome.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct OhbCell {
     /// Stage breakdown (paper Fig. 10/11 bars).
     pub breakdown: StageBreakdown,
@@ -34,72 +33,45 @@ pub struct OhbCell {
     pub total_ns: u64,
     /// Workload sanity value (group/record count).
     pub check: u64,
+    /// Chrome-trace timeline JSON when the cell ran with `trace`.
+    pub timeline: Option<String>,
 }
 
-/// Run one OHB cell: `bench` under `system` with `workers` workers of
-/// `cores` cores each and `gb_per_worker` GiB of generated data.
+/// Run one OHB cell: `bench` under `system` on a Frontera-like cluster of
+/// `workers` workers with `cores` cores and `gb_per_worker` GiB of generated
+/// data each. `route` overrides the MPI systems' body-routing policy (§VI-E
+/// ablations; `None` keeps the design default). `trace` records the
+/// deterministic timeline; it costs host memory only, never virtual time, so
+/// the reported figures are unchanged.
 pub fn run_cell(
     system: System,
     bench: OhbBench,
     workers: usize,
     cores: u32,
     gb_per_worker: u64,
+    route: Option<netz::RoutePolicy>,
+    trace: bool,
 ) -> OhbCell {
     let spec = crate::frontera_cluster(workers);
-    run_cell_on(&spec, system, bench, workers, cores, gb_per_worker)
-}
-
-/// [`run_cell`] on an explicit cluster spec.
-pub fn run_cell_on(
-    spec: &ClusterSpec,
-    system: System,
-    bench: OhbBench,
-    workers: usize,
-    cores: u32,
-    gb_per_worker: u64,
-) -> OhbCell {
-    run_cell_routed(spec, system, bench, workers, cores, gb_per_worker, None)
-}
-
-/// [`run_cell_on`] with a body-routing policy override for the MPI systems
-/// (§VI-E ablations; `None` keeps the design default).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_routed(
-    spec: &ClusterSpec,
-    system: System,
-    bench: OhbBench,
-    workers: usize,
-    cores: u32,
-    gb_per_worker: u64,
-    route: Option<netz::RoutePolicy>,
-) -> OhbCell {
     let mut conf = SparkConf::paper_defaults(cores);
-    // SPARK_TRACE_DIR=<dir> turns on the deterministic timeline for every
-    // cell and dumps one Chrome-trace JSON per cell into <dir>. Tracing
-    // costs host memory only, never virtual time, so the reported figures
-    // are unchanged.
-    let trace_dir = std::env::var_os("SPARK_TRACE_DIR");
-    conf.trace_timeline = trace_dir.is_some();
+    conf.trace_timeline = trace;
     let cluster = ClusterConfig::paper_layout(spec.len(), conf);
     assert_eq!(cluster.worker_nodes.len(), workers);
     let cfg = OhbConfig::paper(workers, cores, gb_per_worker);
-    let outcome = match bench {
+    let out = match bench {
         OhbBench::GroupBy => {
-            system.run_with_route(spec, cluster, route, move |sc| group_by_app(sc, cfg))
+            system.run_with_route(&spec, cluster, route, move |sc| group_by_app(sc, cfg))
         }
         OhbBench::SortBy => {
-            system.run_with_route(spec, cluster, route, move |sc| sort_by_app(sc, cfg))
+            system.run_with_route(&spec, cluster, route, move |sc| sort_by_app(sc, cfg))
         }
     };
-    if let (Some(dir), Some(json)) = (trace_dir, &outcome.timeline) {
-        let name = format!("{}-{}-{}w.json", bench.name(), system.label(), workers);
-        let path = std::path::Path::new(&dir).join(name);
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)).unwrap_or_else(
-            |e| panic!("SPARK_TRACE_DIR: cannot write timeline {}: {e}", path.display()),
-        );
+    OhbCell {
+        breakdown: StageBreakdown::from_jobs(&out.jobs),
+        total_ns: out.total_ns(),
+        check: out.result,
+        timeline: out.timeline,
     }
-    let breakdown = StageBreakdown::from_jobs(&outcome.jobs);
-    OhbCell { breakdown, total_ns: outcome.total_ns(), check: outcome.result }
 }
 
 #[cfg(test)]
@@ -107,19 +79,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_groupby_cell_runs_all_systems() {
-        for system in [System::Vanilla, System::RdmaSpark, System::Mpi4Spark] {
-            let cell = run_cell(system, OhbBench::GroupBy, 2, 4, 1);
-            assert!(cell.check > 0);
-            assert!(cell.breakdown.shuffle_read_ns > 0);
-        }
-    }
-
-    #[test]
     fn groupby_ordering_holds_at_small_scale() {
-        let van = run_cell(System::Vanilla, OhbBench::GroupBy, 2, 4, 1);
-        let rdma = run_cell(System::RdmaSpark, OhbBench::GroupBy, 2, 4, 1);
-        let mpi = run_cell(System::Mpi4Spark, OhbBench::GroupBy, 2, 4, 1);
+        let van = run_cell(System::Vanilla, OhbBench::GroupBy, 2, 4, 1, None, false);
+        let rdma = run_cell(System::RdmaSpark, OhbBench::GroupBy, 2, 4, 1, None, false);
+        let mpi = run_cell(System::Mpi4Spark, OhbBench::GroupBy, 2, 4, 1, None, false);
         assert!(van.breakdown.shuffle_read_ns > rdma.breakdown.shuffle_read_ns);
         assert!(rdma.breakdown.shuffle_read_ns > mpi.breakdown.shuffle_read_ns);
         assert!(van.total_ns > mpi.total_ns);

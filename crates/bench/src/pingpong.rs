@@ -135,14 +135,6 @@ pub fn run_pingpong(transport: PingPongTransport, size: u64, iters: u32) -> u64 
     v
 }
 
-/// The message sizes of the paper's Fig. 8 (small panel: 1 B–8 KiB;
-/// large panel: 16 KiB–4 MiB).
-pub fn fig8_sizes() -> (Vec<u64>, Vec<u64>) {
-    let small: Vec<u64> = (0..=13).map(|i| 1u64 << i).collect();
-    let large: Vec<u64> = (14..=22).map(|i| 1u64 << i).collect();
-    (small, large)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -251,18 +251,6 @@ impl SparkConf {
     pub fn paper_defaults(cores: u32) -> Self {
         SparkConf { executor_cores: cores, ..Default::default() }
     }
-
-    /// Replace the speculation policy (builder style).
-    pub fn with_speculation(mut self, speculation: SpeculationConf) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
-    /// Replace the AQE policy (builder style).
-    pub fn with_aqe(mut self, aqe: AqeConf) -> Self {
-        self.aqe = aqe;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -289,13 +277,5 @@ mod tests {
     fn paper_defaults_set_cores() {
         let c = SparkConf::paper_defaults(56);
         assert_eq!(c.executor_cores, 56);
-    }
-
-    #[test]
-    fn builders_compose() {
-        let c = SparkConf::default()
-            .with_aqe(AqeConf { enabled: true, ..AqeConf::default() })
-            .with_speculation(SpeculationConf { enabled: true, ..SpeculationConf::default() });
-        assert!(c.aqe.enabled && c.speculation.enabled);
     }
 }

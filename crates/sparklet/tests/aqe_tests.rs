@@ -15,6 +15,7 @@
 //! all four of the paper's stacks.
 
 use fabric::{ClusterSpec, FaultPlan};
+use obs::keys;
 use simt::{for_each_case, SeededRng};
 use sparklet::aqe::{plan, PlanTask};
 use sparklet::deploy::ClusterConfig;
@@ -90,7 +91,8 @@ fn oracle_equivalence_matrix_group_by() {
     for (data_label, pairs, parts) in datasets() {
         for system in all_systems() {
             let oracle = run_group_by(system, AqeConf::default(), pairs.clone(), parts);
-            assert_eq!(oracle.aqe_tasks(), 0, "AQE off must never plan");
+            let aqe_tasks = oracle.metrics.counter(keys::SPARK_AQE_TASKS);
+            assert_eq!(aqe_tasks, 0, "AQE off must never plan");
             for (mode_label, aqe) in modes().into_iter().skip(1) {
                 let adaptive = run_group_by(system, aqe, pairs.clone(), parts);
                 assert_eq!(
@@ -99,8 +101,9 @@ fn oracle_equivalence_matrix_group_by() {
                     "{} × {data_label} × {mode_label}: adaptive ≠ static",
                     system.label()
                 );
+                let aqe_tasks = adaptive.metrics.counter(keys::SPARK_AQE_TASKS);
                 assert!(
-                    adaptive.aqe_tasks() > 0,
+                    aqe_tasks > 0,
                     "{} × {data_label} × {mode_label}: AQE never engaged",
                     system.label()
                 );
@@ -116,16 +119,19 @@ fn matrix_cells_exercise_both_mechanisms() {
     let (_, zipf, parts) = datasets().remove(1);
     let split = modes()[2].1;
     let out = run_group_by(System::Mpi4Spark, split, zipf, parts);
-    assert!(out.aqe_split_slices() > 0, "split mode produced no slices");
+    let slices = out.metrics.counter(keys::SPARK_AQE_SPLIT_SLICES);
+    assert!(slices > 0, "split mode produced no slices");
 
     let (_, sparse, parts) = datasets().remove(3);
     let coalesce = modes()[1].1;
     let out = run_group_by(System::Mpi4Spark, coalesce, sparse, parts);
-    assert!(out.aqe_coalesced_tasks() > 0, "coalesce mode merged no runs");
+    let coalesced = out.metrics.counter(keys::SPARK_AQE_COALESCED_TASKS);
+    assert!(coalesced > 0, "coalesce mode merged no runs");
+    let aqe_tasks = out.metrics.counter(keys::SPARK_AQE_TASKS);
     assert!(
-        out.aqe_tasks() < 32,
+        aqe_tasks < 32,
         "32 mostly-empty buckets should plan into fewer tasks, got {}",
-        out.aqe_tasks()
+        aqe_tasks
     );
 }
 
@@ -256,7 +262,8 @@ fn crash_during_adaptive_reduce_fetch_replans_and_matches_oracle() {
         cluster.app_jar_bytes = 1 << 20;
         let clean = system.run(&spec, cluster, chaos_groupby);
         assert_eq!(clean.result, chaos_oracle(), "{}: clean run wrong", system.label());
-        assert!(clean.aqe_split_slices() > 0, "{}: plan has no slices", system.label());
+        let slices = clean.metrics.counter(keys::SPARK_AQE_SPLIT_SLICES);
+        assert!(slices > 0, "{}: plan has no slices", system.label());
         let start = clean
             .jobs
             .iter()
@@ -276,9 +283,12 @@ fn crash_during_adaptive_reduce_fetch_replans_and_matches_oracle() {
             out
         });
         assert_eq!(out.result, chaos_oracle(), "{}: wrong result after crash", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the crash window never bit", system.label());
-        assert!(out.stage_resubmits() >= 1, "{}: no stage resubmission", system.label());
-        assert!(out.aqe_split_slices() > 0, "{}: AQE plan not active", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the crash window never bit", system.label());
+        let resubmits = out.metrics.counter(keys::SPARK_STAGE_RESUBMITS);
+        assert!(resubmits >= 1, "{}: no stage resubmission", system.label());
+        let slices = out.metrics.counter(keys::SPARK_AQE_SPLIT_SLICES);
+        assert!(slices > 0, "{}: AQE plan not active", system.label());
     }
 }
 

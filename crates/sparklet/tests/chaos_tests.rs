@@ -16,6 +16,7 @@
 //! `same_seed_reproduces_the_run_bit_for_bit`).
 
 use fabric::{ClusterSpec, FaultPlan};
+use obs::keys;
 use simt::SeededRng;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
@@ -107,7 +108,8 @@ fn drop_window_on_a_worker_link_is_survived_by_all_systems() {
         let plan = FaultPlan::seeded(11).drop_link_sym(0, 1, start, span(dur)).build();
         let out = run_chaos(system, &spec, plan);
         assert_eq!(out.result, oracle(), "{}: wrong result under link drop", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the drop window never bit", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the drop window never bit", system.label());
     }
 }
 
@@ -131,7 +133,8 @@ fn delayed_worker_links_still_yield_correct_results() {
         }
         let out = run_chaos(system, &spec, b.build());
         assert_eq!(out.result, oracle(), "{}: wrong result under link delay", system.label());
-        assert!(out.chaos_delayed() > 0, "{}: the delay window never bit", system.label());
+        let delayed = out.metrics.counter(keys::NET_CHAOS_DELAYED_MSGS);
+        assert!(delayed > 0, "{}: the delay window never bit", system.label());
     }
 }
 
@@ -153,12 +156,14 @@ fn link_flap_forces_per_block_retries_on_every_system() {
         }
         let out = run_chaos(system, &spec, b.build());
         assert_eq!(out.result, oracle(), "{}: wrong result under link flap", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the flap never bit", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the flap never bit", system.label());
+        let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
         assert!(
-            out.fetch_retries() >= 1,
+            retries >= 1,
             "{}: flap survived without a single per-block retry (dropped {})",
             system.label(),
-            out.chaos_dropped()
+            dropped
         );
     }
 }
@@ -174,7 +179,8 @@ fn data_plane_isolation_of_one_worker_recovers_on_all_systems() {
         let plan = FaultPlan::seeded(14).isolate_among(1, &WORKERS, start, span(dur)).build();
         let out = run_chaos(system, &spec, plan);
         assert_eq!(out.result, oracle(), "{}: wrong result under isolation", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the isolation never bit", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the isolation never bit", system.label());
     }
 }
 
@@ -193,8 +199,12 @@ fn same_seed_reproduces_the_run_bit_for_bit() {
     };
     let fingerprint = |seed: u64| {
         let out = run_chaos(System::Mpi4Spark, &spec, plan(seed));
-        let summary =
-            (out.total_ns(), out.chaos_dropped(), out.chaos_delayed(), out.fetch_retries());
+        let summary = (
+            out.total_ns(),
+            out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS),
+            out.metrics.counter(keys::NET_CHAOS_DELAYED_MSGS),
+            out.metrics.counter(keys::SPARK_FETCH_RETRIES),
+        );
         (out.result, summary)
     };
     let a = fingerprint(99);
@@ -220,12 +230,14 @@ fn mpi_plane_outage_degrades_to_sockets_and_completes() {
     }
     let out = run_chaos(System::Mpi4Spark, &spec, b.build());
     assert_eq!(out.result, oracle(), "job must complete on the socket fallback plane");
-    assert!(out.chaos_dropped() > 0, "the MPI-stack outage never bit");
+    let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+    assert!(dropped > 0, "the MPI-stack outage never bit");
     let threshold = u64::from(chaos_conf().plane_failure_threshold);
+    let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
     assert!(
-        out.fetch_retries() >= threshold,
+        retries >= threshold,
         "degradation needs >= {threshold} plane failures; saw {} retries",
-        out.fetch_retries()
+        retries
     );
 }
 

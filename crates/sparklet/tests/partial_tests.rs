@@ -14,6 +14,7 @@
 //!    byte-identical across same-seed re-runs.
 
 use fabric::{ClusterSpec, FaultPlan};
+use obs::keys;
 use simt::for_each_case;
 use sparklet::deploy::ClusterConfig;
 use sparklet::partial::Erased;
@@ -83,8 +84,10 @@ fn approx_equals_exact_under_never_firing_deadline() {
             assert!(m.is_final);
             // The three approximate submissions rode the partial path (the
             // exact `count` did not), and none expired.
-            assert_eq!(out.partial_results(), 3);
-            assert!(!out.deadline_fired());
+            let partial_jobs = out.metrics.counter(keys::SPARK_PARTIAL_JOBS);
+            assert_eq!(partial_jobs, 3);
+            let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+            assert!(!fired);
         }
     });
 }
@@ -102,7 +105,8 @@ fn count_by_key_approx_equals_exact_under_never_firing_deadline() {
         });
         assert_eq!(out.result.value, expected, "{}: wrong per-key counts", system.label());
         assert!(out.result.is_final, "{}: complete job must be final", system.label());
-        assert!(!out.deadline_fired(), "{}: deadline must not fire", system.label());
+        let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+        assert!(!fired, "{}: deadline must not fire", system.label());
     }
 }
 
@@ -120,7 +124,8 @@ fn zero_budget_deadline_yields_zero_information_interval() {
             r
         });
         let r = out.result.clone();
-        assert!(out.deadline_fired(), "{}: zero budget must expire", system.label());
+        let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+        assert!(fired, "{}: zero budget must expire", system.label());
         assert_eq!(r.partitions_seen, 0, "{}: nothing completes at t=0", system.label());
         assert!(!r.is_final, "{}: expired job is not final", system.label());
         assert!(r.value.contains(100.0), "{}: [low, ∞) must bracket truth", system.label());
@@ -194,8 +199,10 @@ fn deadline_mid_recovery_brackets_truth_and_is_deterministic() {
         };
         let out = chaos_run();
         let r = &out.result;
-        assert!(out.chaos_dropped() > 0, "{}: the crash window never bit", system.label());
-        assert!(out.deadline_fired(), "{}: deadline must fire mid-recovery", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the crash window never bit", system.label());
+        let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+        assert!(fired, "{}: deadline must fire mid-recovery", system.label());
         assert!(
             r.partitions_seen > 0 && r.partitions_seen < r.total_partitions,
             "{}: expected partial coverage, saw {}/{}",
@@ -213,12 +220,9 @@ fn deadline_mid_recovery_brackets_truth_and_is_deterministic() {
         // Same seed, same virtual schedule, same bytes.
         let again = chaos_run();
         assert_eq!(out.result, again.result, "{}: re-run must be identical", system.label());
-        assert_eq!(
-            out.partial_partitions_seen(),
-            again.partial_partitions_seen(),
-            "{}: fold counts must match across re-runs",
-            system.label()
-        );
+        let seen = out.metrics.counter(keys::SPARK_PARTIAL_PARTITIONS_SEEN);
+        let again_seen = again.metrics.counter(keys::SPARK_PARTIAL_PARTITIONS_SEEN);
+        assert_eq!(seen, again_seen, "{}: fold counts must match across re-runs", system.label());
     }
 }
 
@@ -243,7 +247,8 @@ fn expiry_mid_stage_teardown_races_inflight_task_sends() {
             sc.parallelize(pairs, 12).group_by_key(48).count_approx(timeout, None)
         });
         let r = &out.result;
-        assert!(out.deadline_fired(), "budget {timeout}: deadline must fire");
+        let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+        assert!(fired, "budget {timeout}: deadline must fire");
         assert!(!r.is_final, "budget {timeout}: expired job is not final");
         assert!(
             r.partitions_seen < r.total_partitions,
@@ -292,6 +297,8 @@ fn job_handle_poll_tracks_progress_and_converges_to_exact() {
     assert_eq!(fin.value, BoundedDouble::exact(500.0));
     assert!(fin.is_final);
     // An evaluator was attached, so the submission rode the partial path.
-    assert_eq!(out.partial_results(), 1);
-    assert!(!out.deadline_fired());
+    let partial_jobs = out.metrics.counter(keys::SPARK_PARTIAL_JOBS);
+    assert_eq!(partial_jobs, 1);
+    let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
+    assert!(!fired);
 }

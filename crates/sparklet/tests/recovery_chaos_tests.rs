@@ -16,6 +16,7 @@
 //! the sim quiesces clean.
 
 use fabric::{ClusterSpec, FaultPlan};
+use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
 use sparklet::{SparkConf, SpeculationConf};
@@ -120,12 +121,14 @@ fn executor_crash_during_map_is_covered_by_speculation_on_all_systems() {
             FaultPlan::seeded(21).crash_node(VICTIM, start.saturating_sub(50_000), window).build();
         let out = run_recovery(system, &spec, plan, 2 * window, false);
         assert_eq!(out.result, oracle(), "{}: wrong result after map-stage crash", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the crash window never bit", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the crash window never bit", system.label());
+        let speculative = out.metrics.counter(keys::SPARK_SPECULATIVE_TASKS);
         assert!(
-            out.speculative_tasks() >= 1,
+            speculative >= 1,
             "{}: stranded map tasks were not speculated (dropped {})",
             system.label(),
-            out.chaos_dropped()
+            dropped
         );
     }
 }
@@ -146,13 +149,16 @@ fn executor_crash_during_reduce_fetch_resubmits_stages_on_all_systems() {
             FaultPlan::seeded(22).crash_node(VICTIM, start.saturating_sub(50_000), window).build();
         let out = run_recovery(system, &spec, plan, 2 * window, false);
         assert_eq!(out.result, oracle(), "{}: wrong result after reduce crash", system.label());
-        assert!(out.chaos_dropped() > 0, "{}: the crash window never bit", system.label());
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{}: the crash window never bit", system.label());
+        let resubmits = out.metrics.counter(keys::SPARK_STAGE_RESUBMITS);
+        let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
         assert!(
-            out.stage_resubmits() >= 1,
+            resubmits >= 1,
             "{}: no stage resubmission (dropped {}, retries {})",
             system.label(),
-            out.chaos_dropped(),
-            out.fetch_retries()
+            dropped,
+            retries
         );
         let retried = out
             .jobs
@@ -179,12 +185,10 @@ fn slowdown_triggers_speculation_and_cuts_job_time_on_all_systems() {
         };
         let with_spec = run_recovery(system, &spec, plan(), 0, false);
         assert_eq!(with_spec.result, oracle(), "{}: wrong result (spec on)", system.label());
-        assert!(with_spec.chaos_delayed() > 0, "{}: the slowdown never bit", system.label());
-        assert!(
-            with_spec.speculative_tasks() >= 1,
-            "{}: the slowdown produced no speculative tasks",
-            system.label()
-        );
+        let delayed = with_spec.metrics.counter(keys::NET_CHAOS_DELAYED_MSGS);
+        assert!(delayed > 0, "{}: the slowdown never bit", system.label());
+        let speculative = with_spec.metrics.counter(keys::SPARK_SPECULATIVE_TASKS);
+        assert!(speculative >= 1, "{}: the slowdown produced no speculative tasks", system.label());
 
         let mut conf = recovery_conf();
         conf.speculation.enabled = false;
@@ -222,7 +226,8 @@ fn same_seed_recovery_timeline_is_byte_identical_on_all_systems() {
         let b = run();
         assert_eq!(a.result, b.result, "{}: results differ across reruns", system.label());
         assert_eq!(a.result, oracle(), "{}: wrong recovered result", system.label());
-        assert!(a.stage_resubmits() >= 1, "{}: no resubmission to replay", system.label());
+        let resubmits = a.metrics.counter(keys::SPARK_STAGE_RESUBMITS);
+        assert!(resubmits >= 1, "{}: no resubmission to replay", system.label());
         let (ta, tb) = (a.timeline.expect("traced run"), b.timeline.expect("traced run"));
         assert_eq!(ta, tb, "{}: recovery timeline is not byte-identical", system.label());
     }

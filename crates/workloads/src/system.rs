@@ -72,65 +72,6 @@ impl<R> RunOutcome<R> {
     pub fn stage_ns(&self, job: usize, fragment: &str) -> u64 {
         self.jobs[job].stage_duration(fragment).unwrap_or(0)
     }
-
-    /// Fetch re-requests the retry layer issued across the whole run.
-    pub fn fetch_retries(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_FETCH_RETRIES)
-    }
-
-    /// Messages the chaos plan dropped (0 without a plan).
-    pub fn chaos_dropped(&self) -> u64 {
-        self.metrics.counter(obs::keys::NET_CHAOS_DROPPED_MSGS)
-    }
-
-    /// Messages the chaos plan delayed (0 without a plan).
-    pub fn chaos_delayed(&self) -> u64 {
-        self.metrics.counter(obs::keys::NET_CHAOS_DELAYED_MSGS)
-    }
-
-    /// Stage attempts the scheduler resubmitted after fetch failures
-    /// (0 in a fault-free run).
-    pub fn stage_resubmits(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_STAGE_RESUBMITS)
-    }
-
-    /// Speculative task copies the scheduler launched (0 with speculation
-    /// disabled or no stragglers).
-    pub fn speculative_tasks(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_SPECULATIVE_TASKS)
-    }
-
-    /// Tasks AQE planned for adaptive result stages (0 with AQE off).
-    pub fn aqe_tasks(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_AQE_TASKS)
-    }
-
-    /// Map-range slice tasks AQE produced by splitting skewed buckets.
-    pub fn aqe_split_slices(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_AQE_SPLIT_SLICES)
-    }
-
-    /// AQE tasks that coalesced more than one reduce bucket.
-    pub fn aqe_coalesced_tasks(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_AQE_COALESCED_TASKS)
-    }
-
-    /// Jobs submitted on the partial/approximate path — an evaluator or
-    /// deadline was attached (0 with the partial subsystem disabled).
-    pub fn partial_results(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_PARTIAL_JOBS)
-    }
-
-    /// True when at least one job's deadline fired before completion, i.e.
-    /// some action returned an approximate answer.
-    pub fn deadline_fired(&self) -> bool {
-        self.metrics.counter(obs::keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0
-    }
-
-    /// Result partitions folded into approximate evaluators across the run.
-    pub fn partial_partitions_seen(&self) -> u64 {
-        self.metrics.counter(obs::keys::SPARK_PARTIAL_PARTITIONS_SEEN)
-    }
 }
 
 impl System {

@@ -10,6 +10,7 @@
 //! ```
 
 use fabric::{ClusterSpec, FaultPlan};
+use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
 use sparklet::SparkConf;
@@ -89,9 +90,9 @@ fn main() {
         println!(
             "{:>10}  {:>9} {:>9} {:>8} {:>10.2}  {}",
             system.label(),
-            out.chaos_dropped(),
-            out.chaos_delayed(),
-            out.fetch_retries(),
+            out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS),
+            out.metrics.counter(keys::NET_CHAOS_DELAYED_MSGS),
+            out.metrics.counter(keys::SPARK_FETCH_RETRIES),
             out.total_ns() as f64 / 1e6,
             if ok { "ok" } else { "WRONG RESULT" },
         );
