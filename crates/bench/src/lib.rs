@@ -8,6 +8,8 @@
 //! stderr: `repro all --scale small > /tmp/l` regenerates the small-scale
 //! records of `results/ledger.json` byte for byte.
 
+#![forbid(unsafe_code)]
+
 pub mod hibench;
 pub mod ohb_runner;
 pub mod pingpong;

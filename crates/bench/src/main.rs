@@ -1,6 +1,8 @@
 //! `repro <suite>… [--scale small|full] [--trace-dir DIR] [--route-policy P]`
 //! — see the crate docs of `mpi4spark_bench`.
 
+#![forbid(unsafe_code)]
+
 use std::io::IsTerminal;
 use std::process::ExitCode;
 

@@ -35,6 +35,8 @@ pub struct OhbCell {
     pub check: u64,
     /// Chrome-trace timeline JSON when the cell ran with `trace`.
     pub timeline: Option<String>,
+    /// The run's counters, the engine's own (`obs::keys::SIMT_*`) included.
+    pub metrics: obs::MetricsSnapshot,
 }
 
 /// Run one OHB cell: `bench` under `system` on a Frontera-like cluster of
@@ -71,6 +73,7 @@ pub fn run_cell(
         total_ns: out.total_ns(),
         check: out.result,
         timeline: out.timeline,
+        metrics: out.metrics,
     }
 }
 

@@ -7,6 +7,7 @@ mod features;
 pub use ablations::{ablation_batching, ablation_polling, ablation_routing};
 pub use features::{aqe, partial, recovery};
 
+use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
 use sparklet::SparkConf;
@@ -19,7 +20,7 @@ use workloads::System;
 use crate::hibench::{run_hibench, HiBenchParams, HiBenchWorkload};
 use crate::ohb_runner::{run_cell, OhbBench, OhbCell};
 use crate::pingpong::{run_pingpong, PingPongTransport};
-use crate::record::{real_x1000, x1000, Run};
+use crate::record::{counters, real_x1000, x1000, Run};
 use crate::Scale;
 
 /// Fig. 8: Netty ping-pong one-way latency, NIO vs Netty+MPI, 1 B–4 MiB on
@@ -320,6 +321,8 @@ pub fn traced(run: &mut Run<'_>) {
         assert!(json.contains(&format!("\"name\":\"{name}\"")), "timeline lacks {name} spans");
     }
     dump_timeline(run, bench, system, workers, &cell);
-    let values = vec![("check", cell.check as i64), ("timeline_bytes", json.len() as i64)];
+    let mut values = vec![("check", cell.check as i64), ("timeline_bytes", json.len() as i64)];
+    // The engine's own counters: deterministic, so the ledger pins them too.
+    values.extend(counters(&cell.metrics, &keys::SIMT_STATS));
     run.emit(&[("bench", bench.name().to_string())], cell.total_ns, values);
 }

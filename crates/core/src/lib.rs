@@ -26,6 +26,8 @@
 //!   a channel handler and moves only `ChunkFetchSuccess` and
 //!   `StreamResponse` bodies over MPI — headers stay on the socket path.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod ctx;
 pub mod launch;

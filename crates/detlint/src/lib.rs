@@ -7,8 +7,9 @@
 //!
 //! * **D1** — no `std::time::{Instant, SystemTime}` wall-clock outside `simt`
 //!   internals; use `simt::now()` / `simt::time`.
-//! * **D2** — no `std::thread::{spawn, sleep}` outside `simt::engine`; use
-//!   `simt::spawn` / `simt::sleep`.
+//! * **D2** — no `std::thread::{spawn, Builder, sleep}` anywhere, `simt`
+//!   included (its green threads are coroutines on the caller's OS thread);
+//!   use `simt::spawn` / `simt::sleep`.
 //! * **D3** — no `rand` / OS-entropy sources; use `simt::SeededRng` (or a
 //!   seeded generator justified by an allow comment).
 //! * **D4** — no iteration over `HashMap` / `HashSet` in message-path crates
@@ -23,6 +24,10 @@
 //!   blocking call in the body: every probe charges simulated CPU, so a spin
 //!   loop reproduces the Basic design's polling burn (paper §VI-D) instead
 //!   of blocking on `wait()` / `waitany()` / `CompletionSet::wait_next()`.
+//!
+//! * **D7** — no `thread_local!` outside `simt`: all green threads of a
+//!   simulation share one OS thread, so a thread-local is shared by all of
+//!   them and interleaves their state. Use `simt::with_local`.
 //!
 //! Findings can be waived per line with an explicit, reasoned escape hatch:
 //!
@@ -60,6 +65,8 @@
 //! Waivers that stop suppressing anything are themselves reported (rule
 //! `stale`), so the allow inventory cannot rot.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -75,7 +82,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id: `D1`..`D6`, `L1`, `P1`..`P3`, `allow` for a malformed allow
+    /// Rule id: `D1`..`D7`, `L1`, `P1`..`P3`, `allow` for a malformed allow
     /// directive, or `stale` for a waiver that no longer suppresses anything.
     pub rule: String,
     /// Human-readable explanation with the suggested fix.
@@ -104,9 +111,9 @@ impl Diagnostic {
 /// timeline export.
 pub const MESSAGE_PATH_CRATES: &[&str] = &["netz", "fabric", "rmpi", "sparklet", "core", "obs"];
 
-/// Files allowed to touch the OS clock/thread APIs: the engine itself and the
-/// OS-level gate it parks threads with.
-const SIMT_INTERNALS: &[&str] = &["src/engine.rs", "src/gate.rs"];
+/// The file that implements blocking itself, and so is outside D5 (a guard
+/// held across a blocking primitive).
+const SIMT_INTERNALS: &[&str] = &["src/engine.rs"];
 
 // ---------------------------------------------------------------------------
 // Source masking: blank comments and string/char literals, preserving the
@@ -592,6 +599,7 @@ pub(crate) fn d_rules(prep: &FilePrep) -> BTreeSet<Diagnostic> {
     rule_d4(&ctx, &prep.masked, &prep.text, &mut found);
     rule_d5(&ctx, &prep.masked, &prep.text, &mut found);
     rule_d6(&ctx, &prep.masked, &prep.text, &mut found);
+    rule_d7(&ctx, &prep.masked, &prep.text, &mut found);
     found
 }
 
@@ -801,9 +809,6 @@ fn rule_d1(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
 }
 
 fn rule_d2(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnostic>) {
-    if ctx.is_simt_internal() {
-        return;
-    }
     for (needle, alt) in [
         ("std::thread::spawn", "simt::spawn"),
         ("std::thread::sleep", "simt::sleep"),
@@ -818,8 +823,7 @@ fn rule_d2(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
                 m.line_of(pos),
                 "D2",
                 format!(
-                    "OS thread API `{needle}` outside the simt engine; use `{alt}` so the \
-                     scheduler stays deterministic"
+                    "OS thread API `{needle}`; use `{alt}` so the scheduler stays deterministic"
                 ),
             );
         });
@@ -830,9 +834,7 @@ fn rule_d2(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
             ctx,
             m.line_of(pos),
             "D2",
-            "importing `std::thread` outside the simt engine; green threads come from \
-             `simt::spawn`"
-                .to_string(),
+            "importing `std::thread`; green threads come from `simt::spawn`".to_string(),
         );
     });
 }
@@ -1339,13 +1341,33 @@ fn rule_d6(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
     });
 }
 
+// --- D7: thread-locals shared by every green thread -------------------------
+
+fn rule_d7(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnostic>) {
+    if ctx.is_simt() {
+        return;
+    }
+    each_match(text, "thread_local!", |pos| {
+        push_diag(
+            out,
+            ctx,
+            m.line_of(pos),
+            "D7",
+            "`thread_local!` outside simt: green threads share one OS thread, so this state \
+             is shared by all of them and interleaves across blocking calls; keep per-task \
+             state in `simt::with_local`"
+                .to_string(),
+        );
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Workspace walking.
 // ---------------------------------------------------------------------------
 
-/// Run the full two-pass analysis over every workspace crate's `src/` tree
-/// (plus the umbrella package's `src/`) under `root`.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
+/// Every workspace crate's `src/` tree (plus the umbrella package's `src/`)
+/// under `root`, in a fixed order, ready for [`analyze_files`].
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files: Vec<(PathBuf, FileOrigin)> = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -1372,7 +1394,12 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
             .unwrap_or_else(|_| path.display().to_string());
         sources.push(SourceFile { display_path: display, origin, src });
     }
-    Ok(analyze_files(&sources))
+    Ok(sources)
+}
+
+/// Run the full two-pass analysis over [`workspace_sources`].
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
+    Ok(analyze_files(&workspace_sources(root)?))
 }
 
 /// Scan every workspace crate under `root` and return the diagnostics alone

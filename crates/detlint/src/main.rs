@@ -3,6 +3,8 @@
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage/IO error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,7 +29,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: detlint [--json|--ndjson|--sarif] [ROOT]\n\n\
-                     Scans every workspace crate for determinism violations (rules D1-D6)\n\
+                     Scans every workspace crate for determinism violations (rules D1-D7)\n\
                      and runs the two-pass workspace analysis (lock-order rule L1,\n\
                      protocol rules P1-P3, stale-waiver check).\n\
                      ROOT defaults to the enclosing cargo workspace.\n\n\

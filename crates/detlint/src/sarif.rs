@@ -10,11 +10,12 @@ use crate::Diagnostic;
 /// `(id, short description)` for every rule the scanner can emit.
 pub const RULES: &[(&str, &str)] = &[
     ("D1", "No wall-clock time outside the simulator engine"),
-    ("D2", "No OS threads outside the simulator engine"),
+    ("D2", "No OS threads: green threads come from the simulator"),
     ("D3", "No OS-entropy randomness; all randomness derives from the run seed"),
     ("D4", "No hash-order iteration on message-path crates"),
     ("D5", "No lock guard held across a blocking simt primitive"),
     ("D6", "No busy-spin polling of non-blocking requests"),
+    ("D7", "No thread_local! outside simt: green threads share one OS thread"),
     ("L1", "No lock-order inversions or cycles in the static lock-order graph"),
     ("P1", "Every irecv Request must complete, cancel, or escape its function"),
     ("P2", "No untimed recv on message paths covered by RetryPolicy"),

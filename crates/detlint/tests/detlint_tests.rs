@@ -55,20 +55,22 @@ fn d2_flags_os_threads() {
         vec![(
             4,
             "D2".to_string(),
-            "OS thread API `std::thread::spawn` outside the simt engine; use `simt::spawn` \
-             so the scheduler stays deterministic"
+            "OS thread API `std::thread::spawn`; use `simt::spawn` so the scheduler stays \
+             deterministic"
                 .to_string()
         )]
     );
 }
 
 #[test]
-fn d2_is_waived_in_engine_but_not_elsewhere_in_simt() {
+fn d2_has_no_exemption_not_even_the_engine() {
+    // Green threads are coroutines on the caller's OS thread: nothing in the
+    // workspace, `simt::engine` included, has a reason to start an OS thread.
     let src = include_str!("fixtures/d2_os_thread.rs");
     let engine =
         FileOrigin { crate_name: "simt".to_string(), rel_path: "src/engine.rs".to_string() };
-    assert_eq!(scan_source("engine.rs", &engine, src), vec![]);
-    assert_eq!(scan("simt", src).len(), 1, "simt code outside the engine still obeys D2");
+    assert_eq!(scan_source("engine.rs", &engine, src).len(), 1);
+    assert_eq!(scan("simt", src).len(), 1);
 }
 
 #[test]
@@ -152,6 +154,47 @@ fn d6_accepts_polling_loops_that_block() {
 }
 
 #[test]
+fn d7_flags_thread_locals_outside_simt() {
+    let src = include_str!("fixtures/d7_thread_local.rs");
+    assert_eq!(
+        scan("obs", src),
+        vec![(
+            3,
+            "D7".to_string(),
+            "`thread_local!` outside simt: green threads share one OS thread, so this state \
+             is shared by all of them and interleaves across blocking calls; keep per-task \
+             state in `simt::with_local`"
+                .to_string()
+        )]
+    );
+    assert_eq!(scan("simt", src), vec![], "simt owns the OS thread and installs per-task state");
+}
+
+#[test]
+fn d7_catches_the_span_stack_bug_seeded_into_the_real_tree() {
+    // `obs::span` kept its span stack and send scope in `thread_local!`s while
+    // every green thread had an OS thread of its own; on one shared OS thread
+    // that interleaves the stacks of different tasks (children named the wrong
+    // parent). Put that file's old storage back into the real workspace and
+    // require the finding — and nothing else — from the whole-tree analysis.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
+    let seeded = "crates/obs/src/span.rs";
+    let mut files = workspace_sources(root).expect("workspace sources");
+    let span_rs = files.iter_mut().find(|f| f.display_path == seeded).expect("obs::span exists");
+    let current = "#[derive(Default)]\nstruct SpanContext {";
+    assert!(span_rs.src.contains(current), "span.rs no longer has the storage this test swaps");
+    span_rs.src = span_rs.src.replace(
+        current,
+        "thread_local! {\n    static SPAN_STACK: RefCell<Vec<SpanId>> = const { \
+         RefCell::new(Vec::new()) };\n    static SEND_SCOPE: Cell<SpanId> = const { \
+         Cell::new(0) };\n}\n\n#[derive(Default)]\nstruct SpanContext {",
+    );
+    let found: Vec<(String, String)> =
+        analyze_files(&files).diagnostics.into_iter().map(|d| (d.path, d.rule)).collect();
+    assert_eq!(found, vec![(seeded.to_string(), "D7".to_string())]);
+}
+
+#[test]
 fn every_rule_fires_on_the_scheduler_shaped_event_loop() {
     // A stage-attempt event loop (speculation tick, launch bookkeeping,
     // completion drain, request polling) violating D1-D6 all at once — the
@@ -227,7 +270,7 @@ fn the_workspace_is_clean() {
 // Workspace rules (L1, P1-P3), stale waivers, and output formats
 // ---------------------------------------------------------------------------
 
-use detlint::{analyze_files, analyze_workspace, render_json_array, SourceFile};
+use detlint::{analyze_files, analyze_workspace, render_json_array, workspace_sources, SourceFile};
 
 fn analyze(crate_name: &str, src: &str) -> Vec<(usize, String, String)> {
     analyze_files(&[SourceFile {

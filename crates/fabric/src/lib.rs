@@ -18,6 +18,8 @@
 //!   egress/ingress link occupancy (models shuffle incast), message delivery
 //!   with virtual-size payloads, and typed ports.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cluster;
 pub mod model;

@@ -24,6 +24,8 @@
 //! The public entry point mirrors Spark: build a [`context::TransportContext`]
 //! with an [`context::RpcHandler`], create servers and clients from it.
 
+#![forbid(unsafe_code)]
+
 pub mod buf;
 pub mod channel;
 pub mod client;

@@ -21,6 +21,8 @@
 //! process-global, so concurrent simulations (e.g. `cargo test`) cannot
 //! contaminate each other's timelines.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod span;
 pub mod timeline;
@@ -109,6 +111,32 @@ pub mod keys {
     pub const NETZ_CHANNELS_OPENED: &str = "netz.channels_opened";
     /// Connect retry attempts across all channels.
     pub const NETZ_CONNECT_RETRIES: &str = "netz.connect_retries";
+
+    /// Events the `simt` engine took off its heap
+    /// (= `simt.wakes + simt.stale_wakes + simt.calls`).
+    pub const SIMT_EVENTS_POPPED: &str = "simt.events_popped";
+    /// Wake events that resumed a green thread.
+    pub const SIMT_WAKES: &str = "simt.wakes";
+    /// Wake events dropped because their thread had already moved on.
+    pub const SIMT_STALE_WAKES: &str = "simt.stale_wakes";
+    /// Closures run on the engine's own stack (deliveries, ticks, timers).
+    pub const SIMT_CALLS: &str = "simt.calls";
+    /// Green threads spawned over the run.
+    pub const SIMT_THREADS_SPAWNED: &str = "simt.threads_spawned";
+    /// Most green threads alive at one time.
+    pub const SIMT_PEAK_LIVE_THREADS: &str = "simt.peak_live_threads";
+    /// Most events waiting in the engine's heap at one time.
+    pub const SIMT_HEAP_HIGH_WATER: &str = "simt.heap_high_water";
+    /// The engine's counters, in the order of `simt::SimStats`'s fields.
+    pub const SIMT_STATS: [&str; 7] = [
+        SIMT_EVENTS_POPPED,
+        SIMT_WAKES,
+        SIMT_STALE_WAKES,
+        SIMT_CALLS,
+        SIMT_THREADS_SPAWNED,
+        SIMT_PEAK_LIVE_THREADS,
+        SIMT_HEAP_HIGH_WATER,
+    ];
 }
 
 struct ObsInner {
@@ -169,6 +197,24 @@ impl Obs {
     /// Export the timeline recorded so far as Chrome-trace JSON.
     pub fn export_timeline(&self) -> String {
         timeline::chrome_trace(&self.inner.tracer.records(), &self.inner.registry.snapshot())
+    }
+
+    /// Copy the engine's own counters into the registry under the
+    /// [`keys::SIMT_STATS`] names. Call once, when the simulation has run — and
+    /// after [`Obs::export_timeline`], whose bytes cover the registry.
+    pub fn record_sim_stats(&self, stats: simt::SimStats) {
+        let values = [
+            stats.events_popped,
+            stats.wakes,
+            stats.stale_wakes,
+            stats.calls,
+            stats.threads_spawned,
+            stats.peak_live_threads,
+            stats.heap_high_water,
+        ];
+        for (key, value) in keys::SIMT_STATS.into_iter().zip(values) {
+            self.inner.registry.counter(key).add(value);
+        }
     }
 }
 

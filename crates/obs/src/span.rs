@@ -1,11 +1,12 @@
 //! Virtual-time tracing spans.
 //!
 //! A [`Tracer`] hands out RAII [`Span`] guards stamped with `simt` virtual
-//! timestamps and task identity. Spans nest via a per-OS-thread stack (each
-//! green thread is its own OS thread, so the stack is naturally per-task),
-//! and cross-process causality is expressed with *links*: the sender's span
-//! id travels inside the `netz` message header, and the receive span records
-//! it as its `link`.
+//! timestamps and task identity. Spans nest via a stack per green thread,
+//! kept in `simt::with_local`: all green threads of a simulation share one OS
+//! thread, so a `thread_local!` stack would interleave them (outside the
+//! simulation the stack is the OS thread's own). Cross-process causality is
+//! expressed with *links*: the sender's span id travels inside the `netz`
+//! message header, and the receive span records it as its `link`.
 //!
 //! Determinism: span ids come from a per-`Tracer` counter starting at 1.
 //! Because the simulation serializes green threads (exactly one runs at a
@@ -13,7 +14,6 @@
 //! pure function of the simulated schedule, not of OS scheduling.
 
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,11 +58,17 @@ struct TracerInner {
     records: Mutex<Vec<SpanRecord>>,
 }
 
-thread_local! {
-    /// Stack of open span ids on this OS thread (== this green thread).
-    static SPAN_STACK: RefCell<Vec<SpanId>> = const { RefCell::new(Vec::new()) };
-    /// Span id to stamp into message headers encoded on this thread.
-    static SEND_SCOPE: Cell<SpanId> = const { Cell::new(0) };
+/// The calling green thread's tracing context.
+#[derive(Default)]
+struct SpanContext {
+    /// Ids of the spans the thread has open, outermost first.
+    stack: Vec<SpanId>,
+    /// Span id to stamp into message headers the thread encodes.
+    send_scope: SpanId,
+}
+
+fn innermost_open_span() -> SpanId {
+    simt::with_local(|t: &mut SpanContext| t.stack.last().copied().unwrap_or(0))
 }
 
 /// Span id the calling thread is currently sending under, or 0. Read by
@@ -70,7 +76,7 @@ thread_local! {
 /// transport pipelines (the MPI-Optimized path re-builds headers deep inside
 /// `on_write` handlers, far from where the span was opened).
 pub fn current_send_span() -> SpanId {
-    SEND_SCOPE.with(|s| s.get())
+    simt::with_local(|t: &mut SpanContext| t.send_scope)
 }
 
 /// RAII guard installing `id` as the thread's send scope; restores the
@@ -82,14 +88,14 @@ pub struct SendScope {
 impl SendScope {
     /// Install `id` as the current send scope.
     pub fn enter(id: SpanId) -> SendScope {
-        let prev = SEND_SCOPE.with(|s| s.replace(id));
+        let prev = simt::with_local(|t: &mut SpanContext| std::mem::replace(&mut t.send_scope, id));
         SendScope { prev }
     }
 }
 
 impl Drop for SendScope {
     fn drop(&mut self) {
-        SEND_SCOPE.with(|s| s.set(self.prev));
+        simt::with_local(|t: &mut SpanContext| t.send_scope = self.prev);
     }
 }
 
@@ -137,8 +143,11 @@ impl Tracer {
     ) -> Span {
         let Some(inner) = &self.inner else { return Span { ctx: None } };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
+        let parent = simt::with_local(|t: &mut SpanContext| {
+            let parent = t.stack.last().copied().unwrap_or(0);
+            t.stack.push(id);
+            parent
+        });
         let (task, tid, now) = identity();
         Span {
             ctx: Some(SpanCtx {
@@ -159,7 +168,7 @@ impl Tracer {
     pub fn event(&self, name: &'static str, kvs: Vec<(String, String)>) {
         let Some(inner) = &self.inner else { return };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
+        let parent = innermost_open_span();
         let (task, tid, now) = identity();
         inner.records.lock().push(SpanRecord {
             id,
@@ -208,7 +217,7 @@ impl Tracer {
         if self.inner.is_none() {
             return 0;
         }
-        SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
+        innermost_open_span()
     }
 
     /// Copy of everything recorded so far, in record-completion order.
@@ -273,12 +282,11 @@ impl Drop for Span {
         // Pop our id off this thread's stack. Normally we are the top; a
         // span dropped out of order (e.g. task spans closed by an observer)
         // is removed wherever it sits.
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if stack.last() == Some(&ctx.id) {
-                stack.pop();
-            } else if let Some(pos) = stack.iter().rposition(|&v| v == ctx.id) {
-                stack.remove(pos);
+        simt::with_local(|t: &mut SpanContext| {
+            if t.stack.last() == Some(&ctx.id) {
+                t.stack.pop();
+            } else if let Some(pos) = t.stack.iter().rposition(|&v| v == ctx.id) {
+                t.stack.remove(pos);
             }
         });
         let end_ns = if simt::in_sim() { simt::now() } else { ctx.start_ns };
@@ -357,6 +365,38 @@ mod tests {
             }
             assert_eq!(current_send_span(), s.id());
         }
+        assert_eq!(current_send_span(), 0);
+    }
+
+    #[test]
+    fn interleaved_green_threads_keep_their_own_parents_and_send_scopes() {
+        // Both threads have an outer span open while the other one runs (they
+        // share an OS thread); each child must still name its own thread's
+        // outer span as parent, and the send scope must not leak across.
+        let sim = simt::Sim::new();
+        let t = Tracer::enabled();
+        for (name, offset) in [("left", 0u64), ("right", 5)] {
+            let t = t.clone();
+            sim.spawn(name, move || {
+                simt::sleep(offset);
+                let outer = t.span("outer", vec![]);
+                let _scope = outer.send_scope();
+                simt::sleep(10); // the other thread opens its outer span meanwhile
+                assert_eq!(t.current_span(), outer.id());
+                assert_eq!(current_send_span(), outer.id());
+                let _child = t.span("child", vec![]);
+                simt::sleep(10); // and its child while ours is open
+            });
+        }
+        sim.run().unwrap().assert_clean();
+        let recs = t.records();
+        assert_eq!(recs.len(), 4);
+        for task in ["left", "right"] {
+            let of = |name| recs.iter().find(|r| r.task == task && r.name == name).unwrap();
+            assert_eq!(of("child").parent, of("outer").id, "{task}");
+            assert_eq!(of("outer").parent, 0, "{task}");
+        }
+        assert_eq!(t.current_span(), 0); // nothing leaked onto the OS thread's stack
         assert_eq!(current_send_span(), 0);
     }
 

@@ -22,6 +22,8 @@
 //! [`RdmaBackend::new`] checks [`fabric::FabricKind`], mirroring why the
 //! paper has no RDMA-Spark numbers on Stampede2's Omni-Path.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use fabric::{FabricKind, StackModel};

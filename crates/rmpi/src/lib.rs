@@ -22,6 +22,8 @@
 //! values rather than typed buffers, and `isend` has buffered-send
 //! semantics (completion on return).
 
+#![forbid(unsafe_code)]
+
 pub mod coll;
 pub mod comm;
 pub mod connect;

@@ -1,22 +1,23 @@
 //! The simulation engine: virtual clock, event heap, and green-thread
 //! scheduling.
 //!
-//! Exactly one green thread executes at a time. The engine thread pops events
-//! off a heap ordered by `(virtual_time, sequence)`; a `Wake` event hands the
-//! run token to a blocked green thread and waits for it to yield back; a
-//! `Call` event runs a closure on the engine thread itself (used for message
+//! Exactly one green thread executes at a time. The engine loop — on the OS
+//! thread that called [`Sim::run`] — pops events off a heap ordered by
+//! `(virtual_time, sequence)`; a `Wake` event resumes a blocked green thread's
+//! coroutine and gets control back when that thread parks or finishes; a
+//! `Call` event runs a closure on the engine's own stack (used for message
 //! delivery, CPU-model ticks, and link releases).
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::gate::Gate;
+use crate::coro::{self, Coroutine, Payload, Step};
+use crate::local::{self, Locals};
 
 /// Identifier of a green thread within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,12 +40,28 @@ enum Status {
 struct ThreadSlot {
     name: String,
     daemon: bool,
-    gate: Arc<Gate>,
     status: Status,
     /// Bumped every time the thread resumes; wake events carry the epoch they
     /// were scheduled against and are ignored when stale.
     epoch: u64,
-    join: Option<std::thread::JoinHandle<()>>,
+    /// The thread's stack and saved context. The engine takes it out for the
+    /// length of a resume and puts it back if the thread parked; a finished
+    /// thread's is dropped on the spot, which unmaps the stack.
+    co: Option<Coroutine>,
+    /// The thread's [`crate::with_local`] values while it is not running.
+    locals: Locals,
+}
+
+impl ThreadSlot {
+    /// Blocked → Running: hand the thread's coroutine and locals to the caller,
+    /// who owes them to [`Inner::resume`].
+    fn start_running(&mut self) -> (Coroutine, Locals) {
+        debug_assert_eq!(self.status, Status::Blocked);
+        self.status = Status::Running;
+        self.epoch += 1;
+        let co = self.co.take().expect("a blocked green thread has a coroutine");
+        (co, std::mem::take(&mut self.locals))
+    }
 }
 
 enum EventKind {
@@ -80,28 +97,52 @@ struct State {
     next_seq: u64,
     heap: BinaryHeap<Reverse<Event>>,
     threads: Vec<ThreadSlot>,
-    live: usize,
-    /// Green threads whose bodies have returned but whose OS threads have not
-    /// been joined yet. The engine drains this every loop iteration: an OS
-    /// thread's stack mapping is only released at join, and a large cell can
-    /// spawn tens of thousands of short-lived tasks — deferring every join to
-    /// `shutdown()` runs the process into `vm.max_map_count`.
-    finished: Vec<TaskId>,
-    panic_payload: Option<Box<dyn Any + Send>>,
+    live: u64,
+    stats: SimStats,
+    panic_payload: Option<Payload>,
     shutting_down: bool,
+}
+
+impl State {
+    fn push_event(&mut self, at: u64, kind: EventKind) {
+        let event = Event { time: at.max(self.now), seq: self.next_seq, kind };
+        self.next_seq += 1;
+        self.heap.push(Reverse(event));
+        self.stats.heap_high_water = self.stats.heap_high_water.max(self.heap.len() as u64);
+    }
+}
+
+/// The engine's own counters since the `Sim` was created. Every field is a
+/// pure function of the simulated program (no host time), and
+/// `wakes + stale_wakes + calls == events_popped` at all times.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Events taken off the heap.
+    pub events_popped: u64,
+    /// `Wake` events that resumed their green thread.
+    pub wakes: u64,
+    /// `Wake` events dropped because the thread had already moved on.
+    pub stale_wakes: u64,
+    /// `Call` closures run on the engine's stack.
+    pub calls: u64,
+    /// Green threads ever spawned.
+    pub threads_spawned: u64,
+    /// Most green threads alive (spawned, not finished) at one time.
+    pub peak_live_threads: u64,
+    /// Most events waiting in the heap at one time.
+    pub heap_high_water: u64,
 }
 
 /// Shared engine internals; green threads hold an `Arc` to this.
 pub struct Inner {
     state: Mutex<State>,
-    engine_gate: Gate,
     stack_size: usize,
     /// Wait-graph bookkeeping fed by the sync primitives; never locked while
     /// `state` is held (and vice versa) so the two cannot deadlock.
     pub(crate) diag: Mutex<crate::diag::DiagState>,
     /// Optional lifecycle observer (tracing). Callbacks run on the green
-    /// thread itself while it holds the run token, so anything the observer
-    /// records is ordered exactly like the thread's own work.
+    /// thread itself, so anything the observer records is ordered exactly
+    /// like the thread's own work.
     observer: Mutex<Option<Arc<dyn TaskObserver>>>,
 }
 
@@ -121,9 +162,14 @@ pub trait TaskObserver: Send + Sync {
 }
 
 thread_local! {
+    /// The green thread running on this OS thread; `None` on the engine's own
+    /// stack and outside `Sim::run`.
     static CURRENT: RefCell<Option<(Arc<Inner>, TaskId)>> = const { RefCell::new(None) };
 }
 
+// Never inlined, so that a green thread resumed by another OS thread than the
+// one it parked on reads that thread's cell (see `coro::active`).
+#[inline(never)]
 pub(crate) fn current_handle() -> Option<(Arc<Inner>, TaskId)> {
     CURRENT.with(|c| c.borrow().clone())
 }
@@ -132,6 +178,15 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
     let (inner, tid) =
         current_handle().expect("simt: called a simulation primitive outside a green thread");
     f(&inner, tid)
+}
+
+/// Calls `task_finished` when the green thread's body returns or unwinds.
+struct NotifyFinished(Arc<dyn TaskObserver>, TaskId);
+
+impl Drop for NotifyFinished {
+    fn drop(&mut self) {
+        self.0.task_finished(self.1);
+    }
 }
 
 fn install_shutdown_quiet_hook() {
@@ -157,26 +212,14 @@ impl Inner {
         self.state.lock().threads[tid.0].name.clone()
     }
 
-    fn alloc_seq(state: &mut State) -> u64 {
-        let s = state.next_seq;
-        state.next_seq += 1;
-        s
-    }
-
     /// Schedule a wake for `(tid, epoch)` at absolute virtual time `at`.
     pub(crate) fn schedule_wake(&self, tid: TaskId, epoch: u64, at: u64) {
-        let mut s = self.state.lock();
-        let at = at.max(s.now);
-        let seq = Self::alloc_seq(&mut s);
-        s.heap.push(Reverse(Event { time: at, seq, kind: EventKind::Wake { tid, epoch } }));
+        self.state.lock().push_event(at, EventKind::Wake { tid, epoch });
     }
 
-    /// Schedule a closure to run on the engine thread at absolute time `at`.
+    /// Schedule a closure to run on the engine's stack at absolute time `at`.
     pub(crate) fn schedule_call(&self, at: u64, f: Box<dyn FnOnce() + Send>) {
-        let mut s = self.state.lock();
-        let at = at.max(s.now);
-        let seq = Self::alloc_seq(&mut s);
-        s.heap.push(Reverse(Event { time: at, seq, kind: EventKind::Call(f) }));
+        self.state.lock().push_event(at, EventKind::Call(f));
     }
 
     pub(crate) fn current_epoch(&self, tid: TaskId) -> u64 {
@@ -187,15 +230,13 @@ impl Inner {
     /// epoch. Panics (unwinding the thread) when the simulation is shutting
     /// down.
     pub(crate) fn block_current(&self, tid: TaskId) {
-        let gate = {
+        {
             let mut s = self.state.lock();
             let slot = &mut s.threads[tid.0];
             debug_assert_eq!(slot.status, Status::Running);
             slot.status = Status::Blocked;
-            slot.gate.clone()
-        };
-        self.engine_gate.open();
-        gate.wait();
+        }
+        coro::suspend();
         if self.state.lock().shutting_down {
             panic::panic_any(ShutdownSignal);
         }
@@ -224,86 +265,68 @@ impl Inner {
         f: Box<dyn FnOnce() + Send>,
     ) -> TaskId {
         install_shutdown_quiet_hook();
-        let gate = Arc::new(Gate::new());
-        let tid = {
-            let mut s = self.state.lock();
-            let tid = TaskId(s.threads.len());
-            s.threads.push(ThreadSlot {
-                name: name.clone(),
-                daemon,
-                gate: gate.clone(),
-                status: Status::Blocked,
-                epoch: 0,
-                join: None,
+        // The body learns who it is when it first runs: nothing to capture, so
+        // the stack can be mapped before the state lock is taken.
+        let body = move || {
+            let (inner, tid) = current_handle().expect("a green thread's body runs on it");
+            if inner.state.lock().shutting_down {
+                return; // never started: nothing to unwind
+            }
+            let observer = inner.observer.lock().clone();
+            let _finished = observer.map(|obs| {
+                obs.task_started(tid, &inner.thread_name(tid), daemon);
+                NotifyFinished(obs, tid)
             });
-            s.live += 1;
-            tid
+            drop(inner);
+            f();
         };
-        let inner = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("simt:{name}"))
-            .stack_size(self.stack_size)
-            .spawn(move || {
-                CURRENT.with(|c| *c.borrow_mut() = Some((inner.clone(), tid)));
-                gate.wait();
-                let shutting_down = inner.state.lock().shutting_down;
-                let payload = if shutting_down {
-                    None
-                } else {
-                    let observer = inner.observer.lock().clone();
-                    if let Some(obs) = &observer {
-                        obs.task_started(tid, &name, daemon);
-                    }
-                    let payload = panic::catch_unwind(AssertUnwindSafe(f)).err();
-                    if let Some(obs) = &observer {
-                        obs.task_finished(tid);
-                    }
-                    payload
-                };
-                inner.thread_finished(tid, payload);
-            })
-            .expect("simt: failed to spawn OS thread for green thread");
-        {
-            let mut s = self.state.lock();
-            s.threads[tid.0].join = Some(handle);
-            let epoch = s.threads[tid.0].epoch;
-            let now = s.now;
-            let seq = Self::alloc_seq(&mut s);
-            s.heap.push(Reverse(Event { time: now, seq, kind: EventKind::Wake { tid, epoch } }));
-        }
+        let co = Coroutine::new(self.stack_size, Box::new(body));
+        let mut s = self.state.lock();
+        let tid = TaskId(s.threads.len());
+        s.threads.push(ThreadSlot {
+            name,
+            daemon,
+            status: Status::Blocked,
+            epoch: 0,
+            co: Some(co),
+            locals: Locals::new(),
+        });
+        s.live += 1;
+        s.stats.threads_spawned += 1;
+        s.stats.peak_live_threads = s.stats.peak_live_threads.max(s.live);
+        let now = s.now;
+        s.push_event(now, EventKind::Wake { tid, epoch: 0 });
         tid
     }
 
-    fn thread_finished(&self, tid: TaskId, payload: Option<Box<dyn Any + Send>>) {
+    /// Run green thread `tid` (see [`ThreadSlot::start_running`]) until it
+    /// parks or finishes. The caller's stack is the engine's for that long.
+    fn resume(self: &Arc<Self>, tid: TaskId, mut co: Coroutine, mut locals: Locals) {
+        let outer = CURRENT.with(|c| c.borrow_mut().replace((Arc::clone(self), tid)));
+        local::swap(&mut locals);
+        let step = co.resume();
+        local::swap(&mut locals);
+        CURRENT.with(|c| *c.borrow_mut() = outer);
+
         let mut s = self.state.lock();
         let slot = &mut s.threads[tid.0];
-        slot.status = Status::Dead;
-        s.live -= 1;
-        s.finished.push(tid);
-        if let Some(p) = payload {
-            if p.downcast_ref::<ShutdownSignal>().is_none() && s.panic_payload.is_none() {
-                s.panic_payload = Some(p);
+        match step {
+            Step::Suspended => {
+                debug_assert_eq!(slot.status, Status::Blocked);
+                slot.co = Some(co);
+                slot.locals = locals;
             }
-        }
-        drop(s);
-        self.engine_gate.open();
-    }
-
-    /// Join the OS threads of green threads that have finished, releasing
-    /// their stack mappings. Runs on the engine thread with the state lock
-    /// released (the joined thread is past `thread_finished` and exits as
-    /// soon as its epilogue runs, so each join is near-instant).
-    fn reap_finished(&self) {
-        let handles: Vec<std::thread::JoinHandle<()>> = {
-            let mut s = self.state.lock();
-            if s.finished.is_empty() {
-                return;
+            Step::Finished(payload) => {
+                slot.status = Status::Dead;
+                s.live -= 1;
+                if let Some(p) = payload {
+                    if !p.is::<ShutdownSignal>() && s.panic_payload.is_none() {
+                        s.panic_payload = Some(p);
+                    }
+                }
+                drop(s);
+                drop(co); // unmaps the stack now, not at shutdown
             }
-            let tids = std::mem::take(&mut s.finished);
-            tids.into_iter().filter_map(|tid| s.threads[tid.0].join.take()).collect()
-        };
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
@@ -412,11 +435,10 @@ impl Sim {
                     heap: BinaryHeap::new(),
                     threads: Vec::new(),
                     live: 0,
-                    finished: Vec::new(),
+                    stats: SimStats::default(),
                     panic_payload: None,
                     shutting_down: false,
                 }),
-                engine_gate: Gate::new(),
                 stack_size,
                 diag: Mutex::new(crate::diag::DiagState::default()),
                 observer: Mutex::new(None),
@@ -450,6 +472,11 @@ impl Sim {
         self.inner.now()
     }
 
+    /// The engine's counters so far (see [`SimStats`]).
+    pub fn stats(&self) -> SimStats {
+        self.inner.state.lock().stats
+    }
+
     /// Snapshot of the lock-order inversion log so far: canonical
     /// `(min-label, max-label)` resource pairs observed acquired in both
     /// orders. The same data lands in [`SimReport::lock_inversions`] at the
@@ -463,49 +490,35 @@ impl Sim {
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
         loop {
-            self.inner.reap_finished();
-            let event = {
-                let mut s = self.inner.state.lock();
-                if s.panic_payload.is_some() {
-                    let p = s.panic_payload.take().unwrap();
-                    drop(s);
-                    self.shutdown();
-                    panic::resume_unwind(p);
-                }
-                match s.heap.pop() {
-                    Some(Reverse(e)) => {
-                        s.now = e.time;
-                        Some(e)
-                    }
-                    None => None,
-                }
-            };
-            let Some(event) = event else { break };
+            let mut s = self.inner.state.lock();
+            if let Some(p) = s.panic_payload.take() {
+                drop(s);
+                self.shutdown();
+                panic::resume_unwind(p);
+            }
+            let Some(Reverse(event)) = s.heap.pop() else { break };
+            s.now = event.time;
+            s.stats.events_popped += 1;
             match event.kind {
-                EventKind::Wake { tid, epoch } => {
-                    let gate = {
-                        let mut s = self.inner.state.lock();
-                        let slot = &mut s.threads[tid.0];
-                        if slot.status != Status::Blocked || slot.epoch != epoch {
-                            continue; // stale wake
-                        }
-                        slot.status = Status::Running;
-                        slot.epoch += 1;
-                        slot.gate.clone()
-                    };
-                    gate.open();
-                    self.inner.engine_gate.wait();
+                EventKind::Call(f) => {
+                    s.stats.calls += 1;
+                    drop(s);
+                    f();
                 }
-                EventKind::Call(f) => f(),
+                EventKind::Wake { tid, epoch } => {
+                    let slot = &mut s.threads[tid.0];
+                    if slot.status != Status::Blocked || slot.epoch != epoch {
+                        s.stats.stale_wakes += 1;
+                        continue;
+                    }
+                    let (co, locals) = slot.start_running();
+                    s.stats.wakes += 1;
+                    drop(s);
+                    self.inner.resume(tid, co, locals);
+                }
             }
         }
         let s = self.inner.state.lock();
-        if let Some(_p) = &s.panic_payload {
-            drop(s);
-            let p = self.inner.state.lock().panic_payload.take().unwrap();
-            self.shutdown();
-            panic::resume_unwind(p);
-        }
         let names: Vec<String> = s.threads.iter().map(|t| t.name.clone()).collect();
         let blocked_tids: Vec<usize> = s
             .threads
@@ -539,8 +552,8 @@ impl Sim {
         Ok(SimReport { now, blocked, blocked_on, deadlocks, lock_inversions })
     }
 
-    /// Unwind and join every remaining green thread. Called automatically on
-    /// drop; idempotent.
+    /// Unwind every remaining green thread and release its stack. Called
+    /// automatically on drop; idempotent.
     pub fn shutdown(&self) {
         {
             let mut s = self.inner.state.lock();
@@ -549,35 +562,21 @@ impl Sim {
             }
             s.shutting_down = true;
         }
+        // One forward pass. A resumed thread unwinds to its root and dies, so
+        // every slot behind `next` is dead for good; a slot is looked at again
+        // only if its thread caught the unwind and parked once more. Threads
+        // spawned by unwinding ones are appended, and the pass reaches them.
+        let mut next = 0;
         loop {
-            let next = {
-                let mut s = self.inner.state.lock();
-                let mut found = None;
-                for (i, slot) in s.threads.iter_mut().enumerate() {
-                    if slot.status == Status::Blocked {
-                        slot.status = Status::Running;
-                        slot.epoch += 1;
-                        found = Some((TaskId(i), slot.gate.clone()));
-                        break;
-                    }
-                }
-                found
-            };
-            match next {
-                Some((_tid, gate)) => {
-                    gate.open();
-                    self.inner.engine_gate.wait();
-                }
-                None => break,
-            }
-        }
-        // Join all finished OS threads.
-        let handles: Vec<_> = {
             let mut s = self.inner.state.lock();
-            s.threads.iter_mut().filter_map(|t| t.join.take()).collect()
-        };
-        for h in handles {
-            let _ = h.join();
+            let Some(slot) = s.threads.get_mut(next) else { break };
+            if slot.status != Status::Blocked {
+                next += 1;
+                continue;
+            }
+            let (co, locals) = slot.start_running();
+            drop(s);
+            self.inner.resume(TaskId(next), co, locals);
         }
     }
 }
@@ -629,9 +628,9 @@ impl std::fmt::Debug for WaitToken {
     }
 }
 
-/// A cloneable handle to the engine usable from engine-thread closures
-/// (where no green-thread context exists), e.g. CPU-model ticks and link
-/// releases that must reschedule themselves.
+/// A cloneable handle to the engine usable from closures the engine runs on
+/// its own stack (where no green-thread context exists), e.g. CPU-model ticks
+/// and link releases that must reschedule themselves.
 #[derive(Clone)]
 pub struct EngineHandle {
     inner: Arc<Inner>,
@@ -648,7 +647,7 @@ impl EngineHandle {
         self.inner.now()
     }
 
-    /// Schedule `f` on the engine thread at absolute time `at`.
+    /// Schedule `f` on the engine's stack at absolute time `at`.
     pub fn call_at(&self, at: u64, f: impl FnOnce() + Send + 'static) {
         self.inner.schedule_call(at, Box::new(f));
     }
@@ -676,13 +675,13 @@ pub fn park() {
     with_current(|inner, tid| inner.block_current(tid));
 }
 
-/// Run `f` on the engine thread at absolute virtual time `at`. The closure
+/// Run `f` on the engine's stack at absolute virtual time `at`. The closure
 /// must not block; it may schedule wakes and further calls.
 pub fn call_at(at: u64, f: impl FnOnce() + Send + 'static) {
     with_current(|inner, _| inner.schedule_call(at, Box::new(f)));
 }
 
-/// Run `f` on the engine thread at the current virtual time (after the
+/// Run `f` on the engine's stack at the current virtual time (after the
 /// current thread next yields).
 pub fn call_soon(f: impl FnOnce() + Send + 'static) {
     with_current(|inner, _| {
@@ -694,6 +693,7 @@ pub fn call_soon(f: impl FnOnce() + Send + 'static) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -963,24 +963,148 @@ mod tests {
     }
 
     #[test]
-    fn finished_threads_are_reaped_during_run() {
-        // Every finished green thread's OS thread must be joined by the time
-        // `run()` returns — leaving joins to `shutdown()` retains one stack
-        // mapping per task ever spawned, which exhausts `vm.max_map_count`
-        // on big cells long before memory runs out.
+    fn twenty_thousand_blocked_threads_run_and_release_their_stacks_in_run() {
+        // One OS thread per green thread stopped at a few thousand (EAGAIN).
+        // All 20 000 are parked on the same semaphore at once; the releaser
+        // then lets them finish. A finished thread's stack must be unmapped
+        // when it finishes — during `run()`, not at `shutdown()` — or a big
+        // cell keeps one mapping per task ever spawned.
+        const N: u64 = 20_000;
         let sim = Sim::new();
-        for i in 0..64 {
-            sim.spawn(format!("t{i}"), || crate::sleep(1_000));
+        let gate = crate::sync::Semaphore::new(0);
+        let done = Arc::new(AtomicU64::new(0));
+        for i in 0..N {
+            let (gate, done) = (gate.clone(), done.clone());
+            sim.spawn(format!("t{i}"), move || {
+                gate.acquire(1);
+                done.fetch_add(1, Ordering::SeqCst);
+            });
         }
-        sim.run().unwrap();
+        let (gate2, done2) = (gate.clone(), done.clone());
+        sim.spawn("releaser", move || {
+            crate::sleep(10);
+            assert_eq!(done2.load(Ordering::SeqCst), 0, "all are blocked at once");
+            gate2.release(N);
+        });
+        sim.run().unwrap().assert_clean();
+        assert_eq!(done.load(Ordering::SeqCst), N);
+        let stats = sim.stats();
+        assert_eq!(stats.threads_spawned, N + 1);
+        assert_eq!(stats.peak_live_threads, N + 1);
         let s = sim.inner.state.lock();
-        assert!(
-            s.threads.iter().all(|t| t.join.is_none()),
-            "unreaped OS threads after run(): {}",
-            s.threads.iter().filter(|t| t.join.is_some()).count()
-        );
-        drop(s);
+        assert!(s.threads.iter().all(|t| t.status == Status::Dead && t.co.is_none()));
+    }
+
+    #[test]
+    fn shutdown_unwinds_a_deep_stack_and_runs_every_destructor_once() {
+        struct Counted(Arc<AtomicU64>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        fn descend(depth: u32, drops: &Arc<AtomicU64>) {
+            let _live = Counted(drops.clone());
+            if depth == 1 {
+                park(); // never woken
+                unreachable!("shutdown unwinds from inside park()");
+            }
+            descend(depth - 1, drops);
+        }
+        let drops = Arc::new(AtomicU64::new(0));
+        let sim = Sim::new();
+        let drops2 = drops.clone();
+        sim.spawn_daemon("deep", move || descend(10, &drops2));
+        sim.run().unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
         sim.shutdown();
+        assert_eq!(drops.load(Ordering::SeqCst), 10);
+        sim.shutdown(); // idempotent
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn panic_deep_inside_a_green_thread_surfaces_from_run_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Bespoke(u32);
+        fn descend(depth: u32) {
+            if depth == 0 {
+                crate::sleep(5); // panic on a stack that has been switched away from and back
+                std::panic::panic_any(Bespoke(42));
+            }
+            descend(depth - 1);
+        }
+        let sim = Sim::new();
+        sim.spawn_daemon("bystander", park);
+        sim.spawn("bad", || descend(50));
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the green thread's panic is re-raised by run()");
+        assert_eq!(payload.downcast_ref::<Bespoke>(), Some(&Bespoke(42)));
+        // run() shut the simulation down on the way out: the bystander is gone.
+        assert!(sim.inner.state.lock().threads.iter().all(|t| t.status == Status::Dead));
+    }
+
+    #[test]
+    fn sim_built_on_one_os_thread_runs_and_drops_on_another() {
+        let sim = Sim::new();
+        let hits = Arc::new(AtomicU64::new(0));
+        let hits2 = hits.clone();
+        sim.spawn("worker", move || {
+            crate::sleep(7);
+            hits2.fetch_add(crate::now(), Ordering::SeqCst);
+        });
+        sim.spawn_daemon("server", park);
+        let now = std::thread::spawn(move || {
+            let now = sim.run().unwrap().now;
+            drop(sim); // unwinds `server` here, on this OS thread
+            now
+        })
+        .join()
+        .unwrap();
+        assert_eq!((now, hits.load(Ordering::SeqCst)), (7, 7));
+    }
+
+    #[test]
+    fn parked_green_thread_continues_on_another_os_thread() {
+        // Between two `run()`s a `Sim` may change OS threads with green threads
+        // parked mid-body: what they read through thread-locals afterwards
+        // (current task, `with_local` values) must be the new thread's.
+        let sim = Sim::new();
+        let token: Arc<Mutex<Option<WaitToken>>> = Arc::new(Mutex::new(None));
+        let token2 = token.clone();
+        sim.spawn("migrant", move || {
+            crate::with_local(|n: &mut u32| *n = 7);
+            *token2.lock() = Some(wait_token());
+            park(); // the first run() ends here
+            assert_eq!(crate::current_name(), "migrant");
+            assert_eq!(crate::with_local(|n: &mut u32| *n), 7);
+            crate::sleep(5);
+        });
+        assert_eq!(sim.run().unwrap().blocked, vec!["migrant".to_string()]);
+        token.lock().take().unwrap().wake();
+        let now = std::thread::spawn(move || sim.run().unwrap().now).join().unwrap();
+        assert_eq!(now, 5);
+    }
+
+    #[test]
+    fn stats_count_every_popped_event_once() {
+        let sim = Sim::new();
+        sim.spawn("a", || {
+            let tok = wait_token();
+            tok.wake_at(10);
+            tok.wake_at(20); // stale by the time it fires
+            park();
+            call_at(30, || ());
+            crate::sleep(100);
+        });
+        sim.spawn("b", || crate::sleep(1));
+        sim.run().unwrap().assert_clean();
+        let st = sim.stats();
+        assert_eq!(st.wakes + st.stale_wakes + st.calls, st.events_popped);
+        assert_eq!((st.wakes, st.stale_wakes, st.calls), (5, 1, 1));
+        assert_eq!((st.threads_spawned, st.peak_live_threads), (2, 2));
+        assert_eq!(st.heap_high_water, 3);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! `simt` is the substrate under the whole MPI4Spark reproduction. Every
 //! simulated process (Spark master, worker, executor, driver, MPI rank, Netty
-//! event loop, task slot) is a *green thread*: an OS thread whose execution is
-//! serialized by a central engine so that **exactly one simulated thread runs
-//! at any instant**, and whose notion of time is a **virtual clock** advanced
-//! only by the event heap.
+//! event loop, task slot) is a *green thread*: a stackful coroutine that the
+//! engine resumes from its event loop, on the OS thread that called
+//! [`Sim::run`], so that **exactly one simulated thread runs at any instant**,
+//! and whose notion of time is a **virtual clock** advanced only by the event
+//! heap. A simulation never starts an OS thread.
 //!
 //! This gives three properties the reproduction needs:
 //!
@@ -40,10 +41,15 @@
 //! assert_eq!(report.now, 1_000);
 //! ```
 
+// `unsafe` lives in `coro` (the context switch and its stacks) and nowhere else.
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
+mod coro;
 pub mod cpu;
 pub(crate) mod diag;
 pub mod engine;
-mod gate;
+mod local;
 pub mod queue;
 pub mod rng;
 pub mod sync;
@@ -51,7 +57,8 @@ pub mod time;
 pub mod timer;
 
 pub use cpu::Cpu;
-pub use engine::{Sim, SimError, SimReport, TaskId, TaskObserver};
+pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};
+pub use local::with_local;
 pub use rng::{for_each_case, SeededRng};
 pub use time::{Duration, Instant};
 pub use timer::DeadlineTimer;

@@ -64,17 +64,12 @@ impl SeededRng {
 /// panics names its seed on the way out; `SeededRng::from_seed(seed)` replays
 /// exactly that case.
 pub fn for_each_case(cases: u64, mut body: impl FnMut(&mut SeededRng)) {
-    struct NameSeedOnPanic(u64);
-    impl Drop for NameSeedOnPanic {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!("property failed at case seed {}", self.0);
-            }
-        }
-    }
     for seed in 0..cases {
-        let _guard = NameSeedOnPanic(seed);
-        body(&mut SeededRng::from_seed(seed));
+        let case = std::panic::AssertUnwindSafe(|| body(&mut SeededRng::from_seed(seed)));
+        if let Err(panic) = std::panic::catch_unwind(case) {
+            eprintln!("property failed at case seed {seed}");
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 

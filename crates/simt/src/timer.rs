@@ -27,7 +27,7 @@ pub struct DeadlineTimer {
 }
 
 impl DeadlineTimer {
-    /// Arm a timer: `f` runs on the engine thread at virtual time `at` (or
+    /// Arm a timer: `f` runs on the engine's stack at virtual time `at` (or
     /// immediately if `at` is already in the past) unless the timer is
     /// cancelled first. Must be called from inside a simulation. Like any
     /// [`engine::call_at`](crate::engine::call_at) closure, `f` must not
@@ -86,7 +86,7 @@ mod tests {
         sim.spawn("a", || {
             let q: Queue<()> = Queue::new();
             let q2 = q.clone();
-            // The closure runs on the engine thread (no `simt::now()`
+            // The closure runs on the engine's stack (no `simt::now()`
             // there); the woken receiver observes the virtual instant.
             let t = DeadlineTimer::after(1_000, move || q2.send(()));
             q.recv().unwrap();

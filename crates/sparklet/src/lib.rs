@@ -25,6 +25,8 @@
 //! messages as typed values with declared wire sizes; data-plane payloads
 //! use real encoded bytes with independently scalable *virtual* sizes.
 
+#![forbid(unsafe_code)]
+
 pub mod aqe;
 pub mod broadcast;
 pub mod config;

@@ -13,6 +13,8 @@
 //! under Vanilla Spark, RDMA-Spark, MPI4Spark-Basic, or
 //! MPI4Spark-Optimized on identical simulated hardware.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod micro;
 pub mod ml;

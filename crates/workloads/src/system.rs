@@ -174,8 +174,11 @@ impl System {
         });
         sim.run().expect("simulation completes").assert_clean();
         let (result, jobs) = out.try_take().expect("workload finished");
-        let metrics = obs.registry().snapshot();
+        // The timeline's bytes cover the registry and are pinned, so the
+        // engine's counters join the snapshot after the export.
         let timeline = obs.is_traced().then(|| obs.export_timeline());
+        obs.record_sim_stats(sim.stats());
+        let metrics = obs.registry().snapshot();
         sim.shutdown();
         RunOutcome { result, jobs, metrics, timeline }
     }

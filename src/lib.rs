@@ -3,6 +3,8 @@
 //! Re-exports the member crates so examples and integration tests can use a
 //! single dependency root. See `README.md` for the architecture overview.
 
+#![forbid(unsafe_code)]
+
 pub use fabric;
 pub use mpi4spark;
 pub use netz;

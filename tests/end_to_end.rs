@@ -43,6 +43,22 @@ fn groupby_results_identical_across_all_four_systems() {
             "{}: netz sent vs received",
             system.label()
         );
+        // The engine's own books balance: every event it popped was a wake
+        // delivered, a stale wake dropped or a closure run — nothing else.
+        let engine = |key| out.metrics.counter(key);
+        assert_eq!(
+            engine(obs::keys::SIMT_WAKES)
+                + engine(obs::keys::SIMT_STALE_WAKES)
+                + engine(obs::keys::SIMT_CALLS),
+            engine(obs::keys::SIMT_EVENTS_POPPED),
+            "{}: simt events",
+            system.label()
+        );
+        assert!(engine(obs::keys::SIMT_WAKES) >= engine(obs::keys::SIMT_THREADS_SPAWNED));
+        assert!(
+            engine(obs::keys::SIMT_THREADS_SPAWNED) >= engine(obs::keys::SIMT_PEAK_LIVE_THREADS)
+        );
+        assert!(engine(obs::keys::SIMT_PEAK_LIVE_THREADS) > 0, "{}", system.label());
         outcomes.push((system.label(), out.result));
     }
     let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
