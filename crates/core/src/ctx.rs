@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use netz::CommKind;
-use parking_lot::Mutex;
 use rmpi::Comm;
+use simt::sync::Mutex;
 
 /// MPI identity of one Spark process: its primary intracommunicator (the
 /// wrapper `MPI_COMM_WORLD` for master/driver/workers; the child world —

@@ -14,10 +14,9 @@ use std::any::Any;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
-use parking_lot::Mutex;
 use rmpi::{mpiexec_with, Comm, SpawnSpec};
 use simt::queue::Queue;
-use simt::sync::OnceCell;
+use simt::sync::{Mutex, OnceCell};
 use sparklet::deploy::{self, master, worker, ClusterConfig, ExecutorLauncher, ExecutorMain};
 use sparklet::net_backend::NetworkBackend;
 use sparklet::scheduler::JobMetrics;

@@ -24,7 +24,7 @@ use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
     OutboundAction, OutboundHandler, RoutePolicy, Transport, WeakEndpoint, WireEvent,
 };
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 
 use crate::ctx::MpiProcCtx;
 

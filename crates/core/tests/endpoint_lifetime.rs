@@ -12,8 +12,7 @@ use mpi4spark::transport::{MpiTransportBasic, MpiTransportOptimized};
 use mpi4spark::MpiProcCtx;
 use netz::context::RpcResponseCallback;
 use netz::{ChannelCore, RpcHandler, StreamManager, Transport, TransportConf, TransportContext};
-use parking_lot::Mutex;
-use simt::sync::OnceCell;
+use simt::sync::{Mutex, OnceCell};
 use simt::Sim;
 
 /// Serves one 1 MiB chunk per request — a routed body under both designs.

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use fabric::{ClusterSpec, Net};
 use mpi4spark::MpiProcCtx;
 use netz::CommKind;
-use parking_lot::Mutex;
 use rmpi::{mpiexec, Comm, SpawnSpec};
+use simt::sync::Mutex;
 use simt::Sim;
 
 #[test]

@@ -1,48 +1,18 @@
 //! Pass 1: a lightweight workspace symbol index.
 //!
-//! Built once over every prepped file, then shared by the L- and P-rule
-//! families. Like the D-rules, this is a token-level pass over masked source
-//! — no `syn` — so it indexes exactly the shapes the workspace actually
-//! writes (rustfmt'd code, `let x = Semaphore::named("X", n)` lock
-//! construction, `comm.recv(None, Some(TAG))`-style rmpi calls) and stays
+//! Built once over every prepped file, then read by the P-rule family. Like
+//! the D-rules, this is a token-level pass over masked source — no `syn` — so
+//! it indexes exactly the shapes the workspace actually writes (rustfmt'd
+//! code, `comm.recv(None, Some(TAG))`-style rmpi calls) and stays
 //! dependency-free:
 //!
-//! * **fn definitions** with parameter names and body spans (innermost-span
-//!   ownership handles nested fns);
-//! * **lock labels**: idents bound to `named()` constructors, with the label
-//!   string read back from the *raw* source (masking blanks literal
-//!   contents), plus `.clone()` aliases — including the
-//!   `let (a2, b2) = (a.clone(), b.clone());` tuple idiom;
-//! * **lock events** per fn, split into task contexts at `spawn`/
-//!   `spawn_daemon` closure boundaries (acquisition order inside a spawned
-//!   closure is that task's order, not the spawning fn's);
-//! * **call edges** with argument idents, for one-level lock propagation;
+//! * **fn body spans** (innermost-span ownership handles nested fns), which
+//!   bound the search for how an `irecv` Request is consumed;
 //! * **rmpi sites** (send/recv/irecv/probe) with the SCREAMING_SNAKE
 //!   constants mentioned in their tag argument, and a per-site usage
 //!   classification for `irecv` Requests.
 
-use std::collections::BTreeMap;
-
-use crate::{
-    each_match, find_from, ident_before, ident_bound_at, is_ident_char, let_ident_before,
-    receiver_segments, FilePrep, IndexStats,
-};
-
-/// A lock referenced inside a fn body: resolved to a `named()` label through
-/// this file's bindings and clone-aliases, or left as a fn parameter to be
-/// resolved at the call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ResRef {
-    Label(String),
-    Param(String),
-}
-
-#[derive(Debug, Clone)]
-pub(crate) enum Event {
-    Acquire { res: ResRef, pos: usize },
-    Release { res: ResRef },
-    Call { callee: String, args: Vec<String>, pos: usize },
-}
+use crate::{each_match, ident_before, is_ident_char, FilePrep, IndexStats};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RmpiKind {
@@ -86,22 +56,7 @@ pub(crate) struct IrecvSite {
     pub(crate) usage: IrecvUse,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct FnFacts {
-    pub(crate) file: usize,
-    pub(crate) name: String,
-    pub(crate) params: Vec<String>,
-    /// `contexts[0]` is the fn body outside any spawn closure; each spawned
-    /// closure gets its own context (its own task, its own lock order).
-    pub(crate) contexts: Vec<Vec<Event>>,
-}
-
 pub(crate) struct WorkspaceIndex {
-    pub(crate) fns: Vec<FnFacts>,
-    /// fn name -> indices into `fns` (all overloads/methods of that name).
-    pub(crate) by_name: BTreeMap<String, Vec<usize>>,
-    /// Per-file ident -> lock label (`named()` bindings + clone aliases).
-    pub(crate) labels: Vec<BTreeMap<String, String>>,
     pub(crate) rmpi: Vec<RmpiSite>,
     pub(crate) irecvs: Vec<IrecvSite>,
     /// True when any indexed file mentions `RetryPolicy` — arms rule P2.
@@ -109,182 +64,29 @@ pub(crate) struct WorkspaceIndex {
     pub(crate) stats: IndexStats,
 }
 
-const KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "fn", "let", "move", "in", "as",
-    "mut", "ref", "pub", "use", "mod", "impl", "trait", "struct", "enum", "where", "unsafe",
-    "break", "continue", "dyn", "Some", "Ok", "Err", "None", "Box", "Vec", "Arc", "Rc", "String",
-];
-
-struct FnSpan {
-    body_start: usize,
-    body_end: usize,
-}
-
 pub(crate) fn build(preps: &[FilePrep]) -> WorkspaceIndex {
-    let mut fns: Vec<FnFacts> = Vec::new();
-    let mut labels: Vec<BTreeMap<String, String>> = Vec::new();
+    let mut fns = 0usize;
     let mut rmpi: Vec<RmpiSite> = Vec::new();
     let mut irecvs: Vec<IrecvSite> = Vec::new();
     let mut retry_armed = false;
-    let mut call_sites = 0usize;
-    let mut lock_sites = 0usize;
 
     for (fi, prep) in preps.iter().enumerate() {
         let text = &prep.text;
-        labels.push(lock_labels(prep));
-        let file_labels = labels.last().expect("just pushed");
-        let mut retry_here = false;
-        each_match(text, "RetryPolicy", |_| retry_here = true);
-        retry_armed |= retry_here;
+        each_match(text, "RetryPolicy", |_| retry_armed = true);
 
-        // -- fn definitions and body spans -----------------------------------
-        let first_fn = fns.len();
-        let mut spans: Vec<FnSpan> = Vec::new();
-        each_match(text, "fn ", |pos| {
-            let Some((name, params, body_start, body_end)) = parse_fn(text, pos) else { return };
-            spans.push(FnSpan { body_start, body_end });
-            fns.push(FnFacts { file: fi, name, params, contexts: Vec::new() });
-        });
-
-        // Innermost-span ownership: a nested fn's events belong to the
-        // nested fn, not the enclosing one.
-        let owner_of = |pos: usize| -> Option<usize> {
-            let mut best: Option<usize> = None;
-            for (k, s) in spans.iter().enumerate() {
-                if s.body_start < pos && pos < s.body_end {
-                    let tighter = best
-                        .map(|b| {
-                            spans[b].body_end - spans[b].body_start > s.body_end - s.body_start
-                        })
-                        .unwrap_or(true);
-                    if tighter {
-                        best = Some(k);
-                    }
-                }
-            }
-            best
+        // -- fn body spans ----------------------------------------------------
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        each_match(text, "fn ", |pos| spans.extend(fn_body_span(text, pos)));
+        fns += spans.len();
+        // A site in a nested fn belongs to the nested fn, not the enclosing
+        // one: the innermost span owns it.
+        let owner_body_end = |pos: usize| -> usize {
+            spans
+                .iter()
+                .filter(|&&(start, end)| start < pos && pos < end)
+                .min_by_key(|&&(start, end)| end - start)
+                .map_or(text.len(), |&(_, end)| end)
         };
-
-        // -- spawn-closure contexts ------------------------------------------
-        // (fn-local index, closure span) per spawned closure.
-        let mut spawn_spans: Vec<(usize, usize, usize)> = Vec::new();
-        for needle in ["spawn(", "spawn_daemon("] {
-            each_match(text, needle, |pos| {
-                let open = pos + needle.len() - 1;
-                let Some(k) = owner_of(open) else { return };
-                let Some((cs, ce)) = closure_span(text, open) else { return };
-                spawn_spans.push((k, cs, ce));
-            });
-        }
-        let ctx_of = |fnk: usize, pos: usize| -> usize {
-            // Innermost spawn closure of this fn containing pos, else 0.
-            let mut best: Option<usize> = None;
-            for (si, &(k, cs, ce)) in spawn_spans.iter().enumerate() {
-                if k == fnk && cs <= pos && pos < ce {
-                    let tighter = best
-                        .map(|b| {
-                            let (_, bs, be) = spawn_spans[b];
-                            be - bs > ce - cs
-                        })
-                        .unwrap_or(true);
-                    if tighter {
-                        best = Some(si);
-                    }
-                }
-            }
-            best.map(|si| si + 1).unwrap_or(0)
-        };
-
-        // -- lock events ------------------------------------------------------
-        let n_fns_here = fns.len() - first_fn;
-        let resolve = |seg_dot: usize, fnk: usize| -> Option<ResRef> {
-            for seg in receiver_segments(text, seg_dot) {
-                if let Some(l) = file_labels.get(&seg) {
-                    return Some(ResRef::Label(l.clone()));
-                }
-                if fns[first_fn + fnk].params.contains(&seg) {
-                    return Some(ResRef::Param(seg));
-                }
-            }
-            None
-        };
-        // (fn-local index, context, position, event), position-sorted below.
-        let mut events: Vec<(usize, usize, usize, Event)> = Vec::new();
-        each_match(text, ".acquire(", |pos| {
-            let Some(k) = owner_of(pos) else { return };
-            if let Some(res) = resolve(pos, k) {
-                lock_sites += 1;
-                events.push((k, ctx_of(k, pos), pos, Event::Acquire { res, pos }));
-            }
-        });
-        each_match(text, ".release(", |pos| {
-            let Some(k) = owner_of(pos) else { return };
-            if let Some(res) = resolve(pos, k) {
-                events.push((k, ctx_of(k, pos), pos, Event::Release { res }));
-            }
-        });
-
-        // -- call edges -------------------------------------------------------
-        let bytes = text.as_bytes();
-        let mut i = 0usize;
-        while let Some(open) = find_from(text, "(", i) {
-            i = open + 1;
-            // Identifier glued to the '('.
-            let mut j = open;
-            while j > 0 && is_ident_char(bytes[j - 1] as char) {
-                j -= 1;
-            }
-            if j == open {
-                continue;
-            }
-            let name = &text[j..open];
-            if KEYWORDS.contains(&name) || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                continue;
-            }
-            // Skip macros (`name!(`), definitions (`fn name(`), and paths that
-            // are really type constructors (`Name::<`).
-            let mut p = j;
-            while p > 0 && (bytes[p - 1] as char).is_whitespace() {
-                p -= 1;
-            }
-            if p > 0 && bytes[p - 1] as char == '!' {
-                continue;
-            }
-            if text[..p].ends_with("fn") {
-                continue;
-            }
-            let Some(k) = owner_of(open) else { continue };
-            let Some(close) = balance(text, open) else { continue };
-            let args: Vec<String> =
-                split_args(&text[open + 1..close]).into_iter().map(|a| normalize_arg(&a)).collect();
-            call_sites += 1;
-            events.push((
-                k,
-                ctx_of(k, open),
-                open,
-                Event::Call { callee: name.to_string(), args, pos: open },
-            ));
-        }
-
-        events.sort_by_key(|(k, c, pos, _)| (*k, *c, *pos));
-        let mut per_fn: BTreeMap<(usize, usize), Vec<Event>> = BTreeMap::new();
-        for (k, c, _, ev) in events {
-            per_fn.entry((k, c)).or_default().push(ev);
-        }
-        let n_ctx = spawn_spans.len() + 1;
-        for k in 0..n_fns_here {
-            let mut contexts: Vec<Vec<Event>> = vec![Vec::new(); n_ctx];
-            for ((fk, c), evs) in &per_fn {
-                if *fk == k {
-                    contexts[*c] = evs.clone();
-                }
-            }
-            // Drop empty non-root contexts (other fns' closures).
-            let root = contexts.remove(0);
-            let mut kept = vec![root];
-            kept.extend(contexts.into_iter().filter(|c| !c.is_empty()));
-            fns[first_fn + k].contexts = kept;
-        }
 
         // -- rmpi sites -------------------------------------------------------
         // (method, kind, min args, tag arg index, arg0 must be None/Some)
@@ -340,32 +142,21 @@ pub(crate) fn build(preps: &[FilePrep]) -> WorkspaceIndex {
                 let tag_consts = args.get(tag_idx).map(|a| screaming_idents(a)).unwrap_or_default();
                 rmpi.push(RmpiSite { file: fi, pos, kind, tag_consts });
                 if kind == RmpiKind::Irecv {
-                    let body_end = owner_of(pos).map(|k| spans[k].body_end).unwrap_or(text.len());
-                    let usage = classify_irecv(text, pos, close, body_end);
+                    let usage = classify_irecv(text, pos, close, owner_body_end(pos));
                     irecvs.push(IrecvSite { file: fi, pos, usage });
                 }
             });
         }
     }
 
-    let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, f) in fns.iter().enumerate() {
-        by_name.entry(f.name.clone()).or_default().push(i);
-    }
-    let stats = IndexStats {
-        files: preps.len(),
-        fns: fns.len(),
-        call_sites,
-        lock_sites,
-        rmpi_sites: rmpi.len(),
-    };
-    WorkspaceIndex { fns, by_name, labels, rmpi, irecvs, retry_armed, stats }
+    let stats = IndexStats { files: preps.len(), fns, rmpi_sites: rmpi.len() };
+    WorkspaceIndex { rmpi, irecvs, retry_armed, stats }
 }
 
-/// Parse the fn whose `fn ` keyword starts at `pos`:
-/// `(name, param names, body `{` pos, body `}` pos)`. Returns `None` for
-/// bodyless declarations (trait methods, extern blocks).
-fn parse_fn(text: &str, pos: usize) -> Option<(String, Vec<String>, usize, usize)> {
+/// Body span `(`{` pos, `}` pos)` of the fn whose `fn ` keyword starts at
+/// `pos`. Returns `None` for bodyless declarations (trait methods, extern
+/// blocks).
+fn fn_body_span(text: &str, pos: usize) -> Option<(usize, usize)> {
     let bytes = text.as_bytes();
     let mut j = pos + 3;
     while j < bytes.len() && (bytes[j] as char).is_whitespace() {
@@ -378,7 +169,6 @@ fn parse_fn(text: &str, pos: usize) -> Option<(String, Vec<String>, usize, usize
     if j == name_start {
         return None;
     }
-    let name = text[name_start..j].to_string();
     while j < bytes.len() && (bytes[j] as char).is_whitespace() {
         j += 1;
     }
@@ -406,24 +196,7 @@ fn parse_fn(text: &str, pos: usize) -> Option<(String, Vec<String>, usize, usize
     if bytes.get(j) != Some(&b'(') {
         return None;
     }
-    let params_open = j;
-    let params_close = balance(text, params_open)?;
-    let params: Vec<String> = split_args(&text[params_open + 1..params_close])
-        .into_iter()
-        .filter_map(|p| {
-            let p = p.trim();
-            if p.is_empty() || p.ends_with("self") {
-                return None;
-            }
-            let name = p.split(':').next().unwrap_or("").trim();
-            let name = name.strip_prefix("mut ").unwrap_or(name).trim();
-            if !name.is_empty() && name.chars().all(is_ident_char) {
-                Some(name.to_string())
-            } else {
-                Some(String::new()) // positional placeholder for patterns
-            }
-        })
-        .collect();
+    let params_close = balance(text, j)?;
     // Body: the next `{` before any `;` (a `;` first means no body).
     let mut k = params_close + 1;
     while k < bytes.len() {
@@ -436,8 +209,7 @@ fn parse_fn(text: &str, pos: usize) -> Option<(String, Vec<String>, usize, usize
     if k >= bytes.len() {
         return None;
     }
-    let body_end = balance_brace(text, k)?;
-    Some((name, params, k, body_end))
+    Some((k, balance_brace(text, k)?))
 }
 
 /// Matching `)` for the `(` at `open`.
@@ -513,19 +285,6 @@ pub(crate) fn split_args(s: &str) -> Vec<String> {
     out
 }
 
-/// Reduce a call argument to the ident it passes, if it is a plain (possibly
-/// borrowed) ident; anything more structured becomes `""`.
-fn normalize_arg(a: &str) -> String {
-    let a = a.trim();
-    let a = a.strip_prefix("&mut ").or_else(|| a.strip_prefix('&')).unwrap_or(a);
-    let a = a.trim();
-    if !a.is_empty() && a.chars().all(is_ident_char) {
-        a.to_string()
-    } else {
-        String::new()
-    }
-}
-
 /// SCREAMING_SNAKE idents (len >= 2, no lowercase, at least one letter)
 /// inside an expression — how tag constants appear in tag arguments, both
 /// bare (`Some(BASIC_TAG)`) and computed (`coll_tag(OP_BCAST, seq)`).
@@ -550,132 +309,6 @@ fn screaming_idents(expr: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// Collect `ident -> label` for every `named("label", ...)` construction in
-/// the file, then fold `.clone()` aliases (including tuple destructuring)
-/// into the same map.
-fn lock_labels(prep: &FilePrep) -> BTreeMap<String, String> {
-    let text = &prep.text;
-    let mut labels: BTreeMap<String, String> = BTreeMap::new();
-    each_match(text, "::named(", |pos| {
-        let open = pos + "::named(".len() - 1;
-        // The label literal was blanked by masking; read it from raw chars.
-        let mut k = open + 1;
-        while k < prep.raw.len() && prep.raw[k].is_whitespace() {
-            k += 1;
-        }
-        if prep.raw.get(k) != Some(&'"') {
-            return;
-        }
-        k += 1;
-        let mut label = String::new();
-        while k < prep.raw.len() && prep.raw[k] != '"' {
-            label.push(prep.raw[k]);
-            k += 1;
-        }
-        if label.is_empty() {
-            return;
-        }
-        if let Some(name) = ident_bound_at(text, pos) {
-            labels.insert(name, label);
-        }
-    });
-
-    // `let x2 = x.clone();`
-    let mut aliases: Vec<(String, String)> = Vec::new();
-    each_match(text, ".clone()", |pos| {
-        let Some(src) = ident_before(text, pos) else { return };
-        let bytes = text.as_bytes();
-        let mut j = pos - src.len();
-        while j > 0 && (bytes[j - 1] as char).is_whitespace() {
-            j -= 1;
-        }
-        if j == 0 || bytes[j - 1] as char != '=' {
-            return;
-        }
-        if let Some(name) = let_ident_before(text, j - 1) {
-            aliases.push((name, src));
-        }
-    });
-    // `let (a2, b2) = (a.clone(), b.clone());`
-    each_match(text, "let (", |pos| {
-        let open = pos + "let (".len() - 1;
-        let Some(close) = balance(text, open) else { return };
-        let names = split_args(&text[open + 1..close]);
-        if names.is_empty() || !names.iter().all(|n| n.chars().all(is_ident_char)) {
-            return;
-        }
-        let bytes = text.as_bytes();
-        let mut j = close + 1;
-        while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) != Some(&b'=') {
-            return;
-        }
-        j += 1;
-        while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) != Some(&b'(') {
-            return;
-        }
-        let Some(rhs_close) = balance(text, j) else { return };
-        let exprs = split_args(&text[j + 1..rhs_close]);
-        for (name, expr) in names.iter().zip(exprs.iter()) {
-            if let Some(src) = expr.trim().strip_suffix(".clone()") {
-                if src.chars().all(is_ident_char) && !src.is_empty() {
-                    aliases.push((name.clone(), src.to_string()));
-                }
-            }
-        }
-    });
-    // Aliases may chain (x2 = x.clone(); x3 = x2.clone()); two folding
-    // rounds cover any depth the workspace realistically writes.
-    for _ in 0..2 {
-        for (name, src) in &aliases {
-            if let Some(l) = labels.get(src).cloned() {
-                labels.entry(name.clone()).or_insert(l);
-            }
-        }
-    }
-    labels
-}
-
-/// Closure span for a `spawn(...)` whose argument list opens at `open`: the
-/// body of the first `|params|` closure among the arguments.
-fn closure_span(text: &str, open: usize) -> Option<(usize, usize)> {
-    let close = balance(text, open)?;
-    let bytes = text.as_bytes();
-    let mut j = open + 1;
-    while j < close && bytes[j] as char != '|' {
-        j += 1;
-    }
-    if j >= close {
-        return None;
-    }
-    // Params end at the matching '|' (`||` means empty params).
-    let params_end = if bytes.get(j + 1) == Some(&b'|') {
-        j + 1
-    } else {
-        let mut k = j + 1;
-        while k < close && bytes[k] as char != '|' {
-            k += 1;
-        }
-        k
-    };
-    let mut b = params_end + 1;
-    while b < close && (bytes[b] as char).is_whitespace() {
-        b += 1;
-    }
-    if bytes.get(b) == Some(&b'{') {
-        let end = balance_brace(text, b)?;
-        Some((b, end))
-    } else {
-        // Expression-bodied closure: runs to the call's closing paren.
-        Some((b, close))
-    }
 }
 
 /// Classify how the Request returned by the `.irecv(` at `dot` (args closing

@@ -17,9 +17,10 @@
 //!   leaks into message and scheduling order — and, for `obs`, into the
 //!   exported timeline bytes. Use `BTreeMap` / `BTreeSet` or a sorted
 //!   collect.
-//! * **D5** — no lock guard held across `park()` / blocking simt primitives
-//!   (the lost-wakeup & deadlock shape the push-token-then-park pattern
-//!   exists to avoid).
+//! * **D5** — no `parking_lot` / `std::sync::{Mutex, RwLock}` outside `simt`:
+//!   a guard alive when a green thread parks hangs every other green thread
+//!   on the one OS thread, and only `simt::sync::Mutex` guards are counted and
+//!   checked at park time.
 //! * **D6** — no busy-spin `while` loop polling `Request::test()` without a
 //!   blocking call in the body: every probe charges simulated CPU, so a spin
 //!   loop reproduces the Basic design's polling burn (paper §VI-D) instead
@@ -40,20 +41,15 @@
 //!
 //! The scanner is deliberately a token-level pass over comment- and
 //! string-masked source (this workspace vendors no `syn`): it tracks lines,
-//! brace depth, `#[cfg(test)]` regions, guard bindings, and hash-collection
-//! idents, which is enough to make the five rules precise on real-world
-//! rustfmt'd code while staying dependency-free.
+//! `#[cfg(test)]` regions and hash-collection idents, which is enough to make
+//! the rules precise on real-world rustfmt'd code while staying
+//! dependency-free.
 //!
 //! On top of the per-file D-rules, [`analyze_files`] runs a two-pass
-//! *workspace* analysis: pass 1 ([`index`]) builds a symbol index (fn
-//! definitions, call edges, `named()` lock-acquisition sites, rmpi
-//! send/recv/irecv sites with their tag constants); pass 2 runs the
-//! cross-file rule families over it:
+//! *workspace* analysis: pass 1 ([`index`]) indexes fn body spans and the rmpi
+//! send/recv/irecv sites with their tag constants; pass 2 runs the cross-file
+//! rule family over it:
 //!
-//! * **L1** — static lock-order graph: intra-procedural acquisition
-//!   sequences, propagated one level through the call graph, reported as
-//!   AB/BA inversions and longer cycles. Mirrors simt's dynamic
-//!   `inversion_log`; the parity tests assert dynamic ⊆ static.
 //! * **P1** — request leak: an `irecv` Request must reach
 //!   `wait`/`wait_timeout`/`test`/`cancel`/`waitall`/`waitany`/`testsome`
 //!   or escape the function.
@@ -71,9 +67,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 pub(crate) mod index;
-pub(crate) mod lockorder;
 pub(crate) mod protocol;
-pub mod sarif;
 
 /// One finding, pointing at a specific source line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,7 +76,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id: `D1`..`D7`, `L1`, `P1`..`P3`, `allow` for a malformed allow
+    /// Rule id: `D1`..`D7`, `P1`..`P3`, `allow` for a malformed allow
     /// directive, or `stale` for a waiver that no longer suppresses anything.
     pub rule: String,
     /// Human-readable explanation with the suggested fix.
@@ -105,15 +99,14 @@ impl Diagnostic {
     }
 }
 
+/// The rule catalog: every id a finding can carry, besides `allow` and `stale`.
+pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7", "P1", "P2", "P3"];
+
 /// Crates whose sources sit on the message path: any hash-order leak here
 /// reorders packets, RPCs, or task scheduling (rule D4's scope). `obs` is
 /// included because span records and metric snapshots feed the byte-stable
 /// timeline export.
 pub const MESSAGE_PATH_CRATES: &[&str] = &["netz", "fabric", "rmpi", "sparklet", "core", "obs"];
-
-/// The file that implements blocking itself, and so is outside D5 (a guard
-/// held across a blocking primitive).
-const SIMT_INTERNALS: &[&str] = &["src/engine.rs"];
 
 // ---------------------------------------------------------------------------
 // Source masking: blank comments and string/char literals, preserving the
@@ -386,7 +379,7 @@ pub(crate) fn blank_test_regions(m: &mut Masked) {
     }
 }
 
-pub(crate) fn find_from(haystack: &str, needle: &str, from: usize) -> Option<usize> {
+fn find_from(haystack: &str, needle: &str, from: usize) -> Option<usize> {
     // `from` is a char index; the masked text is ASCII after masking (all
     // non-ASCII lived in strings/comments), so bytes == chars here.
     haystack.get(from..).and_then(|s| s.find(needle)).map(|p| p + from)
@@ -543,9 +536,6 @@ impl RuleCtx<'_> {
     fn is_simt(&self) -> bool {
         self.origin.crate_name == "simt"
     }
-    fn is_simt_internal(&self) -> bool {
-        self.is_simt() && SIMT_INTERNALS.contains(&self.origin.rel_path.as_str())
-    }
     fn on_message_path(&self) -> bool {
         MESSAGE_PATH_CRATES.contains(&self.origin.crate_name.as_str())
     }
@@ -556,10 +546,6 @@ impl RuleCtx<'_> {
 pub(crate) struct FilePrep {
     pub(crate) display: String,
     pub(crate) origin: FileOrigin,
-    /// Original source chars; offsets line up 1:1 with `masked.code`, so
-    /// string-literal contents (lock labels) can be read back at positions
-    /// found in the masked text.
-    pub(crate) raw: Vec<char>,
     pub(crate) masked: Masked,
     /// `masked.code` collected to a `String` (ASCII after masking).
     pub(crate) text: String,
@@ -571,14 +557,7 @@ pub(crate) fn prep_file(display_path: &str, origin: &FileOrigin, src: &str) -> F
     blank_test_regions(&mut m);
     let allows = parse_allows(&m);
     let text: String = m.code.iter().collect();
-    FilePrep {
-        display: display_path.to_string(),
-        origin: origin.clone(),
-        raw: src.chars().collect(),
-        masked: m,
-        text,
-        allows,
-    }
+    FilePrep { display: display_path.to_string(), origin: origin.clone(), masked: m, text, allows }
 }
 
 /// Run the per-file D-rules (plus malformed-directive findings) over a prep.
@@ -632,7 +611,7 @@ fn apply_allows_one(
 }
 
 /// Scan one file's source with the per-file D-rules only. `display_path` is
-/// used verbatim in diagnostics. The workspace rules (L/P, stale waivers)
+/// used verbatim in diagnostics. The workspace rules (P, stale waivers)
 /// need cross-file context — see [`analyze_files`].
 pub fn scan_source(display_path: &str, origin: &FileOrigin, src: &str) -> Vec<Diagnostic> {
     let prep = prep_file(display_path, origin, src);
@@ -658,25 +637,19 @@ pub struct SourceFile {
 pub struct IndexStats {
     pub files: usize,
     pub fns: usize,
-    pub call_sites: usize,
-    /// `.acquire()` events resolved to a named lock or a fn parameter.
-    pub lock_sites: usize,
     /// rmpi send/recv/irecv/probe call sites.
     pub rmpi_sites: usize,
 }
 
 /// Outcome of a whole-workspace analysis.
 pub struct Analysis {
-    /// All findings (D, L, P, `allow`, `stale`), sorted by path/line/rule.
+    /// All findings (D, P, `allow`, `stale`), sorted by path/line/rule.
     pub diagnostics: Vec<Diagnostic>,
     pub stats: IndexStats,
-    /// Canonical `(min, max)` lock pairs the static L-rule saw acquired in
-    /// both orders — comparable against `simt::SimReport::lock_inversions`.
-    pub lock_inversions: Vec<(String, String)>,
 }
 
 /// Two-pass analysis over a set of files: per-file D-rules, then the
-/// workspace index and the L/P rule families, then allow application with
+/// workspace index and the P rule family, then allow application with
 /// stale-waiver detection.
 pub fn analyze_files(files: &[SourceFile]) -> Analysis {
     let preps: Vec<FilePrep> =
@@ -684,11 +657,9 @@ pub fn analyze_files(files: &[SourceFile]) -> Analysis {
     let idx = index::build(&preps);
 
     let mut per_file: Vec<BTreeSet<Diagnostic>> = preps.iter().map(d_rules).collect();
-    let (l_diags, lock_inversions) = lockorder::run(&idx, &preps);
-    let p_diags = protocol::run(&idx, &preps);
     let by_path: BTreeMap<&str, usize> =
         preps.iter().enumerate().map(|(i, p)| (p.display.as_str(), i)).collect();
-    for d in l_diags.into_iter().chain(p_diags) {
+    for d in protocol::run(&idx, &preps) {
         if let Some(&i) = by_path.get(d.path.as_str()) {
             per_file[i].insert(d);
         }
@@ -718,13 +689,11 @@ pub fn analyze_files(files: &[SourceFile]) -> Analysis {
     }
     diagnostics.sort();
     diagnostics.dedup();
-    let stats = idx.stats.clone();
-    Analysis { diagnostics, stats, lock_inversions }
+    Analysis { diagnostics, stats: idx.stats }
 }
 
 /// Render diagnostics as one valid JSON array (pretty enough for humans,
-/// parseable by `jq`). NDJSON remains available via [`Diagnostic::render_json`]
-/// per line.
+/// parseable by `jq`).
 pub fn render_json_array(diags: &[Diagnostic]) -> String {
     if diags.is_empty() {
         return "[]".to_string();
@@ -915,7 +884,7 @@ fn collect_hash_idents(text: &str) -> BTreeSet<String> {
 /// Given the offset of a `HashMap`/`HashSet` token, walk backward to the
 /// ident it is bound to: `name: ...HashMap<...>` (field/param/let-annotation)
 /// or `let [mut] name = HashMap::new()`-style initializers.
-pub(crate) fn ident_bound_at(text: &str, pos: usize) -> Option<String> {
+fn ident_bound_at(text: &str, pos: usize) -> Option<String> {
     let b = text.as_bytes();
     let mut j = pos;
     // Walk back over the type/path prefix to the single `:` that introduces
@@ -968,7 +937,7 @@ pub(crate) fn ident_before(text: &str, end: usize) -> Option<String> {
 
 /// For `let [mut] NAME = <expr with HashMap>`: parse NAME from just before
 /// the `=` at `eq`.
-pub(crate) fn let_ident_before(text: &str, eq: usize) -> Option<String> {
+fn let_ident_before(text: &str, eq: usize) -> Option<String> {
     let name = ident_before(text, eq)?;
     let b = text.as_bytes();
     // Verify a `let` introduces this binding (walk back over `mut`/ws/name).
@@ -996,7 +965,7 @@ pub(crate) fn let_ident_before(text: &str, eq: usize) -> Option<String> {
 /// Walk backward from `dot` (the `.` starting an iterator adapter) and
 /// collect the plain-ident segments of the receiver chain, skipping over
 /// call segments like `.lock()`.
-pub(crate) fn receiver_segments(text: &str, dot: usize) -> Vec<String> {
+fn receiver_segments(text: &str, dot: usize) -> Vec<String> {
     let b = text.as_bytes();
     let mut segs = Vec::new();
     let mut j = dot;
@@ -1104,177 +1073,35 @@ fn rule_d4(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
     });
 }
 
-// --- D5: lock guard held across a blocking simt primitive ------------------
-
-/// Calls that yield to the engine: any lock guard still live here is held
-/// across a reschedule — the lost-wakeup/deadlock shape.
-const BLOCKING_TOKENS: &[&str] = &[
-    "park()",
-    ".acquire(",
-    ".wait()",
-    ".recv()",
-    ".recv_timeout(",
-    ".recv_deadline(",
-    ".take_timeout(",
-    "simt::sleep(",
-    "crate::sleep(",
-    "simt::yield_now(",
-];
+// --- D5: locks the engine cannot count --------------------------------------
 
 fn rule_d5(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnostic>) {
-    if ctx.is_simt_internal() {
+    if ctx.is_simt() {
         return;
     }
-    // Collect guard bindings: `let [mut] g = <expr ending in .lock()/.read()/.write()>;`
-    #[derive(Debug)]
-    struct Guard {
-        name: String,
-        depth: i64,
-        line: usize,
+    let mut flag = |pos: usize, what: &str| {
+        push_diag(
+            out,
+            ctx,
+            m.line_of(pos),
+            "D5",
+            format!(
+                "uncounted lock `{what}` outside simt: a guard alive when a green thread parks \
+                 hangs every other green thread on the one OS thread, and only \
+                 `simt::sync::Mutex` guards are checked at park time; use it"
+            ),
+        );
+    };
+    for needle in ["parking_lot", "std::sync::Mutex", "std::sync::RwLock"] {
+        each_match(text, needle, |pos| flag(pos, needle));
     }
-    let b = text.as_bytes();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth: i64 = 0;
-    let mut i = 0usize;
-    while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth);
-            }
-            'l' if word_match(text, i, "let ") && text[i..].starts_with("let ") => {
-                if let Some((name, stmt_end)) = parse_guard_binding(text, i) {
-                    guards.retain(|g| g.name != name);
-                    guards.push(Guard { name, depth, line: m.line_of(i) });
-                    i = stmt_end;
-                    continue;
-                }
-            }
-            'd' if word_match(text, i, "drop") && text[i..].starts_with("drop") => {
-                // drop(name) ends the guard early.
-                let rest = text[i + 4..].trim_start();
-                if let Some(inner) = rest.strip_prefix('(') {
-                    let arg: String = inner.chars().take_while(|&ch| is_ident_char(ch)).collect();
-                    guards.retain(|g| g.name != arg);
-                }
-            }
-            _ => {}
+    // `use std::sync::{Arc, Mutex};`
+    each_match(text, "std::sync::{", |pos| {
+        let group = text[pos..].split('}').next().unwrap_or_default();
+        for name in ["Mutex", "RwLock"] {
+            each_match(group, name, |_| flag(pos, &format!("std::sync::{name}")));
         }
-        // Blocking token at this position while a guard is live?
-        if !guards.is_empty() {
-            for tok in BLOCKING_TOKENS {
-                if text[i..].starts_with(tok) && word_match(text, i, tok) {
-                    let names: Vec<String> =
-                        guards.iter().map(|g| format!("`{}` (line {})", g.name, g.line)).collect();
-                    push_diag(
-                        out,
-                        ctx,
-                        m.line_of(i),
-                        "D5",
-                        format!(
-                            "blocking call `{tok}` while lock guard{} {} still held: the \
-                             engine reschedules here, inviting lost wakeups and deadlock; \
-                             drop the guard (scope it or `drop()`) before blocking",
-                            if names.len() > 1 { "s" } else { "" },
-                            names.join(", ")
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// If a `let` at `pos` binds a lock guard, return `(name, end-of-statement)`.
-fn parse_guard_binding(text: &str, pos: usize) -> Option<(String, usize)> {
-    let b = text.as_bytes();
-    let mut j = pos + 4; // past `let `
-    while j < b.len() && (b[j] as char).is_whitespace() {
-        j += 1;
-    }
-    if text[j..].starts_with("mut ") {
-        j += 4;
-        while j < b.len() && (b[j] as char).is_whitespace() {
-            j += 1;
-        }
-    }
-    let start = j;
-    while j < b.len() && is_ident_char(b[j] as char) {
-        j += 1;
-    }
-    if j == start {
-        return None;
-    }
-    let name = text[start..j].to_string();
-    // Find `=` (skip a possible `: Type` annotation) then the statement end
-    // at balanced depth.
-    let mut k = j;
-    let mut angle: i64 = 0;
-    while k < b.len() {
-        match b[k] as char {
-            '<' => angle += 1,
-            '>' => angle -= 1,
-            '=' if angle <= 0 => break,
-            ';' | '{' => return None, // `let x;` or something exotic
-            _ => {}
-        }
-        k += 1;
-    }
-    if k >= b.len() {
-        return None;
-    }
-    let init_start = k + 1;
-    let (mut paren, mut brace, mut bracket) = (0i64, 0i64, 0i64);
-    let mut end = init_start;
-    while end < b.len() {
-        match b[end] as char {
-            '(' => paren += 1,
-            ')' => paren -= 1,
-            '[' => bracket += 1,
-            ']' => bracket -= 1,
-            '{' => brace += 1,
-            '}' => brace -= 1,
-            ';' if paren == 0 && brace == 0 && bracket == 0 => break,
-            _ => {}
-        }
-        end += 1;
-    }
-    let init = text[init_start..end.min(text.len())].trim();
-    if init.contains('{') {
-        return None; // block initializer: any guard inside dies at the block
-    }
-    if init.starts_with('*') {
-        // `let v = *x.lock();` copies the value out; the temporary guard
-        // dies at the end of the statement. (`let v = &*x.lock();` would
-        // extend it, and still ends with `.lock()` after the strip below.)
-        return None;
-    }
-    let mut core = init.trim_end();
-    // Peel `.unwrap()` / `.expect(...)` wrappers.
-    loop {
-        if let Some(s) = core.strip_suffix(".unwrap()") {
-            core = s.trim_end();
-            continue;
-        }
-        if core.ends_with(')') {
-            if let Some(p) = core.rfind(".expect(") {
-                core = core[..p].trim_end();
-                continue;
-            }
-        }
-        break;
-    }
-    let is_guard =
-        core.ends_with(".lock()") || core.ends_with(".read()") || core.ends_with(".write()");
-    if is_guard {
-        Some((name, end))
-    } else {
-        None
-    }
+    });
 }
 
 // --- D6: busy-spin polling of nonblocking requests --------------------------
@@ -1403,7 +1230,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
 }
 
 /// Scan every workspace crate under `root` and return the diagnostics alone
-/// (the full two-pass analysis, including L/P rules and stale waivers),
+/// (the full two-pass analysis, including the P rules and stale waivers),
 /// sorted by path, line, rule.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     Ok(analyze_workspace(root)?.diagnostics)

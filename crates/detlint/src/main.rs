@@ -1,5 +1,5 @@
 //! CLI for the determinism & protocol lints:
-//! `cargo run -p detlint [-- --json|--ndjson|--sarif] [ROOT]`.
+//! `cargo run -p detlint [-- --json] [ROOT]`.
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage/IO error.
 
@@ -8,34 +8,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    /// One valid JSON array (jq-friendly).
-    Json,
-    /// One JSON object per line.
-    Ndjson,
-    /// SARIF 2.1.0 for CI code scanning.
-    Sarif,
-}
-
 fn main() -> ExitCode {
-    let mut format = Format::Text;
+    let mut json = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => format = Format::Json,
-            "--ndjson" => format = Format::Ndjson,
-            "--sarif" => format = Format::Sarif,
+            "--json" => json = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: detlint [--json|--ndjson|--sarif] [ROOT]\n\n\
+                    "usage: detlint [--json] [ROOT]\n\n\
                      Scans every workspace crate for determinism violations (rules D1-D7)\n\
-                     and runs the two-pass workspace analysis (lock-order rule L1,\n\
-                     protocol rules P1-P3, stale-waiver check).\n\
+                     and runs the two-pass workspace analysis (protocol rules P1-P3,\n\
+                     stale-waiver check).\n\
                      ROOT defaults to the enclosing cargo workspace.\n\n\
-                     --json    one valid JSON array of findings\n\
-                     --ndjson  one JSON object per line\n\
-                     --sarif   SARIF 2.1.0 log for CI code scanning\n\n\
+                     --json    one valid JSON array of findings\n\n\
                      exit codes: 0 clean, 1 findings, 2 error"
                 );
                 return ExitCode::SUCCESS;
@@ -77,29 +63,15 @@ fn main() -> ExitCode {
     };
     let diags = &analysis.diagnostics;
 
-    match format {
-        Format::Text => {
-            for d in diags {
-                println!("{}", d.render());
-            }
-        }
-        Format::Json => println!("{}", detlint::render_json_array(diags)),
-        Format::Ndjson => {
-            for d in diags {
-                println!("{}", d.render_json());
-            }
-        }
-        Format::Sarif => println!("{}", detlint::sarif::render(diags)),
-    }
-    if diags.is_empty() {
-        if matches!(format, Format::Text) {
-            eprintln!("detlint: workspace clean");
-        }
-        ExitCode::SUCCESS
+    if json {
+        println!("{}", detlint::render_json_array(diags));
+    } else if diags.is_empty() {
+        eprintln!("detlint: workspace clean");
     } else {
-        if matches!(format, Format::Text) {
-            eprintln!("detlint: {} finding(s)", diags.len());
+        for d in diags {
+            println!("{}", d.render());
         }
-        ExitCode::from(1)
+        eprintln!("detlint: {} finding(s)", diags.len());
     }
+    ExitCode::from(if diags.is_empty() { 0 } else { 1 })
 }

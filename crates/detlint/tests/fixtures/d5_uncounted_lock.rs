@@ -1,0 +1,13 @@
+//! Fixture: rule D5 — locks whose guards the engine cannot count.
+
+use std::sync::{Arc, Mutex};
+
+pub fn drain(q: &simt::queue::Queue<u64>, state: &parking_lot::Mutex<Vec<u64>>) {
+    let mut held = state.lock();
+    let v = q.recv().unwrap();
+    held.push(v);
+}
+
+pub fn share(v: u64) -> Arc<Mutex<u64>> {
+    Arc::new(Mutex::new(v))
+}

@@ -9,9 +9,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use simt::queue::{Queue, RecvError};
+use simt::sync::Mutex;
 use simt::Cpu;
 
 use crate::chaos::{FaultPlan, Verdict};
@@ -595,7 +594,7 @@ mod tests {
     fn disk_writes_serialize_per_node() {
         let sim = Sim::new();
         let net = two_node_net();
-        let done = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let done = Arc::new(simt::sync::Mutex::new(Vec::new()));
         for i in 0..2 {
             let net = net.clone();
             let done = done.clone();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use fabric::{Net, NodeId, Payload, PortAddr, StackModel};
 use obs::Span;
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 
 use crate::error::NetzError;
 use crate::message::Message;

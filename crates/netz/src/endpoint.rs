@@ -11,8 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 use fabric::{Net, NodeId, Packet, Payload, PortAddr};
-use parking_lot::Mutex;
-use simt::sync::OnceCell;
+use simt::sync::{Mutex, OnceCell};
 
 use crate::channel::{ChannelCore, ChannelId};
 use crate::client::TransportClient;

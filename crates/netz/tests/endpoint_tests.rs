@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use fabric::{ClusterSpec, Net, Payload};
 use netz::{NetzError, NoOpRpcHandler, RpcHandler, StreamManager, TransportConf, TransportContext};
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 use simt::Sim;
 
 /// Echo handler: replies with the request body; serves chunks of

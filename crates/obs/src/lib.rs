@@ -30,7 +30,7 @@ pub mod timeline;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::{current_send_span, SendScope, Span, SpanId, SpanRecord, Tracer};
 
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

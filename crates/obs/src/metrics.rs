@@ -6,7 +6,7 @@
 //! deterministic) and query it by key. Snapshots are plain data: they can be
 //! shipped inside simulated RPC messages (task → scheduler) and merged.
 
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

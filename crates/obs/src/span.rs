@@ -13,7 +13,7 @@
 //! time), id assignment order — and therefore the exported timeline — is a
 //! pure function of the simulated schedule, not of OS scheduling.
 
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

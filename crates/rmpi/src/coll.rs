@@ -238,7 +238,7 @@ mod tests {
     use super::{tree_children, tree_parent};
     use crate::launch::mpiexec;
     use fabric::{ClusterSpec, Net};
-    use parking_lot::Mutex;
+    use simt::sync::Mutex;
     use std::sync::Arc;
 
     fn run_ranks(n_nodes: usize, ranks: usize, f: impl Fn(crate::Comm) + Send + Sync + 'static) {

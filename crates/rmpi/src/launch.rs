@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::{Net, NodeId, StackModel};
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 
 use crate::comm::Comm;
 use crate::proc::{spawn_pump, CommGroups, CommInfo, MsgStore, ProcState, UniverseState};

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId, Payload, PortAddr};
-use parking_lot::Mutex;
 use simt::engine::{park, wait_token, WaitToken};
+use simt::sync::Mutex;
 
 use crate::types::{CommId, MpiError, ProcId, Status};
 

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
-use parking_lot::Mutex;
 use rmpi::{mpiexec, Comm, SpawnSpec};
+use simt::sync::Mutex;
 use simt::Sim;
 
 fn run(n_nodes: usize, ranks: usize, f: impl Fn(Comm) + Send + Sync + 'static) {

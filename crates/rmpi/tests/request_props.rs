@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
-use parking_lot::Mutex;
 use rmpi::{mpiexec, waitall, Comm};
+use simt::sync::Mutex;
 use simt::{for_each_case, SeededRng, Sim};
 
 const TAG_BASE: u64 = 10_000;

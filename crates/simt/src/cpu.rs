@@ -13,9 +13,8 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::engine::{wait_token, EngineHandle, WaitToken};
+use crate::sync::Mutex;
 
 /// Completion threshold for floating-point work accounting (nanoseconds).
 const EPS: f64 = 1e-3;

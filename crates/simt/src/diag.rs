@@ -1,4 +1,4 @@
-//! Wait-graph diagnostics: per-task held-resource and waits-for bookkeeping.
+//! Wait-graph diagnostics: per-resource holder and per-task waits-for bookkeeping.
 //!
 //! The sync primitives in [`crate::sync`] and [`crate::queue`] report three
 //! kinds of events here: a task starting/stopping a blocking wait on a
@@ -8,10 +8,7 @@
 //! * a **wait-for graph** — which blocked task waits on which resource, and
 //!   which task holds it;
 //! * **deadlock cycles** — cycles in that graph, named task-by-task and
-//!   resource-by-resource in deterministic order;
-//! * a **lock-order inversion log** — resource pairs observed being acquired
-//!   in both AB and BA order by different acquisition stacks, the classic
-//!   precursor to an AB/BA deadlock even when the run happened not to hang.
+//!   resource-by-resource in deterministic order.
 //!
 //! All bookkeeping is a no-op outside a green thread, so primitives stay
 //! usable from plain unit tests. Everything is keyed on [`BTreeMap`]s and
@@ -51,37 +48,28 @@ pub(crate) struct DiagState {
     next_local: u64,
     /// Global rid -> display label ("fetch-slots" or "queue#3").
     labels: BTreeMap<u64, String>,
-    /// Task -> acquisition stack of rids currently held (duplicates allowed).
-    held: BTreeMap<usize, Vec<u64>>,
     /// Rid -> holder task -> hold count.
     holders: BTreeMap<u64, BTreeMap<usize, u64>>,
     /// Task -> rid it is currently blocked waiting for.
     waiting: BTreeMap<usize, u64>,
-    /// (a, b) pairs: some task acquired `b` while already holding `a`.
-    order_seen: BTreeSet<(u64, u64)>,
-    /// Canonical (min-label, max-label) pairs acquired in both orders.
-    inversions: BTreeSet<(String, String)>,
 }
 
 impl DiagState {
-    fn label(&mut self, res: &DiagRes) -> String {
-        if let Some(l) = self.labels.get(&res.rid) {
-            return l.clone();
+    /// Give `res` its display label the first time this simulation sees it.
+    fn register(&mut self, res: &DiagRes) {
+        if self.labels.contains_key(&res.rid) {
+            return;
         }
         let l = match &res.name {
             Some(n) => n.clone(),
-            None => {
-                let l = format!("{}#{}", res.kind, self.next_local);
-                l
-            }
+            None => format!("{}#{}", res.kind, self.next_local),
         };
         self.next_local += 1;
-        self.labels.insert(res.rid, l.clone());
-        l
+        self.labels.insert(res.rid, l);
     }
 
     fn on_wait(&mut self, tid: usize, res: &DiagRes) {
-        self.label(res);
+        self.register(res);
         self.waiting.insert(tid, res.rid);
     }
 
@@ -90,25 +78,8 @@ impl DiagState {
     }
 
     fn on_acquire(&mut self, tid: usize, res: &DiagRes) {
-        let label_b = self.label(res);
-        let held = self.held.entry(tid).or_default();
-        // Record lock-order pairs against everything already held; an (a, b)
-        // acquisition after a (b, a) one somewhere is an inversion.
-        let already: Vec<u64> = held.iter().copied().filter(|&a| a != res.rid).collect();
-        held.push(res.rid);
+        self.register(res);
         *self.holders.entry(res.rid).or_default().entry(tid).or_insert(0) += 1;
-        for a in already {
-            if self.order_seen.contains(&(res.rid, a)) {
-                let label_a = self.labels.get(&a).cloned().unwrap_or_default();
-                let pair = if label_a <= label_b {
-                    (label_a, label_b.clone())
-                } else {
-                    (label_b.clone(), label_a)
-                };
-                self.inversions.insert(pair);
-            }
-            self.order_seen.insert((a, res.rid));
-        }
     }
 
     fn on_release(&mut self, tid: usize, res: &DiagRes) {
@@ -129,11 +100,6 @@ impl DiagState {
         if *n == 0 {
             holders.remove(&owner);
         }
-        if let Some(stack) = self.held.get_mut(&owner) {
-            if let Some(pos) = stack.iter().rposition(|&r| r == res.rid) {
-                stack.remove(pos);
-            }
-        }
     }
 
     /// Resource label a task is blocked on, if the wait went through an
@@ -145,11 +111,6 @@ impl DiagState {
     /// Display label of an already-registered resource.
     pub(crate) fn label_of(&self, rid: u64) -> String {
         self.labels.get(&rid).cloned().unwrap_or_else(|| format!("resource#{rid}"))
-    }
-
-    /// Observed AB/BA acquisition-order pairs, canonically ordered.
-    pub(crate) fn inversion_log(&self) -> Vec<(String, String)> {
-        self.inversions.iter().cloned().collect()
     }
 
     /// Find deadlock cycles among `blocked` tasks: task -> waited resource ->

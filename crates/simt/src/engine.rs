@@ -228,8 +228,19 @@ impl Inner {
 
     /// Block the calling green thread until some wake targets its current
     /// epoch. Panics (unwinding the thread) when the simulation is shutting
-    /// down.
+    /// down, and when the thread would park with a [`crate::sync::Mutex`]
+    /// guard alive: every other green thread shares this OS thread and would
+    /// hang on that lock.
     pub(crate) fn block_current(&self, tid: TaskId) {
+        if let Some(at) = crate::mutex::first_held() {
+            panic!(
+                "simt: green thread `{}` parks with a lock guard alive (first taken at {}:{}); \
+                 drop the guard before blocking",
+                self.thread_name(tid),
+                at.file(),
+                at.line()
+            );
+        }
         {
             let mut s = self.state.lock();
             let slot = &mut s.threads[tid.0];
@@ -361,10 +372,6 @@ pub struct SimReport {
     /// Daemon threads participate: a daemon can hold a resource a worker
     /// needs.
     pub deadlocks: Vec<Vec<(String, String)>>,
-    /// Resource pairs observed being acquired in both AB and BA order over
-    /// the run — the classic deadlock precursor, reported even when this
-    /// particular schedule happened not to hang.
-    pub lock_inversions: Vec<(String, String)>,
 }
 
 impl SimReport {
@@ -477,15 +484,6 @@ impl Sim {
         self.inner.state.lock().stats
     }
 
-    /// Snapshot of the lock-order inversion log so far: canonical
-    /// `(min-label, max-label)` resource pairs observed acquired in both
-    /// orders. The same data lands in [`SimReport::lock_inversions`] at the
-    /// end of a run; this accessor lets tooling (detlint's static/dynamic
-    /// parity tests) read it between [`Sim::run`] calls or mid-scenario.
-    pub fn lock_inversions(&self) -> Vec<(String, String)> {
-        self.inner.diag.lock().inversion_log()
-    }
-
     /// Run until the event heap drains. Green-thread panics are re-raised
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
@@ -548,8 +546,7 @@ impl Sim {
                 cyc.into_iter().map(|(t, rid)| (names[t].clone(), diag.label_of(rid))).collect()
             })
             .collect();
-        let lock_inversions = diag.inversion_log();
-        Ok(SimReport { now, blocked, blocked_on, deadlocks, lock_inversions })
+        Ok(SimReport { now, blocked, blocked_on, deadlocks })
     }
 
     /// Unwind every remaining green thread and release its stack. Called
@@ -812,7 +809,6 @@ mod tests {
             ]
         );
         assert!(r.deadlocks.is_empty());
-        assert!(r.lock_inversions.is_empty());
     }
 
     #[test]
@@ -880,31 +876,6 @@ mod tests {
                 ("t2".to_string(), "A".to_string()),
             ]]
         );
-    }
-
-    #[test]
-    fn abba_order_without_overlap_logs_inversion_not_deadlock() {
-        let sim = Sim::new();
-        let a = crate::sync::Semaphore::named("A", 1);
-        let b = crate::sync::Semaphore::named("B", 1);
-        let (a2, b2) = (a.clone(), b.clone());
-        sim.spawn("first", move || {
-            a.acquire(1);
-            b.acquire(1);
-            b.release(1);
-            a.release(1);
-        });
-        sim.spawn("second", move || {
-            crate::sleep(100); // strictly after `first` finished: no hang
-            b2.acquire(1);
-            a2.acquire(1);
-            a2.release(1);
-            b2.release(1);
-        });
-        let r = sim.run().unwrap();
-        r.assert_clean();
-        assert!(r.deadlocks.is_empty());
-        assert_eq!(r.lock_inversions, vec![("A".to_string(), "B".to_string())]);
     }
 
     #[test]
@@ -1068,23 +1039,36 @@ mod tests {
     #[test]
     fn parked_green_thread_continues_on_another_os_thread() {
         // Between two `run()`s a `Sim` may change OS threads with green threads
-        // parked mid-body: what they read through thread-locals afterwards
-        // (current task, `with_local` values) must be the new thread's.
+        // parked mid-body: what they reach through thread-locals afterwards
+        // (current task, `with_local` values, the lock-guard count) must be the
+        // new thread's.
         let sim = Sim::new();
         let token: Arc<Mutex<Option<WaitToken>>> = Arc::new(Mutex::new(None));
         let token2 = token.clone();
+        let counted = crate::sync::Mutex::new(0u32);
         sim.spawn("migrant", move || {
             crate::with_local(|n: &mut u32| *n = 7);
             *token2.lock() = Some(wait_token());
+            *counted.lock() += 1;
             park(); // the first run() ends here
             assert_eq!(crate::current_name(), "migrant");
             assert_eq!(crate::with_local(|n: &mut u32| *n), 7);
+            // Counted on the new OS thread, both ways: a guard booked to the
+            // old thread's cell would leave this one at 1 and fail the sleep.
+            *counted.lock() += 1;
             crate::sleep(5);
         });
         assert_eq!(sim.run().unwrap().blocked, vec!["migrant".to_string()]);
         token.lock().take().unwrap().wake();
-        let now = std::thread::spawn(move || sim.run().unwrap().now).join().unwrap();
+        let now = std::thread::spawn(move || {
+            let now = sim.run().unwrap().now;
+            assert!(crate::mutex::first_held().is_none());
+            now
+        })
+        .join()
+        .unwrap();
         assert_eq!(now, 5);
+        assert!(crate::mutex::first_held().is_none());
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod cpu;
 pub(crate) mod diag;
 pub mod engine;
 mod local;
+mod mutex;
 pub mod queue;
 pub mod rng;
 pub mod sync;

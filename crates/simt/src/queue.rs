@@ -7,10 +7,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::diag::{self, DiagRes};
 use crate::engine::{park, wait_token, WaitToken};
+use crate::sync::Mutex;
 
 /// Error returned by receive operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,10 +2,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::diag::{self, DiagRes};
 use crate::engine::{park, wait_token, WaitToken};
+pub use crate::mutex::{Mutex, MutexGuard};
 
 /// A counting semaphore. Used e.g. to bound in-flight shuffle fetches.
 pub struct Semaphore {

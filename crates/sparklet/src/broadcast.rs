@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::Payload;
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 
 use crate::task::TaskContext;
 

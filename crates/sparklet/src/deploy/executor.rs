@@ -5,8 +5,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
-use parking_lot::Mutex;
-use simt::sync::Notify;
+use simt::sync::{Mutex, Notify};
 
 use crate::config::SparkConf;
 use crate::deploy::messages::ExecutorSpec;

@@ -4,8 +4,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
-use parking_lot::Mutex;
-use simt::sync::Notify;
+use simt::sync::{Mutex, Notify};
 
 use crate::deploy::messages::*;
 use crate::net_backend::{NetworkBackend, ProcIdentity, Role};

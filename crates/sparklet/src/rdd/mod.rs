@@ -13,7 +13,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 
 use crate::config::SparkConf;
 use crate::data::Element;

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use fabric::{Net, NodeId, Payload, PortAddr};
 use netz::{ChannelCore, NetzError, TransportClient, TransportConf, TransportContext};
-use parking_lot::Mutex;
 use simt::queue::Queue;
+use simt::sync::Mutex;
 
 use crate::net_backend::{NetworkBackend, ProcIdentity};
 

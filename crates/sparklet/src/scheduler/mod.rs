@@ -22,8 +22,8 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
 use simt::queue::Queue;
+use simt::sync::Mutex;
 
 use crate::config::SparkConf;
 use crate::data::Element;

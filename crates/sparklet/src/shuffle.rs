@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::PortAddr;
-use parking_lot::Mutex;
 use simt::queue::Queue;
+use simt::sync::Mutex;
 
 use crate::data::{decode_batch, encode_batch, Element};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{Net, Payload, PortAddr};
-use parking_lot::Mutex;
+use simt::sync::Mutex;
 use simt::Cpu;
 
 use crate::config::SparkConf;

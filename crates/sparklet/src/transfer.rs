@@ -16,8 +16,8 @@ use bytes::Bytes;
 use fabric::{Net, Payload, PortAddr};
 use netz::buf::{ByteReader, ByteWriter};
 use netz::{ChannelCore, NetzError, RetryPolicy, StreamManager, TransportClient, TransportContext};
-use parking_lot::Mutex;
 use simt::queue::{Queue, RecvError};
+use simt::sync::Mutex;
 use simt::SeededRng;
 
 use crate::config::SparkConf;

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
 use netz::RetryPolicy;
-use parking_lot::Mutex;
 use simt::queue::Queue;
+use simt::sync::Mutex;
 use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};

@@ -69,7 +69,7 @@ cmp "$CI_TMP/a/GroupByTest-MPI-2w.json" "$CI_TMP/b/GroupByTest-MPI-2w.json" || {
   exit 1
 }
 
-echo "==> detlint (determinism D1-D7, lock-order L1, protocol P1-P3)"
+echo "==> detlint (determinism D1-D7, protocol P1-P3)"
 "$CARGO" run -q --release -p detlint
 
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
@@ -77,6 +77,10 @@ echo "==> detlint (determinism D1-D7, lock-order L1, protocol P1-P3)"
 # an API change that breaks it must fail here, not in the pipeline.
 echo "==> benchmark harness (builds against the public API, 12 tests)"
 (cd benchmark && "$CARGO" test -q --release --offline)
+# Its Cargo.lock is frozen with it and still lists `parking_lot` under the
+# crates that dropped it, so cargo rewrites the file on every build there: put
+# the committed one back (a no-op outside a git checkout).
+git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
 
 echo "==> cargo fmt --check"
 "$CARGO" fmt --all -- --check

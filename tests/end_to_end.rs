@@ -209,3 +209,32 @@ fn stampede2_cluster_runs_mpi4spark_with_hyperthreading() {
     });
     assert_eq!(out.result, 13);
 }
+
+#[test]
+#[should_panic(
+    expected = "green thread `teardown` parks with a lock guard alive (first taken at tests/end_to_end.rs:"
+)]
+fn lock_guard_held_across_a_transport_close_is_refused_at_the_park() {
+    // The one real deadlock this stack has had: `close()` sends its FIN on the
+    // virtual clock, and the `for` keeps the temporary guard of `.lock()` alive
+    // over the whole loop. All green threads share one OS thread, so the next
+    // one to want the lock would hang the process; the engine refuses the park.
+    use netz::{NoOpRpcHandler, TransportConf, TransportContext};
+    use std::sync::Arc;
+
+    let sim = simt::Sim::new();
+    let net = fabric::Net::new(&ClusterSpec::test(2));
+    sim.spawn("teardown", move || {
+        let conf = TransportConf::default_sockets();
+        let handler = Arc::new(NoOpRpcHandler);
+        let server =
+            TransportContext::new(net.clone(), conf, handler.clone()).create_server("server", 0, 7);
+        let endpoint =
+            TransportContext::new(net, conf, handler).create_client_endpoint("client", 1);
+        let clients = simt::sync::Mutex::new(vec![endpoint.connect(server.addr()).unwrap()]);
+        for c in clients.lock().iter() {
+            c.close();
+        }
+    });
+    let _ = sim.run();
+}
