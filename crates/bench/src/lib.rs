@@ -97,6 +97,7 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("partial", suites::partial),
     ("detlint", suites::detlint),
     ("traced", suites::traced),
+    ("realdata", suites::realdata),
 ];
 
 /// A parsed `repro` command line.

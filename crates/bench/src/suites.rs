@@ -14,7 +14,7 @@ use sparklet::SparkConf;
 use workloads::graph::{nweight_app, NWeightConfig};
 use workloads::micro::{repartition_app, terasort_app, MicroConfig};
 use workloads::ml::{gmm_app, lda_app, lr_app, svm_app, MlConfig};
-use workloads::ohb::{group_by_app, sort_by_app, OhbConfig};
+use workloads::ohb::{distinct_keys, group_by_app, sort_by_app, OhbConfig, StageBreakdown};
 use workloads::System;
 
 use crate::hibench::{run_hibench, HiBenchParams, HiBenchWorkload};
@@ -321,4 +321,32 @@ pub fn traced(run: &mut Run<'_>) {
     // The engine's own counters: deterministic, so the ledger pins them too.
     values.extend(counters(&cell.metrics, &keys::SIMT_STATS));
     run.emit(&[("bench", bench.name().to_string())], cell.total_ns, values);
+}
+
+/// GroupByTest over *real* records on all four systems: 4 workers × 4 cores,
+/// the virtual volume of the 1 GiB/worker cell carried by 200 k records per
+/// partition (20 k at small scale) instead of 64, so the ledger gate runs
+/// sparklet's record path — bucket, encode, decode, group — at volume. The
+/// group count must equal the distinct keys replayed from the seed.
+pub fn realdata(run: &mut Run<'_>) {
+    let (workers, cores) = (4, 4);
+    let records = if run.scale == Scale::Full { 200_000 } else { 20_000 };
+    let paper = OhbConfig::paper(workers, cores, 1);
+    let partition_bytes = paper.records_per_partition * u64::from(paper.value_bytes);
+    let cfg = OhbConfig {
+        records_per_partition: records,
+        value_bytes: (partition_bytes / records) as u32,
+        key_range: paper.partitions as u64 * records / 4,
+        ..paper
+    };
+    let want = distinct_keys(cfg);
+    let spec = crate::frontera_cluster(workers);
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let cluster = ClusterConfig::paper_layout(spec.len(), SparkConf::paper_defaults(cores));
+        let out = system.run(&spec, cluster, move |sc| group_by_app(sc, cfg));
+        assert_eq!(out.result, want, "{}: groups differ from the replayed keys", system.label());
+        let read = StageBreakdown::from_jobs(&out.jobs).shuffle_read_ns;
+        let values = vec![("shuffle_read_ns", read as i64), ("check", out.result as i64)];
+        run.emit(&[("system", system.label().to_string())], out.total_ns(), values);
+    }
 }

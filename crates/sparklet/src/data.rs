@@ -177,24 +177,62 @@ impl Element for Blob {
     }
 }
 
-/// Encode a batch of elements; returns (bytes, total_virtual_size).
-pub fn encode_batch<T: Element>(items: &[T]) -> (bytes::Bytes, u64) {
-    let mut w = ByteWriter::with_capacity(items.len() * 16 + 8);
-    w.put_u32(items.len() as u32);
-    let mut virt = 4u64;
-    for x in items {
-        x.encode(&mut w);
-        virt += x.virtual_size();
-    }
-    (w.freeze(), virt)
+/// Bytes `x` encodes to.
+pub fn encoded_len<T: Element>(x: &T) -> usize {
+    let mut w = ByteWriter::new();
+    x.encode(&mut w);
+    w.len()
 }
 
-/// Decode a batch written by [`encode_batch`]. Takes the `Bytes` handle
-/// (cloned, not copied) so element decoders can slice out zero-copy views.
-pub fn decode_batch<T: Element>(data: &bytes::Bytes) -> Vec<T> {
+/// Record-at-a-time writer of the batch format: a `u32` record count, then
+/// the records. The count comes first, so it must be known up front.
+pub struct BatchEncoder {
+    w: ByteWriter,
+    virt: u64,
+}
+
+impl BatchEncoder {
+    /// A batch of `records` records with `bytes` reserved for their encoded
+    /// forms.
+    pub fn new(records: usize, bytes: usize) -> Self {
+        let mut w = ByteWriter::with_capacity(4 + bytes);
+        w.put_u32(records as u32);
+        BatchEncoder { w, virt: 4 }
+    }
+
+    /// Append one record.
+    pub fn push<T: Element>(&mut self, x: &T) {
+        x.encode(&mut self.w);
+        self.virt += x.virtual_size();
+    }
+
+    /// The encoded batch and its total virtual size.
+    pub fn finish(self) -> (bytes::Bytes, u64) {
+        (self.w.freeze(), self.virt)
+    }
+}
+
+/// Encode a batch of elements; returns (bytes, total_virtual_size).
+pub fn encode_batch<T: Element>(items: &[T]) -> (bytes::Bytes, u64) {
+    let mut batch = BatchEncoder::new(items.len(), items.len() * 16 + 4);
+    items.iter().for_each(|x| batch.push(x));
+    batch.finish()
+}
+
+/// Decode a batch written by [`encode_batch`] onto the end of `out`. Takes
+/// the `Bytes` handle (cloned, not copied) so element decoders can slice out
+/// zero-copy views.
+pub fn decode_batch_into<T: Element>(data: &bytes::Bytes, out: &mut Vec<T>) {
     let mut r = ByteReader::new(data.clone());
     let n = r.get_u32().expect("batch length") as usize;
-    (0..n).map(|_| T::decode(&mut r)).collect()
+    out.extend((0..n).map(|_| T::decode(&mut r)));
+}
+
+/// Decode a batch written by [`encode_batch`].
+pub fn decode_batch<T: Element>(data: &bytes::Bytes) -> Vec<T> {
+    let mut out = Vec::new();
+    decode_batch_into(data, &mut out);
+    out
 }
 
 #[cfg(test)]

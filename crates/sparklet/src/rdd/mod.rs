@@ -8,7 +8,7 @@
 pub mod ops;
 pub mod partitioner;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use crate::partial::{
     MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
 };
 use crate::rpc::AnyMsg;
-use crate::shuffle::{FetchFailed, MapStatus};
+use crate::shuffle::{combine_by_key, combine_pairs, group_pairs, FetchFailed, MapStatus};
 use crate::task::TaskContext;
 
 use ops::*;
@@ -667,7 +667,7 @@ where
             self.ops.clone(),
             Arc::new(HashPartitioner::new(parts)),
             None,
-            Arc::new(|ctx, pairs| crate::shuffle::group_pairs(ctx, pairs)),
+            Arc::new(group_pairs),
             // Slice partials arrive pre-grouped per map range; concatenating
             // each key's groups in slice (= map-range) order reproduces the
             // static grouping exactly, at record-count cost only — the
@@ -675,14 +675,14 @@ where
             Some(Arc::new(|ctx: &TaskContext, partials: Vec<Vec<(K, Vec<V>)>>| {
                 let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
                 ctx.charge(ctx.cost().group(n, 0));
-                let mut merged: std::collections::BTreeMap<K, Vec<V>> =
-                    std::collections::BTreeMap::new();
-                for partial in partials {
-                    for (k, mut vs) in partial {
-                        merged.entry(k).or_default().append(&mut vs);
-                    }
-                }
-                merged.into_iter().collect()
+                combine_by_key(
+                    partials.into_iter().flatten(),
+                    |group| group,
+                    |mut group, mut more| {
+                        group.append(&mut more);
+                        group
+                    },
+                )
             })),
         )
     }
@@ -695,54 +695,21 @@ where
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
     ) -> Rdd<(K, V)> {
         let f = Arc::new(f);
-        let f_map = f.clone();
-        let combine: MapSideCombine<K, V> = Arc::new(move |ctx, pairs| {
-            let grouped = crate::shuffle::group_pairs(ctx, pairs);
-            grouped
-                .into_iter()
-                .map(|(k, vs)| {
-                    let v = vs.into_iter().reduce(|a, b| f_map(a, b)).expect("non-empty group");
-                    (k, v)
-                })
-                .collect()
-        });
-        let f_red = f.clone();
         let f_merge = f.clone();
+        // One fold serves the map-side combine and the reduce side.
+        let reduce: PostShuffle<K, V, (K, V)> =
+            Arc::new(move |ctx, pairs| combine_pairs(ctx, pairs, |v| v, |a, b| f(a, b)));
         self.shuffle_to::<V, (K, V)>(
             self.ops.clone(),
             Arc::new(HashPartitioner::new(parts)),
-            Some(combine),
-            Arc::new(move |ctx, pairs| {
-                let grouped = crate::shuffle::group_pairs(ctx, pairs);
-                grouped
-                    .into_iter()
-                    .map(|(k, vs)| {
-                        let v = vs.into_iter().reduce(|a, b| f_red(a, b)).expect("non-empty");
-                        (k, v)
-                    })
-                    .collect()
-            }),
+            Some(reduce.clone()),
+            reduce,
             // Slice partials are already reduced per map range; the final
             // merge folds at most one value per key per slice.
             Some(Arc::new(move |ctx: &TaskContext, partials: Vec<Vec<(K, V)>>| {
                 let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
                 ctx.charge(ctx.cost().group(n, 0));
-                let mut merged: std::collections::BTreeMap<K, V> =
-                    std::collections::BTreeMap::new();
-                for partial in partials {
-                    for (k, v) in partial {
-                        match merged.entry(k) {
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                e.insert(v);
-                            }
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                let prev = e.get().clone();
-                                e.insert(f_merge(prev, v));
-                            }
-                        }
-                    }
-                }
-                merged.into_iter().collect()
+                combine_by_key(partials.into_iter().flatten(), |v| v, |a, b| f_merge(a, b))
             })),
         )
     }
@@ -878,11 +845,7 @@ where
     ) -> impl Fn(&TaskContext, Vec<(K, V)>) -> Vec<(K, u64)> + Send + Sync + 'static {
         |ctx: &TaskContext, v: Vec<(K, V)>| {
             ctx.charge(ctx.cost().group(v.len() as u64, 0));
-            let mut hist: BTreeMap<K, u64> = BTreeMap::new();
-            for (k, _) in v {
-                *hist.entry(k).or_insert(0) += 1;
-            }
-            hist.into_iter().collect()
+            combine_by_key(v.into_iter().map(|(k, _)| (k, ())), |()| 1, |n, ()| n + 1)
         }
     }
 

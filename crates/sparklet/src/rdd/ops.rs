@@ -8,7 +8,7 @@ use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
 use crate::rdd::{AdaptiveResultOps, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
-use crate::shuffle::{read_shuffle, write_shuffle, FetchFailed};
+use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
 
@@ -124,17 +124,19 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
     }
     fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
         let bm = &ctx.services.block_manager;
+        let block_id = BlockId::Rdd { rdd_id: self.id, partition: part as u32 };
         if let Some(hit) = bm.cache_get::<T>(self.id, part as u32) {
-            // Reading from the in-memory cache: a memory-scan charge.
-            let bytes: u64 = hit.iter().map(Element::virtual_size).sum();
-            ctx.charge(ctx.cost().map(hit.len() as u64, bytes));
+            // Reading from the in-memory cache: a memory-scan charge, sized
+            // by the block stored beside the cached partition.
+            let block = bm.get(block_id).expect("a cached partition has its block");
+            ctx.charge(ctx.cost().map(block.records, block.virtual_len));
             return Ok(hit.as_ref().clone());
         }
         let data = self.parent.compute(part, ctx)?;
         let bytes: u64 = data.iter().map(Element::virtual_size).sum();
         bm.cache_put(self.id, part as u32, Arc::new(data.clone()));
         bm.put(
-            BlockId::Rdd { rdd_id: self.id, partition: part as u32 },
+            block_id,
             StoredBlock {
                 data: bytes::Bytes::new(),
                 virtual_len: bytes,
@@ -400,7 +402,6 @@ where
         part: usize,
         ctx: &TaskContext,
     ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
-        use std::collections::BTreeMap;
         let reduce = [part as u32];
         let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, &reduce, None)?
             .pop()
@@ -411,14 +412,7 @@ where
             .expect("one bucket requested")
             .1;
         ctx.charge(ctx.cost().group((a.len() + b.len()) as u64, 0));
-        let mut table: BTreeMap<K, (Vec<V>, Vec<W>)> = BTreeMap::new();
-        for (k, v) in a {
-            table.entry(k).or_default().0.push(v);
-        }
-        for (k, w) in b {
-            table.entry(k).or_default().1.push(w);
-        }
-        Ok(table.into_iter().collect())
+        Ok(cogroup_pairs(a, b))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep_a.clone(), self.dep_b.clone()]

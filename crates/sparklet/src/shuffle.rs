@@ -8,7 +8,6 @@
 //! `BlockTransferService` with `maxBytesInFlight` batching.
 
 use std::collections::BTreeMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use fabric::PortAddr;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 
-use crate::data::{decode_batch, encode_batch, Element};
+use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
@@ -294,29 +293,43 @@ pub fn write_shuffle<T: Element>(
     records: Vec<T>,
     partition_of: impl Fn(&T) -> usize,
 ) -> MapStatus {
-    let mut buckets: Vec<Vec<T>> = (0..num_reduces).map(|_| Vec::new()).collect();
+    // Count pass: the batch format leads with its record count, and a writer
+    // sized up front never regrows. Fixed-width records (every numeric and
+    // `Blob` tuple) make the first record's encoded length exact for all.
+    let mut counts = vec![0u64; num_reduces];
     let mut total_bytes = 0u64;
-    let n_records = records.len() as u64;
-    for r in records {
-        total_bytes += r.virtual_size();
-        let p = partition_of(&r);
-        debug_assert!(p < num_reduces, "partitioner out of range");
-        buckets[p].push(r);
-    }
+    let bucket_of: Vec<u32> = records
+        .iter()
+        .map(|r| {
+            total_bytes += r.virtual_size();
+            let p = partition_of(r);
+            debug_assert!(p < num_reduces, "partitioner out of range");
+            counts[p] += 1;
+            p as u32
+        })
+        .collect();
     // Bucketing + serialization cost (the sort-based writer's write path).
+    let n_records = records.len() as u64;
     let cost = ctx.cost();
     ctx.charge(cost.group(n_records, 0) + cost.ser(n_records, total_bytes));
 
+    let width = records.first().map_or(0, encoded_len);
+    let mut buckets: Vec<BatchEncoder> =
+        counts.iter().map(|&n| BatchEncoder::new(n as usize, n as usize * width)).collect();
+    for (r, &p) in records.iter().zip(&bucket_of) {
+        buckets[p as usize].push(r);
+    }
+    // Freed first: the frozen blocks below then reuse its pages instead of
+    // faulting in fresh ones.
+    drop((records, bucket_of));
     let bm = &ctx.services.block_manager;
     let mut sizes = Vec::with_capacity(num_reduces);
-    let mut counts = Vec::with_capacity(num_reduces);
-    for (reduce_id, bucket) in buckets.into_iter().enumerate() {
-        let (bytes, virt) = encode_batch(&bucket);
-        sizes.push(virt);
-        counts.push(bucket.len() as u64);
+    for (reduce_id, (bucket, &records)) in buckets.into_iter().zip(&counts).enumerate() {
+        let (data, virtual_len) = bucket.finish();
+        sizes.push(virtual_len);
         bm.put(
             BlockId::Shuffle { shuffle_id, map_id, reduce_id: reduce_id as u32 },
-            StoredBlock { data: bytes, virtual_len: virt, records: bucket.len() as u64 },
+            StoredBlock { data, virtual_len, records },
         );
     }
     MapStatus {
@@ -356,17 +369,20 @@ pub fn read_shuffle<T: Element>(
     // Split local vs remote, grouping remote blocks per serving executor.
     let mut local: Vec<BlockId> = Vec::new();
     let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
+    // Records to expect per requested bucket, as the map tasks reported them.
+    let mut expected = vec![0usize; reduce_ids.len()];
     for st in statuses.iter() {
         if let Some((lo, hi)) = map_range {
             if st.map_id < lo || st.map_id >= hi {
                 continue; // outside this slice's map range
             }
         }
-        for &reduce_id in reduce_ids {
+        for (&reduce_id, expected) in reduce_ids.iter().zip(&mut expected) {
             let size = st.sizes[reduce_id as usize];
             if st.records[reduce_id as usize] == 0 && size == 0 {
                 continue; // empty bucket: Spark skips zero-size blocks
             }
+            *expected += st.records[reduce_id as usize] as usize;
             let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
             if st.exec_id == my_exec {
                 local.push(id);
@@ -410,9 +426,10 @@ pub fn read_shuffle<T: Element>(
     let exec_of: BTreeMap<BlockId, usize> =
         requests.iter().flat_map(|r| r.blocks.iter().map(move |b| (*b, r.exec_id))).collect();
 
-    // One output vector per requested bucket; decoded blocks are routed by
-    // the `reduce_id` their `BlockId` carries.
-    let mut outs: Vec<(u32, Vec<T>)> = reduce_ids.iter().map(|r| (*r, Vec::new())).collect();
+    // One output vector per requested bucket, reserved in full; decoded
+    // blocks are routed by the `reduce_id` their `BlockId` carries.
+    let mut outs: Vec<(u32, Vec<T>)> =
+        reduce_ids.iter().zip(expected).map(|(r, n)| (*r, Vec::with_capacity(n))).collect();
     let slot: BTreeMap<u32, usize> = reduce_ids.iter().enumerate().map(|(i, r)| (*r, i)).collect();
     let bucket_of = |id: &BlockId| -> usize {
         match id {
@@ -452,7 +469,7 @@ pub fn read_shuffle<T: Element>(
         let b = bm.get(id).expect("local shuffle block present");
         local_bytes += b.virtual_len;
         ctx.charge(cost.deser(b.records, b.virtual_len));
-        outs[bucket_of(&id)].1.extend(decode_batch::<T>(&b.data));
+        decode_batch_into(&b.data, &mut outs[bucket_of(&id)].1);
     }
 
     while open_reqs > 0 {
@@ -482,7 +499,7 @@ pub fn read_shuffle<T: Element>(
             freed += b.virtual_len;
             remote_bytes += b.virtual_len;
             ctx.charge(cost.deser(b.records, b.virtual_len));
-            outs[bucket_of(id)].1.extend(decode_batch::<T>(&b.data));
+            decode_batch_into(&b.data, &mut outs[bucket_of(id)].1);
         }
         in_flight_bytes = in_flight_bytes.saturating_sub(freed);
         while next_req < requests.len()
@@ -503,25 +520,177 @@ pub fn read_shuffle<T: Element>(
     Ok(outs)
 }
 
-/// Group `(K, V)` records into `(K, Vec<V>)` with hash-aggregation costs
-/// charged (reduce side of `groupByKey`).
-pub fn group_pairs<K: Element + Hash + Eq + Ord, V: Element>(
+/// The one aggregation kernel: fold `pairs` per key. Keys come out ascending;
+/// each key's values are folded left to right in arrival order, starting
+/// from `create(first value)`. A stable sort brings equal keys together, so
+/// the fold runs over adjacent records and nothing is allocated per key that
+/// `create` does not allocate.
+pub fn combine_by_key<K: Ord, V, C>(
+    pairs: impl IntoIterator<Item = (K, V)>,
+    create: impl Fn(V) -> C,
+    merge: impl Fn(C, V) -> C,
+) -> Vec<(K, C)> {
+    let mut pairs: Vec<(K, V)> = pairs.into_iter().collect();
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = Vec::new();
+    let mut pairs = pairs.into_iter();
+    let Some((mut key, first)) = pairs.next() else { return out };
+    let mut acc = create(first);
+    for (k, v) in pairs {
+        if k == key {
+            acc = merge(acc, v);
+        } else {
+            out.push((std::mem::replace(&mut key, k), std::mem::replace(&mut acc, create(v))));
+        }
+    }
+    out.push((key, acc));
+    out
+}
+
+/// [`combine_by_key`] with hash-aggregation costs charged (the reduce side
+/// of `groupByKey` and both sides of `reduceByKey`).
+pub fn combine_pairs<K: Element + Ord, V: Element, C>(
     ctx: &TaskContext,
     pairs: Vec<(K, V)>,
-) -> Vec<(K, Vec<V>)> {
+    create: impl Fn(V) -> C,
+    merge: impl Fn(C, V) -> C,
+) -> Vec<(K, C)> {
     let n = pairs.len() as u64;
     let bytes: u64 = pairs.iter().map(|p| p.1.virtual_size()).sum();
     ctx.charge(ctx.cost().group(n, bytes));
-    let mut map: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for (k, v) in pairs {
-        map.entry(k).or_default().push(v);
-    }
-    map.into_iter().collect()
+    combine_by_key(pairs, create, merge)
+}
+
+/// Group `(K, V)` records into `(K, Vec<V>)` ([`combine_pairs`] into vectors).
+pub fn group_pairs<K: Element + Ord, V: Element>(
+    ctx: &TaskContext,
+    pairs: Vec<(K, V)>,
+) -> Vec<(K, Vec<V>)> {
+    // Four slots up front: `vec![v]` reserves one and regrows at the second value.
+    let create = |v| {
+        let mut group = Vec::with_capacity(4);
+        group.push(v);
+        group
+    };
+    combine_pairs(ctx, pairs, create, |mut group, v| {
+        group.push(v);
+        group
+    })
+}
+
+/// Co-group two keyed inputs ([`combine_by_key`] over both): per key, its
+/// `a` values and its `b` values, each in arrival order.
+pub fn cogroup_pairs<K: Ord, V, W>(a: Vec<(K, V)>, b: Vec<(K, W)>) -> Vec<(K, (Vec<V>, Vec<W>))> {
+    let sides = (a.into_iter().map(|(k, v)| (k, (Some(v), None))))
+        .chain(b.into_iter().map(|(k, w)| (k, (None, Some(w)))));
+    let merge = |mut group: (Vec<V>, Vec<W>), (v, w): (Option<V>, Option<W>)| {
+        group.0.extend(v);
+        group.1.extend(w);
+        group
+    };
+    combine_by_key(sides, |side| merge((Vec::new(), Vec::new()), side), merge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simt::{for_each_case, SeededRng};
+
+    /// The aggregation [`combine_by_key`] replaced, kept as its oracle: one
+    /// `BTreeMap` descent per record, one `Vec` per key.
+    fn btree_groups<K: Ord, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+        let mut map: BTreeMap<K, Vec<V>> = BTreeMap::new();
+        for (k, v) in pairs {
+            map.entry(k).or_default().push(v);
+        }
+        map.into_iter().collect()
+    }
+
+    fn kernel_groups<K: Ord, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+        combine_by_key(
+            pairs,
+            |v| vec![v],
+            |mut group, v| {
+                group.push(v);
+                group
+            },
+        )
+    }
+
+    /// Up to 300 `(key, arrival index)` pairs in one of five key shapes:
+    /// empty input, one key, all keys distinct, one hot key, uniform.
+    fn draw_pairs(rng: &mut SeededRng) -> Vec<(u64, u64)> {
+        let shape = rng.next_range(0, 5);
+        let n = if shape == 0 { 0 } else { rng.next_range(1, 300) };
+        (0..n)
+            .map(|i| {
+                let key = match shape {
+                    1 => 7,
+                    2 => n - i, // distinct, arriving in descending order
+                    3 if rng.next_range(0, 10) < 8 => 0,
+                    _ => rng.next_range(0, 40),
+                };
+                (key, i)
+            })
+            .collect()
+    }
+
+    /// String keys order differently from the numbers they spell.
+    fn spelled(pairs: &[(u64, u64)]) -> Vec<(String, u64)> {
+        pairs.iter().map(|(k, i)| (format!("key-{k}"), *i)).collect()
+    }
+
+    #[test]
+    fn combine_by_key_groups_like_the_btree_reference() {
+        for_each_case(200, |rng| {
+            let pairs = draw_pairs(rng);
+            assert_eq!(kernel_groups(pairs.clone()), btree_groups(pairs.clone()));
+            assert_eq!(kernel_groups(spelled(&pairs)), btree_groups(spelled(&pairs)));
+        });
+    }
+
+    #[test]
+    fn combine_by_key_folds_left_in_arrival_order() {
+        for_each_case(200, |rng| {
+            let pairs = draw_pairs(rng);
+            // String concatenation is not commutative.
+            let words: Vec<(u64, String)> =
+                pairs.iter().map(|(k, i)| (*k, format!("{i},"))).collect();
+            let concat = |a: String, b: String| a + &b;
+            let want: Vec<(u64, String)> = btree_groups(words.clone())
+                .into_iter()
+                .map(|(k, vs)| (k, vs.into_iter().reduce(concat).expect("non-empty group")))
+                .collect();
+            assert_eq!(combine_by_key(words, |v| v, concat), want);
+            // Nor is an f64 sum associative: the bits depend on the order.
+            let reals: Vec<(String, f64)> =
+                spelled(&pairs).into_iter().map(|(k, i)| (k, 0.1 * (i as f64 + 1.0))).collect();
+            let want: Vec<(String, u64)> = btree_groups(reals.clone())
+                .into_iter()
+                .map(|(k, vs)| {
+                    (k, vs.into_iter().reduce(|a, b| a + b).expect("non-empty").to_bits())
+                })
+                .collect();
+            let got = combine_by_key(reals, |v| v, |a, b| a + b);
+            assert_eq!(got.into_iter().map(|(k, v)| (k, v.to_bits())).collect::<Vec<_>>(), want);
+        });
+    }
+
+    #[test]
+    fn combine_by_key_cogroups_like_the_btree_reference() {
+        for_each_case(200, |rng| {
+            let (a, b) = (draw_pairs(rng), spelled(&draw_pairs(rng)));
+            let b: Vec<(u64, String)> = b.into_iter().map(|(k, i)| (i % 13, k)).collect();
+            let mut want: BTreeMap<u64, (Vec<u64>, Vec<String>)> = BTreeMap::new();
+            for (k, v) in a.clone() {
+                want.entry(k).or_default().0.push(v);
+            }
+            for (k, w) in b.clone() {
+                want.entry(k).or_default().1.push(w);
+            }
+            assert_eq!(cogroup_pairs(a, b), want.into_iter().collect::<Vec<_>>());
+        });
+    }
 
     fn status(map_id: u32, exec: usize, sizes: Vec<u64>) -> MapStatus {
         MapStatus {

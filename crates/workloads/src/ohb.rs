@@ -54,16 +54,17 @@ impl OhbConfig {
     }
 }
 
+/// Partition `p` of [`generate_kv`]'s dataset: per record one key draw and
+/// one blob-id draw from the partition's seeded stream.
+fn kv_partition(cfg: OhbConfig, p: usize) -> impl Iterator<Item = (u64, Blob)> {
+    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
+    (0..cfg.records_per_partition)
+        .map(move |_| (rng.gen_range(0..cfg.key_range), Blob::new(rng.gen(), cfg.value_bytes)))
+}
+
 /// Generate and cache the key/value dataset; runs job 0 (datagen count).
 pub fn generate_kv(sc: &SparkContext, cfg: OhbConfig) -> Rdd<(u64, Blob)> {
-    let data = sc
-        .generate(cfg.partitions, move |p| {
-            let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
-            (0..cfg.records_per_partition)
-                .map(|_| (rng.gen_range(0..cfg.key_range), Blob::new(rng.gen(), cfg.value_bytes)))
-                .collect()
-        })
-        .cache();
+    let data = sc.generate(cfg.partitions, move |p| kv_partition(cfg, p).collect()).cache();
     let n = data.count();
     debug_assert_eq!(n, cfg.partitions as u64 * cfg.records_per_partition);
     data
@@ -133,6 +134,16 @@ pub fn generate_kv_hot(sc: &SparkContext, cfg: OhbConfig, hot_fraction: f64) -> 
     let n = data.count();
     debug_assert_eq!(n, cfg.partitions as u64 * cfg.records_per_partition);
     data
+}
+
+/// Distinct keys of [`generate_kv`]'s dataset, replayed from the seed without
+/// running a job: what a correct [`group_by_app`] returns.
+pub fn distinct_keys(cfg: OhbConfig) -> u64 {
+    let mut seen = vec![false; cfg.key_range as usize];
+    for p in 0..cfg.partitions {
+        kv_partition(cfg, p).for_each(|(key, _)| seen[key as usize] = true);
+    }
+    seen.iter().filter(|s| **s).count() as u64
 }
 
 /// OHB GroupByTest: datagen job + `groupByKey().count()` job.
@@ -234,9 +245,9 @@ mod tests {
         let (spec, cluster) = cluster();
         let cfg = tiny();
         let out = System::Vanilla.run(&spec, cluster, move |sc| group_by_app(sc, cfg));
-        // Groups ≤ key_range, > 0; with 192 records over 40 keys nearly all
-        // keys appear.
-        assert!(out.result > 30 && out.result <= 40, "groups = {}", out.result);
+        // With 192 records over 40 keys nearly all keys appear.
+        assert!(out.result > 30, "groups = {}", out.result);
+        assert_eq!(out.result, distinct_keys(cfg));
         let b = StageBreakdown::from_jobs(&out.jobs);
         assert!(b.datagen_ns > 0 && b.shuffle_write_ns > 0 && b.shuffle_read_ns > 0);
         assert_eq!(out.jobs.len(), 2);
