@@ -8,7 +8,7 @@
 //!
 //! * **fn body spans** (innermost-span ownership handles nested fns), which
 //!   bound the search for how an `irecv` Request is consumed;
-//! * **rmpi sites** (send/recv/irecv/probe) with the SCREAMING_SNAKE
+//! * **rmpi sites** (send/recv/irecv) with the SCREAMING_SNAKE
 //!   constants mentioned in their tag argument, and a per-site usage
 //!   classification for `irecv` Requests.
 
@@ -19,10 +19,7 @@ pub(crate) enum RmpiKind {
     Send,
     /// Untimed blocking receive (`recv`, `recv_value`).
     Recv,
-    /// Bounded receive (`recv_timeout`).
-    TimedRecv,
     Irecv,
-    Probe,
 }
 
 #[derive(Debug, Clone)]
@@ -45,7 +42,7 @@ pub(crate) enum IrecvUse {
     /// Bound to a name that is never read again in this fn.
     BoundUnused(String),
     /// Bound and later used, or escapes the fn (tail expression, argument,
-    /// collected into a Vec handed to `waitall`/`waitany`...).
+    /// collected into a Vec handed to `waitall`...).
     Consumed,
 }
 
@@ -96,10 +93,7 @@ pub(crate) fn build(preps: &[FilePrep]) -> WorkspaceIndex {
             (".send_value", RmpiKind::Send, 4, 1, false),
             (".recv", RmpiKind::Recv, 2, 1, true),
             (".recv_value", RmpiKind::Recv, 2, 1, true),
-            (".recv_timeout", RmpiKind::TimedRecv, 3, 1, true),
             (".irecv", RmpiKind::Irecv, 2, 1, true),
-            (".probe", RmpiKind::Probe, 2, 1, true),
-            (".iprobe", RmpiKind::Probe, 2, 1, true),
         ];
         for &(needle, kind, min_args, tag_idx, optlike) in RMPI_NEEDLES {
             each_match(text, needle, |pos| {

@@ -17,15 +17,10 @@
 //!   leaks into message and scheduling order — and, for `obs`, into the
 //!   exported timeline bytes. Use `BTreeMap` / `BTreeSet` or a sorted
 //!   collect.
-//! * **D5** — no `parking_lot` / `std::sync::{Mutex, RwLock}` outside `simt`:
-//!   a guard alive when a green thread parks hangs every other green thread
-//!   on the one OS thread, and only `simt::sync::Mutex` guards are counted and
-//!   checked at park time.
-//! * **D6** — no busy-spin `while` loop polling `Request::test()` without a
-//!   blocking call in the body: every probe charges simulated CPU, so a spin
-//!   loop reproduces the Basic design's polling burn (paper §VI-D) instead
-//!   of blocking on `wait()` / `waitany()` / `CompletionSet::wait_next()`.
-//!
+//! * **D5** — no `std::sync::{Mutex, RwLock}` outside `simt`: a guard alive
+//!   when a green thread parks hangs every other green thread on the one OS
+//!   thread, and only `simt::sync::Mutex` guards are counted and checked at
+//!   park time.
 //! * **D7** — no `thread_local!` outside `simt`: all green threads of a
 //!   simulation share one OS thread, so a thread-local is shared by all of
 //!   them and interleaves their state. Use `simt::with_local`.
@@ -51,8 +46,7 @@
 //! rule family over it:
 //!
 //! * **P1** — request leak: an `irecv` Request must reach
-//!   `wait`/`wait_timeout`/`test`/`cancel`/`waitall`/`waitany`/`testsome`
-//!   or escape the function.
+//!   `wait`/`wait_timeout`/`cancel`/`waitall`/`attach` or escape the function.
 //! * **P2** — no untimed `recv` on message paths covered by `RetryPolicy`
 //!   (the retry fires after a timeout; an unbounded receive strands it).
 //! * **P3** — send/recv tag-constant consistency across crates: a tag
@@ -76,7 +70,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id: `D1`..`D7`, `P1`..`P3`, `allow` for a malformed allow
+    /// Rule id (see [`RULES`]), `allow` for a malformed allow
     /// directive, or `stale` for a waiver that no longer suppresses anything.
     pub rule: String,
     /// Human-readable explanation with the suggested fix.
@@ -100,7 +94,8 @@ impl Diagnostic {
 }
 
 /// The rule catalog: every id a finding can carry, besides `allow` and `stale`.
-pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7", "P1", "P2", "P3"];
+/// Ids are stable: D6 (busy-spin on `Request::test()`) left with that method.
+pub const RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D7", "P1", "P2", "P3"];
 
 /// Crates whose sources sit on the message path: any hash-order leak here
 /// reorders packets, RPCs, or task scheduling (rule D4's scope). `obs` is
@@ -577,7 +572,6 @@ pub(crate) fn d_rules(prep: &FilePrep) -> BTreeSet<Diagnostic> {
     rule_d3(&ctx, &prep.masked, &prep.text, &mut found);
     rule_d4(&ctx, &prep.masked, &prep.text, &mut found);
     rule_d5(&ctx, &prep.masked, &prep.text, &mut found);
-    rule_d6(&ctx, &prep.masked, &prep.text, &mut found);
     rule_d7(&ctx, &prep.masked, &prep.text, &mut found);
     found
 }
@@ -637,7 +631,7 @@ pub struct SourceFile {
 pub struct IndexStats {
     pub files: usize,
     pub fns: usize,
-    /// rmpi send/recv/irecv/probe call sites.
+    /// rmpi send/recv/irecv call sites.
     pub rmpi_sites: usize,
 }
 
@@ -1092,7 +1086,7 @@ fn rule_d5(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
             ),
         );
     };
-    for needle in ["parking_lot", "std::sync::Mutex", "std::sync::RwLock"] {
+    for needle in ["std::sync::Mutex", "std::sync::RwLock"] {
         each_match(text, needle, |pos| flag(pos, needle));
     }
     // `use std::sync::{Arc, Mutex};`
@@ -1101,70 +1095,6 @@ fn rule_d5(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnos
         for name in ["Mutex", "RwLock"] {
             each_match(group, name, |_| flag(pos, &format!("std::sync::{name}")));
         }
-    });
-}
-
-// --- D6: busy-spin polling of nonblocking requests --------------------------
-
-/// Calls that yield or block inside a polling loop's body: any of these makes
-/// the loop an event loop rather than a spin.
-const D6_BLOCKING_IN_BODY: &[&str] = &[
-    "sleep",
-    "park",
-    "yield_now",
-    ".wait(",
-    ".wait_timeout(",
-    "wait_next",
-    "waitany",
-    "waitall",
-    ".recv(",
-    ".recv_timeout(",
-    ".recv_deadline(",
-    ".acquire(",
-];
-
-fn rule_d6(ctx: &RuleCtx<'_>, m: &Masked, text: &str, out: &mut BTreeSet<Diagnostic>) {
-    each_match(text, "while ", |pos| {
-        // Header: up to the loop's `{` (bounded, like D4's for-header scan).
-        let Some(brace) = find_from(text, "{", pos) else { return };
-        if brace.saturating_sub(pos) > 300 {
-            return;
-        }
-        let header = &text[pos..brace];
-        if !header.contains(".test()") {
-            return;
-        }
-        // Body: balance braces from the `{`.
-        let b = text.as_bytes();
-        let mut depth = 0i64;
-        let mut k = brace;
-        while k < b.len() {
-            match b[k] as char {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let body = &text[brace..k.min(text.len())];
-        if D6_BLOCKING_IN_BODY.iter().any(|tok| body.contains(tok)) {
-            return;
-        }
-        push_diag(
-            out,
-            ctx,
-            m.line_of(pos),
-            "D6",
-            "busy-spin `while` loop polling `.test()` with no blocking call in the body: \
-             every probe charges simulated CPU, reproducing the Basic design's polling burn; \
-             block on `wait()` / `waitany()` / `CompletionSet::wait_next()` instead"
-                .to_string(),
-        );
     });
 }
 

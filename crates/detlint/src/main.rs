@@ -17,7 +17,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: detlint [--json] [ROOT]\n\n\
-                     Scans every workspace crate for determinism violations (rules D1-D7)\n\
+                     Scans every workspace crate for determinism violations (rules D1-D5, D7)\n\
                      and runs the two-pass workspace analysis (protocol rules P1-P3,\n\
                      stale-waiver check).\n\
                      ROOT defaults to the enclosing cargo workspace.\n\n\

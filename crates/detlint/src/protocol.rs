@@ -26,7 +26,7 @@ pub(crate) fn run(idx: &WorkspaceIndex, preps: &[FilePrep]) -> Vec<Diagnostic> {
                 rule: "P1".to_string(),
                 message: "`irecv` Request discarded on the spot: the posted receive can \
                           never be completed or cancelled and leaks its slot; bind the \
-                          Request and `wait`/`test`/`cancel` it (or `attach` it to a \
+                          Request and `wait`/`cancel` it (or `attach` it to a \
                           `CompletionSet`)"
                     .to_string(),
             }),
@@ -36,8 +36,8 @@ pub(crate) fn run(idx: &WorkspaceIndex, preps: &[FilePrep]) -> Vec<Diagnostic> {
                 rule: "P1".to_string(),
                 message: format!(
                     "`irecv` Request bound to `{name}` is never consumed: it must reach \
-                     `wait`/`wait_timeout`/`test`/`cancel`/`waitall`/`waitany`/`testsome` \
-                     or escape the function"
+                     `wait`/`wait_timeout`/`cancel`/`waitall`/`attach` or escape the \
+                     function"
                 ),
             }),
             IrecvUse::Chained | IrecvUse::Consumed => {}
@@ -64,8 +64,8 @@ pub(crate) fn run(idx: &WorkspaceIndex, preps: &[FilePrep]) -> Vec<Diagnostic> {
                 rule: "P2".to_string(),
                 message: "untimed blocking `recv` on a retry-covered message path: \
                           `RetryPolicy` resends after a timeout, but this receive can \
-                          block forever and strand the retry loop; use `recv_timeout` \
-                          or `irecv` + `wait_timeout`"
+                          block forever and strand the retry loop; use `irecv` + \
+                          `wait_timeout`"
                     .to_string(),
             });
         }
@@ -83,9 +83,7 @@ pub(crate) fn run(idx: &WorkspaceIndex, preps: &[FilePrep]) -> Vec<Diagnostic> {
     for s in &idx.rmpi {
         let book = match s.kind {
             RmpiKind::Send => &mut sent,
-            RmpiKind::Recv | RmpiKind::TimedRecv | RmpiKind::Irecv | RmpiKind::Probe => {
-                &mut received
-            }
+            RmpiKind::Recv | RmpiKind::Irecv => &mut received,
         };
         for c in &s.tag_consts {
             if tagish(c) {

@@ -128,33 +128,10 @@ fn d5_flags_locks_the_engine_cannot_count() {
         scan("sparklet", src),
         vec![
             (3, "D5".to_string(), msg("std::sync::Mutex")),
-            (5, "D5".to_string(), msg("parking_lot")),
+            (5, "D5".to_string(), msg("std::sync::RwLock")),
         ]
     );
     assert_eq!(scan("simt", src), vec![], "simt implements park and keeps the raw lock");
-}
-
-#[test]
-fn d6_flags_busy_spin_on_request_test() {
-    let src = include_str!("fixtures/d6_busy_spin.rs");
-    assert_eq!(
-        scan("core", src),
-        vec![(
-            4,
-            "D6".to_string(),
-            "busy-spin `while` loop polling `.test()` with no blocking call in the body: \
-             every probe charges simulated CPU, reproducing the Basic design's polling burn; \
-             block on `wait()` / `waitany()` / `CompletionSet::wait_next()` instead"
-                .to_string()
-        )]
-    );
-}
-
-#[test]
-fn d6_accepts_polling_loops_that_block() {
-    let src = "pub fn poll(req: &rmpi::Request) {\n    while !req.test() {\n        \
-               simt::sleep(1_000);\n    }\n}\n";
-    assert_eq!(scan("core", src), vec![], "a sleep in the body makes it an event loop");
 }
 
 #[test]
@@ -201,14 +178,7 @@ const SEEDED: &[(&str, &str, &str, &str)] = &[
         "    endpoints: Arc<Mutex<BTreeMap<String, Queue<Inbound>>>>,\n    streams:",
         "    endpoints: Arc<Mutex<HashMap<String, Queue<Inbound>>>>,\n    streams:",
     ),
-    ("D5", "crates/sparklet/src/rpc.rs", "use simt::sync::Mutex;", "use parking_lot::Mutex;"),
-    (
-        "D6",
-        "crates/rmpi/src/comm.rs",
-        "    reqs.into_iter().map(Request::wait).collect()",
-        "    for r in &reqs {\n        while !r.test() {}\n    }\n    \
-         reqs.into_iter().map(Request::wait).collect()",
-    ),
+    ("D5", "crates/sparklet/src/rpc.rs", "use simt::sync::Mutex;", "use std::sync::Mutex;"),
     // `obs::span` kept its span stack and send scope in `thread_local!`s while
     // every green thread had an OS thread of its own; on one shared OS thread
     // that interleaves the stacks of different tasks.
@@ -266,18 +236,15 @@ fn every_rule_catches_its_bug_seeded_into_the_real_tree() {
 #[test]
 fn every_rule_fires_on_the_scheduler_shaped_event_loop() {
     // A stage-attempt event loop (speculation tick, launch bookkeeping,
-    // completion drain, request polling) violating D1-D6 all at once — the
+    // completion drain) violating D1-D5 all at once — the
     // exact shapes `sparklet::scheduler`'s engine must avoid, pinned here
     // so the sweep keeps guarding them.
     let src = include_str!("fixtures/sched_event_loop.rs");
     let diags = scan("sparklet", src);
     let rules: Vec<&str> = diags.iter().map(|(_, r, _)| r.as_str()).collect();
-    assert_eq!(rules, vec!["D5", "D1", "D2", "D3", "D3", "D4", "D6"], "{diags:?}");
-    assert_eq!(
-        diags.iter().map(|(l, _, _)| *l).collect::<Vec<_>>(),
-        vec![13, 16, 17, 18, 19, 21, 28]
-    );
-    assert!(diags[0].2.contains("`parking_lot`"), "D5 names the lock: {}", diags[0].2);
+    assert_eq!(rules, vec!["D5", "D1", "D2", "D3", "D3", "D4"], "{diags:?}");
+    assert_eq!(diags.iter().map(|(l, _, _)| *l).collect::<Vec<_>>(), vec![13, 15, 16, 17, 18, 20]);
+    assert!(diags[0].2.contains("`std::sync::Mutex`"), "D5 names the lock: {}", diags[0].2);
     assert!(diags[5].2.contains("`launches`"), "D4 names the hash collection: {}", diags[5].2);
 }
 
@@ -367,7 +334,7 @@ fn p1_flags_leaked_irecv_requests() {
             "P1",
             "`irecv` Request discarded on the spot: the posted receive can never be \
              completed or cancelled and leaks its slot; bind the Request and \
-             `wait`/`test`/`cancel` it (or `attach` it to a `CompletionSet`)"
+             `wait`/`cancel` it (or `attach` it to a `CompletionSet`)"
         )
     );
     assert_eq!(
@@ -376,8 +343,7 @@ fn p1_flags_leaked_irecv_requests() {
             8,
             "P1",
             "`irecv` Request bound to `req` is never consumed: it must reach \
-             `wait`/`wait_timeout`/`test`/`cancel`/`waitall`/`waitany`/`testsome` \
-             or escape the function"
+             `wait`/`wait_timeout`/`cancel`/`waitall`/`attach` or escape the function"
         )
     );
 }
@@ -392,7 +358,7 @@ fn p2_flags_untimed_recv_on_retry_covered_paths() {
             "P2".to_string(),
             "untimed blocking `recv` on a retry-covered message path: `RetryPolicy` \
              resends after a timeout, but this receive can block forever and strand \
-             the retry loop; use `recv_timeout` or `irecv` + `wait_timeout`"
+             the retry loop; use `irecv` + `wait_timeout`"
                 .to_string()
         )]
     );

@@ -2,8 +2,8 @@
 
 use std::sync::{Arc, Mutex};
 
-pub fn drain(q: &simt::queue::Queue<u64>, state: &parking_lot::Mutex<Vec<u64>>) {
-    let mut held = state.lock();
+pub fn drain(q: &simt::queue::Queue<u64>, state: &std::sync::RwLock<Vec<u64>>) {
+    let mut held = state.write().unwrap();
     let v = q.recv().unwrap();
     held.push(v);
 }

@@ -10,8 +10,7 @@ pub struct Attempt {
 pub fn run_attempt(
     att: &Attempt,
     events: &simt::queue::Queue<u64>,
-    state: &parking_lot::Mutex<Vec<u64>>,
-    req: &rmpi::Request,
+    state: &std::sync::Mutex<Vec<u64>>,
 ) -> u64 {
     let tick = std::time::Instant::now();
     std::thread::spawn(|| {});
@@ -21,12 +20,9 @@ pub fn run_attempt(
     for at_ns in att.launches.values() {
         straggliest = straggliest.max(*at_ns);
     }
-    let mut held = state.lock();
+    let mut held = state.lock().unwrap();
     let part = events.recv().unwrap();
     held.push(part);
     drop(held);
-    while !req.test() {
-        std::hint::spin_loop();
-    }
     straggliest + part + u64::from(jitter) + tick.elapsed().as_nanos() as u64
 }

@@ -5,8 +5,14 @@ use std::sync::Arc;
 use fabric::Payload;
 
 use crate::launch::Universe;
-use crate::proc::{CommInfo, CompletionSet, Matcher, MpiMsg, ProcState, ReqId, IPROBE_CPU_NS};
+use crate::proc::{CommInfo, CompletionSet, Matcher, MpiMsg, ProcState, ReqId};
 use crate::types::{CommId, MpiError, ProcId, Status};
+
+/// What a completed receive hands its caller.
+fn delivered(msg: MpiMsg) -> (Payload, Status) {
+    let status = Status { source: msg.src_rank, tag: msg.tag, len: msg.payload.virtual_len };
+    (msg.payload, status)
+}
 
 /// A communicator handle bound to one calling process. Cheap to clone;
 /// clones may be used from any green thread belonging to that process
@@ -102,29 +108,10 @@ impl Comm {
         Ok(Request::complete())
     }
 
-    /// Blocking matched receive.
+    /// Blocking matched receive. For a bounded one, [`irecv`](Comm::irecv)
+    /// and [`Request::wait_timeout`].
     pub fn recv(&self, src: Option<u32>, tag: Option<u64>) -> Result<(Payload, Status), MpiError> {
-        let me = self.me();
-        let msg = me.store.recv(Matcher { comm: self.comm, src, tag })?;
-        Ok((
-            msg.payload.clone(),
-            Status { source: msg.src_rank, tag: msg.tag, len: msg.payload.virtual_len },
-        ))
-    }
-
-    /// Blocking matched receive with a relative timeout (ns).
-    pub fn recv_timeout(
-        &self,
-        src: Option<u32>,
-        tag: Option<u64>,
-        timeout: u64,
-    ) -> Result<(Payload, Status), MpiError> {
-        let me = self.me();
-        let msg = me.store.recv_timeout(Matcher { comm: self.comm, src, tag }, timeout)?;
-        Ok((
-            msg.payload.clone(),
-            Status { source: msg.src_rank, tag: msg.tag, len: msg.payload.virtual_len },
-        ))
+        self.me().store.recv(Matcher { comm: Some(self.comm), src, tag }).map(delivered)
     }
 
     /// Nonblocking receive: posts a slot in the process's message store and
@@ -132,23 +119,8 @@ impl Comm {
     /// matches (at post time or on arrival), it is pinned to this request:
     /// invisible to other receives, guaranteed to be what `wait` returns.
     pub fn irecv(&self, src: Option<u32>, tag: Option<u64>) -> Request {
-        let me = self.me();
-        let id = me.store.post_recv(Matcher { comm: self.comm, src, tag });
+        let id = self.me().store.post_recv(Matcher { comm: Some(self.comm), src, tag });
         Request::recv(self.clone(), id)
-    }
-
-    /// Nonblocking probe (`MPI_Iprobe`). Charges the caller the polling CPU
-    /// cost — the cost the Basic design pays in its selector loop (§VI-D).
-    pub fn iprobe(&self, src: Option<u32>, tag: Option<u64>) -> Option<Status> {
-        let me = self.me();
-        self.uni.state.net.cpu(me.node).execute(IPROBE_CPU_NS);
-        me.store.probe(Matcher { comm: self.comm, src, tag })
-    }
-
-    /// Blocking probe (`MPI_Probe`).
-    pub fn probe(&self, src: Option<u32>, tag: Option<u64>) -> Result<Status, MpiError> {
-        let me = self.me();
-        me.store.probe_blocking(Matcher { comm: self.comm, src, tag })
     }
 
     /// Typed convenience: send a control value charged as `virtual_len`.
@@ -195,10 +167,10 @@ impl std::fmt::Debug for Comm {
 /// A nonblocking-operation handle.
 ///
 /// Receive requests own a posted slot in the process's message store: the
-/// match is *reserved* at post/arrival time, so an observation by [`test`]
-/// (or a batched sweep) can never be re-matched away before [`wait`]. A
-/// request dropped without `wait`/`cancel` releases its slot (without a
-/// drain); any pinned message is discarded.
+/// match is *reserved* at post/arrival time, so no later receive can take it
+/// away before [`wait`](Request::wait). A request dropped without
+/// `wait`/`cancel`/`attach` releases its slot (without a drain); any pinned
+/// message is discarded.
 pub struct Request {
     kind: RequestKind,
 }
@@ -222,55 +194,30 @@ impl Request {
         Request { kind: RequestKind::Recv { comm, id, done: false } }
     }
 
-    fn msg_result(msg: MpiMsg) -> Option<(Payload, Status)> {
-        let status = Status { source: msg.src_rank, tag: msg.tag, len: msg.payload.virtual_len };
-        Some((msg.payload, status))
-    }
-
     /// Block until the operation completes; receives return their payload.
-    /// Event-driven (woken by arrival): blocking here charges no polling
-    /// CPU, unlike `test`/[`testsome`] sweeps.
-    pub fn wait(mut self) -> Result<Option<(Payload, Status)>, MpiError> {
-        match &mut self.kind {
-            RequestKind::Complete => Ok(None),
-            RequestKind::Recv { comm, id, done } => {
-                let store = comm.me().store.clone();
-                let r = store.req_wait(*id);
-                *done = true; // slot is consumed on Ok and on Finalized alike
-                r.map(Self::msg_result)
-            }
-        }
+    /// Event-driven (woken by arrival): blocking here charges no polling CPU.
+    pub fn wait(self) -> Result<Option<(Payload, Status)>, MpiError> {
+        self.wait_until(None)
     }
 
     /// [`wait`](Request::wait) bounded by a relative timeout. On timeout the
     /// receive is cancelled *with a drain*: if the message later arrives it
     /// is absorbed instead of leaking into the unexpected-message queue.
-    pub fn wait_timeout(mut self, timeout: u64) -> Result<Option<(Payload, Status)>, MpiError> {
+    pub fn wait_timeout(self, timeout: u64) -> Result<Option<(Payload, Status)>, MpiError> {
+        self.wait_until(Some(simt::now().saturating_add(timeout)))
+    }
+
+    fn wait_until(mut self, deadline: Option<u64>) -> Result<Option<(Payload, Status)>, MpiError> {
         match &mut self.kind {
             RequestKind::Complete => Ok(None),
             RequestKind::Recv { comm, id, done } => {
                 let store = comm.me().store.clone();
-                let deadline = simt::now().saturating_add(timeout);
-                let r = store.req_wait_deadline(*id, deadline);
+                let r = store.req_wait(*id, deadline);
                 if matches!(r, Err(MpiError::Timeout)) {
                     store.cancel_recv(*id, true);
                 }
-                *done = true;
-                r.map(Self::msg_result)
-            }
-        }
-    }
-
-    /// Nonblocking completion test: one sweep, one `iprobe`-equivalent CPU
-    /// charge. A `true` result is stable — the matched message is pinned to
-    /// this request and `wait` will return exactly it.
-    pub fn test(&self) -> bool {
-        match &self.kind {
-            RequestKind::Complete => true,
-            RequestKind::Recv { comm, id, .. } => {
-                let me = comm.me();
-                comm.uni.state.net.cpu(me.node).execute(IPROBE_CPU_NS);
-                me.store.req_test(*id)
+                *done = true; // the slot is consumed on Ok and on Finalized alike
+                r.map(|msg| Some(delivered(msg)))
             }
         }
     }
@@ -297,42 +244,6 @@ impl Request {
             }
         }
     }
-
-    /// Completion status without the CPU charge (internal batch sweeps pay
-    /// one charge for the whole batch instead).
-    fn is_done_unbilled(&self) -> bool {
-        match &self.kind {
-            RequestKind::Complete => true,
-            RequestKind::Recv { comm, id, .. } => comm.me().store.req_test(*id),
-        }
-    }
-
-    /// Arrival-order sequence of a completed receive (`None` while pending;
-    /// sends have no arrival and return `None`).
-    fn completion_seq(&self) -> Option<u64> {
-        match &self.kind {
-            RequestKind::Complete => None,
-            RequestKind::Recv { comm, id, .. } => comm.me().store.req_completion_seq(*id),
-        }
-    }
-
-    fn is_complete_send(&self) -> bool {
-        matches!(self.kind, RequestKind::Complete)
-    }
-
-    fn store(&self) -> Option<crate::proc::MsgStore> {
-        match &self.kind {
-            RequestKind::Complete => None,
-            RequestKind::Recv { comm, .. } => Some(comm.me().store.clone()),
-        }
-    }
-
-    fn charge_sweep(&self) {
-        if let RequestKind::Recv { comm, .. } = &self.kind {
-            let me = comm.me();
-            comm.uni.state.net.cpu(me.node).execute(IPROBE_CPU_NS);
-        }
-    }
 }
 
 impl Drop for Request {
@@ -351,59 +262,6 @@ impl Drop for Request {
 /// pinned to it. (Pinned by a property test in `tests/request_props.rs`.)
 pub fn waitall(reqs: Vec<Request>) -> Result<Vec<Option<(Payload, Status)>>, MpiError> {
     reqs.into_iter().map(Request::wait).collect()
-}
-
-/// `MPI_Waitany`: block until some request in `reqs` completes, remove it,
-/// and return `(original_index, result)`. Completed sends win first (lowest
-/// index); among ready receives the one whose message *arrived earliest*
-/// wins — a pure function of virtual time + post order, replay-stable.
-/// Panics on an empty vector.
-pub fn waitany(reqs: &mut Vec<Request>) -> Result<(usize, Option<(Payload, Status)>), MpiError> {
-    assert!(!reqs.is_empty(), "waitany on an empty request set");
-    loop {
-        let tok = simt::engine::wait_token();
-        // Register before sweeping: an arrival between sweep and park still
-        // wakes us; stale tokens are rejected by epoch.
-        let mut any_open = false;
-        for st in reqs.iter().filter_map(Request::store) {
-            st.add_waiter(tok.clone());
-            any_open |= !st.is_closed();
-        }
-        if let Some(i) = reqs.iter().position(Request::is_complete_send) {
-            return reqs.remove(i).wait().map(|r| (i, r));
-        }
-        let ready = reqs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.completion_seq().map(|seq| (seq, i)))
-            .min();
-        if let Some((_, i)) = ready {
-            return reqs.remove(i).wait().map(|r| (i, r));
-        }
-        if !any_open {
-            return Err(MpiError::Finalized);
-        }
-        simt::engine::park();
-    }
-}
-
-/// `MPI_Testsome`: one completion sweep over the batch — a single
-/// `iprobe`-equivalent CPU charge regardless of batch size. Every
-/// currently-complete request is removed and returned as
-/// `(original_index, result)`, in index order; pending ones stay put.
-pub fn testsome(
-    reqs: &mut Vec<Request>,
-) -> Result<Vec<(usize, Option<(Payload, Status)>)>, MpiError> {
-    if let Some(r) = reqs.iter().find(|r| !r.is_complete_send()) {
-        r.charge_sweep();
-    }
-    let ready: Vec<usize> =
-        reqs.iter().enumerate().filter(|(_, r)| r.is_done_unbilled()).map(|(i, _)| i).collect();
-    let mut out = Vec::with_capacity(ready.len());
-    for (removed, i) in ready.into_iter().enumerate() {
-        out.push((i, reqs.remove(i - removed).wait()?));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -426,12 +284,11 @@ mod tests {
         comm.me().store.clone()
     }
 
-    /// The old `Request::test` was a bare iprobe and `wait` re-ran matching:
-    /// with a `src: None` wildcard, `test` could observe one message while a
-    /// competing receive consumed it, leaving `wait` to return a *different*
-    /// message. Reservation closes this: the match `test` observes is pinned.
+    /// Reservation: the message a wildcard `irecv` matched is pinned to it. A
+    /// competing receive for the same sender cannot take it, and `wait`
+    /// returns exactly that message.
     #[test]
-    fn test_pins_wildcard_match_for_wait() {
+    fn irecv_pins_wildcard_match_for_wait() {
         const TAG: u64 = 77;
         run_ranks(2, 3, |comm| match comm.rank() {
             0 => comm.send_value(2, TAG, 0u32, 8).unwrap(),
@@ -442,12 +299,11 @@ mod tests {
             _ => {
                 simt::sleep(200_000); // both messages have arrived
                 let req = comm.irecv(None, Some(TAG));
-                assert!(req.test(), "first arrival is pinned at post time");
+                assert_eq!(store_of(&comm).len(), 1, "first arrival is pinned at post time");
                 // A competing exact receive for the pinned sender must NOT
                 // steal the reserved message.
-                let r = comm.recv_timeout(Some(0), Some(TAG), 10_000);
+                let r = comm.irecv(Some(0), Some(TAG)).wait_timeout(10_000);
                 assert_eq!(r.err(), Some(MpiError::Timeout));
-                // And wait() returns exactly what test() observed.
                 let (payload, st) = req.wait().unwrap().unwrap();
                 assert_eq!(st.source, 0);
                 assert_eq!(*payload.value_as::<u32>().unwrap(), 0);
@@ -456,6 +312,27 @@ mod tests {
                 assert_eq!((st.source, *v), (1, 1));
             }
         });
+    }
+
+    /// A rank stuck in a receive is named with what it waits on: its
+    /// process's message store.
+    #[test]
+    fn rank_stuck_in_recv_is_reported_blocked_on_its_store() {
+        let sim = simt::Sim::new();
+        sim.spawn("launcher", || {
+            let net = Net::new(&ClusterSpec::test(2));
+            mpiexec(&net, &[0, 1], |comm| {
+                if comm.rank() == 1 {
+                    let _ = comm.recv(Some(0), Some(404)); // nobody sends this
+                }
+            });
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(report.blocked, vec!["mpi-rank1".to_string()]);
+        let (task, on) = &report.blocked_on[0];
+        let label = on.as_deref().expect("the wait went through a labelled list");
+        assert_eq!(task, "mpi-rank1");
+        assert!(label.starts_with("mpi-store:rank1"), "{label}");
     }
 
     /// Regression for the stale-body leak: flood timeouts, then let every
@@ -482,54 +359,6 @@ mod tests {
                 simt::sleep(5_000_000); // all late bodies have landed
                 assert_eq!(store.len(), 0, "late bodies were absorbed, not stored");
                 assert_eq!(store.drain_len(), 0, "each drain consumed exactly once");
-            }
-        });
-    }
-
-    #[test]
-    fn waitany_returns_earliest_arrival() {
-        run_ranks(2, 3, |comm| match comm.rank() {
-            0 => {
-                simt::sleep(30_000);
-                comm.send_value(2, 1, 10u32, 8).unwrap();
-            }
-            1 => {
-                simt::sleep(10_000);
-                comm.send_value(2, 2, 20u32, 8).unwrap();
-            }
-            _ => {
-                let mut reqs = vec![comm.irecv(Some(0), Some(1)), comm.irecv(Some(1), Some(2))];
-                let (i, r) = waitany(&mut reqs).unwrap();
-                // Rank 1's message arrives first even though its request was
-                // posted second.
-                assert_eq!(i, 1);
-                assert_eq!(*r.unwrap().0.value_as::<u32>().unwrap(), 20);
-                let (i, r) = waitany(&mut reqs).unwrap();
-                assert_eq!(i, 0);
-                assert_eq!(*r.unwrap().0.value_as::<u32>().unwrap(), 10);
-                assert!(reqs.is_empty());
-            }
-        });
-    }
-
-    #[test]
-    fn testsome_removes_ready_and_charges_once() {
-        run_ranks(2, 2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_value(1, 5, 1u32, 8).unwrap();
-                simt::sleep(100_000);
-                comm.send_value(1, 6, 2u32, 8).unwrap();
-            } else {
-                simt::sleep(50_000); // tag 5 arrived, tag 6 not yet
-                let mut reqs = vec![comm.irecv(Some(0), Some(5)), comm.irecv(Some(0), Some(6))];
-                let done = testsome(&mut reqs).unwrap();
-                assert_eq!(done.len(), 1);
-                assert_eq!(done[0].0, 0);
-                assert_eq!(reqs.len(), 1);
-                // The remaining request completes on arrival.
-                let (i, r) = waitany(&mut reqs).unwrap();
-                assert_eq!(i, 0);
-                assert_eq!(*r.unwrap().0.value_as::<u32>().unwrap(), 2);
             }
         });
     }

@@ -27,7 +27,6 @@ impl Universe {
                 procs: Mutex::new(Default::default()),
                 comms: Mutex::new(Default::default()),
                 parents: Mutex::new(Default::default()),
-                named_ports: Mutex::new(Default::default()),
                 next_proc: AtomicU64::new(1),
                 next_comm: AtomicU64::new(1),
             }),
@@ -45,8 +44,9 @@ impl Universe {
         let id = ProcId(self.state.next_proc.fetch_add(1, Ordering::Relaxed));
         let rx = self.state.net.bind_auto(node);
         let mailbox = rx.addr();
-        let store = MsgStore::default();
-        spawn_pump(&format!("{name}#{}", id.0), rx, store.clone());
+        let name = format!("{name}#{}", id.0);
+        let store = MsgStore::named(&name);
+        spawn_pump(&name, rx, store.clone());
         let ps = Arc::new(ProcState {
             id,
             node,

@@ -6,9 +6,12 @@
 //! * **SPMD launch** — [`launch::mpiexec`] starts N ranks on cluster nodes,
 //!   each as a simulated process with a `MPI_COMM_WORLD` handle
 //!   (paper challenge 1, §III).
-//! * **Point-to-point** — blocking/nonblocking send/recv with
-//!   `(communicator, source, tag)` matching and an unexpected-message queue,
-//!   plus `probe`/`iprobe` (the Basic design's polling primitive, §VI-D).
+//! * **Point-to-point** — `send`/`recv`/`isend`/`irecv` with `(communicator,
+//!   source, tag)` matching in post order and an unexpected-message queue;
+//!   a [`Request`] is completed by `wait`, `wait_timeout` (the one bounded
+//!   receive), `cancel`, [`waitall`], or `attach`ed to a [`CompletionSet`]
+//!   that completes a set of receives in arrival order (the Optimized
+//!   design's header-triggered body receives, §VI-E).
 //! * **Collectives** — `barrier`, `bcast`, `gather`, `allgather` (used to
 //!   exchange executor launch specifications, §V), `allreduce`.
 //! * **Dynamic Process Management** — [`Comm::spawn_multiple`] mirrors
@@ -26,13 +29,12 @@
 
 pub mod coll;
 pub mod comm;
-pub mod connect;
 pub mod dpm;
 pub mod launch;
 pub mod proc;
 pub mod types;
 
-pub use comm::{testsome, waitall, waitany, Comm, Request};
+pub use comm::{waitall, Comm, Request};
 pub use dpm::SpawnSpec;
 pub use launch::{mpiexec, mpiexec_with, Universe};
 pub use proc::{Completed, CompletionSet};

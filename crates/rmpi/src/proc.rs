@@ -1,24 +1,21 @@
-//! Per-process receive machinery: the unexpected-message queue and the
-//! progress pump.
+//! Per-process receive machinery: the posted-receive slots, the
+//! unexpected-message queue and the progress pump.
 //!
 //! Every MPI process owns one fabric mailbox port. A daemon *pump* green
 //! thread (the analog of an MPI progress engine) drains the port into a
-//! [`MsgStore`], where blocking receives match on `(communicator, source,
-//! tag)` — messages that arrive before a matching receive wait in the store,
-//! exactly like MPI's unexpected message queue.
+//! [`MsgStore`], where receives match on `(communicator, source, tag)` in the
+//! order they were posted — a blocking receive is a posted one waited for on
+//! the spot. Messages that arrive before a matching receive wait in the
+//! store, exactly like MPI's unexpected message queue.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId, Payload, PortAddr};
-use simt::engine::{park, wait_token, WaitToken};
 use simt::sync::Mutex;
+use simt::wait::{WaitList, Waiter};
 
-use crate::types::{CommId, MpiError, ProcId, Status};
-
-/// CPU cost of one `iprobe` sweep (paper §VI-D: the Basic design's polling
-/// primitive; "too compute-intensive" when spun in a selector loop).
-pub const IPROBE_CPU_NS: u64 = 300;
+use crate::types::{CommId, MpiError, ProcId};
 
 /// An in-flight or stored MPI message.
 #[derive(Debug, Clone)]
@@ -34,7 +31,7 @@ pub struct MpiMsg {
     pub payload: Payload,
 }
 
-/// Handle to a posted (nonblocking) receive slot in a [`MsgStore`].
+/// Handle to a posted receive slot in a [`MsgStore`].
 ///
 /// Ids are allocated in post order; matching among simultaneously-eligible
 /// posted receives always prefers the lowest id, so completion is a pure
@@ -42,26 +39,19 @@ pub struct MpiMsg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReqId(u64);
 
-/// State of one posted receive.
-enum PostState {
-    /// Waiting for a matching message.
-    Pending,
-    /// Matched: the message is *pinned* here — invisible to `recv`/`probe`
-    /// and to every other posted receive. `seq` is the store-wide completion
-    /// sequence number (arrival order), used by batched waits to pick the
-    /// earliest completion deterministically.
-    Ready { msg: MpiMsg, seq: u64 },
-}
-
 struct PostedRecv {
     matcher: Matcher,
-    state: PostState,
+    /// `None` while pending. Once matched, the message is *pinned* here —
+    /// invisible to every other receive — beside its store-wide completion
+    /// sequence number (arrival order), by which batched waits pick the
+    /// earliest completion deterministically.
+    ready: Option<(u64, MpiMsg)>,
 }
 
 #[derive(Default)]
 struct StoreState {
+    /// Messages that arrived before a matching receive was posted.
     msgs: Vec<MpiMsg>,
-    waiters: Vec<WaitToken>,
     closed: bool,
     /// Posted receives, keyed by id (== post order).
     posted: BTreeMap<u64, PostedRecv>,
@@ -73,18 +63,29 @@ struct StoreState {
     next_completion: u64,
 }
 
-/// The unexpected-message queue plus posted-receive slots and waiter
-/// bookkeeping.
-#[derive(Clone, Default)]
-pub struct MsgStore {
-    state: Arc<Mutex<StoreState>>,
+/// The unexpected-message queue plus the posted-receive slots that every
+/// receive, blocking or not, goes through.
+#[derive(Clone)]
+pub struct MsgStore(Arc<StoreShared>);
+
+struct StoreShared {
+    state: Mutex<StoreState>,
+    /// Notified by each stored or matched message and by the close.
+    waiters: WaitList,
+}
+
+impl Default for MsgStore {
+    fn default() -> Self {
+        Self::with_waiters(WaitList::new("mpi-store"))
+    }
 }
 
 /// A match predicate: communicator, optional source rank, optional tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Matcher {
-    /// Communicator to match.
-    pub comm: CommId,
+    /// Communicator to match; `None` (any) only for the intercomm-merge
+    /// bootstrap, whose receiver cannot yet know the new communicator's id.
+    pub comm: Option<CommId>,
     /// `None` = `MPI_ANY_SOURCE`.
     pub src: Option<u32>,
     /// `None` = `MPI_ANY_TAG`.
@@ -93,38 +94,43 @@ pub struct Matcher {
 
 impl Matcher {
     fn matches(&self, m: &MpiMsg) -> bool {
-        m.comm == self.comm
+        self.comm.is_none_or(|c| c == m.comm)
             && self.src.is_none_or(|s| s == m.src_rank)
             && self.tag.is_none_or(|t| t == m.tag)
     }
 }
 
 impl MsgStore {
+    fn with_waiters(waiters: WaitList) -> MsgStore {
+        MsgStore(Arc::new(StoreShared { state: Mutex::default(), waiters }))
+    }
+
+    /// The store of process `name`: a thread stuck in a receive there is
+    /// reported as blocked on `mpi-store:<name>`.
+    pub fn named(name: &str) -> MsgStore {
+        Self::with_waiters(WaitList::named(format!("mpi-store:{name}")))
+    }
+
     /// Push a delivered message and wake blocked receivers.
     ///
-    /// Matching priority: posted receives (lowest [`ReqId`] first), then
-    /// cancel drains, then the unexpected-message queue. Posted-before-drain
-    /// matters under retries: the Optimized transport's tags are
-    /// content-addressed, so an original body and its resend are
+    /// Matching priority: posted receives in post order (lowest [`ReqId`]
+    /// first), then cancel drains, then the unexpected-message queue.
+    /// Posted-before-drain matters under retries: the Optimized transport's
+    /// tags are content-addressed, so an original body and its resend are
     /// interchangeable — whichever arrives first completes the live posted
     /// receive, and the drain left by the timed-out attempt absorbs the
     /// duplicate.
     pub fn push(&self, msg: MpiMsg) {
-        let waiters = {
-            let mut s = self.state.lock();
+        {
+            let s = &mut *self.0.state.lock();
             if s.closed {
                 return;
             }
-            let posted_hit = s
-                .posted
-                .iter()
-                .find(|(_, p)| matches!(p.state, PostState::Pending) && p.matcher.matches(&msg))
-                .map(|(id, _)| *id);
-            if let Some(id) = posted_hit {
-                let seq = s.next_completion;
+            if let Some(p) =
+                s.posted.values_mut().find(|p| p.ready.is_none() && p.matcher.matches(&msg))
+            {
+                p.ready = Some((s.next_completion, msg));
                 s.next_completion += 1;
-                s.posted.get_mut(&id).expect("slot exists").state = PostState::Ready { msg, seq };
-                std::mem::take(&mut s.waiters)
             } else if let Some(dm) = s.drains.keys().find(|matcher| matcher.matches(&msg)).copied()
             {
                 let count = s.drains.get_mut(&dm).expect("drain exists");
@@ -135,117 +141,41 @@ impl MsgStore {
                 return; // absorbed: a cancelled receive already paid for it
             } else {
                 s.msgs.push(msg);
-                std::mem::take(&mut s.waiters)
             }
-        };
-        for w in waiters {
-            w.wake();
         }
+        self.0.waiters.notify_all();
     }
 
-    /// Post a nonblocking receive. If a stored message already matches, it
-    /// is pinned to the slot immediately (FIFO among matching messages, the
-    /// same order `recv` would use).
+    /// Post a receive. If a stored message already matches, it is pinned to
+    /// the slot immediately (FIFO among matching messages).
     pub fn post_recv(&self, m: Matcher) -> ReqId {
-        let mut s = self.state.lock();
+        let s = &mut *self.0.state.lock();
         let id = s.next_req;
         s.next_req += 1;
-        let state = if let Some(pos) = s.msgs.iter().position(|x| m.matches(x)) {
-            let msg = s.msgs.remove(pos);
+        let ready = s.msgs.iter().position(|x| m.matches(x)).map(|pos| {
             let seq = s.next_completion;
             s.next_completion += 1;
-            PostState::Ready { msg, seq }
-        } else {
-            PostState::Pending
-        };
-        s.posted.insert(id, PostedRecv { matcher: m, state });
+            (seq, s.msgs.remove(pos))
+        });
+        s.posted.insert(id, PostedRecv { matcher: m, ready });
         ReqId(id)
     }
 
-    /// True when the posted receive has matched (without consuming it).
-    pub fn req_test(&self, id: ReqId) -> bool {
-        let s = self.state.lock();
-        s.posted.get(&id.0).is_none_or(|p| matches!(p.state, PostState::Ready { .. }))
-    }
-
-    /// Completion sequence number of a matched posted receive (arrival
-    /// order), `None` while pending.
-    pub fn req_completion_seq(&self, id: ReqId) -> Option<u64> {
-        let s = self.state.lock();
-        match s.posted.get(&id.0)?.state {
-            PostState::Ready { seq, .. } => Some(seq),
-            PostState::Pending => None,
-        }
-    }
-
-    /// Take the message of a matched posted receive, if ready.
-    pub fn req_try_take(&self, id: ReqId) -> Option<MpiMsg> {
-        let mut s = self.state.lock();
-        if !matches!(s.posted.get(&id.0)?.state, PostState::Ready { .. }) {
-            return None;
-        }
-        match s.posted.remove(&id.0).expect("slot exists").state {
-            PostState::Ready { msg, .. } => Some(msg),
-            PostState::Pending => unreachable!("checked ready above"),
-        }
-    }
-
-    /// Block until the posted receive completes; consumes the slot.
-    pub fn req_wait(&self, id: ReqId) -> Result<MpiMsg, MpiError> {
-        loop {
-            {
-                let mut s = self.state.lock();
-                match s.posted.get(&id.0) {
-                    None => panic!("request {id:?} waited twice"),
-                    Some(p) if matches!(p.state, PostState::Ready { .. }) => {
-                        match s.posted.remove(&id.0).expect("slot exists").state {
-                            PostState::Ready { msg, .. } => return Ok(msg),
-                            PostState::Pending => unreachable!("checked ready above"),
-                        }
-                    }
-                    Some(_) if s.closed => {
-                        s.posted.remove(&id.0);
-                        return Err(MpiError::Finalized);
-                    }
-                    Some(_) => {}
-                }
-                s.waiters.push(wait_token());
+    /// Block until the posted receive completes, the store closes
+    /// (`Finalized`) or the absolute `deadline` passes (`Timeout`). The first
+    /// two consume the slot; on timeout it stays posted — the caller decides
+    /// whether to cancel (and drain) or keep waiting.
+    pub fn req_wait(&self, id: ReqId, deadline: Option<u64>) -> Result<MpiMsg, MpiError> {
+        let ready = || {
+            let mut s = self.0.state.lock();
+            let p = s.posted.get(&id.0).unwrap_or_else(|| panic!("request {id:?} waited twice"));
+            if p.ready.is_none() && !s.closed {
+                return None;
             }
-            park();
-        }
-    }
-
-    /// [`req_wait`](MsgStore::req_wait) with an absolute deadline. On
-    /// timeout the slot is left posted — the caller decides whether to
-    /// cancel (and drain) or keep waiting.
-    pub fn req_wait_deadline(&self, id: ReqId, deadline: u64) -> Result<MpiMsg, MpiError> {
-        loop {
-            let tok = {
-                let mut s = self.state.lock();
-                match s.posted.get(&id.0) {
-                    None => panic!("request {id:?} waited twice"),
-                    Some(p) if matches!(p.state, PostState::Ready { .. }) => {
-                        match s.posted.remove(&id.0).expect("slot exists").state {
-                            PostState::Ready { msg, .. } => return Ok(msg),
-                            PostState::Pending => unreachable!("checked ready above"),
-                        }
-                    }
-                    Some(_) if s.closed => {
-                        s.posted.remove(&id.0);
-                        return Err(MpiError::Finalized);
-                    }
-                    Some(_) => {}
-                }
-                if simt::now() >= deadline {
-                    return Err(MpiError::Timeout);
-                }
-                let tok = wait_token();
-                s.waiters.push(tok.clone());
-                tok
-            };
-            tok.wake_at(deadline);
-            park();
-        }
+            let slot = s.posted.remove(&id.0).expect("slot exists");
+            Some(slot.ready.map(|(_, msg)| msg).ok_or(MpiError::Finalized))
+        };
+        self.0.waiters.wait_until(deadline, ready).unwrap_or(Err(MpiError::Timeout))
     }
 
     /// Remove a posted receive. A pinned (already matched) message is
@@ -254,164 +184,67 @@ impl MsgStore {
     /// dropped on arrival instead of sitting in the unexpected queue forever
     /// — the cancelled receive's match is consumed either way.
     pub fn cancel_recv(&self, id: ReqId, drain: bool) {
-        let mut s = self.state.lock();
+        let mut s = self.0.state.lock();
         let Some(p) = s.posted.remove(&id.0) else {
             return;
         };
-        if drain && matches!(p.state, PostState::Pending) {
+        if drain && p.ready.is_none() {
             *s.drains.entry(p.matcher).or_insert(0) += 1;
         }
     }
 
     /// Number of posted (uncompleted or unconsumed) receive slots.
     pub fn posted_len(&self) -> usize {
-        self.state.lock().posted.len()
+        self.0.state.lock().posted.len()
     }
 
     /// Total count of outstanding cancel drains.
     pub fn drain_len(&self) -> usize {
-        self.state.lock().drains.values().map(|c| *c as usize).sum()
+        self.0.state.lock().drains.values().map(|c| *c as usize).sum()
     }
 
     /// True once [`close`](MsgStore::close) ran.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.0.state.lock().closed
     }
 
     /// Two handles to the same underlying store?
     pub fn same_store(&self, other: &MsgStore) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
-    }
-
-    /// Register a waiter woken at the next push/close (used by batched
-    /// waits; tokens are one-shot and stale wakes are rejected by epoch).
-    pub(crate) fn add_waiter(&self, tok: WaitToken) {
-        self.state.lock().waiters.push(tok);
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Among `ids`, take the ready slot with the earliest completion
     /// sequence (arrival order), if any.
     pub(crate) fn take_earliest_ready(&self, ids: &[ReqId]) -> Option<(ReqId, MpiMsg)> {
-        let mut s = self.state.lock();
-        let best = ids
+        let mut s = self.0.state.lock();
+        let (_, id) = ids
             .iter()
-            .filter_map(|id| match s.posted.get(&id.0)?.state {
-                PostState::Ready { seq, .. } => Some((seq, *id)),
-                PostState::Pending => None,
-            })
+            .filter_map(|id| Some((s.posted.get(&id.0)?.ready.as_ref()?.0, *id)))
             .min()?;
-        match s.posted.remove(&best.1 .0).expect("slot exists").state {
-            PostState::Ready { msg, .. } => Some((best.1, msg)),
-            PostState::Pending => unreachable!("checked ready above"),
-        }
+        let (_, msg) = s.posted.remove(&id.0)?.ready?;
+        Some((id, msg))
     }
 
-    /// Blocking matched receive (FIFO among matching messages).
+    /// Blocking matched receive: a posted receive, waited for on the spot.
     pub fn recv(&self, m: Matcher) -> Result<MpiMsg, MpiError> {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(pos) = s.msgs.iter().position(|x| m.matches(x)) {
-                    return Ok(s.msgs.remove(pos));
-                }
-                if s.closed {
-                    return Err(MpiError::Finalized);
-                }
-                s.waiters.push(wait_token());
-            }
-            park();
-        }
+        self.req_wait(self.post_recv(m), None)
     }
 
-    /// Blocking matched receive with a relative timeout.
-    pub fn recv_timeout(&self, m: Matcher, timeout: u64) -> Result<MpiMsg, MpiError> {
-        let deadline = simt::now().saturating_add(timeout);
-        loop {
-            let tok = {
-                let mut s = self.state.lock();
-                if let Some(pos) = s.msgs.iter().position(|x| m.matches(x)) {
-                    return Ok(s.msgs.remove(pos));
-                }
-                if s.closed {
-                    return Err(MpiError::Finalized);
-                }
-                if simt::now() >= deadline {
-                    return Err(MpiError::Timeout);
-                }
-                let tok = wait_token();
-                s.waiters.push(tok.clone());
-                tok
-            };
-            tok.wake_at(deadline);
-            park();
-        }
-    }
-
-    /// Non-blocking probe: status of the first matching message, if any.
-    pub fn probe(&self, m: Matcher) -> Option<Status> {
-        let s = self.state.lock();
-        s.msgs.iter().find(|x| m.matches(x)).map(|x| Status {
-            source: x.src_rank,
-            tag: x.tag,
-            len: x.payload.virtual_len,
-        })
-    }
-
-    /// Blocking probe.
-    pub fn probe_blocking(&self, m: Matcher) -> Result<Status, MpiError> {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(x) = s.msgs.iter().find(|x| m.matches(x)) {
-                    return Ok(Status {
-                        source: x.src_rank,
-                        tag: x.tag,
-                        len: x.payload.virtual_len,
-                    });
-                }
-                if s.closed {
-                    return Err(MpiError::Finalized);
-                }
-                s.waiters.push(wait_token());
-            }
-            park();
-        }
-    }
-
-    /// Blocking receive matching only on `tag`, across all communicators.
-    /// Used solely by the intercomm-merge bootstrap, where the receiver
-    /// cannot yet know the new communicator's id.
+    /// Blocking receive matching only on `tag`, across all communicators
+    /// (see [`Matcher::comm`]).
     pub fn recv_any_comm(&self, tag: u64) -> Result<MpiMsg, MpiError> {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(pos) = s.msgs.iter().position(|x| x.tag == tag) {
-                    return Ok(s.msgs.remove(pos));
-                }
-                if s.closed {
-                    return Err(MpiError::Finalized);
-                }
-                s.waiters.push(wait_token());
-            }
-            park();
-        }
+        self.recv(Matcher { comm: None, src: None, tag: Some(tag) })
     }
 
     /// Stop accepting messages and wake everyone (they observe `Finalized`).
     pub fn close(&self) {
-        let waiters = {
-            let mut s = self.state.lock();
-            s.closed = true;
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
-        }
+        self.0.state.lock().closed = true;
+        self.0.waiters.notify_all();
     }
 
     /// Number of stored (unreceived) messages.
     pub fn len(&self) -> usize {
-        self.state.lock().msgs.len()
+        self.0.state.lock().msgs.len()
     }
 
     /// True when no messages are stored.
@@ -442,21 +275,23 @@ struct CompletionInner {
     store: Option<MsgStore>,
     /// Posted receive id → caller token.
     pending: BTreeMap<ReqId, u64>,
-    /// Waiters to wake when a new request is attached.
-    tokens: Vec<WaitToken>,
 }
 
 /// A per-process completion queue: a set of posted receives completed in
-/// *arrival order* with one sweep per wake-up, rather than N independent
-/// iprobe polls. Waits are event-driven (woken by message arrival or by a
-/// new attach), so blocking in `wait_next` charges no polling CPU.
+/// *arrival order* with one sweep per wake-up. Waits are event-driven (woken
+/// by message arrival or by a new attach), so blocking in `wait_next` charges
+/// no polling CPU.
 ///
 /// Used by the Optimized transport's body pump: the endpoint event loop
 /// attaches one receive per parsed shuffle header and the pump thread
 /// completes whichever body lands first.
 #[derive(Clone)]
-pub struct CompletionSet {
-    inner: Arc<Mutex<CompletionInner>>,
+pub struct CompletionSet(Arc<SetShared>);
+
+struct SetShared {
+    inner: Mutex<CompletionInner>,
+    /// Notified by each attach.
+    waiters: WaitList,
 }
 
 impl Default for CompletionSet {
@@ -468,20 +303,17 @@ impl Default for CompletionSet {
 impl CompletionSet {
     /// An empty set.
     pub fn new() -> CompletionSet {
-        CompletionSet {
-            inner: Arc::new(Mutex::new(CompletionInner {
-                store: None,
-                pending: BTreeMap::new(),
-                tokens: Vec::new(),
-            })),
-        }
+        CompletionSet(Arc::new(SetShared {
+            inner: Mutex::new(CompletionInner { store: None, pending: BTreeMap::new() }),
+            waiters: WaitList::new("mpi-completion-set"),
+        }))
     }
 
     /// Add a posted receive under caller token `user` and wake any blocked
     /// `wait_next`. (Reached through [`crate::Request::attach`].)
     pub(crate) fn add(&self, store: &MsgStore, id: ReqId, user: u64) {
-        let tokens = {
-            let mut cs = self.inner.lock();
+        {
+            let mut cs = self.0.inner.lock();
             match &cs.store {
                 None => cs.store = Some(store.clone()),
                 Some(s) => {
@@ -489,11 +321,8 @@ impl CompletionSet {
                 }
             }
             cs.pending.insert(id, user);
-            std::mem::take(&mut cs.tokens)
-        };
-        for t in tokens {
-            t.wake();
         }
+        self.0.waiters.notify_all();
     }
 
     /// Cancel the pending receive attached under `user`, leaving a drain
@@ -501,7 +330,7 @@ impl CompletionSet {
     /// no such entry exists (already completed).
     pub fn cancel_user(&self, user: u64) -> bool {
         let removed = {
-            let mut cs = self.inner.lock();
+            let mut cs = self.0.inner.lock();
             let id = cs.pending.iter().find(|(_, u)| **u == user).map(|(id, _)| *id);
             id.map(|id| {
                 cs.pending.remove(&id);
@@ -519,7 +348,7 @@ impl CompletionSet {
 
     /// Number of receives still pending completion or consumption.
     pub fn len(&self) -> usize {
-        self.inner.lock().pending.len()
+        self.0.inner.lock().pending.len()
     }
 
     /// True when no receives are attached.
@@ -532,35 +361,24 @@ impl CompletionSet {
     /// set per wake-up; completion choice is arrival order (virtual time),
     /// so it is replay-deterministic.
     pub fn wait_next(&self, deadline: Option<u64>) -> Completed {
-        loop {
-            // Register the token *before* sweeping so an attach or arrival
-            // between the sweep and `park` still wakes us (stale tokens are
-            // rejected by epoch).
-            let tok = wait_token();
+        // Two lists can end this wait: an attach notifies the set's, an
+        // arrival or the close the store's, and there is no store before the
+        // first attach.
+        let sweep = |pass: &mut Waiter| {
+            pass.watch(&self.0.waiters);
             let (store, ids) = {
-                let mut cs = self.inner.lock();
-                cs.tokens.push(tok.clone());
-                (cs.store.clone(), cs.pending.keys().copied().collect::<Vec<_>>())
+                let cs = self.0.inner.lock();
+                (cs.store.clone()?, cs.pending.keys().copied().collect::<Vec<_>>())
             };
-            if let Some(store) = &store {
-                store.add_waiter(tok.clone());
-                if let Some((id, msg)) = store.take_earliest_ready(&ids) {
-                    let user =
-                        self.inner.lock().pending.remove(&id).expect("completed id is a member");
-                    return Completed::Recv { user, msg };
-                }
-                if store.is_closed() && !ids.is_empty() {
-                    return Completed::Closed;
-                }
+            pass.watch(&store.0.waiters);
+            if let Some((id, msg)) = store.take_earliest_ready(&ids) {
+                let user =
+                    self.0.inner.lock().pending.remove(&id).expect("completed id is a member");
+                return Some(Completed::Recv { user, msg });
             }
-            if let Some(d) = deadline {
-                if simt::now() >= d {
-                    return Completed::TimedOut;
-                }
-                tok.wake_at(d);
-            }
-            park();
-        }
+            (store.is_closed() && !ids.is_empty()).then_some(Completed::Closed)
+        };
+        self.0.waiters.wait_watching(deadline, sweep).unwrap_or(Completed::TimedOut)
     }
 }
 
@@ -583,8 +401,7 @@ pub struct ProcState {
 /// store until the port closes. The pump charges receive-side CPU (the MPI
 /// progress engine's cost) as packets arrive.
 pub fn spawn_pump(name: &str, rx: fabric::net::PortRx, store: MsgStore) {
-    let label = format!("mpi-pump:{name}");
-    simt::spawn_daemon(label, move || {
+    simt::spawn_daemon(format!("mpi-pump:{name}"), move || {
         while let Ok(pkt) = rx.recv() {
             if let Some(msg) = pkt.payload.value_as::<MpiMsg>() {
                 store.push((*msg).clone());
@@ -608,8 +425,6 @@ pub struct UniverseState {
     pub comms: Mutex<BTreeMap<CommId, Arc<CommInfo>>>,
     /// `proc -> parent intercommunicator` (set by DPM spawn).
     pub parents: Mutex<BTreeMap<ProcId, CommId>>,
-    /// Named ports for `comm_accept`/`comm_connect`.
-    pub named_ports: Mutex<BTreeMap<String, simt::queue::Queue<crate::connect::ConnRequest>>>,
     /// Next ids.
     pub next_proc: std::sync::atomic::AtomicU64,
     /// Next communicator id.
@@ -719,13 +534,15 @@ mod tests {
             store.push(msg(1, 1, 11));
             store.push(msg(2, 0, 10));
             // Exact match takes the matching one, not FIFO head.
-            let got = store.recv(Matcher { comm: CommId(1), src: Some(1), tag: Some(11) }).unwrap();
+            let got =
+                store.recv(Matcher { comm: Some(CommId(1)), src: Some(1), tag: Some(11) }).unwrap();
             assert_eq!(got.src_rank, 1);
             // Wildcard source.
-            let got = store.recv(Matcher { comm: CommId(1), src: None, tag: Some(10) }).unwrap();
+            let got =
+                store.recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(10) }).unwrap();
             assert_eq!((got.src_rank, got.tag), (0, 10));
             // Wildcard both — only comm 2 left.
-            let got = store.recv(Matcher { comm: CommId(2), src: None, tag: None }).unwrap();
+            let got = store.recv(Matcher { comm: Some(CommId(2)), src: None, tag: None }).unwrap();
             assert_eq!(got.comm, CommId(2));
             assert!(store.is_empty());
         });
@@ -738,7 +555,8 @@ mod tests {
         let store = MsgStore::default();
         let s2 = store.clone();
         sim.spawn("rx", move || {
-            let got = s2.recv(Matcher { comm: CommId(1), src: Some(0), tag: Some(5) }).unwrap();
+            let got =
+                s2.recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(5) }).unwrap();
             assert_eq!(got.tag, 5);
             assert_eq!(simt::now(), 100);
         });
@@ -750,28 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_consume() {
+    fn req_wait_deadline_expires_and_leaves_the_slot_posted() {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            store.push(msg(1, 3, 7));
-            let m = Matcher { comm: CommId(1), src: None, tag: None };
-            let st = store.probe(m).unwrap();
-            assert_eq!((st.source, st.tag), (3, 7));
-            assert_eq!(store.len(), 1);
-            assert!(store.recv(m).is_ok());
-        });
-        sim.run().unwrap().assert_clean();
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let sim = simt::Sim::new();
-        sim.spawn("t", || {
-            let store = MsgStore::default();
-            let r = store.recv_timeout(Matcher { comm: CommId(1), src: None, tag: None }, 1_000);
-            assert_eq!(r.err(), Some(MpiError::Timeout));
-            assert_eq!(simt::now(), 1_000);
+            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
+            assert_eq!(store.req_wait(id, Some(1_000)).err(), Some(MpiError::Timeout));
+            assert_eq!((simt::now(), store.posted_len()), (1_000, 1));
+            store.push(msg(1, 0, 3));
+            assert_eq!(store.req_wait(id, Some(2_000)).unwrap().tag, 3);
         });
         sim.run().unwrap().assert_clean();
     }
@@ -782,7 +587,7 @@ mod tests {
         let store = MsgStore::default();
         let s2 = store.clone();
         sim.spawn("rx", move || {
-            let r = s2.recv(Matcher { comm: CommId(1), src: None, tag: None });
+            let r = s2.recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
             assert_eq!(r.err(), Some(MpiError::Finalized));
         });
         sim.spawn("closer", move || {
@@ -798,14 +603,14 @@ mod tests {
         sim.spawn("t", || {
             let store = MsgStore::default();
             store.push(msg(1, 0, 10));
-            // Posting pins the stored message: recv can no longer see it.
-            let id = store.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(10) });
-            assert!(store.req_test(id));
+            // Posting pins the stored message: no other receive can see it.
+            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(10) });
             assert!(store.is_empty());
-            let r =
-                store.recv_timeout(Matcher { comm: CommId(1), src: Some(0), tag: Some(10) }, 500);
-            assert_eq!(r.err(), Some(MpiError::Timeout));
-            let got = store.req_wait(id).unwrap();
+            let rival =
+                store.post_recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(10) });
+            assert_eq!(store.req_wait(rival, Some(500)).err(), Some(MpiError::Timeout));
+            store.cancel_recv(rival, false);
+            let got = store.req_wait(id, None).unwrap();
             assert_eq!((got.src_rank, got.tag), (0, 10));
             assert_eq!(store.posted_len(), 0);
         });
@@ -817,16 +622,15 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let a = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
-            let b = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
+            let a = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
+            let b = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
             store.push(msg(1, 7, 1));
-            assert!(store.req_test(a) && !store.req_test(b));
+            assert!(store.take_earliest_ready(&[b]).is_none(), "the first message went to `a`");
             store.push(msg(1, 8, 2));
-            // Arrival order == completion-seq order.
-            assert_eq!(store.req_completion_seq(a), Some(0));
-            assert_eq!(store.req_completion_seq(b), Some(1));
-            assert_eq!(store.req_wait(a).unwrap().src_rank, 7);
-            assert_eq!(store.req_wait(b).unwrap().src_rank, 8);
+            // Arrival order == completion order, whatever order the ids come in.
+            let (first, got) = store.take_earliest_ready(&[b, a]).unwrap();
+            assert_eq!((first, got.src_rank), (a, 7));
+            assert_eq!(store.req_wait(b, None).unwrap().src_rank, 8);
         });
         sim.run().unwrap().assert_clean();
     }
@@ -836,7 +640,7 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let id = store.post_recv(Matcher { comm: CommId(1), src: Some(0), tag: Some(9) });
+            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(9) });
             store.cancel_recv(id, true);
             assert_eq!((store.posted_len(), store.drain_len()), (0, 1));
             store.push(msg(1, 0, 9));
@@ -855,19 +659,19 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let m = Matcher { comm: CommId(1), src: Some(0), tag: Some(9) };
+            let m = Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(9) };
             let stale = store.post_recv(m);
             store.cancel_recv(stale, true);
             // A retry posts the same content-addressed matcher.
             let retry = store.post_recv(m);
             // First body to land completes the live receive, not the drain.
             store.push(msg(1, 0, 9));
-            assert!(store.req_test(retry));
+            assert_eq!((store.len(), store.drain_len()), (0, 1));
             // The duplicate is absorbed by the drain.
             store.push(msg(1, 0, 9));
             assert!(store.is_empty());
             assert_eq!(store.drain_len(), 0);
-            assert!(store.req_wait(retry).is_ok());
+            assert!(store.req_wait(retry, None).is_ok());
         });
         sim.run().unwrap().assert_clean();
     }
@@ -879,8 +683,8 @@ mod tests {
         let set = CompletionSet::new();
         let (s2, set2) = (store.clone(), set.clone());
         sim.spawn("waiter", move || {
-            let a = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(1) });
-            let b = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(2) });
+            let a = s2.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(1) });
+            let b = s2.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(2) });
             set2.add(&s2, a, 100);
             set2.add(&s2, b, 200);
             // Tag 2 arrives first: completion order is arrival order, not

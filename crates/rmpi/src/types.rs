@@ -14,7 +14,7 @@ pub const ANY_SOURCE: Option<u32> = None;
 /// Wildcard tag (`MPI_ANY_TAG`).
 pub const ANY_TAG: Option<u64> = None;
 
-/// Completion status of a receive or probe (`MPI_Status`).
+/// Completion status of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status {
     /// Rank of the sender within the matched communicator('s remote group).

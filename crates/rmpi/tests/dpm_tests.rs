@@ -195,26 +195,6 @@ fn nested_spawn_children_can_spawn_grandchildren() {
 }
 
 #[test]
-fn iprobe_sees_pending_message_without_consuming() {
-    run(2, 2, move |world| {
-        if world.rank() == 0 {
-            world.send_value(1, 77, 123u64, 8).unwrap();
-        } else {
-            // Poll until visible (the Basic design's pattern, §VI-D).
-            loop {
-                if let Some(st) = world.iprobe(Some(0), Some(77)) {
-                    assert_eq!(st.source, 0);
-                    break;
-                }
-                simt::sleep(1_000);
-            }
-            let (v, _) = world.recv_value::<u64>(Some(0), Some(77)).unwrap();
-            assert_eq!(*v, 123);
-        }
-    });
-}
-
-#[test]
 fn deterministic_virtual_times_across_runs() {
     fn once() -> u64 {
         let sim = Sim::new();

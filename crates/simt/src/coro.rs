@@ -433,7 +433,7 @@ mod tests {
             descend(depth - 1, acc + here) + here
         }
         let expect: f64 = (1..=200u32).map(|d| f64::from(d).sqrt()).sum::<f64>() * 2.0;
-        let out = Arc::new(parking_lot::Mutex::new(0.0));
+        let out = Arc::new(crate::mutex::RawMutex::new(0.0));
         let out2 = out.clone();
         let mut co = Coroutine::new(256 * 1024, Box::new(move || *out2.lock() = descend(200, 0.0)));
         assert!(matches!(co.resume(), Step::Suspended));

@@ -1,8 +1,8 @@
 //! Wait-graph diagnostics: per-resource holder and per-task waits-for bookkeeping.
 //!
-//! The sync primitives in [`crate::sync`] and [`crate::queue`] report three
-//! kinds of events here: a task starting/stopping a blocking wait on a
-//! resource, a task acquiring a resource (semaphore permits), and a task
+//! Three kinds of events are reported here: a task starting/stopping a
+//! blocking wait on a resource (by [`crate::wait`], under every blocking
+//! call), a task acquiring a resource (semaphore permits), and a task
 //! releasing one. From those events the engine derives, at quiescence:
 //!
 //! * a **wait-for graph** — which blocked task waits on which resource, and
@@ -26,9 +26,8 @@ use crate::engine::current_handle;
 /// counter.
 static NEXT_RID: AtomicU64 = AtomicU64::new(1);
 
-/// Identity of one diagnosable resource (a semaphore, queue, notify flag, or
-/// once-cell). Embedded in the primitive; cheap to clone via `Arc` fields on
-/// the owning primitive.
+/// Identity of one diagnosable resource: what the threads on one
+/// [`WaitList`](crate::wait::WaitList) wait for.
 pub struct DiagRes {
     rid: u64,
     kind: &'static str,
@@ -102,8 +101,9 @@ impl DiagState {
         }
     }
 
-    /// Resource label a task is blocked on, if the wait went through an
-    /// instrumented primitive (a raw `park()` has no resource).
+    /// Resource label a task is blocked on, if the wait went through a
+    /// [`WaitList`](crate::wait::WaitList) (`sleep` and the CPU model wait for
+    /// the clock, not for a resource).
     pub(crate) fn waiting_label(&self, tid: usize) -> Option<String> {
         self.waiting.get(&tid).and_then(|rid| self.labels.get(rid).cloned())
     }

@@ -14,10 +14,9 @@ use std::collections::BinaryHeap;
 use std::panic;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::coro::{self, Coroutine, Payload, Step};
 use crate::local::{self, Locals};
+use crate::mutex::RawMutex;
 
 /// Identifier of a green thread within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -135,15 +134,15 @@ pub struct SimStats {
 
 /// Shared engine internals; green threads hold an `Arc` to this.
 pub struct Inner {
-    state: Mutex<State>,
+    state: RawMutex<State>,
     stack_size: usize,
     /// Wait-graph bookkeeping fed by the sync primitives; never locked while
     /// `state` is held (and vice versa) so the two cannot deadlock.
-    pub(crate) diag: Mutex<crate::diag::DiagState>,
+    pub(crate) diag: RawMutex<crate::diag::DiagState>,
     /// Optional lifecycle observer (tracing). Callbacks run on the green
     /// thread itself, so anything the observer records is ordered exactly
     /// like the thread's own work.
-    observer: Mutex<Option<Arc<dyn TaskObserver>>>,
+    observer: RawMutex<Option<Arc<dyn TaskObserver>>>,
 }
 
 /// Hook notified when green threads begin and finish executing. Installed
@@ -362,8 +361,8 @@ pub struct SimReport {
     /// in the simulated program (a lost message, a missing reply).
     pub blocked: Vec<String>,
     /// For each blocked non-daemon thread, the resource it was waiting on
-    /// when it parked (`None` for a raw `park()` with no instrumented
-    /// resource). Same order as `blocked`.
+    /// when it parked (`None` inside `sleep` and `Cpu::execute`, which wait
+    /// for the clock, not for a resource). Same order as `blocked`.
     pub blocked_on: Vec<(String, Option<String>)>,
     /// Deadlock cycles in the wait-for graph. Each cycle lists
     /// `(task, resource the task waits for)` pairs in cycle order; the
@@ -436,7 +435,7 @@ impl Sim {
             std::env::var("SIMT_STACK").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_STACK);
         Sim {
             inner: Arc::new(Inner {
-                state: Mutex::new(State {
+                state: RawMutex::new(State {
                     now: 0,
                     next_seq: 0,
                     heap: BinaryHeap::new(),
@@ -447,8 +446,8 @@ impl Sim {
                     shutting_down: false,
                 }),
                 stack_size,
-                diag: Mutex::new(crate::diag::DiagState::default()),
-                observer: Mutex::new(None),
+                diag: RawMutex::new(crate::diag::DiagState::default()),
+                observer: RawMutex::new(None),
             }),
         }
     }
@@ -585,17 +584,18 @@ impl Drop for Sim {
 }
 
 // ---------------------------------------------------------------------------
-// Low-level wait/notify surface used by sibling modules and dependent crates.
+// Raw wait/notify surface. Crate-private: every blocking call outside this
+// crate, and every one in `sync` and `queue`, goes through `crate::wait`;
+// `cpu` wakes one job's thread at a time and `sleep` is above.
 // ---------------------------------------------------------------------------
 
 /// A one-cycle wake target: the calling green thread at its current epoch.
 ///
-/// Capture a token *before* publishing the fact that you are about to block
-/// (e.g. before releasing the lock on a queue's waiter list), then call
-/// [`park`]. Any holder of the token can [`WaitToken::wake`] you exactly once;
-/// stale tokens are ignored.
+/// Capture a token *before* publishing the fact that you are about to block,
+/// then call [`park`]. Any holder of the token can [`WaitToken::wake`] you
+/// exactly once; stale tokens are ignored.
 #[derive(Clone)]
-pub struct WaitToken {
+pub(crate) struct WaitToken {
     inner: Arc<Inner>,
     tid: TaskId,
     epoch: u64,
@@ -603,25 +603,14 @@ pub struct WaitToken {
 
 impl WaitToken {
     /// Wake the target at the current virtual time.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let now = self.inner.now();
         self.inner.schedule_wake(self.tid, self.epoch, now);
     }
 
     /// Wake the target at absolute virtual time `at`.
-    pub fn wake_at(&self, at: u64) {
+    pub(crate) fn wake_at(&self, at: u64) {
         self.inner.schedule_wake(self.tid, self.epoch, at);
-    }
-
-    /// Task this token targets.
-    pub fn task(&self) -> TaskId {
-        self.tid
-    }
-}
-
-impl std::fmt::Debug for WaitToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaitToken").field("tid", &self.tid).field("epoch", &self.epoch).finish()
     }
 }
 
@@ -657,7 +646,7 @@ impl std::fmt::Debug for EngineHandle {
 }
 
 /// Capture a wake token for the calling green thread's current block cycle.
-pub fn wait_token() -> WaitToken {
+pub(crate) fn wait_token() -> WaitToken {
     with_current(|inner, tid| WaitToken {
         inner: inner.clone(),
         tid,
@@ -668,7 +657,7 @@ pub fn wait_token() -> WaitToken {
 /// Block the calling green thread until a wake targeting its current epoch
 /// fires. Always re-check your condition in a loop: wakes can be spurious
 /// when multiple notifiers race.
-pub fn park() {
+pub(crate) fn park() {
     with_current(|inner, tid| inner.block_current(tid));
 }
 
@@ -690,6 +679,7 @@ pub fn call_soon(f: impl FnOnce() + Send + 'static) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutex::RawMutex as Mutex;
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -56,6 +56,7 @@ pub mod rng;
 pub mod sync;
 pub mod time;
 pub mod timer;
+pub mod wait;
 
 pub use cpu::Cpu;
 pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};

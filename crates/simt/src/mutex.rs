@@ -10,8 +10,8 @@
 //! sends on the virtual clock.
 //!
 //! Every guard bumps a count local to the OS thread when it is taken and when
-//! it is dropped, and [`park`](crate::engine::park) panics when the count is
-//! not zero. One count per OS thread is enough because it must read zero at
+//! it is dropped, and the engine panics at the park when the count is not
+//! zero. One count per OS thread is enough because it must read zero at
 //! every switch: whatever runs next on this OS thread starts from zero, and so
 //! does this green thread wherever it is resumed.
 
@@ -56,10 +56,25 @@ pub(crate) fn first_held() -> Option<Site> {
     })
 }
 
+/// `std`'s mutex without poisoning and without the count: what the engine
+/// itself locks with, on both sides of every context switch.
+#[derive(Default, Debug)]
+pub(crate) struct RawMutex<T>(std::sync::Mutex<T>);
+
+impl<T> RawMutex<T> {
+    pub(crate) const fn new(value: T) -> RawMutex<T> {
+        RawMutex(std::sync::Mutex::new(value))
+    }
+
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A mutual-exclusion lock without poisoning: a panic while the lock is held
 /// leaves the data as it was, and the next [`lock`](Mutex::lock) succeeds.
 #[derive(Default, Debug)]
-pub struct Mutex<T>(std::sync::Mutex<T>);
+pub struct Mutex<T>(RawMutex<T>);
 
 /// Access to the data of a locked [`Mutex`]; unlocks when dropped, which must
 /// happen before its holder blocks on the virtual clock.
@@ -68,14 +83,14 @@ pub struct MutexGuard<'a, T>(std::sync::MutexGuard<'a, T>);
 impl<T> Mutex<T> {
     /// A new, unlocked mutex.
     pub const fn new(value: T) -> Mutex<T> {
-        Mutex(std::sync::Mutex::new(value))
+        Mutex(RawMutex::new(value))
     }
 
     /// Take the lock. Green threads never contend for it (one runs at a time,
     /// and none parks with a guard alive), so this returns at once.
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = self.0.lock();
         taken(Location::caller());
         MutexGuard(guard)
     }

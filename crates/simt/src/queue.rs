@@ -7,9 +7,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::diag::{self, DiagRes};
-use crate::engine::{park, wait_token, WaitToken};
-use crate::sync::Mutex;
+use crate::sync::Shared;
+use crate::wait::WaitList;
 
 /// Error returned by receive operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,19 +31,16 @@ impl std::error::Error for RecvError {}
 
 struct QState<T> {
     items: VecDeque<T>,
-    waiters: Vec<WaitToken>,
     closed: bool,
 }
 
-/// A blocking FIFO queue between green threads.
-pub struct Queue<T> {
-    state: Arc<Mutex<QState<T>>>,
-    res: Arc<DiagRes>,
-}
+/// A blocking FIFO queue between green threads; its waiters are blocked
+/// receivers.
+pub struct Queue<T>(Arc<Shared<QState<T>>>);
 
 impl<T> Clone for Queue<T> {
     fn clone(&self) -> Self {
-        Queue { state: self.state.clone(), res: self.res.clone() }
+        Queue(self.0.clone())
     }
 }
 
@@ -55,119 +51,58 @@ impl<T> Default for Queue<T> {
 }
 
 impl<T> Queue<T> {
+    fn with_waiters(waiters: WaitList) -> Self {
+        Queue(Shared::new(QState { items: VecDeque::new(), closed: false }, waiters))
+    }
+
     /// Create an empty open queue.
     pub fn new() -> Self {
-        Queue {
-            state: Arc::new(Mutex::new(QState {
-                items: VecDeque::new(),
-                waiters: Vec::new(),
-                closed: false,
-            })),
-            res: Arc::new(DiagRes::new("queue", None)),
-        }
+        Self::with_waiters(WaitList::new("queue"))
     }
 
     /// Like [`new`](Queue::new), with a display name used by the deadlock
     /// diagnoser when a receiver is blocked on this queue.
     pub fn named(name: impl Into<String>) -> Self {
-        Queue {
-            state: Arc::new(Mutex::new(QState {
-                items: VecDeque::new(),
-                waiters: Vec::new(),
-                closed: false,
-            })),
-            res: Arc::new(DiagRes::new("queue", Some(name.into()))),
-        }
+        Self::with_waiters(WaitList::named(name))
     }
 
     /// Enqueue an item and wake any blocked receivers. Items sent after
     /// [`close`](Queue::close) are silently dropped (mirrors delivering to a
     /// torn-down socket).
     pub fn send(&self, item: T) {
-        let waiters = {
-            let mut s = self.state.lock();
+        {
+            let mut s = self.0.state.lock();
             if s.closed {
                 return;
             }
             s.items.push_back(item);
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
         }
+        self.0.waiters.notify_all();
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.state.lock().items.pop_front()
+        self.0.state.lock().items.pop_front()
     }
 
     /// Blocking receive; returns `Err(Closed)` once the queue is closed and
     /// drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut waited = false;
-        let finish = |waited: bool, r: Result<T, RecvError>| {
-            if waited {
-                diag::on_wait_end();
-            }
-            r
-        };
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(item) = s.items.pop_front() {
-                    drop(s);
-                    return finish(waited, Ok(item));
-                }
-                if s.closed {
-                    drop(s);
-                    return finish(waited, Err(RecvError::Closed));
-                }
-                s.waiters.push(wait_token());
-            }
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        self.recv_until(None)
     }
 
     /// Blocking receive with an absolute virtual-time deadline.
     pub fn recv_deadline(&self, deadline: u64) -> Result<T, RecvError> {
-        let mut waited = false;
-        let finish = |waited: bool, r: Result<T, RecvError>| {
-            if waited {
-                diag::on_wait_end();
-            }
-            r
+        self.recv_until(Some(deadline))
+    }
+
+    fn recv_until(&self, deadline: Option<u64>) -> Result<T, RecvError> {
+        let ready = || {
+            let mut s = self.0.state.lock();
+            let item = s.items.pop_front();
+            item.map(Ok).or(s.closed.then_some(Err(RecvError::Closed)))
         };
-        loop {
-            let tok = {
-                let mut s = self.state.lock();
-                if let Some(item) = s.items.pop_front() {
-                    drop(s);
-                    return finish(waited, Ok(item));
-                }
-                if s.closed {
-                    drop(s);
-                    return finish(waited, Err(RecvError::Closed));
-                }
-                if crate::now() >= deadline {
-                    drop(s);
-                    return finish(waited, Err(RecvError::Timeout));
-                }
-                let tok = wait_token();
-                s.waiters.push(tok.clone());
-                tok
-            };
-            tok.wake_at(deadline);
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        self.0.waiters.wait_until(deadline, ready).unwrap_or(Err(RecvError::Timeout))
     }
 
     /// Blocking receive with a relative timeout in nanoseconds.
@@ -178,24 +113,18 @@ impl<T> Queue<T> {
     /// Close the queue: pending items stay receivable, future sends drop, and
     /// blocked receivers observe `Closed` once drained.
     pub fn close(&self) {
-        let waiters = {
-            let mut s = self.state.lock();
-            s.closed = true;
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
-        }
+        self.0.state.lock().closed = true;
+        self.0.waiters.notify_all();
     }
 
     /// True if closed (items may still be pending).
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.0.state.lock().closed
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.state.lock().items.len()
+        self.0.state.lock().items.len()
     }
 
     /// True when no items are queued.
@@ -214,6 +143,7 @@ pub fn channel<T>() -> (Queue<T>, Queue<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Mutex;
     use crate::Sim;
 
     #[test]

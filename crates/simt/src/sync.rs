@@ -1,107 +1,65 @@
-//! Green-thread synchronization primitives built on the wait/notify core.
+//! Green-thread synchronization primitives built on [`crate::wait`].
 
 use std::sync::Arc;
 
-use crate::diag::{self, DiagRes};
-use crate::engine::{park, wait_token, WaitToken};
+use crate::diag;
 pub use crate::mutex::{Mutex, MutexGuard};
+use crate::wait::WaitList;
 
-/// A counting semaphore. Used e.g. to bound in-flight shuffle fetches.
-pub struct Semaphore {
-    state: Arc<Mutex<SemState>>,
-    res: Arc<DiagRes>,
+/// What the clones of one primitive share: its value and who waits for it.
+pub(crate) struct Shared<S> {
+    pub(crate) state: Mutex<S>,
+    pub(crate) waiters: WaitList,
 }
 
-struct SemState {
-    permits: u64,
-    waiters: Vec<WaitToken>,
-}
-
-impl Clone for Semaphore {
-    fn clone(&self) -> Self {
-        Semaphore { state: self.state.clone(), res: self.res.clone() }
+impl<S> Shared<S> {
+    pub(crate) fn new(state: S, waiters: WaitList) -> Arc<Self> {
+        Arc::new(Shared { state: Mutex::new(state), waiters })
     }
 }
+
+/// A counting semaphore. Used e.g. to bound in-flight shuffle fetches.
+#[derive(Clone)]
+pub struct Semaphore(Arc<Shared<u64>>);
 
 impl Semaphore {
     /// Create a semaphore with `permits` initial permits.
     pub fn new(permits: u64) -> Self {
-        Semaphore {
-            state: Arc::new(Mutex::new(SemState { permits, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("sem", None)),
-        }
+        Semaphore(Shared::new(permits, WaitList::new("sem")))
     }
 
     /// Like [`new`](Semaphore::new), with a display name used by the
     /// deadlock diagnoser's wait-for graph.
     pub fn named(name: impl Into<String>, permits: u64) -> Self {
-        Semaphore {
-            state: Arc::new(Mutex::new(SemState { permits, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("sem", Some(name.into()))),
-        }
+        Semaphore(Shared::new(permits, WaitList::named(name)))
     }
 
     /// Acquire `n` permits, blocking until available.
     pub fn acquire(&self, n: u64) {
-        let mut waited = false;
-        loop {
-            {
-                let mut s = self.state.lock();
-                if s.permits >= n {
-                    s.permits -= n;
-                    drop(s);
-                    if waited {
-                        diag::on_wait_end();
-                    }
-                    diag::on_acquire(&self.res);
-                    return;
-                }
-                s.waiters.push(wait_token());
-            }
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        self.0.waiters.wait_until(None, || {
+            let mut permits = self.0.state.lock();
+            (*permits >= n).then(|| *permits -= n)
+        });
+        diag::on_acquire(self.0.waiters.res());
     }
 
     /// Release `n` permits and wake waiters.
     pub fn release(&self, n: u64) {
-        diag::on_release(&self.res);
-        let waiters = {
-            let mut s = self.state.lock();
-            s.permits += n;
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
-        }
+        diag::on_release(self.0.waiters.res());
+        *self.0.state.lock() += n;
+        self.0.waiters.notify_all();
     }
 
     /// Currently available permits.
     pub fn available(&self) -> u64 {
-        self.state.lock().permits
+        *self.0.state.lock()
     }
 }
 
 /// A level-triggered notification flag (cf. `tokio::sync::Notify`, but with a
 /// sticky "set" state consumed by waiters).
-pub struct Notify {
-    state: Arc<Mutex<NotifyState>>,
-    res: Arc<DiagRes>,
-}
-
-struct NotifyState {
-    set: bool,
-    waiters: Vec<WaitToken>,
-}
-
-impl Clone for Notify {
-    fn clone(&self) -> Self {
-        Notify { state: self.state.clone(), res: self.res.clone() }
-    }
-}
+#[derive(Clone)]
+pub struct Notify(Arc<Shared<bool>>);
 
 impl Default for Notify {
     fn default() -> Self {
@@ -112,72 +70,34 @@ impl Default for Notify {
 impl Notify {
     /// New, unset.
     pub fn new() -> Self {
-        Notify {
-            state: Arc::new(Mutex::new(NotifyState { set: false, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("notify", None)),
-        }
+        Notify(Shared::new(false, WaitList::new("notify")))
     }
 
     /// Like [`new`](Notify::new), with a display name for diagnostics.
     pub fn named(name: impl Into<String>) -> Self {
-        Notify {
-            state: Arc::new(Mutex::new(NotifyState { set: false, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("notify", Some(name.into()))),
-        }
+        Notify(Shared::new(false, WaitList::named(name)))
     }
 
     /// Set the flag and wake all waiters.
     pub fn notify(&self) {
-        let waiters = {
-            let mut s = self.state.lock();
-            s.set = true;
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
-        }
+        *self.0.state.lock() = true;
+        self.0.waiters.notify_all();
     }
 
     /// Block until the flag is set, then consume it.
     pub fn wait(&self) {
-        let mut waited = false;
-        loop {
-            {
-                let mut s = self.state.lock();
-                if s.set {
-                    s.set = false;
-                    drop(s);
-                    if waited {
-                        diag::on_wait_end();
-                    }
-                    return;
-                }
-                s.waiters.push(wait_token());
-            }
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        let consume = || std::mem::take(&mut *self.0.state.lock()).then_some(());
+        self.0.waiters.wait_until(None, consume);
     }
 }
 
 /// A single-use result slot: one side puts a value, the other blocks for it.
 /// This is the simulation's `oneshot` channel, used for RPC reply futures.
-pub struct OnceCell<T> {
-    state: Arc<Mutex<OnceState<T>>>,
-    res: Arc<DiagRes>,
-}
-
-struct OnceState<T> {
-    value: Option<T>,
-    waiters: Vec<WaitToken>,
-}
+pub struct OnceCell<T>(Arc<Shared<Option<T>>>);
 
 impl<T> Clone for OnceCell<T> {
     fn clone(&self) -> Self {
-        OnceCell { state: self.state.clone(), res: self.res.clone() }
+        OnceCell(self.0.clone())
     }
 }
 
@@ -190,100 +110,39 @@ impl<T> Default for OnceCell<T> {
 impl<T> OnceCell<T> {
     /// New, empty.
     pub fn new() -> Self {
-        OnceCell {
-            state: Arc::new(Mutex::new(OnceState { value: None, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("once", None)),
-        }
+        OnceCell(Shared::new(None, WaitList::new("once")))
     }
 
     /// Like [`new`](OnceCell::new), with a display name for diagnostics.
     pub fn named(name: impl Into<String>) -> Self {
-        OnceCell {
-            state: Arc::new(Mutex::new(OnceState { value: None, waiters: Vec::new() })),
-            res: Arc::new(DiagRes::new("once", Some(name.into()))),
-        }
+        OnceCell(Shared::new(None, WaitList::named(name)))
     }
 
     /// Store the value (first write wins) and wake waiters.
     pub fn put(&self, value: T) {
-        let waiters = {
-            let mut s = self.state.lock();
-            if s.value.is_none() {
-                s.value = Some(value);
-            }
-            std::mem::take(&mut s.waiters)
-        };
-        for w in waiters {
-            w.wake();
-        }
+        self.0.state.lock().get_or_insert(value);
+        self.0.waiters.notify_all();
     }
 
     /// Block until a value is stored, then take it. Only one caller obtains
     /// the value.
     pub fn take(&self) -> T {
-        let mut waited = false;
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(v) = s.value.take() {
-                    drop(s);
-                    if waited {
-                        diag::on_wait_end();
-                    }
-                    return v;
-                }
-                s.waiters.push(wait_token());
-            }
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        self.0.waiters.wait_until(None, || self.try_take()).expect("a wait without a deadline")
     }
 
     /// Block until a value is stored or the relative timeout (ns) passes.
     pub fn take_timeout(&self, timeout: u64) -> Option<T> {
-        let deadline = crate::now().saturating_add(timeout);
-        let mut waited = false;
-        let finish = |waited: bool, v: Option<T>| {
-            if waited {
-                diag::on_wait_end();
-            }
-            v
-        };
-        loop {
-            let tok = {
-                let mut s = self.state.lock();
-                if let Some(v) = s.value.take() {
-                    drop(s);
-                    return finish(waited, Some(v));
-                }
-                if crate::now() >= deadline {
-                    drop(s);
-                    return finish(waited, None);
-                }
-                let tok = wait_token();
-                s.waiters.push(tok.clone());
-                tok
-            };
-            tok.wake_at(deadline);
-            if !waited {
-                diag::on_wait(&self.res);
-                waited = true;
-            }
-            park();
-        }
+        self.0.waiters.wait_until(Some(crate::now().saturating_add(timeout)), || self.try_take())
     }
 
     /// Non-blocking probe.
     pub fn try_take(&self) -> Option<T> {
-        self.state.lock().value.take()
+        self.0.state.lock().take()
     }
 
     /// True if a value is waiting.
     pub fn is_ready(&self) -> bool {
-        self.state.lock().value.is_some()
+        self.0.state.lock().is_some()
     }
 }
 

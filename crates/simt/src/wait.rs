@@ -1,0 +1,117 @@
+//! The one way a green thread blocks until something changes.
+//!
+//! A [`WaitList`] holds the threads waiting for one resource; whoever changes
+//! the resource calls [`WaitList::notify_all`] afterwards. A blocking call is
+//! a check handed to [`WaitList::wait_until`], which runs this loop — the only
+//! copy of it outside `sleep` and the CPU model:
+//!
+//! 1. run the check: a value ends the wait;
+//! 2. past the deadline, the wait ends without one;
+//! 3. put a token for this park on the list. No other green thread runs
+//!    between the check and the registration, so a change cannot be missed;
+//! 4. under a deadline, schedule one wake of that token at it;
+//! 5. park. `notify_all` wakes every registered thread and each runs its check
+//!    again; a token whose thread has moved on (it timed out, or was woken
+//!    through another list) is stale and costs one dropped event.
+//!
+//! The first park books the wait under the list's label, which is what
+//! [`SimReport::blocked_on`](crate::SimReport::blocked_on) shows for a thread
+//! that never came back; returning clears it.
+
+use crate::diag::{self, DiagRes};
+use crate::engine::{park, wait_token, WaitToken};
+use crate::mutex::RawMutex;
+
+/// The green threads waiting for one resource to change. It lives beside
+/// that resource, in whatever its handles share.
+pub struct WaitList {
+    res: DiagRes,
+    tokens: RawMutex<Vec<WaitToken>>,
+}
+
+/// One pass of a wait, as the check of [`WaitList::wait_watching`] sees it.
+pub struct Waiter(Option<WaitToken>);
+
+impl Waiter {
+    /// Register this pass on `list` now, before the check reads what `list`
+    /// guards. The registration stays when the check succeeds.
+    pub fn watch(&mut self, list: &WaitList) {
+        let token = self.0.get_or_insert_with(wait_token).clone();
+        list.tokens.lock().push(token);
+    }
+}
+
+impl WaitList {
+    /// A list labelled `<kind>#<n>`, where `n` counts the resources of one
+    /// simulation in the order they are first waited on.
+    pub fn new(kind: &'static str) -> WaitList {
+        WaitList { res: DiagRes::new(kind, None), tokens: RawMutex::new(Vec::new()) }
+    }
+
+    /// A list labelled `label`.
+    pub fn named(label: impl Into<String>) -> WaitList {
+        WaitList { res: DiagRes::new("", Some(label.into())), tokens: RawMutex::new(Vec::new()) }
+    }
+
+    pub(crate) fn res(&self) -> &DiagRes {
+        &self.res
+    }
+
+    /// Wake every thread registered since the last call. The change they wait
+    /// for must be visible before this runs.
+    pub fn notify_all(&self) {
+        let tokens = std::mem::take(&mut *self.tokens.lock());
+        for token in tokens {
+            token.wake();
+        }
+    }
+
+    /// Block until `ready` returns a value (`Some`) or the absolute virtual
+    /// time `deadline` passes (`None`; never without a deadline). `ready` must
+    /// not block.
+    pub fn wait_until<R>(
+        &self,
+        deadline: Option<u64>,
+        mut ready: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        self.wait_watching(deadline, |_| ready())
+    }
+
+    /// [`wait_until`](WaitList::wait_until) for a check that depends on other
+    /// lists too: it [`watch`](Waiter::watch)es each list it reads, this one
+    /// included. A pass that watched nothing is registered here, after the
+    /// check and the deadline.
+    pub fn wait_watching<R>(
+        &self,
+        deadline: Option<u64>,
+        mut ready: impl FnMut(&mut Waiter) -> Option<R>,
+    ) -> Option<R> {
+        let mut booked = false;
+        let out = loop {
+            let mut pass = Waiter(None);
+            if let Some(value) = ready(&mut pass) {
+                break Some(value);
+            }
+            if deadline.is_some_and(|d| crate::now() >= d) {
+                break None;
+            }
+            let watched = pass.0.is_some();
+            let token = pass.0.unwrap_or_else(wait_token);
+            if let Some(d) = deadline {
+                token.wake_at(d);
+            }
+            if !watched {
+                self.tokens.lock().push(token);
+            }
+            if !booked {
+                diag::on_wait(&self.res);
+                booked = true;
+            }
+            park();
+        };
+        if booked {
+            diag::on_wait_end();
+        }
+        out
+    }
+}

@@ -69,7 +69,7 @@ cmp "$CI_TMP/a/GroupByTest-MPI-2w.json" "$CI_TMP/b/GroupByTest-MPI-2w.json" || {
   exit 1
 }
 
-echo "==> detlint (determinism D1-D7, protocol P1-P3)"
+echo "==> detlint (determinism D1-D5 and D7, protocol P1-P3)"
 "$CARGO" run -q --release -p detlint
 
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
