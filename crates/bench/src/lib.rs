@@ -165,6 +165,19 @@ impl Args {
             run.suite = name;
             suite(&mut run);
         }
+        // Host side of the thread life cycle: depends on what this process ran
+        // before each cell, so it is a note and never a ledger value.
+        let s = simt::stack_stats();
+        run.suite = "simt";
+        run.note(&format!(
+            "of {} green threads spawned, {} mapped a stack and {} reused one ({} idle now, {} \
+             unmapped)",
+            s.mapped + s.reused,
+            s.mapped,
+            s.reused,
+            s.idle,
+            s.unmapped
+        ));
         run.records
     }
 }

@@ -36,6 +36,8 @@ use std::ffi::c_void;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 
+use crate::mutex::RawMutex;
+
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 compile_error!("simt's coroutine switch is written for x86_64 and aarch64 Linux only");
 
@@ -46,8 +48,15 @@ const PROT_READ_WRITE: i32 = 1 | 2;
 /// thousand of them must not be refused by the overcommit heuristic.
 const MAP_FLAGS: i32 = 0x02 | 0x20 | 0x4000 | 0x20000;
 const SC_PAGESIZE: i32 = 30;
-/// Floor for `SIMT_STACK`: room for the root frame, a panic and its hook.
+/// Floor for a stack: room for the root frame, a panic and its hook.
 const MIN_STACK: usize = 16 * 1024;
+/// Stack of every engine green thread. Simulated Spark/MPI code is ordinary
+/// blocking Rust, so stacks stay shallow; 512 KiB leaves comfortable margin.
+pub(crate) const STACK_SIZE: usize = 512 * 1024;
+/// Most stacks kept idle. Thread churn is short-lived tasks and fetches, so a small
+/// list carries the gain; an idle stack keeps the pages its threads touched, which
+/// shows in peak RSS (EXPERIMENTS.md, "Host cost of the thread lifecycle").
+const MAX_IDLE: usize = 128;
 
 extern "C" {
     fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
@@ -167,10 +176,141 @@ pub(crate) enum Step {
     Finished(Option<Payload>),
 }
 
-/// A closure and the stack it runs on.
-///
-/// The first page of `stack .. stack + len` is `PROT_NONE`: an overflow faults
-/// instead of running into the mapping below. The rest is the stack.
+/// A mapping no coroutine runs on. The first page of `base .. base + len` is
+/// `PROT_NONE` from the day it is mapped to the day it is unmapped: an overflow
+/// faults instead of running into the mapping below. The rest is the stack.
+struct Stack {
+    base: *mut u8,
+    len: usize,
+}
+
+// SAFETY: a `Stack` is the only pointer to its mapping, and whoever holds it
+// may hand it to a coroutine on any OS thread: nothing in it is bound to one.
+unsafe impl Send for Stack {}
+
+/// Host-side census of the process's green-thread stacks. Not [`crate::SimStats`]
+/// fields: what a `Sim` finds idle depends on what the process ran before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StackStats {
+    /// Stacks mapped (`mmap` + guard `mprotect`).
+    pub mapped: u64,
+    /// Green threads that started on a stack an earlier one had finished on.
+    pub reused: u64,
+    /// Stacks waiting for their next green thread right now (at most 128).
+    pub idle: u64,
+    /// Stacks unmapped: over the bound, odd-sized, or released on `ENOMEM`.
+    pub unmapped: u64,
+}
+
+/// Every stack's life cycle: mapped once, run on by one coroutine after another,
+/// idle in between (last in, first out: the warmest next), unmapped over the bound.
+struct Pool {
+    idle: Vec<Stack>,
+    stats: StackStats,
+}
+
+/// Process-wide: back-to-back `Sim`s start on warm stacks. Locked: a `Sim` may
+/// be built, run and dropped on different OS threads.
+static POOL: RawMutex<Pool> = RawMutex::new(Pool::new());
+
+/// The process's stack census (see [`StackStats`]).
+pub fn stack_stats() -> StackStats {
+    let pool = POOL.lock();
+    StackStats { idle: pool.idle.len() as u64, ..pool.stats }
+}
+
+fn page_size() -> usize {
+    // SAFETY: `sysconf` has no preconditions.
+    usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).expect("page size")
+}
+
+/// Length of an engine green thread's mapping: guard page and stack.
+fn engine_len() -> usize {
+    page_size() + STACK_SIZE
+}
+
+impl Pool {
+    const fn new() -> Pool {
+        Pool { idle: Vec::new(), stats: StackStats { mapped: 0, reused: 0, idle: 0, unmapped: 0 } }
+    }
+
+    /// A stack of `len` bytes: the last one idled, else a fresh mapping. Only
+    /// engine-sized stacks are ever idle, so the list needs no size classes.
+    fn take(&mut self, len: usize) -> Stack {
+        if len == engine_len() {
+            if let Some(stack) = self.idle.pop() {
+                self.stats.reused += 1;
+                return stack;
+            }
+        }
+        let idle = self.idle.len() as u64;
+        let live = self.stats.mapped - self.stats.unmapped - idle;
+        if let Ok(stack) = self.map(len) {
+            return stack;
+        }
+        // Either call fails with ENOMEM at the process's mapping limit. Idle
+        // stacks count against it too: let them go and ask once more.
+        self.release_idle();
+        self.map(len).unwrap_or_else(|e| {
+            panic!(
+                "simt: cannot {e} ({live} live and {idle} idle green-thread stacks, the idle ones \
+                 released before the second attempt; each takes two of the process's \
+                 `vm.max_map_count` mappings)"
+            )
+        })
+    }
+
+    /// Map `len` bytes and guard the lowest page; the error says which failed.
+    fn map(&mut self, len: usize) -> Result<Stack, String> {
+        let refused = |what: &str| {
+            let os = std::io::Error::last_os_error();
+            format!("{what} a {len}-byte green-thread stack: {os}")
+        };
+        // SAFETY: a fresh anonymous mapping at an address of the kernel's
+        // choosing aliases nothing.
+        let base = unsafe { mmap(ptr::null_mut(), len, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
+        // MAP_FAILED is -1.
+        if base as isize == -1 || base.is_null() {
+            return Err(refused("map"));
+        }
+        self.stats.mapped += 1;
+        let stack = Stack { base: base.cast(), len };
+        // SAFETY: the first page of the mapping made above, page-aligned.
+        if unsafe { mprotect(base, page_size(), PROT_NONE) } != 0 {
+            let e = refused("guard");
+            self.unmap(stack);
+            return Err(e);
+        }
+        Ok(stack)
+    }
+
+    /// Take back the stack of a coroutine that finished or was dropped.
+    fn give(&mut self, stack: Stack) {
+        if stack.len == engine_len() && self.idle.len() < MAX_IDLE {
+            self.idle.push(stack);
+        } else {
+            self.unmap(stack);
+        }
+    }
+
+    fn release_idle(&mut self) {
+        while let Some(stack) = self.idle.pop() {
+            self.unmap(stack);
+        }
+    }
+
+    fn unmap(&mut self, stack: Stack) {
+        // SAFETY: a mapping made by `map`, unmapped once: `stack` is the only
+        // pointer to it and is consumed here. Nothing runs on it — a stack is
+        // a `Stack` only before `Coroutine::new` and after `Coroutine::drop`.
+        let rc = unsafe { munmap(stack.base.cast(), stack.len) };
+        debug_assert_eq!(rc, 0, "simt: munmap of a green-thread stack failed");
+        self.stats.unmapped += 1;
+    }
+}
+
+/// A closure and the stack it runs on: `stack .. stack + len` is a [`Stack`]
+/// that `new` took from the pool and `drop` gives back.
 pub(crate) struct Coroutine {
     stack: *mut u8,
     len: usize,
@@ -196,40 +336,22 @@ pub(crate) struct Coroutine {
 unsafe impl Send for Coroutine {}
 
 impl Coroutine {
-    /// A coroutine that will run `body` on a fresh stack of `stack_size` bytes
-    /// (rounded up to whole pages, at least [`MIN_STACK`]) on first resume.
+    /// A coroutine that will run `body` on a stack of `stack_size` bytes (rounded
+    /// up to whole pages, at least [`MIN_STACK`]) on first resume.
     pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce() + Send>) -> Coroutine {
-        // SAFETY: `sysconf` has no preconditions.
-        let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).expect("page size");
+        let page = page_size();
         let len = page + stack_size.max(MIN_STACK).next_multiple_of(page);
-        // SAFETY: a fresh anonymous mapping at an address of the kernel's
-        // choosing aliases nothing.
-        let stack = unsafe { mmap(ptr::null_mut(), len, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
-        // Either call fails with ENOMEM at the process's mapping limit: a live
-        // green thread holds two mappings (guard page and stack).
-        let refused = |what: &str| -> ! {
-            panic!(
-                "simt: cannot {what} a {len}-byte green-thread stack: {} (each live green \
-                 thread takes two of the process's `vm.max_map_count` mappings)",
-                std::io::Error::last_os_error()
-            )
-        };
-        // MAP_FAILED is -1.
-        if stack as isize == -1 || stack.is_null() {
-            refused("map");
-        }
-        let stack = stack.cast::<u8>();
-        // SAFETY: the first page of the mapping made above, page-aligned.
-        if unsafe { mprotect(stack.cast(), page, PROT_NONE) } != 0 {
-            refused("guard");
-        }
+        let Stack { base: stack, len } = POOL.lock().take(len);
 
         // The context `simt_switch` will "return" into on first resume: zeroed
         // callee-saved registers and `root` as the return address.
         //
         // SAFETY: all writes land in the top 64 (x86_64) or 160 (aarch64) bytes
         // of the writable part of the mapping, which is at least `MIN_STACK`
-        // long; `top` is page-aligned, so every slot is 8-byte aligned.
+        // long; `top` is page-aligned, so every slot is 8-byte aligned. A
+        // recycled stack needs no clearing: every word the first switch pops
+        // is written here, and below it frames write before they read, as on
+        // any stack — what the last thread left there is dead bytes.
         let sp = unsafe {
             let top = stack.add(len).cast::<usize>();
             #[cfg(target_arch = "x86_64")]
@@ -290,10 +412,9 @@ impl Drop for Coroutine {
         // their destructors (a leak, not a fault: the body is `'static`). The
         // engine unwinds every green thread before it lets go of one.
         //
-        // SAFETY: the mapping made in `new`, unmapped once. Nothing runs on it:
-        // a running coroutine is borrowed by `resume`.
-        let rc = unsafe { munmap(self.stack.cast(), self.len) };
-        debug_assert_eq!(rc, 0, "simt: munmap of a green-thread stack failed");
+        // Nothing runs on the stack (a running coroutine is borrowed by
+        // `resume`) and `self` was the only pointer to it.
+        POOL.lock().give(Stack { base: self.stack, len: self.len });
     }
 }
 
@@ -441,6 +562,28 @@ mod tests {
         assert!(noise > 0.0);
         assert!(matches!(co.resume(), Step::Finished(None)));
         assert!((*out.lock() - expect).abs() < 1e-6);
+    }
+
+    #[test]
+    fn released_idle_stacks_are_unmapped_and_the_next_one_is_mapped_fresh() {
+        // A pool of its own: the process's is shared with every other test.
+        let mut pool = Pool::new();
+        let len = engine_len();
+        let stacks: Vec<Stack> = (0..3).map(|_| pool.take(len)).collect();
+        stacks.into_iter().for_each(|s| pool.give(s));
+        let warm = pool.take(len);
+        pool.give(warm);
+        assert_eq!((pool.idle.len(), pool.stats.mapped, pool.stats.reused), (3, 3, 1));
+        pool.release_idle();
+        assert_eq!((pool.idle.len(), pool.stats.unmapped), (0, 3));
+        let fresh = pool.take(len);
+        assert_eq!((pool.stats.mapped, pool.stats.reused), (4, 1));
+        // An odd-sized stack is never kept.
+        let odd = pool.take(page_size() + MIN_STACK);
+        pool.give(odd);
+        pool.give(fresh);
+        assert_eq!((pool.idle.len(), pool.stats.mapped, pool.stats.unmapped), (1, 5, 4));
+        pool.release_idle();
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub struct TaskId(pub usize);
 /// Payload used to unwind green threads when the simulation shuts down.
 struct ShutdownSignal;
 
-/// Default green-thread stack size. Simulated Spark/MPI code is ordinary
-/// blocking Rust, so stacks stay shallow; 512 KiB leaves comfortable margin.
-const DEFAULT_STACK: usize = 512 * 1024;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Blocked,
@@ -45,7 +41,7 @@ struct ThreadSlot {
     epoch: u64,
     /// The thread's stack and saved context. The engine takes it out for the
     /// length of a resume and puts it back if the thread parked; a finished
-    /// thread's is dropped on the spot, which unmaps the stack.
+    /// thread's is dropped on the spot, which frees the stack for the next.
     co: Option<Coroutine>,
     /// The thread's [`crate::with_local`] values while it is not running.
     locals: Locals,
@@ -135,7 +131,6 @@ pub struct SimStats {
 /// Shared engine internals; green threads hold an `Arc` to this.
 pub struct Inner {
     state: RawMutex<State>,
-    stack_size: usize,
     /// Wait-graph bookkeeping fed by the sync primitives; never locked while
     /// `state` is held (and vice versa) so the two cannot deadlock.
     pub(crate) diag: RawMutex<crate::diag::DiagState>,
@@ -253,17 +248,14 @@ impl Inner {
     }
 
     pub(crate) fn sleep(&self, tid: TaskId, ns: u64) {
-        let deadline = self.now().saturating_add(ns);
-        loop {
-            let (now, epoch) = {
-                let s = self.state.lock();
-                (s.now, s.threads[tid.0].epoch)
-            };
-            if now >= deadline {
-                return;
-            }
-            self.schedule_wake(tid, epoch, deadline);
+        let mut s = self.state.lock();
+        let deadline = s.now.saturating_add(ns);
+        while s.now < deadline {
+            let epoch = s.threads[tid.0].epoch;
+            s.push_event(deadline, EventKind::Wake { tid, epoch });
+            drop(s);
             self.block_current(tid);
+            s = self.state.lock();
         }
     }
 
@@ -290,7 +282,7 @@ impl Inner {
             drop(inner);
             f();
         };
-        let co = Coroutine::new(self.stack_size, Box::new(body));
+        let co = Coroutine::new(coro::STACK_SIZE, Box::new(body));
         let mut s = self.state.lock();
         let tid = TaskId(s.threads.len());
         s.threads.push(ThreadSlot {
@@ -310,34 +302,40 @@ impl Inner {
     }
 
     /// Run green thread `tid` (see [`ThreadSlot::start_running`]) until it
-    /// parks or finishes. The caller's stack is the engine's for that long.
-    fn resume(self: &Arc<Self>, tid: TaskId, mut co: Coroutine, mut locals: Locals) {
-        let outer = CURRENT.with(|c| c.borrow_mut().replace((Arc::clone(self), tid)));
+    /// parks or finishes. The caller's stack is the engine's for that long, and
+    /// its handle `me` is the thread's [`CURRENT`]: lent and handed back, not cloned.
+    fn resume(me: Arc<Self>, tid: TaskId, mut co: Coroutine, mut locals: Locals) -> Arc<Self> {
+        let outer = CURRENT.with(|c| c.borrow_mut().replace((me, tid)));
         local::swap(&mut locals);
         let step = co.resume();
         local::swap(&mut locals);
-        CURRENT.with(|c| *c.borrow_mut() = outer);
+        // Whatever ran in between (nested `Sim`s included) restored what it found.
+        let (me, _) = CURRENT.with(|c| c.replace(outer)).expect("the thread's own handle");
 
-        let mut s = self.state.lock();
-        let slot = &mut s.threads[tid.0];
-        match step {
-            Step::Suspended => {
-                debug_assert_eq!(slot.status, Status::Blocked);
-                slot.co = Some(co);
-                slot.locals = locals;
-            }
-            Step::Finished(payload) => {
-                slot.status = Status::Dead;
-                s.live -= 1;
-                if let Some(p) = payload {
-                    if !p.is::<ShutdownSignal>() && s.panic_payload.is_none() {
-                        s.panic_payload = Some(p);
-                    }
+        let finished = {
+            let mut s = me.state.lock();
+            let slot = &mut s.threads[tid.0];
+            match step {
+                Step::Suspended => {
+                    debug_assert_eq!(slot.status, Status::Blocked);
+                    slot.co = Some(co);
+                    slot.locals = locals;
+                    None
                 }
-                drop(s);
-                drop(co); // unmaps the stack now, not at shutdown
+                Step::Finished(payload) => {
+                    slot.status = Status::Dead;
+                    s.live -= 1;
+                    if let Some(p) = payload {
+                        if !p.is::<ShutdownSignal>() && s.panic_payload.is_none() {
+                            s.panic_payload = Some(p);
+                        }
+                    }
+                    Some(co)
+                }
             }
-        }
+        };
+        drop(finished); // frees the stack now, not at shutdown, and outside the lock
+        me
     }
 }
 
@@ -428,11 +426,8 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl Sim {
-    /// Create a fresh simulation with the default green-thread stack size
-    /// (overridable via the `SIMT_STACK` environment variable, in bytes).
+    /// Create a fresh simulation.
     pub fn new() -> Self {
-        let stack_size =
-            std::env::var("SIMT_STACK").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_STACK);
         Sim {
             inner: Arc::new(Inner {
                 state: RawMutex::new(State {
@@ -445,7 +440,6 @@ impl Sim {
                     panic_payload: None,
                     shutting_down: false,
                 }),
-                stack_size,
                 diag: RawMutex::new(crate::diag::DiagState::default()),
                 observer: RawMutex::new(None),
             }),
@@ -486,6 +480,7 @@ impl Sim {
     /// Run until the event heap drains. Green-thread panics are re-raised
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
+        let mut me = Arc::clone(&self.inner);
         loop {
             let mut s = self.inner.state.lock();
             if let Some(p) = s.panic_payload.take() {
@@ -511,7 +506,7 @@ impl Sim {
                     let (co, locals) = slot.start_running();
                     s.stats.wakes += 1;
                     drop(s);
-                    self.inner.resume(tid, co, locals);
+                    me = Inner::resume(me, tid, co, locals);
                 }
             }
         }
@@ -562,6 +557,7 @@ impl Sim {
         // every slot behind `next` is dead for good; a slot is looked at again
         // only if its thread caught the unwind and parked once more. Threads
         // spawned by unwinding ones are appended, and the pass reaches them.
+        let mut me = Arc::clone(&self.inner);
         let mut next = 0;
         loop {
             let mut s = self.inner.state.lock();
@@ -572,7 +568,7 @@ impl Sim {
             }
             let (co, locals) = slot.start_running();
             drop(s);
-            self.inner.resume(TaskId(next), co, locals);
+            me = Inner::resume(me, TaskId(next), co, locals);
         }
     }
 }
@@ -1059,6 +1055,31 @@ mod tests {
         .unwrap();
         assert_eq!(now, 5);
         assert!(crate::mutex::first_held().is_none());
+    }
+
+    #[test]
+    fn nested_sim_runs_on_a_green_thread_and_hands_its_identity_back() {
+        // `resume` lends the run loop's handle to `CURRENT` and takes back what
+        // it finds there: a `Sim` run from inside a green thread must leave
+        // that thread's own handle in place, at every depth.
+        let outer = Sim::new();
+        outer.spawn("outer", || {
+            crate::sleep(5);
+            let inner = Sim::new();
+            inner.spawn("inner", || {
+                assert_eq!((crate::current_name().as_str(), crate::now()), ("inner", 0));
+                // The inner engine's own stack is the outer thread's.
+                call_at(3, || assert_eq!(crate::current_name(), "outer"));
+                crate::sleep(7);
+                assert_eq!(crate::now(), 7);
+            });
+            assert_eq!(inner.run().unwrap().now, 7);
+            drop(inner);
+            assert_eq!((crate::current_name().as_str(), crate::now()), ("outer", 5));
+            crate::sleep(1);
+        });
+        assert_eq!(outer.run().unwrap().now, 6);
+        assert!(!crate::in_sim());
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod time;
 pub mod timer;
 pub mod wait;
 
+pub use coro::{stack_stats, StackStats};
 pub use cpu::Cpu;
 pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};
 pub use local::with_local;

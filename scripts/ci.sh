@@ -14,6 +14,12 @@ echo "==> cargo build --release"
 echo "==> cargo test -q"
 "$CARGO" test -q --workspace "$@"
 
+# `simt::coro` is the workspace's one `unsafe` module, and what it must survive
+# is the optimiser: register allocation around `simt_switch`, frames landing on
+# a stack the previous green thread left as it was.
+echo "==> cargo test -q --release -p simt"
+"$CARGO" test -q --release -p simt "$@"
+
 # Randomized-seed smoke: every run exercises a fresh fault schedule. The
 # seed is printed up front — replaying a failure is
 # `CHAOS_SEED=<seed> scripts/ci.sh` (the whole run is a pure function of
