@@ -95,7 +95,6 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("recovery", suites::recovery),
     ("aqe", suites::aqe),
     ("partial", suites::partial),
-    ("detlint", suites::detlint),
     ("traced", suites::traced),
     ("realdata", suites::realdata),
 ];
@@ -243,7 +242,7 @@ mod tests {
             assert!(!records.is_empty(), "{name} emitted nothing");
             for r in &records {
                 assert_eq!((r.suite, r.scale), (*name, Scale::Small));
-                assert!(r.virtual_ns > 0 || *name == "detlint", "{r:?}");
+                assert!(r.virtual_ns > 0, "{r:?}");
                 for (value, v) in &r.values {
                     assert!(*v > 0 || !["check", "shuffle_read_ns"].contains(value), "{r:?}");
                 }

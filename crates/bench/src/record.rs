@@ -8,10 +8,14 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-// detlint: allow(D1, reason = "host time of the simulator itself, printed per cell and never recorded")
-use std::time::Instant;
 
 use crate::Scale;
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: host time of the simulator itself, printed per cell and never recorded"
+)]
+type HostClock = std::time::Instant;
 
 /// One measured cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,7 +108,7 @@ pub struct Run<'a> {
     table: &'a mut dyn Write,
     /// Suite and column names of the table block being printed.
     block: Vec<&'static str>,
-    last_emit: Instant,
+    last_emit: HostClock,
 }
 
 impl<'a> Run<'a> {
@@ -120,7 +124,7 @@ impl<'a> Run<'a> {
             ledger,
             table,
             block: Vec::new(),
-            last_emit: Instant::now(),
+            last_emit: HostClock::now(),
         }
     }
 
@@ -172,7 +176,7 @@ impl<'a> Run<'a> {
             .and_then(|()| self.ledger.flush())
             .expect(io);
         self.records.push(rec.clone());
-        self.last_emit = Instant::now();
+        self.last_emit = HostClock::now();
         rec
     }
 

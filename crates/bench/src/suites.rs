@@ -286,23 +286,6 @@ pub fn table4(run: &mut Run<'_>) {
     }
 }
 
-/// detlint's two-pass workspace analysis (symbol index + D/P rules) on this
-/// repository: the tree must be clean, and the rmpi sites the protocol rules
-/// index are recorded. The file and fn counts move with every source edit, so
-/// they are printed, not recorded.
-pub fn detlint(run: &mut Run<'_>) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let analysis = detlint::analyze_workspace(&root).expect("workspace analysis");
-    for d in &analysis.diagnostics {
-        run.note(&d.render());
-    }
-    assert!(analysis.diagnostics.is_empty(), "detlint: the workspace must be clean");
-    let s = &analysis.stats;
-    run.note(&format!("{} files, {} fns indexed", s.files, s.fns));
-    let values = vec![("diagnostics", 0), ("rmpi_sites", s.rmpi_sites as i64)];
-    run.emit(&[("target", "workspace".to_string())], 0, values);
-}
-
 /// One small traced GroupBy cell: the timeline must be valid Chrome-trace
 /// JSON carrying every layer's spans. CI runs this suite in two processes
 /// with `--trace-dir` and `cmp`s the files — the export is byte-identical

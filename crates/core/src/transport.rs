@@ -393,10 +393,10 @@ impl BasicRouter {
         let tuning = *self.tuning.lock();
         let obs = comm.universe().net().obs().clone();
         simt::spawn_daemon(format!("mpi-basic-rx:{label}:r{}", comm.rank()), move || loop {
-            // This daemon is the demux loop itself, not a retry-covered
-            // request path: fetch timeouts are enforced at the requester and
-            // finalize closes the store, which errors this recv and exits.
-            // detlint: allow(P2, reason = "demux daemon; woken by store close at finalize, per-request timeouts live at the requester")
+            // This `recv` is unbounded on purpose: the daemon is the demux
+            // loop itself, not a retry-covered request path. Fetch timeouts
+            // are enforced at the requester, and finalize closes the store,
+            // which errors this recv and exits.
             let Ok((payload, _status)) = comm.recv(None, Some(BASIC_TAG)) else {
                 break;
             };
@@ -557,7 +557,7 @@ mod tests {
     fn opt_tags_from_distinct_chunks_do_not_collide() {
         // Sample the tag space the way the Optimized design actually uses
         // it: many (stream, chunk) identities on a handful of channels.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for chan in 0..8u64 {
             for stream in 0..32u64 {
                 for chunk in 0..16u32 {

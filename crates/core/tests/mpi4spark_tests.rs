@@ -1,7 +1,7 @@
 //! End-to-end MPI4Spark tests: the full wrapper-launch + DPM + MPI-Netty
 //! stack running real Spark jobs, compared functionally against Vanilla.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
@@ -55,7 +55,7 @@ fn optimized_group_by_matches_oracle() {
         sc.parallelize(pairs, 6).group_by_key(5).collect()
     });
     result.sort_by_key(|(k, _)| *k);
-    let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for i in 0..200u64 {
         oracle.entry(i % 7).or_default().push(i);
     }

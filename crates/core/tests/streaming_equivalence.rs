@@ -4,7 +4,7 @@
 //! (socket NIO, MPI-Basic, MPI-Optimized). The streamed per-chunk delivery
 //! changes *when* results surface, never *what* they decode to.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
@@ -79,7 +79,7 @@ fn streamed_chunks_decode_identically_on_every_transport() {
         let parts = rng.next_range(2, 7) as usize;
         let reduces = rng.next_range(2, 6) as usize;
 
-        let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for (k, v) in &pairs {
             oracle.entry(*k).or_default().push(*v);
         }

@@ -14,7 +14,7 @@ use simt::sync::Mutex;
 use simt::Cpu;
 
 use crate::chaos::{FaultPlan, Verdict};
-use crate::cluster::{ClusterSpec, NodeId, NodeSpec};
+use crate::cluster::{ClusterSpec, NodeId};
 use crate::model::{StackModel, Wire};
 use crate::payload::Payload;
 
@@ -72,7 +72,6 @@ impl LinkState {
 }
 
 struct NodeRt {
-    spec: NodeSpec,
     cpu: Cpu,
     /// NIC egress queue.
     egress: Mutex<LinkState>,
@@ -150,7 +149,6 @@ impl Net {
             .enumerate()
             .map(|(i, spec)| NodeRt {
                 cpu: Cpu::with_hyperthreading(spec.cores(), spec.threads_per_core),
-                spec: spec.clone(),
                 egress: Mutex::new(LinkState::default()),
                 ingress: Mutex::new(LinkState::default()),
                 disk: Mutex::new(LinkState::default()),
@@ -185,39 +183,14 @@ impl Net {
         *self.inner.chaos.lock() = Some(Arc::new(plan));
     }
 
-    /// The installed fault plan, if any.
-    pub fn chaos_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.inner.chaos.lock().clone()
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.len()
-    }
-
     /// The shared CPU resource of `node`.
     pub fn cpu(&self, node: NodeId) -> Cpu {
         self.inner.nodes[node].cpu.clone()
     }
 
-    /// Hardware spec of `node`.
-    pub fn node_spec(&self, node: NodeId) -> &NodeSpec {
-        &self.inner.nodes[node].spec
-    }
-
     /// The wire model.
     pub fn wire(&self) -> Wire {
         self.inner.wire
-    }
-
-    /// Per-node link occupancy: `(egress_busy_ns, egress_backlog_ns,
-    /// ingress_busy_ns, ingress_backlog_ns)` — diagnostics for congestion
-    /// analysis.
-    pub fn link_stats(&self, node: NodeId) -> (u64, u64, u64, u64) {
-        let n = &self.inner.nodes[node];
-        let e = n.egress.lock();
-        let i = n.ingress.lock();
-        (e.busy_ns, e.backlog_ns as u64, i.busy_ns, i.backlog_ns as u64)
     }
 
     /// Write `bytes` to `node`'s local storage, blocking the calling green
@@ -402,11 +375,6 @@ impl PortRx {
         let pkt = self.queue.try_recv()?;
         self.net.cpu(self.addr.node).execute(pkt.recv_cpu_ns);
         Some(pkt)
-    }
-
-    /// Non-blocking readiness probe without consuming or charging.
-    pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
     }
 
     /// Unbind and drain.

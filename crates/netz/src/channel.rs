@@ -116,7 +116,10 @@ pub struct ChannelCore {
 }
 
 impl ChannelCore {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a channel is its two ends, the stack, the net and both handshakes"
+    )]
     pub(crate) fn new(
         id: ChannelId,
         local_node: NodeId,

@@ -166,17 +166,6 @@ impl Message {
         }
     }
 
-    /// True for request-type messages (handled server-side).
-    pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            Message::RpcRequest { .. }
-                | Message::OneWayMessage { .. }
-                | Message::ChunkFetchRequest { .. }
-                | Message::StreamRequest { .. }
-        )
-    }
-
     /// The body, if this message type carries one.
     pub fn body(&self) -> Option<&Payload> {
         match self {
@@ -192,20 +181,6 @@ impl Message {
     /// Virtual size of the body (0 when bodiless).
     pub fn body_virtual_len(&self) -> u64 {
         self.body().map_or(0, |b| b.virtual_len)
-    }
-
-    /// Replace the body (used when a transport reattaches a body fetched
-    /// out-of-band). Panics on bodiless message types.
-    pub fn with_body(mut self, new_body: Payload) -> Message {
-        match &mut self {
-            Message::RpcRequest { body, .. }
-            | Message::RpcResponse { body, .. }
-            | Message::OneWayMessage { body }
-            | Message::ChunkFetchSuccess { body, .. }
-            | Message::StreamResponse { body, .. } => *body = new_body,
-            other => panic!("message type {:?} carries no body", other.type_id()),
-        }
-        self
     }
 
     /// Encode the `MessageWithHeader` header (paper Fig. 6): frame length,

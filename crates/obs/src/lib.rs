@@ -6,7 +6,7 @@
 //!   `simt` virtual timestamps and task identity, nesting per green thread,
 //!   with cross-process causality links (the send span id rides inside
 //!   `netz` message headers; the matching recv span records it as `link`).
-//! * **Metrics** ([`metrics::Registry`]): typed `Counter`/`Gauge`/`Histogram`
+//! * **Metrics** ([`metrics::Registry`]): typed `Counter`/`Gauge`
 //!   handles behind a single registration surface. `Registry::snapshot()` is
 //!   the one sanctioned read path — scheduler, bench reports, and chaos
 //!   tests consume [`metrics::MetricsSnapshot`]s instead of poking fields on
@@ -27,7 +27,7 @@ pub mod metrics;
 pub mod span;
 pub mod timeline;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry};
 pub use span::{current_send_span, SendScope, Span, SpanId, SpanRecord, Tracer};
 
 use simt::sync::Mutex;

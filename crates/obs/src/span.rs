@@ -81,6 +81,7 @@ pub fn current_send_span() -> SpanId {
 
 /// RAII guard installing `id` as the thread's send scope; restores the
 /// previous scope on drop.
+#[must_use = "the scope ends when the guard drops: bind it to a name, not `_`"]
 pub struct SendScope {
     prev: SpanId,
 }
@@ -251,6 +252,7 @@ struct SpanCtx {
 
 /// RAII span guard. Records itself on drop; safe to hold across blocking
 /// calls (virtual time advancing inside the span is the point).
+#[must_use = "the span ends when the guard drops: bind it to a name, not `_`"]
 pub struct Span {
     ctx: Option<SpanCtx>,
 }

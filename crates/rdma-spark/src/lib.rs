@@ -66,11 +66,6 @@ impl RdmaBackend {
         }
         b
     }
-
-    /// The shuffle-plane stack (tests/calibration).
-    pub fn shuffle_stack(&self) -> StackModel {
-        self.shuffle_conf.stack
-    }
 }
 
 impl NetworkBackend for RdmaBackend {

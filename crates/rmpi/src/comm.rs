@@ -171,6 +171,7 @@ impl std::fmt::Debug for Comm {
 /// away before [`wait`](Request::wait). A request dropped without
 /// `wait`/`cancel`/`attach` releases its slot (without a drain); any pinned
 /// message is discarded.
+#[must_use = "a dropped receive request is cancelled: `wait`, `cancel` or `attach` it"]
 pub struct Request {
     kind: RequestKind,
 }
@@ -359,6 +360,33 @@ mod tests {
                 simt::sleep(5_000_000); // all late bodies have landed
                 assert_eq!(store.len(), 0, "late bodies were absorbed, not stored");
                 assert_eq!(store.drain_len(), 0, "each drain consumed exactly once");
+            }
+        });
+    }
+
+    /// A `Request` dropped un-waited is a cancel without a drain: its slot is
+    /// gone at once, and the message it was posted for goes to the next
+    /// matching receive, in arrival order.
+    #[test]
+    fn dropped_request_frees_its_slot_and_leaves_the_message_to_the_next_recv() {
+        const TAG: u64 = 31;
+        run_ranks(2, 2, |comm| {
+            if comm.rank() == 0 {
+                simt::sleep(100_000); // after the receive was posted and dropped
+                for v in [0u32, 1] {
+                    comm.send_value(1, TAG, v, 8).unwrap();
+                }
+            } else {
+                let store = store_of(&comm);
+                let req = comm.irecv(Some(0), Some(TAG));
+                assert_eq!(store.posted_len(), 1);
+                drop(req);
+                assert_eq!((store.posted_len(), store.drain_len()), (0, 0));
+                for v in [0u32, 1] {
+                    let (got, _) = comm.recv_value::<u32>(Some(0), Some(TAG)).unwrap();
+                    assert_eq!(*got, v, "nothing was absorbed on the dropped request's behalf");
+                }
+                assert_eq!((store.posted_len(), store.len()), (0, 0));
             }
         });
     }

@@ -64,11 +64,6 @@ impl Universe {
         self.state.comms.lock().insert(id, Arc::new(CommInfo { id, groups }));
         id
     }
-
-    /// Number of registered processes (diagnostics).
-    pub fn proc_count(&self) -> usize {
-        self.state.procs.lock().len()
-    }
 }
 
 /// A rank's entry point.

@@ -24,8 +24,8 @@
 //!   `shutdown()` it aborts the process, as it always did: the wake that
 //!   follows re-raises the unwind signal inside the destructor.)
 //! * **Thread-locals are per OS thread, not per green thread.** Per-task state
-//!   goes through [`crate::with_local`]; detlint flags `thread_local!` outside
-//!   this crate.
+//!   goes through [`crate::with_local`]; `clippy.toml` bans `thread_local!`
+//!   (D7), and only `simt`'s own cells waive it.
 //! * A suspended coroutine may be resumed by another OS thread than the one it
 //!   last ran on, but only between two `Sim::run`/`Sim::shutdown` calls, never
 //!   while it runs.
@@ -331,8 +331,8 @@ pub(crate) struct Coroutine {
 // coroutine itself, so what must hold is that they do not alias state bound to
 // one OS thread. The only such state is thread-locals: `simt`'s own are
 // re-installed on every resume, the panic count is balanced whenever a green
-// thread yields (see the module invariants), and detlint keeps `thread_local!`
-// out of every other crate.
+// thread yields (see the module invariants), and `clippy.toml` (D7) keeps
+// `thread_local!` out of every other crate.
 unsafe impl Send for Coroutine {}
 
 impl Coroutine {

@@ -1003,6 +1003,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: the test is that a `Sim` may change OS threads"
+    )]
     fn sim_built_on_one_os_thread_runs_and_drops_on_another() {
         let sim = Sim::new();
         let hits = Arc::new(AtomicU64::new(0));
@@ -1023,6 +1027,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: the test is that a `Sim` may change OS threads"
+    )]
     fn parked_green_thread_continues_on_another_os_thread() {
         // Between two `run()`s a `Sim` may change OS threads with green threads
         // parked mid-body: what they reach through thread-locals afterwards

@@ -43,8 +43,17 @@
 
 // `unsafe` lives in `coro` (the context switch and its stacks) and nowhere else.
 #![deny(unsafe_code)]
+// Crate-wide because clippy reports `thread_local!` at the crate root (it finds
+// the macro through the attributes inside its expansion), where no narrower
+// `expect` is consulted.
+#![expect(
+    clippy::disallowed_macros,
+    reason = "D7: the four per-OS-thread cells (`coro::ACTIVE`, `engine::CURRENT`, `local::CURRENT`, \
+              `mutex::HELD`) are what `with_local` and the lock rule are built from; each is \
+              re-installed or reads zero at every switch"
+)]
 
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "the context switch and its stacks; see the module's SAFETY notes")]
 mod coro;
 pub mod cpu;
 pub(crate) mod diag;

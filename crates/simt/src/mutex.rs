@@ -59,11 +59,14 @@ pub(crate) fn first_held() -> Option<Site> {
 /// `std`'s mutex without poisoning and without the count: what the engine
 /// itself locks with, on both sides of every context switch.
 #[derive(Default, Debug)]
-pub(crate) struct RawMutex<T>(std::sync::Mutex<T>);
+pub(crate) struct RawMutex<T>(StdMutex<T>);
+
+#[expect(clippy::disallowed_types, reason = "D5: the one `std` lock, under the counted mutex")]
+type StdMutex<T> = std::sync::Mutex<T>;
 
 impl<T> RawMutex<T> {
     pub(crate) const fn new(value: T) -> RawMutex<T> {
-        RawMutex(std::sync::Mutex::new(value))
+        RawMutex(StdMutex::new(value))
     }
 
     pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, T> {

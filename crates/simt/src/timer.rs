@@ -20,6 +20,7 @@ use std::sync::Arc;
 /// Dropping the handle does **not** cancel the timer (a fired deadline must
 /// not depend on whether anyone kept the handle); call
 /// [`cancel`](DeadlineTimer::cancel) explicitly.
+#[must_use = "a dropped handle leaves a timer nobody can cancel"]
 pub struct DeadlineTimer {
     at: u64,
     cancelled: Arc<AtomicBool>,

@@ -154,8 +154,6 @@ pub struct ShuffleService {
     streams: Mutex<BTreeMap<u64, StreamState>>,
     next_stream: AtomicU64,
     conf: SparkConf,
-    /// Served-bytes counter (reports).
-    pub bytes_served: AtomicU64,
 }
 
 impl ShuffleService {
@@ -173,7 +171,6 @@ impl ShuffleService {
             streams: Mutex::new(BTreeMap::new()),
             next_stream: AtomicU64::new(1),
             conf,
-            bytes_served: AtomicU64::new(0),
         });
         let ctx: TransportContext =
             backend.shuffle_context(identity, net, Arc::new(SvcHandler { svc: svc.clone() }));
@@ -237,7 +234,6 @@ impl StreamManager for ShuffleService {
             blocks.push(b);
         }
         let (bytes, virt) = encode_block_group(&blocks);
-        self.bytes_served.fetch_add(virt, Ordering::Relaxed);
         // Stream bookkeeping: drop fully served streams.
         {
             let mut streams = self.streams.lock();

@@ -2,7 +2,7 @@
 //! simulated fabric, run real RDD jobs, and check results against
 //! sequential oracles.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::ClusterSpec;
@@ -69,7 +69,7 @@ fn group_by_key_matches_oracle() {
             grouped.collect()
         });
     result.sort_by_key(|(k, _)| *k);
-    let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for i in 0..200u64 {
         oracle.entry(i % 7).or_default().push(i);
     }

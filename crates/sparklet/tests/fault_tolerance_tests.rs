@@ -3,7 +3,7 @@
 //! recomputation of the lost map outputs, and retry of the failed reduce
 //! partitions — and the job still produces correct results.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::ClusterSpec;
@@ -51,7 +51,7 @@ fn shuffle_service_loss_recovers_via_lineage() {
         },
     );
     // Functional correctness after recovery.
-    let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for i in 0..300u64 {
         oracle.entry(i % 11).or_default().push(i);
     }

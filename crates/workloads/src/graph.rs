@@ -8,8 +8,8 @@
 //! multi-shuffle-per-iteration pattern that makes NWeight communication
 //! heavy in HiBench.
 
-use rand::rngs::SmallRng; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
-use rand::{Rng, SeedableRng}; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sparklet::scheduler::SparkContext;
 use sparklet::{Blob, Rdd};
 

@@ -1,7 +1,7 @@
 //! Intel HiBench micro benchmarks: Repartition and TeraSort (Table IV).
 
-use rand::rngs::SmallRng; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
-use rand::{Rng, SeedableRng}; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sparklet::scheduler::SparkContext;
 use sparklet::Blob;
 

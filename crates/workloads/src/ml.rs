@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
-use rand::{Rng, SeedableRng}; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sparklet::scheduler::SparkContext;
 use sparklet::{Blob, Rdd};
 

@@ -9,8 +9,8 @@
 //! range partitioner, which is why its breakdown names Job2 where
 //! GroupByTest names Job1 — exactly as in the paper's Fig. 10.
 
-use rand::rngs::SmallRng; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
-use rand::{Rng, SeedableRng}; // detlint: allow(D3, reason = "seeded SmallRng; every stream is derived from the workload seed")
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sparklet::scheduler::{JobMetrics, SparkContext};
 use sparklet::{Blob, Rdd};
 
@@ -157,12 +157,6 @@ pub fn group_by_app(sc: &SparkContext, cfg: OhbConfig) -> u64 {
 pub fn group_by_zipf_app(sc: &SparkContext, cfg: OhbConfig, exponent: f64) -> u64 {
     let data = generate_kv_zipf(sc, cfg, exponent);
     data.group_by_key(cfg.partitions).count()
-}
-
-/// SortByTest over zipf-keyed data.
-pub fn sort_by_zipf_app(sc: &SparkContext, cfg: OhbConfig, exponent: f64) -> u64 {
-    let data = generate_kv_zipf(sc, cfg, exponent);
-    data.sort_by_key(cfg.partitions).count()
 }
 
 /// OHB SortByTest: datagen job + sampling job + `sortByKey().count()` job.

@@ -7,9 +7,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CARGO="${CARGO:-cargo}"
+CI_TMP="$(mktemp -d "${TMPDIR:-/tmp}/mpi4spark-ci.XXXXXX")"
+trap 'rm -rf "$CI_TMP"' EXIT
 
 echo "==> cargo build --release"
 "$CARGO" build --release --workspace "$@"
+
+# The determinism rules are `clippy.toml` (DESIGN.md §5): they run here, before
+# the minutes of tests and ledger runs, and cover tests and examples too.
+# clippy checks the file itself (a path that names nothing "does not refer to
+# a reachable type"), but as a plain warning `-D warnings` does not reach.
+echo "==> clippy (-D warnings; determinism D1–D5, D7 via clippy.toml)"
+"$CARGO" clippy --workspace --all-targets "$@" -- -D warnings 2>&1 | tee "$CI_TMP/clippy.log"
+if grep -q '^warning' "$CI_TMP/clippy.log"; then
+  echo "error: clippy warned about its own configuration (clippy.toml)" >&2
+  exit 1
+fi
 
 echo "==> cargo test -q"
 "$CARGO" test -q --workspace "$@"
@@ -47,11 +60,8 @@ fi
 echo "==> chaos smoke (randomized seed: CHAOS_SEED=$CHAOS_SEED)"
 CHAOS_SEED="$CHAOS_SEED" "$CARGO" test -q --release -p sparklet --test chaos_tests "$@" -- --ignored
 
-CI_TMP="$(mktemp -d "${TMPDIR:-/tmp}/mpi4spark-ci.XXXXXX")"
-trap 'rm -rf "$CI_TMP"' EXIT
-
 # The ledger gate: every suite (figures, ablations, and the recovery / AQE /
-# partial / detlint benches, each asserting its own contracts) at small scale
+# partial benches, each asserting its own contracts) at small scale
 # must regenerate the committed small-scale records byte for byte. The ledger
 # holds only deterministic columns, so a difference is a behaviour change:
 # explain it and re-record (README "Regenerating the paper's figures").
@@ -75,9 +85,6 @@ cmp "$CI_TMP/a/GroupByTest-MPI-2w.json" "$CI_TMP/b/GroupByTest-MPI-2w.json" || {
   exit 1
 }
 
-echo "==> detlint (determinism D1-D5 and D7, protocol P1-P3)"
-"$CARGO" run -q --release -p detlint
-
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
 # against these crates' public items and may not be edited to follow them:
 # an API change that breaks it must fail here, not in the pipeline.
@@ -85,13 +92,11 @@ echo "==> benchmark harness (builds against the public API, 12 tests)"
 (cd benchmark && "$CARGO" test -q --release --offline)
 # Its Cargo.lock is frozen with it and still lists `parking_lot` under the
 # crates that dropped it, so cargo rewrites the file on every build there: put
-# the committed one back (a no-op outside a git checkout).
+# the committed one back (a no-op outside a git checkout). No clippy here: its
+# probes time the host with `Instant` by design.
 git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
 
 echo "==> cargo fmt --check"
 "$CARGO" fmt --all -- --check
-
-echo "==> cargo clippy -- -D warnings"
-"$CARGO" clippy --workspace --all-targets "$@" -- -D warnings
 
 echo "CI gate passed."

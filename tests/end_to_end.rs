@@ -3,7 +3,7 @@
 //! functional equivalence across all four systems and the paper's headline
 //! performance ordering.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fabric::ClusterSpec;
 use sparklet::deploy::ClusterConfig;
@@ -61,7 +61,7 @@ fn groupby_results_identical_across_all_four_systems() {
         assert!(engine(obs::keys::SIMT_PEAK_LIVE_THREADS) > 0, "{}", system.label());
         outcomes.push((system.label(), out.result));
     }
-    let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for i in 0..400u64 {
         oracle.entry(i % 23).or_default().push(i);
     }
@@ -85,8 +85,8 @@ fn paper_performance_ordering_holds() {
         key_range: 64,
         seed: 5,
     };
-    let mut read = HashMap::new();
-    let mut total = HashMap::new();
+    let mut read = BTreeMap::new();
+    let mut total = BTreeMap::new();
     for system in all_systems() {
         let cluster = ClusterConfig::paper_layout(spec.len(), conf());
         let out = system.run(&spec, cluster, move |sc| group_by_app(sc, cfg));

@@ -3,7 +3,7 @@
 //! multisets, sorts order totally, the virtual clock never regresses, and
 //! retried fetches decode identically to fault-free runs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simt::{for_each_case, SeededRng};
@@ -185,7 +185,7 @@ fn distributed_groupby_matches_local() {
         let records = draw_vec(rng, 1, 200, |r| (r.next_range(0, 20), r.next_range(0, 1000)));
         let input = records.clone();
         let out = run_vanilla(move |sc| sc.parallelize(input, 4).group_by_key(3).collect());
-        let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for (k, v) in &records {
             oracle.entry(*k).or_default().push(*v);
         }
