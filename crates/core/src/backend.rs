@@ -1,10 +1,12 @@
 //! The MPI4Spark network backend: plugs the MPI transports into sparklet's
 //! networking seams.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netz::{RoutePolicy, TransportConf};
-use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity};
+use simt::sync::Mutex;
+use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role};
 
 use crate::ctx::MpiProcCtx;
 use crate::transport::{BasicTuning, MpiTransportBasic, MpiTransportOptimized};
@@ -37,6 +39,10 @@ pub struct MpiBackend {
     basic_tuning: BasicTuning,
     route: RoutePolicy,
     body_timeout_ns: u64,
+    /// Each launched process's communicators, by role: the launcher
+    /// registers a process before starting it (paper §V), and `plane` looks
+    /// it up when the process builds its networking.
+    procs: Mutex<BTreeMap<Role, Arc<MpiProcCtx>>>,
 }
 
 impl MpiBackend {
@@ -49,6 +55,7 @@ impl MpiBackend {
             basic_tuning: BasicTuning::default(),
             route: design.default_route_policy(),
             body_timeout_ns: simt::time::secs(120),
+            procs: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -87,8 +94,14 @@ impl MpiBackend {
         self.route
     }
 
+    /// Give the process with `role` the communicators in `ctx`.
+    pub(crate) fn register(&self, role: Role, ctx: Arc<MpiProcCtx>) {
+        self.procs.lock().insert(role, ctx);
+    }
+
     fn mpi_ctx(&self, identity: &ProcIdentity) -> Arc<MpiProcCtx> {
-        identity.ext.clone().and_then(|e| e.downcast::<MpiProcCtx>().ok()).unwrap_or_else(|| {
+        let ctx = self.procs.lock().get(&identity.role).cloned();
+        ctx.unwrap_or_else(|| {
             panic!(
                 "process '{}' has no MpiProcCtx: MPI4Spark processes must be \
                      started by the mpi4spark launcher (paper §V)",
@@ -151,5 +164,12 @@ mod tests {
         assert_eq!(MpiBackend::new(Design::Basic).route_policy(), RoutePolicy::ALL_MESSAGES);
         let ablated = MpiBackend::new(Design::Optimized).with_route_policy(RoutePolicy::ALL_BODIES);
         assert_eq!(ablated.route_policy(), RoutePolicy::ALL_BODIES);
+    }
+
+    #[test]
+    #[should_panic(expected = "started by the mpi4spark launcher")]
+    fn unregistered_process_has_no_plane() {
+        let backend = MpiBackend::new(Design::Optimized);
+        backend.plane(Plane::Rpc, &ProcIdentity::new(Role::Executor(0), 0, "executor-0"));
     }
 }

@@ -1,21 +1,25 @@
-//! Per-process MPI context injected into Spark processes by the launcher.
+//! Per-process MPI context: the launcher registers one per Spark process
+//! with [`MpiBackend`](crate::MpiBackend), keyed by the process's role.
 
 use std::sync::Arc;
 
 use netz::CommKind;
 use rmpi::Comm;
 use simt::sync::Mutex;
+use simt::wait::WaitList;
 
 /// MPI identity of one Spark process: its primary intracommunicator (the
 /// wrapper `MPI_COMM_WORLD` for master/driver/workers; the child world —
 /// the paper's `DPM_COMM` — for executors) and the intercommunicator to the
-/// other group. Travels as the `ProcIdentity::ext` payload.
+/// other group.
 pub struct MpiProcCtx {
     /// Which group this process belongs to.
     pub kind: CommKind,
     /// Primary intracommunicator.
     pub world: Comm,
     inter: Mutex<Option<Comm>>,
+    /// Notified when `inter` is set.
+    inter_set: WaitList,
     router: Mutex<Option<Arc<crate::transport::BasicRouter>>>,
 }
 
@@ -26,6 +30,7 @@ impl MpiProcCtx {
             kind: CommKind::World,
             world,
             inter: Mutex::new(None),
+            inter_set: WaitList::new("mpi-inter"),
             router: Mutex::new(None),
         })
     }
@@ -36,6 +41,7 @@ impl MpiProcCtx {
             kind: CommKind::Dpm,
             world: child_world,
             inter: Mutex::new(Some(parent)),
+            inter_set: WaitList::new("mpi-inter"),
             router: Mutex::new(None),
         })
     }
@@ -44,6 +50,7 @@ impl MpiProcCtx {
     /// `spawn_multiple` returns).
     pub fn set_inter(&self, inter: Comm) {
         *self.inter.lock() = Some(inter);
+        self.inter_set.notify_all();
     }
 
     /// The intercommunicator, when already established.
@@ -55,12 +62,7 @@ impl MpiProcCtx {
     /// reachable before the DPM spawn completes, which cannot happen on any
     /// path that also has an executor peer — the wait is a safety net.
     pub fn inter_blocking(&self) -> Comm {
-        loop {
-            if let Some(c) = self.inter() {
-                return c;
-            }
-            simt::sleep(simt::time::micros(10));
-        }
+        self.inter_set.wait_until(None, || self.inter()).expect("no deadline, so a value")
     }
 
     /// My rank within my primary communicator (what the handshake carries).

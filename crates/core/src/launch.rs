@@ -10,7 +10,6 @@
 //! share the child world (`DPM_COMM`) and reach their parents through the
 //! returned intercommunicator.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
@@ -18,7 +17,7 @@ use rmpi::{mpiexec_with, Comm, SpawnSpec};
 use simt::queue::Queue;
 use simt::sync::{Mutex, OnceCell};
 use sparklet::deploy::{self, master, worker, ClusterConfig, ExecutorLauncher, ExecutorMain};
-use sparklet::net_backend::NetworkBackend;
+use sparklet::net_backend::{NetworkBackend, Role};
 use sparklet::scheduler::JobMetrics;
 
 use crate::backend::{Design, MpiBackend};
@@ -27,8 +26,8 @@ use crate::ctx::MpiProcCtx;
 /// One executor awaiting collective spawn: its target node plus the
 /// pre-bound entry closure (the paper's "executable specification").
 pub struct SpawnUnit {
-    /// Executor process name.
-    pub name: String,
+    /// Executor id (the process is `executor-<exec_id>`).
+    pub exec_id: usize,
     /// Node to spawn on (the worker's own node).
     pub node: NodeId,
     main: Mutex<Option<ExecutorMain>>,
@@ -49,32 +48,36 @@ impl DpmLauncher {
 }
 
 impl ExecutorLauncher for DpmLauncher {
-    fn launch(&self, _worker_index: usize, node: NodeId, exec_id: usize, main: ExecutorMain) {
-        self.agent.send(Arc::new(SpawnUnit {
-            name: format!("executor-{exec_id}"),
-            node,
-            main: Mutex::new(Some(main)),
-        }));
+    fn launch(&self, node: NodeId, exec_id: usize, main: ExecutorMain) {
+        self.agent.send(Arc::new(SpawnUnit { exec_id, node, main: Mutex::new(Some(main)) }));
     }
 }
 
 /// One collective spawn round executed by every wrapper rank: allgather the
 /// executor specifications (workers contribute one; master/driver
-/// contribute none) and spawn the executors with root 0.
-fn dpm_round(world: &Comm, ctx: &Arc<MpiProcCtx>, my_unit: Option<Arc<SpawnUnit>>) {
+/// contribute none) and spawn the executors with root 0. Each child
+/// registers its communicators with `backend` before running the executor.
+fn dpm_round(
+    world: &Comm,
+    ctx: &Arc<MpiProcCtx>,
+    backend: &Arc<MpiBackend>,
+    my_unit: Option<Arc<SpawnUnit>>,
+) {
     let units = world.allgather(my_unit, 256).expect("executor-spec allgather");
     let specs = if world.rank() == 0 {
         let specs: Vec<SpawnSpec> = units
             .into_iter()
             .flatten()
             .map(|u| {
-                let node = u.node;
-                let name = u.name.clone();
-                SpawnSpec::new(name, node, move |child_world: Comm| {
+                let backend = backend.clone();
+                SpawnSpec::new(format!("executor-{}", u.exec_id), u.node, move |child_world| {
                     let parent = child_world.parent().expect("DPM child has a parent");
-                    let ctx = MpiProcCtx::dpm_proc(child_world, parent);
+                    backend.register(
+                        Role::Executor(u.exec_id),
+                        MpiProcCtx::dpm_proc(child_world, parent),
+                    );
                     let main = u.main.lock().take().expect("executor spawned once");
-                    main(Some(ctx as Arc<dyn Any + Send + Sync>));
+                    main();
                 })
             })
             .collect();
@@ -111,7 +114,6 @@ pub fn run_app_with_backend<R: Send + Sync + 'static>(
     placements.push(cluster.driver_node);
 
     let result: OnceCell<(R, Vec<JobMetrics>)> = OnceCell::new();
-    let backend: Arc<dyn NetworkBackend> = backend;
     let mut entries: Vec<rmpi::launch::RankEntry> = Vec::with_capacity(w + 2);
 
     // Worker wrapper ranks 0..W (Fig. 3: ranks 0,1 are workers).
@@ -122,6 +124,7 @@ pub fn run_app_with_backend<R: Send + Sync + 'static>(
         let master_node = cluster.master_node;
         entries.push(Box::new(move |world: Comm| {
             let ctx = MpiProcCtx::world_proc(world.clone());
+            backend.register(Role::Worker(i), ctx.clone());
             let agent: Queue<Arc<SpawnUnit>> = Queue::new();
             let launcher = Arc::new(DpmLauncher::new(agent.clone()));
             let args = worker::WorkerArgs {
@@ -129,16 +132,15 @@ pub fn run_app_with_backend<R: Send + Sync + 'static>(
                 node,
                 index: i,
                 master_node,
-                backend,
+                backend: backend.clone(),
                 launcher,
                 conf,
-                ext: Some(ctx.clone() as Arc<dyn Any + Send + Sync>),
             };
             // "Fork" the Spark worker process (Step B).
             simt::spawn(format!("spark-worker-{i}"), move || worker::worker_main(args));
             // DPM agent: one executor wave per application.
             let unit = agent.recv().expect("worker received a LaunchExecutor command");
-            dpm_round(&world, &ctx, Some(unit));
+            dpm_round(&world, &ctx, &backend, Some(unit));
         }));
     }
 
@@ -149,15 +151,11 @@ pub fn run_app_with_backend<R: Send + Sync + 'static>(
         let node = cluster.master_node;
         entries.push(Box::new(move |world: Comm| {
             let ctx = MpiProcCtx::world_proc(world.clone());
-            let args = master::MasterArgs {
-                net,
-                node,
-                backend,
-                expected_workers: w,
-                ext: Some(ctx.clone() as Arc<dyn Any + Send + Sync>),
-            };
+            backend.register(Role::Master, ctx.clone());
+            let args =
+                master::MasterArgs { net, node, backend: backend.clone(), expected_workers: w };
             simt::spawn("spark-master", move || master::master_main(args));
-            dpm_round(&world, &ctx, None);
+            dpm_round(&world, &ctx, &backend, None);
         }));
     }
 
@@ -169,17 +167,14 @@ pub fn run_app_with_backend<R: Send + Sync + 'static>(
         let result = result.clone();
         entries.push(Box::new(move |world: Comm| {
             let ctx = MpiProcCtx::world_proc(world.clone());
-            let ext = Some(ctx.clone() as Arc<dyn Any + Send + Sync>);
+            backend.register(Role::Driver, ctx.clone());
             {
-                let net = net.clone();
-                let backend = backend.clone();
-                let cluster = cluster.clone();
+                let backend: Arc<dyn NetworkBackend> = backend.clone();
                 simt::spawn("spark-driver", move || {
-                    let out = deploy::driver_main_ext(&net, &cluster, backend, ext, app);
-                    result.put(out);
+                    result.put(deploy::driver_main(&net, &cluster, backend, app));
                 });
             }
-            dpm_round(&world, &ctx, None);
+            dpm_round(&world, &ctx, &backend, None);
         }));
     }
 

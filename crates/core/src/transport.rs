@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use fabric::Payload;
 use netz::{
@@ -491,15 +491,19 @@ impl Transport for MpiTransportBasic {
         router.ensure_receivers(&self.ctx);
         chan.pipeline.lock().add_outbound(
             "mpi-all-send",
-            Arc::new(BasicOutbound { ctx: self.ctx.clone(), policy: self.policy }),
+            Arc::new(BasicOutbound { ctx: Arc::downgrade(&self.ctx), policy: self.policy }),
         );
     }
 }
 
 /// Outbound: every routed message crosses MPI as one `(header, body)`
 /// envelope (the default policy routes all of them).
+///
+/// The context is held weakly: it owns the router, whose channel table owns
+/// this handler's channel. Once the context is gone, messages stay on the
+/// socket path.
 struct BasicOutbound {
-    ctx: Arc<MpiProcCtx>,
+    ctx: Weak<MpiProcCtx>,
     policy: RoutePolicy,
 }
 
@@ -509,13 +513,13 @@ impl OutboundHandler for BasicOutbound {
             return OutboundAction::Forward(msg);
         }
         let peer = chan.peer_handshake;
-        let Some(peer_rank) = peer.mpi_rank else {
+        let (Some(peer_rank), Some(ctx)) = (peer.mpi_rank, self.ctx.upgrade()) else {
             return OutboundAction::Forward(msg);
         };
         let header = msg.encode_header();
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let total = header.len() as u64 + body.virtual_len;
-        let (comm, dest) = self.ctx.route(peer_rank, peer.comm);
+        let (comm, dest) = ctx.route(peer_rank, peer.comm);
         comm.send(
             dest,
             BASIC_TAG,

@@ -111,7 +111,7 @@ impl Comm {
     /// Blocking matched receive. For a bounded one, [`irecv`](Comm::irecv)
     /// and [`Request::wait_timeout`].
     pub fn recv(&self, src: Option<u32>, tag: Option<u64>) -> Result<(Payload, Status), MpiError> {
-        self.me().store.recv(Matcher { comm: Some(self.comm), src, tag }).map(delivered)
+        self.me().store.recv(Matcher { comm: self.comm, src, tag }).map(delivered)
     }
 
     /// Nonblocking receive: posts a slot in the process's message store and
@@ -119,7 +119,7 @@ impl Comm {
     /// matches (at post time or on arrival), it is pinned to this request:
     /// invisible to other receives, guaranteed to be what `wait` returns.
     pub fn irecv(&self, src: Option<u32>, tag: Option<u64>) -> Request {
-        let id = self.me().store.post_recv(Matcher { comm: Some(self.comm), src, tag });
+        let id = self.me().store.post_recv(Matcher { comm: self.comm, src, tag });
         Request::recv(self.clone(), id)
     }
 

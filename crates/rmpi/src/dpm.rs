@@ -1,5 +1,5 @@
-//! Dynamic Process Management: `MPI_Comm_spawn_multiple`, parent
-//! intercommunicators, and intercomm merge.
+//! Dynamic Process Management: `MPI_Comm_spawn_multiple` and parent
+//! intercommunicators.
 //!
 //! This is the facility MPI4Spark leans on to preserve Spark's execution
 //! model (paper challenge 3): worker processes must dynamically fork
@@ -97,53 +97,6 @@ impl Comm {
         Some(self.rebind_comm(inter))
     }
 
-    /// Merge an intercommunicator into one intracommunicator
-    /// (`MPI_Intercomm_merge`): group A ranks first, then group B. All
-    /// members of both groups must call.
-    pub fn merge(&self) -> Result<Comm, MpiError> {
-        let (a, b) = {
-            let info = self.universe().state.comms.lock().get(&self.id()).unwrap().clone();
-            match &info.groups {
-                CommGroups::Inter { a, b } => (a.clone(), b.clone()),
-                CommGroups::Intra(_) => panic!("merge requires an intercommunicator"),
-            }
-        };
-        let me = self.proc_id();
-        let i_am_a = a.contains(&me);
-        let seq = self.next_coll_seq();
-        let tag = (1 << 61) | seq;
-        let merged_id: u64 = if i_am_a && a[0] == me {
-            // Group-A rank 0 performs the registration and distributes it.
-            let uni = self.universe().clone();
-            let mut members = a.clone();
-            members.extend(b.iter().copied());
-            let merged = uni.register_comm(CommGroups::Intra(members));
-            // Direct notify every other participant (A ranks then B ranks).
-            for r in 1..a.len() as u32 {
-                // Within group A we cannot use the intercomm (it addresses
-                // the remote group), so send via the merged comm itself:
-                // register first, then address A members by merged rank.
-                let m = Comm::new(uni.clone(), merged, me);
-                m.send_value(r, tag, merged.0, 16)?;
-            }
-            for r in 0..b.len() as u32 {
-                self.send_value(r, tag, merged.0, 16)?;
-            }
-            merged.0
-        } else if i_am_a {
-            // Receive on *some* communicator we're already a member of:
-            // the sender used the merged comm, whose messages arrive at our
-            // store keyed by the merged comm id we don't know yet. Instead,
-            // A-side non-roots wait on the raw store for the tag.
-            let (v, _st) = self.recv_any_comm_value::<u64>(tag)?;
-            v
-        } else {
-            let (v, _st) = self.recv_value::<u64>(Some(0), Some(tag))?;
-            *v
-        };
-        Ok(self.rebind_comm(CommId(merged_id)))
-    }
-
     /// Members of an intracommunicator (rank order).
     pub(crate) fn members(&self) -> Vec<ProcId> {
         let info = self.universe().state.comms.lock().get(&self.id()).unwrap().clone();
@@ -155,26 +108,5 @@ impl Comm {
 
     fn rebind_comm(&self, comm: CommId) -> Comm {
         Comm::new(self.universe().clone(), comm, self.proc_id())
-    }
-
-    /// Receive a typed value matching `tag` on *any* communicator — only
-    /// used by the merge bootstrap, where the receiver does not yet know the
-    /// merged communicator's id.
-    fn recv_any_comm_value<T: std::any::Any + Send + Sync + Copy>(
-        &self,
-        tag: u64,
-    ) -> Result<(T, crate::types::Status), MpiError> {
-        let uni = self.universe().clone();
-        let me = uni.state.procs.lock().get(&self.proc_id()).unwrap().clone();
-        let msg = me.store.recv_any_comm(tag)?;
-        let v = msg.payload.value_as::<T>().expect("typed receive matched another type");
-        Ok((
-            *v,
-            crate::types::Status {
-                source: msg.src_rank,
-                tag: msg.tag,
-                len: msg.payload.virtual_len,
-            },
-        ))
     }
 }

@@ -17,8 +17,7 @@
 //! * **Dynamic Process Management** — [`Comm::spawn_multiple`] mirrors
 //!   `MPI_Comm_spawn_multiple()`: spawned children share a fresh child
 //!   world (the paper's `DPM_COMM`) and talk to their parents through an
-//!   intercommunicator; [`Comm::merge`] provides the merged intracomm
-//!   (paper challenge 3 and Fig. 3 Step C).
+//!   intercommunicator (paper challenge 3 and Fig. 3 Step C).
 //!
 //! Deviations from real MPI, all documented in `DESIGN.md`: tags are `u64`
 //! (we use them to encode channel ids), payloads are [`fabric::Payload`]

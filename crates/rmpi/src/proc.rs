@@ -83,9 +83,8 @@ impl Default for MsgStore {
 /// A match predicate: communicator, optional source rank, optional tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Matcher {
-    /// Communicator to match; `None` (any) only for the intercomm-merge
-    /// bootstrap, whose receiver cannot yet know the new communicator's id.
-    pub comm: Option<CommId>,
+    /// Communicator to match.
+    pub comm: CommId,
     /// `None` = `MPI_ANY_SOURCE`.
     pub src: Option<u32>,
     /// `None` = `MPI_ANY_TAG`.
@@ -94,7 +93,7 @@ pub struct Matcher {
 
 impl Matcher {
     fn matches(&self, m: &MpiMsg) -> bool {
-        self.comm.is_none_or(|c| c == m.comm)
+        self.comm == m.comm
             && self.src.is_none_or(|s| s == m.src_rank)
             && self.tag.is_none_or(|t| t == m.tag)
     }
@@ -228,12 +227,6 @@ impl MsgStore {
     /// Blocking matched receive: a posted receive, waited for on the spot.
     pub fn recv(&self, m: Matcher) -> Result<MpiMsg, MpiError> {
         self.req_wait(self.post_recv(m), None)
-    }
-
-    /// Blocking receive matching only on `tag`, across all communicators
-    /// (see [`Matcher::comm`]).
-    pub fn recv_any_comm(&self, tag: u64) -> Result<MpiMsg, MpiError> {
-        self.recv(Matcher { comm: None, src: None, tag: Some(tag) })
     }
 
     /// Stop accepting messages and wake everyone (they observe `Finalized`).
@@ -534,15 +527,13 @@ mod tests {
             store.push(msg(1, 1, 11));
             store.push(msg(2, 0, 10));
             // Exact match takes the matching one, not FIFO head.
-            let got =
-                store.recv(Matcher { comm: Some(CommId(1)), src: Some(1), tag: Some(11) }).unwrap();
+            let got = store.recv(Matcher { comm: CommId(1), src: Some(1), tag: Some(11) }).unwrap();
             assert_eq!(got.src_rank, 1);
             // Wildcard source.
-            let got =
-                store.recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(10) }).unwrap();
+            let got = store.recv(Matcher { comm: CommId(1), src: None, tag: Some(10) }).unwrap();
             assert_eq!((got.src_rank, got.tag), (0, 10));
             // Wildcard both — only comm 2 left.
-            let got = store.recv(Matcher { comm: Some(CommId(2)), src: None, tag: None }).unwrap();
+            let got = store.recv(Matcher { comm: CommId(2), src: None, tag: None }).unwrap();
             assert_eq!(got.comm, CommId(2));
             assert!(store.is_empty());
         });
@@ -555,8 +546,7 @@ mod tests {
         let store = MsgStore::default();
         let s2 = store.clone();
         sim.spawn("rx", move || {
-            let got =
-                s2.recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(5) }).unwrap();
+            let got = s2.recv(Matcher { comm: CommId(1), src: Some(0), tag: Some(5) }).unwrap();
             assert_eq!(got.tag, 5);
             assert_eq!(simt::now(), 100);
         });
@@ -572,7 +562,7 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
+            let id = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
             assert_eq!(store.req_wait(id, Some(1_000)).err(), Some(MpiError::Timeout));
             assert_eq!((simt::now(), store.posted_len()), (1_000, 1));
             store.push(msg(1, 0, 3));
@@ -587,7 +577,7 @@ mod tests {
         let store = MsgStore::default();
         let s2 = store.clone();
         sim.spawn("rx", move || {
-            let r = s2.recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
+            let r = s2.recv(Matcher { comm: CommId(1), src: None, tag: None });
             assert_eq!(r.err(), Some(MpiError::Finalized));
         });
         sim.spawn("closer", move || {
@@ -604,10 +594,9 @@ mod tests {
             let store = MsgStore::default();
             store.push(msg(1, 0, 10));
             // Posting pins the stored message: no other receive can see it.
-            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(10) });
+            let id = store.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(10) });
             assert!(store.is_empty());
-            let rival =
-                store.post_recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(10) });
+            let rival = store.post_recv(Matcher { comm: CommId(1), src: Some(0), tag: Some(10) });
             assert_eq!(store.req_wait(rival, Some(500)).err(), Some(MpiError::Timeout));
             store.cancel_recv(rival, false);
             let got = store.req_wait(id, None).unwrap();
@@ -622,8 +611,8 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let a = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
-            let b = store.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: None });
+            let a = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
+            let b = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
             store.push(msg(1, 7, 1));
             assert!(store.take_earliest_ready(&[b]).is_none(), "the first message went to `a`");
             store.push(msg(1, 8, 2));
@@ -640,7 +629,7 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let id = store.post_recv(Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(9) });
+            let id = store.post_recv(Matcher { comm: CommId(1), src: Some(0), tag: Some(9) });
             store.cancel_recv(id, true);
             assert_eq!((store.posted_len(), store.drain_len()), (0, 1));
             store.push(msg(1, 0, 9));
@@ -659,7 +648,7 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
             let store = MsgStore::default();
-            let m = Matcher { comm: Some(CommId(1)), src: Some(0), tag: Some(9) };
+            let m = Matcher { comm: CommId(1), src: Some(0), tag: Some(9) };
             let stale = store.post_recv(m);
             store.cancel_recv(stale, true);
             // A retry posts the same content-addressed matcher.
@@ -683,8 +672,8 @@ mod tests {
         let set = CompletionSet::new();
         let (s2, set2) = (store.clone(), set.clone());
         sim.spawn("waiter", move || {
-            let a = s2.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(1) });
-            let b = s2.post_recv(Matcher { comm: Some(CommId(1)), src: None, tag: Some(2) });
+            let a = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(1) });
+            let b = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(2) });
             set2.add(&s2, a, 100);
             set2.add(&s2, b, 200);
             // Tag 2 arrives first: completion order is arrival order, not

@@ -1,6 +1,6 @@
 //! End-to-end tests of Dynamic Process Management: spawn, parent
-//! intercommunicators, child-world shuffles, and intercomm merge — the MPI
-//! machinery MPI4Spark's launcher is built on (paper §V, Fig. 3).
+//! intercommunicators and child-world shuffles — the MPI machinery
+//! MPI4Spark's launcher is built on (paper §V, Fig. 3).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -114,47 +114,6 @@ fn children_shuffle_over_child_world_dpm_comm() {
     // Each of 4 children receives the other three ranks: per-child sums are
     // (1+2+3)=6, (0+2+3)=5, (0+1+3)=4, (0+1+2)=3 → 18 total.
     assert_eq!(sum.load(Ordering::SeqCst), 18);
-}
-
-#[test]
-fn merge_builds_combined_intracomm() {
-    let merged_views = Arc::new(Mutex::new(Vec::new()));
-    let mv = merged_views.clone();
-    run(2, 2, move |world| {
-        let mv_child = mv.clone();
-        let specs = if world.rank() == 0 {
-            Some(vec![
-                SpawnSpec::new("c0", 0, {
-                    let mv = mv_child.clone();
-                    move |cw: Comm| {
-                        let parent = cw.parent().unwrap();
-                        let merged = parent.merge().unwrap();
-                        mv.lock().push(("child", merged.rank(), merged.size()));
-                        merged.barrier().unwrap();
-                    }
-                }),
-                SpawnSpec::new("c1", 1, {
-                    let mv = mv_child.clone();
-                    move |cw: Comm| {
-                        let parent = cw.parent().unwrap();
-                        let merged = parent.merge().unwrap();
-                        mv.lock().push(("child", merged.rank(), merged.size()));
-                        merged.barrier().unwrap();
-                    }
-                }),
-            ])
-        } else {
-            None
-        };
-        let inter = world.spawn_multiple(0, specs).unwrap();
-        let merged = inter.merge().unwrap();
-        mv.lock().push(("parent", merged.rank(), merged.size()));
-        merged.barrier().unwrap();
-    });
-    let mut v = merged_views.lock().clone();
-    v.sort_unstable();
-    // 2 parents (merged ranks 0,1) + 2 children (merged ranks 2,3), size 4.
-    assert_eq!(v, vec![("child", 2, 4), ("child", 3, 4), ("parent", 0, 4), ("parent", 1, 4)]);
 }
 
 #[test]

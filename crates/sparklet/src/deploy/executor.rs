@@ -1,7 +1,6 @@
 //! The executor process: task slots, block manager, shuffle service, and
 //! the `Executor` RPC endpoint.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
@@ -37,9 +36,8 @@ pub struct ExecutorArgs {
     pub conf: SparkConf,
 }
 
-/// An executor entry point, pre-bound to its arguments; the launcher passes
-/// the backend extension (MPI communicators under DPM launch).
-pub type ExecutorMain = Box<dyn FnOnce(Option<Arc<dyn Any + Send + Sync>>) + Send>;
+/// An executor entry point, pre-bound to its arguments.
+pub type ExecutorMain = Box<dyn FnOnce() + Send>;
 
 /// Test hook: shut down this executor's shuffle service (fault injection
 /// for the fetch-failure recovery path).
@@ -114,13 +112,12 @@ impl RpcEndpoint for ExecutorEndpoint {
 
 /// Executor process body: build services, register with the driver, serve
 /// tasks until stopped.
-pub fn executor_main(args: ExecutorArgs, ext: Option<Arc<dyn Any + Send + Sync>>) {
-    let identity = ProcIdentity {
-        role: Role::Executor(args.spec.exec_id),
-        node: args.node,
-        name: format!("executor-{}", args.spec.exec_id),
-        ext,
-    };
+pub fn executor_main(args: ExecutorArgs) {
+    let identity = ProcIdentity::new(
+        Role::Executor(args.spec.exec_id),
+        args.node,
+        format!("executor-{}", args.spec.exec_id),
+    );
     let env = RpcEnv::new(&args.net, &identity, &args.backend, None);
     let block_manager = Arc::new(BlockManager::new(args.spec.mem_gb));
     let (_svc, shuffle_ep) = ShuffleService::start(

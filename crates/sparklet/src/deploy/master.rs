@@ -23,8 +23,6 @@ pub struct MasterArgs {
     pub backend: Arc<dyn NetworkBackend>,
     /// Workers the master waits for before accepting applications.
     pub expected_workers: usize,
-    /// Backend extension (MPI handles under MPI4Spark).
-    pub ext: Option<Arc<dyn std::any::Any + Send + Sync>>,
 }
 
 #[derive(Clone)]
@@ -90,8 +88,7 @@ impl RpcEndpoint for MasterEndpoint {
 
 /// Master process body: serve registrations until stopped.
 pub fn master_main(args: MasterArgs) {
-    let identity =
-        ProcIdentity { role: Role::Master, node: args.node, name: "master".into(), ext: args.ext };
+    let identity = ProcIdentity::new(Role::Master, args.node, "master");
     let env = RpcEnv::new(&args.net, &identity, &args.backend, Some(MASTER_PORT));
     let stop = Notify::new();
     let ep = Arc::new(MasterEndpoint {

@@ -19,7 +19,7 @@ use fabric::{Net, NodeId};
 use simt::sync::OnceCell;
 
 use crate::config::SparkConf;
-use crate::net_backend::NetworkBackend;
+use crate::net_backend::{NetworkBackend, ProcIdentity, Role};
 use crate::rpc::RpcEnv;
 use crate::scheduler::{DagScheduler, JobMetrics, SparkContext, StopExecutor};
 
@@ -66,18 +66,17 @@ impl ClusterConfig {
 /// How a worker turns a `LaunchExecutor` command into a running executor
 /// process.
 pub trait ExecutorLauncher: Send + Sync + 'static {
-    /// Launch `main` as executor `exec_id` for worker `worker_index` on
-    /// `node`. Implementations may coordinate across workers (DPM) before
-    /// the executor actually starts.
-    fn launch(&self, worker_index: usize, node: NodeId, exec_id: usize, main: ExecutorMain);
+    /// Launch `main` as executor `exec_id` on `node`. Implementations may
+    /// coordinate across workers (DPM) before the executor actually starts.
+    fn launch(&self, node: NodeId, exec_id: usize, main: ExecutorMain);
 }
 
 /// Standalone Spark's launcher: fork a local process (`ProcessBuilder`).
 pub struct ProcessBuilderLauncher;
 
 impl ExecutorLauncher for ProcessBuilderLauncher {
-    fn launch(&self, _worker_index: usize, _node: NodeId, exec_id: usize, main: ExecutorMain) {
-        simt::spawn_daemon(format!("executor-{exec_id}"), move || main(None));
+    fn launch(&self, _node: NodeId, exec_id: usize, main: ExecutorMain) {
+        simt::spawn_daemon(format!("executor-{exec_id}"), main);
     }
 }
 
@@ -100,7 +99,6 @@ pub fn run_app<R: Send + 'static>(
             node: cluster.master_node,
             backend,
             expected_workers: cluster.worker_nodes.len(),
-            ext: None,
         };
         simt::spawn_daemon("master", move || master::master_main(args));
     }
@@ -114,7 +112,6 @@ pub fn run_app<R: Send + 'static>(
             backend: backend.clone(),
             launcher: launcher.clone(),
             conf: cluster.conf,
-            ext: None,
         };
         simt::spawn_daemon(format!("worker-{i}"), move || worker::worker_main(args));
     }
@@ -132,23 +129,7 @@ pub fn driver_main<R: Send + 'static>(
     backend: Arc<dyn NetworkBackend>,
     app: impl FnOnce(&SparkContext) -> R + Send,
 ) -> (R, Vec<JobMetrics>) {
-    driver_main_ext(net, cluster, backend, None, app)
-}
-
-/// [`driver_main`] with a backend extension (MPI communicator handles).
-pub fn driver_main_ext<R: Send + 'static>(
-    net: &Net,
-    cluster: &ClusterConfig,
-    backend: Arc<dyn NetworkBackend>,
-    ext: Option<std::sync::Arc<dyn std::any::Any + Send + Sync>>,
-    app: impl FnOnce(&SparkContext) -> R + Send,
-) -> (R, Vec<JobMetrics>) {
-    let identity = crate::net_backend::ProcIdentity {
-        role: crate::net_backend::Role::Driver,
-        node: cluster.driver_node,
-        name: "driver".into(),
-        ext,
-    };
+    let identity = ProcIdentity::new(Role::Driver, cluster.driver_node, "driver");
     let env = RpcEnv::new(net, &identity, &backend, None);
     let sched = Arc::new(DagScheduler::with_conf(cluster.conf));
     sched.attach_env(env.clone());

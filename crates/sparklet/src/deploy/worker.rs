@@ -30,14 +30,11 @@ pub struct WorkerArgs {
     pub launcher: Arc<dyn ExecutorLauncher>,
     /// Engine configuration (handed to executors).
     pub conf: SparkConf,
-    /// Backend extension (MPI handles under MPI4Spark).
-    pub ext: Option<Arc<dyn std::any::Any + Send + Sync>>,
 }
 
 struct WorkerEndpoint {
     net: Net,
     node: NodeId,
-    index: usize,
     backend: Arc<dyn NetworkBackend>,
     launcher: Arc<dyn ExecutorLauncher>,
     conf: SparkConf,
@@ -55,11 +52,11 @@ impl RpcEndpoint for WorkerEndpoint {
                 backend: self.backend.clone(),
                 conf: self.conf,
             };
-            let main: crate::deploy::ExecutorMain = Box::new(move |ext| executor_main(args, ext));
+            let main: crate::deploy::ExecutorMain = Box::new(move || executor_main(args));
             // May block coordinating with other workers (DPM allgather +
             // collective spawn under MPI4Spark, §V) — safe on this
             // endpoint's own dispatcher thread.
-            self.launcher.launch(self.index, self.node, spec.exec_id, main);
+            self.launcher.launch(self.node, spec.exec_id, main);
             return;
         }
         if msg.downcast::<StopWorker>().is_ok() {
@@ -70,18 +67,13 @@ impl RpcEndpoint for WorkerEndpoint {
 
 /// Worker process body.
 pub fn worker_main(args: WorkerArgs) {
-    let identity = ProcIdentity {
-        role: Role::Worker(args.index),
-        node: args.node,
-        name: format!("worker-{}", args.index),
-        ext: args.ext,
-    };
+    let identity =
+        ProcIdentity::new(Role::Worker(args.index), args.node, format!("worker-{}", args.index));
     let env = RpcEnv::new(&args.net, &identity, &args.backend, None);
     let stop = Notify::new();
     let ep = Arc::new(WorkerEndpoint {
         net: args.net.clone(),
         node: args.node,
-        index: args.index,
         backend: args.backend.clone(),
         launcher: args.launcher.clone(),
         conf: args.conf,

@@ -10,7 +10,6 @@
 //! * `mpi4spark::MpiBackend` — the paper's contribution: Netty with an MPI
 //!   transport (Basic or Optimized) on both planes.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
@@ -19,7 +18,7 @@ use netz::{NioTransport, RoutePolicy, RpcHandler, Transport, TransportConf, Tran
 use crate::config::SparkConf;
 
 /// What a process is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Role {
     /// Cluster master.
     Master,
@@ -40,15 +39,12 @@ pub struct ProcIdentity {
     pub node: NodeId,
     /// Diagnostic name (`worker-3`, `executor-0`).
     pub name: String,
-    /// Backend-specific context (e.g. MPI communicator handles injected by
-    /// the MPI4Spark launcher). Opaque to sparklet.
-    pub ext: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 impl ProcIdentity {
-    /// Identity without backend extensions.
+    /// Identity of the process `name` with `role` on `node`.
     pub fn new(role: Role, node: NodeId, name: impl Into<String>) -> Self {
-        ProcIdentity { role, node, name: name.into(), ext: None }
+        ProcIdentity { role, node, name: name.into() }
     }
 }
 
@@ -199,6 +195,6 @@ mod tests {
         let id = ProcIdentity::new(Role::Executor(3), 2, "executor-3");
         assert_eq!(id.role, Role::Executor(3));
         assert_eq!(id.node, 2);
-        assert!(id.ext.is_none());
+        assert_eq!(id.name, "executor-3");
     }
 }

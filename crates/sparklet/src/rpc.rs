@@ -307,7 +307,7 @@ mod tests {
     }
 
     fn identity(node: usize, name: &str) -> ProcIdentity {
-        ProcIdentity { role: Role::Driver, node, name: name.to_string(), ext: None }
+        ProcIdentity::new(Role::Driver, node, name)
     }
 
     #[test]
