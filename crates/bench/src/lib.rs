@@ -20,7 +20,6 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use fabric::ClusterSpec;
-use netz::RoutePolicy;
 pub use record::{Record, Run};
 
 /// Experiment scale.
@@ -107,16 +106,13 @@ pub struct Args {
     pub scale: Scale,
     /// `--trace-dir`.
     pub trace_dir: Option<PathBuf>,
-    /// `--route-policy`.
-    pub route_policy: Option<RoutePolicy>,
 }
 
 /// Parse `repro`'s arguments (without the program name). Unknown suites,
-/// scales, policies and flags are errors that list the valid values.
+/// scales and flags are errors that list the valid values.
 pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let names = || SUITES.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ");
-    let mut args =
-        Args { suites: Vec::new(), scale: Scale::Full, trace_dir: None, route_policy: None };
+    let mut args = Args { suites: Vec::new(), scale: Scale::Full, trace_dir: None };
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().ok_or(format!("{arg} needs a value"));
@@ -129,13 +125,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String
                 }
             }
             "--trace-dir" => args.trace_dir = Some(PathBuf::from(value()?)),
-            "--route-policy" => {
-                let v = value()?;
-                args.route_policy = Some(RoutePolicy::from_flag(&v).ok_or(format!(
-                    "unknown --route-policy '{v}'; valid: none chunk-bodies shuffle-bodies \
-                     all-bodies all-messages"
-                ))?);
-            }
             "all" => args.suites.extend_from_slice(SUITES),
             name => match SUITES.iter().find(|(n, _)| *n == name) {
                 Some(suite) => args.suites.push(*suite),
@@ -145,8 +134,7 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String
     }
     if args.suites.is_empty() {
         return Err(format!(
-            "usage: repro <suite>… [--scale small|full] [--trace-dir DIR] \
-             [--route-policy POLICY]; suites: {} all",
+            "usage: repro <suite>… [--scale small|full] [--trace-dir DIR]; suites: {} all",
             names()
         ));
     }
@@ -159,7 +147,6 @@ impl Args {
     pub fn run(&self, ledger: &mut dyn Write, table: &mut dyn Write) -> Vec<Record> {
         let mut run = Run::new(self.scale, ledger, table);
         run.trace_dir = self.trace_dir.clone();
-        run.route_policy = self.route_policy;
         for (name, suite) in &self.suites {
             run.suite = name;
             suite(&mut run);

@@ -99,8 +99,6 @@ pub struct Run<'a> {
     pub scale: Scale,
     /// `--trace-dir`: OHB cells record their timeline and write it here.
     pub trace_dir: Option<PathBuf>,
-    /// `--route-policy`: restricts `ablation-routing` to one policy.
-    pub route_policy: Option<netz::RoutePolicy>,
     pub(crate) suite: &'static str,
     /// Every record emitted so far.
     pub records: Vec<Record>,
@@ -118,7 +116,6 @@ impl<'a> Run<'a> {
         Run {
             scale,
             trace_dir: None,
-            route_policy: None,
             suite: "",
             records: Vec::new(),
             ledger,

@@ -96,23 +96,19 @@ pub fn ablation_batching(run: &mut Run<'_>) {
 /// Which message types ride MPI (§VI-E). The Optimized design sends only
 /// `ChunkFetchSuccess` and `StreamResponse` bodies over MPI, keeping headers
 /// and small RPCs on the socket path; the policy is plain backend data, so
-/// each variant is a flag flip. `--route-policy` runs one policy only.
+/// each variant is a flag flip.
 pub fn ablation_routing(run: &mut Run<'_>) {
     let (cores, gb, workers) = (run.scale.frontera_cores(), run.scale.gb(14), run.scale.workers(4));
     let cell = |run: &Run<'_>, policy| {
         super::ohb_cell(run, System::Mpi4Spark, OhbBench::GroupBy, workers, cores, gb, Some(policy))
     };
-    let policies = match run.route_policy {
-        Some(p) => vec![p],
-        None => vec![
-            RoutePolicy::NONE,
-            RoutePolicy::CHUNK_BODIES,
-            RoutePolicy::SHUFFLE_BODIES,
-            RoutePolicy::ALL_BODIES,
-        ],
-    };
     let baseline = cell(run, RoutePolicy::SHUFFLE_BODIES).breakdown.shuffle_read_ns;
-    for policy in policies {
+    for policy in [
+        RoutePolicy::NONE,
+        RoutePolicy::CHUNK_BODIES,
+        RoutePolicy::SHUFFLE_BODIES,
+        RoutePolicy::ALL_BODIES,
+    ] {
         let c = cell(run, policy);
         let read = c.breakdown.shuffle_read_ns;
         let values = vec![

@@ -132,7 +132,7 @@ impl NetworkBackend for MpiBackend {
                 self.route,
             )),
         };
-        PlaneDesc { conf: self.conf, transport, route: self.route }
+        PlaneDesc { conf: self.conf, transport }
     }
 
     fn fallback_plane(&self, _plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
@@ -140,11 +140,7 @@ impl NetworkBackend for MpiBackend {
         // Interop with healthy MPI peers works because their transports skip
         // pipeline handlers for channels whose peer handshake carries no MPI
         // rank — the server answers such channels entirely on sockets.
-        Some(PlaneDesc {
-            conf: self.conf,
-            transport: Arc::new(netz::NioTransport),
-            route: RoutePolicy::NONE,
-        })
+        Some(PlaneDesc { conf: self.conf, transport: Arc::new(netz::NioTransport) })
     }
 }
 

@@ -106,7 +106,8 @@ impl Transport for MpiTransportOptimized {
     }
 
     fn start(&self, endpoint: &Endpoint) {
-        let _ = self.pump.set(BodyPump::spawn(endpoint.clone()));
+        // One pump per transport: a repeated start must not spawn an orphan.
+        self.pump.get_or_init(|| BodyPump::spawn(endpoint.clone()));
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
@@ -474,7 +475,7 @@ impl Transport for MpiTransportBasic {
     }
 
     fn start(&self, endpoint: &Endpoint) {
-        let _ = self.endpoint.set(endpoint.downgrade());
+        self.endpoint.get_or_init(|| endpoint.downgrade());
         *self.ctx.basic_router().tuning.lock() = self.tuning;
         // The endpoint's selector loop now spins (non-blocking select +
         // iprobe) instead of blocking: continuous background CPU load.

@@ -1,6 +1,6 @@
 //! `TransportClient`: the caller-facing side of an established channel
-//! (Spark's `TransportClient`), with blocking and callback-style request
-//! APIs for RPCs, chunk fetches, and streams.
+//! (Spark's `TransportClient`), with blocking request APIs for RPCs, chunk
+//! fetches, and streams, and a callback-style chunk fetch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,18 +52,6 @@ impl TransportClient {
                 Err(NetzError::Timeout)
             }
         }
-    }
-
-    /// Send a two-way RPC; `cb` runs on the event-loop thread when the
-    /// response arrives or the channel dies.
-    pub fn send_rpc_async(
-        &self,
-        body: Payload,
-        cb: Box<dyn FnOnce(Result<Payload, NetzError>) + Send>,
-    ) {
-        let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
-        self.chan.register_rpc(request_id, cb);
-        self.chan.write(Message::RpcRequest { request_id, body });
     }
 
     /// Fire-and-forget RPC.

@@ -74,20 +74,7 @@ impl RoutePolicy {
         self.routes_type(msg.type_id()) && msg.body().is_some()
     }
 
-    /// Parse a bench/CLI flag value. Returns `None` for unknown names.
-    pub fn from_flag(name: &str) -> Option<RoutePolicy> {
-        Some(match name {
-            "none" => RoutePolicy::NONE,
-            "shuffle-bodies" => RoutePolicy::SHUFFLE_BODIES,
-            "chunk-bodies" => RoutePolicy::CHUNK_BODIES,
-            "all-bodies" => RoutePolicy::ALL_BODIES,
-            "all-messages" => RoutePolicy::ALL_MESSAGES,
-            _ => return None,
-        })
-    }
-
-    /// Flag name for the named policies (`"custom"` otherwise); inverse of
-    /// [`RoutePolicy::from_flag`] for report labels.
+    /// Report label for the named policies (`"custom"` otherwise).
     pub fn flag_name(self) -> &'static str {
         match self {
             RoutePolicy::NONE => "none",
@@ -139,11 +126,8 @@ mod tests {
 
     #[test]
     fn named_policies_roundtrip_through_flags() {
-        for name in ["none", "shuffle-bodies", "chunk-bodies", "all-bodies", "all-messages"] {
-            let p = RoutePolicy::from_flag(name).unwrap();
-            assert_eq!(p.flag_name(), name);
-        }
-        assert_eq!(RoutePolicy::from_flag("bogus"), None);
+        assert_eq!(RoutePolicy::ALL_MESSAGES.flag_name(), "all-messages");
+        assert_eq!(RoutePolicy::of(&[MessageType::RpcFailure]).flag_name(), "custom");
         assert_eq!(
             RoutePolicy::of(&[MessageType::ChunkFetchSuccess, MessageType::StreamResponse]),
             RoutePolicy::SHUFFLE_BODIES

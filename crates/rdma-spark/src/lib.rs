@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use fabric::{FabricKind, StackModel};
-use netz::{NioTransport, RoutePolicy, TransportConf};
+use netz::{NioTransport, TransportConf};
 use sparklet::config::SparkConf;
 use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity};
 
@@ -76,20 +76,13 @@ impl NetworkBackend for RdmaBackend {
     fn plane(&self, plane: Plane, _identity: &ProcIdentity) -> PlaneDesc {
         match plane {
             // Control plane: unmodified Netty-over-sockets, nothing diverted.
-            Plane::Rpc => PlaneDesc {
-                conf: self.rpc_conf,
-                transport: Arc::new(NioTransport),
-                route: RoutePolicy::NONE,
-            },
+            Plane::Rpc => PlaneDesc { conf: self.rpc_conf, transport: Arc::new(NioTransport) },
             // Shuffle plane: the UCR transport exists to carry the same
             // body set §VI-E routes (chunk and stream bodies); in this model
-            // the whole plane runs on the verbs stack, and the policy
-            // records which messages that plane is there for.
-            Plane::Shuffle => PlaneDesc {
-                conf: self.shuffle_conf,
-                transport: Arc::new(NioTransport),
-                route: RoutePolicy::SHUFFLE_BODIES,
-            },
+            // the whole plane runs on the verbs stack.
+            Plane::Shuffle => {
+                PlaneDesc { conf: self.shuffle_conf, transport: Arc::new(NioTransport) }
+            }
         }
     }
 
@@ -99,11 +92,9 @@ impl NetworkBackend for RdmaBackend {
             Plane::Rpc => None,
             // Degraded shuffle: drop from verbs to the socket stack — the
             // same path RDMA-Spark's IPoIB fallback takes when UCR fails.
-            Plane::Shuffle => Some(PlaneDesc {
-                conf: self.rpc_conf,
-                transport: Arc::new(NioTransport),
-                route: RoutePolicy::NONE,
-            }),
+            Plane::Shuffle => {
+                Some(PlaneDesc { conf: self.rpc_conf, transport: Arc::new(NioTransport) })
+            }
         }
     }
 }
@@ -121,9 +112,7 @@ mod tests {
         let rpc = b.plane(Plane::Rpc, &id);
         let shuffle = b.plane(Plane::Shuffle, &id);
         assert_eq!(rpc.conf.stack.name, "JavaSockets/IPoIB");
-        assert_eq!(rpc.route, RoutePolicy::NONE);
         assert_eq!(shuffle.conf.stack.name, "RDMA/UCR");
-        assert_eq!(shuffle.route, RoutePolicy::SHUFFLE_BODIES);
         assert_eq!(b.name(), "rdma-spark");
     }
 

@@ -324,7 +324,11 @@ mod tests {
             let net = Net::new(&ClusterSpec::test(2));
             mpiexec(&net, &[0, 1], |comm| {
                 if comm.rank() == 1 {
-                    let _ = comm.recv(Some(0), Some(404)); // nobody sends this
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "nobody sends tag 404: the receive never returns"
+                    )]
+                    let _ = comm.recv(Some(0), Some(404));
                 }
             });
         });

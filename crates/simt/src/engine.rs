@@ -663,15 +663,6 @@ pub fn call_at(at: u64, f: impl FnOnce() + Send + 'static) {
     with_current(|inner, _| inner.schedule_call(at, Box::new(f)));
 }
 
-/// Run `f` on the engine's stack at the current virtual time (after the
-/// current thread next yields).
-pub fn call_soon(f: impl FnOnce() + Send + 'static) {
-    with_current(|inner, _| {
-        let now = inner.now();
-        inner.schedule_call(now, Box::new(f))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,6 +772,10 @@ mod tests {
         sim.spawn("stuck-guy", park);
         let q = crate::queue::Queue::<u32>::named("inbox");
         sim.spawn("mail-guy", move || {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "nobody sends: the receive never returns"
+            )]
             let _ = q.recv();
         });
         let r = sim.run().unwrap();
@@ -896,7 +891,7 @@ mod tests {
     fn green_thread_panic_propagates() {
         let sim = Sim::new();
         sim.spawn("bad", || panic!("boom"));
-        let _ = sim.run();
+        sim.run().unwrap();
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod queue;
 pub mod rng;
 pub mod sync;
 pub mod time;
-pub mod timer;
 pub mod wait;
 
 pub use coro::{stack_stats, StackStats};
@@ -73,7 +72,6 @@ pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};
 pub use local::with_local;
 pub use rng::{for_each_case, SeededRng};
 pub use time::{Duration, Instant};
-pub use timer::DeadlineTimer;
 
 use engine::with_current;
 

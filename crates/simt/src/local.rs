@@ -82,7 +82,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("t", || {
             with_local(|m: &mut Mark| m.0 = 1);
-            crate::engine::call_soon(|| assert_eq!(with_local(|m: &mut Mark| m.0), 7));
+            crate::engine::call_at(crate::now(), || assert_eq!(with_local(|m: &mut Mark| m.0), 7));
             crate::sleep(1);
         });
         sim.run().unwrap().assert_clean();

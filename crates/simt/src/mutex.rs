@@ -155,6 +155,10 @@ mod tests {
         let line = line!() + 2;
         let msg = park_panic(move || {
             for q in m.lock().iter() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the park panics before it returns"
+                )]
                 let _ = q.recv();
             }
         });

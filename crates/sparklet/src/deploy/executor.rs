@@ -82,6 +82,11 @@ impl RpcEndpoint for ExecutorEndpoint {
                 ctx.metrics.counter(obs::keys::TASK_RUN_NS).add(simt::now() - t0);
                 let metrics = ctx.metrics.snapshot();
                 let wire = 256 + metrics.counter(obs::keys::TASK_RESULT_BYTES);
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a lost completion is a straggler to the scheduler: speculation or the \
+                              next attempt covers it"
+                )]
                 let _ = driver.send_sized(
                     TaskFinishedMsg {
                         stage_seq: task.stage_seq,

@@ -69,6 +69,10 @@ impl RpcEndpoint for MasterEndpoint {
                     mem_gb: app.executor_mem_gb,
                     jar_bytes: app.jar_bytes,
                 };
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "an unreachable worker registers no executor; the driver keeps asking"
+                )]
                 let _ = w.rpc.send(LaunchExecutorCmd { spec });
             }
             if let Some(reply) = reply {
@@ -79,6 +83,7 @@ impl RpcEndpoint for MasterEndpoint {
         if msg.downcast::<StopCluster>().is_ok() {
             let workers = self.workers.lock().clone();
             for w in &workers {
+                #[expect(clippy::let_underscore_must_use, reason = "an unreachable worker is gone")]
                 let _ = w.rpc.send(StopWorker);
             }
             self.stop.notify();

@@ -199,8 +199,10 @@ pub fn driver_main<R: Send + 'static>(
 
     // Teardown: stop executors, then the cluster.
     for exec in sched.executors() {
+        #[expect(clippy::let_underscore_must_use, reason = "an unreachable executor is gone")]
         let _ = exec.rpc.send(StopExecutor);
     }
+    #[expect(clippy::let_underscore_must_use, reason = "an unreachable master is gone")]
     let _ = master_ref.send(StopCluster);
     simt::sleep(simt::time::millis(5));
     env.shutdown();

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use fabric::{Net, NodeId};
-use netz::{NioTransport, RoutePolicy, RpcHandler, Transport, TransportConf, TransportContext};
+use netz::{NioTransport, RpcHandler, Transport, TransportConf, TransportContext};
 
 use crate::config::SparkConf;
 
@@ -58,25 +58,24 @@ pub enum Plane {
     Shuffle,
 }
 
-/// A backend's declaration for one plane: the cost-model configuration, the
-/// transport that installs the plane's pipeline handlers, and the
-/// body-routing policy the transport applies (paper §VI-E). This is the one
-/// place a backend states what a plane runs on — `TransportContext`
-/// construction is derived from it instead of duplicated per backend.
+/// A backend's declaration for one plane: the cost-model configuration and
+/// the transport that installs the plane's pipeline handlers (a transport
+/// that diverts bodies out-of-band carries its own routing policy, paper
+/// §VI-E). This is the one place a backend states what a plane runs on —
+/// `TransportContext` construction is derived from it instead of duplicated
+/// per backend.
 pub struct PlaneDesc {
     /// Timeouts and cost stack for the plane.
     pub conf: TransportConf,
     /// Transport wiring the plane's channels.
     pub transport: Arc<dyn Transport>,
-    /// Which message types the transport diverts out-of-band.
-    pub route: RoutePolicy,
 }
 
 /// Factory for each process's transport contexts.
 ///
 /// Backends implement [`NetworkBackend::plane`] only; context construction
 /// is provided. This is the seam the three evaluated systems differ at —
-/// each declares per-plane stacks and routing in one method.
+/// each declares its per-plane stacks in one method.
 pub trait NetworkBackend: Send + Sync + 'static {
     /// Name used in reports (`vanilla`, `rdma`, `mpi-optimized`, ...).
     fn name(&self) -> &'static str;
@@ -170,7 +169,7 @@ impl NetworkBackend for VanillaBackend {
     fn plane(&self, _plane: Plane, _identity: &ProcIdentity) -> PlaneDesc {
         // Same socket stack on both planes; header and body share the
         // socket frame, so nothing is routed out-of-band.
-        PlaneDesc { conf: self.conf, transport: Arc::new(NioTransport), route: RoutePolicy::NONE }
+        PlaneDesc { conf: self.conf, transport: Arc::new(NioTransport) }
     }
 }
 
@@ -186,7 +185,6 @@ mod tests {
         for plane in [Plane::Rpc, Plane::Shuffle] {
             let desc = backend.plane(plane, &id);
             assert_eq!(desc.conf.stack.name, "JavaSockets/IPoIB");
-            assert_eq!(desc.route, RoutePolicy::NONE);
         }
     }
 

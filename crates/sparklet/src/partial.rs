@@ -5,8 +5,8 @@
 //! `PartialResult`, `BoundedDouble`) onto the deterministic scheduler: an
 //! approximate action submits its job with a [`JobOptions`] evaluator
 //! attached, the stage event loop feeds every completed result partition
-//! into [`ApproximateEvaluator::merge`], and a virtual-clock deadline
-//! ([`simt::DeadlineTimer`]) bounds the wait — at expiry the driver gets
+//! into [`ApproximateEvaluator::merge`], and a virtual-clock deadline (one
+//! `simt::engine::call_at` event) bounds the wait — at expiry the driver gets
 //! the evaluator's best current answer plus `{partitions_seen, total,
 //! confidence}` instead of blocking on the last straggler.
 //!

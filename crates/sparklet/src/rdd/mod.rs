@@ -22,6 +22,7 @@ use crate::partial::{
     MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
 };
 use crate::rpc::AnyMsg;
+use crate::scheduler::DagScheduler;
 use crate::shuffle::{combine_by_key, combine_pairs, group_pairs, FetchFailed, MapStatus};
 use crate::task::TaskContext;
 
@@ -136,6 +137,7 @@ pub struct JobState {
     eval: Mutex<Option<Box<dyn ErasedEvaluator>>>,
     seen: AtomicUsize,
     deadline_fired: AtomicBool,
+    completed: AtomicBool,
     done: simt::sync::OnceCell<Option<Vec<AnyMsg>>>,
 }
 
@@ -148,6 +150,7 @@ impl JobState {
             eval: Mutex::new(opts.evaluator),
             seen: AtomicUsize::new(0),
             deadline_fired: AtomicBool::new(false),
+            completed: AtomicBool::new(false),
             done: simt::sync::OnceCell::new(),
         })
     }
@@ -170,10 +173,23 @@ impl JobState {
         self.deadline_fired.store(true, Ordering::SeqCst);
     }
 
+    /// True once the job's `DeadlineExpired` event was consumed; every layer
+    /// of the stage engine then unwinds without scheduling further work.
+    pub(crate) fn deadline_fired(&self) -> bool {
+        self.deadline_fired.load(Ordering::SeqCst)
+    }
+
     /// Publish the job's terminal state: `Some(results)` on completion,
     /// `None` when the deadline cut it short.
     pub(crate) fn complete(&self, results: Option<Vec<AnyMsg>>) {
+        self.completed.store(true, Ordering::SeqCst);
         self.done.put(results);
+    }
+
+    /// True once [`complete`](JobState::complete) ran (it stays true after
+    /// the driver takes the results).
+    pub(crate) fn is_complete(&self) -> bool {
+        self.completed.load(Ordering::SeqCst)
     }
 
     fn current<R: Clone + Send + Sync + 'static>(&self) -> Option<PartialResult<R>> {
@@ -193,8 +209,8 @@ impl JobState {
 
 /// A submitted job. Await it with [`wait`](JobHandle::wait), or observe it
 /// while it runs: [`poll`](JobHandle::poll) reads the evaluator's running
-/// answer, the counters report progress. The handle does not cancel on
-/// drop — an abandoned job runs to completion (or to its deadline).
+/// answer and its progress. The handle does not cancel on drop — an
+/// abandoned job runs to completion (or to its deadline).
 pub struct JobHandle {
     state: Arc<JobState>,
 }
@@ -217,24 +233,9 @@ impl JobHandle {
         self.state.current::<R>()
     }
 
-    /// Result partitions folded so far.
-    pub fn partitions_seen(&self) -> usize {
-        self.state.seen.load(Ordering::SeqCst)
-    }
-
-    /// Result partitions the job computes in full.
-    pub fn total_partitions(&self) -> usize {
-        self.state.total
-    }
-
-    /// True once the deadline fired (the job will not produce exact results).
-    pub fn deadline_fired(&self) -> bool {
-        self.state.deadline_fired.load(Ordering::SeqCst)
-    }
-
     /// True once the job reached a terminal state (completed or expired).
     pub fn is_complete(&self) -> bool {
-        self.state.done.is_ready()
+        self.state.is_complete()
     }
 }
 
@@ -261,17 +262,7 @@ impl JobOutcome {
 
     /// True when the deadline fired before completion.
     pub fn deadline_fired(&self) -> bool {
-        self.state.deadline_fired.load(Ordering::SeqCst)
-    }
-
-    /// Result partitions folded into the evaluator.
-    pub fn partitions_seen(&self) -> usize {
-        self.state.seen.load(Ordering::SeqCst)
-    }
-
-    /// Result partitions the job would compute in full.
-    pub fn total_partitions(&self) -> usize {
-        self.state.total
+        self.state.deadline_fired()
     }
 
     /// The evaluator's answer — exact when the job completed, a confidence
@@ -281,17 +272,8 @@ impl JobOutcome {
     }
 }
 
-/// Executes jobs (implemented by the DAG scheduler; test harnesses may
-/// substitute a local runner).
-pub trait JobRunner: Send + Sync + 'static {
-    /// Submit a job; returns immediately with a handle. Exact actions wait
-    /// on the handle; approximate actions attach an evaluator and a
-    /// deadline through `opts`.
-    fn submit_job(&self, job: JobSpec, opts: JobOptions) -> JobHandle;
-}
-
 /// Application-level shared state: id generators, configuration, and the
-/// job runner (held by every RDD so actions can submit jobs).
+/// scheduler (held by every RDD so actions can submit jobs).
 pub struct AppCore {
     /// Engine configuration.
     pub conf: SparkConf,
@@ -299,22 +281,18 @@ pub struct AppCore {
     pub default_parallelism: usize,
     next_rdd: AtomicU64,
     next_shuffle: AtomicU32,
-    runner: Arc<dyn JobRunner>,
+    sched: Arc<DagScheduler>,
 }
 
 impl AppCore {
     /// New application state.
-    pub fn new(
-        conf: SparkConf,
-        default_parallelism: usize,
-        runner: Arc<dyn JobRunner>,
-    ) -> Arc<Self> {
+    pub fn new(conf: SparkConf, default_parallelism: usize, sched: Arc<DagScheduler>) -> Arc<Self> {
         Arc::new(AppCore {
             conf,
             default_parallelism,
             next_rdd: AtomicU64::new(1),
             next_shuffle: AtomicU32::new(0),
-            runner,
+            sched,
         })
     }
 
@@ -324,16 +302,6 @@ impl AppCore {
 
     pub(crate) fn new_shuffle_id(&self) -> u32 {
         self.next_shuffle.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Submit a job with options (the one submission seam).
-    pub fn submit(&self, job: JobSpec, opts: JobOptions) -> JobHandle {
-        self.runner.submit_job(job, opts)
-    }
-
-    /// Submit on the exact path and block until completion.
-    pub fn run(&self, job: JobSpec) -> Vec<AnyMsg> {
-        self.submit(job, JobOptions::default()).wait().into_results()
     }
 }
 
@@ -527,7 +495,7 @@ impl<T: Element> Rdd<T> {
             adaptive,
             action: action.to_string(),
         };
-        self.core.submit(job, opts)
+        self.core.sched.submit_job(job, opts)
     }
 
     /// Run `f` over every partition's records; returns per-partition values.

@@ -20,7 +20,7 @@ mod stage;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use simt::queue::Queue;
 use simt::sync::Mutex;
@@ -28,17 +28,15 @@ use simt::sync::Mutex;
 use crate::config::SparkConf;
 use crate::data::Element;
 use crate::rdd::ops::{GenerateRdd, ParallelizeRdd};
-use crate::rdd::{
-    AppCore, JobHandle, JobOptions, JobRunner, JobSpec, JobState, Rdd, TaskOutput, TaskRunner,
-};
+use crate::rdd::{AppCore, JobHandle, JobOptions, JobSpec, JobState, Rdd, TaskOutput, TaskRunner};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcEnv, RpcRef};
 use crate::shuffle::MapOutputTrackerMaster;
 
 /// Timing and traffic for one stage.
 ///
 /// Traffic figures are the merged [`obs::MetricsSnapshot`]s of the stage's
-/// tasks; read them through the accessors (or query the snapshot directly
-/// with the `task.*` keys in [`obs::keys`]).
+/// tasks; read them with `metrics.counter` and the `task.*` keys in
+/// [`obs::keys`].
 #[derive(Debug, Clone)]
 pub struct StageMetrics {
     /// Stage label (`Job1-ShuffleMapStage`, `Job1-ResultStage`, ...).
@@ -59,26 +57,6 @@ impl StageMetrics {
     /// Wall (virtual) duration.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns - self.start_ns
-    }
-
-    /// Total time tasks spent blocked on remote shuffle data (ns).
-    pub fn fetch_wait_ns(&self) -> u64 {
-        self.metrics.counter(obs::keys::TASK_FETCH_WAIT_NS)
-    }
-
-    /// Virtual bytes fetched from remote executors.
-    pub fn remote_bytes(&self) -> u64 {
-        self.metrics.counter(obs::keys::TASK_REMOTE_BYTES)
-    }
-
-    /// Virtual bytes read from local blocks.
-    pub fn local_bytes(&self) -> u64 {
-        self.metrics.counter(obs::keys::TASK_LOCAL_BYTES)
-    }
-
-    /// Records produced across the stage's tasks.
-    pub fn records_out(&self) -> u64 {
-        self.metrics.counter(obs::keys::TASK_RECORDS_OUT)
     }
 }
 
@@ -193,10 +171,11 @@ pub(crate) enum SchedEvent {
         output: TaskOutput,
         metrics: obs::MetricsSnapshot,
     },
-    /// A job's virtual-clock deadline fired ([`simt::DeadlineTimer`] posts
-    /// this from the engine thread, totally ordered with task completions).
-    /// Stale instances — the job already completed, or a later job is
-    /// draining the queue — are dropped by the `job_id` check.
+    /// A job's virtual-clock deadline fired (an `engine::call_at` event
+    /// posts this from the engine's stack, totally ordered with task
+    /// completions). Stale instances — the job completed at the deadline's
+    /// own instant, or a later job is draining the queue — are dropped by
+    /// the `job_id` check.
     DeadlineExpired {
         job_id: u32,
     },
@@ -216,11 +195,6 @@ pub struct ExecutorHandle {
 /// The driver-side scheduler.
 pub struct DagScheduler {
     env: OnceLock<Arc<RpcEnv>>,
-    /// Weak self-pointer so `submit_job` can hand an owned reference to the
-    /// per-job driver green thread; bound once by [`bind_self`].
-    ///
-    /// [`bind_self`]: DagScheduler::bind_self
-    self_ref: OnceLock<Weak<DagScheduler>>,
     conf: SparkConf,
     executors: Mutex<Vec<ExecutorHandle>>,
     events: Queue<SchedEvent>,
@@ -250,10 +224,17 @@ impl DagScheduler {
 
     /// Fresh scheduler driven by `conf` (stage-attempt cap, speculation
     /// policy).
+    ///
+    /// # Panics
+    /// When speculation is enabled with a zero `speculation.interval_ns`:
+    /// the attempt loop's tick would never advance the virtual clock.
     pub fn with_conf(conf: SparkConf) -> Self {
+        assert!(
+            !conf.speculation.enabled || conf.speculation.interval_ns > 0,
+            "speculation.interval_ns must be positive when speculation is enabled"
+        );
         DagScheduler {
             env: OnceLock::new(),
-            self_ref: OnceLock::new(),
             conf,
             executors: Mutex::new(Vec::new()),
             events: Queue::new(),
@@ -269,22 +250,7 @@ impl DagScheduler {
 
     /// Attach the driver's RPC environment (needed to build executor refs).
     pub fn attach_env(&self, env: Arc<RpcEnv>) {
-        let _ = self.env.set(env);
-    }
-
-    /// Bind the scheduler's own `Arc` so job submission can spawn per-job
-    /// driver threads holding an owned reference. Idempotent; called by
-    /// `SparkContext` construction (and directly by harnesses that drive
-    /// the scheduler without a context).
-    pub fn bind_self(self: &Arc<Self>) {
-        let _ = self.self_ref.set(Arc::downgrade(self));
-    }
-
-    fn owned(&self) -> Arc<DagScheduler> {
-        self.self_ref
-            .get()
-            .and_then(Weak::upgrade)
-            .expect("DagScheduler::bind_self called before job submission")
+        self.env.get_or_init(|| env);
     }
 
     /// Block until `n` executors have registered.
@@ -320,10 +286,11 @@ impl DagScheduler {
     fn obs(&self) -> obs::Obs {
         self.env.get().map(|e| e.obs().clone()).unwrap_or_else(obs::Obs::disabled)
     }
-}
 
-impl JobRunner for DagScheduler {
-    fn submit_job(&self, job: JobSpec, opts: JobOptions) -> JobHandle {
+    /// Submit a job; returns immediately with a handle. Exact actions wait
+    /// on the handle; approximate actions attach an evaluator and a
+    /// deadline through `opts`.
+    pub fn submit_job(self: &Arc<Self>, job: JobSpec, opts: JobOptions) -> JobHandle {
         assert!(
             !self.job_running.swap(true, Ordering::SeqCst),
             "concurrent jobs are not supported; run jobs sequentially from one driver thread"
@@ -337,14 +304,19 @@ impl JobRunner for DagScheduler {
             obs.registry().counter(obs::keys::SPARK_PARTIAL_JOBS).inc();
         }
         // Arm the deadline before the job thread starts so a zero timeout
-        // still totally orders ahead of every task completion.
-        let timer = timeout_ns.map(|t| {
+        // still totally orders ahead of every task completion. The job
+        // thread completes its state without parking after its last stage,
+        // so a deadline at or past that instant posts nothing.
+        if let Some(t) = timeout_ns {
             let events = self.events.clone();
-            simt::DeadlineTimer::after(t, move || {
-                events.send(SchedEvent::DeadlineExpired { job_id })
-            })
-        });
-        let sched = self.owned();
+            let st = state.clone();
+            simt::engine::call_at(simt::now().saturating_add(t), move || {
+                if !st.is_complete() {
+                    events.send(SchedEvent::DeadlineExpired { job_id });
+                }
+            });
+        }
+        let sched = self.clone();
         let st = state.clone();
         // Each job runs on its own green thread driving the stage engine;
         // the submitting thread gets the handle back immediately (blocking
@@ -358,9 +330,6 @@ impl JobRunner for DagScheduler {
             });
             let start_ns = simt::now();
             let (results, stages) = stage::run_job(&sched, &job, job_id, &st);
-            if let Some(t) = &timer {
-                t.cancel();
-            }
             sched.metrics.lock().push(JobMetrics {
                 job_id,
                 action: job.action,
@@ -428,7 +397,6 @@ impl SparkContext {
         sched: Arc<DagScheduler>,
         broadcasts: Arc<crate::broadcast::BroadcastRegistry>,
     ) -> Self {
-        sched.bind_self();
         let core = AppCore::new(conf, default_parallelism, sched.clone());
         SparkContext { core, sched, broadcasts }
     }

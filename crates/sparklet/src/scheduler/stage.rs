@@ -80,10 +80,10 @@ pub(super) fn run_job(
     job_id: u32,
     state: &JobState,
 ) -> (Option<Vec<AnyMsg>>, Vec<StageMetrics>) {
-    let mut eng = JobEngine { sched, job, job_id, state, expired: false, stages: Vec::new() };
+    let mut eng = JobEngine { sched, job, job_id, state, stages: Vec::new() };
     for dep in &job.shuffle_stages {
         eng.ensure_shuffle(dep);
-        if eng.expired {
+        if state.deadline_fired() {
             // Expired before any result partition: the evaluator has seen
             // nothing, the answer is the zero-information interval.
             return (None, eng.stages);
@@ -101,7 +101,7 @@ pub(super) fn run_job(
     let parts: Vec<usize> = (0..job.result_tasks.len()).collect();
     let outs =
         eng.run_to_completion(format!("Job{job_id}-ResultStage"), &StageTasks::Result, parts);
-    if eng.expired {
+    if state.deadline_fired() {
         return (None, eng.stages);
     }
     let mut results_by_part: Vec<Option<AnyMsg>> =
@@ -121,11 +121,9 @@ struct JobEngine<'a> {
     sched: &'a DagScheduler,
     job: &'a JobSpec,
     job_id: u32,
-    /// Shared job state: evaluator folds and progress counters.
+    /// Shared job state: evaluator folds, progress counters, and whether
+    /// the deadline fired.
     state: &'a JobState,
-    /// Set when this job's `DeadlineExpired` event is consumed; every layer
-    /// above unwinds without scheduling further work.
-    expired: bool,
     stages: Vec<StageMetrics>,
 }
 
@@ -142,7 +140,7 @@ impl JobEngine<'_> {
         }
         let missing = self.sched.tracker.missing_maps(id);
         self.run_map_stage(dep, missing, already);
-        if !self.expired {
+        if !self.state.deadline_fired() {
             self.sched.computed_shuffles.lock().insert(id);
         }
     }
@@ -239,7 +237,7 @@ impl JobEngine<'_> {
                 }
             }
         }
-        if self.expired {
+        if self.state.deadline_fired() {
             self.fold_buckets(&by_bucket);
             return Adaptive::Expired;
         }
@@ -268,7 +266,7 @@ impl JobEngine<'_> {
                     by_bucket[*bucket as usize] = Some(res.clone());
                 }
             }
-            if self.expired {
+            if self.state.deadline_fired() {
                 self.fold_buckets(&by_bucket);
                 return Adaptive::Expired;
             }
@@ -326,7 +324,7 @@ impl JobEngine<'_> {
             // completed — no recovery, no resubmission, no further stages.
             // Lost partitions (including a quarantined executor's) simply
             // stay unseen by the evaluator.
-            if self.expired || failures.is_empty() {
+            if self.state.deadline_fired() || failures.is_empty() {
                 collected.sort_by_key(|(p, _)| *p);
                 return collected;
             }
@@ -386,6 +384,10 @@ impl JobEngine<'_> {
             failed_shuffles.iter().copied().chain(lost.iter().map(|(s, _)| *s)).collect();
         for shuffle_id in &touched {
             for e in sched.executors() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "an unreachable executor has no location cache left to age"
+                )]
                 let _ = e.rpc.send(InvalidateShuffle { shuffle_id: *shuffle_id, epoch });
             }
         }
@@ -460,14 +462,14 @@ impl JobEngine<'_> {
             match event {
                 SchedEvent::ExecutorRegistered => {}
                 SchedEvent::DeadlineExpired { job_id } => {
-                    // Stale deadline of an earlier job: a cancelled timer
-                    // never posts, but a timer that fired just as its job
-                    // completed can leave an event for the next job's loop.
+                    // Stale deadline of an earlier job: a deadline checks
+                    // for completion before it posts, but one that fires at
+                    // the instant its job's last task completes can leave an
+                    // event for the next job's loop.
                     if job_id != self.job_id {
                         continue;
                     }
                     self.state.mark_expired();
-                    self.expired = true;
                     obs.registry().counter(obs::keys::SPARK_PARTIAL_DEADLINES_FIRED).inc();
                     obs.event(
                         "spark.job.deadline",
@@ -616,6 +618,7 @@ impl Attempt {
     fn launch(&mut self, ti: usize, slot: usize, speculative: bool) {
         self.free[slot] -= 1;
         self.tasks[ti].launches.push(Launch { slot, at_ns: simt::now() });
+        #[expect(clippy::let_underscore_must_use, reason = "a lost launch is covered like a crash")]
         let _ = self.execs[slot].rpc.send(LaunchTask {
             stage_seq: self.stage_seq,
             part: self.tasks[ti].part,

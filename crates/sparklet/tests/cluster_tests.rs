@@ -6,8 +6,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::ClusterSpec;
+use obs::keys;
 use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
-use sparklet::{NetworkBackend, SparkConf, VanillaBackend};
+use sparklet::{NetworkBackend, SparkConf, SpeculationConf, VanillaBackend};
 
 fn small_cluster() -> (ClusterSpec, ClusterConfig) {
     let spec = ClusterSpec::test(5); // 3 workers + master + driver
@@ -198,11 +199,27 @@ fn stage_metrics_track_remote_bytes() {
         });
     let job = &metrics[0];
     let result_stage = job.stages.iter().find(|s| s.name.contains("ResultStage")).unwrap();
+    let counter = |key| result_stage.metrics.counter(key);
     // 3 executors → roughly 2/3 of shuffle traffic is remote.
-    assert!(result_stage.remote_bytes() > 0);
-    assert!(result_stage.fetch_wait_ns() > 0);
-    let total = result_stage.remote_bytes() + result_stage.local_bytes();
+    assert!(counter(keys::TASK_REMOTE_BYTES) > 0);
+    assert!(counter(keys::TASK_FETCH_WAIT_NS) > 0);
+    let total = counter(keys::TASK_REMOTE_BYTES) + counter(keys::TASK_LOCAL_BYTES);
     assert!(total >= 90 * (1 << 16));
+}
+
+#[test]
+#[should_panic(expected = "speculation.interval_ns")]
+fn zero_speculation_interval_is_rejected_not_spun_on() {
+    // A zero tick never advances the attempt loop's deadline, so the
+    // scheduler thread would spin at one virtual instant and no task would
+    // ever run again; the scheduler refuses the conf instead.
+    let (spec, mut cluster) = small_cluster();
+    cluster.conf.speculation =
+        SpeculationConf { enabled: true, interval_ns: 0, ..Default::default() };
+    simulate(&spec, cluster, backend(), Arc::new(ProcessBuilderLauncher), |sc| {
+        let pairs: Vec<(u64, u64)> = (0..200u64).map(|i| (i % 7, i)).collect();
+        sc.parallelize(pairs, 6).group_by_key(5).count()
+    });
 }
 
 #[test]
@@ -275,9 +292,9 @@ fn shuffle_output_is_bit_reproducible_across_runs() {
                             s.start_ns,
                             s.end_ns,
                             s.tasks,
-                            s.fetch_wait_ns(),
-                            s.remote_bytes(),
-                            s.local_bytes(),
+                            s.metrics.counter(keys::TASK_FETCH_WAIT_NS),
+                            s.metrics.counter(keys::TASK_REMOTE_BYTES),
+                            s.metrics.counter(keys::TASK_LOCAL_BYTES),
                         )
                     })
                     .collect();

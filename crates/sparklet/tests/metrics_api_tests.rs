@@ -1,9 +1,10 @@
-//! The registry-backed metrics surface: `StageMetrics` accessors read the
-//! merged snapshot, and `JobMetrics::stage_duration` refuses ambiguous
-//! fragments instead of silently returning the first match (the old bug:
-//! `"ShuffleMapStage"` would quietly pick between a primary run and its
-//! `-retry` recomputation).
+//! The registry-backed metrics surface: a `StageMetrics` snapshot is its
+//! tasks' snapshots merged, and `JobMetrics::stage_duration` refuses
+//! ambiguous fragments instead of silently returning the first match (the
+//! old bug: `"ShuffleMapStage"` would quietly pick between a primary run and
+//! its `-retry` recomputation).
 
+use obs::keys;
 use sparklet::scheduler::{JobMetrics, StageMetrics};
 
 fn stage(name: &str, start_ns: u64, end_ns: u64) -> StageMetrics {
@@ -48,15 +49,17 @@ fn identically_named_stage_retries_resolve_to_the_first_run() {
 
 #[test]
 fn stage_accessors_read_the_merged_snapshot() {
-    let reg = obs::Registry::new();
-    reg.counter(obs::keys::TASK_FETCH_WAIT_NS).add(7);
-    reg.counter(obs::keys::TASK_REMOTE_BYTES).add(100);
-    reg.counter(obs::keys::TASK_LOCAL_BYTES).add(30);
-    reg.counter(obs::keys::TASK_RECORDS_OUT).add(5);
+    // A stage's traffic is its tasks' snapshots merged, read by key.
     let mut s = stage("Job0-ResultStage", 0, 10);
-    s.metrics = reg.snapshot();
-    assert_eq!(s.fetch_wait_ns(), 7);
-    assert_eq!(s.remote_bytes(), 100);
-    assert_eq!(s.local_bytes(), 30);
-    assert_eq!(s.records_out(), 5);
+    for (wait, remote, local) in [(7, 100, 30), (3, 0, 12)] {
+        let task = obs::Registry::new();
+        task.counter(keys::TASK_FETCH_WAIT_NS).add(wait);
+        task.counter(keys::TASK_REMOTE_BYTES).add(remote);
+        task.counter(keys::TASK_LOCAL_BYTES).add(local);
+        s.metrics.merge(&task.snapshot());
+    }
+    assert_eq!(s.metrics.counter(keys::TASK_FETCH_WAIT_NS), 10);
+    assert_eq!(s.metrics.counter(keys::TASK_REMOTE_BYTES), 100);
+    assert_eq!(s.metrics.counter(keys::TASK_LOCAL_BYTES), 42);
+    assert_eq!(s.metrics.counter(keys::TASK_RECORDS_OUT), 0);
 }

@@ -18,7 +18,7 @@ use obs::keys;
 use simt::for_each_case;
 use sparklet::deploy::ClusterConfig;
 use sparklet::partial::Erased;
-use sparklet::scheduler::SparkContext;
+use sparklet::scheduler::{JobMetrics, SparkContext};
 use sparklet::{BoundedDouble, CountEvaluator, JobOptions, PartialResult, SparkConf};
 use workloads::{RunOutcome, System};
 
@@ -107,6 +107,39 @@ fn count_by_key_approx_equals_exact_under_never_firing_deadline() {
         assert!(out.result.is_final, "{}: complete job must be final", system.label());
         let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED) > 0;
         assert!(!fired, "{}: deadline must not fire", system.label());
+    }
+}
+
+/// A `count_approx` that beats its budget, then an exact groupBy on the same
+/// context.
+fn approx_then_exact(sc: &SparkContext, timeout_ns: u64) -> (PartialResult<BoundedDouble>, u64) {
+    let pairs: Vec<(u64, u64)> = (0..400u64).map(|i| (i % 23, i)).collect();
+    let rdd = sc.parallelize(pairs, 8);
+    (rdd.count_approx(timeout_ns, None), rdd.group_by_key(6).count())
+}
+
+#[test]
+fn a_met_deadline_never_cuts_the_next_job() {
+    // The first job's deadline is still armed when the second job starts and
+    // lands mid-way through it. It must post nothing: the second job runs
+    // to its exact answer on the clean run's exact timeline.
+    for system in all_systems() {
+        let clean = run(system, partial_conf(), |sc| approx_then_exact(sc, NEVER));
+        let (first, second) = (&clean.jobs[0], &clean.jobs[1]);
+        let mid_second = second.start_ns + second.duration_ns() / 2;
+        let budget = mid_second - first.start_ns;
+        assert!(first.end_ns < mid_second, "{}: budget must outlive job 0", system.label());
+
+        let out = run(system, partial_conf(), move |sc| approx_then_exact(sc, budget));
+        let (approx, groups) = &out.result;
+        assert_eq!(approx.value, BoundedDouble::exact(400.0), "{}", system.label());
+        assert_eq!(*groups, 23, "{}: the second job must be exact", system.label());
+        let fired = out.metrics.counter(keys::SPARK_PARTIAL_DEADLINES_FIRED);
+        assert_eq!(fired, 0, "{}: a met deadline must not fire", system.label());
+        let spans = |jobs: &[JobMetrics]| -> Vec<(u64, u64)> {
+            jobs.iter().map(|j| (j.start_ns, j.end_ns)).collect()
+        };
+        assert_eq!(spans(&out.jobs), spans(&clean.jobs), "{}: timeline moved", system.label());
     }
 }
 

@@ -236,5 +236,5 @@ fn lock_guard_held_across_a_transport_close_is_refused_at_the_park() {
             c.close();
         }
     });
-    let _ = sim.run();
+    sim.run().unwrap();
 }
