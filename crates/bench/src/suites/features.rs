@@ -60,19 +60,7 @@ pub fn recovery(run: &mut Run<'_>) {
         let data: Vec<(u64, u64)> = (0..pairs).map(|i| (i % 97, i)).collect();
         sc.parallelize(data, 9).group_by_key(9).collect().len()
     };
-    // Stage start times of the fault-free speculation-on run aim the faults.
-    let clean = ClusterConfig::paper_layout(spec.len(), recovery_conf(true));
-    let clean = System::Mpi4Spark.run(&spec, clean, groupby);
-    let stage_start = |name: &str| {
-        let stage = clean.jobs.iter().flat_map(|j| j.stages.iter()).find(|s| s.name == name);
-        stage.unwrap_or_else(|| panic!("no stage named {name}")).start_ns.saturating_sub(50_000)
-    };
-    let (map_start, reduce_start) =
-        (stage_start("Job0-ShuffleMapStage"), stage_start("Job0-ResultStage"));
-    let crash = |start, dur| Some(FaultPlan::seeded(31).crash_node(VICTIM, start, dur).build());
-    let slow =
-        || Some(FaultPlan::seeded(32).slow_node(VICTIM, map_start, 10_000 * MS, 20 * MS).build());
-
+    // Returns the cell's record and its jobs' stage timings.
     let mut cell = |fault: &str, speculation: bool, plan: Option<FaultPlan>, linger_ns: u64| {
         let cluster = ClusterConfig::paper_layout(spec.len(), recovery_conf(speculation));
         let out = match plan {
@@ -86,18 +74,29 @@ pub fn recovery(run: &mut Run<'_>) {
         };
         assert_eq!(out.result, 97, "{fault}: wrong group count");
         let on_off = if speculation { "on" } else { "off" };
-        run.emit(
+        let rec = run.emit(
             &[("fault", fault.to_string()), ("speculation", on_off.to_string())],
             out.total_ns(),
             counters(&out.metrics, &[keys::SPARK_STAGE_RESUBMITS, keys::SPARK_SPECULATIVE_TASKS]),
-        )
+        );
+        (rec, out.jobs)
     };
-    let clean_off = cell("fault-free", false, None, 0);
-    let clean_on = cell("fault-free", true, None, 0);
-    let crash_map = cell("crash-map", true, crash(map_start, 50 * MS), 100 * MS);
-    let crash_reduce = cell("crash-reduce", true, crash(reduce_start, 600 * MS), 1_200 * MS);
-    let slow_off = cell("slowdown", false, slow(), 0);
-    let slow_on = cell("slowdown", true, slow(), 0);
+    let (clean_off, _) = cell("fault-free", false, None, 0);
+    let (clean_on, clean_jobs) = cell("fault-free", true, None, 0);
+    // Stage start times of the fault-free speculation-on run aim the faults.
+    let stage_start = |name: &str| {
+        let stage = clean_jobs.iter().flat_map(|j| j.stages.iter()).find(|s| s.name == name);
+        stage.unwrap_or_else(|| panic!("no stage named {name}")).start_ns.saturating_sub(50_000)
+    };
+    let (map_start, reduce_start) =
+        (stage_start("Job0-ShuffleMapStage"), stage_start("Job0-ResultStage"));
+    let crash = |start, dur| Some(FaultPlan::seeded(31).crash_node(VICTIM, start, dur).build());
+    let slow =
+        || Some(FaultPlan::seeded(32).slow_node(VICTIM, map_start, 10_000 * MS, 20 * MS).build());
+    let (crash_map, _) = cell("crash-map", true, crash(map_start, 50 * MS), 100 * MS);
+    let (crash_reduce, _) = cell("crash-reduce", true, crash(reduce_start, 600 * MS), 1_200 * MS);
+    let (slow_off, _) = cell("slowdown", false, slow(), 0);
+    let (slow_on, _) = cell("slowdown", true, slow(), 0);
 
     assert_eq!(
         clean_on.virtual_ns, clean_off.virtual_ns,

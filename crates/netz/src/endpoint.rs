@@ -136,21 +136,6 @@ impl Endpoint {
         self.inner.channels.lock().get(&id).cloned()
     }
 
-    /// Look up the channel whose *peer* presented MPI rank `rank` in
-    /// communicator `comm` — the rank → channel mapping of paper §VI-B.
-    pub fn channel_by_rank(
-        &self,
-        rank: u32,
-        comm: crate::wire::CommKind,
-    ) -> Option<Arc<ChannelCore>> {
-        self.inner
-            .channels
-            .lock()
-            .values()
-            .find(|c| c.peer_handshake.mpi_rank == Some(rank) && c.peer_handshake.comm == comm)
-            .cloned()
-    }
-
     /// Open a channel to a remote endpoint and wrap it in a client.
     pub fn connect(&self, remote: PortAddr) -> Result<TransportClient, NetzError> {
         let id = ChannelId::fresh();
@@ -172,36 +157,6 @@ impl Endpoint {
             Some(Ok(chan)) => Ok(TransportClient::new(chan, self.inner.conf)),
             Some(Err(e)) => Err(e),
             None => Err(NetzError::ConnectFailed(format!("timeout connecting to {remote}"))),
-        }
-    }
-
-    /// [`connect`](Endpoint::connect) with retries: transient failures
-    /// (refused, timed out) back off per `policy` and try again, so a
-    /// connect attempted inside a fault window succeeds once the window
-    /// closes. Jitter draws from the caller's seeded RNG to stay
-    /// replay-deterministic.
-    pub fn connect_retrying(
-        &self,
-        remote: PortAddr,
-        policy: &crate::retry::RetryPolicy,
-        rng: &mut simt::SeededRng,
-    ) -> Result<TransportClient, NetzError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.connect(remote) {
-                Ok(client) => return Ok(client),
-                Err(e) if attempt < policy.max_retries && e.is_transient() => {
-                    let obs = self.inner.net.obs();
-                    obs.registry().counter(obs::keys::NETZ_CONNECT_RETRIES).inc();
-                    obs.event(
-                        "netz.connect.retry",
-                        obs::kv! {"remote" => remote, "attempt" => attempt + 1, "error" => e},
-                    );
-                    simt::sleep(policy.backoff_ns(attempt, rng));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
         }
     }
 

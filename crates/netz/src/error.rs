@@ -22,14 +22,6 @@ impl NetzError {
         NetzError::Codec(msg.into())
     }
 
-    /// True when a retry of the same operation could plausibly succeed.
-    /// Codec errors are deterministic (same bytes decode the same way), so
-    /// retrying them is futile; everything else reflects transient channel
-    /// or remote state.
-    pub fn is_transient(&self) -> bool {
-        !matches!(self, NetzError::Codec(_))
-    }
-
     /// True when the error indicts the *communication plane* (the transport
     /// under the channel) rather than the specific request: failed connects,
     /// dead channels, and silent timeouts. Consecutive plane failures are
@@ -63,15 +55,6 @@ mod tests {
         assert_eq!(NetzError::Timeout.to_string(), "request timed out");
         assert_eq!(NetzError::codec("bad").to_string(), "codec error: bad");
         assert_eq!(NetzError::Remote("x".into()).to_string(), "remote failure: x");
-    }
-
-    #[test]
-    fn taxonomy_splits_transient_from_deterministic() {
-        assert!(NetzError::ConnectFailed("refused".into()).is_transient());
-        assert!(NetzError::ChannelClosed.is_transient());
-        assert!(NetzError::Remote("shuffle gone".into()).is_transient());
-        assert!(NetzError::Timeout.is_transient());
-        assert!(!NetzError::codec("truncated frame").is_transient());
     }
 
     #[test]

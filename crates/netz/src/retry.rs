@@ -11,8 +11,6 @@ use simt::SeededRng;
 /// Schedule for retrying transient failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = try once, never retry).
-    pub max_retries: u32,
     /// Delay before the first retry, in virtual nanoseconds.
     pub base_delay_ns: u64,
     /// Ceiling on the exponential growth.
@@ -25,7 +23,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_retries: 2,
             base_delay_ns: simt::time::millis(100),
             max_delay_ns: simt::time::secs(5),
             jitter_frac: 0.2,
@@ -54,7 +51,7 @@ mod tests {
     use super::*;
 
     fn no_jitter(base: u64, max: u64) -> RetryPolicy {
-        RetryPolicy { max_retries: 10, base_delay_ns: base, max_delay_ns: max, jitter_frac: 0.0 }
+        RetryPolicy { base_delay_ns: base, max_delay_ns: max, jitter_frac: 0.0 }
     }
 
     #[test]
@@ -78,12 +75,7 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            base_delay_ns: 1_000,
-            max_delay_ns: 1_000_000,
-            jitter_frac: 0.5,
-        };
+        let p = RetryPolicy { base_delay_ns: 1_000, max_delay_ns: 1_000_000, jitter_frac: 0.5 };
         let mut a = SeededRng::from_seed(7);
         let mut b = SeededRng::from_seed(7);
         for attempt in 0..5 {

@@ -288,9 +288,8 @@ fn rank_to_channel_mapping_via_handshake() {
         // Client side sees the server's rank, server side sees the client's.
         assert_eq!(client.channel().peer_handshake.mpi_rank, Some(0));
         simt::sleep(simt::time::millis(1));
-        let chan = server.channel_by_rank(1, CommKind::World).expect("mapped");
-        assert_eq!(chan.peer_handshake.comm, CommKind::World);
-        assert!(server.channel_by_rank(9, CommKind::World).is_none());
+        let peers: Vec<Handshake> = server.channels().iter().map(|c| c.peer_handshake).collect();
+        assert_eq!(peers, [Handshake { node: 1, mpi_rank: Some(1), comm: CommKind::World }]);
     });
     sim.run().unwrap().assert_clean();
 }
@@ -349,8 +348,8 @@ fn metrics_count_traffic() {
 #[test]
 fn connect_timeout_is_bounded_by_the_virtual_clock() {
     // The failed connect must consume exactly the configured timeout of
-    // virtual time (no hidden polling slop), and classify as a transient
-    // plane-level failure so the layers above retry / degrade correctly.
+    // virtual time (no hidden polling slop), and classify as a plane-level
+    // failure so the layers above retry / degrade correctly.
     let (sim, net) = setup(2);
     sim.spawn("main", move || {
         let mut conf = TransportConf::default_sockets();
@@ -364,43 +363,7 @@ fn connect_timeout_is_bounded_by_the_virtual_clock() {
         let waited = simt::now() - t0;
         assert!(waited >= simt::time::millis(5), "gave up early: {waited} ns");
         assert!(waited < simt::time::millis(6), "overshot the timeout: {waited} ns");
-        assert!(e.is_transient());
         assert!(e.is_plane_failure());
-    });
-    sim.run().unwrap().assert_clean();
-}
-
-#[test]
-fn connect_retrying_rides_out_a_chaos_window() {
-    // The link to the server is dead for the first 12 ms of virtual time.
-    // Plain `connect` gives up inside the window; `connect_retrying`'s
-    // backoff schedule must carry it past the outage and succeed.
-    let (sim, net) = setup(2);
-    net.install_chaos(
-        fabric::FaultPlan::seeded(6).drop_link_sym(0, 1, 0, simt::time::millis(12)).build(),
-    );
-    sim.spawn("main", move || {
-        let mut conf = TransportConf::default_sockets();
-        conf.connect_timeout_ns = simt::time::millis(4);
-        let server = TransportContext::new(net.clone(), conf, Arc::new(EchoHandler))
-            .create_server("server", 0, 100);
-        let ep = TransportContext::new(net.clone(), conf, Arc::new(NoOpRpcHandler))
-            .create_client_endpoint("client", 1);
-        let policy = netz::RetryPolicy {
-            max_retries: 6,
-            base_delay_ns: simt::time::millis(2),
-            max_delay_ns: simt::time::millis(20),
-            jitter_frac: 0.2,
-        };
-        let mut rng = simt::SeededRng::from_seed(41);
-        let client = ep.connect_retrying(server.addr(), &policy, &mut rng).unwrap();
-        assert!(
-            simt::now() >= simt::time::millis(12),
-            "a connection cannot exist before the window lifts (now = {} ns)",
-            simt::now()
-        );
-        let reply = client.send_rpc(Payload::bytes(Bytes::from_static(b"alive"))).unwrap();
-        assert_eq!(&reply.bytes[..], b"alive");
     });
     sim.run().unwrap().assert_clean();
 }
@@ -440,12 +403,7 @@ fn backoff_schedule_is_ordered_against_virtual_timestamps() {
     sim.spawn("main", move || {
         let base = simt::time::millis(10);
         let cap = simt::time::millis(40);
-        let policy = netz::RetryPolicy {
-            max_retries: 6,
-            base_delay_ns: base,
-            max_delay_ns: cap,
-            jitter_frac: 0.2,
-        };
+        let policy = netz::RetryPolicy { base_delay_ns: base, max_delay_ns: cap, jitter_frac: 0.2 };
         let mut rng = simt::SeededRng::from_seed(77);
         let mut stamps = vec![simt::now()];
         for attempt in 0..6 {

@@ -109,7 +109,8 @@ pub mod keys {
     pub const NETZ_BYTES_RECEIVED: &str = "netz.bytes_received";
     /// Channels opened (client connects + server accepts).
     pub const NETZ_CHANNELS_OPENED: &str = "netz.channels_opened";
-    /// Connect retry attempts across all channels.
+    /// Connect retry attempts across all channels. Nothing retries a
+    /// connect today, so it reads 0; the benchmark harness still reports it.
     pub const NETZ_CONNECT_RETRIES: &str = "netz.connect_retries";
 
     /// Events the `simt` engine took off its heap

@@ -223,8 +223,8 @@ pub fn plan<S: AsRef<[u64]>>(sizes: &[S], conf: &AqeConf) -> ReducePlan {
 // --- adaptive job bridge ----------------------------------------------------
 //
 // The scheduler is type-erased; the RDD layer is typed. `AdaptiveJobSpec`
-// is the seam: the RDD layer builds one per adaptive job (capturing the
-// element type and the action closure), and the scheduler only ever asks it
+// is the seam: a shuffle-read node hands the scheduler one per adaptive job
+// (itself plus the job's erased action), and the scheduler only ever asks it
 // for task runners. Outputs ride back through `TaskOutput::Result` wrapped
 // in the two marker types below so the scheduler can route them without
 // knowing the element type.

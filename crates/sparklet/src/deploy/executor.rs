@@ -8,7 +8,7 @@ use simt::sync::{Mutex, Notify};
 
 use crate::config::SparkConf;
 use crate::deploy::messages::ExecutorSpec;
-use crate::net_backend::{NetworkBackend, ProcIdentity, Role};
+use crate::net_backend::{NetworkBackend, Plane, ProcIdentity, Role};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcEnv, RpcRef};
 use crate::scheduler::{
     InvalidateShuffle, LaunchTask, RegisterExecutor, StopExecutor, TaskFinishedMsg,
@@ -137,10 +137,9 @@ pub fn executor_main(args: ExecutorArgs) {
     // Degraded-mode sibling on the backend's fallback plane (plain
     // sockets), engaged by the retry layer after consecutive plane-level
     // failures; backends without a separate fallback (Vanilla) get none.
-    let fallback: Option<Arc<dyn BlockTransferService>> = args
-        .backend
-        .fallback_shuffle_context(&identity, &args.net, Arc::new(netz::NoOpRpcHandler))
-        .map(|ctx| {
+    let fallback: Option<Arc<dyn BlockTransferService>> =
+        args.backend.fallback_plane(Plane::Shuffle, &identity).map(|desc| {
+            let ctx = desc.context(&args.net, Arc::new(netz::NoOpRpcHandler));
             NettyBlockTransferService::with_context(ctx, &identity, "fetch-fallback")
                 as Arc<dyn BlockTransferService>
         });

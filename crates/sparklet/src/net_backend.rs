@@ -71,11 +71,20 @@ pub struct PlaneDesc {
     pub transport: Arc<dyn Transport>,
 }
 
+impl PlaneDesc {
+    /// The transport context this descriptor declares, on `net`, serving
+    /// `handler`.
+    pub fn context(self, net: &Net, handler: Arc<dyn RpcHandler>) -> TransportContext {
+        TransportContext::with_transport(net.clone(), self.conf, handler, self.transport)
+    }
+}
+
 /// Factory for each process's transport contexts.
 ///
-/// Backends implement [`NetworkBackend::plane`] only; context construction
-/// is provided. This is the seam the three evaluated systems differ at —
-/// each declares its per-plane stacks in one method.
+/// Backends implement [`NetworkBackend::plane`] (and optionally
+/// [`NetworkBackend::fallback_plane`]) only; context construction is
+/// provided. This is the seam the three evaluated systems differ at — each
+/// declares its per-plane stacks in one method.
 pub trait NetworkBackend: Send + Sync + 'static {
     /// Name used in reports (`vanilla`, `rdma`, `mpi-optimized`, ...).
     fn name(&self) -> &'static str;
@@ -91,28 +100,7 @@ pub trait NetworkBackend: Send + Sync + 'static {
         net: &Net,
         handler: Arc<dyn RpcHandler>,
     ) -> TransportContext {
-        let desc = self.plane(plane, identity);
-        TransportContext::with_transport(net.clone(), desc.conf, handler, desc.transport)
-    }
-
-    /// Transport context for the control-plane RPC environment.
-    fn rpc_context(
-        &self,
-        identity: &ProcIdentity,
-        net: &Net,
-        handler: Arc<dyn RpcHandler>,
-    ) -> TransportContext {
-        self.context(Plane::Rpc, identity, net, handler)
-    }
-
-    /// Transport context for an executor's shuffle/block service plane.
-    fn shuffle_context(
-        &self,
-        identity: &ProcIdentity,
-        net: &Net,
-        handler: Arc<dyn RpcHandler>,
-    ) -> TransportContext {
-        self.context(Plane::Shuffle, identity, net, handler)
+        self.plane(plane, identity).context(net, handler)
     }
 
     /// Degraded-mode descriptor for `plane`, if the backend has one.
@@ -125,18 +113,6 @@ pub trait NetworkBackend: Send + Sync + 'static {
     /// plane has no separate fallback — Vanilla already runs on sockets.
     fn fallback_plane(&self, _plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
         None
-    }
-
-    /// Transport context for the shuffle plane's fallback descriptor, when
-    /// one exists.
-    fn fallback_shuffle_context(
-        &self,
-        identity: &ProcIdentity,
-        net: &Net,
-        handler: Arc<dyn RpcHandler>,
-    ) -> Option<TransportContext> {
-        let desc = self.fallback_plane(Plane::Shuffle, identity)?;
-        Some(TransportContext::with_transport(net.clone(), desc.conf, handler, desc.transport))
     }
 }
 

@@ -102,15 +102,20 @@ impl<R> PartialResult<R> {
     }
 }
 
-/// Folds per-partition task results (`U`) into a running approximate
-/// answer (`R`). Merge order is completion order — deterministic on the
-/// virtual clock — and each result partition is merged exactly once (the
-/// scheduler's first-finish dedup runs first).
-pub trait ApproximateEvaluator<U, R>: Send + 'static {
+/// Folds per-partition task results ([`Update`](Self::Update)) into a
+/// running approximate answer ([`Output`](Self::Output)). Merge order is
+/// completion order — deterministic on the virtual clock — and each result
+/// partition is merged exactly once (the scheduler's first-finish dedup
+/// runs first).
+pub trait ApproximateEvaluator: Send + 'static {
+    /// One result task's output.
+    type Update: Send + Sync + 'static;
+    /// The action's answer.
+    type Output: Clone + Send + Sync + 'static;
     /// Fold partition `part`'s task output.
-    fn merge(&mut self, part: usize, update: &U);
+    fn merge(&mut self, part: usize, update: &Self::Update);
     /// Best answer given that `seen` of `total` partitions were merged.
-    fn current_result(&self, seen: usize, total: usize) -> R;
+    fn current_result(&self, seen: usize, total: usize) -> Self::Output;
 }
 
 // --- normal quantile ---------------------------------------------------------
@@ -207,7 +212,10 @@ impl CountEvaluator {
     }
 }
 
-impl ApproximateEvaluator<u64, BoundedDouble> for CountEvaluator {
+impl ApproximateEvaluator for CountEvaluator {
+    type Update = u64;
+    type Output = BoundedDouble;
+
     fn merge(&mut self, _part: usize, update: &u64) {
         self.counts.push(*update as f64);
     }
@@ -295,7 +303,10 @@ impl SumEvaluator {
     }
 }
 
-impl ApproximateEvaluator<Stat, BoundedDouble> for SumEvaluator {
+impl ApproximateEvaluator for SumEvaluator {
+    type Update = Stat;
+    type Output = BoundedDouble;
+
     fn merge(&mut self, _part: usize, update: &Stat) {
         self.sums.push(update.sum);
     }
@@ -338,7 +349,10 @@ impl MeanEvaluator {
     }
 }
 
-impl ApproximateEvaluator<Stat, BoundedDouble> for MeanEvaluator {
+impl ApproximateEvaluator for MeanEvaluator {
+    type Update = Stat;
+    type Output = BoundedDouble;
+
     fn merge(&mut self, _part: usize, update: &Stat) {
         self.pooled.n += update.n;
         self.pooled.sum += update.sum;
@@ -391,9 +405,10 @@ impl<K: Ord + Clone + Send + 'static> GroupedCountEvaluator<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + 'static> ApproximateEvaluator<Vec<(K, u64)>, Vec<(K, BoundedDouble)>>
-    for GroupedCountEvaluator<K>
-{
+impl<K: Ord + Clone + Send + Sync + 'static> ApproximateEvaluator for GroupedCountEvaluator<K> {
+    type Update = Vec<(K, u64)>;
+    type Output = Vec<(K, BoundedDouble)>;
+
     fn merge(&mut self, _part: usize, update: &Vec<(K, u64)>) {
         for (k, c) in update {
             let s = self.by_key.entry(k.clone()).or_default();
@@ -437,46 +452,25 @@ impl<K: Ord + Clone + Send + 'static> ApproximateEvaluator<Vec<(K, u64)>, Vec<(K
 
 // --- type erasure ------------------------------------------------------------
 
-/// Object-safe evaluator the scheduler folds into: `U` and `R` are erased
-/// behind [`AnyMsg`] downcasts so one seam serves every action.
+/// Object-safe evaluator the scheduler folds into: the update and output
+/// types are erased behind [`AnyMsg`] downcasts so one seam serves every
+/// action. Every [`ApproximateEvaluator`] is one; box it to attach it.
 pub trait ErasedEvaluator: Send + 'static {
     /// Fold partition `part`'s result-task output.
-    fn merge(&mut self, part: usize, result: &AnyMsg);
-    /// Best current answer as an [`AnyMsg`] (downcast to the action's `R`).
+    fn fold(&mut self, part: usize, result: &AnyMsg);
+    /// Best current answer as an [`AnyMsg`] (downcast to the action's
+    /// output type).
     fn current(&self, seen: usize, total: usize) -> AnyMsg;
 }
 
-/// Wraps a typed [`ApproximateEvaluator`] for the scheduler's erased seam.
-pub struct Erased<U, R, E> {
-    eval: E,
-    _marker: std::marker::PhantomData<fn(U) -> R>,
-}
-
-impl<U, R, E> Erased<U, R, E>
-where
-    U: Send + Sync + 'static,
-    R: Send + Sync + 'static,
-    E: ApproximateEvaluator<U, R>,
-{
-    /// Erase `eval` into the scheduler's boxed seam type.
-    pub fn boxed(eval: E) -> Box<dyn ErasedEvaluator> {
-        Box::new(Erased { eval, _marker: std::marker::PhantomData })
-    }
-}
-
-impl<U, R, E> ErasedEvaluator for Erased<U, R, E>
-where
-    U: Send + Sync + 'static,
-    R: Send + Sync + 'static,
-    E: ApproximateEvaluator<U, R>,
-{
-    fn merge(&mut self, part: usize, result: &AnyMsg) {
-        let u = result.downcast_ref::<U>().expect("result type matches the evaluator's input");
-        self.eval.merge(part, u);
+impl<E: ApproximateEvaluator> ErasedEvaluator for E {
+    fn fold(&mut self, part: usize, result: &AnyMsg) {
+        let update = result.downcast_ref().expect("result type matches the evaluator's input");
+        self.merge(part, update);
     }
 
     fn current(&self, seen: usize, total: usize) -> AnyMsg {
-        Arc::new(self.eval.current_result(seen, total))
+        Arc::new(self.current_result(seen, total))
     }
 }
 
@@ -581,11 +575,11 @@ mod tests {
 
     #[test]
     fn erased_roundtrip() {
-        let mut e = Erased::boxed(CountEvaluator::new(0.9));
+        let mut e: Box<dyn ErasedEvaluator> = Box::new(CountEvaluator::new(0.9));
         let msg: AnyMsg = Arc::new(7u64);
-        e.merge(0, &msg);
+        e.fold(0, &msg);
         let msg2: AnyMsg = Arc::new(9u64);
-        e.merge(1, &msg2);
+        e.fold(1, &msg2);
         let out = e.current(2, 2);
         let b = out.downcast_ref::<BoundedDouble>().unwrap();
         assert_eq!(*b, BoundedDouble::exact(16.0));

@@ -18,8 +18,8 @@ use simt::sync::Mutex;
 use crate::config::SparkConf;
 use crate::data::Element;
 use crate::partial::{
-    AsF64, BoundedDouble, CountEvaluator, Erased, ErasedEvaluator, GroupedCountEvaluator,
-    MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
+    ApproximateEvaluator, AsF64, BoundedDouble, CountEvaluator, ErasedEvaluator,
+    GroupedCountEvaluator, MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
 };
 use crate::rpc::AnyMsg;
 use crate::scheduler::DagScheduler;
@@ -57,38 +57,14 @@ pub trait ShuffleDepMeta: Send + Sync + 'static {
     /// Number of reduce partitions.
     fn num_reduces(&self) -> usize;
     /// Build the map task for `part`.
-    fn make_map_task(&self, part: usize) -> Arc<dyn TaskRunner>;
+    fn make_map_task(self: Arc<Self>, part: usize) -> Arc<dyn TaskRunner>;
     /// Shuffle dependencies of the map-side lineage.
     fn upstream(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
 }
 
-/// Adaptive view of a result stage whose terminal node is a shuffle read:
-/// the operations an AQE plan's tasks need — fetch several complete buckets
-/// in one pass, fetch a map-range slice of one bucket, and merge slice
-/// partials back into one bucket's worth of records.
-pub trait AdaptiveResultOps<T: Element>: Send + Sync + 'static {
-    /// The shuffle the result stage reads.
-    fn dep(&self) -> Arc<dyn ShuffleDepMeta>;
-    /// Fetch `buckets` in one batched pass and post-process each; returns
-    /// one `(bucket, records)` entry per requested bucket, in request order.
-    fn compute_buckets(
-        &self,
-        ctx: &TaskContext,
-        buckets: &[u32],
-    ) -> Result<Vec<(u32, Vec<T>)>, FetchFailed>;
-    /// Fetch map partitions `map_lo..map_hi` of `bucket` and post-process
-    /// the slice — the salted pre-aggregate of two-phase aggregation.
-    fn compute_slice(
-        &self,
-        ctx: &TaskContext,
-        bucket: u32,
-        map_lo: u32,
-        map_hi: u32,
-    ) -> Result<Vec<T>, FetchFailed>;
-    /// Combine slice partials (ascending map-range order) into the bucket's
-    /// final records — the cheap final merge of two-phase aggregation.
-    fn merge(&self, ctx: &TaskContext, partials: Vec<Vec<T>>) -> Vec<T>;
-}
+/// A job's per-partition action, its result erased to the scheduler's
+/// [`AnyMsg`] once, at submission.
+pub type Action<T> = Arc<dyn Fn(&TaskContext, Vec<T>) -> AnyMsg + Send + Sync>;
 
 /// A job handed to the scheduler.
 pub struct JobSpec {
@@ -97,9 +73,9 @@ pub struct JobSpec {
     /// One result task per partition, in partition order.
     pub result_tasks: Vec<Arc<dyn TaskRunner>>,
     /// Adaptive alternative to `result_tasks`, present when AQE is enabled
-    /// and the terminal node supports it; the scheduler may plan the reduce
-    /// side from map-output sizes instead of running `result_tasks`, and
-    /// must return the same per-partition results either way.
+    /// and the terminal node is a shuffle read with a merge; the scheduler
+    /// then plans the reduce side from map-output sizes instead of running
+    /// `result_tasks`, and returns the same per-partition results.
     pub adaptive: Option<Arc<dyn crate::aqe::AdaptiveJobSpec>>,
     /// Human-readable description (`count`, `collect`, ...).
     pub action: String,
@@ -160,7 +136,7 @@ impl JobState {
     /// dedup upstream); pure host arithmetic, charges no virtual time.
     pub(crate) fn observe(&self, part: usize, result: &AnyMsg, obs: &obs::Obs) {
         if let Some(eval) = self.eval.lock().as_mut() {
-            eval.merge(part, result);
+            eval.fold(part, result);
         }
         self.seen.fetch_add(1, Ordering::SeqCst);
         if self.partial {
@@ -248,21 +224,10 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Exact per-partition results, in partition order; `None` when the
-    /// deadline fired before completion.
-    pub fn results(&self) -> Option<&Vec<AnyMsg>> {
-        self.results.as_ref()
-    }
-
     /// Unwrap exact results — the path every blocking action takes (no
     /// deadline attached, so completion is the only terminal state).
     pub fn into_results(self) -> Vec<AnyMsg> {
         self.results.expect("job ran to completion (no deadline attached)")
-    }
-
-    /// True when the deadline fired before completion.
-    pub fn deadline_fired(&self) -> bool {
-        self.state.deadline_fired()
     }
 
     /// The evaluator's answer — exact when the job completed, a confidence
@@ -316,10 +281,10 @@ pub trait RddOps<T: Element>: Send + Sync + 'static {
     fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed>;
     /// Direct shuffle dependencies.
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
-    /// Adaptive view of this node, when it is a shuffle read that supports
-    /// plan-driven execution (coalesce/split). `None` (the default) keeps
-    /// the node on the static path.
-    fn adaptive(&self) -> Option<Arc<dyn AdaptiveResultOps<T>>> {
+    /// The adaptive job running `f` over this node, when it is a shuffle
+    /// read that supports plan-driven execution (coalesce/split). `None`
+    /// (the default) keeps the job on the static path.
+    fn adaptive(self: Arc<Self>, _f: Action<T>) -> Option<Arc<dyn crate::aqe::AdaptiveJobSpec>> {
         None
     }
 }
@@ -472,7 +437,7 @@ impl<T: Element> Rdd<T> {
         f: impl Fn(&TaskContext, Vec<T>) -> R + Send + Sync + 'static,
         opts: JobOptions,
     ) -> JobHandle {
-        let f = Arc::new(f);
+        let f: Action<T> = Arc::new(move |ctx, v| Arc::new(f(ctx, v)) as AnyMsg);
         let result_tasks: Vec<Arc<dyn TaskRunner>> = (0..self.num_partitions())
             .map(|p| {
                 Arc::new(ResultTask { ops: self.ops.clone(), f: f.clone(), part: p })
@@ -481,14 +446,7 @@ impl<T: Element> Rdd<T> {
             .collect();
         // With AQE on and a shuffle read as the terminal node, also offer
         // the scheduler a plan-driven alternative to the fixed task list.
-        let adaptive = if self.core.conf.aqe.enabled {
-            self.ops.adaptive().map(|ops| {
-                Arc::new(AdaptiveResultJob { ops, f: f.clone() })
-                    as Arc<dyn crate::aqe::AdaptiveJobSpec>
-            })
-        } else {
-            None
-        };
+        let adaptive = if self.core.conf.aqe.enabled { self.ops.clone().adaptive(f) } else { None };
         let job = JobSpec {
             shuffle_stages: topo_shuffle_deps(self.ops.shuffle_deps()),
             result_tasks,
@@ -543,6 +501,19 @@ impl<T: Element> Rdd<T> {
 
     // --- approximate actions ----------------------------------------------
 
+    /// Run `f` over every partition with `eval` folding the results, under a
+    /// virtual-clock budget of `timeout_ns`.
+    fn approximate<E: ApproximateEvaluator>(
+        &self,
+        action: &str,
+        f: impl Fn(&TaskContext, Vec<T>) -> E::Update + Send + Sync + 'static,
+        eval: E,
+        timeout_ns: u64,
+    ) -> PartialResult<E::Output> {
+        let opts = JobOptions { evaluator: Some(Box::new(eval)), timeout_ns: Some(timeout_ns) };
+        self.submit_job(action, f, opts).wait().partial()
+    }
+
     /// Approximate record count with a virtual-clock budget: if the job has
     /// not completed after `timeout_ns`, the answer is a confidence
     /// interval extrapolated from the partitions seen so far
@@ -555,9 +526,7 @@ impl<T: Element> Rdd<T> {
     ) -> PartialResult<BoundedDouble> {
         let f = |_ctx: &TaskContext, v: Vec<T>| v.len() as u64;
         let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let evaluator = Erased::boxed(CountEvaluator::new(confidence));
-        let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
-        self.submit_job("count_approx", f, opts).wait().partial::<BoundedDouble>()
+        self.approximate("count_approx", f, CountEvaluator::new(confidence), timeout_ns)
     }
 }
 
@@ -580,9 +549,7 @@ impl<T: Element + AsF64> Rdd<T> {
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
         let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let evaluator = Erased::boxed(SumEvaluator::new(confidence));
-        let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
-        self.submit_job("sum_approx", Self::stat_task(), opts).wait().partial::<BoundedDouble>()
+        self.approximate("sum_approx", Self::stat_task(), SumEvaluator::new(confidence), timeout_ns)
     }
 
     /// Approximate mean under a virtual-clock deadline; see
@@ -594,9 +561,8 @@ impl<T: Element + AsF64> Rdd<T> {
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
         let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let evaluator = Erased::boxed(MeanEvaluator::new(confidence));
-        let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
-        self.submit_job("mean_approx", Self::stat_task(), opts).wait().partial::<BoundedDouble>()
+        let eval = MeanEvaluator::new(confidence);
+        self.approximate("mean_approx", Self::stat_task(), eval, timeout_ns)
     }
 }
 
@@ -827,11 +793,8 @@ where
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<Vec<(K, BoundedDouble)>> {
         let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let evaluator = Erased::boxed(GroupedCountEvaluator::<K>::new(confidence));
-        let opts = JobOptions { evaluator: Some(evaluator), timeout_ns: Some(timeout_ns) };
-        self.submit_job("count_by_key_approx", Self::key_histogram_task(), opts)
-            .wait()
-            .partial::<Vec<(K, BoundedDouble)>>()
+        let eval = GroupedCountEvaluator::new(confidence);
+        self.approximate("count_by_key_approx", Self::key_histogram_task(), eval, timeout_ns)
     }
 
     /// The keys.

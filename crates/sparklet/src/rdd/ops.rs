@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::aqe::{AdaptiveJobSpec, BucketResults, PlanTask, SlicePartial};
 use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
-use crate::rdd::{AdaptiveResultOps, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
+use crate::rdd::{Action, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed};
 use crate::storage::{BlockId, StoredBlock};
@@ -250,29 +250,12 @@ where
     fn num_reduces(&self) -> usize {
         self.partitioner.num_partitions()
     }
-    fn make_map_task(&self, part: usize) -> Arc<dyn TaskRunner> {
-        Arc::new(ShuffleMapTask { dep: self_arc(self), part })
+    fn make_map_task(self: Arc<Self>, part: usize) -> Arc<dyn TaskRunner> {
+        Arc::new(ShuffleMapTask { dep: self, part })
     }
     fn upstream(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         self.upstream.clone()
     }
-}
-
-/// `ShuffleDepMeta::make_map_task` needs an `Arc<ShuffleDep>`, but trait
-/// methods only see `&self`. The deps are always constructed into `Arc`s and
-/// registered in lineage nodes; reconstruct a cheap Arc by cloning fields.
-fn self_arc<K, M>(dep: &ShuffleDep<K, M>) -> Arc<ShuffleDep<K, M>>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-{
-    Arc::new(ShuffleDep {
-        shuffle_id: dep.shuffle_id,
-        parent: dep.parent.clone(),
-        partitioner: dep.partitioner.clone(),
-        upstream: dep.upstream.clone(),
-        map_side_combine: dep.map_side_combine.clone(),
-    })
 }
 
 /// Reduce-side node: reads the shuffle and applies `post`.
@@ -291,24 +274,6 @@ where
     /// Slice-partial merge for adaptive execution; `None` opts the operator
     /// out of AQE (e.g. cogroup inputs).
     pub merge: Option<MergeFn<U>>,
-}
-
-impl<K, M, U> ShuffleReadRdd<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    /// Cheap `Arc` of self by cloning fields (same pattern as `self_arc`:
-    /// trait methods only see `&self`).
-    fn arc_clone(&self) -> Arc<Self> {
-        Arc::new(ShuffleReadRdd {
-            id: self.id,
-            dep: self.dep.clone(),
-            post: self.post.clone(),
-            merge: self.merge.clone(),
-        })
-    }
 }
 
 impl<K, M, U> RddOps<U> for ShuffleReadRdd<K, M, U>
@@ -330,43 +295,9 @@ where
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep.clone()]
     }
-    fn adaptive(&self) -> Option<Arc<dyn AdaptiveResultOps<U>>> {
-        self.merge.is_some().then(|| self.arc_clone() as Arc<dyn AdaptiveResultOps<U>>)
-    }
-}
-
-impl<K, M, U> AdaptiveResultOps<U> for ShuffleReadRdd<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    fn dep(&self) -> Arc<dyn ShuffleDepMeta> {
-        self.dep.clone() as Arc<dyn ShuffleDepMeta>
-    }
-    fn compute_buckets(
-        &self,
-        ctx: &TaskContext,
-        buckets: &[u32],
-    ) -> Result<Vec<(u32, Vec<U>)>, FetchFailed> {
-        Ok(read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, buckets, None)?
-            .into_iter()
-            .map(|(b, pairs)| (b, (self.post)(ctx, pairs)))
-            .collect())
-    }
-    fn compute_slice(
-        &self,
-        ctx: &TaskContext,
-        bucket: u32,
-        map_lo: u32,
-        map_hi: u32,
-    ) -> Result<Vec<U>, FetchFailed> {
-        let mut slices =
-            read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, &[bucket], Some((map_lo, map_hi)))?;
-        Ok((self.post)(ctx, slices.pop().expect("one bucket requested").1))
-    }
-    fn merge(&self, ctx: &TaskContext, partials: Vec<Vec<U>>) -> Vec<U> {
-        (self.merge.as_ref().expect("adaptive ops require a merge"))(ctx, partials)
+    fn adaptive(self: Arc<Self>, f: Action<U>) -> Option<Arc<dyn AdaptiveJobSpec>> {
+        let merge = self.merge.clone()?;
+        Some(Arc::new(AdaptiveRead { read: self, merge, f }))
     }
 }
 
@@ -422,130 +353,128 @@ where
 // --- result tasks -------------------------------------------------------------
 
 /// Result-stage task: compute the partition and apply the action function.
-pub struct ResultTask<T: Element, R: Send + Sync + 'static> {
+pub struct ResultTask<T: Element> {
     /// Lineage to compute.
     pub ops: Arc<dyn RddOps<T>>,
     /// Per-partition action.
-    pub f: Arc<dyn Fn(&TaskContext, Vec<T>) -> R + Send + Sync>,
+    pub f: Action<T>,
     /// The partition.
     pub part: usize,
 }
 
-impl<T: Element, R: Send + Sync + 'static> TaskRunner for ResultTask<T, R> {
+impl<T: Element> TaskRunner for ResultTask<T> {
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
         let data = match self.ops.compute(self.part, ctx) {
             Ok(data) => data,
             Err(failed) => return TaskOutput::FetchFailed(failed),
         };
         ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
-        TaskOutput::Result(Arc::new((self.f)(ctx, data)))
+        TaskOutput::Result((self.f)(ctx, data))
     }
 }
 
 // --- adaptive result tasks --------------------------------------------------
 
-/// The typed end of [`AdaptiveJobSpec`]: holds the adaptive shuffle-read ops
-/// and the action closure, and stamps them into plan-task runners for the
-/// scheduler's type-erased side.
-pub struct AdaptiveResultJob<T: Element, R: Send + Sync + 'static> {
-    /// Adaptive view of the terminal shuffle read.
-    pub ops: Arc<dyn AdaptiveResultOps<T>>,
-    /// Per-partition action.
-    pub f: Arc<dyn Fn(&TaskContext, Vec<T>) -> R + Send + Sync>,
+/// The one [`AdaptiveJobSpec`]: a shuffle read with a slice merge, and the
+/// action run over it. Plan tasks fetch through the node's shuffle and
+/// apply its `post` and `merge` directly.
+#[derive(Clone)]
+struct AdaptiveRead<K, M, U>
+where
+    K: Element + Hash + Eq + Ord,
+    M: Element,
+    U: Element,
+{
+    read: Arc<ShuffleReadRdd<K, M, U>>,
+    merge: MergeFn<U>,
+    f: Action<U>,
 }
 
-impl<T: Element, R: Send + Sync + 'static> AdaptiveJobSpec for AdaptiveResultJob<T, R> {
+impl<K, M, U> AdaptiveJobSpec for AdaptiveRead<K, M, U>
+where
+    K: Element + Hash + Eq + Ord,
+    M: Element,
+    U: Element,
+{
     fn dep(&self) -> Arc<dyn ShuffleDepMeta> {
-        self.ops.dep()
+        self.read.dep.clone()
     }
     fn make_task(&self, task: &PlanTask) -> Arc<dyn TaskRunner> {
-        match task {
-            PlanTask::Buckets { buckets } => Arc::new(AqeBucketsTask {
-                ops: self.ops.clone(),
-                f: self.f.clone(),
-                buckets: buckets.clone(),
-            }),
-            PlanTask::Slice { bucket, map_lo, map_hi } => Arc::new(AqeSliceTask {
-                ops: self.ops.clone(),
-                bucket: *bucket,
-                map_lo: *map_lo,
-                map_hi: *map_hi,
-            }),
-        }
+        Arc::new(AqeTask { job: self.clone(), work: AqeWork::Plan(task.clone()) })
     }
     fn make_merge_task(&self, bucket: u32, partials: Vec<AnyMsg>) -> Arc<dyn TaskRunner> {
-        Arc::new(AqeMergeTask { ops: self.ops.clone(), f: self.f.clone(), bucket, partials })
+        Arc::new(AqeTask { job: self.clone(), work: AqeWork::Merge { bucket, partials } })
     }
 }
 
-/// Adaptive task over complete buckets: one fetch pass, then post + action
-/// per bucket (preserving the job's per-partition result arity).
-struct AqeBucketsTask<T: Element, R: Send + Sync + 'static> {
-    ops: Arc<dyn AdaptiveResultOps<T>>,
-    f: Arc<dyn Fn(&TaskContext, Vec<T>) -> R + Send + Sync>,
-    buckets: Vec<u32>,
+/// What one adaptive task does.
+enum AqeWork {
+    /// A plan task: complete buckets (fetch + post + action per bucket), or
+    /// one map-range slice of a split bucket (fetch + post only — the
+    /// salted pre-aggregate; the action runs in the merge).
+    Plan(PlanTask),
+    /// The final merge of one split bucket's slice partials (type-erased
+    /// `Vec<U>`s in ascending map-range order), then the action.
+    Merge { bucket: u32, partials: Vec<AnyMsg> },
 }
 
-impl<T: Element, R: Send + Sync + 'static> TaskRunner for AqeBucketsTask<T, R> {
+struct AqeTask<K, M, U>
+where
+    K: Element + Hash + Eq + Ord,
+    M: Element,
+    U: Element,
+{
+    job: AdaptiveRead<K, M, U>,
+    work: AqeWork,
+}
+
+impl<K, M, U> TaskRunner for AqeTask<K, M, U>
+where
+    K: Element + Hash + Eq + Ord,
+    M: Element,
+    U: Element,
+{
     fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let computed = match self.ops.compute_buckets(ctx, &self.buckets) {
-            Ok(computed) => computed,
-            Err(failed) => return TaskOutput::FetchFailed(failed),
-        };
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for (bucket, data) in computed {
+        let AdaptiveRead { read, merge, f } = &self.job;
+        let shuffle_id = read.dep.shuffle_id;
+        let records_out = |data: &Vec<U>| {
             ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
-            out.push((bucket, Arc::new((self.f)(ctx, data)) as AnyMsg));
-        }
-        TaskOutput::Result(Arc::new(BucketResults(out)))
-    }
-}
-
-/// Adaptive task over one map-range slice of a split bucket: fetch + post
-/// only (the salted pre-aggregate); the action runs in the merge task.
-struct AqeSliceTask<T: Element> {
-    ops: Arc<dyn AdaptiveResultOps<T>>,
-    bucket: u32,
-    map_lo: u32,
-    map_hi: u32,
-}
-
-impl<T: Element> TaskRunner for AqeSliceTask<T> {
-    fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let data = match self.ops.compute_slice(ctx, self.bucket, self.map_lo, self.map_hi) {
-            Ok(data) => data,
-            Err(failed) => return TaskOutput::FetchFailed(failed),
         };
-        ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
-        TaskOutput::Result(Arc::new(SlicePartial {
-            bucket: self.bucket,
-            map_lo: self.map_lo,
-            data: Arc::new(data) as AnyMsg,
-        }))
-    }
-}
-
-/// Final merge of one split bucket's slice partials, then the action.
-struct AqeMergeTask<T: Element, R: Send + Sync + 'static> {
-    ops: Arc<dyn AdaptiveResultOps<T>>,
-    f: Arc<dyn Fn(&TaskContext, Vec<T>) -> R + Send + Sync>,
-    bucket: u32,
-    /// Type-erased `Vec<T>` partials in ascending map-range order.
-    partials: Vec<AnyMsg>,
-}
-
-impl<T: Element, R: Send + Sync + 'static> TaskRunner for AqeMergeTask<T, R> {
-    fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let partials: Vec<Vec<T>> = self
-            .partials
-            .iter()
-            .map(|p| p.clone().downcast::<Vec<T>>().expect("slice partial type").as_ref().clone())
-            .collect();
-        let data = self.ops.merge(ctx, partials);
-        ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
-        TaskOutput::Result(Arc::new(BucketResults(vec![(
-            self.bucket,
-            Arc::new((self.f)(ctx, data)) as AnyMsg,
-        )])))
+        // One result per whole bucket, preserving the job's per-partition
+        // result arity.
+        let finish = |bucket: u32, data: Vec<U>| {
+            records_out(&data);
+            (bucket, f(ctx, data))
+        };
+        let run = || -> Result<AnyMsg, FetchFailed> {
+            Ok(match &self.work {
+                AqeWork::Plan(PlanTask::Buckets { buckets }) => {
+                    let posted: Vec<(u32, Vec<U>)> =
+                        read_shuffle::<(K, M)>(ctx, shuffle_id, buckets, None)?
+                            .into_iter()
+                            .map(|(bucket, pairs)| (bucket, (read.post)(ctx, pairs)))
+                            .collect();
+                    Arc::new(BucketResults(posted.into_iter().map(|(b, d)| finish(b, d)).collect()))
+                }
+                &AqeWork::Plan(PlanTask::Slice { bucket, map_lo, map_hi }) => {
+                    let range = Some((map_lo, map_hi));
+                    let mut slices = read_shuffle::<(K, M)>(ctx, shuffle_id, &[bucket], range)?;
+                    let data = (read.post)(ctx, slices.pop().expect("one bucket requested").1);
+                    records_out(&data);
+                    Arc::new(SlicePartial { bucket, map_lo, data: Arc::new(data) })
+                }
+                AqeWork::Merge { bucket, partials } => {
+                    let partials = partials
+                        .iter()
+                        .map(|p| p.downcast_ref::<Vec<U>>().expect("slice partial type").clone())
+                        .collect();
+                    Arc::new(BucketResults(vec![finish(*bucket, merge(ctx, partials))]))
+                }
+            })
+        };
+        match run() {
+            Ok(out) => TaskOutput::Result(out),
+            Err(failed) => TaskOutput::FetchFailed(failed),
+        }
     }
 }

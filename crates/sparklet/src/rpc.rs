@@ -15,7 +15,7 @@ use netz::{ChannelCore, NetzError, TransportClient, TransportConf, TransportCont
 use simt::queue::Queue;
 use simt::sync::Mutex;
 
-use crate::net_backend::{NetworkBackend, ProcIdentity};
+use crate::net_backend::{NetworkBackend, Plane, ProcIdentity};
 
 /// Default virtual wire size charged for a control-plane message.
 pub const CONTROL_WIRE_BYTES: u64 = 256;
@@ -112,7 +112,7 @@ impl RpcEnv {
         let streams: Arc<Mutex<Option<Arc<dyn netz::StreamManager>>>> = Arc::default();
         let handler =
             Arc::new(EnvHandler { endpoints: endpoints.clone(), streams: streams.clone() });
-        let ctx: TransportContext = backend.rpc_context(identity, net, handler);
+        let ctx: TransportContext = backend.context(Plane::Rpc, identity, net, handler);
         let conf = ctx.conf();
         let name = format!("rpc:{}", identity.name);
         let server = match port {

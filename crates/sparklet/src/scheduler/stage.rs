@@ -51,22 +51,11 @@ enum StageTasks<'j> {
 impl StageTasks<'_> {
     fn runner(&self, job: &JobSpec, part: usize) -> Arc<dyn TaskRunner> {
         match self {
-            StageTasks::Map(dep) => dep.make_map_task(part),
+            StageTasks::Map(dep) => Arc::clone(dep).make_map_task(part),
             StageTasks::Result => job.result_tasks[part].clone(),
             StageTasks::Fixed(runners) => runners[part].clone(),
         }
     }
-}
-
-/// How the adaptive path resolved.
-enum Adaptive {
-    /// Planned, ran, produced every partition's result.
-    Done(Vec<AnyMsg>),
-    /// Planner declined (arity mismatch); take the static path.
-    Declined,
-    /// The job's deadline fired mid-plan; completed buckets were folded
-    /// into the job state, no exact results exist.
-    Expired,
 }
 
 /// Run `job` under `sched` until completion or deadline expiry; returns
@@ -89,14 +78,10 @@ pub(super) fn run_job(
             return (None, eng.stages);
         }
     }
-    // Map outputs are in; this is the AQE decision point. The planner may
-    // decline (arity mismatch), in which case the static path below runs.
+    // Map outputs are in; this is the AQE decision point.
     if let Some(ad) = &job.adaptive {
-        match eng.run_adaptive(ad.as_ref()) {
-            Adaptive::Done(results) => return (Some(results), eng.stages),
-            Adaptive::Expired => return (None, eng.stages),
-            Adaptive::Declined => {}
-        }
+        let results = eng.run_adaptive(ad.as_ref());
+        return (results, eng.stages);
     }
     let parts: Vec<usize> = (0..job.result_tasks.len()).collect();
     let outs =
@@ -170,22 +155,20 @@ impl JobEngine<'_> {
     /// registered map-output sizes, execute the planned tasks (reusing the
     /// full attempt/recovery/speculation machinery), merge split buckets,
     /// and reassemble one result per original reduce partition. Returns
-    /// [`Adaptive::Declined`] when the job's result arity does not match
-    /// the terminal shuffle's reduce count (the action does not run
-    /// directly over the shuffle read) — the caller then takes the static
-    /// path.
+    /// `None` when the job's deadline fired mid-plan: completed buckets are
+    /// folded into the job state, no exact results exist.
     ///
     /// Evaluator folding happens at bucket-routing time rather than task
     /// completion: an adaptive task covers several buckets (coalesced) or a
     /// fraction of one (slice), so per-*partition* results only exist once
     /// routed. On expiry, complete buckets fold; split buckets whose merge
     /// never ran stay unseen (post-deadline work is never scheduled).
-    fn run_adaptive(&mut self, ad: &dyn AdaptiveJobSpec) -> Adaptive {
+    fn run_adaptive(&mut self, ad: &dyn AdaptiveJobSpec) -> Option<Vec<AnyMsg>> {
         let dep = ad.dep();
         let num_reduces = dep.num_reduces();
-        if num_reduces != self.job.result_tasks.len() {
-            return Adaptive::Declined;
-        }
+        // Only a shuffle read offers an adaptive job, and its partition
+        // count is its dependency's reduce count.
+        assert_eq!(num_reduces, self.job.result_tasks.len(), "one result per reduce bucket");
         let sched = self.sched;
         let (epoch, rows) = sched.tracker.size_matrix(dep.shuffle_id());
         let row_slices: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
@@ -239,7 +222,7 @@ impl JobEngine<'_> {
         }
         if self.state.deadline_fired() {
             self.fold_buckets(&by_bucket);
-            return Adaptive::Expired;
+            return None;
         }
         if !partials.is_empty() {
             let merges: Vec<Arc<dyn TaskRunner>> = partials
@@ -268,7 +251,7 @@ impl JobEngine<'_> {
             }
             if self.state.deadline_fired() {
                 self.fold_buckets(&by_bucket);
-                return Adaptive::Expired;
+                return None;
             }
         }
         self.fold_buckets(&by_bucket);
@@ -282,7 +265,7 @@ impl JobEngine<'_> {
         let replan = aqe::plan(&now_slices, &sched.conf.aqe);
         assert_eq!(replan, plan, "replan after recovery diverged from the executed plan");
 
-        Adaptive::Done(
+        Some(
             by_bucket
                 .into_iter()
                 .map(|o| o.expect("every reduce bucket produced a result"))

@@ -21,7 +21,7 @@ use simt::sync::Mutex;
 use simt::SeededRng;
 
 use crate::config::SparkConf;
-use crate::net_backend::{NetworkBackend, ProcIdentity};
+use crate::net_backend::{NetworkBackend, Plane, ProcIdentity};
 use crate::storage::{BlockId, BlockManager, StoredBlock};
 
 /// RPC opening a stream over named blocks.
@@ -86,8 +86,6 @@ impl std::fmt::Display for FetchError {
 pub struct FetchResult {
     /// Blocks covered by *this chunk* (all requested blocks in merged mode).
     pub blocks: Vec<BlockId>,
-    /// Index of the chunk within the request's stream.
-    pub chunk_index: u32,
     /// True on the final result of the originating `fetch_blocks` call.
     pub last: bool,
     /// Decoded per-block data, ordered as `blocks`.
@@ -172,8 +170,12 @@ impl ShuffleService {
             next_stream: AtomicU64::new(1),
             conf,
         });
-        let ctx: TransportContext =
-            backend.shuffle_context(identity, net, Arc::new(SvcHandler { svc: svc.clone() }));
+        let ctx: TransportContext = backend.context(
+            Plane::Shuffle,
+            identity,
+            net,
+            Arc::new(SvcHandler { svc: svc.clone() }),
+        );
         let ep = ctx.create_client_endpoint(format!("shuffle:{}", identity.name), identity.node);
         (svc, ep)
     }
@@ -265,7 +267,7 @@ impl NettyBlockTransferService {
     /// Build the client side on `identity`'s node using the backend's
     /// shuffle-plane transport.
     pub fn new(identity: &ProcIdentity, net: &Net, backend: &Arc<dyn NetworkBackend>) -> Arc<Self> {
-        let ctx = backend.shuffle_context(identity, net, Arc::new(netz::NoOpRpcHandler));
+        let ctx = backend.context(Plane::Shuffle, identity, net, Arc::new(netz::NoOpRpcHandler));
         Self::with_context(ctx, identity, "fetch")
     }
 
@@ -299,7 +301,7 @@ impl BlockTransferService for NettyBlockTransferService {
         // per-chunk structure: one `Err` covering the whole request is the
         // honest report, and the retry layer above re-requests per block.
         let fail = |sink: &Queue<FetchResult>, blocks: Vec<BlockId>, e: FetchError| {
-            sink.send(FetchResult { blocks, chunk_index: 0, last: true, result: Err(e) });
+            sink.send(FetchResult { blocks, last: true, result: Err(e) });
         };
         let client = match self.client(remote) {
             Ok(c) => c,
@@ -351,7 +353,7 @@ impl BlockTransferService for NettyBlockTransferService {
                     };
                     let covered = if per_block { vec![blocks[i]] } else { blocks.as_ref().clone() };
                     let last = done.fetch_add(1, Ordering::Relaxed) + 1 == n_chunks;
-                    sink.send(FetchResult { blocks: covered, chunk_index: i as u32, last, result });
+                    sink.send(FetchResult { blocks: covered, last, result });
                 }),
             );
         }
@@ -396,7 +398,6 @@ impl RetryConf {
         RetryConf {
             max_retries: conf.fetch_max_retries,
             policy: RetryPolicy {
-                max_retries: conf.fetch_max_retries,
                 base_delay_ns: conf.fetch_retry_base_ns,
                 max_delay_ns: conf.fetch_retry_max_ns,
                 jitter_frac: 0.2,
@@ -522,7 +523,6 @@ impl RetryInner {
                         let finished = missing.is_empty();
                         sink.send(FetchResult {
                             blocks: res.blocks,
-                            chunk_index: res.chunk_index,
                             last: finished,
                             result: Ok(data),
                         });
@@ -563,7 +563,6 @@ impl RetryInner {
                 for (i, b) in missing.into_iter().enumerate() {
                     sink.send(FetchResult {
                         blocks: vec![b],
-                        chunk_index: 0,
                         last: i + 1 == n,
                         result: Err(last_error.clone()),
                     });

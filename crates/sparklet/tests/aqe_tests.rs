@@ -20,7 +20,7 @@ use simt::{for_each_case, SeededRng};
 use sparklet::aqe::{plan, PlanTask};
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{AqeConf, SparkConf, SpeculationConf};
+use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf, SpeculationConf};
 use workloads::ohb::zipf_keys;
 use workloads::{RunOutcome, System};
 
@@ -289,6 +289,84 @@ fn crash_during_adaptive_reduce_fetch_replans_and_matches_oracle() {
         assert!(resubmits >= 1, "{}: no stage resubmission", system.label());
         let slices = out.metrics.counter(keys::SPARK_AQE_SPLIT_SLICES);
         assert!(slices > 0, "{}: AQE plan not active", system.label());
+    }
+}
+
+// --- approximate actions over an adaptive read ---------------------------------
+
+/// `count_approx` over the hot-key groupBy: the adaptive result stage folds
+/// the job's evaluator at bucket routing, not per task.
+fn hot_group_count(sc: &SparkContext, timeout_ns: u64) -> PartialResult<BoundedDouble> {
+    let (_, hot, parts) = datasets().remove(2);
+    sc.parallelize(hot, 6).group_by_key(parts).count_approx(timeout_ns, None)
+}
+
+fn run_hot_group_count(
+    system: System,
+    aqe: AqeConf,
+    timeout_ns: u64,
+) -> RunOutcome<PartialResult<BoundedDouble>> {
+    let spec = ClusterSpec::test(4);
+    let cluster = ClusterConfig::paper_layout(spec.len(), conf_with(aqe));
+    system.run(&spec, cluster, move |sc| hot_group_count(sc, timeout_ns))
+}
+
+#[test]
+fn count_approx_over_an_adaptive_read_folds_buckets_and_expires_per_stage() {
+    // A budget no job reaches (~17 virtual minutes).
+    const NEVER: u64 = 1_000_000 * MS;
+    // The `full` policy splits only the hot bucket, so most buckets stay
+    // whole and fold before the merge stage.
+    let aqe = modes()[3].1;
+    let overhead = conf_with(aqe).cost.task_overhead_ns;
+    for system in all_systems() {
+        let label = system.label();
+        let (_, hot, parts) = datasets().remove(2);
+        let spec = ClusterSpec::test(4);
+        let cluster = ClusterConfig::paper_layout(spec.len(), conf_with(AqeConf::default()));
+        let exact = system
+            .run(&spec, cluster, move |sc| sc.parallelize(hot, 6).group_by_key(parts).count());
+
+        // (a) A budget that never fires: every bucket folds, the answer is
+        // the static path's exact count.
+        let clean = run_hot_group_count(system, aqe, NEVER);
+        let r = &clean.result;
+        assert_eq!(r.value, BoundedDouble::exact(exact.result as f64), "{label}: wrong count");
+        assert!(r.is_final && r.partitions_seen == parts, "{label}: clean run must be final");
+        assert!(clean.metrics.counter(keys::SPARK_AQE_TASKS) > 0, "{label}: AQE never engaged");
+
+        let job = &clean.jobs[0];
+        let stage = |name: &str| {
+            let found = job.stages.iter().find(|s| s.name == name);
+            found.unwrap_or_else(|| panic!("{label}: no stage {name}"))
+        };
+        let merge = stage("Job0-AqeMergeStage");
+        let split_buckets = merge.tasks;
+        assert!(split_buckets > 0 && split_buckets < parts, "{label}: {split_buckets} splits");
+
+        // (b) The deadline fires as the merge stage starts, before any merge
+        // task can finish: every complete bucket folds, no split bucket does.
+        let budget = merge.start_ns - job.start_ns + overhead / 2;
+        let r = run_hot_group_count(system, aqe, budget).result;
+        assert!(!r.is_final, "{label}: expired mid-merge but final");
+        assert_eq!(r.partitions_seen, parts - split_buckets, "{label}: mid-merge coverage");
+        if r.partitions_seen >= 2 {
+            assert!(
+                r.value.contains(exact.result as f64),
+                "{label}: interval {} misses the true {} groups",
+                r.value,
+                exact.result
+            );
+        }
+
+        // (c) The deadline fires as the adaptive result stage starts: no plan
+        // task finishes, nothing folds, and no merge stage is scheduled.
+        let budget = stage("Job0-ResultStage").start_ns - job.start_ns + overhead / 2;
+        let out = run_hot_group_count(system, aqe, budget);
+        assert!(!out.result.is_final, "{label}: expired mid-plan but final");
+        assert_eq!(out.result.partitions_seen, 0, "{label}: mid-plan coverage");
+        let merged = out.jobs[0].stages.iter().any(|s| s.name == "Job0-AqeMergeStage");
+        assert!(!merged, "{label}: a merge stage ran after the deadline");
     }
 }
 

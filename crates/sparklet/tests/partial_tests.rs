@@ -17,7 +17,6 @@ use fabric::{ClusterSpec, FaultPlan};
 use obs::keys;
 use simt::for_each_case;
 use sparklet::deploy::ClusterConfig;
-use sparklet::partial::Erased;
 use sparklet::scheduler::{JobMetrics, SparkContext};
 use sparklet::{BoundedDouble, CountEvaluator, JobOptions, PartialResult, SparkConf};
 use workloads::{RunOutcome, System};
@@ -307,10 +306,8 @@ fn job_handle_poll_tracks_progress_and_converges_to_exact() {
     // poll is the exact count.
     let out = run(System::Mpi4Spark, partial_conf(), |sc| {
         let rdd = sc.parallelize((0..500u64).collect(), 8);
-        let opts = JobOptions {
-            evaluator: Some(Erased::boxed(CountEvaluator::new(0.9))),
-            timeout_ns: None,
-        };
+        let opts =
+            JobOptions { evaluator: Some(Box::new(CountEvaluator::new(0.9))), timeout_ns: None };
         let handle = rdd.submit_job("count_poll", |_ctx, v| v.len() as u64, opts);
         let early = handle.poll::<BoundedDouble>().expect("evaluator attached");
         let mut last = early.partitions_seen;
@@ -321,9 +318,9 @@ fn job_handle_poll_tracks_progress_and_converges_to_exact() {
             last = now;
         }
         let outcome = handle.wait();
-        assert!(!outcome.deadline_fired());
-        assert_eq!(outcome.results().map(Vec::len), Some(8));
-        (early, outcome.partial::<BoundedDouble>())
+        let fin = outcome.partial::<BoundedDouble>();
+        assert_eq!(outcome.into_results().len(), 8, "one exact result per partition");
+        (early, fin)
     });
     let (early, fin) = out.result.clone();
     assert!(early.coverage() <= fin.coverage());

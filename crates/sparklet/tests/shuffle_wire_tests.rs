@@ -33,7 +33,7 @@ impl BlockTransferService for StoreTransfer {
     fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
         let (_, store) = self.stores.iter().find(|(addr, _)| *addr == remote).expect("known peer");
         let stored = blocks.iter().map(|id| store.get(*id).expect("block written")).collect();
-        sink.send(FetchResult { blocks, chunk_index: 0, last: true, result: Ok(stored) });
+        sink.send(FetchResult { blocks, last: true, result: Ok(stored) });
     }
 
     fn close(&self) {}

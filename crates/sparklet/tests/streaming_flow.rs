@@ -19,7 +19,7 @@ use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
 use sparklet::rdd::ops::ResultTask;
 use sparklet::rdd::{RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
-use sparklet::rpc::RpcEnv;
+use sparklet::rpc::{AnyMsg, RpcEnv};
 use sparklet::shuffle::{
     read_shuffle, FetchFailed, MapOutputClient, MapOutputTrackerMaster, MapStatus,
 };
@@ -78,7 +78,6 @@ impl BlockTransferService for ScriptedTransfer {
                 emissions.lock().push((req, i as u32, simt::now()));
                 sink.send(FetchResult {
                     blocks: vec![blocks[i]],
-                    chunk_index: i as u32,
                     last: i + 1 == n,
                     result: Ok(vec![block_for(blocks[i])]),
                 });
@@ -224,7 +223,6 @@ impl BlockTransferService for FailingTransfer {
     fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
         sink.send(FetchResult {
             blocks,
-            chunk_index: 0,
             last: true,
             result: Err(FetchError::plane("peer unreachable")),
         });
@@ -273,7 +271,7 @@ fn result_task_reports_a_lineage_err_as_fetch_failed_output() {
         let lost = FetchFailed { shuffle_id: 3, exec_id: Some(1), map_id: Some(9) };
         let task = ResultTask {
             ops: Arc::new(LostBlocks(lost)),
-            f: Arc::new(|_ctx: &TaskContext, v: Vec<u64>| v.len()),
+            f: Arc::new(|_ctx: &TaskContext, v: Vec<u64>| Arc::new(v.len()) as AnyMsg),
             part: 0,
         };
         match task.run(&ctx) {

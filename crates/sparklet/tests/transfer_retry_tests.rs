@@ -38,12 +38,7 @@ fn block_for(map_id: u32) -> StoredBlock {
 fn conf() -> RetryConf {
     RetryConf {
         max_retries: 3,
-        policy: RetryPolicy {
-            max_retries: 3,
-            base_delay_ns: MS,
-            max_delay_ns: 10 * MS,
-            jitter_frac: 0.2,
-        },
+        policy: RetryPolicy { base_delay_ns: MS, max_delay_ns: 10 * MS, jitter_frac: 0.2 },
         fetch_timeout_ns: 50 * MS,
         plane_failure_threshold: 2,
         seed: 9,
@@ -144,7 +139,6 @@ impl<F: Fn(usize, &[BlockId], &Queue<FetchResult>) + Send + Sync + 'static> Bloc
 fn ok_result(blocks: &[BlockId], i: usize, last: bool) -> FetchResult {
     FetchResult {
         blocks: vec![blocks[i]],
-        chunk_index: i as u32,
         last,
         result: Ok(vec![block_for(match blocks[i] {
             BlockId::Shuffle { map_id, .. } => map_id,
@@ -168,7 +162,6 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
                 if call == 0 && blocks[i] == bid(1) {
                     sink.send(FetchResult {
                         blocks: vec![bid(1)],
-                        chunk_index: i as u32,
                         last,
                         result: Err(FetchError::request("corrupt chunk")),
                     });
@@ -243,7 +236,6 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
         let primary = Scripted::new(|_, blocks, sink| {
             sink.send(FetchResult {
                 blocks: blocks.to_vec(),
-                chunk_index: 0,
                 last: true,
                 result: Err(FetchError::plane("plane down")),
             });
@@ -301,7 +293,6 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
                 if blocks[i] == bid(1) {
                     sink.send(FetchResult {
                         blocks: vec![bid(1)],
-                        chunk_index: i as u32,
                         last,
                         result: Err(FetchError::request("permanently corrupt")),
                     });

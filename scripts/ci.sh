@@ -67,8 +67,11 @@ CHAOS_SEED="$CHAOS_SEED" "$CARGO" test -q --release -p sparklet --test chaos_tes
 # explain it and re-record (README "Regenerating the paper's figures").
 echo "==> ledger (repro all --scale small, cmp against results/ledger.json)"
 "$CARGO" run -q --release -p mpi4spark-bench "$@" -- all --scale small > "$CI_TMP/ledger.json"
-grep '"scale":"small"' results/ledger.json | cmp - "$CI_TMP/ledger.json" || {
+grep '"scale":"small"' results/ledger.json > "$CI_TMP/committed.json"
+cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
   echo "error: the small-scale records differ from results/ledger.json" >&2
+  echo "first differing lines (- committed, + regenerated):" >&2
+  diff -u "$CI_TMP/committed.json" "$CI_TMP/ledger.json" | head -n 20 >&2 || true
   exit 1
 }
 
