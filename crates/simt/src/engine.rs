@@ -1,18 +1,24 @@
-//! The simulation engine: virtual clock, event heap, and green-thread
+//! The simulation engine: virtual clock, event queues, and green-thread
 //! scheduling.
 //!
 //! Exactly one green thread executes at a time. The engine loop — on the OS
-//! thread that called [`Sim::run`] — pops events off a heap ordered by
-//! `(virtual_time, sequence)`; a `Wake` event resumes a blocked green thread's
-//! coroutine and gets control back when that thread parks or finishes; a
-//! `Call` event runs a closure on the engine's own stack (used for message
-//! delivery, CPU-model ticks, and link releases).
+//! thread that called [`Sim::run`] — takes events in `(virtual_time,
+//! sequence)` order: a `Wake` resumes a blocked green thread's coroutine and
+//! gets control back when that thread parks or finishes; a `Call` runs a
+//! closure on the engine's own stack (message delivery, deadlines); a `Tick`
+//! runs a [`crate::Cpu`]'s completion step there.
+//!
+//! The loop takes the smallest key among three fronts: a heap of events
+//! pushed for a later instant, a FIFO of those pushed for the current one
+//! (the due-now queue, already in sequence order), and the earliest CPU tick.
+//! Each CPU has at most one tick; re-arming replaces it in place under a
+//! fresh sequence number, so a superseded tick is never queued or popped.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::coro::{self, Coroutine, Payload, Step};
 use crate::local::{self, Locals};
@@ -62,6 +68,8 @@ impl ThreadSlot {
 enum EventKind {
     Wake { tid: TaskId, epoch: u64 },
     Call(Box<dyn FnOnce() + Send>),
+    // Never queued: `State::pop` makes one when a CPU's armed tick is next.
+    Tick(usize),
 }
 
 struct Event {
@@ -87,10 +95,57 @@ impl Ord for Event {
     }
 }
 
+/// A disarmed tick's `(time, seq, slot)`: later than any armed one.
+const IDLE: (u64, u64, usize) = (u64::MAX, u64::MAX, usize::MAX);
+
+/// The CPU ticks, one slot per [`Tick`] owner, as a tournament tree: leaf
+/// `cap + i` holds slot `i`'s `(time, seq, i)`, inner node `n` the smaller of
+/// nodes `2n` and `2n + 1`; node 1 is the earliest tick, arming is O(log CPUs).
+#[derive(Default)]
+struct Ticks {
+    /// Held weakly: a pending tick must not keep its CPU alive.
+    owners: Vec<Weak<dyn Tick>>,
+    tree: Vec<(u64, u64, usize)>,
+    armed: usize,
+}
+
+impl Ticks {
+    fn register(&mut self, owner: Weak<dyn Tick>) -> usize {
+        let slot = self.owners.len();
+        self.owners.push(owner);
+        if slot == self.tree.len() / 2 {
+            // Full: double the leaves and re-arm what was pending.
+            let old = std::mem::replace(&mut self.tree, vec![IDLE; 4 * slot.max(1)]);
+            self.armed = 0;
+            for &(time, seq, i) in old[slot..].iter().filter(|&&leaf| leaf != IDLE) {
+                self.set(i, Some((time, seq)));
+            }
+        }
+        slot
+    }
+
+    fn earliest(&self) -> Option<(u64, u64, usize)> {
+        self.tree.get(1).copied().filter(|&root| root != IDLE)
+    }
+
+    fn set(&mut self, slot: usize, key: Option<(u64, u64)>) {
+        let mut n = self.tree.len() / 2 + slot;
+        self.armed = self.armed + usize::from(key.is_some()) - usize::from(self.tree[n] != IDLE);
+        self.tree[n] = key.map_or(IDLE, |(time, seq)| (time, seq, slot));
+        while n > 1 {
+            n /= 2;
+            self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+        }
+    }
+}
+
 struct State {
     now: u64,
     next_seq: u64,
     heap: BinaryHeap<Reverse<Event>>,
+    /// Events pushed for the current instant, in sequence order.
+    due: VecDeque<Event>,
+    ticks: Ticks,
     threads: Vec<ThreadSlot>,
     live: u64,
     stats: SimStats,
@@ -102,29 +157,56 @@ impl State {
     fn push_event(&mut self, at: u64, kind: EventKind) {
         let event = Event { time: at.max(self.now), seq: self.next_seq, kind };
         self.next_seq += 1;
-        self.heap.push(Reverse(event));
-        self.stats.heap_high_water = self.stats.heap_high_water.max(self.heap.len() as u64);
+        if event.time == self.now {
+            self.due.push_back(event);
+        } else {
+            self.heap.push(Reverse(event));
+        }
+        self.note_pending();
+    }
+
+    fn note_pending(&mut self) {
+        let pending = self.heap.len() + self.due.len() + self.ticks.armed;
+        self.stats.heap_high_water = self.stats.heap_high_water.max(pending as u64);
+    }
+
+    /// The smallest `(time, seq)` of the heap's top, the due-now queue's
+    /// front and the earliest tick, which popping disarms.
+    fn pop(&mut self) -> Option<Event> {
+        let heap = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
+        let due = self.due.front().map(|e| (e.time, e.seq));
+        let queued = if due.is_some_and(|d| heap.is_none_or(|h| d < h)) { due } else { heap };
+        match self.ticks.earliest() {
+            Some((time, seq, slot)) if queued.is_none_or(|q| (time, seq) < q) => {
+                self.ticks.set(slot, None);
+                Some(Event { time, seq, kind: EventKind::Tick(slot) })
+            }
+            _ if queued == due => self.due.pop_front(),
+            _ => self.heap.pop().map(|Reverse(e)| e),
+        }
     }
 }
 
 /// The engine's own counters since the `Sim` was created. Every field is a
 /// pure function of the simulated program (no host time), and
-/// `wakes + stale_wakes + calls == events_popped` at all times.
+/// `wakes + stale_wakes + calls == events_popped` at all times. A CPU tick
+/// that a later change superseded was replaced in place, never popped: it is
+/// in none of these counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events taken off the heap.
+    /// Events taken off the heap, the due-now queue or the CPU tick table.
     pub events_popped: u64,
     /// `Wake` events that resumed their green thread.
     pub wakes: u64,
     /// `Wake` events dropped because the thread had already moved on.
     pub stale_wakes: u64,
-    /// `Call` closures run on the engine's stack.
+    /// `Call` closures and CPU ticks run on the engine's stack.
     pub calls: u64,
     /// Green threads ever spawned.
     pub threads_spawned: u64,
     /// Most green threads alive (spawned, not finished) at one time.
     pub peak_live_threads: u64,
-    /// Most events waiting in the heap at one time.
+    /// Most events pending at one time: heap, due-now queue and armed ticks.
     pub heap_high_water: u64,
 }
 
@@ -434,6 +516,8 @@ impl Sim {
                     now: 0,
                     next_seq: 0,
                     heap: BinaryHeap::new(),
+                    due: VecDeque::new(),
+                    ticks: Ticks::default(),
                     threads: Vec::new(),
                     live: 0,
                     stats: SimStats::default(),
@@ -477,7 +561,7 @@ impl Sim {
         self.inner.state.lock().stats
     }
 
-    /// Run until the event heap drains. Green-thread panics are re-raised
+    /// Run until no event is pending. Green-thread panics are re-raised
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
         let mut me = Arc::clone(&self.inner);
@@ -488,7 +572,7 @@ impl Sim {
                 self.shutdown();
                 panic::resume_unwind(p);
             }
-            let Some(Reverse(event)) = s.heap.pop() else { break };
+            let Some(event) = s.pop() else { break };
             s.now = event.time;
             s.stats.events_popped += 1;
             match event.kind {
@@ -496,6 +580,14 @@ impl Sim {
                     s.stats.calls += 1;
                     drop(s);
                     f();
+                }
+                EventKind::Tick(slot) => {
+                    s.stats.calls += 1;
+                    let owner = s.ticks.owners[slot].upgrade();
+                    drop(s);
+                    if let Some(owner) = owner {
+                        owner.fire(event.time);
+                    }
                 }
                 EventKind::Wake { tid, epoch } => {
                     let slot = &mut s.threads[tid.0];
@@ -610,34 +702,38 @@ impl WaitToken {
     }
 }
 
-/// A cloneable handle to the engine usable from closures the engine runs on
-/// its own stack (where no green-thread context exists), e.g. CPU-model ticks
-/// and link releases that must reschedule themselves.
-#[derive(Clone)]
-pub struct EngineHandle {
+/// What a CPU model's tick runs, on the engine's stack at the armed time.
+pub(crate) trait Tick: Send + Sync {
+    fn fire(&self, at: u64);
+}
+
+/// A CPU model's one re-armable tick in the engine of the simulation that
+/// first ran it; re-armed from green threads and from [`Tick::fire`].
+pub(crate) struct EngineHandle {
     inner: Arc<Inner>,
+    slot: usize,
 }
 
 impl EngineHandle {
-    /// Handle for the simulation the calling green thread belongs to.
-    pub fn current() -> EngineHandle {
-        with_current(|inner, _| EngineHandle { inner: inner.clone() })
+    /// Give `owner` a tick in the calling green thread's simulation.
+    pub(crate) fn register<T: Tick + 'static>(owner: &Arc<T>) -> EngineHandle {
+        let owner: Weak<dyn Tick> = Arc::<T>::downgrade(owner);
+        with_current(|inner, _| EngineHandle {
+            slot: inner.state.lock().ticks.register(owner),
+            inner: inner.clone(),
+        })
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> u64 {
-        self.inner.now()
-    }
-
-    /// Schedule `f` on the engine's stack at absolute time `at`.
-    pub fn call_at(&self, at: u64, f: impl FnOnce() + Send + 'static) {
-        self.inner.schedule_call(at, Box::new(f));
-    }
-}
-
-impl std::fmt::Debug for EngineHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("EngineHandle")
+    /// Arm the tick for time `at` under the next sequence number, as a push
+    /// would take it, replacing the pending one; `None` disarms it.
+    pub(crate) fn arm(&self, at: Option<u64>) {
+        let mut s = self.inner.state.lock();
+        let key = at.map(|at| {
+            s.next_seq += 1;
+            (at.max(s.now), s.next_seq - 1)
+        });
+        s.ticks.set(self.slot, key);
+        s.note_pending();
     }
 }
 
@@ -1103,6 +1199,84 @@ mod tests {
         assert_eq!((st.wakes, st.stale_wakes, st.calls), (5, 1, 1));
         assert_eq!((st.threads_spawned, st.peak_live_threads), (2, 2));
         assert_eq!(st.heap_high_water, 3);
+    }
+
+    /// A tick owner that logs each firing.
+    struct Logged(Arc<Mutex<Vec<&'static str>>>);
+
+    impl Tick for Logged {
+        fn fire(&self, _at: u64) {
+            self.0.lock().push("tick");
+        }
+    }
+
+    /// Run `arm` on a green thread with a tick whose firings go to the log.
+    fn with_tick(
+        arm: impl FnOnce(EngineHandle, Arc<Mutex<Vec<&'static str>>>) + Send + 'static,
+    ) -> (Sim, Vec<&'static str>) {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // The engine holds the owner weakly: it must outlive the run here.
+        let owner = Arc::new(Logged(log.clone()));
+        let (o, l) = (owner.clone(), log.clone());
+        sim.spawn("arming", move || arm(EngineHandle::register(&o), l));
+        sim.run().unwrap().assert_clean();
+        let fired = log.lock().clone();
+        (sim, fired)
+    }
+
+    #[test]
+    fn an_event_pushed_earlier_for_an_instant_runs_before_due_now_events_pushed_at_it() {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = log.clone();
+        sim.spawn("late", move || {
+            crate::sleep(10); // wakes at 10 ahead of `early`'s call, pushed after this sleep
+            let l2 = l.clone();
+            call_at(10, move || l2.lock().push("due-now"));
+            l.lock().push("late");
+        });
+        let l = log.clone();
+        sim.spawn("early", move || call_at(10, move || l.lock().push("early")));
+        sim.run().unwrap().assert_clean();
+        assert_eq!(*log.lock(), ["late", "early", "due-now"]);
+    }
+
+    #[test]
+    fn a_tick_re_armed_to_the_same_instant_runs_after_an_event_pushed_in_between() {
+        let (_, fired) = with_tick(|tick, log| {
+            tick.arm(Some(10));
+            call_at(10, move || log.lock().push("event"));
+            tick.arm(Some(10));
+        });
+        assert_eq!(fired, ["event", "tick"]);
+    }
+
+    #[test]
+    fn a_disarmed_tick_never_fires() {
+        let (sim, fired) = with_tick(|tick, _| {
+            tick.arm(Some(10));
+            tick.arm(None);
+            crate::sleep(20);
+        });
+        assert!(fired.is_empty());
+        assert_eq!((sim.now(), sim.stats().calls), (20, 0));
+    }
+
+    #[test]
+    fn fired_ticks_count_as_calls_and_superseded_ones_not_at_all() {
+        let (sim, fired) = with_tick(|tick, _| {
+            for at in [10, 20, 30] {
+                tick.arm(Some(at));
+            }
+            crate::sleep(5);
+        });
+        assert_eq!((fired, sim.now()), (vec!["tick"], 30));
+        let st = sim.stats();
+        assert_eq!(st.wakes + st.stale_wakes + st.calls, st.events_popped);
+        assert_eq!((st.wakes, st.calls, st.events_popped), (2, 1, 3));
+        // The armed tick and the sleep's wake, both pending at 0.
+        assert_eq!(st.heap_high_water, 2);
     }
 
     #[test]

@@ -75,6 +75,19 @@ cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
   exit 1
 }
 
+# The `traced` cell is the same at both scales, but only its small-scale
+# record is regenerated above: the full-scale twin must equal it but for
+# `"scale"`, or a re-record that forgot the twin would pass.
+echo "==> traced record (full-scale twin of the small one)"
+traced_record() {
+  grep "^{\"suite\":\"traced\",\"scale\":\"$1\"," results/ledger.json | sed "s/\"scale\":\"$1\"/\"scale\":\"\"/"
+}
+if [ -z "$(traced_record small)" ] || [ "$(traced_record small)" != "$(traced_record full)" ]; then
+  echo "error: the full-scale traced record in results/ledger.json differs from the small one" >&2
+  diff <(traced_record small) <(traced_record full) >&2 || true
+  exit 1
+fi
+
 # Traced smoke: one small cell with the timeline exporter on, in two
 # processes. The suite validates the JSON in-process; the `cmp` pins the
 # exporter's byte-stability guarantee (same program ⇒ identical trace bytes).
