@@ -88,9 +88,7 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("fig12-frontera", suites::fig12_frontera),
     ("fig12-stampede2", suites::fig12_stampede2),
     ("table4", suites::table4),
-    ("ablation-polling", suites::ablation_polling),
     ("ablation-batching", suites::ablation_batching),
-    ("ablation-routing", suites::ablation_routing),
     ("recovery", suites::recovery),
     ("aqe", suites::aqe),
     ("partial", suites::partial),
@@ -216,6 +214,29 @@ mod tests {
         let lines: Vec<String> = records.iter().map(Record::ledger_line).collect();
         assert_eq!(first.lines().collect::<Vec<_>>(), lines);
         assert_eq!(lines.len(), 6 + 9);
+    }
+
+    /// The committed ledger holds records of `SUITES` only, and every suite
+    /// at both scales. `scripts/ci.sh` regenerates the small records alone,
+    /// so this is what notices a deleted suite's full-scale records.
+    #[test]
+    fn ledger_records_name_the_suites_at_both_scales() {
+        let ledger = include_str!("../../../results/ledger.json");
+        let mut seen = std::collections::BTreeSet::new();
+        for line in ledger.lines() {
+            let fields = line
+                .strip_prefix("{\"suite\":\"")
+                .and_then(|rest| rest.split_once("\",\"scale\":\""))
+                .and_then(|(suite, rest)| Some((suite, rest.split_once('"')?.0)));
+            let (suite, scale) = fields.unwrap_or_else(|| panic!("not a ledger record: {line}"));
+            assert!(SUITES.iter().any(|(n, _)| *n == suite), "record of no suite: {line}");
+            seen.insert((suite, scale));
+        }
+        for (name, _) in SUITES {
+            for scale in [Scale::Small.name(), Scale::Full.name()] {
+                assert!(seen.contains(&(*name, scale)), "{name}: no {scale} record");
+            }
+        }
     }
 
     /// Every suite runs at small scale and emits records with a positive

@@ -1,4 +1,4 @@
-//! `repro <suite>… [--scale small|full] [--trace-dir DIR] [--route-policy P]`
+//! `repro <suite>… [--scale small|full] [--trace-dir DIR]`
 //! — see the crate docs of `mpi4spark_bench`.
 
 #![forbid(unsafe_code)]

@@ -41,17 +41,14 @@ pub struct OhbCell {
 
 /// Run one OHB cell: `bench` under `system` on a Frontera-like cluster of
 /// `workers` workers with `cores` cores and `gb_per_worker` GiB of generated
-/// data each. `route` overrides the MPI systems' body-routing policy (§VI-E
-/// ablations; `None` keeps the design default). `trace` records the
-/// deterministic timeline; it costs host memory only, never virtual time, so
-/// the reported figures are unchanged.
+/// data each. `trace` records the deterministic timeline; it costs host
+/// memory only, never virtual time, so the reported figures are unchanged.
 pub fn run_cell(
     system: System,
     bench: OhbBench,
     workers: usize,
     cores: u32,
     gb_per_worker: u64,
-    route: Option<netz::RoutePolicy>,
     trace: bool,
 ) -> OhbCell {
     let spec = crate::frontera_cluster(workers);
@@ -61,12 +58,8 @@ pub fn run_cell(
     assert_eq!(cluster.worker_nodes.len(), workers);
     let cfg = OhbConfig::paper(workers, cores, gb_per_worker);
     let out = match bench {
-        OhbBench::GroupBy => {
-            system.run_with_route(&spec, cluster, route, move |sc| group_by_app(sc, cfg))
-        }
-        OhbBench::SortBy => {
-            system.run_with_route(&spec, cluster, route, move |sc| sort_by_app(sc, cfg))
-        }
+        OhbBench::GroupBy => system.run(&spec, cluster, move |sc| group_by_app(sc, cfg)),
+        OhbBench::SortBy => system.run(&spec, cluster, move |sc| sort_by_app(sc, cfg)),
     };
     OhbCell {
         breakdown: StageBreakdown::from_jobs(&out.jobs),
@@ -83,9 +76,9 @@ mod tests {
 
     #[test]
     fn groupby_ordering_holds_at_small_scale() {
-        let van = run_cell(System::Vanilla, OhbBench::GroupBy, 2, 4, 1, None, false);
-        let rdma = run_cell(System::RdmaSpark, OhbBench::GroupBy, 2, 4, 1, None, false);
-        let mpi = run_cell(System::Mpi4Spark, OhbBench::GroupBy, 2, 4, 1, None, false);
+        let van = run_cell(System::Vanilla, OhbBench::GroupBy, 2, 4, 1, false);
+        let rdma = run_cell(System::RdmaSpark, OhbBench::GroupBy, 2, 4, 1, false);
+        let mpi = run_cell(System::Mpi4Spark, OhbBench::GroupBy, 2, 4, 1, false);
         assert!(van.breakdown.shuffle_read_ns > rdma.breakdown.shuffle_read_ns);
         assert!(rdma.breakdown.shuffle_read_ns > mpi.breakdown.shuffle_read_ns);
         assert!(van.total_ns > mpi.total_ns);

@@ -1,10 +1,10 @@
-//! The suites: the paper's figures and Table IV here, the §VI ablations in
-//! [`ablations`], the post-paper feature benches in [`features`].
+//! The suites: the paper's figures and Table IV here, the fetch-batching
+//! ablation in [`ablations`], the post-paper feature benches in [`features`].
 
 mod ablations;
 mod features;
 
-pub use ablations::{ablation_batching, ablation_polling, ablation_routing};
+pub use ablations::ablation_batching;
 pub use features::{aqe, partial, recovery};
 
 use obs::keys;
@@ -40,22 +40,6 @@ pub fn fig08(run: &mut Run<'_>) {
     }
 }
 
-/// Run one OHB cell, traced into `--trace-dir` when that is set.
-fn ohb_cell(
-    run: &Run<'_>,
-    system: System,
-    bench: OhbBench,
-    workers: usize,
-    cores: u32,
-    gb_per_worker: u64,
-    route: Option<netz::RoutePolicy>,
-) -> OhbCell {
-    let trace = run.trace_dir.is_some();
-    let cell = run_cell(system, bench, workers, cores, gb_per_worker, route, trace);
-    dump_timeline(run, bench, system, workers, &cell);
-    cell
-}
-
 /// Write a traced cell's timeline to
 /// `<trace-dir>/<bench>-<system>-<workers>w.json`; no-op without
 /// `--trace-dir` or for an untraced cell.
@@ -69,7 +53,8 @@ fn dump_timeline(run: &Run<'_>, bench: OhbBench, system: System, workers: usize,
 
 /// One OHB sweep (Figs. 9–11): GroupByTest and SortByTest on Frontera under
 /// `systems` (IPoIB first: it is the ratios' base) at each worker count,
-/// with the stage breakdown of the paper's bars.
+/// with the stage breakdown of the paper's bars; each cell is traced into
+/// `--trace-dir` when that is set.
 fn ohb_sweep(
     run: &mut Run<'_>,
     systems: &[System],
@@ -85,7 +70,8 @@ fn ohb_sweep(
         for bench in [OhbBench::GroupBy, OhbBench::SortBy] {
             let mut vanilla = None;
             for &system in systems {
-                let c = ohb_cell(run, system, bench, workers, cores, gb, None);
+                let c = run_cell(system, bench, workers, cores, gb, run.trace_dir.is_some());
+                dump_timeline(run, bench, system, workers, &c);
                 let read = c.breakdown.shuffle_read_ns;
                 let (base_total, base_read) = *vanilla.get_or_insert((c.total_ns, read));
                 let cell = [
@@ -292,7 +278,7 @@ pub fn table4(run: &mut Run<'_>) {
 /// across same-seed runs.
 pub fn traced(run: &mut Run<'_>) {
     let (system, bench, workers) = (System::Mpi4Spark, OhbBench::GroupBy, 2);
-    let cell = run_cell(system, bench, workers, 4, 1, None, true);
+    let cell = run_cell(system, bench, workers, 4, 1, true);
     assert!(cell.check > 0, "workload sanity value must be positive");
     let json = cell.timeline.as_deref().expect("a traced cell has a timeline");
     obs::timeline::validate_json(json).unwrap_or_else(|e| panic!("invalid timeline JSON: {e}"));

@@ -4,12 +4,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netz::{RoutePolicy, TransportConf};
+use netz::TransportConf;
 use simt::sync::Mutex;
 use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role};
 
 use crate::ctx::MpiProcCtx;
-use crate::transport::{BasicTuning, MpiTransportBasic, MpiTransportOptimized};
+use crate::transport::{MpiTransportBasic, MpiTransportOptimized};
 
 /// Which of the paper's two designs to run (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,24 +20,12 @@ pub enum Design {
     Optimized,
 }
 
-impl Design {
-    /// The design's default body-routing policy (§VI-D vs §VI-E).
-    pub fn default_route_policy(self) -> RoutePolicy {
-        match self {
-            Design::Basic => RoutePolicy::ALL_MESSAGES,
-            Design::Optimized => RoutePolicy::SHUFFLE_BODIES,
-        }
-    }
-}
-
 /// MPI4Spark's backend. Both planes (control RPC and shuffle) run the MPI
 /// transport — the paper modifies Netty itself, under all of Spark's
 /// messaging.
 pub struct MpiBackend {
     design: Design,
     conf: TransportConf,
-    basic_tuning: BasicTuning,
-    route: RoutePolicy,
     body_timeout_ns: u64,
     /// Each launched process's communicators, by role: the launcher
     /// registers a process before starting it (paper §V), and `plane` looks
@@ -47,13 +35,11 @@ pub struct MpiBackend {
 
 impl MpiBackend {
     /// Backend for `design` with default socket conf for the establishment
-    /// path and the design's default routing policy.
+    /// path.
     pub fn new(design: Design) -> Self {
         MpiBackend {
             design,
             conf: TransportConf::default_sockets(),
-            basic_tuning: BasicTuning::default(),
-            route: design.default_route_policy(),
             body_timeout_ns: simt::time::secs(120),
             procs: Mutex::new(BTreeMap::new()),
         }
@@ -71,27 +57,9 @@ impl MpiBackend {
         b
     }
 
-    /// Override the Basic design's polling tunables (ablation benches).
-    pub fn with_basic_tuning(mut self, tuning: BasicTuning) -> Self {
-        self.basic_tuning = tuning;
-        self
-    }
-
-    /// Override the body-routing policy (§VI-E ablations: e.g. route every
-    /// body, or only chunk bodies, without touching transport code).
-    pub fn with_route_policy(mut self, route: RoutePolicy) -> Self {
-        self.route = route;
-        self
-    }
-
     /// The selected design.
     pub fn design(&self) -> Design {
         self.design
-    }
-
-    /// The active body-routing policy.
-    pub fn route_policy(&self) -> RoutePolicy {
-        self.route
     }
 
     /// Give the process with `role` the communicators in `ctx`.
@@ -122,15 +90,10 @@ impl NetworkBackend for MpiBackend {
     fn plane(&self, _plane: Plane, identity: &ProcIdentity) -> PlaneDesc {
         let ctx = self.mpi_ctx(identity);
         let transport: Arc<dyn netz::Transport> = match self.design {
-            Design::Optimized => Arc::new(
-                MpiTransportOptimized::with_policy(ctx, self.route)
-                    .with_body_timeout(self.body_timeout_ns),
-            ),
-            Design::Basic => Arc::new(MpiTransportBasic::with_tuning_and_policy(
-                ctx,
-                self.basic_tuning,
-                self.route,
-            )),
+            Design::Optimized => {
+                Arc::new(MpiTransportOptimized::new(ctx).with_body_timeout(self.body_timeout_ns))
+            }
+            Design::Basic => Arc::new(MpiTransportBasic::new(ctx)),
         };
         PlaneDesc { conf: self.conf, transport }
     }
@@ -152,14 +115,6 @@ mod tests {
     fn backend_names_distinguish_designs() {
         assert_eq!(MpiBackend::new(Design::Optimized).name(), "mpi4spark");
         assert_eq!(MpiBackend::new(Design::Basic).name(), "mpi4spark-basic");
-    }
-
-    #[test]
-    fn designs_default_to_the_papers_routing() {
-        assert_eq!(MpiBackend::new(Design::Optimized).route_policy(), RoutePolicy::SHUFFLE_BODIES);
-        assert_eq!(MpiBackend::new(Design::Basic).route_policy(), RoutePolicy::ALL_MESSAGES);
-        let ablated = MpiBackend::new(Design::Optimized).with_route_policy(RoutePolicy::ALL_BODIES);
-        assert_eq!(ablated.route_policy(), RoutePolicy::ALL_BODIES);
     }
 
     #[test]

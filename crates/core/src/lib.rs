@@ -31,6 +31,7 @@
 pub mod backend;
 pub mod ctx;
 pub mod launch;
+mod route;
 pub mod transport;
 
 pub use backend::{Design, MpiBackend};

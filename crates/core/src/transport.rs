@@ -22,11 +22,12 @@ use std::sync::{Arc, OnceLock, Weak};
 use fabric::Payload;
 use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
-    OutboundAction, OutboundHandler, RoutePolicy, Transport, WeakEndpoint, WireEvent,
+    OutboundAction, OutboundHandler, Transport, WeakEndpoint, WireEvent,
 };
 use simt::sync::Mutex;
 
 use crate::ctx::MpiProcCtx;
+use crate::route::diverts_body;
 
 /// Tag bit marking Optimized-design body messages.
 const OPT_TAG_BASE: u64 = 1 << 47;
@@ -64,26 +65,14 @@ fn opt_tag(chan: ChannelId, key: u64) -> u64 {
 /// The MPI4Spark-Optimized transport (§VI-E).
 pub struct MpiTransportOptimized {
     ctx: Arc<MpiProcCtx>,
-    policy: RoutePolicy,
     body_timeout_ns: u64,
     pump: OnceLock<Arc<BodyPump>>,
 }
 
 impl MpiTransportOptimized {
-    /// Transport for the process described by `ctx`, routing the paper's
-    /// default body set ([`RoutePolicy::SHUFFLE_BODIES`]).
+    /// Transport for the process described by `ctx`.
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        Self::with_policy(ctx, RoutePolicy::SHUFFLE_BODIES)
-    }
-
-    /// Transport with an explicit body-routing policy (§VI-E ablations).
-    pub fn with_policy(ctx: Arc<MpiProcCtx>, policy: RoutePolicy) -> Self {
-        MpiTransportOptimized {
-            ctx,
-            policy,
-            body_timeout_ns: simt::time::secs(120),
-            pump: OnceLock::new(),
-        }
+        MpiTransportOptimized { ctx, body_timeout_ns: simt::time::secs(120), pump: OnceLock::new() }
     }
 
     /// Cap how long the transport waits for a body whose header arrived. A
@@ -115,20 +104,11 @@ impl Transport for MpiTransportOptimized {
             return; // non-MPI peer: stay on the socket path
         }
         let mut p = chan.pipeline.lock();
-        p.add_outbound(
-            "mpi-body-send",
-            Arc::new(OptOutbound {
-                ctx: self.ctx.clone(),
-                policy: self.policy,
-                sent: AtomicU64::new(0),
-            }),
-        );
+        p.add_outbound("mpi-body-send", Arc::new(OptOutbound { ctx: self.ctx.clone() }));
         p.add_inbound(
             "mpi-body-fetch",
             Arc::new(OptInbound {
                 ctx: self.ctx.clone(),
-                policy: self.policy,
-                received: AtomicU64::new(0),
                 body_timeout_ns: self.body_timeout_ns,
                 pump: self.pump.get().expect("transport started").clone(),
             }),
@@ -246,17 +226,14 @@ impl BodyPump {
     }
 }
 
-/// Outbound: divert policy-routed bodies to MPI, keep the header on the
-/// socket.
+/// Outbound: divert shuffle bodies to MPI, keep the header on the socket.
 struct OptOutbound {
     ctx: Arc<MpiProcCtx>,
-    policy: RoutePolicy,
-    sent: AtomicU64,
 }
 
 impl OutboundHandler for OptOutbound {
     fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message) -> OutboundAction {
-        if !self.policy.routes_body(&msg) {
+        if !diverts_body(msg.type_id()) {
             return OutboundAction::Forward(msg);
         }
         let peer = chan.peer_handshake;
@@ -264,12 +241,7 @@ impl OutboundHandler for OptOutbound {
             return OutboundAction::Forward(msg);
         };
         let header = msg.encode_header();
-        // Content-addressed tag when the header identifies the message;
-        // anonymous types (OneWayMessage) fall back to a lockstep counter
-        // and keep the original loss sensitivity — acceptable because the
-        // default policies never route them.
-        let key = Message::peek_body_key(&header)
-            .unwrap_or_else(|| self.sent.fetch_add(1, Ordering::Relaxed));
+        let key = Message::peek_body_key(&header).expect("a shuffle body has a content key");
         let tag = opt_tag(chan.id, key);
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let body_virtual = body.virtual_len;
@@ -284,22 +256,19 @@ impl OutboundHandler for OptOutbound {
     }
 }
 
-/// Inbound: parse the header; for policy-routed types post the matching
+/// Inbound: parse the header; for shuffle bodies post the matching
 /// `MPI_Recv` and reattach the body.
 struct OptInbound {
     ctx: Arc<MpiProcCtx>,
-    policy: RoutePolicy,
-    received: AtomicU64,
     body_timeout_ns: u64,
     pump: Arc<BodyPump>,
 }
 
 impl InboundHandler for OptInbound {
     fn on_frame(&self, chan: &Arc<ChannelCore>, frame: Frame) -> InboundAction {
-        // Mirror of the outbound predicate: a routed, body-carrying type
-        // arriving as a header-only frame means the body is waiting on MPI.
-        let eligible = Message::peek_type(&frame.header)
-            .is_some_and(|ty| self.policy.routes_type(ty) && ty.carries_body());
+        // A diverted type arriving as a header-only frame means the body is
+        // waiting on MPI.
+        let eligible = Message::peek_type(&frame.header).is_some_and(diverts_body);
         if !eligible || !frame.body.is_empty() {
             return InboundAction::Forward(frame);
         }
@@ -307,8 +276,7 @@ impl InboundHandler for OptInbound {
         let Some(peer_rank) = peer.mpi_rank else {
             return InboundAction::Forward(frame);
         };
-        let key = Message::peek_body_key(&frame.header)
-            .unwrap_or_else(|| self.received.fetch_add(1, Ordering::Relaxed));
+        let key = Message::peek_body_key(&frame.header).expect("a shuffle body has a content key");
         let tag = opt_tag(chan.id, key);
         let (comm, src) = self.ctx.route(peer_rank, peer.comm);
 
@@ -324,29 +292,15 @@ impl InboundHandler for OptInbound {
 
 // ============================= Basic design =================================
 
-/// Tunables for the Basic design's polling model.
-#[derive(Debug, Clone, Copy)]
-pub struct BasicTuning {
-    /// Phantom runnable threads added per endpoint: Netty runs a selector
-    /// loop group per transport context, and under Basic each loop spins in
-    /// non-blocking `select()` + `MPI_Iprobe` instead of blocking.
-    pub poll_load_per_endpoint: f64,
-    /// CPU charged per received message for the iprobe sweeps that
-    /// discovered it.
-    pub per_message_poll_ns: u64,
-    /// Mean discovery latency added per message (poll-interval/2).
-    pub poll_latency_ns: u64,
-}
-
-impl Default for BasicTuning {
-    fn default() -> Self {
-        BasicTuning {
-            poll_load_per_endpoint: 4.0,
-            per_message_poll_ns: 6_000,
-            poll_latency_ns: 5_000,
-        }
-    }
-}
+/// The Basic design's polling model: phantom runnable threads added per
+/// endpoint. Netty runs a selector loop group per transport context, and
+/// under Basic each loop spins in non-blocking `select()` + `MPI_Iprobe`
+/// instead of blocking.
+const POLL_LOAD_PER_ENDPOINT: f64 = 4.0;
+/// CPU charged per received message for the iprobe sweeps that discovered it.
+const PER_MESSAGE_POLL_NS: u64 = 6_000;
+/// Mean discovery latency added per message (half a poll interval).
+const POLL_LATENCY_NS: u64 = 5_000;
 
 /// Envelope for Basic-design messages (everything over MPI).
 struct BasicMsg {
@@ -363,7 +317,6 @@ pub struct BasicRouter {
     channels: Mutex<BTreeMap<ChannelId, (WeakEndpoint, Arc<ChannelCore>)>>,
     world_started: AtomicBool,
     inter_started: AtomicBool,
-    tuning: Mutex<BasicTuning>,
 }
 
 impl BasicRouter {
@@ -372,7 +325,6 @@ impl BasicRouter {
             channels: Mutex::new(BTreeMap::new()),
             world_started: AtomicBool::new(false),
             inter_started: AtomicBool::new(false),
-            tuning: Mutex::new(BasicTuning::default()),
         })
     }
 
@@ -391,7 +343,6 @@ impl BasicRouter {
 
     fn spawn_receiver(self: &Arc<Self>, comm: rmpi::Comm, label: &str) {
         let router = self.clone();
-        let tuning = *self.tuning.lock();
         let obs = comm.universe().net().obs().clone();
         simt::spawn_daemon(format!("mpi-basic-rx:{label}:r{}", comm.rank()), move || loop {
             // This `recv` is unbounded on purpose: the daemon is the demux
@@ -406,8 +357,8 @@ impl BasicRouter {
             };
             // Model the polling selector: the message sat for half a poll
             // interval and cost iprobe sweeps to discover (§VI-D).
-            simt::sleep(tuning.poll_latency_ns);
-            comm.universe().net().cpu(comm.node()).execute(tuning.per_message_poll_ns);
+            simt::sleep(POLL_LATENCY_NS);
+            comm.universe().net().cpu(comm.node()).execute(PER_MESSAGE_POLL_NS);
             let target = router.channels.lock().get(&msg.channel).cloned();
             let Some((endpoint, chan)) = target else {
                 continue;
@@ -438,30 +389,13 @@ impl BasicRouter {
 pub struct MpiTransportBasic {
     ctx: Arc<MpiProcCtx>,
     endpoint: OnceLock<WeakEndpoint>,
-    tuning: BasicTuning,
-    policy: RoutePolicy,
 }
 
 impl MpiTransportBasic {
-    /// Transport for the process described by `ctx`: every message type
-    /// crosses MPI ([`RoutePolicy::ALL_MESSAGES`], §VI-D).
+    /// Transport for the process described by `ctx`: every message crosses
+    /// MPI (§VI-D).
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        Self::with_tuning(ctx, BasicTuning::default())
-    }
-
-    /// Transport with explicit polling-model tunables (ablation benches).
-    pub fn with_tuning(ctx: Arc<MpiProcCtx>, tuning: BasicTuning) -> Self {
-        Self::with_tuning_and_policy(ctx, tuning, RoutePolicy::ALL_MESSAGES)
-    }
-
-    /// Transport with explicit tunables and routing policy; messages of
-    /// unrouted types stay on the socket path.
-    pub fn with_tuning_and_policy(
-        ctx: Arc<MpiProcCtx>,
-        tuning: BasicTuning,
-        policy: RoutePolicy,
-    ) -> Self {
-        MpiTransportBasic { ctx, endpoint: OnceLock::new(), tuning, policy }
+        MpiTransportBasic { ctx, endpoint: OnceLock::new() }
     }
 }
 
@@ -476,10 +410,9 @@ impl Transport for MpiTransportBasic {
 
     fn start(&self, endpoint: &Endpoint) {
         self.endpoint.get_or_init(|| endpoint.downgrade());
-        *self.ctx.basic_router().tuning.lock() = self.tuning;
         // The endpoint's selector loop now spins (non-blocking select +
         // iprobe) instead of blocking: continuous background CPU load.
-        endpoint.net().cpu(endpoint.node()).add_background_load(self.tuning.poll_load_per_endpoint);
+        endpoint.net().cpu(endpoint.node()).add_background_load(POLL_LOAD_PER_ENDPOINT);
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
@@ -492,27 +425,22 @@ impl Transport for MpiTransportBasic {
         router.ensure_receivers(&self.ctx);
         chan.pipeline.lock().add_outbound(
             "mpi-all-send",
-            Arc::new(BasicOutbound { ctx: Arc::downgrade(&self.ctx), policy: self.policy }),
+            Arc::new(BasicOutbound { ctx: Arc::downgrade(&self.ctx) }),
         );
     }
 }
 
-/// Outbound: every routed message crosses MPI as one `(header, body)`
-/// envelope (the default policy routes all of them).
+/// Outbound: every message crosses MPI as one `(header, body)` envelope.
 ///
 /// The context is held weakly: it owns the router, whose channel table owns
 /// this handler's channel. Once the context is gone, messages stay on the
 /// socket path.
 struct BasicOutbound {
     ctx: Weak<MpiProcCtx>,
-    policy: RoutePolicy,
 }
 
 impl OutboundHandler for BasicOutbound {
     fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message) -> OutboundAction {
-        if !self.policy.routes_type(msg.type_id()) {
-            return OutboundAction::Forward(msg);
-        }
         let peer = chan.peer_handshake;
         let (Some(peer_rank), Some(ctx)) = (peer.mpi_rank, self.ctx.upgrade()) else {
             return OutboundAction::Forward(msg);
@@ -580,13 +508,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn basic_tuning_defaults_are_positive() {
-        let t = BasicTuning::default();
-        assert!(t.poll_load_per_endpoint > 0.0);
-        assert!(t.per_message_poll_ns > 0);
-        assert!(t.poll_latency_ns > 0);
     }
 }

@@ -35,7 +35,6 @@ pub mod error;
 pub mod message;
 pub mod pipeline;
 pub mod retry;
-pub mod route;
 pub mod transport;
 pub mod wire;
 
@@ -48,6 +47,5 @@ pub use error::NetzError;
 pub use message::Message;
 pub use pipeline::{InboundAction, InboundHandler, OutboundAction, OutboundHandler, Pipeline};
 pub use retry::RetryPolicy;
-pub use route::RoutePolicy;
 pub use transport::{NioTransport, Transport};
 pub use wire::{CommKind, Frame, Handshake, WireEvent};

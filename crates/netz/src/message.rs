@@ -118,18 +118,6 @@ pub enum MessageType {
 }
 
 impl MessageType {
-    /// True for the message types that carry a body payload.
-    pub fn carries_body(self) -> bool {
-        matches!(
-            self,
-            MessageType::RpcRequest
-                | MessageType::RpcResponse
-                | MessageType::OneWayMessage
-                | MessageType::ChunkFetchSuccess
-                | MessageType::StreamResponse
-        )
-    }
-
     fn from_u8(v: u8) -> Option<MessageType> {
         use MessageType::*;
         Some(match v {
@@ -318,14 +306,14 @@ impl Message {
         Some(u64::from_be_bytes(header[9..17].try_into().ok()?))
     }
 
-    /// Content-derived identity of a body-carrying message, parsed from its
-    /// encoded header. Both ends of an out-of-band body transport compute
-    /// this from the same header bytes, so it can key the side channel
-    /// (e.g. an MPI tag) without a lockstep sequence counter — which would
-    /// desynchronize the moment one frame is lost or retried.
+    /// Content-derived identity of a shuffle body (`ChunkFetchSuccess` or
+    /// `StreamResponse`), parsed from its encoded header. Both ends of an
+    /// out-of-band body transport compute this from the same header bytes,
+    /// so it can key the side channel (e.g. an MPI tag) without a lockstep
+    /// sequence counter — which would desynchronize the moment one frame is
+    /// lost or retried.
     ///
-    /// `None` for bodiless types and for `OneWayMessage`, whose header
-    /// carries no distinguishing field.
+    /// `None` for every other type.
     pub fn peek_body_key(header: &Bytes) -> Option<u64> {
         fn mix(mut z: u64) -> u64 {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -333,17 +321,11 @@ impl Message {
             z ^ (z >> 31)
         }
         let ty = Message::peek_type(header)?;
-        if !ty.carries_body() {
-            return None;
-        }
         let mut r = ByteReader::new(header.clone());
         r.get_u64()?; // frame length
         r.get_u8()?; // type tag
         r.get_u64()?; // span id (trace-dependent: must not key the body)
         match ty {
-            MessageType::RpcRequest | MessageType::RpcResponse => {
-                Some(mix(r.get_u64()?.wrapping_add(1)))
-            }
             MessageType::ChunkFetchSuccess => {
                 let stream_id = r.get_u64()?;
                 let chunk_index = r.get_u32()?;
@@ -470,10 +452,6 @@ mod tests {
         assert_ne!(Message::peek_body_key(&chunk(7, 3)), Message::peek_body_key(&chunk(7, 4)));
         assert_ne!(Message::peek_body_key(&chunk(7, 3)), Message::peek_body_key(&chunk(8, 3)));
 
-        let rpc = Message::RpcResponse { request_id: 42, body: Payload::empty() }.encode_header();
-        assert!(Message::peek_body_key(&rpc).is_some());
-        assert_ne!(Message::peek_body_key(&rpc), Message::peek_body_key(&chunk(7, 3)));
-
         let stream = Message::StreamResponse {
             stream_id: "/jars/app.jar".into(),
             byte_count: 1,
@@ -481,8 +459,12 @@ mod tests {
         }
         .encode_header();
         assert!(Message::peek_body_key(&stream).is_some());
+        assert_ne!(Message::peek_body_key(&stream), Message::peek_body_key(&chunk(7, 3)));
 
-        // Bodiless and anonymous types have no key.
+        // Only shuffle bodies are keyed: RPC bodies, anonymous and bodiless
+        // types have no key.
+        let rpc = Message::RpcResponse { request_id: 42, body: Payload::empty() }.encode_header();
+        assert_eq!(Message::peek_body_key(&rpc), None);
         let req = Message::ChunkFetchRequest { stream_id: 7, chunk_index: 3 }.encode_header();
         assert_eq!(Message::peek_body_key(&req), None);
         let oneway = Message::OneWayMessage { body: Payload::empty() }.encode_header();

@@ -60,8 +60,7 @@ pub enum Plane {
 
 /// A backend's declaration for one plane: the cost-model configuration and
 /// the transport that installs the plane's pipeline handlers (a transport
-/// that diverts bodies out-of-band carries its own routing policy, paper
-/// §VI-E). This is the one place a backend states what a plane runs on —
+/// that diverts bodies out-of-band decides itself which ones, paper §VI-E). This is the one place a backend states what a plane runs on —
 /// `TransportContext` construction is derived from it instead of duplicated
 /// per backend.
 pub struct PlaneDesc {

@@ -67,11 +67,6 @@ impl<R> RunOutcome<R> {
     pub fn total_ns(&self) -> u64 {
         self.jobs.iter().map(JobMetrics::duration_ns).sum()
     }
-
-    /// Duration of job `j`'s stage whose name contains `fragment`.
-    pub fn stage_ns(&self, job: usize, fragment: &str) -> u64 {
-        self.jobs[job].stage_duration(fragment).unwrap_or(0)
-    }
 }
 
 impl System {
@@ -83,20 +78,7 @@ impl System {
         cluster: ClusterConfig,
         app: impl FnOnce(&SparkContext) -> R + Send + 'static,
     ) -> RunOutcome<R> {
-        self.run_with_route(spec, cluster, None, app)
-    }
-
-    /// [`System::run`] with an explicit body-routing policy override for the
-    /// MPI systems (§VI-E ablations). `None` keeps each design's default;
-    /// the non-MPI systems have no out-of-band plane and ignore it.
-    pub fn run_with_route<R: Send + Sync + 'static>(
-        &self,
-        spec: &ClusterSpec,
-        cluster: ClusterConfig,
-        route: Option<netz::RoutePolicy>,
-        app: impl FnOnce(&SparkContext) -> R + Send + 'static,
-    ) -> RunOutcome<R> {
-        self.run_inner(spec, cluster, route, None, app)
+        self.run_inner(spec, cluster, None, app)
     }
 
     /// [`System::run`] with a seeded fault plan installed on the fabric
@@ -109,14 +91,13 @@ impl System {
         plan: fabric::FaultPlan,
         app: impl FnOnce(&SparkContext) -> R + Send + 'static,
     ) -> RunOutcome<R> {
-        self.run_inner(spec, cluster, None, Some(plan), app)
+        self.run_inner(spec, cluster, Some(plan), app)
     }
 
     fn run_inner<R: Send + Sync + 'static>(
         &self,
         spec: &ClusterSpec,
         cluster: ClusterConfig,
-        route: Option<netz::RoutePolicy>,
         chaos: Option<fabric::FaultPlan>,
         app: impl FnOnce(&SparkContext) -> R + Send + 'static,
     ) -> RunOutcome<R> {
@@ -137,13 +118,8 @@ impl System {
         let system = *self;
         let interconnect = spec.interconnect.clone();
         let conf = cluster.conf;
-        let mpi_backend = move |design: Design| {
-            let mut b = mpi4spark::MpiBackend::with_conf(design, &conf);
-            if let Some(p) = route {
-                b = b.with_route_policy(p);
-            }
-            Arc::new(b)
-        };
+        let mpi_backend =
+            move |design: Design| Arc::new(mpi4spark::MpiBackend::with_conf(design, &conf));
         sim.spawn("launcher", move || {
             let r = match system {
                 System::Vanilla => sparklet::deploy::run_app(
