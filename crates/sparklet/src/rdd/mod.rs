@@ -10,6 +10,7 @@ pub mod partitioner;
 
 use std::collections::BTreeSet;
 use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -62,9 +63,40 @@ pub trait ShuffleDepMeta: Send + Sync + 'static {
     fn upstream(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
 }
 
+/// One partition's records: built by the task that holds them, or shared
+/// with the executor's cache (or a `parallelize` source). Reading borrows;
+/// only [`Part::into_vec`] of a still-shared vector copies.
+pub enum Part<T> {
+    /// Records this task built.
+    Owned(Vec<T>),
+    /// Records another holder keeps too.
+    Shared(Arc<Vec<T>>),
+}
+
+impl<T> Deref for Part<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Part::Owned(v) => v,
+            Part::Shared(v) => v,
+        }
+    }
+}
+
+impl<T: Clone> Part<T> {
+    /// The records as a vector: moved when owned or no longer shared,
+    /// cloned only while another holder keeps them.
+    pub fn into_vec(self) -> Vec<T> {
+        match self {
+            Part::Owned(v) => v,
+            Part::Shared(v) => Arc::unwrap_or_clone(v),
+        }
+    }
+}
+
 /// A job's per-partition action, its result erased to the scheduler's
 /// [`AnyMsg`] once, at submission.
-pub type Action<T> = Arc<dyn Fn(&TaskContext, Vec<T>) -> AnyMsg + Send + Sync>;
+pub type Action<T> = Arc<dyn Fn(&TaskContext, Part<T>) -> AnyMsg + Send + Sync>;
 
 /// A job handed to the scheduler.
 pub struct JobSpec {
@@ -278,7 +310,7 @@ pub trait RddOps<T: Element>: Send + Sync + 'static {
     fn num_partitions(&self) -> usize;
     /// Materialize partition `part`, or report the shuffle fetch that
     /// failed somewhere in its lineage.
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed>;
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed>;
     /// Direct shuffle dependencies.
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
     /// The adaptive job running `f` over this node, when it is a shuffle
@@ -340,39 +372,40 @@ impl<T: Element> Rdd<T> {
     /// Element-wise transformation.
     pub fn map<U: Element>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
         let f = Arc::new(f);
-        self.map_partitions(move |ctx: &TaskContext, v: Vec<T>| {
+        self.map_partitions(move |ctx: &TaskContext, v: Part<T>| {
             let n = v.len() as u64;
             let bytes: u64 = v.iter().map(Element::virtual_size).sum();
             ctx.charge(ctx.cost().map(n, bytes));
-            v.into_iter().map(|x| f(x)).collect()
+            v.iter().map(|x| f(x.clone())).collect()
         })
     }
 
     /// Element-wise one-to-many transformation.
     pub fn flat_map<U: Element>(&self, f: impl Fn(T) -> Vec<U> + Send + Sync + 'static) -> Rdd<U> {
         let f = Arc::new(f);
-        self.map_partitions(move |ctx: &TaskContext, v: Vec<T>| {
+        self.map_partitions(move |ctx: &TaskContext, v: Part<T>| {
             let n = v.len() as u64;
             let bytes: u64 = v.iter().map(Element::virtual_size).sum();
             ctx.charge(ctx.cost().map(n, bytes));
-            v.into_iter().flat_map(|x| f(x)).collect()
+            v.iter().flat_map(|x| f(x.clone())).collect()
         })
     }
 
     /// Keep records satisfying `f`.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
         let f = Arc::new(f);
-        self.map_partitions(move |ctx: &TaskContext, v: Vec<T>| {
+        self.map_partitions(move |ctx: &TaskContext, v: Part<T>| {
             ctx.charge(ctx.cost().map(v.len() as u64, 0));
-            v.into_iter().filter(|x| f(x)).collect()
+            v.iter().filter(|x| f(x)).cloned().collect()
         })
     }
 
     /// Whole-partition transformation; `f` is responsible for charging its
     /// own compute (the element-wise wrappers above charge the map cost).
+    /// `f` borrows its input; [`Part::into_vec`] takes ownership.
     pub fn map_partitions<U: Element>(
         &self,
-        f: impl Fn(&TaskContext, Vec<T>) -> Vec<U> + Send + Sync + 'static,
+        f: impl Fn(&TaskContext, Part<T>) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
         Rdd {
             core: self.core.clone(),
@@ -412,7 +445,7 @@ impl<T: Element> Rdd<T> {
         self.map_partitions(move |ctx, v| {
             ctx.charge(ctx.cost().map(v.len() as u64, 0));
             let mut state = seed ^ (ctx.partition as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            v.into_iter()
+            v.iter()
                 .filter(|_| {
                     // SplitMix64 step: cheap, deterministic, well mixed.
                     state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -421,6 +454,7 @@ impl<T: Element> Rdd<T> {
                     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                     (z ^ (z >> 31)) < threshold
                 })
+                .cloned()
                 .collect()
         })
     }
@@ -434,7 +468,7 @@ impl<T: Element> Rdd<T> {
     pub fn submit_job<R: Send + Sync + 'static>(
         &self,
         action: &str,
-        f: impl Fn(&TaskContext, Vec<T>) -> R + Send + Sync + 'static,
+        f: impl Fn(&TaskContext, Part<T>) -> R + Send + Sync + 'static,
         opts: JobOptions,
     ) -> JobHandle {
         let f: Action<T> = Arc::new(move |ctx, v| Arc::new(f(ctx, v)) as AnyMsg);
@@ -460,7 +494,7 @@ impl<T: Element> Rdd<T> {
     pub fn run_partitions<R: Send + Sync + 'static>(
         &self,
         action: &str,
-        f: impl Fn(&TaskContext, Vec<T>) -> R + Send + Sync + 'static,
+        f: impl Fn(&TaskContext, Part<T>) -> R + Send + Sync + 'static,
     ) -> Vec<Arc<R>> {
         self.submit_job(action, f, JobOptions::default())
             .wait()
@@ -477,9 +511,9 @@ impl<T: Element> Rdd<T> {
 
     /// Materialize everything at the driver.
     pub fn collect(&self) -> Vec<T> {
-        self.run_partitions("collect", |_ctx, v| v)
+        self.run_partitions("collect", |_ctx, v| v.into_vec())
             .into_iter()
-            .flat_map(|p| p.as_ref().clone())
+            .flat_map(Arc::unwrap_or_clone)
             .collect()
     }
 
@@ -487,9 +521,10 @@ impl<T: Element> Rdd<T> {
     pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Option<T> {
         let f = Arc::new(f);
         let f2 = f.clone();
-        let partials =
-            self.run_partitions("reduce", move |_ctx, v| v.into_iter().reduce(|a, b| f2(a, b)));
-        partials.into_iter().filter_map(|p| p.as_ref().clone()).reduce(|a, b| f(a, b))
+        let partials = self.run_partitions("reduce", move |_ctx, v| {
+            v.into_vec().into_iter().reduce(|a, b| f2(a, b))
+        });
+        partials.into_iter().filter_map(Arc::unwrap_or_clone).reduce(|a, b| f(a, b))
     }
 
     /// First `n` records (partition order).
@@ -506,7 +541,7 @@ impl<T: Element> Rdd<T> {
     fn approximate<E: ApproximateEvaluator>(
         &self,
         action: &str,
-        f: impl Fn(&TaskContext, Vec<T>) -> E::Update + Send + Sync + 'static,
+        f: impl Fn(&TaskContext, Part<T>) -> E::Update + Send + Sync + 'static,
         eval: E,
         timeout_ns: u64,
     ) -> PartialResult<E::Output> {
@@ -524,7 +559,7 @@ impl<T: Element> Rdd<T> {
         timeout_ns: u64,
         confidence: impl Into<Option<f64>>,
     ) -> PartialResult<BoundedDouble> {
-        let f = |_ctx: &TaskContext, v: Vec<T>| v.len() as u64;
+        let f = |_ctx: &TaskContext, v: Part<T>| v.len() as u64;
         let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
         self.approximate("count_approx", f, CountEvaluator::new(confidence), timeout_ns)
     }
@@ -533,8 +568,8 @@ impl<T: Element> Rdd<T> {
 impl<T: Element + AsF64> Rdd<T> {
     /// Per-partition numeric summary task shared by the `sum`/`mean`
     /// approximations: one narrow pass projecting each record to `f64`.
-    fn stat_task() -> impl Fn(&TaskContext, Vec<T>) -> Stat + Send + Sync + 'static {
-        |ctx: &TaskContext, v: Vec<T>| {
+    fn stat_task() -> impl Fn(&TaskContext, Part<T>) -> Stat + Send + Sync + 'static {
+        |ctx: &TaskContext, v: Part<T>| {
             ctx.charge(ctx.cost().map(v.len() as u64, 0));
             Stat::of(v.iter().map(AsF64::as_f64))
         }
@@ -776,10 +811,10 @@ where
     /// `countByKeyApprox` shape), so every completed partition refines
     /// every key's interval.
     fn key_histogram_task(
-    ) -> impl Fn(&TaskContext, Vec<(K, V)>) -> Vec<(K, u64)> + Send + Sync + 'static {
-        |ctx: &TaskContext, v: Vec<(K, V)>| {
+    ) -> impl Fn(&TaskContext, Part<(K, V)>) -> Vec<(K, u64)> + Send + Sync + 'static {
+        |ctx: &TaskContext, v: Part<(K, V)>| {
             ctx.charge(ctx.cost().group(v.len() as u64, 0));
-            combine_by_key(v.into_iter().map(|(k, _)| (k, ())), |()| 1, |n, ()| n + 1)
+            combine_by_key(v.iter().map(|(k, _)| (k.clone(), ())), |()| 1, |n, ()| n + 1)
         }
     }
 
@@ -823,8 +858,36 @@ impl<T: Element> Rdd<T> {
         let counter = std::sync::atomic::AtomicU64::new(0);
         let keyed: Rdd<(u64, T)> = self.map_partitions(move |ctx, v| {
             ctx.charge(ctx.cost().map(v.len() as u64, 0));
-            v.into_iter().map(|x| (counter.fetch_add(1, Ordering::Relaxed), x)).collect()
+            v.iter().map(|x| (counter.fetch_add(1, Ordering::Relaxed), x.clone())).collect()
         });
         keyed.partition_by(Arc::new(HashPartitioner::new(parts))).map(|(_, x)| x)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn into_vec_moves_an_owned_or_unique_part() {
+        let v = vec![1u64, 2, 3];
+        let buf = v.as_ptr();
+        let out = Part::Owned(v).into_vec();
+        assert_eq!(out.as_ptr(), buf);
+        let v = vec![4u64, 5];
+        let buf = v.as_ptr();
+        let out = Part::Shared(Arc::new(v)).into_vec();
+        assert_eq!(out.as_ptr(), buf);
+    }
+
+    #[test]
+    fn into_vec_clones_a_still_shared_part() {
+        let cached = Arc::new(vec![7u64, 8, 9]);
+        let part = Part::Shared(cached.clone());
+        assert_eq!(&*part, &[7, 8, 9]);
+        let out = part.into_vec();
+        assert_ne!(out.as_ptr(), cached.as_ptr());
+        assert_eq!(out, *cached);
+        assert_eq!(Arc::strong_count(&cached), 1, "the cached copy is left whole and alone");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::aqe::{AdaptiveJobSpec, BucketResults, PlanTask, SlicePartial};
 use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
-use crate::rdd::{Action, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
+use crate::rdd::{Action, Part, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed};
 use crate::storage::{BlockId, StoredBlock};
@@ -43,11 +43,11 @@ impl<T: Element> RddOps<T> for GenerateRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parts
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed> {
         let v = (self.f)(part);
         let bytes: u64 = v.iter().map(Element::virtual_size).sum();
         ctx.charge(ctx.cost().gen(v.len() as u64, bytes));
-        Ok(v)
+        Ok(Part::Owned(v))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         Vec::new()
@@ -58,8 +58,8 @@ impl<T: Element> RddOps<T> for GenerateRdd<T> {
 pub struct ParallelizeRdd<T: Element> {
     /// RDD id.
     pub id: u64,
-    /// Records per partition.
-    pub data: Arc<Vec<Vec<T>>>,
+    /// Records per partition, shared with every task that reads them.
+    pub data: Vec<Arc<Vec<T>>>,
 }
 
 impl<T: Element> RddOps<T> for ParallelizeRdd<T> {
@@ -69,8 +69,8 @@ impl<T: Element> RddOps<T> for ParallelizeRdd<T> {
     fn num_partitions(&self) -> usize {
         self.data.len()
     }
-    fn compute(&self, part: usize, _ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
-        Ok(self.data[part].clone())
+    fn compute(&self, part: usize, _ctx: &TaskContext) -> Result<Part<T>, FetchFailed> {
+        Ok(Part::Shared(self.data[part].clone()))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         Vec::new()
@@ -86,7 +86,7 @@ pub struct MapPartitionsRdd<U: Element, T: Element> {
     /// Upstream node.
     pub parent: Arc<dyn RddOps<U>>,
     /// The transformation.
-    pub f: Arc<dyn Fn(&TaskContext, Vec<U>) -> Vec<T> + Send + Sync>,
+    pub f: Arc<dyn Fn(&TaskContext, Part<U>) -> Vec<T> + Send + Sync>,
 }
 
 impl<U: Element, T: Element> RddOps<T> for MapPartitionsRdd<U, T> {
@@ -96,9 +96,9 @@ impl<U: Element, T: Element> RddOps<T> for MapPartitionsRdd<U, T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed> {
         let input = self.parent.compute(part, ctx)?;
-        Ok((self.f)(ctx, input))
+        Ok(Part::Owned((self.f)(ctx, input)))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         self.parent.shuffle_deps()
@@ -107,7 +107,7 @@ impl<U: Element, T: Element> RddOps<T> for MapPartitionsRdd<U, T> {
 
 /// Caching node: first computation stores the partition in the executor's
 /// block manager (typed cache + virtual accounting); later computations hit
-/// the cache.
+/// the cache. Every computation shares the one stored vector.
 pub struct CachedRdd<T: Element> {
     /// RDD id (cache key).
     pub id: u64,
@@ -122,7 +122,7 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed> {
         let bm = &ctx.services.block_manager;
         let block_id = BlockId::Rdd { rdd_id: self.id, partition: part as u32 };
         if let Some(hit) = bm.cache_get::<T>(self.id, part as u32) {
@@ -130,11 +130,11 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
             // by the block stored beside the cached partition.
             let block = bm.get(block_id).expect("a cached partition has its block");
             ctx.charge(ctx.cost().map(block.records, block.virtual_len));
-            return Ok(hit.as_ref().clone());
+            return Ok(Part::Shared(hit));
         }
-        let data = self.parent.compute(part, ctx)?;
+        let data = Arc::new(self.parent.compute(part, ctx)?.into_vec());
         let bytes: u64 = data.iter().map(Element::virtual_size).sum();
-        bm.cache_put(self.id, part as u32, Arc::new(data.clone()));
+        bm.cache_put(self.id, part as u32, data.clone());
         bm.put(
             block_id,
             StoredBlock {
@@ -143,7 +143,7 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
                 records: data.len() as u64,
             },
         );
-        Ok(data)
+        Ok(Part::Shared(data))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         self.parent.shuffle_deps()
@@ -165,7 +165,7 @@ impl<T: Element> RddOps<T> for UnionRdd<T> {
     fn num_partitions(&self) -> usize {
         self.parents.iter().map(|p| p.num_partitions()).sum()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<T>, FetchFailed> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed> {
         let mut offset = part;
         for parent in &self.parents {
             if offset < parent.num_partitions() {
@@ -221,7 +221,7 @@ where
             Err(failed) => return TaskOutput::FetchFailed(failed),
         };
         if let Some(combine) = &self.dep.map_side_combine {
-            records = combine(ctx, records);
+            records = Part::Owned(combine(ctx, records.into_vec()));
         }
         let partitioner = self.dep.partitioner.clone();
         let status = write_shuffle(
@@ -229,7 +229,7 @@ where
             self.dep.shuffle_id,
             self.part as u32,
             partitioner.num_partitions(),
-            records,
+            &records,
             move |(k, _): &(K, M)| partitioner.partition(k),
         );
         TaskOutput::Map(status)
@@ -288,9 +288,9 @@ where
     fn num_partitions(&self) -> usize {
         self.dep.partitioner.num_partitions()
     }
-    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Vec<U>, FetchFailed> {
+    fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<U>, FetchFailed> {
         let mut buckets = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, &[part as u32], None)?;
-        Ok((self.post)(ctx, buckets.pop().expect("one bucket requested").1))
+        Ok(Part::Owned((self.post)(ctx, buckets.pop().expect("one bucket requested").1)))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep.clone()]
@@ -332,7 +332,7 @@ where
         &self,
         part: usize,
         ctx: &TaskContext,
-    ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
+    ) -> Result<Part<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
         let reduce = [part as u32];
         let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, &reduce, None)?
             .pop()
@@ -343,7 +343,7 @@ where
             .expect("one bucket requested")
             .1;
         ctx.charge(ctx.cost().group((a.len() + b.len()) as u64, 0));
-        Ok(cogroup_pairs(a, b))
+        Ok(Part::Owned(cogroup_pairs(a, b)))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep_a.clone(), self.dep_b.clone()]
@@ -444,7 +444,7 @@ where
         // result arity.
         let finish = |bucket: u32, data: Vec<U>| {
             records_out(&data);
-            (bucket, f(ctx, data))
+            (bucket, f(ctx, Part::Owned(data)))
         };
         let run = || -> Result<AnyMsg, FetchFailed> {
             Ok(match &self.work {

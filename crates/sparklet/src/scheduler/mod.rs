@@ -430,9 +430,10 @@ impl SparkContext {
         for (i, x) in data.into_iter().enumerate() {
             chunks[i % parts].push(x);
         }
+        let data = chunks.into_iter().map(Arc::new).collect();
         Rdd {
             core: self.core.clone(),
-            ops: Arc::new(ParallelizeRdd { id: self.core.new_rdd_id(), data: Arc::new(chunks) }),
+            ops: Arc::new(ParallelizeRdd { id: self.core.new_rdd_id(), data }),
         }
     }
 

@@ -285,12 +285,13 @@ impl MapOutputClient {
 
 /// Partition, serialize, and store one map task's output; returns the
 /// `MapStatus`. `partition_of` maps each record to its reduce partition.
+/// The records are borrowed: a cached partition is encoded in place.
 pub fn write_shuffle<T: Element>(
     ctx: &TaskContext,
     shuffle_id: u32,
     map_id: u32,
     num_reduces: usize,
-    records: Vec<T>,
+    records: &[T],
     partition_of: impl Fn(&T) -> usize,
 ) -> MapStatus {
     // Count pass: the batch format leads with its record count, and a writer
@@ -321,7 +322,7 @@ pub fn write_shuffle<T: Element>(
     }
     // Freed first: the frozen blocks below then reuse its pages instead of
     // faulting in fresh ones.
-    drop((records, bucket_of));
+    drop(bucket_of);
     let bm = &ctx.services.block_manager;
     let mut sizes = Vec::with_capacity(num_reduces);
     for (reduce_id, (bucket, &records)) in buckets.into_iter().zip(&counts).enumerate() {

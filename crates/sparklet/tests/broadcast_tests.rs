@@ -30,7 +30,7 @@ fn broadcast_value_reaches_every_task() {
                 .map_partitions(move |ctx, v| {
                     let w = weights.get(ctx);
                     assert_eq!(*w, vec![2, 5 - 2, 5]);
-                    v.into_iter().map(|x| x * w[0]).collect::<Vec<u64>>()
+                    v.iter().map(|x| x * w[0]).collect::<Vec<u64>>()
                 })
                 .reduce(|a, b| a + b)
         },
@@ -58,7 +58,7 @@ fn broadcast_fetched_once_per_executor() {
                 sc.generate(12, |_| vec![1u64])
                     .map_partitions(move |ctx, v| {
                         assert_eq!(*b.get(ctx), 7);
-                        v
+                        v.into_vec()
                     })
                     .count()
             },
@@ -91,7 +91,7 @@ fn broadcast_composes_with_shuffles() {
                 .reduce_by_key(4, |a, b| a + b)
                 .map_partitions(move |ctx, v| {
                     let s = *scale.get(ctx);
-                    v.into_iter().map(|(k, sum)| (k, sum * s)).collect::<Vec<_>>()
+                    v.iter().map(|&(k, sum)| (k, sum * s)).collect::<Vec<_>>()
                 })
                 .collect()
         },

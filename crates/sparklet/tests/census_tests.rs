@@ -3,7 +3,8 @@
 //! `group_by_key().count()` on each of the paper's four systems, and once
 //! `System::run` has returned none is alive — the cached partitions, the
 //! shuffle blocks, every in-flight chunk and every task's records are gone
-//! with the cell.
+//! with the cell. A cached partition is shared, not copied: neither its
+//! first computation nor a later hit constructs a record.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -13,37 +14,39 @@ use sparklet::deploy::ClusterConfig;
 use sparklet::{Element, SparkConf};
 use workloads::System;
 
-/// Instances alive now, and the most that ever were. One test owns them.
-static ALIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
+/// Instances alive now, and the most that ever were, per census. Each test
+/// owns one census `C` and counts only its `Counted<C>`, so tests may run in
+/// parallel.
+static ALIVE: [AtomicI64; 2] = [const { AtomicI64::new(0) }; 2];
+static PEAK: [AtomicI64; 2] = [const { AtomicI64::new(0) }; 2];
 
 #[derive(Debug)]
-struct Counted(u64);
+struct Counted<const C: usize>(u64);
 
-impl Counted {
-    fn new(v: u64) -> Counted {
-        PEAK.fetch_max(ALIVE.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+impl<const C: usize> Counted<C> {
+    fn new(v: u64) -> Self {
+        PEAK[C].fetch_max(ALIVE[C].fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
         Counted(v)
     }
 }
 
-impl Clone for Counted {
-    fn clone(&self) -> Counted {
+impl<const C: usize> Clone for Counted<C> {
+    fn clone(&self) -> Self {
         Counted::new(self.0)
     }
 }
 
-impl Drop for Counted {
+impl<const C: usize> Drop for Counted<C> {
     fn drop(&mut self) {
-        ALIVE.fetch_sub(1, Ordering::SeqCst);
+        ALIVE[C].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-impl Element for Counted {
+impl<const C: usize> Element for Counted<C> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.0);
     }
-    fn decode(r: &mut ByteReader) -> Counted {
+    fn decode(r: &mut ByteReader) -> Self {
         Counted::new(r.get_u64().expect("counted element"))
     }
     fn virtual_size(&self) -> u64 {
@@ -59,12 +62,12 @@ fn no_record_outlives_its_cell_on_any_system() {
         let mut conf = SparkConf::default();
         conf.executor_cores = 4;
         let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-        PEAK.store(0, Ordering::SeqCst);
+        PEAK[0].store(0, Ordering::SeqCst);
         let out = system.run(&spec, cluster, move |sc| {
             let data = sc
                 .generate(parts, move |p| {
                     (0..per_part)
-                        .map(|i| ((p as u64 * per_part + i) % keys, Counted::new(i)))
+                        .map(|i| ((p as u64 * per_part + i) % keys, Counted::<0>::new(i)))
                         .collect()
                 })
                 .cache();
@@ -75,10 +78,52 @@ fn no_record_outlives_its_cell_on_any_system() {
         // The cache alone holds every record while the shuffle copies them.
         let records = (parts as u64 * per_part) as i64;
         assert!(
-            PEAK.load(Ordering::SeqCst) > records,
+            PEAK[0].load(Ordering::SeqCst) > records,
             "{}: the census saw no copies",
             system.label()
         );
-        assert_eq!(ALIVE.load(Ordering::SeqCst), 0, "{}: records outlive the cell", system.label());
+        assert_eq!(
+            ALIVE[0].load(Ordering::SeqCst),
+            0,
+            "{}: records outlive the cell",
+            system.label()
+        );
+    }
+}
+
+#[test]
+fn a_cache_hit_constructs_no_record() {
+    let (parts, per_part) = (8usize, 60u64);
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let spec = ClusterSpec::test(4);
+        let mut conf = SparkConf::default();
+        conf.executor_cores = 4;
+        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
+        PEAK[1].store(0, Ordering::SeqCst);
+        let out = system.run(&spec, cluster, move |sc| {
+            let data = sc
+                .generate(parts, move |p| {
+                    (0..per_part).map(|i| Counted::<1>::new(p as u64 + i)).collect()
+                })
+                .cache();
+            assert_eq!(data.count(), parts as u64 * per_part);
+            assert_eq!(data.count(), parts as u64 * per_part);
+            data.map_partitions(|_ctx, v| vec![v.iter().map(|c| c.0).sum::<u64>()]).collect()
+        });
+        let want: u64 = (0..parts as u64).map(|p| (0..per_part).map(|i| p + i).sum::<u64>()).sum();
+        assert_eq!(out.result.iter().sum::<u64>(), want, "{}: sums", system.label());
+        let records = (parts as u64 * per_part) as i64;
+        assert_eq!(
+            PEAK[1].load(Ordering::SeqCst),
+            records,
+            "{}: a record was copied",
+            system.label()
+        );
+        assert_eq!(
+            ALIVE[1].load(Ordering::SeqCst),
+            0,
+            "{}: records outlive the cell",
+            system.label()
+        );
     }
 }

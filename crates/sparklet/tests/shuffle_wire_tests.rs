@@ -90,13 +90,13 @@ fn write_and_check<T: Element + PartialEq + std::fmt::Debug>(
     ctx: &TaskContext,
     map_id: u32,
     reduces: usize,
-    records: Vec<T>,
+    records: &[T],
     partition_of: impl Fn(&T) -> usize + Copy,
 ) -> MapStatus {
-    let status = write_shuffle(ctx, SHUFFLE, map_id, reduces, records.clone(), partition_of);
+    let status = write_shuffle(ctx, SHUFFLE, map_id, reduces, records, partition_of);
     assert_eq!((status.sizes.len(), status.records.len()), (reduces, reduces));
     for bucket in 0..reduces {
-        let want = bucket_of(&records, bucket, partition_of);
+        let want = bucket_of(records, bucket, partition_of);
         let (bytes, virt) = encode_batch(&want);
         let id = BlockId::Shuffle { shuffle_id: SHUFFLE, map_id, reduce_id: bucket as u32 };
         let block = ctx.services.block_manager.get(id).expect("one block per bucket, empty or not");
@@ -123,12 +123,14 @@ fn stored_blocks_are_byte_equal_to_encode_batch_of_their_bucket() {
             let blobs: Vec<(u64, Blob)> = (0..n)
                 .map(|i| (rng.next_range(0, keys), Blob::new(i, 1 << rng.next_range(0, 20))))
                 .collect();
-            write_and_check(&ctxs[0], 2 * seed as u32, reduces, blobs, |r| r.0 as usize % reduces);
+            write_and_check(&ctxs[0], 2 * seed as u32, reduces, &blobs, |r| r.0 as usize % reduces);
             // Variable-width records: the first one's length is only a guess.
             let words: Vec<(String, Vec<u64>)> = (0..n)
                 .map(|i| ("k".repeat(rng.next_range(0, 9) as usize), vec![i; i as usize % 4]))
                 .collect();
-            write_and_check(&ctxs[0], 2 * seed as u32 + 1, reduces, words, |r| r.0.len() % reduces);
+            write_and_check(&ctxs[0], 2 * seed as u32 + 1, reduces, &words, |r| {
+                r.0.len() % reduces
+            });
         }
     });
     sim.run().unwrap().assert_clean();
@@ -159,7 +161,7 @@ fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
         tracker.register_shuffle(SHUFFLE, maps as usize);
         for (m, records) in written.iter().enumerate() {
             let ctx = &ctxs[m % 3];
-            let status = write_and_check(ctx, m as u32, reduces, records.clone(), partition_of);
+            let status = write_and_check(ctx, m as u32, reduces, records, partition_of);
             tracker.register_map_output(SHUFFLE, status);
         }
 

@@ -18,7 +18,7 @@ use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
 use sparklet::rdd::ops::ResultTask;
-use sparklet::rdd::{RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
+use sparklet::rdd::{Part, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
 use sparklet::rpc::{AnyMsg, RpcEnv};
 use sparklet::shuffle::{
     read_shuffle, FetchFailed, MapOutputClient, MapOutputTrackerMaster, MapStatus,
@@ -254,7 +254,7 @@ impl RddOps<u64> for LostBlocks {
     fn num_partitions(&self) -> usize {
         1
     }
-    fn compute(&self, _part: usize, _ctx: &TaskContext) -> Result<Vec<u64>, FetchFailed> {
+    fn compute(&self, _part: usize, _ctx: &TaskContext) -> Result<Part<u64>, FetchFailed> {
         Err(self.0)
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
@@ -271,7 +271,7 @@ fn result_task_reports_a_lineage_err_as_fetch_failed_output() {
         let lost = FetchFailed { shuffle_id: 3, exec_id: Some(1), map_id: Some(9) };
         let task = ResultTask {
             ops: Arc::new(LostBlocks(lost)),
-            f: Arc::new(|_ctx: &TaskContext, v: Vec<u64>| Arc::new(v.len()) as AnyMsg),
+            f: Arc::new(|_ctx: &TaskContext, v: Part<u64>| Arc::new(v.len()) as AnyMsg),
             part: 0,
         };
         match task.run(&ctx) {

@@ -50,7 +50,7 @@ pub fn repartition_app(sc: &SparkContext, cfg: MicroConfig) -> u64 {
         // stage (transport-independent I/O).
         let bytes: u64 = recs.iter().map(sparklet::Element::virtual_size).sum();
         ctx.services.net.disk_write(ctx.services.node, bytes);
-        recs
+        recs.into_vec()
     })
     .repartition(cfg.partitions)
     .map_partitions(|ctx, recs| {
@@ -58,7 +58,7 @@ pub fn repartition_app(sc: &SparkContext, cfg: MicroConfig) -> u64 {
         // (single-replica benchmark configuration).
         let bytes: u64 = recs.iter().map(sparklet::Element::virtual_size).sum();
         ctx.services.net.disk_write(ctx.services.node, bytes);
-        recs
+        recs.into_vec()
     })
     .count()
 }
@@ -82,7 +82,7 @@ pub fn terasort_app(sc: &SparkContext, cfg: MicroConfig) -> u64 {
         // HDFS input read for the map stage.
         let bytes: u64 = recs.iter().map(sparklet::Element::virtual_size).sum();
         ctx.services.net.disk_write(ctx.services.node, bytes);
-        recs
+        recs.into_vec()
     })
     .sort_by_key(cfg.partitions)
     .map_partitions(|ctx, recs| {
@@ -93,7 +93,7 @@ pub fn terasort_app(sc: &SparkContext, cfg: MicroConfig) -> u64 {
         ctx.charge(ctx.cost().sort(bytes / 100, 0));
         // Output lands on HDFS with the default replication of 3.
         ctx.services.net.disk_write(ctx.services.node, bytes * 3);
-        recs
+        recs.into_vec()
     })
     .count()
 }

@@ -304,8 +304,8 @@ pub fn lda_app(sc: &SparkContext, cfg: MlConfig, vocab: usize, topics: usize) ->
         let contrib: Rdd<(u64, (Vec<f64>, Blob))> = data.map_partitions(move |ctx, toks| {
             let virt = cfg.virtual_samples_per_partition.max(toks.len() as u64);
             ctx.charge(((virt * topics as u64 * 4) as f64 * ctx.cost().flop_ns) as u64);
-            toks.into_iter()
-                .map(|(w, c)| {
+            toks.iter()
+                .map(|&(w, c)| {
                     let mut r: Vec<f64> =
                         (0..topics).map(|t| phi_for_map[t][w as usize].max(1e-12)).collect();
                     let s: f64 = r.iter().sum();
