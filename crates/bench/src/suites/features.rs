@@ -6,7 +6,7 @@ use fabric::{ClusterSpec, FaultPlan};
 use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf, SpeculationConf};
+use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf};
 use workloads::ohb::{group_by_zipf_app, OhbConfig};
 use workloads::System;
 
@@ -37,13 +37,7 @@ fn recovery_conf(speculation: bool) -> SparkConf {
     conf.fetch_max_retries = 1;
     conf.fetch_retry_base_ns = 20 * MS;
     conf.fetch_retry_max_ns = 100 * MS;
-    conf.speculation = SpeculationConf {
-        enabled: speculation,
-        interval_ns: MS,
-        multiplier: 2.0,
-        quantile: 0.5,
-        min_runtime_ns: MS,
-    };
+    conf.speculation = speculation;
     conf
 }
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use netz::TransportConf;
 use simt::sync::Mutex;
+use sparklet::config::SparkConf;
 use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role};
 
 use crate::ctx::MpiProcCtx;
@@ -26,7 +27,6 @@ pub enum Design {
 pub struct MpiBackend {
     design: Design,
     conf: TransportConf,
-    body_timeout_ns: u64,
     /// Each launched process's communicators, by role: the launcher
     /// registers a process before starting it (paper §V), and `plane` looks
     /// it up when the process builds its networking.
@@ -34,27 +34,17 @@ pub struct MpiBackend {
 }
 
 impl MpiBackend {
-    /// Backend for `design` with default socket conf for the establishment
-    /// path.
-    pub fn new(design: Design) -> Self {
-        MpiBackend {
-            design,
-            conf: TransportConf::default_sockets(),
-            body_timeout_ns: simt::time::secs(120),
-            procs: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Backend honoring the engine configuration's timeouts: connection
-    /// establishment and the Optimized design's bounded body wait both
-    /// follow `spark`'s settings, so chaos tests that shrink timeouts see
-    /// them respected on the MPI path too.
-    pub fn with_conf(design: Design, spark: &sparklet::config::SparkConf) -> Self {
-        let mut b = Self::new(design);
-        b.conf.request_timeout_ns = spark.request_timeout_ns;
-        b.conf.connect_timeout_ns = spark.connect_timeout_ns;
-        b.body_timeout_ns = spark.request_timeout_ns;
-        b
+    /// Backend for `design` honoring the engine configuration's timeouts:
+    /// connection establishment, requests and the Optimized design's
+    /// bounded body wait (its endpoint's request timeout) all follow
+    /// `spark`'s settings, on the MPI planes and the socket fallback alike.
+    pub fn with_conf(design: Design, spark: &SparkConf) -> Self {
+        let conf = TransportConf {
+            request_timeout_ns: spark.request_timeout_ns,
+            connect_timeout_ns: spark.connect_timeout_ns,
+            ..TransportConf::default_sockets()
+        };
+        MpiBackend { design, conf, procs: Mutex::new(BTreeMap::new()) }
     }
 
     /// The selected design.
@@ -90,9 +80,7 @@ impl NetworkBackend for MpiBackend {
     fn plane(&self, _plane: Plane, identity: &ProcIdentity) -> PlaneDesc {
         let ctx = self.mpi_ctx(identity);
         let transport: Arc<dyn netz::Transport> = match self.design {
-            Design::Optimized => {
-                Arc::new(MpiTransportOptimized::new(ctx).with_body_timeout(self.body_timeout_ns))
-            }
+            Design::Optimized => Arc::new(MpiTransportOptimized::new(ctx)),
             Design::Basic => Arc::new(MpiTransportBasic::new(ctx)),
         };
         PlaneDesc { conf: self.conf, transport }
@@ -111,16 +99,49 @@ impl NetworkBackend for MpiBackend {
 mod tests {
     use super::*;
 
+    fn backend(design: Design) -> MpiBackend {
+        MpiBackend::with_conf(design, &SparkConf::default())
+    }
+
     #[test]
     fn backend_names_distinguish_designs() {
-        assert_eq!(MpiBackend::new(Design::Optimized).name(), "mpi4spark");
-        assert_eq!(MpiBackend::new(Design::Basic).name(), "mpi4spark-basic");
+        assert_eq!(backend(Design::Optimized).name(), "mpi4spark");
+        assert_eq!(backend(Design::Basic).name(), "mpi4spark-basic");
+    }
+
+    #[test]
+    fn every_plane_carries_the_conf_timeouts() {
+        let spark = SparkConf {
+            request_timeout_ns: simt::time::millis(200),
+            connect_timeout_ns: simt::time::millis(50),
+            ..SparkConf::default()
+        };
+        let sim = simt::Sim::new();
+        sim.spawn("launcher", move || {
+            let net = fabric::Net::new(&fabric::ClusterSpec::test(1));
+            rmpi::launch::mpiexec(&net, &[0], move |world| {
+                let id = ProcIdentity::new(Role::Driver, 0, "driver");
+                for design in [Design::Basic, Design::Optimized] {
+                    let b = MpiBackend::with_conf(design, &spark);
+                    b.register(Role::Driver, MpiProcCtx::world_proc(world.clone()));
+                    for plane in [Plane::Rpc, Plane::Shuffle] {
+                        let fallback = b.fallback_plane(plane, &id).expect("a socket fallback");
+                        for desc in [b.plane(plane, &id), fallback] {
+                            assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
+                            assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
+                        }
+                    }
+                }
+            });
+        });
+        sim.run().unwrap().assert_clean();
+        sim.shutdown();
     }
 
     #[test]
     #[should_panic(expected = "started by the mpi4spark launcher")]
     fn unregistered_process_has_no_plane() {
-        let backend = MpiBackend::new(Design::Optimized);
+        let backend = backend(Design::Optimized);
         backend.plane(Plane::Rpc, &ProcIdentity::new(Role::Executor(0), 0, "executor-0"));
     }
 }

@@ -98,7 +98,7 @@ pub fn run_app<R: Send + Sync + 'static>(
     design: Design,
     app: impl FnOnce(&sparklet::scheduler::SparkContext) -> R + Send + 'static,
 ) -> (R, Vec<JobMetrics>) {
-    run_app_with_backend(net, cluster, Arc::new(MpiBackend::new(design)), app)
+    run_app_with_backend(net, cluster, Arc::new(MpiBackend::with_conf(design, &cluster.conf)), app)
 }
 
 /// [`run_app`] with an explicit (possibly tuned) backend.

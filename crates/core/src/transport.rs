@@ -65,23 +65,13 @@ fn opt_tag(chan: ChannelId, key: u64) -> u64 {
 /// The MPI4Spark-Optimized transport (§VI-E).
 pub struct MpiTransportOptimized {
     ctx: Arc<MpiProcCtx>,
-    body_timeout_ns: u64,
     pump: OnceLock<Arc<BodyPump>>,
 }
 
 impl MpiTransportOptimized {
     /// Transport for the process described by `ctx`.
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        MpiTransportOptimized { ctx, body_timeout_ns: simt::time::secs(120), pump: OnceLock::new() }
-    }
-
-    /// Cap how long the transport waits for a body whose header arrived. A
-    /// dropped body would otherwise leave its receive posted forever; on
-    /// timeout the posted receive is cancelled (with a drain for the late
-    /// body) and the fetch surfaces as a missing chunk to the retry layer.
-    pub fn with_body_timeout(mut self, timeout_ns: u64) -> Self {
-        self.body_timeout_ns = timeout_ns;
-        self
+        MpiTransportOptimized { ctx, pump: OnceLock::new() }
     }
 }
 
@@ -109,7 +99,6 @@ impl Transport for MpiTransportOptimized {
             "mpi-body-fetch",
             Arc::new(OptInbound {
                 ctx: self.ctx.clone(),
-                body_timeout_ns: self.body_timeout_ns,
                 pump: self.pump.get().expect("transport started").clone(),
             }),
         );
@@ -134,6 +123,10 @@ struct PendingBody {
 /// late body, if it ever lands, is absorbed instead of leaking into the
 /// message store.
 ///
+/// A body may wait as long as its endpoint's request timeout: a dropped body
+/// would otherwise leave its receive posted forever, and once it is
+/// cancelled the fetch surfaces as a missing chunk to the retry layer.
+///
 /// The pump holds no `Endpoint`: the endpoint owns its transport, which owns
 /// the pump, so a handle here would close an `Arc` cycle and keep the
 /// endpoint (and its handler's block manager) alive past shutdown. The
@@ -142,11 +135,13 @@ struct BodyPump {
     set: rmpi::CompletionSet,
     entries: Mutex<BTreeMap<u64, PendingBody>>,
     next_user: AtomicU64,
+    body_timeout_ns: u64,
 }
 
 impl BodyPump {
     fn spawn(endpoint: Endpoint) -> Arc<BodyPump> {
         let pump = Arc::new(BodyPump {
+            body_timeout_ns: endpoint.request_timeout_ns(),
             set: rmpi::CompletionSet::default(),
             entries: Mutex::new(BTreeMap::new()),
             next_user: AtomicU64::new(0),
@@ -161,13 +156,8 @@ impl BodyPump {
     /// File a posted body receive. The entry must be visible before the
     /// request joins the completion set: attaching can complete instantly
     /// (body already arrived), and the pump looks the entry up by `user`.
-    fn submit(
-        &self,
-        chan: &Arc<ChannelCore>,
-        header: bytes::Bytes,
-        req: rmpi::Request,
-        deadline: u64,
-    ) {
+    fn submit(&self, chan: &Arc<ChannelCore>, header: bytes::Bytes, req: rmpi::Request) {
+        let deadline = simt::now().saturating_add(self.body_timeout_ns);
         let user = self.next_user.fetch_add(1, Ordering::Relaxed);
         self.entries.lock().insert(user, PendingBody { chan: chan.clone(), header, deadline });
         req.attach(&self.set, user);
@@ -260,7 +250,6 @@ impl OutboundHandler for OptOutbound {
 /// `MPI_Recv` and reattach the body.
 struct OptInbound {
     ctx: Arc<MpiProcCtx>,
-    body_timeout_ns: u64,
     pump: Arc<BodyPump>,
 }
 
@@ -284,8 +273,7 @@ impl InboundHandler for OptInbound {
         // back to parsing headers while the pump completes arrivals, so
         // concurrent fetches into this endpoint overlap.
         let req = comm.irecv(Some(src), Some(tag));
-        let deadline = simt::now().saturating_add(self.body_timeout_ns);
-        self.pump.submit(chan, frame.header, req, deadline);
+        self.pump.submit(chan, frame.header, req);
         InboundAction::Consume
     }
 }

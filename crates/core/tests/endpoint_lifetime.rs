@@ -95,11 +95,11 @@ fn basic_endpoint_is_freed_at_shutdown() {
 /// only a weak handle to the backend kept. True when, after shutdown, the
 /// backend is freed, and with it its references to every process's context.
 fn backend_freed_at_shutdown(design: Design) -> bool {
-    let backend = Arc::new(MpiBackend::new(design));
-    let weak = Arc::downgrade(&backend);
     let spec = ClusterSpec::test(4);
     let mut conf = SparkConf::default();
     conf.executor_cores = 2;
+    let backend = Arc::new(MpiBackend::with_conf(design, &conf));
+    let weak = Arc::downgrade(&backend);
     let cluster = ClusterConfig::paper_layout(spec.len(), conf);
     let sim = Sim::new();
     sim.spawn("launcher", move || {

@@ -23,9 +23,18 @@ fn run_mpi<R: Send + Sync + 'static>(
     design: Design,
     app: impl FnOnce(&sparklet::scheduler::SparkContext) -> R + Send + 'static,
 ) -> (R, Vec<sparklet::JobMetrics>) {
+    run_mpi_with(small_conf(), design, app)
+}
+
+/// [`run_mpi`] on a cluster configured by `conf`.
+fn run_mpi_with<R: Send + Sync + 'static>(
+    conf: SparkConf,
+    design: Design,
+    app: impl FnOnce(&sparklet::scheduler::SparkContext) -> R + Send + 'static,
+) -> (R, Vec<sparklet::JobMetrics>) {
     let sim = Sim::new();
     let spec = ClusterSpec::test(5);
-    let cluster = ClusterConfig::paper_layout(spec.len(), small_conf());
+    let cluster = ClusterConfig::paper_layout(spec.len(), conf);
     let out: OnceCell<(R, Vec<sparklet::JobMetrics>)> = OnceCell::new();
     let out2 = out.clone();
     sim.spawn("launcher", move || {
@@ -109,7 +118,7 @@ fn optimized_shuffle_read_is_faster_than_vanilla() {
     let (count_van, metrics_van) = sparklet::deploy::simulate(
         &spec,
         cluster,
-        Arc::new(sparklet::VanillaBackend::default()),
+        Arc::new(sparklet::VanillaBackend::with_conf(&small_conf())),
         Arc::new(sparklet::ProcessBuilderLauncher),
         workload,
     );
@@ -172,9 +181,39 @@ fn mpi_and_vanilla_agree_functionally() {
     let (van, _) = sparklet::deploy::simulate(
         &spec,
         cluster,
-        Arc::new(sparklet::VanillaBackend::default()),
+        Arc::new(sparklet::VanillaBackend::with_conf(&small_conf())),
         Arc::new(sparklet::ProcessBuilderLauncher),
         workload,
     );
     assert_eq!(mpi, van);
+}
+
+#[test]
+fn run_app_detects_a_lost_shuffle_service_within_the_conf_timeouts() {
+    // `run_app` must build its backend from the cluster's conf: with the
+    // 120 s socket defaults, recovering from the lost service below took
+    // 360 s of virtual time instead of well under a second.
+    let mut conf = small_conf();
+    conf.connect_timeout_ns = simt::time::millis(50);
+    conf.request_timeout_ns = simt::time::millis(200);
+    let (groups, metrics) = run_mpi_with(conf, Design::Optimized, |sc| {
+        let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 11, i)).collect();
+        let grouped = sc.parallelize(pairs, 6).group_by_key(6);
+        assert_eq!(grouped.count(), 11);
+        sc.scheduler().executors()[1]
+            .rpc
+            .send(sparklet::deploy::executor::KillShuffleService)
+            .unwrap();
+        simt::sleep(simt::time::millis(5));
+        grouped.collect().len()
+    });
+    assert_eq!(groups, 11);
+    let second = metrics.last().unwrap();
+    let stages: Vec<&str> = second.stages.iter().map(|s| s.name.as_str()).collect();
+    assert!(stages.iter().any(|s| s.contains("-retry")), "no lineage recompute in {stages:?}");
+    assert!(
+        second.duration_ns() < simt::time::secs(5),
+        "the recovering job took {} of virtual time",
+        simt::time::fmt_duration(second.duration_ns())
+    );
 }

@@ -48,7 +48,7 @@ fn run_grouping(
             let (r, _) = sparklet::deploy::simulate(
                 &spec,
                 cluster,
-                Arc::new(sparklet::VanillaBackend::default()),
+                Arc::new(sparklet::VanillaBackend::with_conf(&conf(merge_chunks))),
                 Arc::new(sparklet::ProcessBuilderLauncher),
                 app,
             );

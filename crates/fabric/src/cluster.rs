@@ -17,8 +17,6 @@ pub struct NodeSpec {
     pub cores_per_socket: u32,
     /// Hardware threads per core (2 when hyper-threading).
     pub threads_per_core: u32,
-    /// Memory in GiB (capacity checks for worker/executor sizing).
-    pub mem_gb: u32,
     /// Nominal clock in GHz (scales per-record compute costs).
     pub clock_ghz: f64,
 }
@@ -27,11 +25,6 @@ impl NodeSpec {
     /// Physical cores on the node.
     pub fn cores(&self) -> u32 {
         self.sockets * self.cores_per_socket
-    }
-
-    /// Schedulable hardware threads on the node.
-    pub fn hw_threads(&self) -> u32 {
-        self.cores() * self.threads_per_core
     }
 }
 
@@ -82,7 +75,6 @@ impl ClusterSpec {
                 sockets: 2,
                 cores_per_socket: 28,
                 threads_per_core: 1,
-                mem_gb: 192,
                 clock_ghz: 2.7,
             },
             Interconnect::ib_hdr100(),
@@ -104,7 +96,6 @@ impl ClusterSpec {
                 sockets: 2,
                 cores_per_socket: 24,
                 threads_per_core: 2,
-                mem_gb: 192,
                 clock_ghz: 2.1,
             },
             Interconnect::omni_path100(),
@@ -122,7 +113,6 @@ impl ClusterSpec {
                 sockets: 2,
                 cores_per_socket: 14,
                 threads_per_core: 1,
-                mem_gb: 128,
                 clock_ghz: 2.1,
             },
             Interconnect::ib_edr100(),
@@ -140,7 +130,6 @@ impl ClusterSpec {
                 sockets: 1,
                 cores_per_socket: 4,
                 threads_per_core: 1,
-                mem_gb: 16,
                 clock_ghz: 2.5,
             },
             Interconnect::ib_hdr100(),
@@ -161,7 +150,6 @@ mod tests {
         assert_eq!(n.cores_per_socket, 28);
         assert_eq!(n.cores(), 56);
         assert_eq!(n.threads_per_core, 1);
-        assert_eq!(n.mem_gb, 192);
         assert!((n.clock_ghz - 2.7).abs() < 1e-9);
         assert_eq!(c.interconnect.name, "IB-HDR (100G)");
     }
@@ -172,7 +160,7 @@ mod tests {
         let n = &c.nodes[0];
         // 8 workers => 384 cores / 768 threads as in §VII-D.
         assert_eq!(n.cores() * 8, 384);
-        assert_eq!(n.hw_threads() * 8, 768);
+        assert_eq!(n.cores() * n.threads_per_core * 8, 768);
         assert_eq!(c.interconnect.name, "OPA (100G)");
     }
 
@@ -181,7 +169,6 @@ mod tests {
         let c = ClusterSpec::internal(2);
         let n = &c.nodes[0];
         assert_eq!(n.cores(), 28);
-        assert_eq!(n.mem_gb, 128);
         assert_eq!(c.interconnect.name, "IB-EDR (100G)");
     }
 

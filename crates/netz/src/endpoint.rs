@@ -121,6 +121,12 @@ impl Endpoint {
         &self.inner.net
     }
 
+    /// How long a request on this endpoint may wait for its reply
+    /// ([`TransportConf::request_timeout_ns`]).
+    pub fn request_timeout_ns(&self) -> u64 {
+        self.inner.conf.request_timeout_ns
+    }
+
     /// Endpoint name (diagnostics).
     pub fn name(&self) -> &str {
         &self.inner.name

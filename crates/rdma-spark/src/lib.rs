@@ -19,7 +19,7 @@
 //! paper's measured ratios).
 //!
 //! RDMA-Spark is IB-only (paper Table I: no multi-interconnect support);
-//! [`RdmaBackend::new`] checks [`fabric::FabricKind`], mirroring why the
+//! [`RdmaBackend::with_conf`] checks [`fabric::FabricKind`], mirroring why the
 //! paper has no RDMA-Spark numbers on Stampede2's Omni-Path.
 
 #![forbid(unsafe_code)]
@@ -38,33 +38,28 @@ pub struct RdmaBackend {
 }
 
 impl RdmaBackend {
-    /// Backend for a cluster whose interconnect is InfiniBand.
+    /// Backend for a cluster whose interconnect is InfiniBand, honoring the
+    /// engine configuration's timeouts on both planes and the fallback.
     ///
     /// # Panics
     /// When the interconnect's [`FabricKind`] is not
     /// [`FabricKind::InfiniBand`] (e.g. Omni-Path): RDMA-Spark only supports
     /// IB, which is why the paper collected no RDMA numbers on Stampede2
     /// (§VII-D).
-    pub fn new(interconnect: &fabric::Interconnect) -> Self {
+    pub fn with_conf(interconnect: &fabric::Interconnect, spark: &SparkConf) -> Self {
         assert!(
             interconnect.kind == FabricKind::InfiniBand,
             "RDMA-Spark supports only InfiniBand interconnects (got {} [{:?}])",
             interconnect.name,
             interconnect.kind
         );
-        let rpc_conf = TransportConf::default_sockets();
+        let rpc_conf = TransportConf {
+            request_timeout_ns: spark.request_timeout_ns,
+            connect_timeout_ns: spark.connect_timeout_ns,
+            ..TransportConf::default_sockets()
+        };
         let shuffle_conf = TransportConf { stack: StackModel::rdma_verbs(), ..rpc_conf };
         RdmaBackend { rpc_conf, shuffle_conf }
-    }
-
-    /// Backend honoring the engine configuration's timeouts on both planes.
-    pub fn with_conf(interconnect: &fabric::Interconnect, spark: &SparkConf) -> Self {
-        let mut b = Self::new(interconnect);
-        for conf in [&mut b.rpc_conf, &mut b.shuffle_conf] {
-            conf.request_timeout_ns = spark.request_timeout_ns;
-            conf.connect_timeout_ns = spark.connect_timeout_ns;
-        }
-        b
     }
 }
 
@@ -105,9 +100,13 @@ mod tests {
     use fabric::Interconnect;
     use sparklet::net_backend::Role;
 
+    fn backend(interconnect: &Interconnect) -> RdmaBackend {
+        RdmaBackend::with_conf(interconnect, &SparkConf::default())
+    }
+
     #[test]
     fn planes_use_different_stacks() {
-        let b = RdmaBackend::new(&Interconnect::ib_hdr100());
+        let b = backend(&Interconnect::ib_hdr100());
         let id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
         let rpc = b.plane(Plane::Rpc, &id);
         let shuffle = b.plane(Plane::Shuffle, &id);
@@ -117,15 +116,32 @@ mod tests {
     }
 
     #[test]
+    fn every_plane_carries_the_conf_timeouts() {
+        let spark = SparkConf {
+            request_timeout_ns: simt::time::millis(200),
+            connect_timeout_ns: simt::time::millis(50),
+            ..SparkConf::default()
+        };
+        let b = RdmaBackend::with_conf(&Interconnect::ib_hdr100(), &spark);
+        let id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
+        let fallback = b.fallback_plane(Plane::Shuffle, &id).expect("a socket fallback");
+        assert!(b.fallback_plane(Plane::Rpc, &id).is_none());
+        for desc in [b.plane(Plane::Rpc, &id), b.plane(Plane::Shuffle, &id), fallback] {
+            assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
+            assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "only InfiniBand")]
     fn rejects_omni_path_like_the_real_system() {
-        let _ = RdmaBackend::new(&Interconnect::omni_path100());
+        let _ = backend(&Interconnect::omni_path100());
     }
 
     #[test]
     fn works_on_edr_and_hdr() {
-        let _ = RdmaBackend::new(&Interconnect::ib_hdr100());
-        let _ = RdmaBackend::new(&Interconnect::ib_edr100());
+        let _ = backend(&Interconnect::ib_hdr100());
+        let _ = backend(&Interconnect::ib_edr100());
     }
 
     #[test]
@@ -137,6 +153,6 @@ mod tests {
             kind: FabricKind::InfiniBand,
             wire: Interconnect::ib_hdr100().wire,
         };
-        let _ = RdmaBackend::new(&odd_name);
+        let _ = backend(&odd_name);
     }
 }

@@ -26,14 +26,14 @@ fn rdma_group_by_matches_vanilla() {
     let (count_rdma, _) = simulate(
         &spec,
         ClusterConfig::paper_layout(spec.len(), conf()),
-        Arc::new(RdmaBackend::new(&spec.interconnect)),
+        Arc::new(RdmaBackend::with_conf(&spec.interconnect, &conf())),
         Arc::new(ProcessBuilderLauncher),
         groupby_workload,
     );
     let (count_van, _) = simulate(
         &spec,
         ClusterConfig::paper_layout(spec.len(), conf()),
-        Arc::new(sparklet::VanillaBackend::default()),
+        Arc::new(sparklet::VanillaBackend::with_conf(&conf())),
         Arc::new(ProcessBuilderLauncher),
         groupby_workload,
     );
@@ -47,14 +47,14 @@ fn shuffle_read_ordering_vanilla_rdma() {
     let (_, m_rdma) = simulate(
         &spec,
         ClusterConfig::paper_layout(spec.len(), conf()),
-        Arc::new(RdmaBackend::new(&spec.interconnect)),
+        Arc::new(RdmaBackend::with_conf(&spec.interconnect, &conf())),
         Arc::new(ProcessBuilderLauncher),
         groupby_workload,
     );
     let (_, m_van) = simulate(
         &spec,
         ClusterConfig::paper_layout(spec.len(), conf()),
-        Arc::new(sparklet::VanillaBackend::default()),
+        Arc::new(sparklet::VanillaBackend::with_conf(&conf())),
         Arc::new(ProcessBuilderLauncher),
         groupby_workload,
     );

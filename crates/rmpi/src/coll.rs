@@ -28,13 +28,8 @@ fn coll_tag(op: u64, seq: u64) -> u64 {
     COLL_BASE | (op << 48) | (seq & 0xFFFF_FFFF_FFFF)
 }
 
-const OP_BARRIER_IN: u64 = 1;
-const OP_BARRIER_OUT: u64 = 2;
 const OP_BCAST: u64 = 3;
 const OP_GATHER: u64 = 4;
-
-/// Wire size charged for zero-data control hops within collectives.
-const TOKEN_BYTES: u64 = 16;
 
 /// Lowest set bit of `v` (undefined for 0; callers special-case the root).
 fn lowbit(v: u32) -> u32 {
@@ -85,43 +80,6 @@ impl Comm {
     /// Actual rank addressed by virtual rank `v` in a tree rooted at `root`.
     fn actual(&self, v: u32, root: u32) -> u32 {
         (v + root) % self.size()
-    }
-
-    /// `MPI_Barrier`: returns once every member has entered. Binomial-tree
-    /// fan-in to rank 0 followed by a tree fan-out.
-    pub fn barrier(&self) -> Result<(), MpiError> {
-        let _span = self.coll_span("rmpi.coll.barrier", None);
-        let seq = self.next_coll_seq();
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let v = self.rank(); // root 0 ⇒ vrank == rank
-        let children = tree_children(v, size);
-
-        // Fan-in: wait for every child subtree, then report to the parent.
-        let reqs: Vec<Request> = children
-            .iter()
-            .map(|&c| self.irecv(Some(c), Some(coll_tag(OP_BARRIER_IN, seq))))
-            .collect();
-        waitall(reqs)?;
-        if v != 0 {
-            self.send(
-                tree_parent(v),
-                coll_tag(OP_BARRIER_IN, seq),
-                fabric::Payload::bytes_scaled(bytes::Bytes::new(), TOKEN_BYTES),
-            )?;
-            // Fan-out: the release token retraces the tree edges downward.
-            let _ = self.recv(Some(tree_parent(v)), Some(coll_tag(OP_BARRIER_OUT, seq)))?;
-        }
-        for &c in &children {
-            self.send(
-                c,
-                coll_tag(OP_BARRIER_OUT, seq),
-                fabric::Payload::bytes_scaled(bytes::Bytes::new(), TOKEN_BYTES),
-            )?;
-        }
-        Ok(())
     }
 
     /// `MPI_Bcast`: `root` supplies `Some(value)`; everyone returns the
@@ -269,21 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_times() {
-        let after = Arc::new(Mutex::new(Vec::new()));
-        let after2 = after.clone();
-        run_ranks(2, 4, move |comm| {
-            // Stagger entries; everyone leaves at (or after) the slowest.
-            simt::sleep(u64::from(comm.rank()) * 1_000);
-            comm.barrier().unwrap();
-            after2.lock().push(simt::now());
-        });
-        let times = after.lock().clone();
-        assert_eq!(times.len(), 4);
-        assert!(times.iter().all(|t| *t >= 3_000), "{times:?}");
-    }
-
-    #[test]
     fn bcast_distributes_root_value() {
         let got = Arc::new(Mutex::new(Vec::new()));
         let got2 = got.clone();
@@ -380,14 +323,14 @@ mod tests {
         let got2 = got.clone();
         run_ranks(2, 3, move |comm| {
             let a = comm.bcast(0, if comm.rank() == 0 { Some(1u64) } else { None }, 8).unwrap();
-            comm.barrier().unwrap();
-            let b = comm.bcast(1, if comm.rank() == 1 { Some(2u64) } else { None }, 8).unwrap();
-            let c = comm.allgather(comm.rank(), 8).unwrap();
-            got2.lock().push((a, b, c));
+            let b = comm.bcast(2, if comm.rank() == 2 { Some(3u64) } else { None }, 8).unwrap();
+            let c = comm.bcast(1, if comm.rank() == 1 { Some(2u64) } else { None }, 8).unwrap();
+            let d = comm.allgather(comm.rank(), 8).unwrap();
+            got2.lock().push((a, b, c, d));
         });
-        for (a, b, c) in got.lock().clone() {
-            assert_eq!((a, b), (1, 2));
-            assert_eq!(c, vec![0, 1, 2]);
+        for (a, b, c, d) in got.lock().clone() {
+            assert_eq!((a, b, c), (1, 3, 2));
+            assert_eq!(d, vec![0, 1, 2]);
         }
     }
 
@@ -398,9 +341,11 @@ mod tests {
                 // Send user traffic with a tag in the collective numeric
                 // range (but without the reserved bit).
                 comm.send_value(1, 0xFFFF, 7u32, 8).unwrap();
-                comm.barrier().unwrap();
+                comm.bcast(0, Some(9u32), 8).unwrap();
             } else {
-                comm.barrier().unwrap();
+                // The user message travels ahead of the bcast's: only the
+                // reserved tag may match the collective's receive.
+                assert_eq!(comm.bcast::<u32>(0, None, 8).unwrap(), 9);
                 let (v, st) = comm.recv_value::<u32>(Some(0), Some(0xFFFF)).unwrap();
                 assert_eq!(*v, 7);
                 assert_eq!(st.source, 0);

@@ -12,7 +12,7 @@
 //!   receive), `cancel`, [`waitall`], or `attach`ed to a [`CompletionSet`]
 //!   that completes a set of receives in arrival order (the Optimized
 //!   design's header-triggered body receives, §VI-E).
-//! * **Collectives** — `barrier`, `bcast`, `gather`, `allgather` (used to
+//! * **Collectives** — `bcast`, `gather`, `allgather` (used to
 //!   exchange executor launch specifications, §V), `allreduce`.
 //! * **Dynamic Process Management** — [`Comm::spawn_multiple`] mirrors
 //!   `MPI_Comm_spawn_multiple()`: spawned children share a fresh child

@@ -42,16 +42,6 @@ pub fn fmt_duration(ns: u64) -> String {
     }
 }
 
-/// Convert nanoseconds to fractional seconds.
-pub fn as_secs_f64(ns: u64) -> f64 {
-    ns as f64 / SEC as f64
-}
-
-/// Convert nanoseconds to fractional microseconds.
-pub fn as_micros_f64(ns: u64) -> f64 {
-    ns as f64 / US as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,11 +59,5 @@ mod tests {
         assert_eq!(fmt_duration(1_500), "1.500 us");
         assert_eq!(fmt_duration(2_500_000), "2.500 ms");
         assert_eq!(fmt_duration(3_000_000_000), "3.000 s");
-    }
-
-    #[test]
-    fn float_conversions() {
-        assert!((as_secs_f64(SEC) - 1.0).abs() < 1e-12);
-        assert!((as_micros_f64(US) - 1.0).abs() < 1e-12);
     }
 }

@@ -15,7 +15,7 @@
 //! * everything else passes through as a singleton task.
 //!
 //! The planner is a *pure function* of the size matrix and the
-//! [`AqeConf`](crate::config::AqeConf): identical inputs always produce an
+//! [`AqeConf`]: identical inputs always produce an
 //! identical plan, which is what makes adaptive execution replayable and
 //! lets recovery re-derive the same plan after an epoch bump (recomputed
 //! map outputs carry identical sizes — the data is deterministic).

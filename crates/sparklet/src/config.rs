@@ -103,46 +103,6 @@ impl CostModel {
     }
 }
 
-/// Straggler-speculation policy (`spark.speculation.*` analogs).
-///
-/// The scheduler's event loop wakes every `interval_ns` of virtual time;
-/// once at least `quantile` of a stage's tasks have finished, any task
-/// running longer than `multiplier × median(finished task durations)`
-/// (floored at `min_runtime_ns`) gets one speculative copy launched on a
-/// different healthy executor. First finish wins; the duplicate's late
-/// result is dropped by the (stage, partition, epoch) dedup check.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeculationConf {
-    /// Master switch (`spark.speculation`). Off by default: clean-fabric
-    /// benchmark timelines stay identical to the non-speculative engine.
-    pub enabled: bool,
-    /// Virtual period of the speculation check (`spark.speculation.interval`).
-    pub interval_ns: u64,
-    /// How many times slower than the median a task must be
-    /// (`spark.speculation.multiplier`).
-    pub multiplier: f64,
-    /// Fraction of tasks that must finish before the median is trusted
-    /// (`spark.speculation.quantile`). Spark defaults to 0.75; the engine
-    /// defaults to 0.5 so a crashed executor holding up to half a stage's
-    /// tasks cannot starve the estimator.
-    pub quantile: f64,
-    /// Tasks faster than this are never speculated, whatever the median
-    /// (`spark.speculation.minTaskRuntime`).
-    pub min_runtime_ns: u64,
-}
-
-impl Default for SpeculationConf {
-    fn default() -> Self {
-        SpeculationConf {
-            enabled: false,
-            interval_ns: simt::time::millis(100),
-            multiplier: 1.5,
-            quantile: 0.5,
-            min_runtime_ns: simt::time::millis(100),
-        }
-    }
-}
-
 /// Adaptive query execution policy (`spark.sql.adaptive.*` analogs), consumed
 /// by [`aqe::plan`](crate::aqe::plan) at the map→reduce stage boundary.
 ///
@@ -187,9 +147,6 @@ pub struct SparkConf {
     /// Task slots per executor (`spark_executor_cores`; the paper sets this
     /// to the node's hardware thread count).
     pub executor_cores: u32,
-    /// Executor memory in GiB (`spark_executor_memory`, 120 GB in §VII-C);
-    /// the block manager warns when virtual storage exceeds it.
-    pub executor_mem_gb: u32,
     /// RPC request timeout (ns).
     pub request_timeout_ns: u64,
     /// Connection timeout (ns).
@@ -205,11 +162,11 @@ pub struct SparkConf {
     /// Progress timeout for one fetch attempt: if no chunk arrives for this
     /// long the attempt is abandoned and the missing blocks re-requested.
     pub fetch_timeout_ns: u64,
-    /// Consecutive plane-level fetch failures (connect/timeout/closed)
-    /// before an accelerated data plane falls back to sockets.
-    pub plane_failure_threshold: u32,
-    /// Straggler-speculation policy.
-    pub speculation: SpeculationConf,
+    /// Straggler speculation (`spark.speculation`). Off by default:
+    /// clean-fabric benchmark timelines stay identical to the
+    /// non-speculative engine. The policy's tuning is fixed in
+    /// [`scheduler::speculation`](crate::scheduler::speculation).
+    pub speculation: bool,
     /// Adaptive query execution policy.
     pub aqe: AqeConf,
     /// Record tracing spans during the run and export a deterministic
@@ -229,15 +186,13 @@ impl Default for SparkConf {
             target_request_size: max_bytes_in_flight / 5,
             merge_chunks_per_request: true,
             executor_cores: 4,
-            executor_mem_gb: 120,
             request_timeout_ns: simt::time::secs(120),
             connect_timeout_ns: simt::time::secs(10),
             fetch_max_retries: 2,
             fetch_retry_base_ns: simt::time::millis(100),
             fetch_retry_max_ns: simt::time::secs(5),
             fetch_timeout_ns: simt::time::secs(120),
-            plane_failure_threshold: 3,
-            speculation: SpeculationConf::default(),
+            speculation: false,
             aqe: AqeConf::default(),
             trace_timeline: false,
             cost: CostModel::default(),

@@ -17,8 +17,7 @@ use crate::shuffle::MapOutputClient;
 use crate::storage::BlockManager;
 use crate::task::{ExecutorServices, TaskContext};
 use crate::transfer::{
-    BlockTransferService, NettyBlockTransferService, RetryConf, RetryingBlockFetcher,
-    ShuffleService,
+    BlockTransferService, NettyBlockTransferService, RetryingBlockFetcher, ShuffleService,
 };
 
 /// Arguments for [`executor_main`].
@@ -124,7 +123,7 @@ pub fn executor_main(args: ExecutorArgs) {
         format!("executor-{}", args.spec.exec_id),
     );
     let env = RpcEnv::new(&args.net, &identity, &args.backend, None);
-    let block_manager = Arc::new(BlockManager::new(args.spec.mem_gb));
+    let block_manager = Arc::new(BlockManager::default());
     let (_svc, shuffle_ep) = ShuffleService::start(
         &identity,
         &args.net,
@@ -146,7 +145,7 @@ pub fn executor_main(args: ExecutorArgs) {
     let transfer = RetryingBlockFetcher::new(
         primary,
         fallback,
-        RetryConf::from_spark(&args.conf),
+        &args.conf,
         args.spec.exec_id as u64 + 1,
         args.net.obs().clone(),
     );

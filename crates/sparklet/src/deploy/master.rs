@@ -66,7 +66,6 @@ impl RpcEndpoint for MasterEndpoint {
                     app_id,
                     driver_sched_addr: app.driver_sched_addr,
                     cores: app.executor_cores,
-                    mem_gb: app.executor_mem_gb,
                     jar_bytes: app.jar_bytes,
                 };
                 #[expect(

@@ -20,8 +20,6 @@ pub struct RegisterApp {
     pub driver_sched_addr: PortAddr,
     /// Task slots per executor.
     pub executor_cores: u32,
-    /// Executor memory (GiB).
-    pub executor_mem_gb: u32,
     /// Virtual jar size executors must fetch before starting.
     pub jar_bytes: u64,
 }
@@ -53,8 +51,6 @@ pub struct ExecutorSpec {
     pub driver_sched_addr: PortAddr,
     /// Task slots.
     pub cores: u32,
-    /// Memory (GiB) for the block manager.
-    pub mem_gb: u32,
     /// Virtual size of the application jar the executor must fetch from the
     /// driver before starting (served via `StreamRequest`/`StreamResponse`,
     /// paper §VI-E: "StreamResponse ... is used to communicate metadata such

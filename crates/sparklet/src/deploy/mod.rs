@@ -178,7 +178,6 @@ pub fn driver_main<R: Send + 'static>(
             name: "app".into(),
             driver_sched_addr: env.addr(),
             executor_cores: cluster.conf.executor_cores,
-            executor_mem_gb: cluster.conf.executor_mem_gb,
             jar_bytes: cluster.app_jar_bytes,
         });
         match reply {

@@ -43,7 +43,7 @@ pub mod task;
 pub mod transfer;
 
 pub use broadcast::Broadcast;
-pub use config::{AqeConf, CostModel, SparkConf, SpeculationConf};
+pub use config::{AqeConf, CostModel, SparkConf};
 pub use data::{Blob, Element};
 pub use deploy::{ClusterConfig, ExecutorLauncher, ProcessBuilderLauncher};
 pub use net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role, VanillaBackend};

@@ -107,7 +107,7 @@ pub trait NetworkBackend: Send + Sync + 'static {
     /// Backends whose primary plane runs an accelerated transport
     /// (MPI, RDMA verbs) can declare a plain-sockets descriptor here; the
     /// retry layer switches to it after
-    /// [`SparkConf::plane_failure_threshold`](crate::config::SparkConf)
+    /// [`PLANE_FAILURE_THRESHOLD`](crate::transfer::PLANE_FAILURE_THRESHOLD)
     /// consecutive plane-level failures. `None` (the default) means the
     /// plane has no separate fallback — Vanilla already runs on sockets.
     fn fallback_plane(&self, _plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
@@ -118,12 +118,6 @@ pub trait NetworkBackend: Send + Sync + 'static {
 /// Vanilla Spark: Netty NIO over Java sockets on both planes.
 pub struct VanillaBackend {
     conf: TransportConf,
-}
-
-impl Default for VanillaBackend {
-    fn default() -> Self {
-        VanillaBackend { conf: TransportConf::default_sockets() }
-    }
 }
 
 impl VanillaBackend {
@@ -154,12 +148,20 @@ mod tests {
 
     #[test]
     fn vanilla_uses_socket_stack_on_both_planes() {
-        let backend = VanillaBackend::default();
+        let spark = SparkConf {
+            request_timeout_ns: 200_000_000,
+            connect_timeout_ns: 50_000_000,
+            ..SparkConf::default()
+        };
+        let backend = VanillaBackend::with_conf(&spark);
         assert_eq!(backend.name(), "vanilla");
         let id = ProcIdentity::new(Role::Driver, 0, "driver");
         for plane in [Plane::Rpc, Plane::Shuffle] {
             let desc = backend.plane(plane, &id);
             assert_eq!(desc.conf.stack.name, "JavaSockets/IPoIB");
+            assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
+            assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
+            assert!(backend.fallback_plane(plane, &id).is_none());
         }
     }
 

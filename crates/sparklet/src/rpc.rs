@@ -310,12 +310,16 @@ mod tests {
         ProcIdentity::new(Role::Driver, node, name)
     }
 
+    fn backend() -> Arc<dyn NetworkBackend> {
+        Arc::new(VanillaBackend::with_conf(&crate::config::SparkConf::default()))
+    }
+
     #[test]
     fn ask_roundtrip() {
         let sim = Sim::new();
         sim.spawn("main", || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let server_env = RpcEnv::new(&net, &identity(0, "server"), &backend, Some(700));
             server_env.register("adder", Arc::new(Adder));
             let client_env = RpcEnv::new(&net, &identity(1, "client"), &backend, None);
@@ -333,7 +337,7 @@ mod tests {
         let seen2 = seen.clone();
         sim.spawn("main", move || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let server_env = RpcEnv::new(&net, &identity(0, "server"), &backend, Some(700));
             server_env.register("rec", Arc::new(Recorder(seen2)));
             let client_env = RpcEnv::new(&net, &identity(1, "client"), &backend, None);
@@ -352,7 +356,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("main", || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let server_env = RpcEnv::new(&net, &identity(0, "server"), &backend, Some(700));
             let client_env = RpcEnv::new(&net, &identity(1, "client"), &backend, None);
             let r = client_env.endpoint_ref(server_env.addr(), "ghost");
@@ -369,7 +373,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("main", || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let server_env = RpcEnv::new(&net, &identity(0, "server"), &backend, Some(700));
             server_env.register("adder", Arc::new(Adder));
             let client_env = RpcEnv::new(&net, &identity(1, "client"), &backend, None);
@@ -382,7 +386,7 @@ mod tests {
 
     #[test]
     fn fetch_stream_roundtrip() {
-        use crate::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
+        use crate::net_backend::{ProcIdentity, Role};
         use fabric::{ClusterSpec, Net};
         use std::sync::Arc;
         struct S;
@@ -397,7 +401,7 @@ mod tests {
         let sim = simt::Sim::new();
         sim.spawn("main", || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let a = crate::rpc::RpcEnv::new(
                 &net,
                 &ProcIdentity::new(Role::Driver, 0, "a"),
@@ -433,7 +437,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("main", || {
             let net = Net::new(&ClusterSpec::test(2));
-            let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+            let backend = backend();
             let server_env = RpcEnv::new(&net, &identity(0, "server"), &backend, Some(700));
             server_env.register("slow", Arc::new(Slow));
             server_env.register("adder", Arc::new(Adder));

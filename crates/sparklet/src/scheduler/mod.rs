@@ -5,7 +5,7 @@
 //! vocabulary of the paper's Fig. 10/11 breakdowns. Stage timings and
 //! shuffle metrics are recorded per job for the benchmark harnesses.
 //!
-//! Stages run on an event-driven state machine ([`stage`]): each stage is a
+//! Stages run on an event-driven state machine (`stage`): each stage is a
 //! sequence of *attempts*, a `FetchFailed` completion resubmits the missing
 //! partitions against a freshly bumped map-output epoch after recomputing
 //! lost parents by lineage, and an optional speculation tick re-launches
@@ -210,29 +210,10 @@ pub struct DagScheduler {
     job_running: AtomicBool,
 }
 
-impl Default for DagScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DagScheduler {
-    /// Fresh scheduler with default configuration (speculation off).
-    pub fn new() -> Self {
-        Self::with_conf(SparkConf::default())
-    }
-
     /// Fresh scheduler driven by `conf` (stage-attempt cap, speculation
-    /// policy).
-    ///
-    /// # Panics
-    /// When speculation is enabled with a zero `speculation.interval_ns`:
-    /// the attempt loop's tick would never advance the virtual clock.
+    /// switch).
     pub fn with_conf(conf: SparkConf) -> Self {
-        assert!(
-            !conf.speculation.enabled || conf.speculation.interval_ns > 0,
-            "speculation.interval_ns must be positive when speculation is enabled"
-        );
         DagScheduler {
             env: OnceLock::new(),
             conf,
@@ -384,11 +365,6 @@ pub struct SparkContext {
 }
 
 impl SparkContext {
-    /// Build a context over a scheduler.
-    pub fn new(conf: SparkConf, default_parallelism: usize, sched: Arc<DagScheduler>) -> Self {
-        Self::with_broadcasts(conf, default_parallelism, sched, Arc::default())
-    }
-
     /// Build a context sharing the driver's broadcast registry (the deploy
     /// layer passes the registry its stream manager serves from).
     pub fn with_broadcasts(

@@ -2,15 +2,33 @@
 //!
 //! The stage engine feeds finished-task durations (the `task.run_ns`
 //! counter of each completion's metrics snapshot) into [`DurationStats`];
-//! once a configurable quantile of the stage has finished, the median drives
-//! a `multiplier × median` threshold (floored at `min_runtime_ns`) and any
-//! task running longer gets a duplicate on another executor. All choices
-//! are deterministic: sorted inserts, integer medians, lowest-slot
+//! once [`QUANTILE`] of the stage has finished, the median drives a
+//! [`MULTIPLIER`]` × median` threshold (floored at [`MIN_RUNTIME_NS`]) and
+//! any task running longer gets a duplicate on another executor. All
+//! choices are deterministic: sorted inserts, integer medians, lowest-slot
 //! tie-breaks.
+//!
+//! Speculation itself is switched by `SparkConf::speculation`; its tuning is
+//! the constants below, the values every speculating workload runs with.
 
 use std::collections::BTreeSet;
 
-use crate::config::SpeculationConf;
+/// Virtual period of the speculation check (`spark.speculation.interval`).
+pub const INTERVAL_NS: u64 = simt::time::millis(1);
+/// How many times slower than the median a task must be
+/// (`spark.speculation.multiplier`).
+pub const MULTIPLIER: f64 = 2.0;
+/// Fraction of tasks that must finish before the median is trusted
+/// (`spark.speculation.quantile`). Spark uses 0.75; 0.5 keeps a crashed
+/// executor holding up to half a stage's tasks from starving the estimator.
+pub const QUANTILE: f64 = 0.5;
+/// Tasks faster than this are never speculated, whatever the median
+/// (`spark.speculation.minTaskRuntime`).
+pub const MIN_RUNTIME_NS: u64 = simt::time::millis(1);
+
+// A zero tick would never advance the attempt loop's deadline: the scheduler
+// would spin at one virtual instant and no task would run again.
+const _: () = assert!(INTERVAL_NS > 0, "the speculation interval must be positive");
 
 /// Sorted multiset of finished-task durations for one stage attempt.
 #[derive(Default)]
@@ -40,15 +58,15 @@ impl DurationStats {
     }
 
     /// The speculation threshold, once enough of the stage has finished:
-    /// `max(multiplier × median, min_runtime_ns)`. `None` while fewer than
-    /// `quantile × total_tasks` completions have been recorded — an early
+    /// `max(MULTIPLIER × median, MIN_RUNTIME_NS)`. `None` while fewer than
+    /// `QUANTILE × total_tasks` completions have been recorded — an early
     /// median over one or two fast tasks would speculate half the stage.
-    pub fn threshold(&self, conf: &SpeculationConf, total_tasks: usize) -> Option<u64> {
-        if self.count() < quantile_need(conf.quantile, total_tasks) {
+    pub fn threshold(&self, total_tasks: usize) -> Option<u64> {
+        if self.count() < quantile_need(QUANTILE, total_tasks) {
             return None;
         }
         let median = self.median()?;
-        Some(((conf.multiplier * median as f64) as u64).max(conf.min_runtime_ns))
+        Some(((MULTIPLIER * median as f64) as u64).max(MIN_RUNTIME_NS))
     }
 }
 
@@ -80,9 +98,7 @@ pub fn pick_speculation_target(free: &[u32], exclude: &BTreeSet<usize>) -> Optio
 mod tests {
     use super::*;
 
-    fn conf(multiplier: f64, quantile: f64, min_runtime_ns: u64) -> SpeculationConf {
-        SpeculationConf { enabled: true, interval_ns: 1, multiplier, quantile, min_runtime_ns }
-    }
+    const MS: u64 = 1_000_000;
 
     #[test]
     fn median_is_upper_for_even_counts() {
@@ -97,21 +113,19 @@ mod tests {
 
     #[test]
     fn threshold_waits_for_the_quantile() {
-        let c = conf(1.5, 0.5, 0);
         let mut s = DurationStats::default();
-        s.record(100);
-        s.record(100);
-        assert_eq!(s.threshold(&c, 6), None, "2 of 6 < ceil(0.5*6)");
-        s.record(100);
-        assert_eq!(s.threshold(&c, 6), Some(150));
+        s.record(5 * MS);
+        s.record(5 * MS);
+        assert_eq!(s.threshold(6), None, "2 of 6 < ceil(0.5*6)");
+        s.record(5 * MS);
+        assert_eq!(s.threshold(6), Some(10 * MS), "2.0 x the median");
     }
 
     #[test]
     fn threshold_floors_at_min_runtime() {
-        let c = conf(2.0, 0.5, 1_000_000);
         let mut s = DurationStats::default();
         s.record(10);
-        assert_eq!(s.threshold(&c, 1), Some(1_000_000));
+        assert_eq!(s.threshold(1), Some(MS));
     }
 
     #[test]

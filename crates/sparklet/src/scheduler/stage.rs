@@ -24,12 +24,11 @@ use std::sync::Arc;
 use simt::queue::RecvError;
 
 use crate::aqe::{self, AdaptiveJobSpec, BucketResults, SlicePartial};
-use crate::config::SpeculationConf;
 use crate::rdd::{JobSpec, JobState, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
 
-use super::speculation::{pick_speculation_target, DurationStats};
+use super::speculation::{pick_speculation_target, DurationStats, INTERVAL_NS};
 use super::{
     DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, SchedEvent, StageMetrics,
 };
@@ -417,17 +416,17 @@ impl JobEngine<'_> {
         }
         att.dispatch_all();
 
-        let spec = sched.conf.speculation;
+        let speculation = sched.conf.speculation;
         let n = parts.len();
         let mut done = 0usize;
         let mut stats = DurationStats::default();
         let mut outputs: Vec<(usize, TaskOutput)> = Vec::with_capacity(n);
         let mut failures: Vec<FetchFailed> = Vec::new();
         let mut stage_snapshot = obs::MetricsSnapshot::default();
-        let mut next_tick = start_ns + spec.interval_ns;
+        let mut next_tick = start_ns + INTERVAL_NS;
 
         while done < n {
-            let event = if spec.enabled {
+            let event = if speculation {
                 match sched.events.recv_deadline(next_tick) {
                     Ok(ev) => Some(ev),
                     Err(RecvError::Timeout) => None,
@@ -438,8 +437,8 @@ impl JobEngine<'_> {
             };
             let Some(event) = event else {
                 let now = simt::now();
-                att.speculate(&spec, &stats, now, &obs);
-                next_tick = now.max(next_tick) + spec.interval_ns;
+                att.speculate(&stats, now, &obs);
+                next_tick = now.max(next_tick) + INTERVAL_NS;
                 continue;
             };
             match event {
@@ -637,8 +636,8 @@ impl Attempt {
     /// yet (ties break to the lowest slot — deterministic). Tasks still
     /// queued behind a stalled executor are stolen to an idle one instead
     /// of duplicated.
-    fn speculate(&mut self, conf: &SpeculationConf, stats: &DurationStats, now: u64, o: &obs::Obs) {
-        let Some(threshold) = stats.threshold(conf, self.tasks.len()) else {
+    fn speculate(&mut self, stats: &DurationStats, now: u64, o: &obs::Obs) {
+        let Some(threshold) = stats.threshold(self.tasks.len()) else {
             return;
         };
         for ti in 0..self.tasks.len() {

@@ -58,79 +58,26 @@ pub struct StoredBlock {
     pub records: u64,
 }
 
-/// Per-executor block store.
+/// Per-executor block store. Nothing is evicted and no capacity is
+/// modelled: the paper's executors hold 120 GB (§VII-C), which no benchmark
+/// run comes near.
+#[derive(Default)]
 pub struct BlockManager {
     blocks: Mutex<BTreeMap<BlockId, StoredBlock>>,
     /// Typed in-memory cache for `Rdd::cache()` partitions: values are
     /// `Arc<Vec<T>>` behind `Any`.
     cache: Mutex<BTreeMap<(u64, u32), Arc<dyn Any + Send + Sync>>>,
-    stored_virtual: Mutex<u64>,
-    capacity_virtual: u64,
 }
 
 impl BlockManager {
-    /// A block manager with `capacity_gb` GiB of virtual capacity.
-    pub fn new(capacity_gb: u32) -> Self {
-        BlockManager {
-            blocks: Mutex::new(BTreeMap::new()),
-            cache: Mutex::new(BTreeMap::new()),
-            stored_virtual: Mutex::new(0),
-            capacity_virtual: u64::from(capacity_gb) << 30,
-        }
-    }
-
     /// Store a block, replacing any previous content under the same id.
-    /// Returns `false` when the store exceeds its virtual capacity (callers
-    /// may treat that as an OOM-to-disk spill point; the benchmarks size
-    /// executors so it never triggers, as the paper's 120 GB configs do).
-    pub fn put(&self, id: BlockId, block: StoredBlock) -> bool {
-        let mut total = self.stored_virtual.lock();
-        let mut blocks = self.blocks.lock();
-        if let Some(old) = blocks.remove(&id) {
-            *total -= old.virtual_len;
-        }
-        *total += block.virtual_len;
-        blocks.insert(id, block);
-        *total <= self.capacity_virtual
+    pub fn put(&self, id: BlockId, block: StoredBlock) {
+        self.blocks.lock().insert(id, block);
     }
 
     /// Fetch a block.
     pub fn get(&self, id: BlockId) -> Option<StoredBlock> {
         self.blocks.lock().get(&id).cloned()
-    }
-
-    /// Remove a block, returning whether it existed.
-    pub fn remove(&self, id: BlockId) -> bool {
-        let mut blocks = self.blocks.lock();
-        if let Some(b) = blocks.remove(&id) {
-            *self.stored_virtual.lock() -= b.virtual_len;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drop all blocks of one shuffle (post-job cleanup).
-    pub fn remove_shuffle(&self, shuffle: u32) {
-        let mut blocks = self.blocks.lock();
-        let mut total = self.stored_virtual.lock();
-        blocks.retain(|id, b| match id {
-            BlockId::Shuffle { shuffle_id, .. } if *shuffle_id == shuffle => {
-                *total -= b.virtual_len;
-                false
-            }
-            _ => true,
-        });
-    }
-
-    /// Total virtual bytes stored.
-    pub fn stored_virtual(&self) -> u64 {
-        *self.stored_virtual.lock()
-    }
-
-    /// Number of stored blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.lock().len()
     }
 
     /// Store a typed cached partition.
@@ -155,11 +102,6 @@ impl BlockManager {
             .cloned()
             .and_then(|v| v.downcast::<Vec<T>>().ok())
     }
-
-    /// True when the typed cache holds this partition.
-    pub fn cache_contains(&self, rdd_id: u64, partition: u32) -> bool {
-        self.cache.lock().contains_key(&(rdd_id, partition))
-    }
 }
 
 #[cfg(test)]
@@ -171,50 +113,22 @@ mod tests {
     }
 
     #[test]
-    fn put_get_remove_roundtrip() {
-        let bm = BlockManager::new(1);
-        let id = BlockId::Shuffle { shuffle_id: 1, map_id: 2, reduce_id: 3 };
-        assert!(bm.put(id, blk(100)));
-        assert_eq!(bm.get(id).unwrap().virtual_len, 100);
-        assert_eq!(bm.stored_virtual(), 100);
-        assert!(bm.remove(id));
-        assert!(!bm.remove(id));
-        assert_eq!(bm.stored_virtual(), 0);
-    }
-
-    #[test]
     fn replacement_adjusts_accounting() {
-        let bm = BlockManager::new(1);
+        // A put under an id already stored replaces that block: a get
+        // afterwards sees only the latest one.
+        let bm = BlockManager::default();
         let id = BlockId::Rdd { rdd_id: 1, partition: 0 };
+        assert!(bm.get(id).is_none());
         bm.put(id, blk(100));
+        assert_eq!(bm.get(id).unwrap().virtual_len, 100);
         bm.put(id, blk(40));
-        assert_eq!(bm.stored_virtual(), 40);
-        assert_eq!(bm.block_count(), 1);
-    }
-
-    #[test]
-    fn capacity_overflow_is_reported() {
-        let bm = BlockManager::new(1); // 1 GiB
-        let id = BlockId::Rdd { rdd_id: 1, partition: 0 };
-        assert!(!bm.put(id, blk(2 << 30)));
-    }
-
-    #[test]
-    fn remove_shuffle_only_touches_that_shuffle() {
-        let bm = BlockManager::new(1);
-        bm.put(BlockId::Shuffle { shuffle_id: 1, map_id: 0, reduce_id: 0 }, blk(10));
-        bm.put(BlockId::Shuffle { shuffle_id: 2, map_id: 0, reduce_id: 0 }, blk(20));
-        bm.put(BlockId::Rdd { rdd_id: 9, partition: 0 }, blk(30));
-        bm.remove_shuffle(1);
-        assert_eq!(bm.block_count(), 2);
-        assert_eq!(bm.stored_virtual(), 50);
+        assert_eq!(bm.get(id).unwrap().virtual_len, 40);
     }
 
     #[test]
     fn typed_cache_roundtrip() {
-        let bm = BlockManager::new(1);
+        let bm = BlockManager::default();
         bm.cache_put(5, 0, Arc::new(vec![1u64, 2, 3]));
-        assert!(bm.cache_contains(5, 0));
         let v = bm.cache_get::<u64>(5, 0).unwrap();
         assert_eq!(*v, vec![1, 2, 3]);
         // Wrong type yields None, not a panic.

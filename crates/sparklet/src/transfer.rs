@@ -374,47 +374,20 @@ impl BlockTransferService for NettyBlockTransferService {
 
 // --- retrying layer ---------------------------------------------------------
 
-/// Retry configuration for [`RetryingBlockFetcher`], derived from
-/// [`SparkConf`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryConf {
-    /// Re-requests per fetch after the first attempt.
-    pub max_retries: u32,
-    /// Exponential backoff between attempts.
-    pub policy: RetryPolicy,
-    /// Progress timeout: an attempt that delivers nothing for this long is
-    /// abandoned and its missing blocks re-requested.
-    pub fetch_timeout_ns: u64,
-    /// Consecutive plane-level failures before switching to the fallback
-    /// service.
-    pub plane_failure_threshold: u32,
-    /// Jitter seed (combined with a per-process salt by the constructor).
-    pub seed: u64,
-}
-
-impl RetryConf {
-    /// Derive the retry schedule from the engine configuration.
-    pub fn from_spark(conf: &SparkConf) -> Self {
-        RetryConf {
-            max_retries: conf.fetch_max_retries,
-            policy: RetryPolicy {
-                base_delay_ns: conf.fetch_retry_base_ns,
-                max_delay_ns: conf.fetch_retry_max_ns,
-                jitter_frac: 0.2,
-            },
-            fetch_timeout_ns: conf.fetch_timeout_ns,
-            plane_failure_threshold: conf.plane_failure_threshold,
-            // One jitter stream per process: the constructor's salt tells
-            // executors apart, so they do not retry in lockstep.
-            seed: 0,
-        }
-    }
-}
+/// Consecutive plane-level fetch failures (connect, timeout, closed channel)
+/// before an accelerated data plane falls back to sockets.
+pub const PLANE_FAILURE_THRESHOLD: u32 = 3;
 
 struct RetryInner {
     primary: Arc<dyn BlockTransferService>,
     fallback: Option<Arc<dyn BlockTransferService>>,
-    conf: RetryConf,
+    /// Re-requests per fetch after the first attempt.
+    max_retries: u32,
+    /// Exponential backoff between attempts.
+    policy: RetryPolicy,
+    /// Progress timeout: an attempt that delivers nothing for this long is
+    /// abandoned and its missing blocks re-requested.
+    fetch_timeout_ns: u64,
     /// Sticky: once the plane is declared degraded every later fetch uses
     /// the fallback service.
     degraded: AtomicBool,
@@ -434,7 +407,8 @@ pub struct RetryingBlockFetcher {
 }
 
 impl RetryingBlockFetcher {
-    /// Wrap `primary`. `fallback`, when present, is an independent service
+    /// Wrap `primary`, retrying on `conf`'s `fetch_*` schedule with 20 %
+    /// backoff jitter. `fallback`, when present, is an independent service
     /// on the degraded plane (plain sockets); `salt` decorrelates this
     /// process's jitter stream from its peers' without breaking seed replay.
     /// Re-requests are counted on `obs`'s registry under
@@ -443,17 +417,25 @@ impl RetryingBlockFetcher {
     pub fn new(
         primary: Arc<dyn BlockTransferService>,
         fallback: Option<Arc<dyn BlockTransferService>>,
-        conf: RetryConf,
+        conf: &SparkConf,
         salt: u64,
         obs: obs::Obs,
     ) -> Arc<Self> {
-        let rng = SeededRng::from_seed(conf.seed).fork(salt);
+        // One jitter stream per process: the salt tells executors apart, so
+        // they do not retry in lockstep.
+        let rng = SeededRng::from_seed(0).fork(salt);
         let retries = obs.registry().counter(obs::keys::SPARK_FETCH_RETRIES);
         Arc::new(RetryingBlockFetcher {
             inner: Arc::new(RetryInner {
                 primary,
                 fallback,
-                conf,
+                max_retries: conf.fetch_max_retries,
+                policy: RetryPolicy {
+                    base_delay_ns: conf.fetch_retry_base_ns,
+                    max_delay_ns: conf.fetch_retry_max_ns,
+                    jitter_frac: 0.2,
+                },
+                fetch_timeout_ns: conf.fetch_timeout_ns,
                 degraded: AtomicBool::new(false),
                 consecutive_plane_failures: AtomicU32::new(0),
                 obs,
@@ -480,13 +462,9 @@ impl RetryInner {
 
     fn note_plane_failure(&self) {
         let n = self.consecutive_plane_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.plane_threshold() && self.fallback.is_some() {
+        if n >= PLANE_FAILURE_THRESHOLD && self.fallback.is_some() {
             self.degraded.store(true, Ordering::Relaxed);
         }
-    }
-
-    fn plane_threshold(&self) -> u32 {
-        self.conf.plane_failure_threshold.max(1)
     }
 
     /// Drive one fetch to completion: attempt, drain, re-request what's
@@ -505,7 +483,7 @@ impl RetryInner {
             // alive, so only a *stall* of fetch_timeout_ns abandons it.
             loop {
                 let res = match attempt_sink
-                    .recv_deadline(simt::now().saturating_add(self.conf.fetch_timeout_ns))
+                    .recv_deadline(simt::now().saturating_add(self.fetch_timeout_ns))
                 {
                     Ok(r) => r,
                     Err(RecvError::Timeout) => {
@@ -547,7 +525,7 @@ impl RetryInner {
             if plane_failed {
                 self.note_plane_failure();
             }
-            if retries >= self.conf.max_retries {
+            if retries >= self.max_retries {
                 // Budget exhausted: every still-missing block surfaces a
                 // terminal error to the reader, which raises FetchFailed to
                 // the scheduler — this is the handoff from fetch-level
@@ -571,7 +549,7 @@ impl RetryInner {
             }
             let backoff = {
                 let mut rng = self.rng.lock();
-                self.conf.policy.backoff_ns(retries, &mut rng)
+                self.policy.backoff_ns(retries, &mut rng)
             };
             simt::sleep(backoff);
             retries += 1;

@@ -20,7 +20,7 @@ use simt::{for_each_case, SeededRng};
 use sparklet::aqe::{plan, PlanTask};
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf, SpeculationConf};
+use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf};
 use workloads::ohb::zipf_keys;
 use workloads::{RunOutcome, System};
 
@@ -213,13 +213,7 @@ fn recovery_conf(aqe: AqeConf) -> SparkConf {
     conf.fetch_max_retries = 1;
     conf.fetch_retry_base_ns = 20 * MS;
     conf.fetch_retry_max_ns = 100 * MS;
-    conf.speculation = SpeculationConf {
-        enabled: true,
-        interval_ns: MS,
-        multiplier: 2.0,
-        quantile: 0.5,
-        min_runtime_ns: MS,
-    };
+    conf.speculation = true;
     conf.aqe = aqe;
     conf
 }

@@ -22,7 +22,7 @@ fn broadcast_value_reaches_every_task() {
     let (sum, _) = simulate(
         &spec,
         cluster,
-        Arc::new(VanillaBackend::default()),
+        Arc::new(VanillaBackend::with_conf(&conf())),
         Arc::new(ProcessBuilderLauncher),
         |sc| {
             let weights = sc.broadcast(vec![2u64, 3, 5], 1 << 20);
@@ -51,7 +51,7 @@ fn broadcast_fetched_once_per_executor() {
         let (_, metrics) = simulate(
             &spec,
             cluster,
-            Arc::new(VanillaBackend::default()),
+            Arc::new(VanillaBackend::with_conf(&conf())),
             Arc::new(ProcessBuilderLauncher),
             move |sc| {
                 let b = sc.broadcast(7u64, size);
@@ -82,7 +82,7 @@ fn broadcast_composes_with_shuffles() {
     let (mut out, _) = simulate(
         &spec,
         cluster,
-        Arc::new(VanillaBackend::default()),
+        Arc::new(VanillaBackend::with_conf(&conf())),
         Arc::new(ProcessBuilderLauncher),
         |sc| {
             let scale = sc.broadcast(10u64, 4096);

@@ -20,6 +20,7 @@ use obs::keys;
 use simt::SeededRng;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
+use sparklet::transfer::PLANE_FAILURE_THRESHOLD;
 use sparklet::SparkConf;
 use workloads::System;
 
@@ -217,7 +218,7 @@ fn same_seed_reproduces_the_run_bit_for_bit() {
 fn mpi_plane_outage_degrades_to_sockets_and_completes() {
     // Fallback-degradation ablation: kill only the MPI software stack on
     // every worker link, permanently, mid-shuffle. The socket plane stays
-    // healthy, so after `plane_failure_threshold` consecutive plane-level
+    // healthy, so after `PLANE_FAILURE_THRESHOLD` consecutive plane-level
     // failures the retry layer must switch the fetch path to the backend's
     // socket fallback plane and finish the job.
     let spec = ClusterSpec::test(5);
@@ -232,7 +233,7 @@ fn mpi_plane_outage_degrades_to_sockets_and_completes() {
     assert_eq!(out.result, oracle(), "job must complete on the socket fallback plane");
     let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
     assert!(dropped > 0, "the MPI-stack outage never bit");
-    let threshold = u64::from(chaos_conf().plane_failure_threshold);
+    let threshold = u64::from(PLANE_FAILURE_THRESHOLD);
     let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
     assert!(
         retries >= threshold,

@@ -8,18 +8,22 @@ use std::sync::Arc;
 use fabric::ClusterSpec;
 use obs::keys;
 use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
-use sparklet::{NetworkBackend, SparkConf, SpeculationConf, VanillaBackend};
+use sparklet::{NetworkBackend, SparkConf, VanillaBackend};
 
-fn small_cluster() -> (ClusterSpec, ClusterConfig) {
-    let spec = ClusterSpec::test(5); // 3 workers + master + driver
+fn conf() -> SparkConf {
     let mut conf = SparkConf::default();
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 10_000; // keep tiny jobs quick
-    (spec.clone(), ClusterConfig::paper_layout(spec.len(), conf))
+    conf
+}
+
+fn small_cluster() -> (ClusterSpec, ClusterConfig) {
+    let spec = ClusterSpec::test(5); // 3 workers + master + driver
+    (spec.clone(), ClusterConfig::paper_layout(spec.len(), conf()))
 }
 
 fn backend() -> Arc<dyn NetworkBackend> {
-    Arc::new(VanillaBackend::default())
+    Arc::new(VanillaBackend::with_conf(&conf()))
 }
 
 #[test]
@@ -205,21 +209,6 @@ fn stage_metrics_track_remote_bytes() {
     assert!(counter(keys::TASK_FETCH_WAIT_NS) > 0);
     let total = counter(keys::TASK_REMOTE_BYTES) + counter(keys::TASK_LOCAL_BYTES);
     assert!(total >= 90 * (1 << 16));
-}
-
-#[test]
-#[should_panic(expected = "speculation.interval_ns")]
-fn zero_speculation_interval_is_rejected_not_spun_on() {
-    // A zero tick never advances the attempt loop's deadline, so the
-    // scheduler thread would spin at one virtual instant and no task would
-    // ever run again; the scheduler refuses the conf instead.
-    let (spec, mut cluster) = small_cluster();
-    cluster.conf.speculation =
-        SpeculationConf { enabled: true, interval_ns: 0, ..Default::default() };
-    simulate(&spec, cluster, backend(), Arc::new(ProcessBuilderLauncher), |sc| {
-        let pairs: Vec<(u64, u64)> = (0..200u64).map(|i| (i % 7, i)).collect();
-        sc.parallelize(pairs, 6).group_by_key(5).count()
-    });
 }
 
 #[test]

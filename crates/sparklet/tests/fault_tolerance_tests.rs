@@ -26,12 +26,9 @@ fn small_cluster() -> (ClusterSpec, ClusterConfig) {
 #[test]
 fn shuffle_service_loss_recovers_via_lineage() {
     let (spec, cluster) = small_cluster();
-    let (result, metrics) = simulate(
-        &spec,
-        cluster,
-        Arc::new(VanillaBackend::default()),
-        Arc::new(ProcessBuilderLauncher),
-        |sc| {
+    let backend = Arc::new(VanillaBackend::with_conf(&cluster.conf));
+    let (result, metrics) =
+        simulate(&spec, cluster, backend, Arc::new(ProcessBuilderLauncher), |sc| {
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 11, i)).collect();
             let grouped = sc.parallelize(pairs, 6).group_by_key(6);
             // Force the shuffle write to complete first.
@@ -48,8 +45,7 @@ fn shuffle_service_loss_recovers_via_lineage() {
             let mut out = grouped.collect();
             out.sort_by_key(|(k, _)| *k);
             out
-        },
-    );
+        });
     // Functional correctness after recovery.
     let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for i in 0..300u64 {
@@ -75,16 +71,11 @@ fn shuffle_service_loss_recovers_via_lineage() {
 #[test]
 fn healthy_run_has_no_retry_stages() {
     let (spec, cluster) = small_cluster();
-    let (_, metrics) = simulate(
-        &spec,
-        cluster,
-        Arc::new(VanillaBackend::default()),
-        Arc::new(ProcessBuilderLauncher),
-        |sc| {
-            let pairs: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 5, i)).collect();
-            sc.parallelize(pairs, 4).group_by_key(4).count()
-        },
-    );
+    let backend = Arc::new(VanillaBackend::with_conf(&cluster.conf));
+    let (_, metrics) = simulate(&spec, cluster, backend, Arc::new(ProcessBuilderLauncher), |sc| {
+        let pairs: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 5, i)).collect();
+        sc.parallelize(pairs, 4).group_by_key(4).count()
+    });
     for job in &metrics {
         assert!(job.stages.iter().all(|s| !s.name.contains("retry")));
     }

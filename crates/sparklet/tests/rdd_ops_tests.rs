@@ -16,7 +16,7 @@ fn run<R: Send + Sync + 'static>(
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 1_000;
     let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-    let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+    let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&cluster.conf));
     let (r, _) = simulate(&spec, cluster, backend, Arc::new(ProcessBuilderLauncher), app);
     r
 }

@@ -19,7 +19,7 @@ use fabric::{ClusterSpec, FaultPlan};
 use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{SparkConf, SpeculationConf};
+use sparklet::SparkConf;
 use workloads::System;
 
 const MS: u64 = 1_000_000;
@@ -41,13 +41,7 @@ fn recovery_conf() -> SparkConf {
     conf.fetch_max_retries = 1;
     conf.fetch_retry_base_ns = 20 * MS;
     conf.fetch_retry_max_ns = 100 * MS;
-    conf.speculation = SpeculationConf {
-        enabled: true,
-        interval_ns: MS,
-        multiplier: 2.0,
-        quantile: 0.5,
-        min_runtime_ns: MS,
-    };
+    conf.speculation = true;
     conf
 }
 
@@ -191,7 +185,7 @@ fn slowdown_triggers_speculation_and_cuts_job_time_on_all_systems() {
         assert!(speculative >= 1, "{}: the slowdown produced no speculative tasks", system.label());
 
         let mut conf = recovery_conf();
-        conf.speculation.enabled = false;
+        conf.speculation = false;
         let mut cluster = ClusterConfig::paper_layout(spec.len(), conf);
         cluster.app_jar_bytes = 1 << 20;
         let no_spec = system.run_with_chaos(&spec, cluster, plan(), groupby);

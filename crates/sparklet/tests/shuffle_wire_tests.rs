@@ -42,7 +42,8 @@ impl BlockTransferService for StoreTransfer {
 /// One task context per executor (`executors` of them, on nodes 1..), all
 /// resolving map outputs through one tracker on the driver (node 0).
 fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<TaskContext>) {
-    let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+    let backend: Arc<dyn NetworkBackend> =
+        Arc::new(VanillaBackend::with_conf(&SparkConf::default()));
     let driver = ProcIdentity::new(Role::Driver, 0, "driver");
     let driver_env = RpcEnv::new(net, &driver, &backend, Some(700));
     let tracker = Arc::new(MapOutputTrackerMaster::default());
@@ -50,7 +51,7 @@ fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<T
 
     let addr = |exec: usize| PortAddr { node: exec + 1, port: 9 };
     let stores: Vec<Arc<BlockManager>> =
-        (0..executors).map(|_| Arc::new(BlockManager::new(4))).collect();
+        (0..executors).map(|_| Arc::new(BlockManager::default())).collect();
     let transfer: Arc<dyn BlockTransferService> = Arc::new(StoreTransfer {
         stores: stores.iter().enumerate().map(|(e, s)| (addr(e), s.clone())).collect(),
     });

@@ -97,7 +97,7 @@ fn harness(
     maps: &[(u32, usize)],
     transfer: Arc<dyn BlockTransferService>,
 ) -> TaskContext {
-    let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::default());
+    let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&conf));
     let driver = ProcIdentity::new(Role::Driver, 0, "driver");
     let driver_env = RpcEnv::new(net, &driver, &backend, Some(700));
     let tracker = Arc::new(MapOutputTrackerMaster::default());
@@ -125,7 +125,7 @@ fn harness(
         node: 1,
         cpu: net.cpu(1),
         conf,
-        block_manager: Arc::new(BlockManager::new(4)),
+        block_manager: Arc::new(BlockManager::default()),
         transfer,
         map_outputs: MapOutputClient::new(tracker_ref),
         shuffle_addr: env.addr(),

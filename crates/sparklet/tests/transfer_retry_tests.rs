@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
-use netz::RetryPolicy;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::Sim;
@@ -19,8 +18,8 @@ use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::transfer::{
-    BlockTransferService, FetchError, FetchResult, NettyBlockTransferService, RetryConf,
-    RetryingBlockFetcher, ShuffleService,
+    BlockTransferService, FetchError, FetchResult, NettyBlockTransferService, RetryingBlockFetcher,
+    ShuffleService, PLANE_FAILURE_THRESHOLD,
 };
 use sparklet::SparkConf;
 
@@ -35,13 +34,13 @@ fn block_for(map_id: u32) -> StoredBlock {
     StoredBlock { data, virtual_len: 10, records: 1 }
 }
 
-fn conf() -> RetryConf {
-    RetryConf {
-        max_retries: 3,
-        policy: RetryPolicy { base_delay_ns: MS, max_delay_ns: 10 * MS, jitter_frac: 0.2 },
+fn conf() -> SparkConf {
+    SparkConf {
+        fetch_max_retries: 3,
+        fetch_retry_base_ns: MS,
+        fetch_retry_max_ns: 10 * MS,
         fetch_timeout_ns: 50 * MS,
-        plane_failure_threshold: 2,
-        seed: 9,
+        ..SparkConf::default()
     }
 }
 
@@ -84,7 +83,7 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
         let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&conf));
 
         let server_id = ProcIdentity::new(Role::Executor(1), 1, "executor-1");
-        let bm = Arc::new(BlockManager::new(4));
+        let bm = Arc::new(BlockManager::default());
         bm.put(bid(0), block_for(0));
         bm.put(bid(2), block_for(2)); // bid(1) intentionally absent
         let (_svc, server_ep) = ShuffleService::start(&server_id, &net, &backend, bm, conf);
@@ -171,7 +170,7 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
             }
         });
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, conf(), 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
         let sink = Queue::new();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
         let (mut ok, err) = drain(&sink);
@@ -207,7 +206,7 @@ fn stalled_attempt_times_out_and_reissues_missing_chunks() {
             }
         });
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, conf(), 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
         let sink = Queue::new();
         let t0 = simt::now();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
@@ -231,7 +230,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
     let sim = Sim::new();
     sim.spawn("main", || {
         // The primary plane is dead: every attempt fails with a plane-level
-        // error. After `plane_failure_threshold` consecutive failures the
+        // error. After `PLANE_FAILURE_THRESHOLD` consecutive failures the
         // fetch must switch to the fallback service and stay there.
         let primary = Scripted::new(|_, blocks, sink| {
             sink.send(FetchResult {
@@ -249,7 +248,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
         let fetcher = RetryingBlockFetcher::new(
             primary.clone(),
             Some(fallback.clone()),
-            conf(),
+            &conf(),
             1,
             obs.clone(),
         );
@@ -260,7 +259,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
         assert_eq!(ok, vec![bid(0), bid(1)], "the fallback plane completes the fetch");
         assert!(err.is_empty());
         assert!(fetcher.degraded(), "the primary plane must be abandoned");
-        let threshold = conf().plane_failure_threshold;
+        let threshold = PLANE_FAILURE_THRESHOLD;
         assert_eq!(primary.calls.lock().len() as u32, threshold, "primary dropped at threshold");
         assert_eq!(fallback.calls.lock().len(), 1);
         assert_eq!(
@@ -301,10 +300,9 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
                 }
             }
         });
-        let mut c = conf();
-        c.max_retries = 1;
+        let c = SparkConf { fetch_max_retries: 1, ..conf() };
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, c, 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &c, 1, obs.clone());
         let sink = Queue::new();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
         let (mut ok, err) = drain(&sink);

@@ -30,7 +30,7 @@ fn main() {
     let (groups, jobs) = simulate(
         &spec,
         cluster.clone(),
-        Arc::new(VanillaBackend::default()),
+        Arc::new(VanillaBackend::with_conf(&conf)),
         Arc::new(ProcessBuilderLauncher),
         workload,
     );

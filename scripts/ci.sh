@@ -24,6 +24,11 @@ if grep -q '^warning' "$CI_TMP/clippy.log"; then
   exit 1
 fi
 
+# Rustdoc's lints (a link to a deleted or private item, a redundant link
+# target) are warnings by default: denied here, so a stale link fails.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" "$CARGO" doc -q --workspace --no-deps "$@"
+
 echo "==> cargo test -q"
 "$CARGO" test -q --workspace "$@"
 

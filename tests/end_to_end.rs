@@ -193,7 +193,9 @@ fn rdma_spark_refuses_omni_path_like_the_paper() {
     // Stampede2 does not use IB interconnects."
     let stampede = ClusterSpec::stampede2(4);
     assert!(!System::available_on(&stampede).contains(&System::RdmaSpark));
-    let result = std::panic::catch_unwind(|| rdma_spark::RdmaBackend::new(&stampede.interconnect));
+    let result = std::panic::catch_unwind(|| {
+        rdma_spark::RdmaBackend::with_conf(&stampede.interconnect, &SparkConf::default())
+    });
     assert!(result.is_err());
 }
 

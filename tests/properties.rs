@@ -151,14 +151,9 @@ fn run_vanilla<R: Send + Sync + 'static>(
     let mut conf = sparklet::SparkConf::default();
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 1_000;
+    let backend = Arc::new(sparklet::VanillaBackend::with_conf(&conf));
     let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-    let (out, _) = simulate(
-        &spec,
-        cluster,
-        Arc::new(sparklet::VanillaBackend::default()),
-        Arc::new(ProcessBuilderLauncher),
-        app,
-    );
+    let (out, _) = simulate(&spec, cluster, backend, Arc::new(ProcessBuilderLauncher), app);
     out
 }
 
