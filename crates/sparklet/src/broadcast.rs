@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use fabric::Payload;
 use simt::sync::Mutex;
+use simt::wait::WaitList;
 
-use crate::task::TaskContext;
+use crate::task::{BroadcastSlot, TaskContext};
 
 /// Driver-side registry of broadcast values, shared with the driver
 /// environment's stream manager.
@@ -75,37 +76,47 @@ impl<T: Any + Send + Sync> Broadcast<T> {
 
     /// The value, fetched from the driver on this executor's first access
     /// and served from the executor-local cache afterwards. Concurrent
-    /// first accesses single-flight: one task fetches, the rest wait on the
-    /// cache (Spark's TorrentBroadcast holds the same per-executor lock).
+    /// first accesses single-flight: one task fetches, the rest wait until
+    /// it stores the value (Spark's TorrentBroadcast holds the same
+    /// per-executor lock).
     pub fn get(&self, ctx: &TaskContext) -> Arc<T> {
-        loop {
-            let claimed = {
-                let mut cache = ctx.services.broadcast_cache.lock();
-                match cache.get(&self.id) {
-                    Some(crate::task::BroadcastSlot::Ready(v)) => {
-                        return v.clone().downcast::<T>().expect("broadcast type")
-                    }
-                    Some(crate::task::BroadcastSlot::Fetching) => false,
-                    None => {
-                        cache.insert(self.id, crate::task::BroadcastSlot::Fetching);
-                        true
-                    }
+        let cache = &ctx.services.broadcast_cache;
+        let in_flight = {
+            let mut slots = cache.lock();
+            match slots.get(&self.id) {
+                Some(BroadcastSlot::Ready(v)) => {
+                    return v.clone().downcast::<T>().expect("broadcast type")
                 }
-            };
-            if claimed {
+                Some(BroadcastSlot::Fetching(waiters)) => Some(waiters.clone()),
+                None => {
+                    let waiters = Arc::new(WaitList::new("broadcast"));
+                    slots.insert(self.id, BroadcastSlot::Fetching(waiters));
+                    None
+                }
+            }
+        };
+        let value = match in_flight {
+            Some(waiters) => {
+                let ready = || match cache.lock().get(&self.id) {
+                    Some(BroadcastSlot::Ready(v)) => Some(v.clone()),
+                    _ => None,
+                };
+                waiters.wait_until(None, ready).expect("no deadline, so a value")
+            }
+            None => {
                 let payload = ctx
                     .services
                     .fetch_driver_stream(&format!("/broadcast/{}", self.id))
                     .expect("broadcast reachable on the driver");
                 let value = payload.value.clone().expect("broadcast carries a value");
-                ctx.services
-                    .broadcast_cache
-                    .lock()
-                    .insert(self.id, crate::task::BroadcastSlot::Ready(value.clone()));
-                return value.downcast::<T>().expect("broadcast type");
+                let fetching = cache.lock().insert(self.id, BroadcastSlot::Ready(value.clone()));
+                if let Some(BroadcastSlot::Fetching(waiters)) = fetching {
+                    waiters.notify_all();
+                }
+                value
             }
-            simt::sleep(simt::time::micros(20));
-        }
+        };
+        value.downcast::<T>().expect("broadcast type")
     }
 }
 

@@ -11,7 +11,7 @@ pub mod partitioner;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use simt::sync::Mutex;
@@ -142,23 +142,23 @@ impl JobOptions {
 pub struct JobState {
     total: usize,
     partial: bool,
+    /// Virtual instant the job expires at: submission plus
+    /// [`JobOptions::timeout_ns`].
+    pub(crate) deadline_ns: Option<u64>,
     eval: Mutex<Option<Box<dyn ErasedEvaluator>>>,
     seen: AtomicUsize,
-    deadline_fired: AtomicBool,
-    completed: AtomicBool,
     done: simt::sync::OnceCell<Option<Vec<AnyMsg>>>,
 }
 
 impl JobState {
+    /// State of a job submitted now.
     pub(crate) fn new(total: usize, opts: JobOptions) -> Arc<JobState> {
-        let partial = opts.is_partial();
         Arc::new(JobState {
             total,
-            partial,
+            partial: opts.is_partial(),
+            deadline_ns: opts.timeout_ns.map(|t| simt::now().saturating_add(t)),
             eval: Mutex::new(opts.evaluator),
             seen: AtomicUsize::new(0),
-            deadline_fired: AtomicBool::new(false),
-            completed: AtomicBool::new(false),
             done: simt::sync::OnceCell::new(),
         })
     }
@@ -176,28 +176,10 @@ impl JobState {
         }
     }
 
-    /// Record that the job's deadline fired before completion.
-    pub(crate) fn mark_expired(&self) {
-        self.deadline_fired.store(true, Ordering::SeqCst);
-    }
-
-    /// True once the job's `DeadlineExpired` event was consumed; every layer
-    /// of the stage engine then unwinds without scheduling further work.
-    pub(crate) fn deadline_fired(&self) -> bool {
-        self.deadline_fired.load(Ordering::SeqCst)
-    }
-
     /// Publish the job's terminal state: `Some(results)` on completion,
     /// `None` when the deadline cut it short.
     pub(crate) fn complete(&self, results: Option<Vec<AnyMsg>>) {
-        self.completed.store(true, Ordering::SeqCst);
         self.done.put(results);
-    }
-
-    /// True once [`complete`](JobState::complete) ran (it stays true after
-    /// the driver takes the results).
-    pub(crate) fn is_complete(&self) -> bool {
-        self.completed.load(Ordering::SeqCst)
     }
 
     fn current<R: Clone + Send + Sync + 'static>(&self) -> Option<PartialResult<R>> {
@@ -243,7 +225,7 @@ impl JobHandle {
 
     /// True once the job reached a terminal state (completed or expired).
     pub fn is_complete(&self) -> bool {
-        self.state.is_complete()
+        self.state.done.is_ready()
     }
 }
 

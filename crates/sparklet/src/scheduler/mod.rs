@@ -24,6 +24,7 @@ use std::sync::{Arc, OnceLock};
 
 use simt::queue::Queue;
 use simt::sync::Mutex;
+use simt::wait::WaitList;
 
 use crate::config::SparkConf;
 use crate::data::Element;
@@ -161,26 +162,6 @@ pub struct InvalidateShuffle {
     pub epoch: u64,
 }
 
-pub(crate) enum SchedEvent {
-    ExecutorRegistered,
-    TaskFinished {
-        stage_seq: u64,
-        part: usize,
-        exec_id: usize,
-        epoch: u64,
-        output: TaskOutput,
-        metrics: obs::MetricsSnapshot,
-    },
-    /// A job's virtual-clock deadline fired (an `engine::call_at` event
-    /// posts this from the engine's stack, totally ordered with task
-    /// completions). Stale instances — the job completed at the deadline's
-    /// own instant, or a later job is draining the queue — are dropped by
-    /// the `job_id` check.
-    DeadlineExpired {
-        job_id: u32,
-    },
-}
-
 /// A registered executor.
 #[derive(Clone)]
 pub struct ExecutorHandle {
@@ -197,7 +178,10 @@ pub struct DagScheduler {
     env: OnceLock<Arc<RpcEnv>>,
     conf: SparkConf,
     executors: Mutex<Vec<ExecutorHandle>>,
-    events: Queue<SchedEvent>,
+    /// Notified when an executor registers.
+    registered: WaitList,
+    /// Task completions, in arrival order.
+    completions: Queue<Arc<TaskFinishedMsg>>,
     /// Map-output registry (also registered as an RPC endpoint).
     pub tracker: Arc<MapOutputTrackerMaster>,
     metrics: Mutex<Vec<JobMetrics>>,
@@ -218,7 +202,8 @@ impl DagScheduler {
             env: OnceLock::new(),
             conf,
             executors: Mutex::new(Vec::new()),
-            events: Queue::new(),
+            registered: WaitList::new("executor-registration"),
+            completions: Queue::new(),
             tracker: Arc::new(MapOutputTrackerMaster::default()),
             metrics: Mutex::new(Vec::new()),
             next_job: AtomicU32::new(0),
@@ -236,20 +221,7 @@ impl DagScheduler {
 
     /// Block until `n` executors have registered.
     pub fn wait_for_executors(&self, n: usize) {
-        loop {
-            if self.executors.lock().len() >= n {
-                return;
-            }
-            match self.events.recv().expect("scheduler event queue open") {
-                SchedEvent::ExecutorRegistered => {}
-                // A previous job's deadline can still be armed while the
-                // next app phase waits for executors; it is void by now.
-                SchedEvent::DeadlineExpired { .. } => {}
-                SchedEvent::TaskFinished { .. } => {
-                    panic!("task completion before any job was submitted")
-                }
-            }
-        }
+        self.registered.wait_until(None, || (self.executors.lock().len() >= n).then_some(()));
     }
 
     /// Registered executors (snapshot).
@@ -279,23 +251,9 @@ impl DagScheduler {
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
         let partial = opts.is_partial();
-        let timeout_ns = opts.timeout_ns;
         let state = JobState::new(job.result_tasks.len(), opts);
         if partial {
             obs.registry().counter(obs::keys::SPARK_PARTIAL_JOBS).inc();
-        }
-        // Arm the deadline before the job thread starts so a zero timeout
-        // still totally orders ahead of every task completion. The job
-        // thread completes its state without parking after its last stage,
-        // so a deadline at or past that instant posts nothing.
-        if let Some(t) = timeout_ns {
-            let events = self.events.clone();
-            let st = state.clone();
-            simt::engine::call_at(simt::now().saturating_add(t), move || {
-                if !st.is_complete() {
-                    events.send(SchedEvent::DeadlineExpired { job_id });
-                }
-            });
         }
         let sched = self.clone();
         let st = state.clone();
@@ -335,22 +293,14 @@ impl RpcEndpoint for DagScheduler {
                 rpc,
                 cores: reg.cores,
             });
-            self.events.send(SchedEvent::ExecutorRegistered);
+            self.registered.notify_all();
             if let Some(reply) = reply {
                 reply(Arc::new(true));
             }
             return;
         }
         if let Ok(fin) = msg.downcast::<TaskFinishedMsg>() {
-            let output = fin.output.lock().take().expect("output taken once");
-            self.events.send(SchedEvent::TaskFinished {
-                stage_seq: fin.stage_seq,
-                part: fin.part,
-                exec_id: fin.exec_id,
-                epoch: fin.epoch,
-                output,
-                metrics: fin.metrics.clone(),
-            });
+            self.completions.send(fin);
         }
     }
 }

@@ -11,11 +11,13 @@
 //! `InvalidateShuffle`, recomputes the lost parents by walking the job's
 //! shuffle lineage, and resubmits only the still-missing partitions.
 //!
-//! When speculation is enabled, the attempt's event loop wakes on a virtual
+//! When speculation is enabled, the attempt's loop wakes on a virtual
 //! timer and re-launches straggler tasks on healthy executors; the first
 //! finish per (stage, partition, epoch) wins and the duplicate is dropped
-//! as a late completion. Everything runs on the virtual clock — the whole
-//! recovery timeline is a deterministic function of the seed.
+//! as a late completion. A job's deadline bounds the same wait, and the
+//! loop expires the job after any wait that ends at or past it. Everything
+//! runs on the virtual clock — the whole recovery timeline is a
+//! deterministic function of the seed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -29,33 +31,12 @@ use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
 
 use super::speculation::{pick_speculation_target, DurationStats, INTERVAL_NS};
-use super::{
-    DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, SchedEvent, StageMetrics,
-};
+use super::{DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, StageMetrics};
 
 /// Cap on attempts of one stage (first run + resubmissions after
 /// `FetchFailed`); exceeding it panics the job, mirroring Spark's
 /// `spark.stage.maxConsecutiveAttempts` abort.
 const MAX_STAGE_ATTEMPTS: u32 = 4;
-
-/// What the tasks of a stage compute.
-enum StageTasks<'j> {
-    Map(&'j Arc<dyn ShuffleDepMeta>),
-    Result,
-    /// A pre-built runner list (adaptive stages, whose task count comes
-    /// from the reduce plan rather than the job's partition count).
-    Fixed(&'j [Arc<dyn TaskRunner>]),
-}
-
-impl StageTasks<'_> {
-    fn runner(&self, job: &JobSpec, part: usize) -> Arc<dyn TaskRunner> {
-        match self {
-            StageTasks::Map(dep) => Arc::clone(dep).make_map_task(part),
-            StageTasks::Result => job.result_tasks[part].clone(),
-            StageTasks::Fixed(runners) => runners[part].clone(),
-        }
-    }
-}
 
 /// Run `job` under `sched` until completion or deadline expiry; returns
 /// `Some` per-partition results in partition order (`None` when the
@@ -68,10 +49,10 @@ pub(super) fn run_job(
     job_id: u32,
     state: &JobState,
 ) -> (Option<Vec<AnyMsg>>, Vec<StageMetrics>) {
-    let mut eng = JobEngine { sched, job, job_id, state, stages: Vec::new() };
+    let mut eng = JobEngine { sched, job, job_id, state, expired: false, stages: Vec::new() };
     for dep in &job.shuffle_stages {
         eng.ensure_shuffle(dep);
-        if state.deadline_fired() {
+        if eng.expired {
             // Expired before any result partition: the evaluator has seen
             // nothing, the answer is the zero-information interval.
             return (None, eng.stages);
@@ -83,9 +64,9 @@ pub(super) fn run_job(
         return (results, eng.stages);
     }
     let parts: Vec<usize> = (0..job.result_tasks.len()).collect();
-    let outs =
-        eng.run_to_completion(format!("Job{job_id}-ResultStage"), &StageTasks::Result, parts);
-    if state.deadline_fired() {
+    let name = format!("Job{job_id}-ResultStage");
+    let outs = eng.run_to_completion(name, &job.result_tasks, parts, true);
+    if eng.expired {
         return (None, eng.stages);
     }
     let mut results_by_part: Vec<Option<AnyMsg>> =
@@ -105,9 +86,11 @@ struct JobEngine<'a> {
     sched: &'a DagScheduler,
     job: &'a JobSpec,
     job_id: u32,
-    /// Shared job state: evaluator folds, progress counters, and whether
-    /// the deadline fired.
+    /// Shared job state: evaluator folds, progress counters, the deadline.
     state: &'a JobState,
+    /// True once an attempt expired the job at its deadline; every layer
+    /// of the stage engine then unwinds without scheduling further work.
+    expired: bool,
     stages: Vec<StageMetrics>,
 }
 
@@ -124,7 +107,7 @@ impl JobEngine<'_> {
         }
         let missing = self.sched.tracker.missing_maps(id);
         self.run_map_stage(dep, missing, already);
-        if !self.state.deadline_fired() {
+        if !self.expired {
             self.sched.computed_shuffles.lock().insert(id);
         }
     }
@@ -139,7 +122,9 @@ impl JobEngine<'_> {
         let suffix = if resubmit { "-retry" } else { "" };
         let name = format!("Job{}-ShuffleMapStage{suffix}", self.job_id);
         let parts: Vec<usize> = maps.iter().map(|m| *m as usize).collect();
-        let outs = self.run_to_completion(name, &StageTasks::Map(dep), parts);
+        let runners: Vec<Arc<dyn TaskRunner>> =
+            (0..dep.num_maps()).map(|p| Arc::clone(dep).make_map_task(p)).collect();
+        let outs = self.run_to_completion(name, &runners, parts, false);
         for (_, out) in outs {
             match out {
                 TaskOutput::Map(status) => {
@@ -195,8 +180,9 @@ impl JobEngine<'_> {
         let parts: Vec<usize> = (0..runners.len()).collect();
         let outs = self.run_to_completion(
             format!("Job{}-ResultStage", self.job_id),
-            &StageTasks::Fixed(&runners),
+            &runners,
             parts,
+            false,
         );
 
         // Route outputs: complete-bucket results land directly; slice
@@ -219,7 +205,7 @@ impl JobEngine<'_> {
                 }
             }
         }
-        if self.state.deadline_fired() {
+        if self.expired {
             self.fold_buckets(&by_bucket);
             return None;
         }
@@ -234,11 +220,8 @@ impl JobEngine<'_> {
             let parts: Vec<usize> = (0..merges.len()).collect();
             // Named to share no fragment with the main stages, so metric
             // lookups by "ResultStage"/"ShuffleMapStage" stay unambiguous.
-            let outs = self.run_to_completion(
-                format!("Job{}-AqeMergeStage", self.job_id),
-                &StageTasks::Fixed(&merges),
-                parts,
-            );
+            let name = format!("Job{}-AqeMergeStage", self.job_id);
+            let outs = self.run_to_completion(name, &merges, parts, false);
             for (_, out) in outs {
                 let TaskOutput::Result(r) = out else {
                     panic!("AQE merge stage produced a non-result output")
@@ -248,7 +231,7 @@ impl JobEngine<'_> {
                     by_bucket[*bucket as usize] = Some(res.clone());
                 }
             }
-            if self.state.deadline_fired() {
+            if self.expired {
                 self.fold_buckets(&by_bucket);
                 return None;
             }
@@ -284,29 +267,33 @@ impl JobEngine<'_> {
         }
     }
 
-    /// Drive one stage through as many attempts as it takes. Successful
-    /// outputs accumulate across attempts; `FetchFailed` partitions (and map
-    /// outputs stranded on an executor quarantined mid-recovery) are
-    /// resubmitted until every partition has a good output.
+    /// Drive one stage through as many attempts as it takes. `runners` holds
+    /// the stage's task for every partition, `parts` the partitions to run;
+    /// with `fold` set, result partitions stream into the job's evaluator in
+    /// completion order. Successful outputs accumulate across attempts;
+    /// `FetchFailed` partitions (and map outputs stranded on an executor
+    /// quarantined mid-recovery) are resubmitted until every partition has a
+    /// good output.
     fn run_to_completion(
         &mut self,
         name: String,
-        kind: &StageTasks,
+        runners: &[Arc<dyn TaskRunner>],
         parts: Vec<usize>,
+        fold: bool,
     ) -> Vec<(usize, TaskOutput)> {
         let all_parts = parts.clone();
         let mut needed = parts;
         let mut collected: Vec<(usize, TaskOutput)> = Vec::new();
         let mut attempt = 0u32;
         loop {
-            let (sm, done, failures) = self.run_attempt(&name, kind, &needed, attempt);
+            let (sm, done, failures) = self.run_attempt(&name, runners, &needed, attempt, fold);
             self.stages.push(sm);
             collected.extend(done);
             // Deadline expiry aborts mid-attempt: hand back whatever
             // completed — no recovery, no resubmission, no further stages.
             // Lost partitions (including a quarantined executor's) simply
             // stay unseen by the evaluator.
-            if self.state.deadline_fired() || failures.is_empty() {
+            if self.expired || failures.is_empty() {
                 collected.sort_by_key(|(p, _)| *p);
                 return collected;
             }
@@ -382,17 +369,23 @@ impl JobEngine<'_> {
         }
     }
 
-    /// Run one attempt of a stage over `parts`: dispatch, then consume
-    /// scheduler events until every partition reported exactly once. With
-    /// speculation enabled the loop also wakes on a virtual interval to
-    /// re-launch stragglers. Returns the attempt's metrics, its successful
-    /// outputs, and any fetch failures.
+    /// The deadline this job's waits still honour.
+    fn deadline(&self) -> Option<u64> {
+        self.state.deadline_ns.filter(|_| !self.expired)
+    }
+
+    /// Run one attempt of a stage over `parts`: dispatch, then consume task
+    /// completions until every partition reported exactly once. Each wait is
+    /// bounded by the job's deadline and, with speculation enabled, by the
+    /// next speculation tick, which re-launches stragglers. Returns the
+    /// attempt's metrics, its successful outputs, and any fetch failures.
     fn run_attempt(
         &mut self,
         name: &str,
-        kind: &StageTasks,
+        runners: &[Arc<dyn TaskRunner>],
         parts: &[usize],
         attempt: u32,
+        fold: bool,
     ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailed>) {
         let sched = self.sched;
         let obs = sched.obs();
@@ -412,7 +405,7 @@ impl JobEngine<'_> {
 
         let mut att = Attempt::new(execs, stage_seq, attempt, epoch, start_ns);
         for &part in parts {
-            att.add_task(part, kind.runner(self.job, part));
+            att.add_task(part, runners[part].clone());
         }
         att.dispatch_all();
 
@@ -426,87 +419,66 @@ impl JobEngine<'_> {
         let mut next_tick = start_ns + INTERVAL_NS;
 
         while done < n {
-            let event = if speculation {
-                match sched.events.recv_deadline(next_tick) {
-                    Ok(ev) => Some(ev),
-                    Err(RecvError::Timeout) => None,
-                    Err(RecvError::Closed) => panic!("scheduler event queue closed"),
-                }
-            } else {
-                Some(sched.events.recv().expect("scheduler event queue open"))
+            let tick = speculation.then_some(next_tick);
+            let received = match tick.into_iter().chain(self.deadline()).min() {
+                Some(until) => sched.completions.recv_deadline(until),
+                None => sched.completions.recv(),
             };
-            let Some(event) = event else {
-                let now = simt::now();
-                att.speculate(&stats, now, &obs);
-                next_tick = now.max(next_tick) + INTERVAL_NS;
+            let now = simt::now();
+            if self.deadline().is_some_and(|d| now >= d) {
+                self.expired = true;
+                obs.registry().counter(obs::keys::SPARK_PARTIAL_DEADLINES_FIRED).inc();
+                obs.event(
+                    "spark.job.deadline",
+                    obs::kv! {
+                        "job_id" => self.job_id,
+                        "stage" => name,
+                        "stage_done" => done,
+                        "stage_tasks" => n,
+                    },
+                );
+                // Abort the attempt: in-flight tasks keep running on the
+                // executors, but their completions carry this attempt's
+                // stage_seq and are dropped as stale by whatever loop drains
+                // them next.
+                break;
+            }
+            let fin = match received {
+                Ok(fin) => fin,
+                Err(RecvError::Timeout) => {
+                    att.speculate(&stats, now, &obs);
+                    next_tick = now.max(next_tick) + INTERVAL_NS;
+                    continue;
+                }
+                Err(RecvError::Closed) => panic!("scheduler completion queue closed"),
+            };
+            // Dedup key (stage, partition, epoch): drop completions of
+            // aborted attempts and of launches that predate the current
+            // map-output epoch.
+            if fin.stage_seq != stage_seq || fin.epoch != epoch {
                 continue;
-            };
-            match event {
-                SchedEvent::ExecutorRegistered => {}
-                SchedEvent::DeadlineExpired { job_id } => {
-                    // Stale deadline of an earlier job: a deadline checks
-                    // for completion before it posts, but one that fires at
-                    // the instant its job's last task completes can leave an
-                    // event for the next job's loop.
-                    if job_id != self.job_id {
-                        continue;
+            }
+            let Some(slot) = att.slot_of(fin.exec_id) else { continue };
+            att.release(slot);
+            let ti = att.task_index(fin.part);
+            if att.tasks[ti].done {
+                continue; // a duplicate copy lost the first-finish race
+            }
+            att.tasks[ti].done = true;
+            done += 1;
+            stats.record(fin.metrics.counter(obs::keys::TASK_RUN_NS));
+            stage_snapshot.merge(&fin.metrics);
+            let output = fin.output.lock().take().expect("output taken once");
+            match output {
+                TaskOutput::FetchFailed(failed) => failures.push(failed),
+                other => {
+                    // The fold seam: result partitions stream into the job's
+                    // evaluator in completion order. (Adaptive stages fold at
+                    // bucket routing instead — task ≠ partition.)
+                    if let (true, TaskOutput::Result(r)) = (fold, &other) {
+                        self.state.observe(fin.part, r, &obs);
                     }
-                    self.state.mark_expired();
-                    obs.registry().counter(obs::keys::SPARK_PARTIAL_DEADLINES_FIRED).inc();
-                    obs.event(
-                        "spark.job.deadline",
-                        obs::kv! {
-                            "job_id" => job_id,
-                            "stage" => name,
-                            "stage_done" => done,
-                            "stage_tasks" => n,
-                        },
-                    );
-                    // Abort the attempt: in-flight tasks keep running on
-                    // the executors, but their completions carry this
-                    // attempt's stage_seq and are dropped as stale by
-                    // whatever loop drains them next.
-                    break;
-                }
-                SchedEvent::TaskFinished {
-                    stage_seq: s,
-                    part,
-                    exec_id,
-                    epoch: e,
-                    output,
-                    metrics,
-                } => {
-                    // Dedup key (stage, partition, epoch): drop completions
-                    // of aborted attempts and of launches that predate the
-                    // current map-output epoch.
-                    if s != stage_seq || e != epoch {
-                        continue;
-                    }
-                    let Some(slot) = att.slot_of(exec_id) else { continue };
-                    att.release(slot);
-                    let ti = att.task_index(part);
-                    if att.tasks[ti].done {
-                        continue; // a duplicate copy lost the first-finish race
-                    }
-                    att.tasks[ti].done = true;
-                    done += 1;
-                    stats.record(metrics.counter(obs::keys::TASK_RUN_NS));
-                    stage_snapshot.merge(&metrics);
-                    match output {
-                        TaskOutput::FetchFailed(failed) => failures.push(failed),
-                        other => {
-                            // The fold seam: result partitions stream into
-                            // the job's evaluator in completion order.
-                            // (Adaptive stages are `Fixed` and fold at
-                            // bucket routing instead — task ≠ partition.)
-                            if matches!(kind, StageTasks::Result) {
-                                if let TaskOutput::Result(r) = &other {
-                                    self.state.observe(part, r, &obs);
-                                }
-                            }
-                            outputs.push((part, other));
-                        }
-                    }
+                    outputs.push((fin.part, other));
                 }
             }
         }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use fabric::{Net, Payload, PortAddr};
 use simt::sync::Mutex;
+use simt::wait::WaitList;
 use simt::Cpu;
 
 use crate::config::SparkConf;
@@ -46,8 +47,9 @@ pub struct ExecutorServices {
 
 /// State of one broadcast id on an executor.
 pub enum BroadcastSlot {
-    /// A task is fetching it from the driver; wait for `Ready`.
-    Fetching,
+    /// A task is fetching it from the driver; the others wait on the list
+    /// for `Ready`.
+    Fetching(Arc<WaitList>),
     /// Cached value.
     Ready(Arc<dyn Any + Send + Sync>),
 }

@@ -39,40 +39,6 @@ pub struct StreamHandle {
     pub chunks: u32,
 }
 
-/// Why a fetch failed, classified for the retry layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchError {
-    /// Human-readable description.
-    pub message: String,
-    /// True when the failure indicts the communication *plane* (connect
-    /// failure, dead channel, silent timeout) rather than this particular
-    /// request. Consecutive plane failures trigger transport fallback.
-    pub plane: bool,
-}
-
-impl FetchError {
-    /// Request-scoped failure (bad reply, decode error): retrying on the
-    /// same plane is reasonable.
-    pub fn request(message: impl Into<String>) -> Self {
-        FetchError { message: message.into(), plane: false }
-    }
-
-    /// Plane-scoped failure: counts toward transport fallback.
-    pub fn plane(message: impl Into<String>) -> Self {
-        FetchError { message: message.into(), plane: true }
-    }
-
-    fn from_netz(e: &NetzError) -> Self {
-        FetchError { message: e.to_string(), plane: e.is_plane_failure() }
-    }
-}
-
-impl std::fmt::Display for FetchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
 /// One fetched chunk of a block group (or a failure for the blocks it
 /// covers).
 ///
@@ -88,8 +54,10 @@ pub struct FetchResult {
     pub blocks: Vec<BlockId>,
     /// True on the final result of the originating `fetch_blocks` call.
     pub last: bool,
-    /// Decoded per-block data, ordered as `blocks`.
-    pub result: Result<Vec<StoredBlock>, FetchError>,
+    /// Decoded per-block data, ordered as `blocks`. The retry layer reads
+    /// [`NetzError::is_plane_failure`] to tell a failing plane from a bad
+    /// request.
+    pub result: Result<Vec<StoredBlock>, NetzError>,
 }
 
 /// Shuffle-plane client interface. Implementations: the Netty-based default
@@ -300,13 +268,13 @@ impl BlockTransferService for NettyBlockTransferService {
         // Failures before any stream exists (connect, OpenBlocks) have no
         // per-chunk structure: one `Err` covering the whole request is the
         // honest report, and the retry layer above re-requests per block.
-        let fail = |sink: &Queue<FetchResult>, blocks: Vec<BlockId>, e: FetchError| {
+        let fail = |sink: &Queue<FetchResult>, blocks: Vec<BlockId>, e: NetzError| {
             sink.send(FetchResult { blocks, last: true, result: Err(e) });
         };
         let client = match self.client(remote) {
             Ok(c) => c,
             Err(e) => {
-                fail(&sink, blocks, FetchError::from_netz(&e));
+                fail(&sink, blocks, e);
                 return;
             }
         };
@@ -317,12 +285,12 @@ impl BlockTransferService for NettyBlockTransferService {
             Ok(reply) => match reply.value_as::<StreamHandle>() {
                 Some(h) => *h,
                 None => {
-                    fail(&sink, blocks, FetchError::request("bad OpenBlocks reply"));
+                    fail(&sink, blocks, NetzError::codec("bad OpenBlocks reply"));
                     return;
                 }
             },
             Err(e) => {
-                fail(&sink, blocks, FetchError::from_netz(&e));
+                fail(&sink, blocks, e);
                 return;
             }
         };
@@ -345,12 +313,9 @@ impl BlockTransferService for NettyBlockTransferService {
                 handle.stream_id,
                 i as u32,
                 Box::new(move |res| {
-                    let result = match res {
-                        Ok(payload) => {
-                            decode_block_group(&payload.bytes).map_err(FetchError::request)
-                        }
-                        Err(e) => Err(FetchError::from_netz(&e)),
-                    };
+                    let result = res.and_then(|payload| {
+                        decode_block_group(&payload.bytes).map_err(NetzError::Codec)
+                    });
                     let covered = if per_block { vec![blocks[i]] } else { blocks.as_ref().clone() };
                     let last = done.fetch_add(1, Ordering::Relaxed) + 1 == n_chunks;
                     sink.send(FetchResult { blocks: covered, last, result });
@@ -473,7 +438,7 @@ impl RetryInner {
     fn run(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
         let mut missing = blocks;
         let mut retries = 0u32;
-        let mut last_error = FetchError::request("fetch failed");
+        let mut last_error = NetzError::Remote("fetch failed".into());
         loop {
             let attempt_sink: Queue<FetchResult> = Queue::new();
             self.service().fetch_blocks(remote, missing.clone(), attempt_sink.clone());
@@ -488,7 +453,7 @@ impl RetryInner {
                     Ok(r) => r,
                     Err(RecvError::Timeout) => {
                         plane_failed = true;
-                        last_error = FetchError::plane("fetch attempt stalled");
+                        last_error = NetzError::Timeout;
                         break;
                     }
                     Err(RecvError::Closed) => break,
@@ -510,7 +475,7 @@ impl RetryInner {
                         }
                     }
                     Err(e) => {
-                        plane_failed |= e.plane;
+                        plane_failed |= e.is_plane_failure();
                         last_error = e;
                     }
                 }

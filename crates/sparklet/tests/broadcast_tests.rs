@@ -102,3 +102,33 @@ fn broadcast_composes_with_shuffles() {
         assert_eq!(v, expect);
     }
 }
+
+#[test]
+fn racing_first_accesses_return_when_the_fetch_lands() {
+    // One executor with four cores: four tasks ask for the broadcast at
+    // once, one fetches it and the other three wait. Every `get` must return
+    // at the instant the fetcher stores the value, not some time after it.
+    let spec = ClusterSpec::test(3); // 1 worker
+    let cluster = ClusterConfig::paper_layout(spec.len(), conf());
+    let (times, _) = simulate(
+        &spec,
+        cluster,
+        Arc::new(VanillaBackend::with_conf(&conf())),
+        Arc::new(ProcessBuilderLauncher),
+        |sc| {
+            let b = sc.broadcast(7u64, 64 << 20);
+            sc.generate(4, |_| vec![0u8])
+                .map_partitions(move |ctx, _v| {
+                    let started = simt::now();
+                    assert_eq!(*b.get(ctx), 7);
+                    vec![(started, simt::now())]
+                })
+                .collect()
+        },
+    );
+    assert_eq!(times.len(), 4);
+    let fetched = times[0].1;
+    let last_start = times.iter().map(|t| t.0).max().expect("four tasks");
+    assert!(last_start < fetched, "every task must ask before the fetch lands: {times:?}");
+    assert!(times.iter().all(|t| t.1 == fetched), "a waiter woke late: {times:?}");
+}

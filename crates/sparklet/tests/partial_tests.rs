@@ -119,9 +119,9 @@ fn approx_then_exact(sc: &SparkContext, timeout_ns: u64) -> (PartialResult<Bound
 
 #[test]
 fn a_met_deadline_never_cuts_the_next_job() {
-    // The first job's deadline is still armed when the second job starts and
-    // lands mid-way through it. It must post nothing: the second job runs
-    // to its exact answer on the clean run's exact timeline.
+    // The first job's deadline instant lands mid-way through the second job.
+    // It belongs to the first job alone: the second job runs to its exact
+    // answer on the clean run's exact timeline.
     for system in all_systems() {
         let clean = run(system, partial_conf(), |sc| approx_then_exact(sc, NEVER));
         let (first, second) = (&clean.jobs[0], &clean.jobs[1]);
@@ -146,9 +146,9 @@ fn a_met_deadline_never_cuts_the_next_job() {
 
 #[test]
 fn zero_budget_deadline_yields_zero_information_interval() {
-    // The deadline is armed before the job's driver thread even spawns, so
-    // a zero budget expires ahead of every task completion: nothing seen,
-    // the count interval is the no-information `[0, ∞)`.
+    // A zero budget puts the deadline at the submission instant, so the
+    // job expires at its first wait, before it handles any task completion:
+    // nothing seen, the count interval is the no-information `[0, ∞)`.
     for system in all_systems() {
         let out = run(system, partial_conf(), move |sc| {
             let r = sc.parallelize((0..100u64).collect(), 4).count_approx(0, None);

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
+use netz::NetzError;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::Sim;
@@ -25,7 +26,7 @@ use sparklet::shuffle::{
 };
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::task::{ExecutorServices, TaskContext};
-use sparklet::transfer::{BlockTransferService, FetchError, FetchResult};
+use sparklet::transfer::{BlockTransferService, FetchResult};
 use sparklet::SparkConf;
 
 const MS: u64 = 1_000_000;
@@ -224,7 +225,7 @@ impl BlockTransferService for FailingTransfer {
         sink.send(FetchResult {
             blocks,
             last: true,
-            result: Err(FetchError::plane("peer unreachable")),
+            result: Err(NetzError::ConnectFailed("peer unreachable".into())),
         });
     }
 

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
+use netz::NetzError;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::Sim;
@@ -18,7 +19,7 @@ use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::transfer::{
-    BlockTransferService, FetchError, FetchResult, NettyBlockTransferService, RetryingBlockFetcher,
+    BlockTransferService, FetchResult, NettyBlockTransferService, RetryingBlockFetcher,
     ShuffleService, PLANE_FAILURE_THRESHOLD,
 };
 use sparklet::SparkConf;
@@ -162,7 +163,7 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
                     sink.send(FetchResult {
                         blocks: vec![bid(1)],
                         last,
-                        result: Err(FetchError::request("corrupt chunk")),
+                        result: Err(NetzError::codec("corrupt chunk")),
                     });
                 } else {
                     sink.send(ok_result(blocks, i, last));
@@ -236,7 +237,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
             sink.send(FetchResult {
                 blocks: blocks.to_vec(),
                 last: true,
-                result: Err(FetchError::plane("plane down")),
+                result: Err(NetzError::ConnectFailed("plane down".into())),
             });
         });
         let fallback = Scripted::new(|_, blocks, sink| {
@@ -293,7 +294,7 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
                     sink.send(FetchResult {
                         blocks: vec![bid(1)],
                         last,
-                        result: Err(FetchError::request("permanently corrupt")),
+                        result: Err(NetzError::codec("permanently corrupt")),
                     });
                 } else {
                     sink.send(ok_result(blocks, i, last));
