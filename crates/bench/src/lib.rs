@@ -91,7 +91,6 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("ablation-batching", suites::ablation_batching),
     ("recovery", suites::recovery),
     ("aqe", suites::aqe),
-    ("partial", suites::partial),
     ("traced", suites::traced),
     ("realdata", suites::realdata),
 ];

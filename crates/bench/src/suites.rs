@@ -5,7 +5,7 @@ mod ablations;
 mod features;
 
 pub use ablations::ablation_batching;
-pub use features::{aqe, partial, recovery};
+pub use features::{aqe, recovery};
 
 use obs::keys;
 use sparklet::deploy::ClusterConfig;

@@ -1,16 +1,16 @@
-//! The post-paper feature benches — lineage recovery + speculation, adaptive
-//! query execution, bounded-latency approximate actions — each with the
-//! contracts its subsystem must honour asserted on every run.
+//! The post-paper feature benches — lineage recovery + speculation and
+//! adaptive query execution — each with the contracts its subsystem must
+//! honour asserted on every run.
 
 use fabric::{ClusterSpec, FaultPlan};
 use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{AqeConf, BoundedDouble, PartialResult, SparkConf};
+use sparklet::{AqeConf, SparkConf};
 use workloads::ohb::{group_by_zipf_app, OhbConfig};
 use workloads::System;
 
-use crate::record::{counters, real_x1000, Record, Run};
+use crate::record::{counters, Run};
 use crate::Scale;
 
 const MS: u64 = 1_000_000;
@@ -184,114 +184,5 @@ pub fn aqe(run: &mut Run<'_>) {
                 adap.value("groupby_ns"),
             );
         }
-    }
-}
-
-/// A budget no job reaches (~17 virtual minutes).
-const NEVER: u64 = 1_000_000 * MS;
-/// Distinct keys — the true answer every interval must bracket.
-const KEYS: u64 = 500;
-
-/// One bounded cell's answer next to its record.
-struct Bounded {
-    result: PartialResult<BoundedDouble>,
-    rec: Record,
-}
-
-/// Bounded latency: `count_approx` over a 12→48-partition GroupBy while one
-/// worker's links are slow for the whole run (2 ms/message, speculation off,
-/// so nothing rescues the stragglers), under budgets of 25/50/75% of the
-/// unbounded straggler job's time plus unbounded on a clean and a slow
-/// fabric. Each budget trades coverage for latency; the interval must
-/// bracket the true group count wherever at least two partitions folded.
-pub fn partial(run: &mut Run<'_>) {
-    let n: u64 = if run.scale == Scale::Full { 48_000 } else { 12_000 };
-    let spec = ClusterSpec::test(5);
-    let mut cell = |system: System, slow: bool, budget: &str, timeout_ns: u64| {
-        let cluster = ClusterConfig::paper_layout(spec.len(), small_conf());
-        let app = move |sc: &SparkContext| {
-            let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i % KEYS, i)).collect();
-            sc.parallelize(pairs, 12).group_by_key(48).count_approx(timeout_ns, None)
-        };
-        let out = if slow {
-            let plan = FaultPlan::seeded(41).slow_node(VICTIM, 0, 100_000_000 * MS, 2 * MS).build();
-            system.run_with_chaos(&spec, cluster, plan, app)
-        } else {
-            system.run(&spec, cluster, app)
-        };
-        let r = out.result;
-        let thousandths = |x: f64| if x.is_finite() { real_x1000(x) } else { -1 };
-        let cell = [
-            ("system", system.label().to_string()),
-            ("fabric", if slow { "slow" } else { "clean" }.to_string()),
-            ("budget", budget.to_string()),
-        ];
-        // `high_x1000` is -1 while the interval has no upper bound yet.
-        let values = vec![
-            ("timeout_ns", timeout_ns as i64),
-            ("seen", r.partitions_seen as i64),
-            ("total", r.total_partitions as i64),
-            ("mean_x1000", thousandths(r.value.mean)),
-            ("low_x1000", thousandths(r.value.low)),
-            ("high_x1000", thousandths(r.value.high)),
-            ("brackets_truth", i64::from(r.value.contains(KEYS as f64))),
-            ("final", i64::from(r.is_final)),
-        ];
-        let rec = run.emit(&cell, out.jobs[0].duration_ns(), values);
-        Bounded { result: r, rec }
-    };
-
-    for system in ALL_SYSTEMS {
-        let label = system.label();
-        let clean = cell(system, false, "unbounded", NEVER);
-        let unbounded = cell(system, true, "unbounded", NEVER);
-        let t = unbounded.rec.virtual_ns;
-        for c in [&clean, &unbounded] {
-            assert!(c.result.is_final, "{label}: unbounded run must complete");
-            assert_eq!(
-                c.result.value,
-                BoundedDouble::exact(KEYS as f64),
-                "{label}: unbounded run must count exactly"
-            );
-        }
-        assert!(
-            2 * clean.rec.virtual_ns < t,
-            "{label}: the straggler never bit (clean {} vs slow {t} ns)",
-            clean.rec.virtual_ns
-        );
-        let mut prev_seen = 0;
-        for (budget, frac) in [("25%", 0.25), ("50%", 0.5), ("75%", 0.75)] {
-            let c = cell(system, true, budget, (t as f64 * frac) as u64);
-            let (r, job_ns) = (&c.result, c.rec.virtual_ns);
-            let timeout_ns = c.rec.value("timeout_ns") as u64;
-            assert!(!r.is_final, "{label}: budgeted run must expire");
-            assert!(
-                r.partitions_seen < r.total_partitions,
-                "{label}: expired run cannot have full coverage"
-            );
-            assert!(r.partitions_seen >= prev_seen, "{label}: coverage must grow with the budget");
-            prev_seen = r.partitions_seen;
-            // The deadline actually bounds the job: it ends within the
-            // budget (plus the submission-to-start skew of one task
-            // overhead) instead of waiting out the stragglers.
-            assert!(
-                job_ns <= timeout_ns + MS && job_ns < t,
-                "{label}: job ran past its budget ({job_ns} vs {timeout_ns})"
-            );
-            if r.partitions_seen >= 2 {
-                assert!(
-                    r.value.contains(KEYS as f64),
-                    "{label}: interval [{}, {}] misses the true {KEYS} groups",
-                    r.value.low,
-                    r.value.high
-                );
-            }
-            // Same seed, same budget, same bytes: re-run one bounded cell.
-            if system == System::RdmaSpark && budget == "50%" {
-                let again = cell(system, true, "50% (re-run)", timeout_ns);
-                assert_eq!(c.result, again.result, "same-seed bounded re-run must be identical");
-            }
-        }
-        assert!(prev_seen > 0, "{label}: the 75% budget saw nothing");
     }
 }

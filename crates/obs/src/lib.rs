@@ -78,15 +78,6 @@ pub mod keys {
     pub const SPARK_AQE_SPLIT_SLICES: &str = "spark.aqe_split_slices";
     /// AQE tasks that coalesce more than one reduce bucket.
     pub const SPARK_AQE_COALESCED_TASKS: &str = "spark.aqe_coalesced_tasks";
-    /// Jobs submitted on the partial/approximate path (an evaluator or a
-    /// deadline was attached at submission).
-    pub const SPARK_PARTIAL_JOBS: &str = "spark.partial_jobs";
-    /// Job deadlines that fired before completion (each one returned a
-    /// partial answer).
-    pub const SPARK_PARTIAL_DEADLINES_FIRED: &str = "spark.partial_deadline_fired";
-    /// Per-partition result-task outputs folded into approximate
-    /// evaluators as they completed.
-    pub const SPARK_PARTIAL_PARTITIONS_SEEN: &str = "spark.partial_partitions_seen";
 
     /// Messages delivered by the fabric.
     pub const NET_DELIVERED_MSGS: &str = "fabric.delivered_msgs";

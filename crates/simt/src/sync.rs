@@ -139,11 +139,6 @@ impl<T> OnceCell<T> {
     pub fn try_take(&self) -> Option<T> {
         self.0.state.lock().take()
     }
-
-    /// True if a value is waiting.
-    pub fn is_ready(&self) -> bool {
-        self.0.state.lock().is_some()
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +234,7 @@ mod tests {
             c.put(1u32);
             c.put(2);
             assert_eq!(c.take(), 1);
-            assert!(!c.is_ready());
+            assert_eq!(c.try_take(), None);
         });
         sim.run().unwrap().assert_clean();
     }

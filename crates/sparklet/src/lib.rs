@@ -33,7 +33,6 @@ pub mod config;
 pub mod data;
 pub mod deploy;
 pub mod net_backend;
-pub mod partial;
 pub mod rdd;
 pub mod rpc;
 pub mod scheduler;
@@ -47,9 +46,5 @@ pub use config::{AqeConf, CostModel, SparkConf};
 pub use data::{Blob, Element};
 pub use deploy::{ClusterConfig, ExecutorLauncher, ProcessBuilderLauncher};
 pub use net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role, VanillaBackend};
-pub use partial::{
-    ApproximateEvaluator, AsF64, BoundedDouble, CountEvaluator, GroupedCountEvaluator,
-    MeanEvaluator, PartialResult, SumEvaluator,
-};
-pub use rdd::{JobHandle, JobOptions, JobOutcome, Rdd};
+pub use rdd::Rdd;
 pub use scheduler::{JobMetrics, StageMetrics};

@@ -11,17 +11,11 @@ pub mod partitioner;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use simt::sync::Mutex;
 
 use crate::config::SparkConf;
 use crate::data::Element;
-use crate::partial::{
-    ApproximateEvaluator, AsF64, BoundedDouble, CountEvaluator, ErasedEvaluator,
-    GroupedCountEvaluator, MeanEvaluator, PartialResult, Stat, SumEvaluator, DEFAULT_CONFIDENCE,
-};
 use crate::rpc::AnyMsg;
 use crate::scheduler::DagScheduler;
 use crate::shuffle::{combine_by_key, combine_pairs, group_pairs, FetchFailed, MapStatus};
@@ -111,144 +105,6 @@ pub struct JobSpec {
     pub adaptive: Option<Arc<dyn crate::aqe::AdaptiveJobSpec>>,
     /// Human-readable description (`count`, `collect`, ...).
     pub action: String,
-}
-
-/// Per-job submission options — the one seam where an action attaches
-/// approximate-evaluation state. [`JobOptions::default`] is the exact path:
-/// no evaluator, no deadline, semantics identical to the pre-`JobHandle`
-/// engine.
-#[derive(Default)]
-pub struct JobOptions {
-    /// Folds result partitions as they complete; the source of
-    /// [`JobHandle::poll`] / [`JobOutcome::partial`] answers.
-    pub evaluator: Option<Box<dyn ErasedEvaluator>>,
-    /// Virtual-clock budget from submission; when it expires before the
-    /// job completes, the scheduler abandons the remaining work and the
-    /// outcome carries the evaluator's best answer instead of exact results.
-    pub timeout_ns: Option<u64>,
-}
-
-impl JobOptions {
-    /// True when this submission rides the partial path (an evaluator or a
-    /// deadline is attached) — the `spark.partial_*` counters only move for
-    /// such jobs, keeping exact runs bit-identical to the pre-partial engine.
-    pub fn is_partial(&self) -> bool {
-        self.evaluator.is_some() || self.timeout_ns.is_some()
-    }
-}
-
-/// Shared state of one submitted job, visible to both the scheduler (which
-/// folds completions into it) and the driver's [`JobHandle`].
-pub struct JobState {
-    total: usize,
-    partial: bool,
-    /// Virtual instant the job expires at: submission plus
-    /// [`JobOptions::timeout_ns`].
-    pub(crate) deadline_ns: Option<u64>,
-    eval: Mutex<Option<Box<dyn ErasedEvaluator>>>,
-    seen: AtomicUsize,
-    done: simt::sync::OnceCell<Option<Vec<AnyMsg>>>,
-}
-
-impl JobState {
-    /// State of a job submitted now.
-    pub(crate) fn new(total: usize, opts: JobOptions) -> Arc<JobState> {
-        Arc::new(JobState {
-            total,
-            partial: opts.is_partial(),
-            deadline_ns: opts.timeout_ns.map(|t| simt::now().saturating_add(t)),
-            eval: Mutex::new(opts.evaluator),
-            seen: AtomicUsize::new(0),
-            done: simt::sync::OnceCell::new(),
-        })
-    }
-
-    /// Fold one completed result partition. Called by the scheduler exactly
-    /// once per result partition, in virtual completion order (first-finish
-    /// dedup upstream); pure host arithmetic, charges no virtual time.
-    pub(crate) fn observe(&self, part: usize, result: &AnyMsg, obs: &obs::Obs) {
-        if let Some(eval) = self.eval.lock().as_mut() {
-            eval.fold(part, result);
-        }
-        self.seen.fetch_add(1, Ordering::SeqCst);
-        if self.partial {
-            obs.registry().counter(obs::keys::SPARK_PARTIAL_PARTITIONS_SEEN).inc();
-        }
-    }
-
-    /// Publish the job's terminal state: `Some(results)` on completion,
-    /// `None` when the deadline cut it short.
-    pub(crate) fn complete(&self, results: Option<Vec<AnyMsg>>) {
-        self.done.put(results);
-    }
-
-    fn current<R: Clone + Send + Sync + 'static>(&self) -> Option<PartialResult<R>> {
-        let guard = self.eval.lock();
-        let eval = guard.as_ref()?;
-        let seen = self.seen.load(Ordering::SeqCst);
-        let msg = eval.current(seen, self.total);
-        let value = msg.downcast_ref::<R>().expect("evaluator output type").clone();
-        Some(PartialResult {
-            value,
-            partitions_seen: seen,
-            total_partitions: self.total,
-            is_final: seen >= self.total,
-        })
-    }
-}
-
-/// A submitted job. Await it with [`wait`](JobHandle::wait), or observe it
-/// while it runs: [`poll`](JobHandle::poll) reads the evaluator's running
-/// answer and its progress. The handle does not cancel on drop — an
-/// abandoned job runs to completion (or to its deadline).
-pub struct JobHandle {
-    state: Arc<JobState>,
-}
-
-impl JobHandle {
-    pub(crate) fn new(state: Arc<JobState>) -> JobHandle {
-        JobHandle { state }
-    }
-
-    /// Block (in virtual time) until the job completes or its deadline
-    /// fires, whichever comes first.
-    pub fn wait(self) -> JobOutcome {
-        let results = self.state.done.take();
-        JobOutcome { state: self.state, results }
-    }
-
-    /// The evaluator's answer over the partitions folded so far. `None`
-    /// when the job was submitted without an evaluator.
-    pub fn poll<R: Clone + Send + Sync + 'static>(&self) -> Option<PartialResult<R>> {
-        self.state.current::<R>()
-    }
-
-    /// True once the job reached a terminal state (completed or expired).
-    pub fn is_complete(&self) -> bool {
-        self.state.done.is_ready()
-    }
-}
-
-/// Terminal state of a job: exact per-partition results when it ran to
-/// completion, or the evaluator's best partial answer when the deadline
-/// fired first.
-pub struct JobOutcome {
-    state: Arc<JobState>,
-    results: Option<Vec<AnyMsg>>,
-}
-
-impl JobOutcome {
-    /// Unwrap exact results — the path every blocking action takes (no
-    /// deadline attached, so completion is the only terminal state).
-    pub fn into_results(self) -> Vec<AnyMsg> {
-        self.results.expect("job ran to completion (no deadline attached)")
-    }
-
-    /// The evaluator's answer — exact when the job completed, a confidence
-    /// interval over `{partitions_seen, total}` when the deadline fired.
-    pub fn partial<R: Clone + Send + Sync + 'static>(&self) -> PartialResult<R> {
-        self.state.current::<R>().expect("approximate job submitted with an evaluator")
-    }
 }
 
 /// Application-level shared state: id generators, configuration, and the
@@ -443,16 +299,14 @@ impl<T: Element> Rdd<T> {
 
     // --- actions ----------------------------------------------------------
 
-    /// Submit a job running `f` over every partition's records — **the**
-    /// job-submission seam. Every action (blocking or approximate) funnels
-    /// through here; blocking actions pass `JobOptions::default()` and wait,
-    /// approximate actions attach an evaluator and a deadline.
-    pub fn submit_job<R: Send + Sync + 'static>(
+    /// Run `f` over every partition's records; returns per-partition values.
+    /// Every action funnels through here: it builds the job and blocks
+    /// until the scheduler hands back its results.
+    pub fn run_partitions<R: Send + Sync + 'static>(
         &self,
         action: &str,
         f: impl Fn(&TaskContext, Part<T>) -> R + Send + Sync + 'static,
-        opts: JobOptions,
-    ) -> JobHandle {
+    ) -> Vec<Arc<R>> {
         let f: Action<T> = Arc::new(move |ctx, v| Arc::new(f(ctx, v)) as AnyMsg);
         let result_tasks: Vec<Arc<dyn TaskRunner>> = (0..self.num_partitions())
             .map(|p| {
@@ -469,18 +323,9 @@ impl<T: Element> Rdd<T> {
             adaptive,
             action: action.to_string(),
         };
-        self.core.sched.submit_job(job, opts)
-    }
-
-    /// Run `f` over every partition's records; returns per-partition values.
-    pub fn run_partitions<R: Send + Sync + 'static>(
-        &self,
-        action: &str,
-        f: impl Fn(&TaskContext, Part<T>) -> R + Send + Sync + 'static,
-    ) -> Vec<Arc<R>> {
-        self.submit_job(action, f, JobOptions::default())
-            .wait()
-            .into_results()
+        self.core
+            .sched
+            .submit_job(job)
             .into_iter()
             .map(|r| r.downcast::<R>().expect("result type"))
             .collect()
@@ -514,72 +359,6 @@ impl<T: Element> Rdd<T> {
         // One pass over all partitions (no incremental scan — fine at
         // simulation scale).
         self.collect().into_iter().take(n).collect()
-    }
-
-    // --- approximate actions ----------------------------------------------
-
-    /// Run `f` over every partition with `eval` folding the results, under a
-    /// virtual-clock budget of `timeout_ns`.
-    fn approximate<E: ApproximateEvaluator>(
-        &self,
-        action: &str,
-        f: impl Fn(&TaskContext, Part<T>) -> E::Update + Send + Sync + 'static,
-        eval: E,
-        timeout_ns: u64,
-    ) -> PartialResult<E::Output> {
-        let opts = JobOptions { evaluator: Some(Box::new(eval)), timeout_ns: Some(timeout_ns) };
-        self.submit_job(action, f, opts).wait().partial()
-    }
-
-    /// Approximate record count with a virtual-clock budget: if the job has
-    /// not completed after `timeout_ns`, the answer is a confidence
-    /// interval extrapolated from the partitions seen so far
-    /// (`confidence: None` uses [`DEFAULT_CONFIDENCE`]). A deadline that
-    /// never fires yields the exact count as a degenerate interval.
-    pub fn count_approx(
-        &self,
-        timeout_ns: u64,
-        confidence: impl Into<Option<f64>>,
-    ) -> PartialResult<BoundedDouble> {
-        let f = |_ctx: &TaskContext, v: Part<T>| v.len() as u64;
-        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        self.approximate("count_approx", f, CountEvaluator::new(confidence), timeout_ns)
-    }
-}
-
-impl<T: Element + AsF64> Rdd<T> {
-    /// Per-partition numeric summary task shared by the `sum`/`mean`
-    /// approximations: one narrow pass projecting each record to `f64`.
-    fn stat_task() -> impl Fn(&TaskContext, Part<T>) -> Stat + Send + Sync + 'static {
-        |ctx: &TaskContext, v: Part<T>| {
-            ctx.charge(ctx.cost().map(v.len() as u64, 0));
-            Stat::of(v.iter().map(AsF64::as_f64))
-        }
-    }
-
-    /// Approximate sum under a virtual-clock deadline; see
-    /// [`count_approx`](Rdd::count_approx) for the timeout/confidence
-    /// semantics.
-    pub fn sum_approx(
-        &self,
-        timeout_ns: u64,
-        confidence: impl Into<Option<f64>>,
-    ) -> PartialResult<BoundedDouble> {
-        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        self.approximate("sum_approx", Self::stat_task(), SumEvaluator::new(confidence), timeout_ns)
-    }
-
-    /// Approximate mean under a virtual-clock deadline; see
-    /// [`count_approx`](Rdd::count_approx) for the timeout/confidence
-    /// semantics.
-    pub fn mean_approx(
-        &self,
-        timeout_ns: u64,
-        confidence: impl Into<Option<f64>>,
-    ) -> PartialResult<BoundedDouble> {
-        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let eval = MeanEvaluator::new(confidence);
-        self.approximate("mean_approx", Self::stat_task(), eval, timeout_ns)
     }
 }
 
@@ -786,32 +565,6 @@ where
         self.map(|(k, _)| (k, 1u64))
             .reduce_by_key(self.num_partitions().max(1), |a, b| a + b)
             .collect()
-    }
-
-    /// Per-partition key histogram task shared by the `count_by_key`
-    /// approximation: local aggregation only, no shuffle (Spark's
-    /// `countByKeyApprox` shape), so every completed partition refines
-    /// every key's interval.
-    fn key_histogram_task(
-    ) -> impl Fn(&TaskContext, Part<(K, V)>) -> Vec<(K, u64)> + Send + Sync + 'static {
-        |ctx: &TaskContext, v: Part<(K, V)>| {
-            ctx.charge(ctx.cost().group(v.len() as u64, 0));
-            combine_by_key(v.iter().map(|(k, _)| (k.clone(), ())), |()| 1, |n, ()| n + 1)
-        }
-    }
-
-    /// Approximate per-key counts under a virtual-clock deadline: each
-    /// key's total is a [`BoundedDouble`] extrapolated from the partitions
-    /// seen (see [`count_approx`](Rdd::count_approx) for timeout/confidence
-    /// semantics).
-    pub fn count_by_key_approx(
-        &self,
-        timeout_ns: u64,
-        confidence: impl Into<Option<f64>>,
-    ) -> PartialResult<Vec<(K, BoundedDouble)>> {
-        let confidence = confidence.into().unwrap_or(DEFAULT_CONFIDENCE);
-        let eval = GroupedCountEvaluator::new(confidence);
-        self.approximate("count_by_key_approx", Self::key_histogram_task(), eval, timeout_ns)
     }
 
     /// The keys.

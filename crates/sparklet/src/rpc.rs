@@ -204,8 +204,9 @@ impl RpcEnv {
         // virtual send time for the FIN frame — a simt wait point — and
         // writing `for c in ...lock()...` would hold the guard across it
         // (the iterator expression's temporary lives for the whole loop).
-        // A deadline-expired job can still have tasks in flight here, and
-        // their completion sends must be able to take this lock meanwhile.
+        // A speculative straggler (a copy whose duplicate won) can still be
+        // running here, and its completion send must be able to take this
+        // lock meanwhile.
         let clients: Vec<TransportClient> =
             std::mem::take(&mut *self.clients.lock()).into_values().collect();
         for c in clients {

@@ -29,7 +29,7 @@ use simt::wait::WaitList;
 use crate::config::SparkConf;
 use crate::data::Element;
 use crate::rdd::ops::{GenerateRdd, ParallelizeRdd};
-use crate::rdd::{AppCore, JobHandle, JobOptions, JobSpec, JobState, Rdd, TaskOutput, TaskRunner};
+use crate::rdd::{AppCore, JobSpec, Rdd, TaskOutput, TaskRunner};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcEnv, RpcRef};
 use crate::shuffle::MapOutputTrackerMaster;
 
@@ -240,35 +240,27 @@ impl DagScheduler {
         self.env.get().map(|e| e.obs().clone()).unwrap_or_else(obs::Obs::disabled)
     }
 
-    /// Submit a job; returns immediately with a handle. Exact actions wait
-    /// on the handle; approximate actions attach an evaluator and a
-    /// deadline through `opts`.
-    pub fn submit_job(self: &Arc<Self>, job: JobSpec, opts: JobOptions) -> JobHandle {
+    /// Run a job to completion; returns its per-partition results in
+    /// partition order.
+    pub fn submit_job(self: &Arc<Self>, job: JobSpec) -> Vec<AnyMsg> {
         assert!(
             !self.job_running.swap(true, Ordering::SeqCst),
             "concurrent jobs are not supported; run jobs sequentially from one driver thread"
         );
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        let obs = self.obs();
-        let partial = opts.is_partial();
-        let state = JobState::new(job.result_tasks.len(), opts);
-        if partial {
-            obs.registry().counter(obs::keys::SPARK_PARTIAL_JOBS).inc();
-        }
+        let done = simt::sync::OnceCell::new();
         let sched = self.clone();
-        let st = state.clone();
-        // Each job runs on its own green thread driving the stage engine;
-        // the submitting thread gets the handle back immediately (blocking
-        // actions wait on it, approximate actions poll it). Spawning and
-        // queue handoff charge no virtual time, so a waited job keeps the
-        // exact timings of the old synchronous `run_job`.
+        let results = done.clone();
+        // Each job runs on its own green thread driving the stage engine
+        // while the submitting thread waits for the results. Spawning and
+        // the hand-off charge no virtual time.
         simt::spawn(format!("job-{job_id}-driver"), move || {
             let obs = sched.obs();
             let _span = obs.is_traced().then(|| {
                 obs.span("spark.job", obs::kv! {"job_id" => job_id, "action" => &job.action})
             });
             let start_ns = simt::now();
-            let (results, stages) = stage::run_job(&sched, &job, job_id, &st);
+            let (results, stages) = stage::run_job(&sched, &job, job_id);
             sched.metrics.lock().push(JobMetrics {
                 job_id,
                 action: job.action,
@@ -277,9 +269,9 @@ impl DagScheduler {
                 stages,
             });
             sched.job_running.store(false, Ordering::SeqCst);
-            st.complete(results);
+            done.put(results);
         });
-        JobHandle::new(state)
+        results.take()
     }
 }
 

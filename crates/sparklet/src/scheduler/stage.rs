@@ -14,10 +14,8 @@
 //! When speculation is enabled, the attempt's loop wakes on a virtual
 //! timer and re-launches straggler tasks on healthy executors; the first
 //! finish per (stage, partition, epoch) wins and the duplicate is dropped
-//! as a late completion. A job's deadline bounds the same wait, and the
-//! loop expires the job after any wait that ends at or past it. Everything
-//! runs on the virtual clock — the whole recovery timeline is a
-//! deterministic function of the seed.
+//! as a late completion. Everything runs on the virtual clock — the whole
+//! recovery timeline is a deterministic function of the seed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -26,7 +24,7 @@ use std::sync::Arc;
 use simt::queue::RecvError;
 
 use crate::aqe::{self, AdaptiveJobSpec, BucketResults, SlicePartial};
-use crate::rdd::{JobSpec, JobState, ShuffleDepMeta, TaskOutput, TaskRunner};
+use crate::rdd::{JobSpec, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
 
@@ -38,25 +36,16 @@ use super::{DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, StageMe
 /// `spark.stage.maxConsecutiveAttempts` abort.
 const MAX_STAGE_ATTEMPTS: u32 = 4;
 
-/// Run `job` under `sched` until completion or deadline expiry; returns
-/// `Some` per-partition results in partition order (`None` when the
-/// deadline fired first) plus the recorded stage metrics. Completed result
-/// partitions fold into `state` as they arrive, so an expired job's best
-/// partial answer is already in the evaluator when this returns.
+/// Run `job` under `sched` to completion; returns its per-partition
+/// results in partition order plus the recorded stage metrics.
 pub(super) fn run_job(
     sched: &DagScheduler,
     job: &JobSpec,
     job_id: u32,
-    state: &JobState,
-) -> (Option<Vec<AnyMsg>>, Vec<StageMetrics>) {
-    let mut eng = JobEngine { sched, job, job_id, state, expired: false, stages: Vec::new() };
+) -> (Vec<AnyMsg>, Vec<StageMetrics>) {
+    let mut eng = JobEngine { sched, job, job_id, stages: Vec::new() };
     for dep in &job.shuffle_stages {
         eng.ensure_shuffle(dep);
-        if eng.expired {
-            // Expired before any result partition: the evaluator has seen
-            // nothing, the answer is the zero-information interval.
-            return (None, eng.stages);
-        }
     }
     // Map outputs are in; this is the AQE decision point.
     if let Some(ad) = &job.adaptive {
@@ -65,32 +54,21 @@ pub(super) fn run_job(
     }
     let parts: Vec<usize> = (0..job.result_tasks.len()).collect();
     let name = format!("Job{job_id}-ResultStage");
-    let outs = eng.run_to_completion(name, &job.result_tasks, parts, true);
-    if eng.expired {
-        return (None, eng.stages);
-    }
-    let mut results_by_part: Vec<Option<AnyMsg>> =
-        (0..job.result_tasks.len()).map(|_| None).collect();
-    for (part, out) in outs {
-        match out {
-            TaskOutput::Result(r) => results_by_part[part] = Some(r),
+    let outs = eng.run_to_completion(name, &job.result_tasks, parts);
+    let results = outs
+        .into_iter()
+        .map(|(_, out)| match out {
+            TaskOutput::Result(r) => r,
             _ => panic!("result stage produced a non-result output"),
-        }
-    }
-    let results =
-        results_by_part.into_iter().map(|o| o.expect("every result partition completed")).collect();
-    (Some(results), eng.stages)
+        })
+        .collect();
+    (results, eng.stages)
 }
 
 struct JobEngine<'a> {
     sched: &'a DagScheduler,
     job: &'a JobSpec,
     job_id: u32,
-    /// Shared job state: evaluator folds, progress counters, the deadline.
-    state: &'a JobState,
-    /// True once an attempt expired the job at its deadline; every layer
-    /// of the stage engine then unwinds without scheduling further work.
-    expired: bool,
     stages: Vec<StageMetrics>,
 }
 
@@ -107,9 +85,7 @@ impl JobEngine<'_> {
         }
         let missing = self.sched.tracker.missing_maps(id);
         self.run_map_stage(dep, missing, already);
-        if !self.expired {
-            self.sched.computed_shuffles.lock().insert(id);
-        }
+        self.sched.computed_shuffles.lock().insert(id);
     }
 
     /// Compute map partitions `maps` of `dep`'s shuffle and register their
@@ -124,7 +100,7 @@ impl JobEngine<'_> {
         let parts: Vec<usize> = maps.iter().map(|m| *m as usize).collect();
         let runners: Vec<Arc<dyn TaskRunner>> =
             (0..dep.num_maps()).map(|p| Arc::clone(dep).make_map_task(p)).collect();
-        let outs = self.run_to_completion(name, &runners, parts, false);
+        let outs = self.run_to_completion(name, &runners, parts);
         for (_, out) in outs {
             match out {
                 TaskOutput::Map(status) => {
@@ -138,16 +114,8 @@ impl JobEngine<'_> {
     /// Run the result stage adaptively: plan the reduce side from the
     /// registered map-output sizes, execute the planned tasks (reusing the
     /// full attempt/recovery/speculation machinery), merge split buckets,
-    /// and reassemble one result per original reduce partition. Returns
-    /// `None` when the job's deadline fired mid-plan: completed buckets are
-    /// folded into the job state, no exact results exist.
-    ///
-    /// Evaluator folding happens at bucket-routing time rather than task
-    /// completion: an adaptive task covers several buckets (coalesced) or a
-    /// fraction of one (slice), so per-*partition* results only exist once
-    /// routed. On expiry, complete buckets fold; split buckets whose merge
-    /// never ran stay unseen (post-deadline work is never scheduled).
-    fn run_adaptive(&mut self, ad: &dyn AdaptiveJobSpec) -> Option<Vec<AnyMsg>> {
+    /// and reassemble one result per original reduce partition.
+    fn run_adaptive(&mut self, ad: &dyn AdaptiveJobSpec) -> Vec<AnyMsg> {
         let dep = ad.dep();
         let num_reduces = dep.num_reduces();
         // Only a shuffle read offers an adaptive job, and its partition
@@ -178,12 +146,8 @@ impl JobEngine<'_> {
         let runners: Vec<Arc<dyn TaskRunner>> =
             plan.tasks.iter().map(|t| ad.make_task(t)).collect();
         let parts: Vec<usize> = (0..runners.len()).collect();
-        let outs = self.run_to_completion(
-            format!("Job{}-ResultStage", self.job_id),
-            &runners,
-            parts,
-            false,
-        );
+        let outs =
+            self.run_to_completion(format!("Job{}-ResultStage", self.job_id), &runners, parts);
 
         // Route outputs: complete-bucket results land directly; slice
         // partials group per split bucket for the merge stage.
@@ -205,10 +169,6 @@ impl JobEngine<'_> {
                 }
             }
         }
-        if self.expired {
-            self.fold_buckets(&by_bucket);
-            return None;
-        }
         if !partials.is_empty() {
             let merges: Vec<Arc<dyn TaskRunner>> = partials
                 .into_iter()
@@ -221,7 +181,7 @@ impl JobEngine<'_> {
             // Named to share no fragment with the main stages, so metric
             // lookups by "ResultStage"/"ShuffleMapStage" stay unambiguous.
             let name = format!("Job{}-AqeMergeStage", self.job_id);
-            let outs = self.run_to_completion(name, &merges, parts, false);
+            let outs = self.run_to_completion(name, &merges, parts);
             for (_, out) in outs {
                 let TaskOutput::Result(r) = out else {
                     panic!("AQE merge stage produced a non-result output")
@@ -231,12 +191,7 @@ impl JobEngine<'_> {
                     by_bucket[*bucket as usize] = Some(res.clone());
                 }
             }
-            if self.expired {
-                self.fold_buckets(&by_bucket);
-                return None;
-            }
         }
-        self.fold_buckets(&by_bucket);
 
         // Recovery mid-stage may have recomputed map outputs under a bumped
         // epoch; recomputation is deterministic, so a replan over the
@@ -247,53 +202,29 @@ impl JobEngine<'_> {
         let replan = aqe::plan(&now_slices, &sched.conf.aqe);
         assert_eq!(replan, plan, "replan after recovery diverged from the executed plan");
 
-        Some(
-            by_bucket
-                .into_iter()
-                .map(|o| o.expect("every reduce bucket produced a result"))
-                .collect(),
-        )
-    }
-
-    /// Fold every routed bucket result into the job's evaluator (ascending
-    /// bucket order — deterministic; the adaptive path has no meaningful
-    /// per-partition completion order once tasks span buckets).
-    fn fold_buckets(&self, by_bucket: &[Option<AnyMsg>]) {
-        let obs = self.sched.obs();
-        for (bucket, res) in by_bucket.iter().enumerate() {
-            if let Some(r) = res {
-                self.state.observe(bucket, r, &obs);
-            }
-        }
+        by_bucket.into_iter().map(|o| o.expect("every reduce bucket produced a result")).collect()
     }
 
     /// Drive one stage through as many attempts as it takes. `runners` holds
-    /// the stage's task for every partition, `parts` the partitions to run;
-    /// with `fold` set, result partitions stream into the job's evaluator in
-    /// completion order. Successful outputs accumulate across attempts;
-    /// `FetchFailed` partitions (and map outputs stranded on an executor
-    /// quarantined mid-recovery) are resubmitted until every partition has a
-    /// good output.
+    /// the stage's task for every partition, `parts` the partitions to run.
+    /// Successful outputs accumulate across attempts; `FetchFailed`
+    /// partitions (and map outputs stranded on an executor quarantined
+    /// mid-recovery) are resubmitted until every partition has a good output.
     fn run_to_completion(
         &mut self,
         name: String,
         runners: &[Arc<dyn TaskRunner>],
         parts: Vec<usize>,
-        fold: bool,
     ) -> Vec<(usize, TaskOutput)> {
         let all_parts = parts.clone();
         let mut needed = parts;
         let mut collected: Vec<(usize, TaskOutput)> = Vec::new();
         let mut attempt = 0u32;
         loop {
-            let (sm, done, failures) = self.run_attempt(&name, runners, &needed, attempt, fold);
+            let (sm, done, failures) = self.run_attempt(&name, runners, &needed, attempt);
             self.stages.push(sm);
             collected.extend(done);
-            // Deadline expiry aborts mid-attempt: hand back whatever
-            // completed — no recovery, no resubmission, no further stages.
-            // Lost partitions (including a quarantined executor's) simply
-            // stay unseen by the evaluator.
-            if self.expired || failures.is_empty() {
+            if failures.is_empty() {
                 collected.sort_by_key(|(p, _)| *p);
                 return collected;
             }
@@ -369,23 +300,17 @@ impl JobEngine<'_> {
         }
     }
 
-    /// The deadline this job's waits still honour.
-    fn deadline(&self) -> Option<u64> {
-        self.state.deadline_ns.filter(|_| !self.expired)
-    }
-
     /// Run one attempt of a stage over `parts`: dispatch, then consume task
-    /// completions until every partition reported exactly once. Each wait is
-    /// bounded by the job's deadline and, with speculation enabled, by the
-    /// next speculation tick, which re-launches stragglers. Returns the
-    /// attempt's metrics, its successful outputs, and any fetch failures.
+    /// completions until every partition reported exactly once. With
+    /// speculation enabled each wait is bounded by the next speculation
+    /// tick, which re-launches stragglers. Returns the attempt's metrics, its
+    /// successful outputs, and any fetch failures.
     fn run_attempt(
         &mut self,
         name: &str,
         runners: &[Arc<dyn TaskRunner>],
         parts: &[usize],
         attempt: u32,
-        fold: bool,
     ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailed>) {
         let sched = self.sched;
         let obs = sched.obs();
@@ -419,33 +344,15 @@ impl JobEngine<'_> {
         let mut next_tick = start_ns + INTERVAL_NS;
 
         while done < n {
-            let tick = speculation.then_some(next_tick);
-            let received = match tick.into_iter().chain(self.deadline()).min() {
-                Some(until) => sched.completions.recv_deadline(until),
-                None => sched.completions.recv(),
+            let received = if speculation {
+                sched.completions.recv_deadline(next_tick)
+            } else {
+                sched.completions.recv()
             };
-            let now = simt::now();
-            if self.deadline().is_some_and(|d| now >= d) {
-                self.expired = true;
-                obs.registry().counter(obs::keys::SPARK_PARTIAL_DEADLINES_FIRED).inc();
-                obs.event(
-                    "spark.job.deadline",
-                    obs::kv! {
-                        "job_id" => self.job_id,
-                        "stage" => name,
-                        "stage_done" => done,
-                        "stage_tasks" => n,
-                    },
-                );
-                // Abort the attempt: in-flight tasks keep running on the
-                // executors, but their completions carry this attempt's
-                // stage_seq and are dropped as stale by whatever loop drains
-                // them next.
-                break;
-            }
             let fin = match received {
                 Ok(fin) => fin,
                 Err(RecvError::Timeout) => {
+                    let now = simt::now();
                     att.speculate(&stats, now, &obs);
                     next_tick = now.max(next_tick) + INTERVAL_NS;
                     continue;
@@ -471,15 +378,7 @@ impl JobEngine<'_> {
             let output = fin.output.lock().take().expect("output taken once");
             match output {
                 TaskOutput::FetchFailed(failed) => failures.push(failed),
-                other => {
-                    // The fold seam: result partitions stream into the job's
-                    // evaluator in completion order. (Adaptive stages fold at
-                    // bucket routing instead — task ≠ partition.)
-                    if let (true, TaskOutput::Result(r)) = (fold, &other) {
-                        self.state.observe(fin.part, r, &obs);
-                    }
-                    outputs.push((fin.part, other));
-                }
+                other => outputs.push((fin.part, other)),
             }
         }
         (

@@ -326,8 +326,8 @@ impl BlockTransferService for NettyBlockTransferService {
 
     fn close(&self) {
         // Snapshot under the lock, close outside it: `close()` blocks on the
-        // virtual clock to ship the FIN frame, and an expired job's in-flight
-        // reduce tasks still fetch through this cache during teardown.
+        // virtual clock to ship the FIN frame, and a speculative straggler
+        // reduce task still fetches through this cache during teardown.
         let clients: Vec<TransportClient> =
             std::mem::take(&mut *self.clients.lock()).into_values().collect();
         for c in clients {

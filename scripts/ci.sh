@@ -65,10 +65,10 @@ fi
 echo "==> chaos smoke (randomized seed: CHAOS_SEED=$CHAOS_SEED)"
 CHAOS_SEED="$CHAOS_SEED" "$CARGO" test -q --release -p sparklet --test chaos_tests "$@" -- --ignored
 
-# The ledger gate: every suite (figures, ablations, and the recovery / AQE /
-# partial benches, each asserting its own contracts) at small scale
-# must regenerate the committed small-scale records byte for byte. The ledger
-# holds only deterministic columns, so a difference is a behaviour change:
+# The ledger gate: every suite (figures, ablations, and the recovery / AQE
+# benches, each asserting its own contracts) at small scale must regenerate
+# the committed small-scale records byte for byte. The ledger holds only
+# deterministic columns, so a difference is a behaviour change:
 # explain it and re-record (README "Regenerating the paper's figures").
 echo "==> ledger (repro all --scale small, cmp against results/ledger.json)"
 "$CARGO" run -q --release -p mpi4spark-bench "$@" -- all --scale small > "$CI_TMP/ledger.json"
@@ -81,10 +81,10 @@ cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
 }
 
 # The suites that run in seconds at full scale are gated at that scale too
-# (95 records): the figure cells at paper size, the recovery / AQE / partial
-# benches, the traced cell with its engine counters, and the real-data cell.
+# (74 records): the figure cells at paper size, the recovery / AQE benches,
+# the traced cell with its engine counters, and the real-data cell.
 # The slow figure suites (fig09–fig12, ablation-batching) stay a manual gate.
-FAST_FULL="fig08 table4 recovery aqe partial traced realdata"
+FAST_FULL="fig08 table4 recovery aqe traced realdata"
 echo "==> ledger (repro $FAST_FULL --scale full, cmp against results/ledger.json)"
 # shellcheck disable=SC2086 # the suite list is split on purpose
 "$CARGO" run -q --release -p mpi4spark-bench "$@" -- $FAST_FULL --scale full > "$CI_TMP/ledger-full.json"
