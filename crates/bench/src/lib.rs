@@ -161,6 +161,9 @@ impl Args {
             s.idle,
             s.unmapped
         ));
+        let census = workloads::spawn_census();
+        let top: Vec<String> = census.iter().take(5).map(|(p, n)| format!("{p} {n}")).collect();
+        run.note(&format!("green threads spawned by name, largest first: {}", top.join(", ")));
         run.records
     }
 }

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use fabric::Payload;
 use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
-    OutboundAction, OutboundHandler, Transport, WeakEndpoint, WireEvent,
+    OutboundAction, OutboundHandler, Then, Transport, WeakEndpoint, WireEvent,
 };
 use simt::sync::Mutex;
 
@@ -222,13 +222,18 @@ struct OptOutbound {
 }
 
 impl OutboundHandler for OptOutbound {
-    fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message) -> OutboundAction {
+    fn on_write(
+        &self,
+        chan: &Arc<ChannelCore>,
+        msg: Message,
+        then: Option<Then>,
+    ) -> OutboundAction {
         if !diverts_body(msg.type_id()) {
-            return OutboundAction::Forward(msg);
+            return OutboundAction::Forward(msg, then);
         }
         let peer = chan.peer_handshake;
         let Some(peer_rank) = peer.mpi_rank else {
-            return OutboundAction::Forward(msg);
+            return OutboundAction::Forward(msg, then);
         };
         let header = msg.encode_header();
         let key = Message::peek_body_key(&header).expect("a shuffle body has a content key");
@@ -236,12 +241,22 @@ impl OutboundHandler for OptOutbound {
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let body_virtual = body.virtual_len;
         let (comm, dest) = self.ctx.route(peer_rank, peer.comm);
-        comm.send(dest, tag, body).expect("MPI body send");
         // Header-only frame on the socket path (Fig. 6: header carries the
         // type and body size the receiver needs to post its MPI_Recv).
         let header_len = header.len() as u64;
-        let frame = Frame { header, body: Payload::empty() };
-        chan.send_event(WireEvent::Data { channel: chan.id, frame }, header_len);
+        let frame =
+            WireEvent::Data { channel: chan.id, frame: Frame { header, body: Payload::empty() } };
+        match then {
+            None => {
+                comm.send(dest, tag, body).expect("MPI body send");
+                chan.send_event(frame, header_len);
+            }
+            Some(then) => {
+                let chan = chan.clone();
+                let header_sent = move || chan.send_event_then(frame, header_len, then);
+                comm.send_then(dest, tag, body, header_sent).expect("MPI body send");
+            }
+        }
         OutboundAction::Sent { virtual_bytes: header_len + body_virtual }
     }
 }
@@ -428,20 +443,25 @@ struct BasicOutbound {
 }
 
 impl OutboundHandler for BasicOutbound {
-    fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message) -> OutboundAction {
+    fn on_write(
+        &self,
+        chan: &Arc<ChannelCore>,
+        msg: Message,
+        then: Option<Then>,
+    ) -> OutboundAction {
         let peer = chan.peer_handshake;
         let (Some(peer_rank), Some(ctx)) = (peer.mpi_rank, self.ctx.upgrade()) else {
-            return OutboundAction::Forward(msg);
+            return OutboundAction::Forward(msg, then);
         };
         let header = msg.encode_header();
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let total = header.len() as u64 + body.virtual_len;
         let (comm, dest) = ctx.route(peer_rank, peer.comm);
-        comm.send(
-            dest,
-            BASIC_TAG,
-            Payload::control(BasicMsg { channel: chan.id, header, body }, total),
-        )
+        let envelope = Payload::control(BasicMsg { channel: chan.id, header, body }, total);
+        match then {
+            None => comm.send(dest, BASIC_TAG, envelope),
+            Some(then) => comm.send_then(dest, BASIC_TAG, envelope, then),
+        }
         .expect("MPI send");
         OutboundAction::Sent { virtual_bytes: total }
     }

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use simt::cpu::Done;
 use simt::queue::{Queue, RecvError};
 use simt::sync::Mutex;
 use simt::Cpu;
@@ -243,11 +244,49 @@ impl Net {
         to: PortAddr,
         payload: Payload,
     ) -> u64 {
-        let n = payload.virtual_len;
-        let loopback = StackModel::loopback();
-        let eff_stack = if from_node == to.node { &loopback } else { stack };
+        let stack = Self::effective(stack, from_node, to);
+        self.inner.nodes[from_node].cpu.execute(stack.send_cpu_ns(payload.virtual_len));
+        self.book(&stack, from_node, to, payload)
+    }
 
-        self.inner.nodes[from_node].cpu.execute(eff_stack.send_cpu_ns(n));
+    /// [`send`](Net::send) without parking: the CPU charge ends in a
+    /// continuation that books the message and then runs `then`.
+    pub fn send_then(
+        &self,
+        stack: &StackModel,
+        from_node: NodeId,
+        to: PortAddr,
+        payload: Payload,
+        then: impl FnOnce() + Send + 'static,
+    ) {
+        let stack = Self::effective(stack, from_node, to);
+        let (net, work_ns) = (self.clone(), stack.send_cpu_ns(payload.virtual_len));
+        let booked = move || {
+            net.book(&stack, from_node, to, payload);
+            then();
+        };
+        self.inner.nodes[from_node].cpu.submit(work_ns, Done::Call(Box::new(booked)));
+    }
+
+    /// The stack a message takes: loopback between two ports of one node.
+    fn effective(stack: &StackModel, from_node: NodeId, to: PortAddr) -> StackModel {
+        if from_node == to.node {
+            StackModel::loopback()
+        } else {
+            *stack
+        }
+    }
+
+    /// The half of a send after its CPU charge: the fault plan's verdict, the
+    /// link bookings and the delivery event. Returns the delivery time.
+    fn book(
+        &self,
+        eff_stack: &StackModel,
+        from_node: NodeId,
+        to: PortAddr,
+        payload: Payload,
+    ) -> u64 {
+        let n = payload.virtual_len;
         let now = simt::now();
 
         // Fault injection: the plan rules on every message at its send

@@ -17,7 +17,7 @@ use simt::sync::Mutex;
 
 use crate::error::NetzError;
 use crate::message::Message;
-use crate::pipeline::{OutboundAction, Pipeline};
+use crate::pipeline::{OutboundAction, Pipeline, Then};
 use crate::wire::{Frame, Handshake, WireEvent, CONTROL_EVENT_BYTES};
 
 /// Globally unique channel identifier (Netty's `ChannelId`).
@@ -173,12 +173,23 @@ impl ChannelCore {
     /// or by a transport handler re-encoding inside `on_write` — carries
     /// the id for the receiver to link against.
     pub fn write(self: &Arc<Self>, msg: Message) {
+        self.write_with(msg, None);
+    }
+
+    /// [`write`](ChannelCore::write) without parking: the pipeline's sends
+    /// take their `_then` forms, and `then` runs once the last is booked (at
+    /// once on a closed channel). The span ends there too.
+    pub fn write_then(self: &Arc<Self>, msg: Message, then: impl FnOnce() + Send + 'static) {
+        self.write_with(msg, Some(Box::new(then)));
+    }
+
+    fn write_with(self: &Arc<Self>, msg: Message, then: Option<Then>) {
         if !self.is_open() {
-            return;
+            return then.map_or((), |then| then());
         }
         self.stats.msgs_sent.inc();
         let obs = self.net.obs();
-        let span = obs.is_traced().then(|| {
+        let mut span = obs.is_traced().then(|| {
             obs.span(
                 "netz.msg.send",
                 obs::kv! {"type" => format!("{:?}", msg.type_id()),
@@ -186,11 +197,18 @@ impl ChannelCore {
             )
         });
         let _scope = span.as_ref().map(Span::send_scope);
+        let mut then = then.map(|then| -> Then {
+            let span = span.take().map(Span::detach);
+            Box::new(move || {
+                drop(span);
+                then();
+            })
+        });
         let outbound = self.pipeline.lock().outbound_handlers();
         let mut current = msg;
         for handler in outbound {
-            match handler.on_write(self, current) {
-                OutboundAction::Forward(m) => current = m,
+            match handler.on_write(self, current, then) {
+                OutboundAction::Forward(m, t) => (current, then) = (m, t),
                 OutboundAction::Sent { virtual_bytes } => {
                     self.stats.bytes_sent.add(virtual_bytes);
                     return;
@@ -202,7 +220,11 @@ impl ChannelCore {
         let frame = Frame { header, body };
         let virtual_len = frame.socket_virtual_len();
         self.stats.bytes_sent.add(virtual_len);
-        self.send_event(WireEvent::Data { channel: self.id, frame }, virtual_len);
+        let ev = WireEvent::Data { channel: self.id, frame };
+        match then {
+            None => self.send_event(ev, virtual_len),
+            Some(then) => self.send_event_then(ev, virtual_len, then),
+        }
     }
 
     /// Book a received message against the shared traffic counters (called
@@ -220,6 +242,18 @@ impl ChannelCore {
             self.remote_port,
             Payload::control(ev, virtual_len),
         );
+    }
+
+    /// [`send_event`](ChannelCore::send_event) without parking (see
+    /// [`fabric::Net::send_then`]).
+    pub fn send_event_then(
+        &self,
+        ev: WireEvent,
+        virtual_len: u64,
+        then: impl FnOnce() + Send + 'static,
+    ) {
+        let payload = Payload::control(ev, virtual_len);
+        self.net.send_then(&self.stack, self.local_node, self.remote_port, payload, then);
     }
 
     /// Register a callback for an RPC response.

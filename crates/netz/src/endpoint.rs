@@ -144,20 +144,52 @@ impl Endpoint {
 
     /// Open a channel to a remote endpoint and wrap it in a client.
     pub fn connect(&self, remote: PortAddr) -> Result<TransportClient, NetzError> {
+        let (id, cell, request) = self.post_connect();
+        self.inner.net.send(&self.inner.conf.stack, self.inner.node, remote, request);
+        self.connected(id, remote, cell.take_timeout(self.inner.conf.connect_timeout_ns))
+    }
+
+    /// [`connect`](Endpoint::connect) without parking: `then` gets the
+    /// client, or the failure, on the engine.
+    pub fn connect_then(
+        &self,
+        remote: PortAddr,
+        then: impl FnOnce(Result<TransportClient, NetzError>) + Send + 'static,
+    ) {
+        let (id, cell, request) = self.post_connect();
+        let (ep, timeout) = (self.clone(), self.inner.conf.connect_timeout_ns);
+        self.inner.net.send_then(
+            &self.inner.conf.stack,
+            self.inner.node,
+            remote,
+            request,
+            move || {
+                cell.take_timeout_then(timeout, move |r| then(ep.connected(id, remote, r)));
+            },
+        );
+    }
+
+    /// A fresh channel id, the cell its accept lands in, and the `Connect`
+    /// request to send for it.
+    fn post_connect(&self) -> (ChannelId, OnceCell<Result<Arc<ChannelCore>, NetzError>>, Payload) {
         let id = ChannelId::fresh();
         let cell: OnceCell<Result<Arc<ChannelCore>, NetzError>> = OnceCell::new();
         self.inner.pending_connects.lock().insert(id, cell.clone());
         let hs = self.inner.transport.handshake(self.inner.node);
-        self.inner.net.send(
-            &self.inner.conf.stack,
-            self.inner.node,
-            remote,
-            Payload::control(
-                WireEvent::Connect { channel: id, reply_to: self.inner.data_addr, handshake: hs },
-                CONTROL_EVENT_BYTES,
-            ),
+        let request = Payload::control(
+            WireEvent::Connect { channel: id, reply_to: self.inner.data_addr, handshake: hs },
+            CONTROL_EVENT_BYTES,
         );
-        let result = cell.take_timeout(self.inner.conf.connect_timeout_ns);
+        (id, cell, request)
+    }
+
+    /// What a connect's wait ended with, as a client.
+    fn connected(
+        &self,
+        id: ChannelId,
+        remote: PortAddr,
+        result: Option<Result<Arc<ChannelCore>, NetzError>>,
+    ) -> Result<TransportClient, NetzError> {
         self.inner.pending_connects.lock().remove(&id);
         match result {
             Some(Ok(chan)) => Ok(TransportClient::new(chan, self.inner.conf)),

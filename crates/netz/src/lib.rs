@@ -45,7 +45,9 @@ pub use context::{NoOpRpcHandler, RpcHandler, StreamManager, TransportConf, Tran
 pub use endpoint::{Endpoint, WeakEndpoint};
 pub use error::NetzError;
 pub use message::Message;
-pub use pipeline::{InboundAction, InboundHandler, OutboundAction, OutboundHandler, Pipeline};
+pub use pipeline::{
+    InboundAction, InboundHandler, OutboundAction, OutboundHandler, Pipeline, Then,
+};
 pub use retry::RetryPolicy;
 pub use transport::{NioTransport, Transport};
 pub use wire::{CommKind, Frame, Handshake, WireEvent};

@@ -23,12 +23,17 @@ pub enum InboundAction {
     Consume,
 }
 
+/// What a write that must not park runs once its sends are booked (see
+/// [`ChannelCore::write_then`]).
+pub type Then = Box<dyn FnOnce() + Send>;
+
 /// Result of an outbound handler examining a message write.
 pub enum OutboundAction {
     /// Pass a (possibly rewritten) message down the chain / to the default
-    /// socket encoder.
-    Forward(Message),
-    /// Handler transmitted the message itself; report bytes for metrics.
+    /// socket encoder, with the continuation the handler was given.
+    Forward(Message, Option<Then>),
+    /// Handler transmits the message itself (its sends are done, or in
+    /// flight toward `then`); report bytes for metrics.
     Sent {
         /// Virtual bytes the handler moved (all paths combined).
         virtual_bytes: u64,
@@ -43,8 +48,12 @@ pub trait InboundHandler: Send + Sync {
 
 /// Outbound (write-path) channel handler.
 pub trait OutboundHandler: Send + Sync {
-    /// Inspect/transform an outbound message.
-    fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message) -> OutboundAction;
+    /// Inspect/transform an outbound message. A handler that transmits it
+    /// itself sends with blocking calls when `then` is `None`
+    /// ([`ChannelCore::write`]); otherwise it must not park: it sends with
+    /// the `_then` forms and runs `then` when the last send is booked.
+    fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message, then: Option<Then>)
+        -> OutboundAction;
 }
 
 /// An ordered set of named handlers attached to one channel.
@@ -103,7 +112,7 @@ mod tests {
     }
     struct Drop_;
     impl OutboundHandler for Drop_ {
-        fn on_write(&self, _c: &Arc<ChannelCore>, _m: Message) -> OutboundAction {
+        fn on_write(&self, _c: &Arc<ChannelCore>, _m: Message, _t: Option<Then>) -> OutboundAction {
             OutboundAction::Sent { virtual_bytes: 0 }
         }
     }
@@ -123,8 +132,8 @@ mod tests {
     fn actions_carry_payloads() {
         // Type-level smoke test that actions hold what dispatch expects.
         let m = Message::OneWayMessage { body: Payload::empty() };
-        match OutboundAction::Forward(m) {
-            OutboundAction::Forward(Message::OneWayMessage { .. }) => {}
+        match OutboundAction::Forward(m, None) {
+            OutboundAction::Forward(Message::OneWayMessage { .. }, None) => {}
             _ => panic!("wrong variant"),
         }
     }

@@ -270,6 +270,16 @@ impl Span {
         }
     }
 
+    /// Take this span off the calling thread's stack of open spans and keep
+    /// it open: it ends when it drops, wherever that is (a continuation on
+    /// the engine, say), and spans opened from now on do not nest in it.
+    pub fn detach(self) -> Span {
+        if let Some(ctx) = &self.ctx {
+            simt::with_local(|t: &mut SpanContext| t.stack.retain(|&id| id != ctx.id));
+        }
+        self
+    }
+
     /// Enter this span as the thread's send scope (see
     /// [`current_send_span`]); the scope lasts until the returned guard
     /// drops.

@@ -86,19 +86,37 @@ impl Comm {
     /// Returns once the send-side software cost is paid — the message is
     /// buffered by the fabric, matching an eager/buffered-mode MPI send.
     pub fn send(&self, dest: u32, tag: u64, payload: Payload) -> Result<(), MpiError> {
-        let info = self.info();
-        let dest_proc = info.resolve_dest(self.proc, dest)?;
-        let me = self.me();
+        let (node, mailbox, msg) = self.envelope(dest, tag, payload)?;
+        self.uni.state.net.send(&self.uni.state.stack, node, mailbox, msg);
+        Ok(())
+    }
+
+    /// [`send`](Comm::send) without parking: `then` runs once the send-side
+    /// cost is paid (see [`fabric::Net::send_then`]).
+    pub fn send_then(
+        &self,
+        dest: u32,
+        tag: u64,
+        payload: Payload,
+        then: impl FnOnce() + Send + 'static,
+    ) -> Result<(), MpiError> {
+        let (node, mailbox, msg) = self.envelope(dest, tag, payload)?;
+        self.uni.state.net.send_then(&self.uni.state.stack, node, mailbox, msg, then);
+        Ok(())
+    }
+
+    /// The sending node, the destination's mailbox and the message itself.
+    fn envelope(
+        &self,
+        dest: u32,
+        tag: u64,
+        payload: Payload,
+    ) -> Result<(fabric::NodeId, fabric::PortAddr, Payload), MpiError> {
+        let dest_proc = self.info().resolve_dest(self.proc, dest)?;
         let target = self.proc_state(dest_proc);
         let virtual_len = payload.virtual_len;
         let msg = MpiMsg { comm: self.comm, src_rank: self.rank(), tag, payload };
-        self.uni.state.net.send(
-            &self.uni.state.stack,
-            me.node,
-            target.mailbox,
-            Payload::control(msg, virtual_len),
-        );
-        Ok(())
+        Ok((self.me().node, target.mailbox, Payload::control(msg, virtual_len)))
     }
 
     /// Nonblocking send. With the fabric's buffered semantics it completes

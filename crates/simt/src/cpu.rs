@@ -1,9 +1,10 @@
 //! Processor-sharing CPU model for simulated nodes.
 //!
 //! Each node owns a [`Cpu`] with `cores` hardware threads. Green threads
-//! charge compute work via [`Cpu::execute`]; when more jobs are active than
-//! cores, every job's service rate degrades proportionally (egalitarian
-//! processor sharing — a good first-order model of a loaded Spark worker).
+//! charge compute work via [`Cpu::execute`] (continuations: [`Cpu::submit`]);
+//! when more jobs are active than cores, every job's service rate degrades
+//! proportionally (egalitarian processor sharing — a good first-order model
+//! of a loaded Spark worker).
 //!
 //! A *background load* models spinning threads that consume core time without
 //! ever finishing — exactly what MPI4Spark-Basic's non-blocking
@@ -22,6 +23,15 @@ use crate::sync::Mutex;
 
 /// Completion threshold for floating-point work accounting (nanoseconds).
 const EPS: f64 = 1e-3;
+
+/// How a job on a [`Cpu`] ends.
+pub enum Done {
+    /// Wake the green thread parked on the token ([`Cpu::execute`]).
+    Wake(WaitToken),
+    /// Run a continuation on the engine, under the `(time, seq)` the wake
+    /// would have taken. It must not park.
+    Call(Box<dyn FnOnce() + Send>),
+}
 
 struct Job {
     /// The lowest slot free when the job arrived. Jobs that finish in one
@@ -94,21 +104,8 @@ impl Cpu {
         if work_ns == 0 {
             return;
         }
-        let ticket = {
-            let mut s = self.state.lock();
-            s.handle.get_or_insert_with(|| EngineHandle::register(&self.state));
-            let now = crate::now();
-            Self::advance(&mut s, now);
-            let ticket = s.next_ticket;
-            s.next_ticket += 1;
-            // The first position whose job holds a higher slot is the lowest free slot.
-            let slot = s.jobs.iter().enumerate().position(|(i, j)| j.slot != i);
-            let slot = slot.unwrap_or(s.jobs.len());
-            let job = Job { slot, ticket, remaining: work_ns as f64, token: wait_token() };
-            s.jobs.insert(slot, job);
-            Self::reschedule(&mut s, now);
-            ticket
-        };
+        let ticket = self.state.lock().next_ticket; // the one `submit` hands out
+        self.submit(work_ns, Done::Wake(wait_token()));
         loop {
             crate::engine::park();
             let mut s = self.state.lock();
@@ -118,6 +115,27 @@ impl Cpu {
                 Some(job) => job.token = wait_token(),
             }
         }
+    }
+
+    /// Charge `work_ns` like [`execute`](Cpu::execute), but end the job with
+    /// `done` instead of parking. A `Call` for no work runs at once.
+    pub fn submit(&self, work_ns: u64, done: Done) {
+        let token = match done {
+            Done::Call(f) if work_ns == 0 => return f(),
+            Done::Call(f) => WaitToken::step(f),
+            Done::Wake(token) => token,
+        };
+        let mut s = self.state.lock();
+        s.handle.get_or_insert_with(|| EngineHandle::register(&self.state));
+        let now = crate::now();
+        Self::advance(&mut s, now);
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        // The first position whose job holds a higher slot is the lowest free slot.
+        let slot = s.jobs.iter().enumerate().position(|(i, j)| j.slot != i);
+        let slot = slot.unwrap_or(s.jobs.len());
+        s.jobs.insert(slot, Job { slot, ticket, remaining: work_ns as f64, token });
+        Self::reschedule(&mut s, now);
     }
 
     /// Add (or remove, with a negative delta) always-on background load,
@@ -326,6 +344,29 @@ mod tests {
     }
 
     #[test]
+    fn a_submitted_job_takes_the_events_an_executing_thread_takes() {
+        // One job parks its thread, the other ends in a continuation: both
+        // finish at 2 µs, and each completion is one popped event.
+        let sim = Sim::new();
+        let cpu = Cpu::new(1);
+        let (cpu2, log) = (cpu.clone(), Arc::new(Mutex::new(Vec::new())));
+        let (log2, log3) = (log.clone(), log.clone());
+        sim.spawn("parked", move || {
+            cpu.execute(1_000);
+            log2.lock().push(("parked", crate::now()));
+        });
+        sim.spawn("submitting", move || {
+            let done = move || log3.lock().push(("called", crate::now()));
+            cpu2.submit(1_000, Done::Call(Box::new(done)));
+            cpu2.submit(0, Done::Call(Box::new(|| assert_eq!(crate::now(), 0))));
+        });
+        sim.run().unwrap().assert_clean();
+        assert_eq!(*log.lock(), [("parked", 2_000), ("called", 2_000)]);
+        let st = sim.stats();
+        assert_eq!((st.wakes, st.calls, st.events_popped), (3, 2, 5));
+    }
+
+    #[test]
     fn state_is_freed_after_the_sim_and_the_cpu_are_dropped() {
         // `run` gives up on a panic with the computing job's tick still
         // armed. The engine holds that tick weakly, so the CPU's state, which
@@ -513,10 +554,11 @@ mod tests {
         }
     }
 
-    /// What the equivalence test drives: both models' public surface.
+    /// What the equivalence test drives: the models' public surface. A job
+    /// charges its work, then runs `done`.
     trait Model: Clone + Send + 'static {
         fn build(cores: u32, threads_per_core: u32) -> Self;
-        fn execute(&self, work_ns: u64);
+        fn charge(&self, work_ns: u64, done: Box<dyn FnOnce() + Send>);
         fn add_background_load(&self, delta: f64);
     }
 
@@ -524,11 +566,28 @@ mod tests {
         fn build(cores: u32, threads_per_core: u32) -> Self {
             Cpu::with_hyperthreading(cores, threads_per_core)
         }
-        fn execute(&self, work_ns: u64) {
+        fn charge(&self, work_ns: u64, done: Box<dyn FnOnce() + Send>) {
             Cpu::execute(self, work_ns);
+            done();
         }
         fn add_background_load(&self, delta: f64) {
             Cpu::add_background_load(self, delta);
+        }
+    }
+
+    /// The same CPU, its jobs ending in a `Done::Call` instead of a wake.
+    #[derive(Clone)]
+    struct Submitted(Cpu);
+
+    impl Model for Submitted {
+        fn build(cores: u32, threads_per_core: u32) -> Self {
+            Submitted(Cpu::with_hyperthreading(cores, threads_per_core))
+        }
+        fn charge(&self, work_ns: u64, done: Box<dyn FnOnce() + Send>) {
+            self.0.submit(work_ns, Done::Call(done));
+        }
+        fn add_background_load(&self, delta: f64) {
+            self.0.add_background_load(delta);
         }
     }
 
@@ -536,8 +595,9 @@ mod tests {
         fn build(cores: u32, threads_per_core: u32) -> Self {
             oracle::Cpu::with_hyperthreading(cores, threads_per_core)
         }
-        fn execute(&self, work_ns: u64) {
+        fn charge(&self, work_ns: u64, done: Box<dyn FnOnce() + Send>) {
             oracle::Cpu::execute(self, work_ns);
+            done();
         }
         fn add_background_load(&self, delta: f64) {
             oracle::Cpu::add_background_load(self, delta);
@@ -587,7 +647,8 @@ mod tests {
         Case { cores, threads_per_core: rng.next_range(1, 3) as u32, jobs, load }
     }
 
-    /// `(job, completion time)` in the order the jobs' threads woke.
+    /// `(job, completion time)` in the order the jobs' threads woke (or
+    /// their continuations ran).
     fn wake_log<M: Model>(case: &Case) -> Vec<(usize, u64)> {
         let sim = Sim::new();
         let cpu = M::build(case.cores, case.threads_per_core);
@@ -596,8 +657,7 @@ mod tests {
             let (cpu, log) = (cpu.clone(), log.clone());
             sim.spawn(format!("job{i}"), move || {
                 crate::sleep(at);
-                cpu.execute(work);
-                log.lock().push((i, crate::now()));
+                cpu.charge(work, Box::new(move || log.lock().push((i, crate::now()))));
             });
         }
         for (i, &(at, delta)) in case.load.iter().enumerate() {
@@ -622,7 +682,8 @@ mod tests {
         crate::for_each_case(300, |rng| {
             let case = draw(rng);
             let want = wake_log::<oracle::Cpu>(&case);
-            assert_eq!(wake_log::<Cpu>(&case), want);
+            assert_eq!(wake_log::<Cpu>(&case), want, "Done::Wake completions");
+            assert_eq!(wake_log::<Submitted>(&case), want, "Done::Call completions");
             let called = |i: usize| (case.jobs[i].0, i);
             inversions += want
                 .windows(2)

@@ -16,7 +16,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic;
 use std::sync::{Arc, Weak};
 
@@ -149,6 +149,8 @@ struct State {
     threads: Vec<ThreadSlot>,
     live: u64,
     stats: SimStats,
+    /// See [`Sim::spawn_census`].
+    census: BTreeMap<String, u64>,
     panic_payload: Option<Payload>,
     shutting_down: bool,
 }
@@ -238,10 +240,13 @@ pub trait TaskObserver: Send + Sync {
 }
 
 thread_local! {
-    /// The green thread running on this OS thread; `None` on the engine's own
-    /// stack and outside `Sim::run`.
+    /// The green thread running on this OS thread ([`ENGINE`] while a `Call`
+    /// runs); `None` on the engine's own stack and outside `Sim::run`.
     static CURRENT: RefCell<Option<(Arc<Inner>, TaskId)>> = const { RefCell::new(None) };
 }
+
+/// What a continuation runs as: the engine, which has no thread to park.
+pub(crate) const ENGINE: TaskId = TaskId(usize::MAX);
 
 // Never inlined, so that a green thread resumed by another OS thread than the
 // one it parked on reads that thread's cell (see `coro::active`).
@@ -250,10 +255,33 @@ pub(crate) fn current_handle() -> Option<(Arc<Inner>, TaskId)> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// Run `f` with the caller's simulation and task ([`ENGINE`] in a continuation).
 pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
     let (inner, tid) =
         current_handle().expect("simt: called a simulation primitive outside a green thread");
     f(&inner, tid)
+}
+
+/// [`with_current`] for what only a green thread may do: park.
+pub(crate) fn with_thread<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
+    with_current(|inner, tid| {
+        let msg = "simt: a continuation cannot park; it chains its next step with \
+                   `Cpu::submit` or `call_at`";
+        assert_ne!(tid, ENGINE, "{msg}");
+        f(inner, tid)
+    })
+}
+
+/// Set while a `Call` runs: [`CURRENT`] is the engine, unless a green thread
+/// of an outer simulation already is. Dropping it (a panic included) clears it.
+struct OnEngine(bool);
+
+impl Drop for OnEngine {
+    fn drop(&mut self) {
+        if self.0 {
+            CURRENT.with(RefCell::take);
+        }
+    }
 }
 
 /// Calls `task_finished` when the green thread's body returns or unwinds.
@@ -366,6 +394,9 @@ impl Inner {
         };
         let co = Coroutine::new(coro::STACK_SIZE, Box::new(body));
         let mut s = self.state.lock();
+        let prefix =
+            &name[..name.find(|c: char| c == ':' || c.is_ascii_digit()).unwrap_or(name.len())];
+        *s.census.entry(prefix.to_string()).or_default() += 1;
         let tid = TaskId(s.threads.len());
         s.threads.push(ThreadSlot {
             name,
@@ -521,6 +552,7 @@ impl Sim {
                     threads: Vec::new(),
                     live: 0,
                     stats: SimStats::default(),
+                    census: BTreeMap::new(),
                     panic_payload: None,
                     shutting_down: false,
                 }),
@@ -561,6 +593,12 @@ impl Sim {
         self.inner.state.lock().stats
     }
 
+    /// Green threads spawned so far per name prefix: the name up to its first
+    /// digit or `:` (`netz-loop:shuffle:executor-1` counts as `netz-loop`).
+    pub fn spawn_census(&self) -> BTreeMap<String, u64> {
+        self.inner.state.lock().census.clone()
+    }
+
     /// Run until no event is pending. Green-thread panics are re-raised
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
@@ -579,6 +617,10 @@ impl Sim {
                 EventKind::Call(f) => {
                     s.stats.calls += 1;
                     drop(s);
+                    let engine = Some((me.clone(), ENGINE));
+                    let _engine = OnEngine(
+                        CURRENT.with(|c| c.borrow().is_none() && c.replace(engine).is_none()),
+                    );
                     f();
                 }
                 EventKind::Tick(slot) => {
@@ -677,28 +719,48 @@ impl Drop for Sim {
 // `cpu` wakes one job's thread at a time and `sleep` is above.
 // ---------------------------------------------------------------------------
 
-/// A one-cycle wake target: the calling green thread at its current epoch.
+/// A one-cycle wake target: a green thread at its current epoch, or a
+/// continuation's next step, which the first of its wakes runs on the engine.
 ///
 /// Capture a token *before* publishing the fact that you are about to block,
-/// then call [`park`]. Any holder of the token can [`WaitToken::wake`] you
-/// exactly once; stale tokens are ignored.
+/// then park. Any holder of the token can wake you exactly once;
+/// stale tokens are ignored. Only `simt` makes tokens.
 #[derive(Clone)]
-pub(crate) struct WaitToken {
+pub struct WaitToken {
     inner: Arc<Inner>,
-    tid: TaskId,
-    epoch: u64,
+    target: Target,
+}
+
+#[derive(Clone)]
+enum Target {
+    Thread { tid: TaskId, epoch: u64 },
+    Step(Arc<RawMutex<Option<Box<dyn FnOnce() + Send>>>>),
 }
 
 impl WaitToken {
+    pub(crate) fn step(step: Box<dyn FnOnce() + Send>) -> WaitToken {
+        let target = Target::Step(Arc::new(RawMutex::new(Some(step))));
+        with_current(|inner, _| WaitToken { inner: inner.clone(), target })
+    }
+
     /// Wake the target at the current virtual time.
     pub(crate) fn wake(&self) {
-        let now = self.inner.now();
-        self.inner.schedule_wake(self.tid, self.epoch, now);
+        self.wake_at(self.inner.now());
     }
 
     /// Wake the target at absolute virtual time `at`.
     pub(crate) fn wake_at(&self, at: u64) {
-        self.inner.schedule_wake(self.tid, self.epoch, at);
+        match &self.target {
+            Target::Thread { tid, epoch } => self.inner.schedule_wake(*tid, *epoch, at),
+            Target::Step(step) => {
+                let step = step.clone();
+                let next = move || {
+                    let next = step.lock().take(); // not held while the step runs
+                    next.into_iter().for_each(|f| f());
+                };
+                self.inner.schedule_call(at, Box::new(next));
+            }
+        }
     }
 }
 
@@ -739,10 +801,9 @@ impl EngineHandle {
 
 /// Capture a wake token for the calling green thread's current block cycle.
 pub(crate) fn wait_token() -> WaitToken {
-    with_current(|inner, tid| WaitToken {
+    with_thread(|inner, tid| WaitToken {
         inner: inner.clone(),
-        tid,
-        epoch: inner.current_epoch(tid),
+        target: Target::Thread { tid, epoch: inner.current_epoch(tid) },
     })
 }
 
@@ -750,11 +811,11 @@ pub(crate) fn wait_token() -> WaitToken {
 /// fires. Always re-check your condition in a loop: wakes can be spurious
 /// when multiple notifiers race.
 pub(crate) fn park() {
-    with_current(|inner, tid| inner.block_current(tid));
+    with_thread(|inner, tid| inner.block_current(tid));
 }
 
 /// Run `f` on the engine's stack at absolute virtual time `at`. The closure
-/// must not block; it may schedule wakes and further calls.
+/// must not park; it may schedule wakes and further calls.
 pub fn call_at(at: u64, f: impl FnOnce() + Send + 'static) {
     with_current(|inner, _| inner.schedule_call(at, Box::new(f)));
 }
@@ -809,6 +870,37 @@ mod tests {
         let r = sim.run().unwrap();
         assert_eq!(r.now, 200);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "chains its next step with `Cpu::submit` or `call_at`")]
+    fn a_continuation_that_parks_panics_naming_the_continuation_forms() {
+        let sim = Sim::new();
+        sim.spawn("a", || call_at(5, || crate::sleep(1)));
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn a_continuation_reads_the_clock_schedules_and_spawns_as_the_engine() {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = log.clone();
+        sim.spawn("a", move || {
+            call_at(5, move || {
+                assert_eq!(
+                    (crate::current_task(), crate::current_name()),
+                    (TaskId(usize::MAX), "".into())
+                );
+                let l2 = l.clone();
+                call_at(crate::now() + 2, move || l2.lock().push(("call", crate::now())));
+                crate::spawn("child", move || l.lock().push(("child", crate::now())));
+            });
+        });
+        sim.run().unwrap().assert_clean();
+        assert_eq!(*log.lock(), [("child", 5), ("call", 7)]);
+        assert!(!crate::in_sim(), "the engine's mark is gone after the call");
+        let census: Vec<_> = sim.spawn_census().into_iter().collect();
+        assert_eq!(census, [("a".to_string(), 1), ("child".to_string(), 1)]);
     }
 
     #[test]

@@ -73,9 +73,9 @@ pub use local::with_local;
 pub use rng::{for_each_case, SeededRng};
 pub use time::{Duration, Instant};
 
-use engine::with_current;
+use engine::{with_current, with_thread, ENGINE};
 
-/// Current virtual time in nanoseconds. Panics outside a simulation thread.
+/// Current virtual time in nanoseconds. Panics outside a simulation.
 pub fn now() -> u64 {
     with_current(|inner, _| inner.now())
 }
@@ -84,7 +84,7 @@ pub fn now() -> u64 {
 ///
 /// Other runnable threads execute during the interval.
 pub fn sleep(ns: u64) {
-    with_current(|inner, tid| inner.sleep(tid, ns));
+    with_thread(|inner, tid| inner.sleep(tid, ns));
 }
 
 /// Yield to other threads runnable at the current virtual instant.
@@ -104,17 +104,17 @@ pub fn spawn_daemon(name: impl Into<String>, f: impl FnOnce() + Send + 'static) 
     with_current(|inner, _| inner.spawn_thread(name.into(), true, Box::new(f)))
 }
 
-/// Name of the calling green thread.
+/// Name of the calling green thread; empty in a continuation on the engine.
 pub fn current_name() -> String {
-    with_current(|inner, tid| inner.thread_name(tid))
+    with_current(|inner, tid| if tid == ENGINE { String::new() } else { inner.thread_name(tid) })
 }
 
-/// Task id of the calling green thread.
+/// Task id of the calling green thread (`TaskId(usize::MAX)` on the engine).
 pub fn current_task() -> TaskId {
     with_current(|_, tid| tid)
 }
 
-/// True when called from inside a simulation green thread.
+/// True on a green thread, or in a continuation on the engine.
 pub fn in_sim() -> bool {
     engine::current_handle().is_some()
 }

@@ -97,12 +97,27 @@ impl<T> Queue<T> {
     }
 
     fn recv_until(&self, deadline: Option<u64>) -> Result<T, RecvError> {
-        let ready = || {
-            let mut s = self.0.state.lock();
-            let item = s.items.pop_front();
-            item.map(Ok).or(s.closed.then_some(Err(RecvError::Closed)))
-        };
+        let ready = || Self::pop(&self.0);
         self.0.waiters.wait_until(deadline, ready).unwrap_or(Err(RecvError::Timeout))
+    }
+
+    /// [`recv_deadline`](Queue::recv_deadline) without parking.
+    pub fn recv_deadline_then(
+        &self,
+        deadline: u64,
+        then: impl FnOnce(Result<T, RecvError>) + Send + 'static,
+    ) where
+        T: Send + 'static,
+    {
+        let then = move |r: Option<_>| then(r.unwrap_or(Err(RecvError::Timeout)));
+        self.0.clone().wait_then(Some(deadline), Self::pop, then);
+    }
+
+    /// The next item, or `Closed` once the queue is closed and drained.
+    fn pop(shared: &Shared<QState<T>>) -> Option<Result<T, RecvError>> {
+        let mut s = shared.state.lock();
+        let item = s.items.pop_front();
+        item.map(Ok).or(s.closed.then_some(Err(RecvError::Closed)))
     }
 
     /// Blocking receive with a relative timeout in nanoseconds.
@@ -280,6 +295,61 @@ mod tests {
             assert_eq!(q.recv(), Err(RecvError::Closed));
         });
         sim.run().unwrap().assert_clean();
+    }
+
+    /// What a receiver saw, and when, for a thread (`cont == false`) or a
+    /// chain of continuations receiving the same items under one deadline
+    /// per receive, until the first receive that times out.
+    fn receive(cont: bool) -> (Vec<(Result<u32, RecvError>, u64)>, crate::SimStats) {
+        type Log = Arc<Mutex<Vec<(Result<u32, RecvError>, u64)>>>;
+        fn next(q: Queue<u32>, log: Log) {
+            q.clone().recv_deadline_then(crate::now() + 100, move |r| {
+                let more = r.is_ok();
+                log.lock().push((r, crate::now()));
+                if more {
+                    next(q, log);
+                }
+            });
+        }
+        let sim = Sim::new();
+        let (q, log): (Queue<u32>, Log) = Default::default();
+        let (q2, log2) = (q.clone(), log.clone());
+        sim.spawn("rx", move || {
+            if cont {
+                return next(q2, log2);
+            }
+            loop {
+                let r = q2.recv_deadline(crate::now() + 100);
+                let more = r.is_ok();
+                log2.lock().push((r, crate::now()));
+                if !more {
+                    break;
+                }
+            }
+        });
+        sim.spawn("tx", move || {
+            crate::sleep(10);
+            q.send(1);
+            q.send(2);
+            crate::sleep(50);
+            q.send(3);
+        });
+        sim.run().unwrap().assert_clean();
+        let log = log.lock().clone();
+        (log, sim.stats())
+    }
+
+    #[test]
+    fn a_continuation_receive_takes_the_events_of_a_parked_one() {
+        let (thread, parked) = receive(false);
+        let (chain, called) = receive(true);
+        let want = [(Ok(1), 10), (Ok(2), 10), (Ok(3), 60), (Err(RecvError::Timeout), 160)];
+        assert_eq!((thread, chain), (want.to_vec(), want.to_vec()));
+        // Each wake of the receiving thread, stale deadlines included, is one
+        // call of the chain at the same instant.
+        assert_eq!(parked.events_popped, called.events_popped);
+        assert_eq!(parked.heap_high_water, called.heap_high_water);
+        assert_eq!(parked.wakes + parked.stale_wakes, called.wakes + called.stale_wakes + 5);
     }
 
     #[test]

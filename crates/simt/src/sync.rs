@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use crate::diag;
+use crate::engine::WaitToken;
 pub use crate::mutex::{Mutex, MutexGuard};
 use crate::wait::WaitList;
 
@@ -15,6 +16,31 @@ pub(crate) struct Shared<S> {
 impl<S> Shared<S> {
     pub(crate) fn new(state: S, waiters: WaitList) -> Arc<Self> {
         Arc::new(Shared { state: Mutex::new(state), waiters })
+    }
+}
+
+impl<S: Send + 'static> Shared<S> {
+    /// [`WaitList::wait_until`] for a continuation: a pass that finds nothing
+    /// registers a step token where a thread would park, and returns; the
+    /// first of its wakes runs the next pass, and the last runs `then`.
+    pub(crate) fn wait_then<R: Send + 'static>(
+        self: Arc<Self>,
+        deadline: Option<u64>,
+        mut ready: impl FnMut(&Self) -> Option<R> + Send + 'static,
+        then: impl FnOnce(Option<R>) + Send + 'static,
+    ) {
+        if let Some(value) = ready(&self) {
+            return then(Some(value));
+        }
+        if deadline.is_some_and(|d| crate::now() >= d) {
+            return then(None);
+        }
+        let this = self.clone();
+        let token = WaitToken::step(Box::new(move || this.wait_then(deadline, ready, then)));
+        if let Some(d) = deadline {
+            token.wake_at(d);
+        }
+        self.waiters.tokens.lock().push(token);
     }
 }
 
@@ -133,6 +159,15 @@ impl<T> OnceCell<T> {
     /// Block until a value is stored or the relative timeout (ns) passes.
     pub fn take_timeout(&self, timeout: u64) -> Option<T> {
         self.0.waiters.wait_until(Some(crate::now().saturating_add(timeout)), || self.try_take())
+    }
+
+    /// [`take_timeout`](OnceCell::take_timeout) without parking.
+    pub fn take_timeout_then(&self, timeout: u64, then: impl FnOnce(Option<T>) + Send + 'static)
+    where
+        T: Send + 'static,
+    {
+        let deadline = crate::now().saturating_add(timeout);
+        self.0.clone().wait_then(Some(deadline), |s| s.state.lock().take(), then);
     }
 
     /// Non-blocking probe.

@@ -26,7 +26,7 @@ use crate::mutex::RawMutex;
 /// that resource, in whatever its handles share.
 pub struct WaitList {
     res: DiagRes,
-    tokens: RawMutex<Vec<WaitToken>>,
+    pub(crate) tokens: RawMutex<Vec<WaitToken>>,
 }
 
 /// One pass of a wait, as the check of [`WaitList::wait_watching`] sees it.

@@ -19,7 +19,7 @@ use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
-use crate::transfer::FetchResult;
+use crate::transfer::{FetchResult, FetchSink};
 
 /// Shuffle blocks (or their locations) could not be fetched — Spark's
 /// `FetchFailedException` as an ordinary value. [`read_shuffle`] returns it,
@@ -448,7 +448,8 @@ pub fn read_shuffle<T: Element>(
     // the rest of the same request's chunks are still on the wire — exactly
     // Spark's ShuffleBlockFetcherIterator, which releases budget per landed
     // buffer, not per request.
-    let sink: Queue<FetchResult> = Queue::new();
+    let results: Queue<FetchResult> = Queue::new();
+    let sink = FetchSink::from(results.clone());
     let mut next_req = 0usize;
     let mut in_flight_bytes = 0u64;
     let mut open_reqs = 0usize;
@@ -475,7 +476,7 @@ pub fn read_shuffle<T: Element>(
 
     while open_reqs > 0 {
         let t0 = simt::now();
-        let res = sink.recv().expect("fetch sink open");
+        let res = results.recv().expect("fetch sink open");
         fetch_wait += simt::now() - t0;
         let blocks = match res.result {
             Ok(b) => b,

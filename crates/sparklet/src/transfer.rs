@@ -9,7 +9,7 @@
 //! message type whose body MPI4Spark-Optimized routes over MPI.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -60,13 +60,48 @@ pub struct FetchResult {
     pub result: Result<Vec<StoredBlock>, NetzError>,
 }
 
+/// Where a fetch's results go: one call per chunk as it lands, made by
+/// whatever runs then (an event loop thread, a continuation on the engine).
+#[derive(Clone)]
+pub struct FetchSink(Arc<dyn Fn(FetchResult) + Send + Sync>);
+
+impl FetchSink {
+    /// Deliver one result.
+    pub fn send(&self, result: FetchResult) {
+        (self.0)(result);
+    }
+}
+
+impl From<Queue<FetchResult>> for FetchSink {
+    /// A sink that queues every result for a reader to receive.
+    fn from(queue: Queue<FetchResult>) -> FetchSink {
+        FetchSink(Arc::new(move |result| queue.send(result)))
+    }
+}
+
 /// Shuffle-plane client interface. Implementations: the Netty-based default
 /// below; RDMA-Spark and MPI4Spark reuse it with different transports, which
 /// is faithful — both systems keep this layer and swap what is underneath.
 pub trait BlockTransferService: Send + Sync + 'static {
-    /// Fetch `blocks` from the shuffle service at `remote`; push the result
-    /// into `sink` when it arrives (does not block for the data).
-    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>);
+    /// Fetch `blocks` from the shuffle service at `remote`; each chunk's
+    /// result goes to `sink` as it lands. Never parks, and may run on an
+    /// engine event: the requests go out as continuations, and the caller
+    /// goes on at once.
+    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink);
+
+    /// [`fetch_blocks`](BlockTransferService::fetch_blocks), then `issued`
+    /// once every request of the fetch is on the wire. The default suits a
+    /// service that has issued everything by the time it returns.
+    fn fetch_blocks_then(
+        &self,
+        remote: PortAddr,
+        blocks: Vec<BlockId>,
+        sink: FetchSink,
+        issued: Box<dyn FnOnce() + Send>,
+    ) {
+        self.fetch_blocks(remote, blocks, sink);
+        issued();
+    }
 
     /// Close cached connections.
     fn close(&self);
@@ -228,7 +263,7 @@ impl StreamManager for ShuffleService {
 /// Default shuffle-plane client: netz channels to remote shuffle services.
 pub struct NettyBlockTransferService {
     endpoint: netz::Endpoint,
-    clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
+    clients: Arc<Mutex<BTreeMap<PortAddr, TransportClient>>>,
 }
 
 impl NettyBlockTransferService {
@@ -245,83 +280,116 @@ impl NettyBlockTransferService {
     pub fn with_context(ctx: TransportContext, identity: &ProcIdentity, label: &str) -> Arc<Self> {
         let endpoint =
             ctx.create_client_endpoint(format!("{label}:{}", identity.name), identity.node);
-        Arc::new(NettyBlockTransferService { endpoint, clients: Mutex::new(BTreeMap::new()) })
+        Arc::new(NettyBlockTransferService { endpoint, clients: Arc::default() })
     }
 
-    fn client(&self, addr: PortAddr) -> Result<TransportClient, NetzError> {
-        {
-            let cache = self.clients.lock();
-            if let Some(c) = cache.get(&addr) {
-                if c.is_active() {
-                    return Ok(c.clone());
-                }
-            }
+    /// The cached client for `addr` (at once), or a new connection to it.
+    /// Two fetches that miss the cache together both connect, and the later
+    /// client replaces the earlier in the cache.
+    fn client_then(
+        &self,
+        addr: PortAddr,
+        then: impl FnOnce(Result<TransportClient, NetzError>) + Send + 'static,
+    ) {
+        let cached = self.clients.lock().get(&addr).filter(|c| c.is_active()).cloned();
+        if let Some(c) = cached {
+            return then(Ok(c));
         }
-        let c = self.endpoint.connect(addr)?;
-        self.clients.lock().insert(addr, c.clone());
-        Ok(c)
+        let clients = self.clients.clone();
+        self.endpoint.connect_then(addr, move |client| {
+            if let Ok(c) = &client {
+                clients.lock().insert(addr, c.clone());
+            }
+            then(client);
+        });
     }
 }
 
+/// Report a failure before any stream exists (connect, `OpenBlocks`): it has
+/// no per-chunk structure, so one `Err` covers the whole request, and the
+/// retry layer above re-requests per block.
+fn fail_request(
+    sink: &FetchSink,
+    blocks: Vec<BlockId>,
+    e: NetzError,
+    issued: Box<dyn FnOnce() + Send>,
+) {
+    sink.send(FetchResult { blocks, last: true, result: Err(e) });
+    issued();
+}
+
+/// Request chunk `i` of `stream` and, once it is written, the next; `issued`
+/// runs after the last. Chunks cover `blocks` in order (a single chunk covers
+/// all of them in merged mode). Each chunk is delivered the moment it lands —
+/// no aggregation buffer — so the reader can free in-flight budget and issue
+/// follow-on requests per chunk; `landed` only counts arrivals to flag the
+/// last result. A chunk that fails reports `Err` for *its own* covered
+/// blocks only; sibling chunks keep streaming.
+fn request_chunks(
+    client: TransportClient,
+    stream: StreamHandle,
+    blocks: Arc<Vec<BlockId>>,
+    sink: FetchSink,
+    landed: Arc<AtomicUsize>,
+    i: u32,
+    issued: Box<dyn FnOnce() + Send>,
+) {
+    if i == stream.chunks {
+        return issued();
+    }
+    let n_chunks = stream.chunks as usize;
+    let per_block = n_chunks == blocks.len();
+    let (covered, sink2, landed2) = (blocks.clone(), sink.clone(), landed.clone());
+    let on_chunk = Box::new(move |res: Result<Payload, NetzError>| {
+        let result =
+            res.and_then(|payload| decode_block_group(&payload.bytes).map_err(NetzError::Codec));
+        let covered = if per_block { vec![covered[i as usize]] } else { covered.as_ref().clone() };
+        let last = landed2.fetch_add(1, Ordering::Relaxed) + 1 == n_chunks;
+        sink2.send(FetchResult { blocks: covered, last, result });
+    });
+    let next = client.clone();
+    client.fetch_chunk_async(stream.stream_id, i, on_chunk, move || {
+        request_chunks(next, stream, blocks, sink, landed, i + 1, issued);
+    });
+}
+
 impl BlockTransferService for NettyBlockTransferService {
-    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
-        // Failures before any stream exists (connect, OpenBlocks) have no
-        // per-chunk structure: one `Err` covering the whole request is the
-        // honest report, and the retry layer above re-requests per block.
-        let fail = |sink: &Queue<FetchResult>, blocks: Vec<BlockId>, e: NetzError| {
-            sink.send(FetchResult { blocks, last: true, result: Err(e) });
-        };
-        let client = match self.client(remote) {
-            Ok(c) => c,
-            Err(e) => {
-                fail(&sink, blocks, e);
-                return;
-            }
-        };
-        let handle = match client.send_rpc(Payload::control(
-            OpenBlocks { blocks: blocks.clone() },
-            64 + 16 * blocks.len() as u64,
-        )) {
-            Ok(reply) => match reply.value_as::<StreamHandle>() {
-                Some(h) => *h,
-                None => {
-                    fail(&sink, blocks, NetzError::codec("bad OpenBlocks reply"));
-                    return;
-                }
-            },
-            Err(e) => {
-                fail(&sink, blocks, e);
-                return;
-            }
-        };
-        // One callback per chunk; chunks cover `blocks` in order (a single
-        // chunk covers all of them in merged mode). Each chunk is delivered
-        // the moment it lands — no aggregation buffer — so the reader can
-        // free in-flight budget and issue follow-on requests per chunk. The
-        // counter only tracks completion to flag the last result. A chunk
-        // that fails reports `Err` for *its own* covered blocks only;
-        // sibling chunks keep streaming.
-        let n_chunks = handle.chunks as usize;
-        let per_block = n_chunks == blocks.len();
-        let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let blocks = Arc::new(blocks);
-        for i in 0..n_chunks {
-            let sink = sink.clone();
-            let done = done.clone();
-            let blocks = blocks.clone();
-            client.fetch_chunk_async(
-                handle.stream_id,
-                i as u32,
-                Box::new(move |res| {
-                    let result = res.and_then(|payload| {
-                        decode_block_group(&payload.bytes).map_err(NetzError::Codec)
-                    });
-                    let covered = if per_block { vec![blocks[i]] } else { blocks.as_ref().clone() };
-                    let last = done.fetch_add(1, Ordering::Relaxed) + 1 == n_chunks;
-                    sink.send(FetchResult { blocks: covered, last, result });
-                }),
+    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
+        self.fetch_blocks_then(remote, blocks, sink, Box::new(|| ()));
+    }
+
+    /// Connect (or reuse the cached client), open the stream with an
+    /// `OpenBlocks` RPC, then write one chunk request after the other: each
+    /// step a continuation of the one before.
+    fn fetch_blocks_then(
+        &self,
+        remote: PortAddr,
+        blocks: Vec<BlockId>,
+        sink: FetchSink,
+        issued: Box<dyn FnOnce() + Send>,
+    ) {
+        self.client_then(remote, move |client| {
+            let client = match client {
+                Ok(c) => c,
+                Err(e) => return fail_request(&sink, blocks, e, issued),
+            };
+            let open = Payload::control(
+                OpenBlocks { blocks: blocks.clone() },
+                64 + 16 * blocks.len() as u64,
             );
-        }
+            client.clone().send_rpc_then(open, move |reply| {
+                let stream = match reply.map(|r| r.value_as::<StreamHandle>()) {
+                    Ok(Some(h)) => *h,
+                    Ok(None) => {
+                        let e = NetzError::codec("bad OpenBlocks reply");
+                        return fail_request(&sink, blocks, e, issued);
+                    }
+                    Err(e) => return fail_request(&sink, blocks, e, issued),
+                };
+                let landed = Arc::new(AtomicUsize::new(0));
+                request_chunks(client, stream, Arc::new(blocks), sink, landed, 0, issued);
+            });
+        });
     }
 
     fn close(&self) {
@@ -431,114 +499,164 @@ impl RetryInner {
             self.degraded.store(true, Ordering::Relaxed);
         }
     }
+}
 
-    /// Drive one fetch to completion: attempt, drain, re-request what's
-    /// missing, and forward results to `sink` with recomputed `last`/
-    /// `retries` so the consumer sees one coherent request.
-    fn run(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
-        let mut missing = blocks;
-        let mut retries = 0u32;
-        let mut last_error = NetzError::Remote("fetch failed".into());
-        loop {
-            let attempt_sink: Queue<FetchResult> = Queue::new();
-            self.service().fetch_blocks(remote, missing.clone(), attempt_sink.clone());
-            let mut progressed = false;
-            let mut plane_failed = false;
-            // Idle-reset deadline: each arriving chunk proves the attempt is
-            // alive, so only a *stall* of fetch_timeout_ns abandons it.
-            loop {
-                let res = match attempt_sink
-                    .recv_deadline(simt::now().saturating_add(self.fetch_timeout_ns))
-                {
-                    Ok(r) => r,
-                    Err(RecvError::Timeout) => {
-                        plane_failed = true;
-                        last_error = NetzError::Timeout;
-                        break;
-                    }
-                    Err(RecvError::Closed) => break,
-                };
-                let attempt_done = res.last;
-                match res.result {
-                    Ok(data) => {
-                        progressed = true;
-                        missing.retain(|b| !res.blocks.contains(b));
-                        let finished = missing.is_empty();
-                        sink.send(FetchResult {
-                            blocks: res.blocks,
-                            last: finished,
-                            result: Ok(data),
-                        });
-                        if finished {
-                            self.consecutive_plane_failures.store(0, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        plane_failed |= e.is_plane_failure();
-                        last_error = e;
-                    }
-                }
-                if attempt_done {
-                    break;
-                }
+/// One request under the retry controller: what is still missing and how its
+/// attempts went. It holds no thread: each step runs on the engine event that
+/// calls for it — the request itself, an attempt's chunk landing or stalling,
+/// a backoff ending — and forwards results to `sink` with `last` recomputed,
+/// so that the consumer sees one coherent request.
+struct Fetch {
+    inner: Arc<RetryInner>,
+    remote: PortAddr,
+    sink: FetchSink,
+    missing: Vec<BlockId>,
+    /// Re-requests so far.
+    retries: u32,
+    last_error: NetzError,
+    /// The current attempt delivered a block.
+    progressed: bool,
+    /// The current attempt failed on the plane (connect, timeout, closed).
+    plane_failed: bool,
+}
+
+impl Fetch {
+    /// Request what is missing. The attempt's results queue up until its
+    /// requests are all out; then they drive the fetch.
+    fn attempt(mut self) {
+        (self.progressed, self.plane_failed) = (false, false);
+        let results: Queue<FetchResult> = Queue::new();
+        let (service, remote) = (self.inner.service().clone(), self.remote);
+        let (blocks, sink) = (self.missing.clone(), results.clone().into());
+        service.fetch_blocks_then(remote, blocks, sink, Box::new(move || self.next(results)));
+    }
+
+    /// Take the attempt's queued results, then wait for the next one. Each
+    /// wait's deadline resets the idle timer: each arriving chunk proves the
+    /// attempt is alive, so only a *stall* of `fetch_timeout_ns` abandons it.
+    fn next(mut self, results: Queue<FetchResult>) {
+        while let Some(res) = results.try_recv() {
+            match self.on_result(Ok(res)) {
+                Some(fetch) => self = fetch,
+                None => return,
             }
-            // Attempt over, blocks still missing.
-            if progressed {
-                self.consecutive_plane_failures.store(0, Ordering::Relaxed);
-            }
-            if plane_failed {
-                self.note_plane_failure();
-            }
-            if retries >= self.max_retries {
-                // Budget exhausted: every still-missing block surfaces a
-                // terminal error to the reader, which raises FetchFailed to
-                // the scheduler — this is the handoff from fetch-level
-                // retry to stage-level recovery.
-                let n = missing.len();
-                self.obs.registry().counter(obs::keys::SPARK_FETCH_EXHAUSTED).add(n as u64);
-                self.obs.event(
-                    "spark.fetch.exhausted",
-                    obs::kv! {"remote" => remote.node,
-                    "missing" => n,
-                    "retries" => retries},
-                );
-                for (i, b) in missing.into_iter().enumerate() {
-                    sink.send(FetchResult {
-                        blocks: vec![b],
-                        last: i + 1 == n,
-                        result: Err(last_error.clone()),
-                    });
-                }
-                return;
-            }
-            let backoff = {
-                let mut rng = self.rng.lock();
-                self.policy.backoff_ns(retries, &mut rng)
-            };
-            simt::sleep(backoff);
-            retries += 1;
-            self.retries.inc();
-            self.obs.event(
-                "spark.fetch.retry",
-                obs::kv! {"remote" => remote.node,
-                "attempt" => retries,
-                "missing" => missing.len(),
-                "degraded" => self.degraded.load(Ordering::Relaxed)},
-            );
         }
+        let deadline = simt::now().saturating_add(self.inner.fetch_timeout_ns);
+        results.clone().recv_deadline_then(deadline, move |res| {
+            if let Some(fetch) = self.on_result(res) {
+                fetch.next(results);
+            }
+        });
+    }
+
+    /// Book one result of the attempt; `Some` while the attempt goes on.
+    fn on_result(mut self, res: Result<FetchResult, RecvError>) -> Option<Fetch> {
+        let res = match res {
+            Ok(r) => r,
+            Err(RecvError::Timeout) => {
+                self.plane_failed = true;
+                self.last_error = NetzError::Timeout;
+                return self.end_attempt();
+            }
+            Err(RecvError::Closed) => return self.end_attempt(),
+        };
+        let attempt_done = res.last;
+        match res.result {
+            Ok(data) => {
+                self.progressed = true;
+                self.missing.retain(|b| !res.blocks.contains(b));
+                let finished = self.missing.is_empty();
+                self.sink.send(FetchResult {
+                    blocks: res.blocks,
+                    last: finished,
+                    result: Ok(data),
+                });
+                if finished {
+                    self.inner.consecutive_plane_failures.store(0, Ordering::Relaxed);
+                    return None;
+                }
+            }
+            Err(e) => {
+                self.plane_failed |= e.is_plane_failure();
+                self.last_error = e;
+            }
+        }
+        if attempt_done {
+            return self.end_attempt();
+        }
+        Some(self)
+    }
+
+    /// The attempt is over with blocks still missing: give up, or back off
+    /// and try again. Returns `None`: the attempt is over either way.
+    fn end_attempt(mut self) -> Option<Fetch> {
+        let inner = self.inner.clone();
+        if self.progressed {
+            inner.consecutive_plane_failures.store(0, Ordering::Relaxed);
+        }
+        if self.plane_failed {
+            inner.note_plane_failure();
+        }
+        if self.retries >= inner.max_retries {
+            // Budget exhausted: every still-missing block surfaces a
+            // terminal error to the reader, which raises FetchFailed to
+            // the scheduler — this is the handoff from fetch-level
+            // retry to stage-level recovery.
+            let n = self.missing.len();
+            inner.obs.registry().counter(obs::keys::SPARK_FETCH_EXHAUSTED).add(n as u64);
+            inner.obs.event(
+                "spark.fetch.exhausted",
+                obs::kv! {"remote" => self.remote.node,
+                "missing" => n,
+                "retries" => self.retries},
+            );
+            for (i, b) in std::mem::take(&mut self.missing).into_iter().enumerate() {
+                self.sink.send(FetchResult {
+                    blocks: vec![b],
+                    last: i + 1 == n,
+                    result: Err(self.last_error.clone()),
+                });
+            }
+            return None;
+        }
+        let backoff = {
+            let mut rng = inner.rng.lock();
+            inner.policy.backoff_ns(self.retries, &mut rng)
+        };
+        let retry = move || {
+            self.retries += 1;
+            inner.retries.inc();
+            inner.obs.event(
+                "spark.fetch.retry",
+                obs::kv! {"remote" => self.remote.node,
+                "attempt" => self.retries,
+                "missing" => self.missing.len(),
+                "degraded" => inner.degraded.load(Ordering::Relaxed)},
+            );
+            self.attempt();
+        };
+        // As a sleep would: no event for a backoff of nothing.
+        match backoff {
+            0 => retry(),
+            _ => simt::engine::call_at(simt::now().saturating_add(backoff), retry),
+        }
+        None
     }
 }
 
 impl BlockTransferService for RetryingBlockFetcher {
-    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
-        let inner = self.inner.clone();
-        // The controller blocks (inner fetches, backoff sleeps), so it runs
-        // on its own daemon thread; the caller returns immediately, as the
-        // trait contract requires.
-        simt::spawn_daemon("fetch-retry", move || {
-            inner.run(remote, blocks, sink);
-        });
+    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
+        let fetch = Fetch {
+            inner: self.inner.clone(),
+            remote,
+            sink,
+            missing: blocks,
+            retries: 0,
+            last_error: NetzError::Remote("fetch failed".into()),
+            progressed: false,
+            plane_failed: false,
+        };
+        simt::engine::call_at(simt::now(), move || fetch.attempt());
     }
 
     fn close(&self) {

@@ -4,7 +4,8 @@
 //! `System::run` has returned none is alive — the cached partitions, the
 //! shuffle blocks, every in-flight chunk and every task's records are gone
 //! with the cell. A cached partition is shared, not copied: neither its
-//! first computation nor a later hit constructs a record.
+//! first computation nor a later hit constructs a record. A shuffle fetch is
+//! a chain of continuations: it spawns no thread.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -12,6 +13,7 @@ use fabric::ClusterSpec;
 use netz::buf::{ByteReader, ByteWriter};
 use sparklet::deploy::ClusterConfig;
 use sparklet::{Element, SparkConf};
+use workloads::ohb::{group_by_app, OhbConfig};
 use workloads::System;
 
 /// Instances alive now, and the most that ever were, per census. Each test
@@ -125,5 +127,30 @@ fn a_cache_hit_constructs_no_record() {
             "{}: records outlive the cell",
             system.label()
         );
+    }
+}
+
+#[test]
+fn a_clean_shuffle_spawns_no_fetch_thread() {
+    let cfg = OhbConfig {
+        partitions: 8,
+        records_per_partition: 24,
+        value_bytes: 1 << 14,
+        key_range: 40,
+        seed: 7,
+    };
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let spec = ClusterSpec::test(4);
+        let mut conf = SparkConf::default();
+        conf.executor_cores = 4;
+        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
+        let out = system.run(&spec, cluster, move |sc| group_by_app(sc, cfg));
+        let remote_bytes: u64 = (out.jobs.iter().flat_map(|j| &j.stages))
+            .map(|s| s.metrics.counter(obs::keys::TASK_REMOTE_BYTES))
+            .sum();
+        assert!(remote_bytes > 0, "{}: the reduce fetched nothing remotely", system.label());
+        let per_fetch: Vec<_> = out.spawned.keys().filter(|p| p.starts_with("fetch")).collect();
+        assert!(per_fetch.is_empty(), "{}: fetches spawned {per_fetch:?}", system.label());
+        assert!(out.spawned.contains_key("task-e"), "{}: the census counts tasks", system.label());
     }
 }

@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
-use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::{SeededRng, Sim};
 use sparklet::data::encode_batch;
@@ -18,7 +17,7 @@ use sparklet::shuffle::{
 };
 use sparklet::storage::{BlockId, BlockManager};
 use sparklet::task::{ExecutorServices, TaskContext};
-use sparklet::transfer::{BlockTransferService, FetchResult};
+use sparklet::transfer::{BlockTransferService, FetchResult, FetchSink};
 use sparklet::{Blob, Element, SparkConf};
 
 const SHUFFLE: u32 = 7;
@@ -30,7 +29,7 @@ struct StoreTransfer {
 }
 
 impl BlockTransferService for StoreTransfer {
-    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
+    fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
         let (_, store) = self.stores.iter().find(|(addr, _)| *addr == remote).expect("known peer");
         let stored = blocks.iter().map(|id| store.get(*id).expect("block written")).collect();
         sink.send(FetchResult { blocks, last: true, result: Ok(stored) });

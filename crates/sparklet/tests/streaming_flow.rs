@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
 use netz::NetzError;
-use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::Sim;
 use sparklet::data::encode_batch;
@@ -26,7 +25,7 @@ use sparklet::shuffle::{
 };
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::task::{ExecutorServices, TaskContext};
-use sparklet::transfer::{BlockTransferService, FetchResult};
+use sparklet::transfer::{BlockTransferService, FetchResult, FetchSink};
 use sparklet::SparkConf;
 
 const MS: u64 = 1_000_000;
@@ -58,7 +57,7 @@ fn block_for(id: BlockId) -> StoredBlock {
 }
 
 impl BlockTransferService for ScriptedTransfer {
-    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
+    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
         let req = {
             let mut calls = self.calls.lock();
             calls.push(simt::now());
@@ -221,7 +220,7 @@ fn oversized_request_departs_on_empty_budget() {
 struct FailingTransfer;
 
 impl BlockTransferService for FailingTransfer {
-    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
+    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
         sink.send(FetchResult {
             blocks,
             last: true,

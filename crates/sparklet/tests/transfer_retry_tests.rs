@@ -19,7 +19,7 @@ use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::transfer::{
-    BlockTransferService, FetchResult, NettyBlockTransferService, RetryingBlockFetcher,
+    BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, RetryingBlockFetcher,
     ShuffleService, PLANE_FAILURE_THRESHOLD,
 };
 use sparklet::SparkConf;
@@ -92,7 +92,7 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
         let client_id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
         let client = NettyBlockTransferService::new(&client_id, &net, &backend);
         let sink = Queue::new();
-        client.fetch_blocks(server_ep.addr(), vec![bid(0), bid(1), bid(2)], sink.clone());
+        client.fetch_blocks(server_ep.addr(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
 
         let (mut ok, err) = drain(&sink);
         ok.sort();
@@ -110,21 +110,21 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
 
 /// Scripted [`BlockTransferService`] whose behaviour is a function of the
 /// call index; records the block list of every `fetch_blocks` call.
-struct Scripted<F: Fn(usize, &[BlockId], &Queue<FetchResult>) + Send + Sync + 'static> {
+struct Scripted<F: Fn(usize, &[BlockId], &FetchSink) + Send + Sync + 'static> {
     calls: Mutex<Vec<Vec<BlockId>>>,
     script: F,
 }
 
-impl<F: Fn(usize, &[BlockId], &Queue<FetchResult>) + Send + Sync + 'static> Scripted<F> {
+impl<F: Fn(usize, &[BlockId], &FetchSink) + Send + Sync + 'static> Scripted<F> {
     fn new(script: F) -> Arc<Self> {
         Arc::new(Scripted { calls: Mutex::new(Vec::new()), script })
     }
 }
 
-impl<F: Fn(usize, &[BlockId], &Queue<FetchResult>) + Send + Sync + 'static> BlockTransferService
+impl<F: Fn(usize, &[BlockId], &FetchSink) + Send + Sync + 'static> BlockTransferService
     for Scripted<F>
 {
-    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: Queue<FetchResult>) {
+    fn fetch_blocks(&self, _remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
         let call = {
             let mut calls = self.calls.lock();
             calls.push(blocks.clone());
@@ -173,7 +173,7 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
         let obs = obs::Obs::disabled();
         let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
         let sink = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
+        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
         ok.sort();
         assert_eq!(ok, vec![bid(0), bid(1), bid(2)], "every block recovers");
@@ -210,7 +210,7 @@ fn stalled_attempt_times_out_and_reissues_missing_chunks() {
         let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
         let sink = Queue::new();
         let t0 = simt::now();
-        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
+        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
         ok.sort();
         assert_eq!(ok, vec![bid(0), bid(1), bid(2)]);
@@ -254,7 +254,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
             obs.clone(),
         );
         let sink = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1)], sink.clone());
+        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
         ok.sort();
         assert_eq!(ok, vec![bid(0), bid(1)], "the fallback plane completes the fetch");
@@ -271,7 +271,7 @@ fn consecutive_plane_failures_degrade_to_the_fallback_service() {
 
         // Sticky: the next fetch goes straight to the fallback.
         let sink2 = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(2)], sink2.clone());
+        fetcher.fetch_blocks(remote(), vec![bid(2)], sink2.clone().into());
         let (ok2, _) = drain(&sink2);
         assert_eq!(ok2, vec![bid(2)]);
         assert_eq!(primary.calls.lock().len() as u32, threshold, "primary never consulted again");
@@ -305,7 +305,7 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
         let obs = obs::Obs::disabled();
         let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &c, 1, obs.clone());
         let sink = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone());
+        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
         ok.sort();
         assert_eq!(ok, vec![bid(0), bid(2)], "siblings delivered despite exhaustion");
@@ -313,6 +313,48 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
         assert_eq!(retries_on(&obs), 1, "budget fully spent before giving up");
         assert!(!fetcher.degraded());
         assert_eq!(primary.calls.lock().len(), 2);
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
+fn a_stalled_attempt_times_out_backs_off_and_redelivers_at_pinned_instants() {
+    // Call 0 delivers bid(0) and swallows bid(1); call 1 delivers bid(1).
+    // The stall is noticed one progress timeout after the last chunk landed,
+    // the backoff is the seeded first one, and the re-request's chunk lands
+    // the instant the re-request goes out. The instants are the ones a
+    // fetch-retry thread took.
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let calls_at = Arc::new(Mutex::new(Vec::new()));
+        let at = calls_at.clone();
+        let primary = Scripted::new(move |call, blocks, sink| {
+            at.lock().push(simt::now());
+            for i in 0..blocks.len() {
+                if call == 0 && blocks[i] == bid(1) {
+                    continue;
+                }
+                sink.send(ok_result(blocks, i, call > 0 && i + 1 == blocks.len()));
+            }
+        });
+        let fetcher = RetryingBlockFetcher::new(primary, None, &conf(), 1, obs::Obs::disabled());
+        simt::sleep(MS);
+        let sink = Queue::new();
+        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1)], sink.clone().into());
+        let mut landed = Vec::new();
+        loop {
+            let r = sink.recv().expect("fetch emits a terminal result");
+            landed.push((r.blocks.clone(), simt::now()));
+            if r.last {
+                break;
+            }
+        }
+        let (timeout_at, backoff) = (MS + conf().fetch_timeout_ns, 1_032_012);
+        assert_eq!(timeout_at, 51 * MS, "the stall is noticed 50 ms after the last chunk");
+        let re_request = timeout_at + backoff;
+        assert_eq!(calls_at.lock().clone(), [MS, re_request]);
+        assert_eq!(landed, [(vec![bid(0)], MS), (vec![bid(1)], re_request)]);
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();

@@ -21,4 +21,4 @@ pub mod ml;
 pub mod ohb;
 pub mod system;
 
-pub use system::{RunOutcome, System};
+pub use system::{spawn_census, RunOutcome, System};

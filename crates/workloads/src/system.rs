@@ -1,11 +1,12 @@
 //! The unified system-under-test runner.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net};
 use mpi4spark::Design;
 use rdma_spark::RdmaBackend;
-use simt::sync::OnceCell;
+use simt::sync::{Mutex, OnceCell};
 use simt::Sim;
 use sparklet::deploy::{ClusterConfig, ProcessBuilderLauncher};
 use sparklet::scheduler::{JobMetrics, SparkContext};
@@ -60,6 +61,21 @@ pub struct RunOutcome<R> {
     /// Chrome-trace timeline JSON, present when the run's `SparkConf` set
     /// `trace_timeline`. Byte-identical across re-runs of the same seed.
     pub timeline: Option<String>,
+    /// Green threads the run spawned per name prefix
+    /// ([`simt::Sim::spawn_census`]).
+    pub spawned: BTreeMap<String, u64>,
+}
+
+/// Every run's [`RunOutcome::spawned`], summed over this process.
+static SPAWNED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+/// Green threads spawned per name prefix by every run in this process so
+/// far, largest first (ties by name). Host-side bookkeeping: it depends on
+/// what the process ran, so it belongs in notes, never in a ledger value.
+pub fn spawn_census() -> Vec<(String, u64)> {
+    let mut census: Vec<(String, u64)> = SPAWNED.lock().clone().into_iter().collect();
+    census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    census
 }
 
 impl<R> RunOutcome<R> {
@@ -155,8 +171,14 @@ impl System {
         let timeline = obs.is_traced().then(|| obs.export_timeline());
         obs.record_sim_stats(sim.stats());
         let metrics = obs.registry().snapshot();
+        let spawned = sim.spawn_census();
+        let mut total = SPAWNED.lock();
+        for (prefix, n) in &spawned {
+            *total.entry(prefix.clone()).or_default() += n;
+        }
+        drop(total);
         sim.shutdown();
-        RunOutcome { result, jobs, metrics, timeline }
+        RunOutcome { result, jobs, metrics, timeline, spawned }
     }
 }
 
