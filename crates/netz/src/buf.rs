@@ -1,8 +1,10 @@
 //! Minimal byte-buffer reader/writer used by the message codec.
 //!
 //! Netty's `ByteBuf` tracks independent reader/writer indices over pooled
-//! memory; here a thin cursor over `bytes::BytesMut`/`Bytes` suffices — the
-//! codec only ever appends on write and scans forward on read.
+//! memory; here a plain `Vec<u8>` on write and a cursor over `Bytes` on read
+//! suffice — the codec only ever appends on write and scans forward on read.
+//! Every `put_*`/`get_*` is `#[inline]`, so an element codec in another
+//! crate compiles each one down to a store or load of its big-endian bytes.
 //!
 //! [`ByteReader`] owns a [`Bytes`] handle so that [`ByteReader::get_bytes`]
 //! can hand out sub-ranges that *share* the original allocation (Netty's
@@ -10,12 +12,12 @@
 //! copies the block payloads, it only bumps the refcount on the one buffer
 //! that arrived from the wire.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Append-only encoder.
 #[derive(Default)]
 pub struct ByteWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl ByteWriter {
@@ -26,35 +28,41 @@ impl ByteWriter {
 
     /// New writer with `cap` bytes reserved.
     pub fn with_capacity(cap: usize) -> Self {
-        ByteWriter { buf: BytesMut::with_capacity(cap) }
+        ByteWriter { buf: Vec::with_capacity(cap) }
     }
 
     /// Append a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a big-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `i64`.
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Append a length-prefixed UTF-8 string (u32 length).
+    #[inline]
     pub fn put_string(&mut self, v: &str) {
         self.put_u32(v.len() as u32);
         self.put_slice(v.as_bytes());
@@ -72,7 +80,7 @@ impl ByteWriter {
 
     /// Freeze into an immutable buffer.
     pub fn freeze(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 }
 
@@ -91,6 +99,7 @@ impl ByteReader {
         ByteReader { data, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         if self.pos + n > self.data.len() {
             return None;
@@ -101,21 +110,25 @@ impl ByteReader {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
     /// Read a big-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_be_bytes(s.try_into().unwrap()))
     }
 
     /// Read a big-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_be_bytes(s.try_into().unwrap()))
     }
 
     /// Read a big-endian `i64`.
+    #[inline]
     pub fn get_i64(&mut self) -> Option<i64> {
         self.take(8).map(|s| i64::from_be_bytes(s.try_into().unwrap()))
     }
@@ -123,6 +136,7 @@ impl ByteReader {
     /// Read `len` raw bytes as a *view* into the underlying buffer: the
     /// returned `Bytes` shares the reader's allocation (no copy). Fails
     /// without consuming on underrun.
+    #[inline]
     pub fn get_bytes(&mut self, len: usize) -> Option<Bytes> {
         if self.pos + len > self.data.len() {
             return None;
@@ -134,11 +148,13 @@ impl ByteReader {
 
     /// Read `len` raw bytes as a borrowed slice (no copy, no refcount
     /// traffic; for transient scans). Fails without consuming on underrun.
+    #[inline]
     pub fn get_slice(&mut self, len: usize) -> Option<&[u8]> {
         self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
+    #[inline]
     pub fn get_string(&mut self) -> Option<String> {
         let len = self.get_u32()? as usize;
         let raw = self.take(len)?;
@@ -169,6 +185,21 @@ mod tests {
         assert_eq!(r.get_u64(), Some(u64::MAX - 3));
         assert_eq!(r.get_i64(), Some(-42));
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn writer_emits_big_endian_golden_bytes() {
+        let mut w = ByteWriter::with_capacity(2);
+        w.put_u32(0x0102_0304);
+        w.put_u64(0x0506_0708_090A_0B0C);
+        w.put_i64(-2);
+        w.put_u8(0xFF);
+        w.put_string("hi");
+        let mut want = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
+        want.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE, 0xFF]);
+        want.extend([0, 0, 0, 2, b'h', b'i']);
+        assert_eq!(w.len(), want.len());
+        assert_eq!(&w.freeze()[..], &want[..]);
     }
 
     #[test]

@@ -72,14 +72,12 @@ impl Registry {
 
     /// Get or register the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock();
-        map.entry(name.to_string()).or_default().clone()
+        instrument(&self.inner.counters, name)
     }
 
     /// Get or register the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock();
-        map.entry(name.to_string()).or_default().clone()
+        instrument(&self.inner.gauges, name)
     }
 
     /// Freeze every registered instrument into a deterministic,
@@ -95,6 +93,16 @@ impl Registry {
                 .collect(),
             gauges: self.inner.gauges.lock().iter().map(|(k, g)| (k.clone(), g.get())).collect(),
         }
+    }
+}
+
+/// The instrument registered under `name`, registered first if it is new.
+/// Only a first registration allocates the name.
+fn instrument<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock();
+    match map.get(name) {
+        Some(found) => found.clone(),
+        None => map.entry(name.to_owned()).or_default().clone(),
     }
 }
 
@@ -160,6 +168,19 @@ mod tests {
         assert_eq!(snap.counter("a.msgs"), 4);
         assert_eq!(snap.gauge("a.depth"), 7);
         assert_eq!(snap.counter("missing"), 0);
+    }
+
+    #[test]
+    fn two_lookups_of_one_name_share_one_instrument() {
+        let reg = Registry::new();
+        let (first, second) = (reg.counter("c"), reg.counter("c"));
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+        first.add(2);
+        assert_eq!(second.get(), 2);
+        let (first, second) = (reg.gauge("g"), reg.gauge("g"));
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+        // A counter and a gauge are separate namespaces.
+        assert!(!Arc::ptr_eq(&reg.counter("g").0, &first.0));
     }
 
     #[test]

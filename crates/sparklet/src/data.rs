@@ -18,6 +18,12 @@ pub trait Element: Send + Sync + Clone + 'static {
     /// Bytes this element *represents* (virtual size; ≥ real encoded size
     /// only matters for cost realism, not correctness).
     fn virtual_size(&self) -> u64;
+    /// An order-preserving `u64` image of the value, the key the shuffle's
+    /// radix sort runs on: `a.cmp(b) == a.rank().cmp(&b.rank())` for all
+    /// `a`, `b`. A type ranks all of its values or none (the default).
+    fn rank(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl Element for u64 {
@@ -29,6 +35,9 @@ impl Element for u64 {
     }
     fn virtual_size(&self) -> u64 {
         8
+    }
+    fn rank(&self) -> Option<u64> {
+        Some(*self)
     }
 }
 
@@ -42,6 +51,9 @@ impl Element for u8 {
     fn virtual_size(&self) -> u64 {
         1
     }
+    fn rank(&self) -> Option<u64> {
+        Some(u64::from(*self))
+    }
 }
 
 impl Element for u32 {
@@ -54,6 +66,9 @@ impl Element for u32 {
     fn virtual_size(&self) -> u64 {
         4
     }
+    fn rank(&self) -> Option<u64> {
+        Some(u64::from(*self))
+    }
 }
 
 impl Element for i64 {
@@ -65,6 +80,9 @@ impl Element for i64 {
     }
     fn virtual_size(&self) -> u64 {
         8
+    }
+    fn rank(&self) -> Option<u64> {
+        Some((*self as u64) ^ (1 << 63))
     }
 }
 

@@ -18,7 +18,9 @@ use crate::config::SparkConf;
 use crate::data::Element;
 use crate::rpc::AnyMsg;
 use crate::scheduler::DagScheduler;
-use crate::shuffle::{combine_by_key, combine_pairs, group_pairs, FetchFailed, MapStatus};
+use crate::shuffle::{
+    combine_by_key, combine_pairs, group_pairs, sort_pairs, FetchFailed, MapStatus,
+};
 use crate::task::TaskContext;
 
 use ops::*;
@@ -531,7 +533,7 @@ where
             Arc::new(|ctx: &TaskContext, mut pairs: Vec<(K, V)>| {
                 let bytes: u64 = pairs.iter().map(crate::data::Element::virtual_size).sum();
                 ctx.charge(ctx.cost().sort(pairs.len() as u64, bytes));
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                sort_pairs(&mut pairs);
                 pairs
             }),
             // Slice partials arrive sorted; a stable merge-by-concatenation
@@ -541,7 +543,7 @@ where
                 let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
                 ctx.charge(ctx.cost().sort(n, 0));
                 let mut merged: Vec<(K, V)> = partials.into_iter().flatten().collect();
-                merged.sort_by(|a, b| a.0.cmp(&b.0));
+                sort_pairs(&mut merged);
                 merged
             })),
         )

@@ -135,8 +135,9 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
         let data = Arc::new(self.parent.compute(part, ctx)?.into_vec());
         let bytes: u64 = data.iter().map(Element::virtual_size).sum();
         bm.cache_put(self.id, part as u32, data.clone());
-        bm.put(
-            block_id,
+        bm.put_rdd(
+            self.id,
+            part as u32,
             StoredBlock {
                 data: bytes::Bytes::new(),
                 virtual_len: bytes,

@@ -323,16 +323,16 @@ pub fn write_shuffle<T: Element>(
     // Freed first: the frozen blocks below then reuse its pages instead of
     // faulting in fresh ones.
     drop(bucket_of);
-    let bm = &ctx.services.block_manager;
-    let mut sizes = Vec::with_capacity(num_reduces);
-    for (reduce_id, (bucket, &records)) in buckets.into_iter().zip(&counts).enumerate() {
-        let (data, virtual_len) = bucket.finish();
-        sizes.push(virtual_len);
-        bm.put(
-            BlockId::Shuffle { shuffle_id, map_id, reduce_id: reduce_id as u32 },
-            StoredBlock { data, virtual_len, records },
-        );
-    }
+    let blocks: Vec<StoredBlock> = buckets
+        .into_iter()
+        .zip(&counts)
+        .map(|(bucket, &records)| {
+            let (data, virtual_len) = bucket.finish();
+            StoredBlock { data, virtual_len, records }
+        })
+        .collect();
+    let sizes = blocks.iter().map(|b| b.virtual_len).collect();
+    ctx.services.block_manager.put_map_output(shuffle_id, map_id, blocks);
     MapStatus {
         map_id,
         exec_id: ctx.services.exec_id,
@@ -401,19 +401,18 @@ pub fn read_shuffle<T: Element>(
     // grouping inside ShuffleBlockFetcherIterator).
     struct Request {
         addr: PortAddr,
-        exec_id: usize,
         blocks: Vec<BlockId>,
         bytes: u64,
     }
     let mut requests: Vec<Request> = Vec::new();
     // BTreeMap iteration is already ordered by executor id — deterministic.
-    for (exec_id, (addr, blocks)) in remote {
-        let mut cur = Request { addr, exec_id, blocks: Vec::new(), bytes: 0 };
+    for (addr, blocks) in remote.into_values() {
+        let mut cur = Request { addr, blocks: Vec::new(), bytes: 0 };
         for (id, size) in blocks {
             if cur.bytes > 0 && cur.bytes + size > conf.target_request_size {
                 requests.push(std::mem::replace(
                     &mut cur,
-                    Request { addr, exec_id, blocks: Vec::new(), bytes: 0 },
+                    Request { addr, blocks: Vec::new(), bytes: 0 },
                 ));
             }
             cur.blocks.push(id);
@@ -423,9 +422,6 @@ pub fn read_shuffle<T: Element>(
             requests.push(cur);
         }
     }
-    // Block id -> serving executor, for failure attribution.
-    let exec_of: BTreeMap<BlockId, usize> =
-        requests.iter().flat_map(|r| r.blocks.iter().map(move |b| (*b, r.exec_id))).collect();
 
     // One output vector per requested bucket, reserved in full; decoded
     // blocks are routed by the `reduce_id` their `BlockId` carries.
@@ -481,12 +477,15 @@ pub fn read_shuffle<T: Element>(
         let blocks = match res.result {
             Ok(b) => b,
             Err(_e) => {
-                let first = res.blocks.first();
-                let exec_id = first.and_then(|b| exec_of.get(b)).copied();
-                let map_id = first.and_then(|b| match b {
+                // The first failed block names the map output, and the map
+                // output's status names the executor that was serving it.
+                let map_id = res.blocks.first().and_then(|b| match b {
                     BlockId::Shuffle { map_id, .. } => Some(*map_id),
                     BlockId::Rdd { .. } => None,
                 });
+                let exec_id = map_id
+                    .and_then(|m| statuses.iter().find(|st| st.map_id == m))
+                    .map(|st| st.exec_id);
                 // Invalidate the cached map-output table so the retry sees
                 // the recomputed locations.
                 ctx.services.map_outputs.invalidate(shuffle_id);
@@ -522,18 +521,49 @@ pub fn read_shuffle<T: Element>(
     Ok(outs)
 }
 
+/// Stably sort `pairs` by key. Keys that [`Element::rank`] go through an
+/// LSD radix sort over their ranks: 11-bit digits, one pass per digit the
+/// largest rank needs, each pass a stable scatter into bucket vectors. Other
+/// keys take the standard library's stable comparison sort. Both are stable
+/// and `rank` preserves order, so the result is the same either way.
+pub fn sort_pairs<K: Element + Ord, V>(pairs: &mut Vec<(K, V)>) {
+    const DIGIT_BITS: u32 = 11;
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    // A type ranks all of its values or none, so the first `None` decides.
+    let Some(max) = pairs.iter().try_fold(0, |max, (k, _)| Some(k.rank()?.max(max))) else {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        return;
+    };
+    let passes = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
+    for shift in (0..passes).map(|pass| pass * DIGIT_BITS) {
+        let digit = |(k, _): &(K, V)| {
+            (k.rank().expect("a type ranks all of its values") >> shift) as usize & (BUCKETS - 1)
+        };
+        let mut counts = vec![0usize; BUCKETS];
+        pairs.iter().for_each(|p| counts[digit(p)] += 1);
+        if counts.contains(&pairs.len()) {
+            continue; // one digit value: the pass would move nothing
+        }
+        let mut buckets: Vec<Vec<(K, V)>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        pairs.drain(..).for_each(|p| buckets[digit(&p)].push(p));
+        buckets.into_iter().for_each(|bucket| pairs.extend(bucket));
+    }
+}
+
 /// The one aggregation kernel: fold `pairs` per key. Keys come out ascending;
 /// each key's values are folded left to right in arrival order, starting
-/// from `create(first value)`. A stable sort brings equal keys together, so
-/// the fold runs over adjacent records and nothing is allocated per key that
-/// `create` does not allocate.
-pub fn combine_by_key<K: Ord, V, C>(
+/// from `create(first value)`. [`sort_pairs`] brings equal keys together (a
+/// radix sort for integer keys, a comparison sort otherwise; both stable, so
+/// the groups and every fold's order are the same), and the fold then runs
+/// over adjacent records: nothing is allocated per key that `create` does
+/// not allocate.
+pub fn combine_by_key<K: Element + Ord, V, C>(
     pairs: impl IntoIterator<Item = (K, V)>,
     create: impl Fn(V) -> C,
     merge: impl Fn(C, V) -> C,
 ) -> Vec<(K, C)> {
     let mut pairs: Vec<(K, V)> = pairs.into_iter().collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    sort_pairs(&mut pairs);
     let mut out = Vec::new();
     let mut pairs = pairs.into_iter();
     let Some((mut key, first)) = pairs.next() else { return out };
@@ -582,7 +612,10 @@ pub fn group_pairs<K: Element + Ord, V: Element>(
 
 /// Co-group two keyed inputs ([`combine_by_key`] over both): per key, its
 /// `a` values and its `b` values, each in arrival order.
-pub fn cogroup_pairs<K: Ord, V, W>(a: Vec<(K, V)>, b: Vec<(K, W)>) -> Vec<(K, (Vec<V>, Vec<W>))> {
+pub fn cogroup_pairs<K: Element + Ord, V, W>(
+    a: Vec<(K, V)>,
+    b: Vec<(K, W)>,
+) -> Vec<(K, (Vec<V>, Vec<W>))> {
     let sides = (a.into_iter().map(|(k, v)| (k, (Some(v), None))))
         .chain(b.into_iter().map(|(k, w)| (k, (None, Some(w)))));
     let merge = |mut group: (Vec<V>, Vec<W>), (v, w): (Option<V>, Option<W>)| {
@@ -608,7 +641,7 @@ mod tests {
         map.into_iter().collect()
     }
 
-    fn kernel_groups<K: Ord, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+    fn kernel_groups<K: Element + Ord, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
         combine_by_key(
             pairs,
             |v| vec![v],
@@ -691,6 +724,60 @@ mod tests {
                 want.entry(k).or_default().1.push(w);
             }
             assert_eq!(cogroup_pairs(a, b), want.into_iter().collect::<Vec<_>>());
+        });
+    }
+
+    /// Up to 600 `(key, arrival index)` pairs: empty input, one pair, or
+    /// keys mixing `edges`, eight small values (many duplicates), values
+    /// below 2^22 (two radix digits) and values over the whole type. `key`
+    /// turns 64 random bits into a key.
+    fn draw_ranked<K>(rng: &mut SeededRng, edges: &[K], key: impl Fn(u64) -> K) -> Vec<(K, u64)>
+    where
+        K: Copy,
+    {
+        let n = match rng.next_range(0, 4) {
+            0 => 0,
+            1 => 1,
+            _ => rng.next_range(2, 600),
+        };
+        (0..n)
+            .map(|i| {
+                let k = match rng.next_range(0, 4) {
+                    0 => edges[rng.next_range(0, edges.len() as u64) as usize],
+                    1 => key(rng.next_range(0, 8)),
+                    2 => key(rng.next_range(0, 1 << 22)),
+                    _ => key(rng.next_u64()),
+                };
+                (k, i)
+            })
+            .collect()
+    }
+
+    /// The radix path against the comparison sort it replaces: the same
+    /// order, and a fold over that order gives the same groups.
+    fn check_radix_path<K: Element + Ord + Copy + std::fmt::Debug>(pairs: Vec<(K, u64)>) {
+        assert!(pairs.iter().all(|(k, _)| k.rank().is_some()), "the key type ranks");
+        let mut want = pairs.clone();
+        want.sort_by_key(|a| a.0);
+        let mut got = pairs.clone();
+        sort_pairs(&mut got);
+        assert_eq!(got, want);
+        let mut folded: Vec<(K, Vec<u64>)> = Vec::new();
+        for (k, i) in want {
+            match folded.last_mut() {
+                Some((last, group)) if *last == k => group.push(i),
+                _ => folded.push((k, vec![i])),
+            }
+        }
+        assert_eq!(kernel_groups(pairs), folded);
+    }
+
+    #[test]
+    fn radix_path_sorts_and_folds_like_sort_by() {
+        for_each_case(200, |rng| {
+            check_radix_path(draw_ranked(rng, &[0, 1, 2047, 2048, u64::MAX], |b| b));
+            check_radix_path(draw_ranked(rng, &[0, 1, u32::MAX], |b| b as u32));
+            check_radix_path(draw_ranked(rng, &[i64::MIN, -1, 0, 1, i64::MAX], |b| b as i64));
         });
     }
 

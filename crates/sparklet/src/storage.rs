@@ -61,23 +61,48 @@ pub struct StoredBlock {
 /// Per-executor block store. Nothing is evicted and no capacity is
 /// modelled: the paper's executors hold 120 GB (§VII-C), which no benchmark
 /// run comes near.
+///
+/// A map task's shuffle output is one entry, its blocks in reduce order, as
+/// Spark's `IndexShuffleBlockResolver` keeps one data file plus an index per
+/// map task: a shuffle block is found by its map output, then by position.
 #[derive(Default)]
 pub struct BlockManager {
-    blocks: Mutex<BTreeMap<BlockId, StoredBlock>>,
+    /// Shuffle map outputs by `(shuffle_id, map_id)`; block `reduce_id` of
+    /// an output is its element `reduce_id`.
+    map_outputs: Mutex<BTreeMap<(u32, u32), Vec<StoredBlock>>>,
+    /// RDD blocks by `(rdd_id, partition)`.
+    rdd_blocks: Mutex<BTreeMap<(u64, u32), StoredBlock>>,
     /// Typed in-memory cache for `Rdd::cache()` partitions: values are
     /// `Arc<Vec<T>>` behind `Any`.
     cache: Mutex<BTreeMap<(u64, u32), Arc<dyn Any + Send + Sync>>>,
 }
 
 impl BlockManager {
-    /// Store a block, replacing any previous content under the same id.
-    pub fn put(&self, id: BlockId, block: StoredBlock) {
-        self.blocks.lock().insert(id, block);
+    /// Store map task `map_id`'s output of shuffle `shuffle_id`, one block
+    /// per reduce partition in reduce order, replacing any earlier output of
+    /// the same task.
+    pub fn put_map_output(&self, shuffle_id: u32, map_id: u32, blocks: Vec<StoredBlock>) {
+        self.map_outputs.lock().insert((shuffle_id, map_id), blocks);
+    }
+
+    /// Store an RDD block, replacing any previous content under the same id.
+    pub fn put_rdd(&self, rdd_id: u64, partition: u32, block: StoredBlock) {
+        self.rdd_blocks.lock().insert((rdd_id, partition), block);
     }
 
     /// Fetch a block.
     pub fn get(&self, id: BlockId) -> Option<StoredBlock> {
-        self.blocks.lock().get(&id).cloned()
+        match id {
+            BlockId::Shuffle { shuffle_id, map_id, reduce_id } => self
+                .map_outputs
+                .lock()
+                .get(&(shuffle_id, map_id))
+                .and_then(|blocks| blocks.get(reduce_id as usize))
+                .cloned(),
+            BlockId::Rdd { rdd_id, partition } => {
+                self.rdd_blocks.lock().get(&(rdd_id, partition)).cloned()
+            }
+        }
     }
 
     /// Store a typed cached partition.
@@ -119,10 +144,29 @@ mod tests {
         let bm = BlockManager::default();
         let id = BlockId::Rdd { rdd_id: 1, partition: 0 };
         assert!(bm.get(id).is_none());
-        bm.put(id, blk(100));
+        bm.put_rdd(1, 0, blk(100));
         assert_eq!(bm.get(id).unwrap().virtual_len, 100);
-        bm.put(id, blk(40));
+        bm.put_rdd(1, 0, blk(40));
         assert_eq!(bm.get(id).unwrap().virtual_len, 40);
+    }
+
+    #[test]
+    fn a_map_output_serves_its_blocks_by_reduce_id() {
+        let bm = BlockManager::default();
+        bm.put_map_output(3, 1, vec![blk(10), blk(11), blk(12)]);
+        bm.put_map_output(3, 2, vec![blk(20)]);
+        let shuffle = |map_id, reduce_id| BlockId::Shuffle { shuffle_id: 3, map_id, reduce_id };
+        for (reduce_id, want) in [10, 11, 12].into_iter().enumerate() {
+            assert_eq!(bm.get(shuffle(1, reduce_id as u32)).unwrap().virtual_len, want);
+        }
+        assert_eq!(bm.get(shuffle(2, 0)).unwrap().virtual_len, 20);
+        // A reduce id past the output's end, a map output never stored, and
+        // another shuffle's id are all absent.
+        assert!(bm.get(shuffle(1, 3)).is_none());
+        assert!(bm.get(shuffle(0, 0)).is_none());
+        assert!(bm.get(BlockId::Shuffle { shuffle_id: 4, map_id: 1, reduce_id: 0 }).is_none());
+        // Nor does a shuffle output answer for an RDD block, or the reverse.
+        assert!(bm.get(BlockId::Rdd { rdd_id: 3, partition: 1 }).is_none());
     }
 
     #[test]

@@ -85,8 +85,8 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
 
         let server_id = ProcIdentity::new(Role::Executor(1), 1, "executor-1");
         let bm = Arc::new(BlockManager::default());
-        bm.put(bid(0), block_for(0));
-        bm.put(bid(2), block_for(2)); // bid(1) intentionally absent
+        bm.put_map_output(7, 0, vec![block_for(0)]);
+        bm.put_map_output(7, 2, vec![block_for(2)]); // bid(1) intentionally absent
         let (_svc, server_ep) = ShuffleService::start(&server_id, &net, &backend, bm, conf);
 
         let client_id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
