@@ -16,7 +16,7 @@
 //!   headers of shuffle messages inside of ChannelHandlers" design.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use fabric::Payload;
@@ -65,13 +65,14 @@ fn opt_tag(chan: ChannelId, key: u64) -> u64 {
 /// The MPI4Spark-Optimized transport (§VI-E).
 pub struct MpiTransportOptimized {
     ctx: Arc<MpiProcCtx>,
-    pump: OnceLock<Arc<BodyPump>>,
+    /// The endpoint a body is delivered to, and how long it may take.
+    endpoint: OnceLock<(WeakEndpoint, u64)>,
 }
 
 impl MpiTransportOptimized {
     /// Transport for the process described by `ctx`.
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        MpiTransportOptimized { ctx, pump: OnceLock::new() }
+        MpiTransportOptimized { ctx, endpoint: OnceLock::new() }
     }
 }
 
@@ -85,8 +86,7 @@ impl Transport for MpiTransportOptimized {
     }
 
     fn start(&self, endpoint: &Endpoint) {
-        // One pump per transport: a repeated start must not spawn an orphan.
-        self.pump.get_or_init(|| BodyPump::spawn(endpoint.clone()));
+        self.endpoint.get_or_init(|| (endpoint.downgrade(), endpoint.request_timeout_ns()));
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
@@ -95,124 +95,11 @@ impl Transport for MpiTransportOptimized {
         }
         let mut p = chan.pipeline.lock();
         p.add_outbound("mpi-body-send", Arc::new(OptOutbound { ctx: self.ctx.clone() }));
+        let (endpoint, body_timeout_ns) = self.endpoint.get().expect("transport started").clone();
         p.add_inbound(
             "mpi-body-fetch",
-            Arc::new(OptInbound {
-                ctx: self.ctx.clone(),
-                pump: self.pump.get().expect("transport started").clone(),
-            }),
+            Arc::new(OptInbound { ctx: self.ctx.clone(), endpoint, body_timeout_ns }),
         );
-    }
-}
-
-/// A body receive in flight: posted when its header was parsed, completed
-/// (or timed out) by the endpoint's pump daemon.
-struct PendingBody {
-    chan: Arc<ChannelCore>,
-    header: bytes::Bytes,
-    deadline: u64,
-}
-
-/// Per-endpoint body-completion pump.
-///
-/// `OptInbound` posts one nonblocking `irecv` per parsed header and files
-/// the pending entry here; the pump daemon completes arrivals through one
-/// [`rmpi::CompletionSet`] in virtual-arrival order, so any number of
-/// concurrent fetches into this endpoint overlap. Entries whose deadline
-/// passes are cancelled with a drain: the posted slot is released and the
-/// late body, if it ever lands, is absorbed instead of leaking into the
-/// message store.
-///
-/// A body may wait as long as its endpoint's request timeout: a dropped body
-/// would otherwise leave its receive posted forever, and once it is
-/// cancelled the fetch surfaces as a missing chunk to the retry layer.
-///
-/// The pump holds no `Endpoint`: the endpoint owns its transport, which owns
-/// the pump, so a handle here would close an `Arc` cycle and keep the
-/// endpoint (and its handler's block manager) alive past shutdown. The
-/// daemon's closure owns the handle instead and is unwound with the sim.
-struct BodyPump {
-    set: rmpi::CompletionSet,
-    entries: Mutex<BTreeMap<u64, PendingBody>>,
-    next_user: AtomicU64,
-    body_timeout_ns: u64,
-}
-
-impl BodyPump {
-    fn spawn(endpoint: Endpoint) -> Arc<BodyPump> {
-        let pump = Arc::new(BodyPump {
-            body_timeout_ns: endpoint.request_timeout_ns(),
-            set: rmpi::CompletionSet::default(),
-            entries: Mutex::new(BTreeMap::new()),
-            next_user: AtomicU64::new(0),
-        });
-        let runner = pump.clone();
-        simt::spawn_daemon(format!("mpi-opt-body-pump:n{}", endpoint.node()), move || {
-            runner.run(&endpoint);
-        });
-        pump
-    }
-
-    /// File a posted body receive. The entry must be visible before the
-    /// request joins the completion set: attaching can complete instantly
-    /// (body already arrived), and the pump looks the entry up by `user`.
-    fn submit(&self, chan: &Arc<ChannelCore>, header: bytes::Bytes, req: rmpi::Request) {
-        let deadline = simt::now().saturating_add(self.body_timeout_ns);
-        let user = self.next_user.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().insert(user, PendingBody { chan: chan.clone(), header, deadline });
-        req.attach(&self.set, user);
-    }
-
-    fn run(&self, endpoint: &Endpoint) {
-        loop {
-            let next_deadline = self.entries.lock().values().map(|e| e.deadline).min();
-            match self.set.wait_next(next_deadline) {
-                rmpi::Completed::Recv { user, msg } => {
-                    let Some(entry) = self.entries.lock().remove(&user) else {
-                        continue;
-                    };
-                    Self::deliver(endpoint, entry, msg.payload);
-                }
-                rmpi::Completed::TimedOut => self.expire(),
-                rmpi::Completed::Closed => break,
-            }
-        }
-    }
-
-    /// Decode the completed body against its saved header and hand the
-    /// message to the endpoint, with the receive span causally linked to
-    /// the sender (same convention as the Basic router's receiver threads).
-    fn deliver(endpoint: &Endpoint, entry: PendingBody, body: Payload) {
-        let obs = entry.chan.net.obs();
-        let _span = obs.is_traced().then(|| {
-            let link = Message::peek_span_id(&entry.header).unwrap_or(0);
-            obs.tracer().span_linked(
-                "rmpi.body.recv",
-                link,
-                obs::kv! {"src" => entry.chan.remote_node, "dst" => entry.chan.local_node},
-            )
-        });
-        if let Ok(msg) = Message::decode(&entry.header, body) {
-            endpoint.dispatch_received(&entry.chan, msg, entry.header.len() as u64);
-        }
-    }
-
-    /// Cancel every entry whose deadline has passed; each cancel installs a
-    /// drain so the late body cannot sit in the message store forever. The
-    /// unanswered fetch then times out at the requester and retries.
-    fn expire(&self) {
-        let now = simt::now();
-        let expired: Vec<u64> = self
-            .entries
-            .lock()
-            .iter()
-            .filter(|(_, e)| e.deadline <= now)
-            .map(|(user, _)| *user)
-            .collect();
-        for user in expired {
-            self.set.cancel_user(user);
-            self.entries.lock().remove(&user);
-        }
     }
 }
 
@@ -263,9 +150,20 @@ impl OutboundHandler for OptOutbound {
 
 /// Inbound: parse the header; for shuffle bodies post the matching
 /// `MPI_Recv` and reattach the body.
+///
+/// A body may wait as long as its endpoint's request timeout: a dropped body
+/// would otherwise leave its receive posted forever. At the timeout the
+/// receive is cancelled with a drain, which absorbs the late body if it ever
+/// lands, and the fetch surfaces as a missing chunk to the retry layer.
+///
+/// The handler holds its endpoint weakly: the endpoint owns its channels,
+/// whose pipelines own this handler, so a strong handle would close an `Arc`
+/// cycle and keep the endpoint (and its handler's block manager) alive past
+/// shutdown.
 struct OptInbound {
     ctx: Arc<MpiProcCtx>,
-    pump: Arc<BodyPump>,
+    endpoint: WeakEndpoint,
+    body_timeout_ns: u64,
 }
 
 impl InboundHandler for OptInbound {
@@ -285,11 +183,39 @@ impl InboundHandler for OptInbound {
         let (comm, src) = self.ctx.route(peer_rank, peer.comm);
 
         // Post the receive and return immediately — the event loop goes
-        // back to parsing headers while the pump completes arrivals, so
-        // concurrent fetches into this endpoint overlap.
-        let req = comm.irecv(Some(src), Some(tag));
-        self.pump.submit(chan, frame.header, req);
+        // back to parsing headers, and each body is delivered on the engine
+        // the moment it lands, so concurrent fetches into this endpoint
+        // overlap.
+        let (endpoint, chan, header) = (self.endpoint.clone(), chan.clone(), frame.header);
+        comm.irecv(Some(src), Some(tag)).wait_timeout_then(self.body_timeout_ns, move |r| {
+            if let (Ok(Some((body, _))), Some(endpoint)) = (r, endpoint.upgrade()) {
+                deliver_body(&endpoint, &chan, &header, body);
+            }
+        });
         InboundAction::Consume
+    }
+}
+
+/// Decode a landed body against its saved header and hand the message to the
+/// endpoint, with the receive span causally linked to the sender (same
+/// convention as the Basic router's receiver threads).
+fn deliver_body(
+    endpoint: &Endpoint,
+    chan: &Arc<ChannelCore>,
+    header: &bytes::Bytes,
+    body: Payload,
+) {
+    let obs = chan.net.obs();
+    let _span = obs.is_traced().then(|| {
+        let link = Message::peek_span_id(header).unwrap_or(0);
+        obs.tracer().span_linked(
+            "rmpi.body.recv",
+            link,
+            obs::kv! {"src" => chan.remote_node, "dst" => chan.local_node},
+        )
+    });
+    if let Ok(msg) = Message::decode(header, body) {
+        endpoint.dispatch_received(chan, msg, header.len() as u64);
     }
 }
 

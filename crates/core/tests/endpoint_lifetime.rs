@@ -1,6 +1,6 @@
 //! An MPI-transport endpoint must not outlive the simulation: the endpoint
 //! owns its transport, so anything the transport keeps about the endpoint
-//! (the Optimized body pump, the Basic per-process router) has to avoid
+//! (the Optimized body receive, the Basic per-process router) has to avoid
 //! closing an `Arc` cycle. A cycle there once kept every shuffle endpoint —
 //! and through its handler the executor's block manager with the cached
 //! dataset — alive after `sim.shutdown()`. Another kept every Basic-design

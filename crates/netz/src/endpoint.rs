@@ -362,9 +362,9 @@ impl Endpoint {
 
     /// Account a received message, then dispatch it — the one way a decoded
     /// message enters an endpoint. The socket frame path ends here, and so
-    /// do the MPI transports' receiver threads, which decode outside it:
-    /// the Optimized design's body pump once the MPI body lands, the Basic
-    /// design's router for every message.
+    /// do the MPI transports' receive paths, which decode outside it: the
+    /// Optimized design's body continuation once the MPI body lands, the
+    /// Basic design's router threads for every message.
     ///
     /// Requests go to the handler / stream manager, responses to their
     /// registered callbacks.

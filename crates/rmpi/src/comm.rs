@@ -5,7 +5,7 @@ use std::sync::Arc;
 use fabric::Payload;
 
 use crate::launch::Universe;
-use crate::proc::{CommInfo, CompletionSet, Matcher, MpiMsg, ProcState, ReqId};
+use crate::proc::{CommInfo, Matcher, MpiMsg, ProcState, ReqId};
 use crate::types::{CommId, MpiError, ProcId, Status};
 
 /// What a completed receive hands its caller.
@@ -186,10 +186,10 @@ impl std::fmt::Debug for Comm {
 ///
 /// Receive requests own a posted slot in the process's message store: the
 /// match is *reserved* at post/arrival time, so no later receive can take it
-/// away before [`wait`](Request::wait). A request dropped without
-/// `wait`/`cancel`/`attach` releases its slot (without a drain); any pinned
-/// message is discarded.
-#[must_use = "a dropped receive request is cancelled: `wait`, `cancel` or `attach` it"]
+/// away before [`wait`](Request::wait). A request dropped without a wait or
+/// `cancel` releases its slot (without a drain); any pinned message is
+/// discarded.
+#[must_use = "a dropped receive request is cancelled: `wait` or `cancel` it"]
 pub struct Request {
     kind: RequestKind,
 }
@@ -199,7 +199,7 @@ enum RequestKind {
     Recv {
         comm: Comm,
         id: ReqId,
-        /// Slot already consumed (waited, cancelled, or attached)?
+        /// Slot already consumed (waited for or cancelled)?
         done: bool,
     },
 }
@@ -241,6 +241,28 @@ impl Request {
         }
     }
 
+    /// [`wait_timeout`](Request::wait_timeout) without parking: `then` runs
+    /// on the engine once the message is pinned to this receive (at once if
+    /// it already is), or with `Err(Timeout)` when `timeout` passes, the
+    /// receive then cancelled with a drain. A process that finalizes first
+    /// drops `then` unrun.
+    pub fn wait_timeout_then(
+        mut self,
+        timeout: u64,
+        then: impl FnOnce(Result<Option<(Payload, Status)>, MpiError>) + Send + 'static,
+    ) {
+        match &mut self.kind {
+            RequestKind::Complete => simt::engine::call_at(simt::now(), move || then(Ok(None))),
+            RequestKind::Recv { comm, id, done } => {
+                let deadline = simt::now().saturating_add(timeout);
+                let then =
+                    Box::new(move |r: Result<MpiMsg, _>| then(r.map(|m| Some(delivered(m)))));
+                comm.me().store.req_wait_then(*id, deadline, then);
+                *done = true;
+            }
+        }
+    }
+
     /// Abandon the operation. For a still-pending receive, `drain` installs
     /// a one-shot absorber so the in-flight message is dropped on arrival
     /// rather than stored forever.
@@ -248,19 +270,6 @@ impl Request {
         if let RequestKind::Recv { comm, id, done } = &mut self.kind {
             comm.me().store.cancel_recv(*id, drain);
             *done = true;
-        }
-    }
-
-    /// Hand this receive to a [`CompletionSet`] under caller token `user`;
-    /// completion is then observed via [`CompletionSet::wait_next`].
-    /// Panics for send requests (they complete at post time).
-    pub fn attach(mut self, set: &CompletionSet, user: u64) {
-        match &mut self.kind {
-            RequestKind::Complete => panic!("only receive requests can join a CompletionSet"),
-            RequestKind::Recv { comm, id, done } => {
-                set.add(&comm.me().store, *id, user);
-                *done = true;
-            }
         }
     }
 }

@@ -8,10 +8,11 @@
 //!   (paper challenge 1, §III).
 //! * **Point-to-point** — `send`/`recv`/`isend`/`irecv` with `(communicator,
 //!   source, tag)` matching in post order and an unexpected-message queue;
-//!   a [`Request`] is completed by `wait`, `wait_timeout` (the one bounded
-//!   receive), `cancel`, [`waitall`], or `attach`ed to a [`CompletionSet`]
-//!   that completes a set of receives in arrival order (the Optimized
-//!   design's header-triggered body receives, §VI-E).
+//!   a [`Request`] is completed by `wait`, `wait_timeout` (a bounded
+//!   receive), `cancel`, [`waitall`], or `wait_timeout_then`, the bounded
+//!   receive as a continuation: no thread waits, the message is handed to a
+//!   closure on the engine (the Optimized design's header-triggered body
+//!   receives, §VI-E).
 //! * **Collectives** — `bcast`, `gather`, `allgather` (used to
 //!   exchange executor launch specifications, §V), `allreduce`.
 //! * **Dynamic Process Management** — [`Comm::spawn_multiple`] mirrors
@@ -36,5 +37,4 @@ pub mod types;
 pub use comm::{waitall, Comm, Request};
 pub use dpm::SpawnSpec;
 pub use launch::{mpiexec, mpiexec_with, Universe};
-pub use proc::{Completed, CompletionSet};
 pub use types::{CommId, MpiError, ProcId, Status, ANY_SOURCE, ANY_TAG};

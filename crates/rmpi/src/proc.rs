@@ -9,11 +9,11 @@
 //! store, exactly like MPI's unexpected message queue.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use fabric::{Net, NodeId, Payload, PortAddr};
 use simt::sync::Mutex;
-use simt::wait::{WaitList, Waiter};
+use simt::wait::WaitList;
 
 use crate::types::{CommId, MpiError, ProcId};
 
@@ -39,13 +39,17 @@ pub struct MpiMsg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReqId(u64);
 
+/// What a continuation receive runs on the engine when it ends.
+pub(crate) type RecvThen = Box<dyn FnOnce(Result<MpiMsg, MpiError>) + Send>;
+
 struct PostedRecv {
     matcher: Matcher,
     /// `None` while pending. Once matched, the message is *pinned* here —
-    /// invisible to every other receive — beside its store-wide completion
-    /// sequence number (arrival order), by which batched waits pick the
-    /// earliest completion deterministically.
-    ready: Option<(u64, MpiMsg)>,
+    /// invisible to every other receive.
+    ready: Option<MpiMsg>,
+    /// A continuation's receive: the message that matches it is handed to
+    /// this on the engine instead, and the slot goes with it.
+    then: Option<RecvThen>,
 }
 
 #[derive(Default)]
@@ -60,7 +64,6 @@ struct StoreState {
     /// arrival instead of accumulating as unexpected messages.
     drains: BTreeMap<Matcher, u64>,
     next_req: u64,
-    next_completion: u64,
 }
 
 /// The unexpected-message queue plus the posted-receive slots that every
@@ -118,18 +121,24 @@ impl MsgStore {
     /// tags are content-addressed, so an original body and its resend are
     /// interchangeable — whichever arrives first completes the live posted
     /// receive, and the drain left by the timed-out attempt absorbs the
-    /// duplicate.
+    /// duplicate. A continuation receive is not woken but scheduled: its
+    /// slot goes, and its continuation runs on the engine at this instant.
     pub fn push(&self, msg: MpiMsg) {
         {
             let s = &mut *self.0.state.lock();
             if s.closed {
                 return;
             }
-            if let Some(p) =
-                s.posted.values_mut().find(|p| p.ready.is_none() && p.matcher.matches(&msg))
+            if let Some((&id, p)) =
+                s.posted.iter_mut().find(|(_, p)| p.ready.is_none() && p.matcher.matches(&msg))
             {
-                p.ready = Some((s.next_completion, msg));
-                s.next_completion += 1;
+                if p.then.is_none() {
+                    p.ready = Some(msg);
+                } else {
+                    let then = s.posted.remove(&id).and_then(|p| p.then).expect("a continuation");
+                    simt::engine::call_at(simt::now(), move || then(Ok(msg)));
+                    return;
+                }
             } else if let Some(dm) = s.drains.keys().find(|matcher| matcher.matches(&msg)).copied()
             {
                 let count = s.drains.get_mut(&dm).expect("drain exists");
@@ -151,12 +160,8 @@ impl MsgStore {
         let s = &mut *self.0.state.lock();
         let id = s.next_req;
         s.next_req += 1;
-        let ready = s.msgs.iter().position(|x| m.matches(x)).map(|pos| {
-            let seq = s.next_completion;
-            s.next_completion += 1;
-            (seq, s.msgs.remove(pos))
-        });
-        s.posted.insert(id, PostedRecv { matcher: m, ready });
+        let ready = s.msgs.iter().position(|x| m.matches(x)).map(|pos| s.msgs.remove(pos));
+        s.posted.insert(id, PostedRecv { matcher: m, ready, then: None });
         ReqId(id)
     }
 
@@ -172,9 +177,45 @@ impl MsgStore {
                 return None;
             }
             let slot = s.posted.remove(&id.0).expect("slot exists");
-            Some(slot.ready.map(|(_, msg)| msg).ok_or(MpiError::Finalized))
+            Some(slot.ready.ok_or(MpiError::Finalized))
         };
         self.0.waiters.wait_until(deadline, ready).unwrap_or(Err(MpiError::Timeout))
+    }
+
+    /// [`req_wait`](MsgStore::req_wait) without parking: `then` runs on the
+    /// engine with the message pinned to the slot — at once if one already
+    /// is — or with `Timeout` at `deadline`, the slot then cancelled with a
+    /// drain. The slot is consumed either way; a closed store drops `then`.
+    pub(crate) fn req_wait_then(&self, id: ReqId, deadline: u64, then: RecvThen) {
+        let ready = {
+            let s = &mut *self.0.state.lock();
+            let p =
+                s.posted.get_mut(&id.0).unwrap_or_else(|| panic!("request {id:?} waited twice"));
+            if p.ready.is_none() && !s.closed {
+                p.then = Some(then);
+                let store = Arc::downgrade(&self.0);
+                return simt::engine::call_at(deadline, move || Self::expire(&store, id));
+            }
+            s.posted.remove(&id.0).and_then(|p| p.ready)
+        };
+        if let Some(msg) = ready {
+            simt::engine::call_at(simt::now(), move || then(Ok(msg)));
+        }
+    }
+
+    /// The deadline of a continuation receive: if its slot is still posted,
+    /// cancel it with a drain and tell the continuation.
+    fn expire(store: &Weak<StoreShared>, id: ReqId) {
+        let Some(store) = store.upgrade() else { return };
+        let then = {
+            let mut s = store.state.lock();
+            let Some(p) = s.posted.remove(&id.0) else { return };
+            *s.drains.entry(p.matcher).or_insert(0) += 1;
+            p.then
+        };
+        if let Some(then) = then {
+            then(Err(MpiError::Timeout));
+        }
     }
 
     /// Remove a posted receive. A pinned (already matched) message is
@@ -202,36 +243,20 @@ impl MsgStore {
         self.0.state.lock().drains.values().map(|c| *c as usize).sum()
     }
 
-    /// True once [`close`](MsgStore::close) ran.
-    pub fn is_closed(&self) -> bool {
-        self.0.state.lock().closed
-    }
-
-    /// Two handles to the same underlying store?
-    pub fn same_store(&self, other: &MsgStore) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Among `ids`, take the ready slot with the earliest completion
-    /// sequence (arrival order), if any.
-    pub(crate) fn take_earliest_ready(&self, ids: &[ReqId]) -> Option<(ReqId, MpiMsg)> {
-        let mut s = self.0.state.lock();
-        let (_, id) = ids
-            .iter()
-            .filter_map(|id| Some((s.posted.get(&id.0)?.ready.as_ref()?.0, *id)))
-            .min()?;
-        let (_, msg) = s.posted.remove(&id.0)?.ready?;
-        Some((id, msg))
-    }
-
     /// Blocking matched receive: a posted receive, waited for on the spot.
     pub fn recv(&self, m: Matcher) -> Result<MpiMsg, MpiError> {
         self.req_wait(self.post_recv(m), None)
     }
 
     /// Stop accepting messages and wake everyone (they observe `Finalized`).
+    /// Pending continuation receives are dropped unrun.
     pub fn close(&self) {
-        self.0.state.lock().closed = true;
+        let dropped: Vec<_> = {
+            let mut s = self.0.state.lock();
+            s.closed = true;
+            s.posted.extract_if(.., |_, p| p.then.is_some()).collect()
+        };
+        drop(dropped); // outside the lock: what a continuation captured is dropped with it
         self.0.waiters.notify_all();
     }
 
@@ -243,135 +268,6 @@ impl MsgStore {
     /// True when no messages are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Outcome of one [`CompletionSet::wait_next`] sweep.
-#[derive(Debug)]
-pub enum Completed {
-    /// A posted receive finished. `user` is the token passed to
-    /// [`crate::Request::attach`].
-    Recv {
-        /// Caller-chosen identifier of the completed receive.
-        user: u64,
-        /// The matched message.
-        msg: MpiMsg,
-    },
-    /// The deadline passed before any completion.
-    TimedOut,
-    /// The store closed (process finalized) with receives still pending.
-    Closed,
-}
-
-struct CompletionInner {
-    /// Bound on first attach; all members must share one process store.
-    store: Option<MsgStore>,
-    /// Posted receive id → caller token.
-    pending: BTreeMap<ReqId, u64>,
-}
-
-/// A per-process completion queue: a set of posted receives completed in
-/// *arrival order* with one sweep per wake-up. Waits are event-driven (woken
-/// by message arrival or by a new attach), so blocking in `wait_next` charges
-/// no polling CPU.
-///
-/// Used by the Optimized transport's body pump: the endpoint event loop
-/// attaches one receive per parsed shuffle header and the pump thread
-/// completes whichever body lands first.
-#[derive(Clone)]
-pub struct CompletionSet(Arc<SetShared>);
-
-struct SetShared {
-    inner: Mutex<CompletionInner>,
-    /// Notified by each attach.
-    waiters: WaitList,
-}
-
-impl Default for CompletionSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompletionSet {
-    /// An empty set.
-    pub fn new() -> CompletionSet {
-        CompletionSet(Arc::new(SetShared {
-            inner: Mutex::new(CompletionInner { store: None, pending: BTreeMap::new() }),
-            waiters: WaitList::new("mpi-completion-set"),
-        }))
-    }
-
-    /// Add a posted receive under caller token `user` and wake any blocked
-    /// `wait_next`. (Reached through [`crate::Request::attach`].)
-    pub(crate) fn add(&self, store: &MsgStore, id: ReqId, user: u64) {
-        {
-            let mut cs = self.0.inner.lock();
-            match &cs.store {
-                None => cs.store = Some(store.clone()),
-                Some(s) => {
-                    assert!(s.same_store(store), "CompletionSet spans a single process store")
-                }
-            }
-            cs.pending.insert(id, user);
-        }
-        self.0.waiters.notify_all();
-    }
-
-    /// Cancel the pending receive attached under `user`, leaving a drain
-    /// absorber behind (see [`MsgStore::cancel_recv`]). Returns false when
-    /// no such entry exists (already completed).
-    pub fn cancel_user(&self, user: u64) -> bool {
-        let removed = {
-            let mut cs = self.0.inner.lock();
-            let id = cs.pending.iter().find(|(_, u)| **u == user).map(|(id, _)| *id);
-            id.map(|id| {
-                cs.pending.remove(&id);
-                (id, cs.store.clone())
-            })
-        };
-        match removed {
-            Some((id, Some(store))) => {
-                store.cancel_recv(id, true);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of receives still pending completion or consumption.
-    pub fn len(&self) -> usize {
-        self.0.inner.lock().pending.len()
-    }
-
-    /// True when no receives are attached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Block until the earliest-arrived member completes, the optional
-    /// absolute `deadline` passes, or the store closes. One sweep over the
-    /// set per wake-up; completion choice is arrival order (virtual time),
-    /// so it is replay-deterministic.
-    pub fn wait_next(&self, deadline: Option<u64>) -> Completed {
-        // Two lists can end this wait: an attach notifies the set's, an
-        // arrival or the close the store's, and there is no store before the
-        // first attach.
-        let sweep = |pass: &mut Waiter| {
-            pass.watch(&self.0.waiters);
-            let (store, ids) = {
-                let cs = self.0.inner.lock();
-                (cs.store.clone()?, cs.pending.keys().copied().collect::<Vec<_>>())
-            };
-            pass.watch(&store.0.waiters);
-            if let Some((id, msg)) = store.take_earliest_ready(&ids) {
-                let user =
-                    self.0.inner.lock().pending.remove(&id).expect("completed id is a member");
-                return Some(Completed::Recv { user, msg });
-            }
-            (store.is_closed() && !ids.is_empty()).then_some(Completed::Closed)
-        };
-        self.0.waiters.wait_watching(deadline, sweep).unwrap_or(Completed::TimedOut)
     }
 }
 
@@ -614,12 +510,11 @@ mod tests {
             let a = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
             let b = store.post_recv(Matcher { comm: CommId(1), src: None, tag: None });
             store.push(msg(1, 7, 1));
-            assert!(store.take_earliest_ready(&[b]).is_none(), "the first message went to `a`");
+            let first = store.req_wait(b, Some(simt::now() + 1));
+            assert_eq!(first.err(), Some(MpiError::Timeout), "the first message went to `a`");
             store.push(msg(1, 8, 2));
-            // Arrival order == completion order, whatever order the ids come in.
-            let (first, got) = store.take_earliest_ready(&[b, a]).unwrap();
-            assert_eq!((first, got.src_rank), (a, 7));
             assert_eq!(store.req_wait(b, None).unwrap().src_rank, 8);
+            assert_eq!(store.req_wait(a, None).unwrap().src_rank, 7);
         });
         sim.run().unwrap().assert_clean();
     }
@@ -666,41 +561,58 @@ mod tests {
     }
 
     #[test]
-    fn completion_set_yields_arrival_order_and_times_out() {
+    fn continuation_receives_run_on_the_engine_in_arrival_order() {
+        type Log = Vec<(&'static str, Result<u64, MpiError>, u64)>;
         let sim = simt::Sim::new();
         let store = MsgStore::default();
-        let set = CompletionSet::new();
-        let (s2, set2) = (store.clone(), set.clone());
-        sim.spawn("waiter", move || {
-            let a = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(1) });
-            let b = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(2) });
-            set2.add(&s2, a, 100);
-            set2.add(&s2, b, 200);
-            // Tag 2 arrives first: completion order is arrival order, not
-            // attach order.
-            match set2.wait_next(None) {
-                Completed::Recv { user, msg } => {
-                    assert_eq!((user, msg.tag), (200, 2));
-                }
-                other => panic!("unexpected: {other:?}"),
-            }
-            match set2.wait_next(Some(simt::now() + 500)) {
-                Completed::TimedOut => assert_eq!(simt::now(), 10_500),
-                other => panic!("unexpected: {other:?}"),
-            }
-            match set2.wait_next(None) {
-                Completed::Recv { user, .. } => assert_eq!(user, 100),
-                other => panic!("unexpected: {other:?}"),
-            }
-            assert!(set2.is_empty());
+        let log: Arc<Mutex<Log>> = Arc::default();
+        let kept = Arc::new(());
+        let (s2, log2, kept2) = (store.clone(), log.clone(), kept.clone());
+        sim.spawn("poster", move || {
+            let on = |label: &'static str| -> RecvThen {
+                let (log, kept) = (log2.clone(), kept2.clone());
+                Box::new(move |r: Result<MpiMsg, MpiError>| {
+                    assert_eq!(simt::current_task(), simt::TaskId(usize::MAX), "{label}");
+                    log.lock().push((label, r.map(|m| m.tag), simt::now()));
+                    drop(kept);
+                })
+            };
+            let post = |tag, deadline, label| {
+                let id = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(tag) });
+                s2.req_wait_then(id, deadline, on(label));
+            };
+            post(1, 50_000, "a");
+            post(2, 50_000, "b");
+            s2.push(msg(1, 0, 3));
+            post(3, 50_000, "stored");
+            assert!(log2.lock().is_empty(), "a continuation never runs inline");
+            post(4, 1_000, "lost");
+            post(5, 100_000, "closed");
         });
         sim.spawn("sender", move || {
-            simt::sleep(10_000);
+            simt::sleep(5_000);
+            assert_eq!((store.posted_len(), store.drain_len()), (3, 1));
+            simt::sleep(5_000);
             store.push(msg(1, 0, 2));
             simt::sleep(10_000);
             store.push(msg(1, 0, 1));
+            store.push(msg(1, 0, 4));
+            assert_eq!((store.len(), store.drain_len()), (0, 0), "the drain took the late body");
+            simt::sleep(40_000);
+            store.close();
+            assert_eq!(store.posted_len(), 0);
         });
         sim.run().unwrap().assert_clean();
+        // Arrival order, not post order; the stored message at once; the
+        // lost one at its deadline; the closed one never, its closure gone.
+        let want = vec![
+            ("stored", Ok(3), 0),
+            ("lost", Err(MpiError::Timeout), 1_000),
+            ("b", Ok(2), 10_000),
+            ("a", Ok(1), 20_000),
+        ];
+        assert_eq!(*log.lock(), want);
+        assert_eq!(Arc::strong_count(&kept), 1);
     }
 
     #[test]

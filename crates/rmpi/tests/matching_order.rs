@@ -1,7 +1,8 @@
 //! Differential test of receive matching. Whatever mix of `recv`,
-//! `irecv().wait()` and `waitall` posts the receives of a process, and from
-//! however many of its threads, they match as MPI prescribes: receives in
-//! post order, messages in arrival order (FIFO per `(comm, src, tag)`).
+//! `irecv().wait()`, `waitall` and `irecv().wait_timeout_then()` posts the
+//! receives of a process, and from however many of its threads, they match
+//! as MPI prescribes: receives in post order, messages in arrival order
+//! (FIFO per `(comm, src, tag)`).
 //! Payloads and virtual completion times must equal the reference matcher's
 //! below, which knows nothing of slots, stores or wake-ups.
 
@@ -28,7 +29,13 @@ enum Op {
     Recv(Matcher),
     IrecvWait(Matcher),
     Waitall(Vec<Matcher>),
+    /// A continuation receive: no thread waits for it.
+    IrecvThen(Matcher),
 }
+
+/// The continuation receives' timeout: far past the last send, so that only
+/// a receive nothing matches times out, and records nothing.
+const THEN_TIMEOUT: u64 = 1_000_000_000;
 
 /// Ranks `1..=senders` send to rank 0, where every op runs on a thread of its
 /// own and posts at its own (distinct) time. Both lists are in time order.
@@ -60,9 +67,10 @@ fn draw_case(rng: &mut SeededRng) -> Case {
     };
     let mut ops: Vec<(u64, Op)> = (0..rng.next_range(2, 8))
         .map(|i| {
-            let op = match rng.next_range(0, 3) {
+            let op = match rng.next_range(0, 4) {
                 0 => Op::Recv(matcher(rng)),
                 1 => Op::IrecvWait(matcher(rng)),
+                2 => Op::IrecvThen(matcher(rng)),
                 _ => Op::Waitall((0..rng.next_range(1, 4)).map(|_| matcher(rng)).collect()),
             };
             (rng.next_range(0, 25_000) * 8 + i, op)
@@ -100,6 +108,15 @@ fn run(case: &Arc<Case>, probe: bool) -> Vec<Seen> {
                     simt::spawn(format!("rx{slot}"), move || {
                         simt::sleep(at);
                         let done = match op {
+                            Op::IrecvThen((src, tag)) => {
+                                let req = comm.irecv(src, tag);
+                                return req.wait_timeout_then(THEN_TIMEOUT, move |r| {
+                                    if let Ok(Some((p, _))) = r {
+                                        let value = *p.value_as::<u64>().unwrap();
+                                        seen.lock()[slot] = Some((vec![value], simt::now()));
+                                    }
+                                });
+                            }
                             Op::Recv((src, tag)) => vec![comm.recv(src, tag).unwrap()],
                             Op::IrecvWait((src, tag)) => {
                                 vec![comm.irecv(src, tag).wait().unwrap().expect("a receive")]
@@ -132,7 +149,7 @@ fn reference(case: &Case, arrivals: &[(u64, u64)]) -> Option<Vec<Seen>> {
     let posts: Vec<(u64, usize, Matcher)> = (case.ops.iter().enumerate())
         .flat_map(|(slot, (at, op))| {
             let matchers = match op {
-                Op::Recv(m) | Op::IrecvWait(m) => vec![*m],
+                Op::Recv(m) | Op::IrecvWait(m) | Op::IrecvThen(m) => vec![*m],
                 Op::Waitall(ms) => ms.clone(),
             };
             matchers.into_iter().map(move |m| (*at, slot, m))

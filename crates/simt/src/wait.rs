@@ -29,18 +29,6 @@ pub struct WaitList {
     pub(crate) tokens: RawMutex<Vec<WaitToken>>,
 }
 
-/// One pass of a wait, as the check of [`WaitList::wait_watching`] sees it.
-pub struct Waiter(Option<WaitToken>);
-
-impl Waiter {
-    /// Register this pass on `list` now, before the check reads what `list`
-    /// guards. The registration stays when the check succeeds.
-    pub fn watch(&mut self, list: &WaitList) {
-        let token = self.0.get_or_insert_with(wait_token).clone();
-        list.tokens.lock().push(token);
-    }
-}
-
 impl WaitList {
     /// A list labelled `<kind>#<n>`, where `n` counts the resources of one
     /// simulation in the order they are first waited on.
@@ -74,35 +62,19 @@ impl WaitList {
         deadline: Option<u64>,
         mut ready: impl FnMut() -> Option<R>,
     ) -> Option<R> {
-        self.wait_watching(deadline, |_| ready())
-    }
-
-    /// [`wait_until`](WaitList::wait_until) for a check that depends on other
-    /// lists too: it [`watch`](Waiter::watch)es each list it reads, this one
-    /// included. A pass that watched nothing is registered here, after the
-    /// check and the deadline.
-    pub fn wait_watching<R>(
-        &self,
-        deadline: Option<u64>,
-        mut ready: impl FnMut(&mut Waiter) -> Option<R>,
-    ) -> Option<R> {
         let mut booked = false;
         let out = loop {
-            let mut pass = Waiter(None);
-            if let Some(value) = ready(&mut pass) {
+            if let Some(value) = ready() {
                 break Some(value);
             }
             if deadline.is_some_and(|d| crate::now() >= d) {
                 break None;
             }
-            let watched = pass.0.is_some();
-            let token = pass.0.unwrap_or_else(wait_token);
+            let token = wait_token();
             if let Some(d) = deadline {
                 token.wake_at(d);
             }
-            if !watched {
-                self.tokens.lock().push(token);
-            }
+            self.tokens.lock().push(token);
             if !booked {
                 diag::on_wait(&self.res);
                 booked = true;

@@ -446,20 +446,23 @@ pub fn read_shuffle<T: Element>(
     // buffer, not per request.
     let results: Queue<FetchResult> = Queue::new();
     let sink = FetchSink::from(results.clone());
-    let mut next_req = 0usize;
     let mut in_flight_bytes = 0u64;
     let mut open_reqs = 0usize;
     let transfer = ctx.services.transfer.clone();
-    while next_req < requests.len()
-        && (in_flight_bytes == 0
-            || in_flight_bytes + requests[next_req].bytes <= conf.max_bytes_in_flight)
-    {
-        let r = &requests[next_req];
-        transfer.fetch_blocks(r.addr, r.blocks.clone(), sink.clone());
-        in_flight_bytes += r.bytes;
-        open_reqs += 1;
-        next_req += 1;
-    }
+    let mut unsent = requests.iter().peekable();
+    // Send requests in order while they fit the in-flight budget; with
+    // nothing in flight, the next one departs however large.
+    let mut issue = |in_flight_bytes: &mut u64, open_reqs: &mut usize| {
+        let max = conf.max_bytes_in_flight;
+        while let Some(r) =
+            unsent.next_if(|r| *in_flight_bytes == 0 || *in_flight_bytes + r.bytes <= max)
+        {
+            transfer.fetch_blocks(r.addr, r.blocks.clone(), sink.clone());
+            *in_flight_bytes += r.bytes;
+            *open_reqs += 1;
+        }
+    };
+    issue(&mut in_flight_bytes, &mut open_reqs);
 
     // Drain local blocks while remote fetches are in flight (Spark reads
     // local blocks first for the same reason).
@@ -503,16 +506,7 @@ pub fn read_shuffle<T: Element>(
             decode_batch_into(&b.data, &mut outs[bucket_of(id)].1);
         }
         in_flight_bytes = in_flight_bytes.saturating_sub(freed);
-        while next_req < requests.len()
-            && (in_flight_bytes == 0
-                || in_flight_bytes + requests[next_req].bytes <= conf.max_bytes_in_flight)
-        {
-            let r = &requests[next_req];
-            transfer.fetch_blocks(r.addr, r.blocks.clone(), sink.clone());
-            in_flight_bytes += r.bytes;
-            open_reqs += 1;
-            next_req += 1;
-        }
+        issue(&mut in_flight_bytes, &mut open_reqs);
     }
 
     ctx.metrics.counter(obs::keys::TASK_FETCH_WAIT_NS).add(fetch_wait);

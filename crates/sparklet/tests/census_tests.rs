@@ -131,7 +131,7 @@ fn a_cache_hit_constructs_no_record() {
 }
 
 #[test]
-fn a_clean_shuffle_spawns_no_fetch_thread() {
+fn a_clean_shuffle_spawns_no_per_request_thread() {
     let cfg = OhbConfig {
         partitions: 8,
         records_per_partition: 24,
@@ -149,8 +149,11 @@ fn a_clean_shuffle_spawns_no_fetch_thread() {
             .map(|s| s.metrics.counter(obs::keys::TASK_REMOTE_BYTES))
             .sum();
         assert!(remote_bytes > 0, "{}: the reduce fetched nothing remotely", system.label());
-        let per_fetch: Vec<_> = out.spawned.keys().filter(|p| p.starts_with("fetch")).collect();
-        assert!(per_fetch.is_empty(), "{}: fetches spawned {per_fetch:?}", system.label());
+        // A fetch is a chain of continuations, and so is the Optimized
+        // design's body receive: no thread fetches, and none waits for bodies.
+        let per_request: Vec<_> =
+            out.spawned.keys().filter(|p| p.starts_with("fetch") || p.contains("body")).collect();
+        assert!(per_request.is_empty(), "{}: requests spawned {per_request:?}", system.label());
         assert!(out.spawned.contains_key("task-e"), "{}: the census counts tasks", system.label());
     }
 }
