@@ -90,7 +90,6 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("table4", suites::table4),
     ("ablation-batching", suites::ablation_batching),
     ("recovery", suites::recovery),
-    ("aqe", suites::aqe),
     ("traced", suites::traced),
     ("realdata", suites::realdata),
 ];

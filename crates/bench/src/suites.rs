@@ -1,11 +1,11 @@
 //! The suites: the paper's figures and Table IV here, the fetch-batching
-//! ablation in [`ablations`], the post-paper feature benches in [`features`].
+//! ablation in [`ablations`], the post-paper recovery bench in [`features`].
 
 mod ablations;
 mod features;
 
 pub use ablations::ablation_batching;
-pub use features::{aqe, recovery};
+pub use features::recovery;
 
 use obs::keys;
 use sparklet::deploy::ClusterConfig;

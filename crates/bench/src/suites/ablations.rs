@@ -34,7 +34,6 @@ pub fn ablation_batching(run: &mut Run<'_>) {
     for mb in [12u64, 24, 48, 96, 192] {
         let mut conf = SparkConf::paper_defaults(cores);
         conf.max_bytes_in_flight = mb << 20;
-        conf.target_request_size = conf.max_bytes_in_flight / 5;
         sweep("maxBytesInFlight", format!("{mb}MB"), conf);
     }
     for merged in [true, false] {

@@ -1,35 +1,27 @@
-//! The post-paper feature benches — lineage recovery + speculation and
-//! adaptive query execution — each with the contracts its subsystem must
-//! honour asserted on every run.
+//! The post-paper feature bench — lineage recovery + speculation — with the
+//! contracts those subsystems must honour asserted on every run.
 
 use fabric::{ClusterSpec, FaultPlan};
 use obs::keys;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::{AqeConf, SparkConf};
-use workloads::ohb::{group_by_zipf_app, OhbConfig};
+use sparklet::SparkConf;
 use workloads::System;
 
 use crate::record::{counters, Run};
 use crate::Scale;
 
 const MS: u64 = 1_000_000;
-const ALL_SYSTEMS: [System; 4] =
-    [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark];
 /// Worker node the faults target (`ClusterSpec::test(5)` + `paper_layout`:
 /// workers on 0..2, master on 3, driver on 4).
 const VICTIM: usize = 1;
 
-/// 4 cores per executor, 10 µs task overhead: the feature benches' cluster.
-fn small_conf() -> SparkConf {
+/// 4 cores per executor, 10 µs task overhead, and fetch timeouts and
+/// retries short enough for a crash to surface within the run.
+fn recovery_conf(speculation: bool) -> SparkConf {
     let mut conf = SparkConf::default();
     conf.executor_cores = 4;
     conf.cost.task_overhead_ns = 10_000;
-    conf
-}
-
-fn recovery_conf(speculation: bool) -> SparkConf {
-    let mut conf = small_conf();
     conf.merge_chunks_per_request = false;
     conf.connect_timeout_ns = 50 * MS;
     conf.request_timeout_ns = 100 * MS;
@@ -110,79 +102,4 @@ pub fn recovery(run: &mut Run<'_>) {
         slow_on.virtual_ns,
         slow_off.virtual_ns
     );
-}
-
-/// Adaptive execution: OHB GroupByTest over zipf(2.5) keys (the head key
-/// carries ~75% of all records, the canonical "one hot reducer" shape) on
-/// all four systems, static vs adaptive. The adaptive plan splits the hot
-/// bucket into map-range slices (two-phase aggregation) and coalesces the
-/// near-empty tail, so the reduce stage's critical path drops from "the one
-/// hot task" to "the widest slice".
-pub fn aqe(run: &mut Run<'_>) {
-    let spec = ClusterSpec::test(10);
-    let partitions = 32;
-    let records_per_partition = if run.scale == Scale::Full { 8_000 } else { 2_000 };
-    let cfg = OhbConfig {
-        partitions,
-        records_per_partition,
-        value_bytes: 100,
-        key_range: 1_000,
-        seed: 0xA0E,
-    };
-    // Target ≈ the average bucket: the hot bucket (~24× the average) splits
-    // into map-range slices, the zipf tail coalesces.
-    let adaptive = AqeConf {
-        enabled: true,
-        target_bytes: cfg.total_bytes() / partitions as u64,
-        skew_factor: 2.0,
-        max_slices: 32,
-    };
-    for system in ALL_SYSTEMS {
-        let label = system.label();
-        let mut cell = |plan: &str, aqe: AqeConf| {
-            let conf = SparkConf { aqe, ..small_conf() };
-            let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-            let out = system.run(&spec, cluster, move |sc| group_by_zipf_app(sc, cfg, 2.5));
-            // Job 0 is datagen; job 1 is the GroupBy.
-            let mut values = vec![
-                ("groupby_ns", out.jobs[1].duration_ns() as i64),
-                ("groups", out.result as i64),
-            ];
-            values.extend(counters(
-                &out.metrics,
-                &[
-                    keys::SPARK_AQE_TASKS,
-                    keys::SPARK_AQE_SPLIT_SLICES,
-                    keys::SPARK_AQE_COALESCED_TASKS,
-                ],
-            ));
-            run.emit(
-                &[("system", label.to_string()), ("plan", plan.to_string())],
-                out.total_ns(),
-                values,
-            )
-        };
-        let stat = cell("static", AqeConf::default());
-        let adap = cell("adaptive", adaptive);
-        assert_eq!(stat.value(keys::SPARK_AQE_TASKS), 0, "{label}: AQE off must never plan");
-        assert!(adap.value(keys::SPARK_AQE_TASKS) > 0, "{label}: AQE on never engaged");
-        assert!(
-            adap.value(keys::SPARK_AQE_SPLIT_SLICES) > 0,
-            "{label}: the hot bucket was never split"
-        );
-        assert_eq!(
-            stat.value("groups"),
-            adap.value("groups"),
-            "{label}: adaptive changed the job's result"
-        );
-        if system == System::Mpi4Spark {
-            assert!(
-                stat.value("groupby_ns") >= 2 * adap.value("groupby_ns"),
-                "AQE must cut the zipfian GroupBy job's virtual time at least 2x on MPI \
-                 (static {} vs adaptive {} ns)",
-                stat.value("groupby_ns"),
-                adap.value("groupby_ns"),
-            );
-        }
-    }
 }

@@ -71,13 +71,6 @@ pub mod keys {
     pub const SPARK_STAGE_RESUBMITS: &str = "spark.stage_resubmits";
     /// Speculative task copies launched by the straggler policy.
     pub const SPARK_SPECULATIVE_TASKS: &str = "spark.speculative_tasks";
-    /// Tasks planned by AQE for adaptive result stages (coalesced runs,
-    /// singletons, and split slices all count once).
-    pub const SPARK_AQE_TASKS: &str = "spark.aqe_tasks";
-    /// Map-range slice tasks produced by AQE skew splitting.
-    pub const SPARK_AQE_SPLIT_SLICES: &str = "spark.aqe_split_slices";
-    /// AQE tasks that coalesce more than one reduce bucket.
-    pub const SPARK_AQE_COALESCED_TASKS: &str = "spark.aqe_coalesced_tasks";
 
     /// Messages delivered by the fabric.
     pub const NET_DELIVERED_MSGS: &str = "fabric.delivered_msgs";

@@ -103,43 +103,13 @@ impl CostModel {
     }
 }
 
-/// Adaptive query execution policy (`spark.sql.adaptive.*` analogs), consumed
-/// by [`aqe::plan`](crate::aqe::plan) at the map→reduce stage boundary.
-///
-/// Off by default: with `enabled: false` the scheduler never consults the
-/// planner and every run is bit-identical to the static engine — the
-/// acceptance bar for this knob.
-#[derive(Debug, Clone, Copy)]
-pub struct AqeConf {
-    /// Master switch (`spark.sql.adaptive.enabled`).
-    pub enabled: bool,
-    /// Target post-shuffle task input in virtual bytes
-    /// (`spark.sql.adaptive.advisoryPartitionSizeInBytes`): runs of adjacent
-    /// buckets below it coalesce into one task, and a skewed bucket splits
-    /// into roughly this many bytes per slice.
-    pub target_bytes: u64,
-    /// A bucket is skewed when it exceeds `skew_factor ×` the median
-    /// non-empty bucket *and* `target_bytes`
-    /// (`spark.sql.adaptive.skewJoin.skewedPartitionFactor`).
-    pub skew_factor: f64,
-    /// Cap on map-range slices per split bucket.
-    pub max_slices: u32,
-}
-
-impl Default for AqeConf {
-    fn default() -> Self {
-        AqeConf { enabled: false, target_bytes: 4 * 1024 * 1024, skew_factor: 4.0, max_slices: 8 }
-    }
-}
-
 /// Engine configuration (the `spark.*` properties the paper tunes, §VII-C).
 #[derive(Debug, Clone, Copy)]
 pub struct SparkConf {
     /// Cap on in-flight remote shuffle bytes per reduce task
     /// (`spark.reducer.maxSizeInFlight`, default 48 MiB).
+    /// One fetch request targets a fifth of it, as in Spark.
     pub max_bytes_in_flight: u64,
-    /// Target size of one fetch request (Spark: `maxBytesInFlight / 5`).
-    pub target_request_size: u64,
     /// Serve one merged chunk per fetch request (`false` = one chunk per
     /// block, Spark-faithful but quadratic in message count; merged requests
     /// charge per-block protocol CPU instead — see `shuffle`).
@@ -167,8 +137,6 @@ pub struct SparkConf {
     /// non-speculative engine. The policy's tuning is fixed in
     /// [`scheduler::speculation`](crate::scheduler::speculation).
     pub speculation: bool,
-    /// Adaptive query execution policy.
-    pub aqe: AqeConf,
     /// Record tracing spans during the run and export a deterministic
     /// Chrome-trace timeline (virtual-time ticks). Off by default: spans
     /// cost host memory, never virtual time, so enabling it does not
@@ -180,10 +148,8 @@ pub struct SparkConf {
 
 impl Default for SparkConf {
     fn default() -> Self {
-        let max_bytes_in_flight = 48 * 1024 * 1024;
         SparkConf {
-            max_bytes_in_flight,
-            target_request_size: max_bytes_in_flight / 5,
+            max_bytes_in_flight: 48 * 1024 * 1024,
             merge_chunks_per_request: true,
             executor_cores: 4,
             request_timeout_ns: simt::time::secs(120),
@@ -193,7 +159,6 @@ impl Default for SparkConf {
             fetch_retry_max_ns: simt::time::secs(5),
             fetch_timeout_ns: simt::time::secs(120),
             speculation: false,
-            aqe: AqeConf::default(),
             trace_timeline: false,
             cost: CostModel::default(),
         }
@@ -211,12 +176,6 @@ impl SparkConf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_request_size_is_a_fifth() {
-        let c = SparkConf::default();
-        assert_eq!(c.target_request_size, c.max_bytes_in_flight / 5);
-    }
 
     #[test]
     fn costs_scale_monotonically() {

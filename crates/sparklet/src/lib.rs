@@ -27,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aqe;
 pub mod broadcast;
 pub mod config;
 pub mod data;
@@ -42,7 +41,7 @@ pub mod task;
 pub mod transfer;
 
 pub use broadcast::Broadcast;
-pub use config::{AqeConf, CostModel, SparkConf};
+pub use config::{CostModel, SparkConf};
 pub use data::{Blob, Element};
 pub use deploy::{ClusterConfig, ExecutorLauncher, ProcessBuilderLauncher};
 pub use net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role, VanillaBackend};

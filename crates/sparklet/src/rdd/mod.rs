@@ -18,9 +18,7 @@ use crate::config::SparkConf;
 use crate::data::Element;
 use crate::rpc::AnyMsg;
 use crate::scheduler::DagScheduler;
-use crate::shuffle::{
-    combine_by_key, combine_pairs, group_pairs, sort_pairs, FetchFailed, MapStatus,
-};
+use crate::shuffle::{combine_pairs, group_pairs, sort_pairs, FetchFailed, MapStatus};
 use crate::task::TaskContext;
 
 use ops::*;
@@ -100,11 +98,6 @@ pub struct JobSpec {
     pub shuffle_stages: Vec<Arc<dyn ShuffleDepMeta>>,
     /// One result task per partition, in partition order.
     pub result_tasks: Vec<Arc<dyn TaskRunner>>,
-    /// Adaptive alternative to `result_tasks`, present when AQE is enabled
-    /// and the terminal node is a shuffle read with a merge; the scheduler
-    /// then plans the reduce side from map-output sizes instead of running
-    /// `result_tasks`, and returns the same per-partition results.
-    pub adaptive: Option<Arc<dyn crate::aqe::AdaptiveJobSpec>>,
     /// Human-readable description (`count`, `collect`, ...).
     pub action: String,
 }
@@ -153,12 +146,6 @@ pub trait RddOps<T: Element>: Send + Sync + 'static {
     fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<T>, FetchFailed>;
     /// Direct shuffle dependencies.
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>>;
-    /// The adaptive job running `f` over this node, when it is a shuffle
-    /// read that supports plan-driven execution (coalesce/split). `None`
-    /// (the default) keeps the job on the static path.
-    fn adaptive(self: Arc<Self>, _f: Action<T>) -> Option<Arc<dyn crate::aqe::AdaptiveJobSpec>> {
-        None
-    }
 }
 
 /// A resilient distributed dataset of `T` records.
@@ -316,13 +303,9 @@ impl<T: Element> Rdd<T> {
                     as Arc<dyn TaskRunner>
             })
             .collect();
-        // With AQE on and a shuffle read as the terminal node, also offer
-        // the scheduler a plan-driven alternative to the fixed task list.
-        let adaptive = if self.core.conf.aqe.enabled { self.ops.clone().adaptive(f) } else { None };
         let job = JobSpec {
             shuffle_stages: topo_shuffle_deps(self.ops.shuffle_deps()),
             result_tasks,
-            adaptive,
             action: action.to_string(),
         };
         self.core
@@ -377,7 +360,6 @@ where
         partitioner: Arc<dyn Partitioner<K>>,
         map_side: Option<MapSideCombine<K, M>>,
         post: PostShuffle<K, M, U>,
-        merge: Option<MergeFn<U>>,
     ) -> Rdd<U> {
         let dep = Arc::new(ShuffleDep {
             shuffle_id: self.core.new_shuffle_id(),
@@ -388,7 +370,7 @@ where
         });
         Rdd {
             core: self.core.clone(),
-            ops: Arc::new(ShuffleReadRdd { id: self.core.new_rdd_id(), dep, post, merge }),
+            ops: Arc::new(ShuffleReadRdd { id: self.core.new_rdd_id(), dep, post }),
         }
     }
 
@@ -400,22 +382,6 @@ where
             Arc::new(HashPartitioner::new(parts)),
             None,
             Arc::new(group_pairs),
-            // Slice partials arrive pre-grouped per map range; concatenating
-            // each key's groups in slice (= map-range) order reproduces the
-            // static grouping exactly, at record-count cost only — the
-            // two-phase win that makes splitting a hot bucket pay off.
-            Some(Arc::new(|ctx: &TaskContext, partials: Vec<Vec<(K, Vec<V>)>>| {
-                let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
-                ctx.charge(ctx.cost().group(n, 0));
-                combine_by_key(
-                    partials.into_iter().flatten(),
-                    |group| group,
-                    |mut group, mut more| {
-                        group.append(&mut more);
-                        group
-                    },
-                )
-            })),
         )
     }
 
@@ -427,7 +393,6 @@ where
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
     ) -> Rdd<(K, V)> {
         let f = Arc::new(f);
-        let f_merge = f.clone();
         // One fold serves the map-side combine and the reduce side.
         let reduce: PostShuffle<K, V, (K, V)> =
             Arc::new(move |ctx, pairs| combine_pairs(ctx, pairs, |v| v, |a, b| f(a, b)));
@@ -436,13 +401,6 @@ where
             Arc::new(HashPartitioner::new(parts)),
             Some(reduce.clone()),
             reduce,
-            // Slice partials are already reduced per map range; the final
-            // merge folds at most one value per key per slice.
-            Some(Arc::new(move |ctx: &TaskContext, partials: Vec<Vec<(K, V)>>| {
-                let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
-                ctx.charge(ctx.cost().group(n, 0));
-                combine_by_key(partials.into_iter().flatten(), |v| v, |a, b| f_merge(a, b))
-            })),
         )
     }
 
@@ -454,13 +412,6 @@ where
             partitioner,
             None,
             Arc::new(|_ctx, pairs| pairs),
-            // Records pass through unchanged; merging is concatenation in
-            // map-range order.
-            Some(Arc::new(|ctx: &TaskContext, partials: Vec<Vec<(K, V)>>| {
-                let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
-                ctx.charge(ctx.cost().map(n, 0));
-                partials.into_iter().flatten().collect()
-            })),
         )
     }
 
@@ -536,16 +487,6 @@ where
                 sort_pairs(&mut pairs);
                 pairs
             }),
-            // Slice partials arrive sorted; a stable merge-by-concatenation
-            // plus re-sort costs record-count terms only (no byte charge —
-            // the heavy byte-proportional sort already ran in the slices).
-            Some(Arc::new(|ctx: &TaskContext, partials: Vec<Vec<(K, V)>>| {
-                let n: u64 = partials.iter().map(|p| p.len() as u64).sum();
-                ctx.charge(ctx.cost().sort(n, 0));
-                let mut merged: Vec<(K, V)> = partials.into_iter().flatten().collect();
-                sort_pairs(&mut merged);
-                merged
-            })),
         )
     }
 }

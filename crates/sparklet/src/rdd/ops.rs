@@ -3,11 +3,9 @@
 use std::hash::Hash;
 use std::sync::Arc;
 
-use crate::aqe::{AdaptiveJobSpec, BucketResults, PlanTask, SlicePartial};
 use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
 use crate::rdd::{Action, Part, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
-use crate::rpc::AnyMsg;
 use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
@@ -17,11 +15,6 @@ pub type MapSideCombine<K, M> = Arc<dyn Fn(&TaskContext, Vec<(K, M)>) -> Vec<(K,
 
 /// Reduce-side post-processing (grouping, reducing, sorting, identity).
 pub type PostShuffle<K, M, U> = Arc<dyn Fn(&TaskContext, Vec<(K, M)>) -> Vec<U> + Send + Sync>;
-
-/// Combine per-map-range slice partials (each already post-processed) into
-/// one bucket's final records — the cheap second phase of AQE's two-phase
-/// aggregation. `None` keeps the operator on the static path under AQE.
-pub type MergeFn<U> = Arc<dyn Fn(&TaskContext, Vec<Vec<U>>) -> Vec<U> + Send + Sync>;
 
 // --- sources ---------------------------------------------------------------
 
@@ -272,9 +265,6 @@ where
     pub dep: Arc<ShuffleDep<K, M>>,
     /// Reduce-side processing.
     pub post: PostShuffle<K, M, U>,
-    /// Slice-partial merge for adaptive execution; `None` opts the operator
-    /// out of AQE (e.g. cogroup inputs).
-    pub merge: Option<MergeFn<U>>,
 }
 
 impl<K, M, U> RddOps<U> for ShuffleReadRdd<K, M, U>
@@ -290,15 +280,11 @@ where
         self.dep.partitioner.num_partitions()
     }
     fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<U>, FetchFailed> {
-        let mut buckets = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, &[part as u32], None)?;
-        Ok(Part::Owned((self.post)(ctx, buckets.pop().expect("one bucket requested").1)))
+        let pairs = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, part as u32)?;
+        Ok(Part::Owned((self.post)(ctx, pairs)))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep.clone()]
-    }
-    fn adaptive(self: Arc<Self>, f: Action<U>) -> Option<Arc<dyn AdaptiveJobSpec>> {
-        let merge = self.merge.clone()?;
-        Some(Arc::new(AdaptiveRead { read: self, merge, f }))
     }
 }
 
@@ -334,15 +320,8 @@ where
         part: usize,
         ctx: &TaskContext,
     ) -> Result<Part<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
-        let reduce = [part as u32];
-        let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, &reduce, None)?
-            .pop()
-            .expect("one bucket requested")
-            .1;
-        let b = read_shuffle::<(K, W)>(ctx, self.dep_b.shuffle_id, &reduce, None)?
-            .pop()
-            .expect("one bucket requested")
-            .1;
+        let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, part as u32)?;
+        let b = read_shuffle::<(K, W)>(ctx, self.dep_b.shuffle_id, part as u32)?;
         ctx.charge(ctx.cost().group((a.len() + b.len()) as u64, 0));
         Ok(Part::Owned(cogroup_pairs(a, b)))
     }
@@ -371,111 +350,5 @@ impl<T: Element> TaskRunner for ResultTask<T> {
         };
         ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
         TaskOutput::Result((self.f)(ctx, data))
-    }
-}
-
-// --- adaptive result tasks --------------------------------------------------
-
-/// The one [`AdaptiveJobSpec`]: a shuffle read with a slice merge, and the
-/// action run over it. Plan tasks fetch through the node's shuffle and
-/// apply its `post` and `merge` directly.
-#[derive(Clone)]
-struct AdaptiveRead<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    read: Arc<ShuffleReadRdd<K, M, U>>,
-    merge: MergeFn<U>,
-    f: Action<U>,
-}
-
-impl<K, M, U> AdaptiveJobSpec for AdaptiveRead<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    fn dep(&self) -> Arc<dyn ShuffleDepMeta> {
-        self.read.dep.clone()
-    }
-    fn make_task(&self, task: &PlanTask) -> Arc<dyn TaskRunner> {
-        Arc::new(AqeTask { job: self.clone(), work: AqeWork::Plan(task.clone()) })
-    }
-    fn make_merge_task(&self, bucket: u32, partials: Vec<AnyMsg>) -> Arc<dyn TaskRunner> {
-        Arc::new(AqeTask { job: self.clone(), work: AqeWork::Merge { bucket, partials } })
-    }
-}
-
-/// What one adaptive task does.
-enum AqeWork {
-    /// A plan task: complete buckets (fetch + post + action per bucket), or
-    /// one map-range slice of a split bucket (fetch + post only — the
-    /// salted pre-aggregate; the action runs in the merge).
-    Plan(PlanTask),
-    /// The final merge of one split bucket's slice partials (type-erased
-    /// `Vec<U>`s in ascending map-range order), then the action.
-    Merge { bucket: u32, partials: Vec<AnyMsg> },
-}
-
-struct AqeTask<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    job: AdaptiveRead<K, M, U>,
-    work: AqeWork,
-}
-
-impl<K, M, U> TaskRunner for AqeTask<K, M, U>
-where
-    K: Element + Hash + Eq + Ord,
-    M: Element,
-    U: Element,
-{
-    fn run(&self, ctx: &TaskContext) -> TaskOutput {
-        let AdaptiveRead { read, merge, f } = &self.job;
-        let shuffle_id = read.dep.shuffle_id;
-        let records_out = |data: &Vec<U>| {
-            ctx.metrics.counter(obs::keys::TASK_RECORDS_OUT).add(data.len() as u64);
-        };
-        // One result per whole bucket, preserving the job's per-partition
-        // result arity.
-        let finish = |bucket: u32, data: Vec<U>| {
-            records_out(&data);
-            (bucket, f(ctx, Part::Owned(data)))
-        };
-        let run = || -> Result<AnyMsg, FetchFailed> {
-            Ok(match &self.work {
-                AqeWork::Plan(PlanTask::Buckets { buckets }) => {
-                    let posted: Vec<(u32, Vec<U>)> =
-                        read_shuffle::<(K, M)>(ctx, shuffle_id, buckets, None)?
-                            .into_iter()
-                            .map(|(bucket, pairs)| (bucket, (read.post)(ctx, pairs)))
-                            .collect();
-                    Arc::new(BucketResults(posted.into_iter().map(|(b, d)| finish(b, d)).collect()))
-                }
-                &AqeWork::Plan(PlanTask::Slice { bucket, map_lo, map_hi }) => {
-                    let range = Some((map_lo, map_hi));
-                    let mut slices = read_shuffle::<(K, M)>(ctx, shuffle_id, &[bucket], range)?;
-                    let data = (read.post)(ctx, slices.pop().expect("one bucket requested").1);
-                    records_out(&data);
-                    Arc::new(SlicePartial { bucket, map_lo, data: Arc::new(data) })
-                }
-                AqeWork::Merge { bucket, partials } => {
-                    let partials = partials
-                        .iter()
-                        .map(|p| p.downcast_ref::<Vec<U>>().expect("slice partial type").clone())
-                        .collect();
-                    Arc::new(BucketResults(vec![finish(*bucket, merge(ctx, partials))]))
-                }
-            })
-        };
-        match run() {
-            Ok(out) => TaskOutput::Result(out),
-            Err(failed) => TaskOutput::FetchFailed(failed),
-        }
     }
 }

@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use simt::queue::RecvError;
 
-use crate::aqe::{self, AdaptiveJobSpec, BucketResults, SlicePartial};
 use crate::rdd::{JobSpec, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
@@ -46,11 +45,6 @@ pub(super) fn run_job(
     let mut eng = JobEngine { sched, job, job_id, stages: Vec::new() };
     for dep in &job.shuffle_stages {
         eng.ensure_shuffle(dep);
-    }
-    // Map outputs are in; this is the AQE decision point.
-    if let Some(ad) = &job.adaptive {
-        let results = eng.run_adaptive(ad.as_ref());
-        return (results, eng.stages);
     }
     let parts: Vec<usize> = (0..job.result_tasks.len()).collect();
     let name = format!("Job{job_id}-ResultStage");
@@ -109,100 +103,6 @@ impl JobEngine<'_> {
                 _ => panic!("map stage produced a non-map output"),
             }
         }
-    }
-
-    /// Run the result stage adaptively: plan the reduce side from the
-    /// registered map-output sizes, execute the planned tasks (reusing the
-    /// full attempt/recovery/speculation machinery), merge split buckets,
-    /// and reassemble one result per original reduce partition.
-    fn run_adaptive(&mut self, ad: &dyn AdaptiveJobSpec) -> Vec<AnyMsg> {
-        let dep = ad.dep();
-        let num_reduces = dep.num_reduces();
-        // Only a shuffle read offers an adaptive job, and its partition
-        // count is its dependency's reduce count.
-        assert_eq!(num_reduces, self.job.result_tasks.len(), "one result per reduce bucket");
-        let sched = self.sched;
-        let (epoch, rows) = sched.tracker.size_matrix(dep.shuffle_id());
-        let row_slices: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let plan = aqe::plan(&row_slices, &sched.conf.aqe);
-        plan.verify_partition_of_space().expect("AQE plan must partition the reduce space");
-        let obs = sched.obs();
-        obs.registry().counter(obs::keys::SPARK_AQE_TASKS).add(plan.tasks.len() as u64);
-        obs.registry().counter(obs::keys::SPARK_AQE_SPLIT_SLICES).add(plan.slice_count() as u64);
-        obs.registry()
-            .counter(obs::keys::SPARK_AQE_COALESCED_TASKS)
-            .add(plan.coalesced_count() as u64);
-        obs.event(
-            "spark.aqe.plan",
-            obs::kv! {
-                "shuffle" => dep.shuffle_id(),
-                "epoch" => epoch,
-                "tasks" => plan.tasks.len(),
-                "coalesced" => plan.coalesced_count(),
-                "split_buckets" => plan.split_buckets.len(),
-            },
-        );
-
-        let runners: Vec<Arc<dyn TaskRunner>> =
-            plan.tasks.iter().map(|t| ad.make_task(t)).collect();
-        let parts: Vec<usize> = (0..runners.len()).collect();
-        let outs =
-            self.run_to_completion(format!("Job{}-ResultStage", self.job_id), &runners, parts);
-
-        // Route outputs: complete-bucket results land directly; slice
-        // partials group per split bucket for the merge stage.
-        let mut by_bucket: Vec<Option<AnyMsg>> = (0..num_reduces).map(|_| None).collect();
-        let mut partials: BTreeMap<u32, Vec<(u32, AnyMsg)>> = BTreeMap::new();
-        for (_, out) in outs {
-            let TaskOutput::Result(r) = out else {
-                panic!("adaptive result stage produced a non-result output")
-            };
-            match r.downcast::<BucketResults>() {
-                Ok(b) => {
-                    for (bucket, res) in &b.0 {
-                        by_bucket[*bucket as usize] = Some(res.clone());
-                    }
-                }
-                Err(r) => {
-                    let p = r.downcast::<SlicePartial>().expect("bucket results or slice partial");
-                    partials.entry(p.bucket).or_default().push((p.map_lo, p.data.clone()));
-                }
-            }
-        }
-        if !partials.is_empty() {
-            let merges: Vec<Arc<dyn TaskRunner>> = partials
-                .into_iter()
-                .map(|(bucket, mut ps)| {
-                    ps.sort_by_key(|(map_lo, _)| *map_lo);
-                    ad.make_merge_task(bucket, ps.into_iter().map(|(_, d)| d).collect())
-                })
-                .collect();
-            let parts: Vec<usize> = (0..merges.len()).collect();
-            // Named to share no fragment with the main stages, so metric
-            // lookups by "ResultStage"/"ShuffleMapStage" stay unambiguous.
-            let name = format!("Job{}-AqeMergeStage", self.job_id);
-            let outs = self.run_to_completion(name, &merges, parts);
-            for (_, out) in outs {
-                let TaskOutput::Result(r) = out else {
-                    panic!("AQE merge stage produced a non-result output")
-                };
-                let b = r.downcast::<BucketResults>().expect("merge returns bucket results");
-                for (bucket, res) in &b.0 {
-                    by_bucket[*bucket as usize] = Some(res.clone());
-                }
-            }
-        }
-
-        // Recovery mid-stage may have recomputed map outputs under a bumped
-        // epoch; recomputation is deterministic, so a replan over the
-        // current statuses must reproduce the plan the stage ran under —
-        // the invariant that lets pre- and post-recovery task outputs mix.
-        let (_, rows_now) = sched.tracker.size_matrix(dep.shuffle_id());
-        let now_slices: Vec<&[u64]> = rows_now.iter().map(|r| r.as_slice()).collect();
-        let replan = aqe::plan(&now_slices, &sched.conf.aqe);
-        assert_eq!(replan, plan, "replan after recovery diverged from the executed plan");
-
-        by_bucket.into_iter().map(|o| o.expect("every reduce bucket produced a result")).collect()
     }
 
     /// Drive one stage through as many attempts as it takes. `runners` holds

@@ -142,28 +142,6 @@ impl MapOutputTrackerMaster {
         slots.iter().enumerate().filter_map(|(i, s)| s.is_none().then_some(i as u32)).collect()
     }
 
-    /// Per-map size rows for a *complete* shuffle — the AQE planner's input
-    /// — plus the epoch they were read under. The epoch is re-checked after
-    /// the read: if a concurrent executor removal bumped it mid-read, the
-    /// snapshot is discarded and re-taken, so a returned matrix is always
-    /// internally consistent with its epoch.
-    pub fn size_matrix(&self, shuffle_id: u32) -> (u64, Vec<Arc<Vec<u64>>>) {
-        loop {
-            let epoch = self.epoch();
-            let rows: Vec<Arc<Vec<u64>>> = {
-                let o = self.outputs.lock();
-                let slots = o.get(&shuffle_id).expect("shuffle registered");
-                slots
-                    .iter()
-                    .map(|s| s.as_ref().expect("shuffle complete before planning").sizes.clone())
-                    .collect()
-            };
-            if self.epoch() == epoch {
-                return (epoch, rows);
-            }
-        }
-    }
-
     fn statuses(&self, shuffle_id: u32) -> Arc<Vec<MapStatus>> {
         let o = self.outputs.lock();
         let slots = o.get(&shuffle_id).expect("shuffle registered");
@@ -344,22 +322,19 @@ pub fn write_shuffle<T: Element>(
 
 // --- shuffle read ----------------------------------------------------------
 
-/// The shuffle read: fetch the reduce buckets `reduce_ids`, optionally
-/// restricted to map partitions `map_lo..map_hi` (an AQE slice of one split
-/// bucket), in *one* batched fetch pass — local blocks directly, remote
-/// blocks through the batched fetcher. Returns one `(reduce_id, records)`
-/// entry per requested bucket in request order (empty buckets included), or
-/// the [`FetchFailed`] that names what could not be fetched.
+/// The shuffle read: fetch reduce bucket `reduce_id` from every map output
+/// in *one* batched fetch pass — local blocks directly, remote blocks
+/// through the batched fetcher. Returns the bucket's records (empty when
+/// every map wrote it empty), or the [`FetchFailed`] that names what could
+/// not be fetched.
 pub fn read_shuffle<T: Element>(
     ctx: &TaskContext,
     shuffle_id: u32,
-    reduce_ids: &[u32],
-    map_range: Option<(u32, u32)>,
-) -> Result<Vec<(u32, Vec<T>)>, FetchFailed> {
+    reduce_id: u32,
+) -> Result<Vec<T>, FetchFailed> {
     let obs = ctx.services.net.obs().clone();
     let _span = obs.is_traced().then(|| {
-        let reduce = reduce_ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
-        obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce})
+        obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce_id})
     });
     let statuses = ctx.services.map_outputs.get(shuffle_id)?;
     let conf = &ctx.services.conf;
@@ -370,35 +345,30 @@ pub fn read_shuffle<T: Element>(
     // Split local vs remote, grouping remote blocks per serving executor.
     let mut local: Vec<BlockId> = Vec::new();
     let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
-    // Records to expect per requested bucket, as the map tasks reported them.
-    let mut expected = vec![0usize; reduce_ids.len()];
+    // Records to expect, as the map tasks reported them.
+    let mut expected = 0usize;
     for st in statuses.iter() {
-        if let Some((lo, hi)) = map_range {
-            if st.map_id < lo || st.map_id >= hi {
-                continue; // outside this slice's map range
-            }
+        let size = st.sizes[reduce_id as usize];
+        if st.records[reduce_id as usize] == 0 && size == 0 {
+            continue; // empty bucket: Spark skips zero-size blocks
         }
-        for (&reduce_id, expected) in reduce_ids.iter().zip(&mut expected) {
-            let size = st.sizes[reduce_id as usize];
-            if st.records[reduce_id as usize] == 0 && size == 0 {
-                continue; // empty bucket: Spark skips zero-size blocks
-            }
-            *expected += st.records[reduce_id as usize] as usize;
-            let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
-            if st.exec_id == my_exec {
-                local.push(id);
-            } else {
-                remote
-                    .entry(st.exec_id)
-                    .or_insert_with(|| (st.shuffle_addr, Vec::new()))
-                    .1
-                    .push((id, size));
-            }
+        expected += st.records[reduce_id as usize] as usize;
+        let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
+        if st.exec_id == my_exec {
+            local.push(id);
+        } else {
+            remote
+                .entry(st.exec_id)
+                .or_insert_with(|| (st.shuffle_addr, Vec::new()))
+                .1
+                .push((id, size));
         }
     }
 
-    // Build fetch requests ≤ target_request_size per request (Spark's
-    // grouping inside ShuffleBlockFetcherIterator).
+    // Group each executor's blocks into requests of up to a fifth of
+    // `max_bytes_in_flight` (Spark's `targetRequestSize` rule inside
+    // ShuffleBlockFetcherIterator), so about five requests fly at once.
+    let request_target = conf.max_bytes_in_flight / 5;
     struct Request {
         addr: PortAddr,
         blocks: Vec<BlockId>,
@@ -409,7 +379,7 @@ pub fn read_shuffle<T: Element>(
     for (addr, blocks) in remote.into_values() {
         let mut cur = Request { addr, blocks: Vec::new(), bytes: 0 };
         for (id, size) in blocks {
-            if cur.bytes > 0 && cur.bytes + size > conf.target_request_size {
+            if cur.bytes > 0 && cur.bytes + size > request_target {
                 requests.push(std::mem::replace(
                     &mut cur,
                     Request { addr, blocks: Vec::new(), bytes: 0 },
@@ -423,17 +393,8 @@ pub fn read_shuffle<T: Element>(
         }
     }
 
-    // One output vector per requested bucket, reserved in full; decoded
-    // blocks are routed by the `reduce_id` their `BlockId` carries.
-    let mut outs: Vec<(u32, Vec<T>)> =
-        reduce_ids.iter().zip(expected).map(|(r, n)| (*r, Vec::with_capacity(n))).collect();
-    let slot: BTreeMap<u32, usize> = reduce_ids.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let bucket_of = |id: &BlockId| -> usize {
-        match id {
-            BlockId::Shuffle { reduce_id, .. } => slot[reduce_id],
-            BlockId::Rdd { .. } => unreachable!("shuffle fetch returned an RDD block"),
-        }
-    };
+    // The output vector, reserved in full.
+    let mut out: Vec<T> = Vec::with_capacity(expected);
     let mut fetch_wait = 0u64;
     let mut remote_bytes = 0u64;
     let mut local_bytes = 0u64;
@@ -470,7 +431,7 @@ pub fn read_shuffle<T: Element>(
         let b = bm.get(id).expect("local shuffle block present");
         local_bytes += b.virtual_len;
         ctx.charge(cost.deser(b.records, b.virtual_len));
-        decode_batch_into(&b.data, &mut outs[bucket_of(&id)].1);
+        decode_batch_into(&b.data, &mut out);
     }
 
     while open_reqs > 0 {
@@ -499,11 +460,11 @@ pub fn read_shuffle<T: Element>(
             open_reqs -= 1;
         }
         let mut freed = 0u64;
-        for (id, b) in res.blocks.iter().zip(blocks) {
+        for b in blocks {
             freed += b.virtual_len;
             remote_bytes += b.virtual_len;
             ctx.charge(cost.deser(b.records, b.virtual_len));
-            decode_batch_into(&b.data, &mut outs[bucket_of(id)].1);
+            decode_batch_into(&b.data, &mut out);
         }
         in_flight_bytes = in_flight_bytes.saturating_sub(freed);
         issue(&mut in_flight_bytes, &mut open_reqs);
@@ -512,7 +473,7 @@ pub fn read_shuffle<T: Element>(
     ctx.metrics.counter(obs::keys::TASK_FETCH_WAIT_NS).add(fetch_wait);
     ctx.metrics.counter(obs::keys::TASK_REMOTE_BYTES).add(remote_bytes);
     ctx.metrics.counter(obs::keys::TASK_LOCAL_BYTES).add(local_bytes);
-    Ok(outs)
+    Ok(out)
 }
 
 /// Stably sort `pairs` by key. Keys that [`Element::rank`] go through an

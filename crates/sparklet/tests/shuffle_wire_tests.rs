@@ -1,8 +1,8 @@
 //! The shuffle's wire format and record order, pinned from outside: what
 //! `write_shuffle` stores is byte for byte `encode_batch` of each bucket, and
-//! `read_shuffle` hands the records back bucket by bucket in block order —
-//! local blocks first (ascending map id), then remote blocks as they arrive —
-//! with every record of a block in the order its map task produced it.
+//! `read_shuffle` hands a bucket's records back in block order — local blocks
+//! first (ascending map id), then remote blocks as they arrive — with every
+//! record of a block in the order its map task produced it.
 
 use std::sync::Arc;
 
@@ -168,25 +168,16 @@ fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
         // The reader is executor 0: its own maps (0, 3) first, then executor
         // 1's (1, 4), then executor 2's (2, 5).
         let block_order = [0usize, 3, 1, 4, 2, 5];
-        let requested = [3u32, 2, 0];
-        for map_range in [None, Some((1u32, 5u32))] {
-            let got = read_shuffle::<(u64, u64)>(&ctxs[0], SHUFFLE, &requested, map_range)
-                .expect("every block served");
-            let want: Vec<(u32, Vec<(u64, u64)>)> = requested
+        for bucket in [3u32, 2, 0] {
+            let got =
+                read_shuffle::<(u64, u64)>(&ctxs[0], SHUFFLE, bucket).expect("every block served");
+            let want: Vec<(u64, u64)> = block_order
                 .iter()
-                .map(|&bucket| {
-                    let in_range = |m: &&usize| {
-                        map_range.is_none_or(|(lo, hi)| (lo..hi).contains(&(**m as u32)))
-                    };
-                    let records = (block_order.iter().filter(in_range))
-                        .flat_map(|&m| bucket_of(&written[m], bucket as usize, partition_of))
-                        .collect();
-                    (bucket, records)
-                })
+                .flat_map(|&m| bucket_of(&written[m], bucket as usize, partition_of))
                 .collect();
-            assert_eq!(got, want, "map range {map_range:?}");
-            assert!(got[1].1.is_empty(), "the empty bucket is returned, empty");
-            assert!(got.iter().all(|(_, records)| records.capacity() == records.len()));
+            assert_eq!(got, want, "bucket {bucket}");
+            assert_eq!(got.is_empty(), bucket == 2, "only bucket 2 is returned empty");
+            assert_eq!(got.capacity(), got.len(), "bucket {bucket}: reserved exactly");
         }
     });
     sim.run().unwrap().assert_clean();

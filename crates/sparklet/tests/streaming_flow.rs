@@ -30,10 +30,16 @@ use sparklet::SparkConf;
 
 const MS: u64 = 1_000_000;
 
+/// One remote map output of shuffle 7's reduce bucket 0: `(map_id,
+/// exec_id, block bytes)`.
+type MapEntry = (u32, usize, u64);
+
 /// Transfer service that emits each request's chunks at scripted virtual
 /// times (per-block mode: one chunk per requested block), recording when
 /// `read_shuffle` issued each request and when each chunk was sent.
 struct ScriptedTransfer {
+    /// The map outputs it serves, which give each block its size.
+    maps: Vec<MapEntry>,
     /// Per-request delays (ns after the fetch call) of each chunk.
     scripts: Vec<Vec<u64>>,
     /// Virtual timestamps of the `fetch_blocks` calls, in call order.
@@ -42,18 +48,25 @@ struct ScriptedTransfer {
     emissions: Arc<Mutex<Vec<(usize, u32, u64)>>>,
 }
 
-/// The decoded record carried by a block is derived from its map id, so the
-/// reader's output proves which blocks arrived.
-fn record_of(id: BlockId) -> u64 {
-    match id {
-        BlockId::Shuffle { map_id, .. } => u64::from(map_id) * 100,
-        other => panic!("unexpected block {other}"),
+impl ScriptedTransfer {
+    fn new(maps: &[MapEntry], scripts: Vec<Vec<u64>>) -> Arc<Self> {
+        Arc::new(ScriptedTransfer {
+            maps: maps.to_vec(),
+            scripts,
+            calls: Mutex::new(Vec::new()),
+            emissions: Arc::default(),
+        })
     }
-}
 
-fn block_for(id: BlockId) -> StoredBlock {
-    let (data, _) = encode_batch(&[record_of(id)]);
-    StoredBlock { data, virtual_len: 10, records: 1 }
+    /// The block of map `id`, sized as its entry says. Its one record is
+    /// derived from the map id, so the reader's output proves which blocks
+    /// arrived.
+    fn block_for(&self, id: BlockId) -> StoredBlock {
+        let BlockId::Shuffle { map_id, .. } = id else { panic!("unexpected block {id}") };
+        let (_, _, virtual_len) = self.maps.iter().find(|m| m.0 == map_id).expect("known map");
+        let (data, _) = encode_batch(&[u64::from(map_id) * 100]);
+        StoredBlock { data, virtual_len: *virtual_len, records: 1 }
+    }
 }
 
 impl BlockTransferService for ScriptedTransfer {
@@ -65,11 +78,12 @@ impl BlockTransferService for ScriptedTransfer {
         };
         let delays = self.scripts[req].clone();
         assert_eq!(delays.len(), blocks.len(), "per-block mode: one chunk per block");
+        let stored: Vec<StoredBlock> = blocks.iter().map(|id| self.block_for(*id)).collect();
         let emissions = self.emissions.clone();
         simt::spawn_daemon(format!("scripted-fetch-{req}"), move || {
             let t0 = simt::now();
             let n = blocks.len();
-            for (i, delay) in delays.iter().enumerate() {
+            for ((i, delay), block) in delays.iter().enumerate().zip(stored) {
                 let due = t0 + delay;
                 let now = simt::now();
                 if due > now {
@@ -79,7 +93,7 @@ impl BlockTransferService for ScriptedTransfer {
                 sink.send(FetchResult {
                     blocks: vec![blocks[i]],
                     last: i + 1 == n,
-                    result: Ok(vec![block_for(blocks[i])]),
+                    result: Ok(vec![block]),
                 });
             }
         });
@@ -89,12 +103,12 @@ impl BlockTransferService for ScriptedTransfer {
 }
 
 /// Build a `TaskContext` whose map-output table says shuffle 7 / reduce 0
-/// has one 10-byte block per entry of `maps` (`(map_id, exec_id)`), all
-/// remote to executor 0, and whose transfer service is `transfer`.
+/// has one block per entry of `maps`, all remote to executor 0, and whose
+/// transfer service is `transfer`.
 fn harness(
     net: &Net,
     conf: SparkConf,
-    maps: &[(u32, usize)],
+    maps: &[MapEntry],
     transfer: Arc<dyn BlockTransferService>,
 ) -> TaskContext {
     let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&conf));
@@ -102,14 +116,14 @@ fn harness(
     let driver_env = RpcEnv::new(net, &driver, &backend, Some(700));
     let tracker = Arc::new(MapOutputTrackerMaster::default());
     tracker.register_shuffle(7, maps.len());
-    for (map_id, exec_id) in maps {
+    for &(map_id, exec_id, bytes) in maps {
         tracker.register_map_output(
             7,
             MapStatus {
-                map_id: *map_id,
-                exec_id: *exec_id,
-                shuffle_addr: PortAddr { node: *exec_id, port: 1 },
-                sizes: Arc::new(vec![10]),
+                map_id,
+                exec_id,
+                shuffle_addr: PortAddr { node: exec_id, port: 1 },
+                sizes: Arc::new(vec![bytes]),
                 records: Arc::new(vec![1]),
             },
         );
@@ -141,25 +155,21 @@ fn follow_on_request_departs_before_first_requests_last_chunk() {
     let sim = Sim::new();
     sim.spawn("main", move || {
         let net = Net::new(&ClusterSpec::test(3));
-        // Executor 1 serves maps 0..3 (30 bytes — one request, three
-        // chunks); executor 2 serves map 3 (10 bytes — a second request).
-        // With a 35-byte window the second request does not fit while all
-        // of request 1 is outstanding (30 + 10 > 35), but fits the moment
-        // request 1's FIRST chunk lands and frees 10 bytes (20 + 10 ≤ 35).
+        // A 150-byte window makes the request target 30 bytes. Executor 1
+        // serves maps 0..3 (three 10-byte blocks — one request, three
+        // chunks); executor 2 serves map 3 (one 125-byte block — a second
+        // request). The second request does not fit while all of request 1
+        // is outstanding (30 + 125 > 150), but fits the moment request 1's
+        // FIRST chunk lands and frees 10 bytes (20 + 125 ≤ 150).
         let mut conf = SparkConf::default();
-        conf.target_request_size = 30;
-        conf.max_bytes_in_flight = 35;
-        let transfer = Arc::new(ScriptedTransfer {
-            // Request 1's chunks land at +1 ms, +10 ms, +20 ms; request 2's
-            // single chunk 1 ms after it is issued.
-            scripts: vec![vec![MS, 10 * MS, 20 * MS], vec![MS]],
-            calls: Mutex::new(Vec::new()),
-            emissions: Arc::default(),
-        });
-        let ctx = harness(&net, conf, &[(0, 1), (1, 1), (2, 1), (3, 2)], transfer.clone());
+        conf.max_bytes_in_flight = 150;
+        let maps = [(0, 1, 10), (1, 1, 10), (2, 1, 10), (3, 2, 125)];
+        // Request 1's chunks land at +1 ms, +10 ms, +20 ms; request 2's
+        // single chunk 1 ms after it is issued.
+        let transfer = ScriptedTransfer::new(&maps, vec![vec![MS, 10 * MS, 20 * MS], vec![MS]]);
+        let ctx = harness(&net, conf, &maps, transfer.clone());
 
-        let (_, mut out): (u32, Vec<u64>) =
-            read_shuffle(&ctx, 7, &[0], None).expect("every block fetched").remove(0);
+        let mut out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched");
         out.sort_unstable();
         assert_eq!(out, vec![0, 100, 200, 300], "all four remote blocks decoded");
 
@@ -184,7 +194,7 @@ fn follow_on_request_departs_before_first_requests_last_chunk() {
             last_chunk
         );
 
-        assert_eq!(ctx.metrics.snapshot().counter(obs::keys::TASK_REMOTE_BYTES), 40);
+        assert_eq!(ctx.metrics.snapshot().counter(obs::keys::TASK_REMOTE_BYTES), 155);
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();
@@ -198,18 +208,12 @@ fn oversized_request_departs_on_empty_budget() {
     sim.spawn("main", move || {
         let net = Net::new(&ClusterSpec::test(2));
         let mut conf = SparkConf::default();
-        conf.target_request_size = 100;
-        conf.max_bytes_in_flight = 15; // two 10-byte blocks exceed this
-        let transfer = Arc::new(ScriptedTransfer {
-            scripts: vec![vec![MS, 2 * MS]],
-            calls: Mutex::new(Vec::new()),
-            emissions: Arc::default(),
-        });
-        let ctx = harness(&net, conf, &[(0, 1), (1, 1)], transfer.clone());
-        let (_, mut out): (u32, Vec<u64>) =
-            read_shuffle(&ctx, 7, &[0], None).expect("every block fetched").remove(0);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 100]);
+        conf.max_bytes_in_flight = 15; // the one 20-byte block exceeds this
+        let maps = [(0, 1, 20)];
+        let transfer = ScriptedTransfer::new(&maps, vec![vec![MS]]);
+        let ctx = harness(&net, conf, &maps, transfer.clone());
+        let out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched");
+        assert_eq!(out, vec![0]);
         assert_eq!(transfer.calls.lock().len(), 1);
     });
     sim.run().unwrap().assert_clean();
@@ -236,8 +240,8 @@ fn failed_chunk_surfaces_as_an_err_naming_the_serving_executor() {
     let sim = Sim::new();
     sim.spawn("main", move || {
         let net = Net::new(&ClusterSpec::test(3));
-        let ctx = harness(&net, SparkConf::default(), &[(0, 2)], Arc::new(FailingTransfer));
-        let failed = read_shuffle::<u64>(&ctx, 7, &[0], None).expect_err("the only block failed");
+        let ctx = harness(&net, SparkConf::default(), &[(0, 2, 10)], Arc::new(FailingTransfer));
+        let failed = read_shuffle::<u64>(&ctx, 7, 0).expect_err("the only block failed");
         assert_eq!(failed, FetchFailed { shuffle_id: 7, exec_id: Some(2), map_id: Some(0) });
     });
     sim.run().unwrap().assert_clean();

@@ -70,72 +70,6 @@ pub fn generate_kv(sc: &SparkContext, cfg: OhbConfig) -> Rdd<(u64, Blob)> {
     data
 }
 
-/// Zipf(`exponent`)-distributed keys over `0..key_range`: `n` draws from
-/// the seeded stream. Pure and deterministic — equal arguments always yield
-/// the same key sequence (the reproducibility contract the skew tests and
-/// `bench_aqe` rely on). Key `0` is the head of the distribution.
-pub fn zipf_keys(seed: u64, n: u64, key_range: u64, exponent: f64) -> Vec<u64> {
-    assert!(key_range > 0, "key_range must be positive");
-    // Normalized CDF over ranks 1..=key_range with weight rank^-exponent.
-    let mut cdf = Vec::with_capacity(key_range as usize);
-    let mut acc = 0.0f64;
-    for rank in 1..=key_range {
-        acc += (rank as f64).powf(-exponent);
-        cdf.push(acc);
-    }
-    let total = acc;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen::<f64>() * total;
-            // First rank whose cumulative weight covers u.
-            cdf.partition_point(|&c| c < u) as u64
-        })
-        .collect()
-}
-
-/// Generate and cache a zipf(`exponent`)-keyed dataset — the skewed variant
-/// of [`generate_kv`], same sizing and caching, hot key `0`.
-pub fn generate_kv_zipf(sc: &SparkContext, cfg: OhbConfig, exponent: f64) -> Rdd<(u64, Blob)> {
-    let data = sc
-        .generate(cfg.partitions, move |p| {
-            let part_seed = cfg.seed ^ (p as u64).wrapping_mul(0x9E37_79B9);
-            let keys = zipf_keys(part_seed, cfg.records_per_partition, cfg.key_range, exponent);
-            let mut rng = SmallRng::seed_from_u64(part_seed.rotate_left(17));
-            keys.into_iter().map(|k| (k, Blob::new(rng.gen(), cfg.value_bytes))).collect()
-        })
-        .cache();
-    let n = data.count();
-    debug_assert_eq!(n, cfg.partitions as u64 * cfg.records_per_partition);
-    data
-}
-
-/// Generate and cache a single-hot-key dataset: roughly `hot_fraction` of
-/// every partition's records carry key `0`; the rest spread uniformly over
-/// the remaining keys.
-pub fn generate_kv_hot(sc: &SparkContext, cfg: OhbConfig, hot_fraction: f64) -> Rdd<(u64, Blob)> {
-    assert!((0.0..=1.0).contains(&hot_fraction));
-    let data = sc
-        .generate(cfg.partitions, move |p| {
-            let part_seed = cfg.seed ^ (p as u64).wrapping_mul(0x9E37_79B9);
-            let mut rng = SmallRng::seed_from_u64(part_seed);
-            (0..cfg.records_per_partition)
-                .map(|_| {
-                    let key = if rng.gen::<f64>() < hot_fraction {
-                        0
-                    } else {
-                        rng.gen_range(1..cfg.key_range.max(2))
-                    };
-                    (key, Blob::new(rng.gen(), cfg.value_bytes))
-                })
-                .collect()
-        })
-        .cache();
-    let n = data.count();
-    debug_assert_eq!(n, cfg.partitions as u64 * cfg.records_per_partition);
-    data
-}
-
 /// Distinct keys of [`generate_kv`]'s dataset, replayed from the seed without
 /// running a job: what a correct [`group_by_app`] returns.
 pub fn distinct_keys(cfg: OhbConfig) -> u64 {
@@ -150,12 +84,6 @@ pub fn distinct_keys(cfg: OhbConfig) -> u64 {
 /// Returns the number of groups.
 pub fn group_by_app(sc: &SparkContext, cfg: OhbConfig) -> u64 {
     let data = generate_kv(sc, cfg);
-    data.group_by_key(cfg.partitions).count()
-}
-
-/// GroupByTest over zipf-keyed data — the skew cell of `bench_aqe`.
-pub fn group_by_zipf_app(sc: &SparkContext, cfg: OhbConfig, exponent: f64) -> u64 {
-    let data = generate_kv_zipf(sc, cfg, exponent);
     data.group_by_key(cfg.partitions).count()
 }
 
@@ -256,60 +184,6 @@ mod tests {
         assert_eq!(out.jobs.len(), 3, "datagen + sample + sort");
         // Paper naming: the sort job is Job2.
         assert!(out.jobs[2].stages.iter().any(|s| s.name.starts_with("Job2-")));
-    }
-
-    #[test]
-    fn zipf_histogram_is_reproducible_by_seed() {
-        let a = zipf_keys(42, 4_000, 32, 1.1);
-        let b = zipf_keys(42, 4_000, 32, 1.1);
-        assert_eq!(a, b, "same seed must yield the same key sequence");
-        let c = zipf_keys(43, 4_000, 32, 1.1);
-        assert_ne!(a, c, "different seeds should diverge");
-
-        let histogram = |keys: &[u64]| {
-            let mut h = vec![0u64; 32];
-            for &k in keys {
-                h[k as usize] += 1;
-            }
-            h
-        };
-        let ha = histogram(&a);
-        assert_eq!(ha, histogram(&b));
-        // Zipf(1.1) head dominance: key 0 is the most frequent by a wide
-        // margin, and frequency decays with rank.
-        assert!(ha[0] > 3 * ha[8], "head not dominant: {ha:?}");
-        assert!(ha[0] > ha[1] && ha[1] > ha[4], "no rank decay: {ha:?}");
-        assert_eq!(ha.iter().sum::<u64>(), 4_000);
-        assert!(a.iter().all(|&k| k < 32));
-    }
-
-    #[test]
-    fn zipf_datagen_is_deterministic_and_skewed() {
-        let (spec, cluster) = cluster();
-        let cfg = tiny();
-        let a = System::Vanilla.run(&spec, cluster.clone(), move |sc| {
-            generate_kv_zipf(sc, cfg, 1.1).map(|(k, _)| (k, 1u64)).count_by_key()
-        });
-        let b = System::Vanilla.run(&spec, cluster, move |sc| {
-            generate_kv_zipf(sc, cfg, 1.1).map(|(k, _)| (k, 1u64)).count_by_key()
-        });
-        assert_eq!(a.result, b.result, "zipf datagen must replay identically");
-        let hot = a.result.iter().find(|(k, _)| *k == 0).map(|(_, n)| *n).unwrap_or(0);
-        let total: u64 = a.result.iter().map(|(_, n)| *n).sum();
-        assert_eq!(total, 8 * 24);
-        assert!(hot * 4 > total, "key 0 should dominate: {hot}/{total}");
-    }
-
-    #[test]
-    fn hot_key_datagen_concentrates_on_key_zero() {
-        let (spec, cluster) = cluster();
-        let cfg = tiny();
-        let out = System::Vanilla.run(&spec, cluster, move |sc| {
-            generate_kv_hot(sc, cfg, 0.7).map(|(k, _)| (k, 1u64)).count_by_key()
-        });
-        let hot = out.result.iter().find(|(k, _)| *k == 0).map(|(_, n)| *n).unwrap_or(0);
-        let total: u64 = out.result.iter().map(|(_, n)| *n).sum();
-        assert!(hot * 2 > total, "key 0 should hold most records: {hot}/{total}");
     }
 
     #[test]

@@ -65,8 +65,8 @@ fi
 echo "==> chaos smoke (randomized seed: CHAOS_SEED=$CHAOS_SEED)"
 CHAOS_SEED="$CHAOS_SEED" "$CARGO" test -q --release -p sparklet --test chaos_tests "$@" -- --ignored
 
-# The ledger gate: every suite (figures, ablations, and the recovery / AQE
-# benches, each asserting its own contracts) at small scale must regenerate
+# The ledger gate: every suite (figures, ablations, and the recovery bench,
+# each asserting its own contracts) at small scale must regenerate
 # the committed small-scale records byte for byte. The ledger holds only
 # deterministic columns, so a difference is a behaviour change:
 # explain it and re-record (README "Regenerating the paper's figures").
@@ -81,10 +81,10 @@ cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
 }
 
 # The suites that run in seconds at full scale are gated at that scale too
-# (74 records): the figure cells at paper size, the recovery / AQE benches,
-# the traced cell with its engine counters, and the real-data cell.
+# (66 records): the figure cells at paper size, the recovery bench, the
+# traced cell with its engine counters, and the real-data cell.
 # The slow figure suites (fig09–fig12, ablation-batching) stay a manual gate.
-FAST_FULL="fig08 table4 recovery aqe traced realdata"
+FAST_FULL="fig08 table4 recovery traced realdata"
 echo "==> ledger (repro $FAST_FULL --scale full, cmp against results/ledger.json)"
 # shellcheck disable=SC2086 # the suite list is split on purpose
 "$CARGO" run -q --release -p mpi4spark-bench "$@" -- $FAST_FULL --scale full > "$CI_TMP/ledger-full.json"

@@ -24,51 +24,56 @@ fn all_systems() -> [System; 4] {
 
 #[test]
 fn groupby_results_identical_across_all_four_systems() {
+    // `(label, key of record i, reduce partitions)`: keys spread evenly; 70 %
+    // of the records on one hot key; 5 keys over 32 buckets, most of them
+    // empty.
+    let shapes: [(&str, fn(u64) -> u64, usize); 3] = [
+        ("even", |i| i % 23, 6),
+        ("hot", |i| if i % 10 < 7 { 0 } else { 1 + i % 22 }, 9),
+        ("sparse", |i| i % 5, 32),
+    ];
     let spec = ClusterSpec::test(5);
-    let mut outcomes = Vec::new();
-    for system in all_systems() {
-        let cluster = ClusterConfig::paper_layout(spec.len(), conf());
-        let out = system.run(&spec, cluster, |sc| {
-            let pairs: Vec<(u64, u64)> = (0..400u64).map(|i| (i % 23, i)).collect();
-            let mut groups = sc.parallelize(pairs, 8).group_by_key(6).collect();
-            groups.sort_by_key(|(k, _)| *k);
-            groups.iter_mut().for_each(|(_, v)| v.sort_unstable());
-            groups
-        });
-        // Every netz message is accounted at both ends, whichever transport
-        // carried it (socket frames, MPI bodies, MPI envelopes).
-        assert_eq!(
-            out.metrics.counter(obs::keys::NETZ_MSGS_SENT),
-            out.metrics.counter(obs::keys::NETZ_MSGS_RECEIVED),
-            "{}: netz sent vs received",
-            system.label()
-        );
-        // The engine's own books balance: every event it popped was a wake
-        // delivered, a stale wake dropped or a closure run — nothing else.
-        let engine = |key| out.metrics.counter(key);
-        assert_eq!(
-            engine(obs::keys::SIMT_WAKES)
-                + engine(obs::keys::SIMT_STALE_WAKES)
-                + engine(obs::keys::SIMT_CALLS),
-            engine(obs::keys::SIMT_EVENTS_POPPED),
-            "{}: simt events",
-            system.label()
-        );
-        assert!(engine(obs::keys::SIMT_WAKES) >= engine(obs::keys::SIMT_THREADS_SPAWNED));
-        assert!(
-            engine(obs::keys::SIMT_THREADS_SPAWNED) >= engine(obs::keys::SIMT_PEAK_LIVE_THREADS)
-        );
-        assert!(engine(obs::keys::SIMT_PEAK_LIVE_THREADS) > 0, "{}", system.label());
-        outcomes.push((system.label(), out.result));
-    }
-    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for i in 0..400u64 {
-        oracle.entry(i % 23).or_default().push(i);
-    }
-    for (label, groups) in outcomes {
-        assert_eq!(groups.len(), 23, "{label}");
-        for (k, vs) in &groups {
-            assert_eq!(vs, &oracle[k], "{label}: key {k}");
+    for (shape, key, reduces) in shapes {
+        let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for i in 0..400u64 {
+            oracle.entry(key(i)).or_default().push(i);
+        }
+        let oracle: Vec<(u64, Vec<u64>)> = oracle.into_iter().collect();
+        for system in all_systems() {
+            let cluster = ClusterConfig::paper_layout(spec.len(), conf());
+            let out = system.run(&spec, cluster, move |sc| {
+                let pairs: Vec<(u64, u64)> = (0..400u64).map(|i| (key(i), i)).collect();
+                let mut groups = sc.parallelize(pairs, 8).group_by_key(reduces).collect();
+                groups.sort_by_key(|(k, _)| *k);
+                groups.iter_mut().for_each(|(_, v)| v.sort_unstable());
+                groups
+            });
+            let label = format!("{} × {shape}", system.label());
+            // Every netz message is accounted at both ends, whichever
+            // transport carried it (socket frames, MPI bodies, MPI envelopes).
+            assert_eq!(
+                out.metrics.counter(obs::keys::NETZ_MSGS_SENT),
+                out.metrics.counter(obs::keys::NETZ_MSGS_RECEIVED),
+                "{label}: netz sent vs received"
+            );
+            // The engine's own books balance: every event it popped was a
+            // wake delivered, a stale wake dropped or a closure run — nothing
+            // else.
+            let engine = |key| out.metrics.counter(key);
+            assert_eq!(
+                engine(obs::keys::SIMT_WAKES)
+                    + engine(obs::keys::SIMT_STALE_WAKES)
+                    + engine(obs::keys::SIMT_CALLS),
+                engine(obs::keys::SIMT_EVENTS_POPPED),
+                "{label}: simt events"
+            );
+            assert!(engine(obs::keys::SIMT_WAKES) >= engine(obs::keys::SIMT_THREADS_SPAWNED));
+            assert!(
+                engine(obs::keys::SIMT_THREADS_SPAWNED)
+                    >= engine(obs::keys::SIMT_PEAK_LIVE_THREADS)
+            );
+            assert!(engine(obs::keys::SIMT_PEAK_LIVE_THREADS) > 0, "{label}");
+            assert_eq!(out.result, oracle, "{label}");
         }
     }
 }
