@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(first, run(&["recovery", "table4", "--scale", "small"]).1);
         let lines: Vec<String> = records.iter().map(Record::ledger_line).collect();
         assert_eq!(first.lines().collect::<Vec<_>>(), lines);
-        assert_eq!(lines.len(), 6 + 9);
+        assert_eq!(lines.len(), 3 + 9);
     }
 
     /// The committed ledger holds records of `SUITES` only, and every suite

@@ -5,7 +5,9 @@
 //! whole-partition events — keyed to `simt` *virtual* time. The plan is
 //! consulted at the single delivery chokepoint ([`crate::Net::send`]), which
 //! every software stack (sockets, RDMA verbs, MPI) traverses, so one plan
-//! exercises all transports identically.
+//! exercises all transports identically. A crash window is also announced
+//! at its start ([`crate::Net::on_node_down`]), which is how the layers
+//! above notice a dead peer: its connections reset.
 //!
 //! Determinism: the schedule is fully decided at build time from a `u64`
 //! seed ([`FaultPlan::seeded`]); the verdict for a message is a pure
@@ -89,6 +91,14 @@ impl FaultPlan {
     /// True when no faults are scheduled.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
+    }
+
+    /// Each crash window's node and start time, in plan order.
+    pub fn crashes(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.faults.iter().filter_map(|f| match f {
+            Fault::NodeDown { node, w } => Some((*node, w.start_ns)),
+            _ => None,
+        })
     }
 
     /// Decide the fate of a message sent at virtual time `now` from node

@@ -184,6 +184,29 @@ impl Net {
         *self.inner.chaos.lock() = Some(Arc::new(plan));
     }
 
+    /// Run `hook(node)` at the start of each crash window of the installed
+    /// plan, on a daemon green thread that sleeps until then (a hook may
+    /// park: failing a channel's pending requests runs their callbacks).
+    /// Windows that started before the call are skipped. Without a plan, or
+    /// with a plan that crashes no node, nothing is spawned.
+    pub fn on_node_down(&self, hook: impl Fn(NodeId) + Send + 'static) {
+        let Some(plan) = self.inner.chaos.lock().clone() else { return };
+        let mut crashes: Vec<(NodeId, u64)> = plan.crashes().collect();
+        if crashes.is_empty() {
+            return;
+        }
+        crashes.sort_by_key(|&(node, start)| (start, node));
+        simt::spawn_daemon("fabric-node-down", move || {
+            for (node, start) in crashes {
+                let now = simt::now();
+                if start >= now {
+                    simt::sleep(start - now);
+                    hook(node);
+                }
+            }
+        });
+    }
+
     /// The shared CPU resource of `node`.
     pub fn cpu(&self, node: NodeId) -> Cpu {
         self.inner.nodes[node].cpu.clone()
@@ -732,6 +755,32 @@ mod tests {
             at.load(Ordering::Relaxed)
         };
         assert_eq!(deliver(true), deliver(false) + extra);
+    }
+
+    #[test]
+    fn node_down_hooks_run_once_at_each_crash_start_and_cost_nothing_otherwise() {
+        let run = |plan: Option<crate::FaultPlan>| {
+            let sim = Sim::new();
+            let net = two_node_net();
+            if let Some(plan) = plan {
+                net.install_chaos(plan);
+            }
+            let fired = Arc::new(simt::sync::Mutex::new(Vec::new()));
+            let fired2 = fired.clone();
+            sim.spawn("main", move || {
+                net.on_node_down(move |node| fired2.lock().push((node, simt::now())));
+                simt::sleep(10_000_000);
+            });
+            sim.run().unwrap().assert_clean();
+            let hooks = sim.spawn_census().get("fabric-node-down").copied().unwrap_or(0);
+            let fired = fired.lock().clone();
+            (fired, hooks)
+        };
+        assert_eq!(run(None), (vec![], 0), "no plan");
+        let no_crash = crate::FaultPlan::seeded(1).drop_link(0, 1, 0, 1_000).build();
+        assert_eq!(run(Some(no_crash)), (vec![], 0), "a plan without a crash window");
+        let crash = crate::FaultPlan::seeded(1).crash_node(1, 3_000_000, 1_000).build();
+        assert_eq!(run(Some(crash)), (vec![(1, 3_000_000)], 1), "one crash window");
     }
 
     #[test]

@@ -40,6 +40,13 @@ pub trait RpcHandler: Send + Sync {
     fn channel_inactive(&self, chan: &Arc<ChannelCore>) {
         let _ = chan;
     }
+
+    /// A crash window opened on `node`: every channel to it has just been
+    /// reset (each through [`channel_inactive`](RpcHandler::channel_inactive)).
+    /// Called once per endpoint and crash.
+    fn peer_lost(&self, node: NodeId) {
+        let _ = node;
+    }
 }
 
 /// Serves chunk and stream data (Spark's `StreamManager`, registered by the

@@ -98,7 +98,36 @@ impl Endpoint {
             worker_ep.event_loop(data_rx);
         });
         ep.inner.transport.clone().start(&ep);
+        let weak = ep.downgrade();
+        ep.inner.net.on_node_down(move |node| {
+            if let Some(ep) = weak.upgrade() {
+                ep.on_node_down(node);
+            }
+        });
         ep
+    }
+
+    /// A crash window opened on `node`: reset every channel to it, as a
+    /// peer's RST would (pending requests fail with
+    /// [`NetzError::ChannelClosed`]), then tell the handler once. The
+    /// crashed node's own endpoints reset nothing.
+    fn on_node_down(&self, node: NodeId) {
+        if node == self.inner.node {
+            return;
+        }
+        let mut lost = Vec::new();
+        self.inner.channels.lock().retain(|_, chan| {
+            let keep = chan.remote_node != node;
+            if !keep {
+                lost.push(chan.clone());
+            }
+            keep
+        });
+        for chan in lost {
+            chan.closed_by_peer();
+            self.inner.handler.channel_inactive(&chan);
+        }
+        self.inner.handler.peer_lost(node);
     }
 
     /// A handle for state the endpoint itself (transitively) owns.

@@ -48,6 +48,20 @@ impl StreamManager for EchoStreams {
     }
 }
 
+/// Handler that never replies: only a close or a reset ends a request.
+struct BlackHole;
+
+impl RpcHandler for BlackHole {
+    fn receive(
+        &self,
+        _c: &Arc<netz::ChannelCore>,
+        _b: Payload,
+        _reply: netz::context::RpcResponseCallback,
+    ) {
+        // drop the reply callback: never answers
+    }
+}
+
 fn setup(n_nodes: usize) -> (Sim, Net) {
     let sim = Sim::new();
     let net = Net::new(&ClusterSpec::test(n_nodes));
@@ -195,18 +209,6 @@ fn channel_close_fails_pending_rpc() {
     let (sim, net) = setup(2);
     sim.spawn("main", move || {
         let conf = TransportConf::default_sockets();
-        // Handler that never replies.
-        struct BlackHole;
-        impl RpcHandler for BlackHole {
-            fn receive(
-                &self,
-                _c: &Arc<netz::ChannelCore>,
-                _b: Payload,
-                _reply: netz::context::RpcResponseCallback,
-            ) {
-                // drop the reply callback: never answers
-            }
-        }
         let server = TransportContext::new(net.clone(), conf, Arc::new(BlackHole))
             .create_server("server", 0, 100);
         let ep = TransportContext::new(net.clone(), conf, Arc::new(NoOpRpcHandler))
@@ -221,6 +223,45 @@ fn channel_close_fails_pending_rpc() {
         assert!(matches!(r, Err(NetzError::ChannelClosed)));
     });
     sim.run().unwrap().assert_clean();
+}
+
+#[test]
+fn peer_crash_resets_its_channels_at_the_window_start() {
+    struct LostPeers(Arc<Mutex<Vec<(fabric::NodeId, u64)>>>);
+    impl RpcHandler for LostPeers {
+        fn receive(
+            &self,
+            _c: &Arc<netz::ChannelCore>,
+            _b: Payload,
+            reply: netz::context::RpcResponseCallback,
+        ) {
+            reply(Err("client only".into()));
+        }
+        fn peer_lost(&self, node: fabric::NodeId) {
+            self.0.lock().push((node, simt::now()));
+        }
+    }
+    let crash_at = simt::time::millis(5);
+    let (sim, net) = setup(2);
+    net.install_chaos(fabric::FaultPlan::seeded(1).crash_node(0, crash_at, 1_000).build());
+    let lost = Arc::new(Mutex::new(Vec::new()));
+    let lost2 = lost.clone();
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let server = TransportContext::new(net.clone(), conf, Arc::new(BlackHole))
+            .create_server("server", 0, 100);
+        let ep = TransportContext::new(net.clone(), conf, Arc::new(LostPeers(lost2)))
+            .create_client_endpoint("client", 1);
+        let client = ep.connect(server.addr()).unwrap();
+        let r = client.send_rpc(Payload::bytes(Bytes::from_static(b"never")));
+        assert!(matches!(r, Err(NetzError::ChannelClosed)), "{r:?}");
+        assert_eq!(simt::now(), crash_at, "failed at the crash, not the request timeout");
+        assert!(ep.channels().is_empty(), "the surviving side dropped its channel");
+        let kept = server.channels();
+        assert!(kept.len() == 1 && kept[0].is_open(), "the crashed side resets nothing");
+    });
+    sim.run().unwrap().assert_clean();
+    assert_eq!(lost.lock().clone(), vec![(0, crash_at)], "peer_lost runs once, at the start");
 }
 
 #[test]

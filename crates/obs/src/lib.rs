@@ -67,9 +67,14 @@ pub mod keys {
     /// Blocks whose fetch exhausted the whole retry budget and surfaced a
     /// terminal error to the reader (each one becomes a `FetchFailed`).
     pub const SPARK_FETCH_EXHAUSTED: &str = "spark.fetch_exhausted_blocks";
-    /// Stage attempts resubmitted after a `FetchFailed` (driver-side).
+    /// Stage attempts resubmitted after a `FetchFailed` or an executor loss
+    /// (driver-side).
     pub const SPARK_STAGE_RESUBMITS: &str = "spark.stage_resubmits";
-    /// Speculative task copies launched by the straggler policy.
+    /// Executors the stage loop lost because a crash reset their node's
+    /// channels (driver-side; 0 on a healthy run).
+    pub const SPARK_EXECUTORS_LOST: &str = "spark.executors_lost";
+    /// Always 0: the engine has no speculative execution. Kept because the
+    /// benchmark harness still reports it (ROADMAP item 10).
     pub const SPARK_SPECULATIVE_TASKS: &str = "spark.speculative_tasks";
 
     /// Messages delivered by the fabric.

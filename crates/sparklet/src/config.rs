@@ -132,11 +132,6 @@ pub struct SparkConf {
     /// Progress timeout for one fetch attempt: if no chunk arrives for this
     /// long the attempt is abandoned and the missing blocks re-requested.
     pub fetch_timeout_ns: u64,
-    /// Straggler speculation (`spark.speculation`). Off by default:
-    /// clean-fabric benchmark timelines stay identical to the
-    /// non-speculative engine. The policy's tuning is fixed in
-    /// [`scheduler::speculation`](crate::scheduler::speculation).
-    pub speculation: bool,
     /// Record tracing spans during the run and export a deterministic
     /// Chrome-trace timeline (virtual-time ticks). Off by default: spans
     /// cost host memory, never virtual time, so enabling it does not
@@ -158,7 +153,6 @@ impl Default for SparkConf {
             fetch_retry_base_ns: simt::time::millis(100),
             fetch_retry_max_ns: simt::time::secs(5),
             fetch_timeout_ns: simt::time::secs(120),
-            speculation: false,
             trace_timeline: false,
             cost: CostModel::default(),
         }

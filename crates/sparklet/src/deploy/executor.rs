@@ -69,12 +69,10 @@ impl RpcEndpoint for ExecutorEndpoint {
                         obs::kv! {"stage_seq" => task.stage_seq,
                         "part" => task.part,
                         "attempt" => task.attempt,
-                        "speculative" => task.speculative,
                         "exec" => services.exec_id},
                     )
                 });
-                let ctx = TaskContext::new(services.clone(), task.part, task.attempt)
-                    .speculative(task.speculative);
+                let ctx = TaskContext::new(services.clone(), task.part, task.attempt);
                 ctx.charge(ctx.cost().task_overhead_ns);
                 let t0 = simt::now();
                 let output = task.runner.run(&ctx);
@@ -83,8 +81,8 @@ impl RpcEndpoint for ExecutorEndpoint {
                 let wire = 256 + metrics.counter(obs::keys::TASK_RESULT_BYTES);
                 #[expect(
                     clippy::let_underscore_must_use,
-                    reason = "a lost completion is a straggler to the scheduler: speculation or the \
-                              next attempt covers it"
+                    reason = "a completion lost to a crash is settled by the driver's \
+                              executor-lost event"
                 )]
                 let _ = driver.send_sized(
                     TaskFinishedMsg {

@@ -131,7 +131,7 @@ pub fn driver_main<R: Send + 'static>(
 ) -> (R, Vec<JobMetrics>) {
     let identity = ProcIdentity::new(Role::Driver, cluster.driver_node, "driver");
     let env = RpcEnv::new(net, &identity, &backend, None);
-    let sched = Arc::new(DagScheduler::with_conf(cluster.conf));
+    let sched = Arc::new(DagScheduler::default());
     sched.attach_env(env.clone());
     env.register("DagScheduler", sched.clone());
     env.register("MapOutputTracker", sched.tracker.clone());

@@ -8,7 +8,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fabric::{Net, NodeId, Payload, PortAddr};
 use netz::{ChannelCore, NetzError, TransportClient, TransportConf, TransportContext};
@@ -25,6 +25,9 @@ pub type AnyMsg = Arc<dyn Any + Send + Sync>;
 
 /// Reply hook for two-way messages; absent for one-way sends.
 pub type ReplyFn = Box<dyn FnOnce(AnyMsg) + Send>;
+
+/// Listener told which node a crash took down ([`RpcEnv::on_peer_lost`]).
+type PeerLostFn = Box<dyn Fn(NodeId) + Send + Sync>;
 
 /// A named in-process endpoint (Spark's `RpcEndpoint`).
 pub trait RpcEndpoint: Send + Sync + 'static {
@@ -46,6 +49,7 @@ struct Inbound {
 struct EnvHandler {
     endpoints: Arc<Mutex<BTreeMap<String, Queue<Inbound>>>>,
     streams: Arc<Mutex<Option<Arc<dyn netz::StreamManager>>>>,
+    peer_lost: Arc<OnceLock<PeerLostFn>>,
 }
 
 impl netz::RpcHandler for EnvHandler {
@@ -86,6 +90,12 @@ impl netz::RpcHandler for EnvHandler {
     fn stream_manager(&self) -> Arc<dyn netz::StreamManager> {
         self.streams.lock().clone().unwrap_or_else(|| Arc::new(netz::context::NoStreams))
     }
+
+    fn peer_lost(&self, node: NodeId) {
+        if let Some(listener) = self.peer_lost.get() {
+            listener(node);
+        }
+    }
 }
 
 /// One process's RPC environment.
@@ -93,6 +103,7 @@ pub struct RpcEnv {
     server: netz::Endpoint,
     endpoints: Arc<Mutex<BTreeMap<String, Queue<Inbound>>>>,
     streams: Arc<Mutex<Option<Arc<dyn netz::StreamManager>>>>,
+    peer_lost: Arc<OnceLock<PeerLostFn>>,
     clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
     conf: TransportConf,
     name: String,
@@ -110,8 +121,12 @@ impl RpcEnv {
     ) -> Arc<RpcEnv> {
         let endpoints: Arc<Mutex<BTreeMap<String, Queue<Inbound>>>> = Arc::default();
         let streams: Arc<Mutex<Option<Arc<dyn netz::StreamManager>>>> = Arc::default();
-        let handler =
-            Arc::new(EnvHandler { endpoints: endpoints.clone(), streams: streams.clone() });
+        let peer_lost: Arc<OnceLock<PeerLostFn>> = Arc::default();
+        let handler = Arc::new(EnvHandler {
+            endpoints: endpoints.clone(),
+            streams: streams.clone(),
+            peer_lost: peer_lost.clone(),
+        });
         let ctx: TransportContext = backend.context(Plane::Rpc, identity, net, handler);
         let conf = ctx.conf();
         let name = format!("rpc:{}", identity.name);
@@ -123,6 +138,7 @@ impl RpcEnv {
             server,
             endpoints,
             streams,
+            peer_lost,
             clients: Mutex::new(BTreeMap::new()),
             conf,
             name,
@@ -150,6 +166,14 @@ impl RpcEnv {
     /// MPI4Spark-Optimized moves over MPI (§VI-E).
     pub fn set_stream_manager(&self, sm: Arc<dyn netz::StreamManager>) {
         *self.streams.lock() = Some(sm);
+    }
+
+    /// Call `listener(node)` when a crash takes `node` down: by then every
+    /// channel this environment had to it is reset (Spark's disconnect
+    /// path). One listener per environment.
+    pub fn on_peer_lost(&self, listener: impl Fn(NodeId) + Send + Sync + 'static) {
+        let set = self.peer_lost.set(Box::new(listener));
+        assert!(set.is_ok(), "{}: a peer-lost listener is already set", self.name);
     }
 
     /// Fetch a named stream from a remote environment (blocks for the
@@ -204,9 +228,8 @@ impl RpcEnv {
         // virtual send time for the FIN frame — a simt wait point — and
         // writing `for c in ...lock()...` would hold the guard across it
         // (the iterator expression's temporary lives for the whole loop).
-        // A speculative straggler (a copy whose duplicate won) can still be
-        // running here, and its completion send must be able to take this
-        // lock meanwhile.
+        // A task on a lost executor can still be running here, and its
+        // completion send must be able to take this lock meanwhile.
         let clients: Vec<TransportClient> =
             std::mem::take(&mut *self.clients.lock()).into_values().collect();
         for c in clients {

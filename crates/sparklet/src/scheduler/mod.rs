@@ -6,22 +6,21 @@
 //! shuffle metrics are recorded per job for the benchmark harnesses.
 //!
 //! Stages run on an event-driven state machine (`stage`): each stage is a
-//! sequence of *attempts*, a `FetchFailed` completion resubmits the missing
-//! partitions against a freshly bumped map-output epoch after recomputing
-//! lost parents by lineage, and an optional speculation tick re-launches
-//! straggler tasks on healthy executors ([`speculation`]).
+//! sequence of *attempts*, and a `FetchFailed` completion or a lost
+//! executor resubmits the missing partitions against a freshly bumped
+//! map-output epoch after recomputing lost parents by lineage.
 //!
 //! Task placement is strict modulo (`partition % executors`): deterministic
 //! and cache-friendly (a cached partition is always recomputed on the
 //! executor that cached it), standing in for Spark's locality preferences.
 
-pub mod speculation;
 mod stage;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use fabric::NodeId;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::wait::WaitList;
@@ -128,8 +127,6 @@ pub struct LaunchTask {
     /// [`TaskFinishedMsg`] for stale-attempt discard and used by executors
     /// to age their location caches.
     pub epoch: u64,
-    /// True for a straggler-speculation duplicate.
-    pub speculative: bool,
     /// The work.
     pub runner: Arc<dyn TaskRunner>,
 }
@@ -162,6 +159,13 @@ pub struct InvalidateShuffle {
     pub epoch: u64,
 }
 
+/// What the stage loop drains: a task completion, or the loss of an
+/// executor whose node's channels were reset.
+enum Completion {
+    Finished(Arc<TaskFinishedMsg>),
+    ExecutorLost { exec_id: usize, reason: String },
+}
+
 /// A registered executor.
 #[derive(Clone)]
 pub struct ExecutorHandle {
@@ -176,31 +180,28 @@ pub struct ExecutorHandle {
 /// The driver-side scheduler.
 pub struct DagScheduler {
     env: OnceLock<Arc<RpcEnv>>,
-    conf: SparkConf,
     executors: Mutex<Vec<ExecutorHandle>>,
     /// Notified when an executor registers.
     registered: WaitList,
-    /// Task completions, in arrival order.
-    completions: Queue<Arc<TaskFinishedMsg>>,
+    /// Task completions and executor losses, in arrival order.
+    completions: Queue<Completion>,
     /// Map-output registry (also registered as an RPC endpoint).
     pub tracker: Arc<MapOutputTrackerMaster>,
     metrics: Mutex<Vec<JobMetrics>>,
     next_job: AtomicU32,
     next_stage_seq: AtomicU64,
     computed_shuffles: Mutex<BTreeSet<u32>>,
-    /// Executors whose shuffle service failed a fetch; excluded from task
-    /// placement so recomputed map outputs land on healthy executors.
+    /// Executors that were lost or whose shuffle service failed a fetch;
+    /// excluded from task placement so recomputed map outputs land on
+    /// healthy executors.
     quarantined: Mutex<BTreeSet<usize>>,
     job_running: AtomicBool,
 }
 
-impl DagScheduler {
-    /// Fresh scheduler driven by `conf` (stage-attempt cap, speculation
-    /// switch).
-    pub fn with_conf(conf: SparkConf) -> Self {
+impl Default for DagScheduler {
+    fn default() -> Self {
         DagScheduler {
             env: OnceLock::new(),
-            conf,
             executors: Mutex::new(Vec::new()),
             registered: WaitList::new("executor-registration"),
             completions: Queue::new(),
@@ -213,10 +214,34 @@ impl DagScheduler {
             job_running: AtomicBool::new(false),
         }
     }
+}
 
-    /// Attach the driver's RPC environment (needed to build executor refs).
-    pub fn attach_env(&self, env: Arc<RpcEnv>) {
+impl DagScheduler {
+    /// Attach the driver's RPC environment (needed to build executor refs)
+    /// and listen on it for lost nodes: each executor on a node whose
+    /// channels were reset becomes an `ExecutorLost` for the stage loop.
+    pub fn attach_env(self: &Arc<Self>, env: Arc<RpcEnv>) {
+        let sched = Arc::downgrade(self);
+        env.on_peer_lost(move |node| {
+            if let Some(sched) = sched.upgrade() {
+                sched.node_lost(node);
+            }
+        });
         self.env.get_or_init(|| env);
+    }
+
+    fn node_lost(&self, node: NodeId) {
+        let lost: Vec<usize> = self
+            .executors
+            .lock()
+            .iter()
+            .filter(|e| e.rpc.addr().node == node)
+            .map(|e| e.exec_id)
+            .collect();
+        for exec_id in lost {
+            let reason = format!("channels to node {node} reset");
+            self.completions.send(Completion::ExecutorLost { exec_id, reason });
+        }
     }
 
     /// Block until `n` executors have registered.
@@ -227,6 +252,12 @@ impl DagScheduler {
     /// Registered executors (snapshot).
     pub fn executors(&self) -> Vec<ExecutorHandle> {
         self.executors.lock().clone()
+    }
+
+    /// Registered executors that are not quarantined (snapshot).
+    fn in_service(&self) -> Vec<ExecutorHandle> {
+        let quarantined = self.quarantined.lock().clone();
+        self.executors().into_iter().filter(|e| !quarantined.contains(&e.exec_id)).collect()
     }
 
     /// Completed job metrics (snapshot).
@@ -292,7 +323,7 @@ impl RpcEndpoint for DagScheduler {
             return;
         }
         if let Ok(fin) = msg.downcast::<TaskFinishedMsg>() {
-            self.completions.send(fin);
+            self.completions.send(Completion::Finished(fin));
         }
     }
 }

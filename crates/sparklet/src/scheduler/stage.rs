@@ -1,34 +1,29 @@
-//! The event-driven stage engine: attempts, epochs, lineage recovery, and
-//! straggler speculation.
+//! The event-driven stage engine: attempts, epochs and lineage recovery.
 //!
 //! A stage runs as a sequence of *attempts*. Each attempt gets a fresh
 //! `stage_seq` and snapshots the map-output epoch at launch; completions
 //! are matched on both, so results from aborted attempts or older epochs
 //! are discarded (Spark's stale-attempt/epoch check). A `FetchFailed`
-//! completion ends the attempt once all its tasks have reported, after
-//! which [`JobEngine::recover`] quarantines the failing executors,
+//! completion or a lost executor ends the attempt once all its tasks have
+//! reported (a lost executor's unfinished tasks report with no output),
+//! after which [`JobEngine::recover`] quarantines the failing executors,
 //! unregisters their map outputs (bumping the epoch), broadcasts
 //! `InvalidateShuffle`, recomputes the lost parents by walking the job's
 //! shuffle lineage, and resubmits only the still-missing partitions.
-//!
-//! When speculation is enabled, the attempt's loop wakes on a virtual
-//! timer and re-launches straggler tasks on healthy executors; the first
-//! finish per (stage, partition, epoch) wins and the duplicate is dropped
-//! as a late completion. Everything runs on the virtual clock — the whole
-//! recovery timeline is a deterministic function of the seed.
+//! Everything runs on the virtual clock — the whole recovery timeline is a
+//! deterministic function of the seed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use simt::queue::RecvError;
-
 use crate::rdd::{JobSpec, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
 
-use super::speculation::{pick_speculation_target, DurationStats, INTERVAL_NS};
-use super::{DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, StageMetrics};
+use super::{
+    Completion, DagScheduler, ExecutorHandle, InvalidateShuffle, LaunchTask, StageMetrics,
+};
 
 /// Cap on attempts of one stage (first run + resubmissions after
 /// `FetchFailed`); exceeding it panics the job, mirroring Spark's
@@ -108,8 +103,9 @@ impl JobEngine<'_> {
     /// Drive one stage through as many attempts as it takes. `runners` holds
     /// the stage's task for every partition, `parts` the partitions to run.
     /// Successful outputs accumulate across attempts; `FetchFailed`
-    /// partitions (and map outputs stranded on an executor quarantined
-    /// mid-recovery) are resubmitted until every partition has a good output.
+    /// partitions, the tasks of lost executors, and map outputs stranded on
+    /// an executor quarantined mid-recovery are resubmitted until every
+    /// partition has a good output.
     fn run_to_completion(
         &mut self,
         name: String,
@@ -121,10 +117,10 @@ impl JobEngine<'_> {
         let mut collected: Vec<(usize, TaskOutput)> = Vec::new();
         let mut attempt = 0u32;
         loop {
-            let (sm, done, failures) = self.run_attempt(&name, runners, &needed, attempt);
+            let (sm, done, failures, lost) = self.run_attempt(&name, runners, &needed, attempt);
             self.stages.push(sm);
             collected.extend(done);
-            if failures.is_empty() {
+            if failures.is_empty() && lost.is_empty() {
                 collected.sort_by_key(|(p, _)| *p);
                 return collected;
             }
@@ -133,7 +129,7 @@ impl JobEngine<'_> {
                 attempt < MAX_STAGE_ATTEMPTS,
                 "stage {name} failed after {attempt} attempts (max {MAX_STAGE_ATTEMPTS})"
             );
-            self.recover(&name, &failures);
+            self.recover(&name, &failures, &lost);
             // Map outputs computed on a now-quarantined executor point at
             // lost blocks; drop them so those partitions rerun too.
             let quarantined = self.sched.quarantined.lock().clone();
@@ -146,22 +142,19 @@ impl JobEngine<'_> {
         }
     }
 
-    /// React to an attempt's fetch failures: quarantine the blamed
-    /// executors, unregister their map outputs (bumping the epoch),
-    /// broadcast the invalidation, and recompute lost parents by lineage.
-    /// Lost shuffles outside this job's lineage heal lazily — the next job
-    /// reading them finds the holes in [`JobEngine::ensure_shuffle`].
-    fn recover(&mut self, stage: &str, failures: &[FetchFailed]) {
+    /// React to an attempt's fetch failures and lost executors: quarantine
+    /// the blamed and the lost executors, unregister their map outputs
+    /// (bumping the epoch), send the invalidation to the executors still in
+    /// service, and recompute lost parents by lineage. Lost shuffles outside
+    /// this job's lineage heal lazily — the next job reading them finds the
+    /// holes in [`JobEngine::ensure_shuffle`].
+    fn recover(&mut self, stage: &str, failures: &[FetchFailed], lost_execs: &[usize]) {
         let sched = self.sched;
         let obs = sched.obs();
-        let failed_execs: BTreeSet<usize> = failures.iter().filter_map(|f| f.exec_id).collect();
+        let failed_execs: BTreeSet<usize> =
+            failures.iter().filter_map(|f| f.exec_id).chain(lost_execs.iter().copied()).collect();
         let failed_shuffles: BTreeSet<u32> = failures.iter().map(|f| f.shuffle_id).collect();
-        {
-            let mut q = sched.quarantined.lock();
-            for e in &failed_execs {
-                q.insert(*e);
-            }
-        }
+        sched.quarantined.lock().extend(failed_execs.iter().copied());
         let mut lost: Vec<(u32, Vec<u32>)> = Vec::new();
         for e in &failed_execs {
             lost.extend(sched.tracker.remove_executor(*e));
@@ -182,8 +175,12 @@ impl JobEngine<'_> {
         let epoch = sched.tracker.epoch();
         let touched: BTreeSet<u32> =
             failed_shuffles.iter().copied().chain(lost.iter().map(|(s, _)| *s)).collect();
+        // A quarantined executor never runs a task again, so its location
+        // cache is never read; a send to a crashed one would block recovery
+        // in a connect.
+        let in_service = sched.in_service();
         for shuffle_id in &touched {
-            for e in sched.executors() {
+            for e in &in_service {
                 #[expect(
                     clippy::let_underscore_must_use,
                     reason = "an unreachable executor has no location cache left to age"
@@ -200,18 +197,18 @@ impl JobEngine<'_> {
         }
     }
 
-    /// Run one attempt of a stage over `parts`: dispatch, then consume task
-    /// completions until every partition reported exactly once. With
-    /// speculation enabled each wait is bounded by the next speculation
-    /// tick, which re-launches stragglers. Returns the attempt's metrics, its
-    /// successful outputs, and any fetch failures.
+    /// Run one attempt of a stage over `parts`: dispatch, then consume the
+    /// completion queue until every partition reported exactly once, a lost
+    /// executor's unfinished tasks counting as reported with no output.
+    /// Returns the attempt's metrics, its successful outputs, its fetch
+    /// failures and the executors it lost.
     fn run_attempt(
         &mut self,
         name: &str,
         runners: &[Arc<dyn TaskRunner>],
         parts: &[usize],
         attempt: u32,
-    ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailed>) {
+    ) -> (StageMetrics, Vec<(usize, TaskOutput)>, Vec<FetchFailed>, Vec<usize>) {
         let sched = self.sched;
         let obs = sched.obs();
         let _span = obs.is_traced().then(|| {
@@ -222,58 +219,53 @@ impl JobEngine<'_> {
         });
         let stage_seq = sched.next_stage_seq.fetch_add(1, Ordering::Relaxed);
         let epoch = sched.tracker.epoch();
-        let quarantined = sched.quarantined.lock().clone();
-        let execs: Vec<ExecutorHandle> =
-            sched.executors().into_iter().filter(|e| !quarantined.contains(&e.exec_id)).collect();
+        let execs = sched.in_service();
         assert!(!execs.is_empty(), "no healthy executors registered");
         let start_ns = simt::now();
 
-        let mut att = Attempt::new(execs, stage_seq, attempt, epoch, start_ns);
+        let mut att = Attempt::new(execs, stage_seq, attempt, epoch);
         for &part in parts {
             att.add_task(part, runners[part].clone());
         }
         att.dispatch_all();
 
-        let speculation = sched.conf.speculation;
         let n = parts.len();
         let mut done = 0usize;
-        let mut stats = DurationStats::default();
         let mut outputs: Vec<(usize, TaskOutput)> = Vec::with_capacity(n);
         let mut failures: Vec<FetchFailed> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
         let mut stage_snapshot = obs::MetricsSnapshot::default();
-        let mut next_tick = start_ns + INTERVAL_NS;
 
         while done < n {
-            let received = if speculation {
-                sched.completions.recv_deadline(next_tick)
-            } else {
-                sched.completions.recv()
-            };
-            let fin = match received {
-                Ok(fin) => fin,
-                Err(RecvError::Timeout) => {
-                    let now = simt::now();
-                    att.speculate(&stats, now, &obs);
-                    next_tick = now.max(next_tick) + INTERVAL_NS;
+            let fin = match sched.completions.recv().expect("scheduler completion queue open") {
+                Completion::Finished(fin) => fin,
+                Completion::ExecutorLost { exec_id, reason } => {
+                    let Some(slot) = att.slot_of(exec_id) else { continue };
+                    if lost.contains(&exec_id) {
+                        continue;
+                    }
+                    lost.push(exec_id);
+                    done += att.lose(slot);
+                    obs.registry().counter(obs::keys::SPARK_EXECUTORS_LOST).inc();
+                    obs.event(
+                        "spark.executor.lost",
+                        obs::kv! {"stage" => name, "exec" => exec_id, "reason" => reason},
+                    );
                     continue;
                 }
-                Err(RecvError::Closed) => panic!("scheduler completion queue closed"),
             };
             // Dedup key (stage, partition, epoch): drop completions of
             // aborted attempts and of launches that predate the current
-            // map-output epoch.
-            if fin.stage_seq != stage_seq || fin.epoch != epoch {
+            // map-output epoch, and whatever a lost executor still reports.
+            if fin.stage_seq != stage_seq || fin.epoch != epoch || lost.contains(&fin.exec_id) {
                 continue;
             }
             let Some(slot) = att.slot_of(fin.exec_id) else { continue };
             att.release(slot);
             let ti = att.task_index(fin.part);
-            if att.tasks[ti].done {
-                continue; // a duplicate copy lost the first-finish race
-            }
+            debug_assert!(!att.tasks[ti].done, "one completion per task and attempt");
             att.tasks[ti].done = true;
             done += 1;
-            stats.record(fin.metrics.counter(obs::keys::TASK_RUN_NS));
             stage_snapshot.merge(&fin.metrics);
             let output = fin.output.lock().take().expect("output taken once");
             match output {
@@ -292,23 +284,18 @@ impl JobEngine<'_> {
             },
             outputs,
             failures,
+            lost,
         )
     }
-}
-
-/// One launch of one task copy.
-struct Launch {
-    slot: usize,
-    at_ns: u64,
 }
 
 /// Per-partition state within an attempt.
 struct TaskState {
     part: usize,
     runner: Arc<dyn TaskRunner>,
-    /// Home executor slot under modulo placement.
+    /// Executor slot under modulo placement: the task is queued and
+    /// launched there and nowhere else.
     home: usize,
-    launches: Vec<Launch>,
     done: bool,
 }
 
@@ -318,7 +305,6 @@ struct Attempt {
     stage_seq: u64,
     attempt: u32,
     epoch: u64,
-    start_ns: u64,
     free: Vec<u32>,
     queues: Vec<VecDeque<usize>>,
     tasks: Vec<TaskState>,
@@ -326,13 +312,7 @@ struct Attempt {
 }
 
 impl Attempt {
-    fn new(
-        execs: Vec<ExecutorHandle>,
-        stage_seq: u64,
-        attempt: u32,
-        epoch: u64,
-        start_ns: u64,
-    ) -> Self {
+    fn new(execs: Vec<ExecutorHandle>, stage_seq: u64, attempt: u32, epoch: u64) -> Self {
         let n_exec = execs.len();
         let free = execs.iter().map(|e| e.cores).collect();
         Attempt {
@@ -340,7 +320,6 @@ impl Attempt {
             stage_seq,
             attempt,
             epoch,
-            start_ns,
             free,
             queues: (0..n_exec).map(|_| VecDeque::new()).collect(),
             tasks: Vec::new(),
@@ -352,7 +331,7 @@ impl Attempt {
     fn add_task(&mut self, part: usize, runner: Arc<dyn TaskRunner>) {
         let home = part % self.execs.len();
         let ti = self.tasks.len();
-        self.tasks.push(TaskState { part, runner, home, launches: Vec::new(), done: false });
+        self.tasks.push(TaskState { part, runner, home, done: false });
         self.by_part.insert(part, ti);
         self.queues[home].push_back(ti);
     }
@@ -365,19 +344,19 @@ impl Attempt {
         self.execs.iter().position(|e| e.exec_id == exec_id)
     }
 
-    /// Send one copy of task `ti` to executor slot `slot`. A crashed node
-    /// swallows the message silently; the speculation pass (or the next
-    /// attempt) covers the lost launch.
-    fn launch(&mut self, ti: usize, slot: usize, speculative: bool) {
+    /// Send task `ti` to executor slot `slot`. A crashed node swallows the
+    /// message silently; its executor-lost event settles the task.
+    fn launch(&mut self, ti: usize, slot: usize) {
         self.free[slot] -= 1;
-        self.tasks[ti].launches.push(Launch { slot, at_ns: simt::now() });
-        #[expect(clippy::let_underscore_must_use, reason = "a lost launch is covered like a crash")]
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a lost launch is settled by its executor-lost event"
+        )]
         let _ = self.execs[slot].rpc.send(LaunchTask {
             stage_seq: self.stage_seq,
             part: self.tasks[ti].part,
             attempt: self.attempt,
             epoch: self.epoch,
-            speculative,
             runner: self.tasks[ti].runner.clone(),
         });
     }
@@ -385,7 +364,7 @@ impl Attempt {
     fn dispatch(&mut self, slot: usize) {
         while self.free[slot] > 0 {
             let Some(ti) = self.queues[slot].pop_front() else { break };
-            self.launch(ti, slot, false);
+            self.launch(ti, slot);
         }
     }
 
@@ -395,68 +374,22 @@ impl Attempt {
         }
     }
 
-    /// A completion (or duplicate) from `slot` frees one core there.
+    /// A completion from `slot` frees one core there.
     fn release(&mut self, slot: usize) {
         self.free[slot] += 1;
         self.dispatch(slot);
     }
 
-    /// One speculation pass: for every unfinished task whose latest launch
-    /// has been running past the median-based threshold, launch one more
-    /// copy on the executor with the most free slots that has not run it
-    /// yet (ties break to the lowest slot — deterministic). Tasks still
-    /// queued behind a stalled executor are stolen to an idle one instead
-    /// of duplicated.
-    fn speculate(&mut self, stats: &DurationStats, now: u64, o: &obs::Obs) {
-        let Some(threshold) = stats.threshold(self.tasks.len()) else {
-            return;
-        };
-        for ti in 0..self.tasks.len() {
-            if self.tasks[ti].done {
-                continue;
-            }
-            if self.tasks[ti].launches.is_empty() {
-                // Queued on an executor that has not freed a slot all this
-                // time (e.g. crashed with tasks in flight): steal, don't
-                // duplicate.
-                if now.saturating_sub(self.start_ns) <= threshold {
-                    continue;
-                }
-                let exclude = BTreeSet::from([self.tasks[ti].home]);
-                let Some(target) = pick_speculation_target(&self.free, &exclude) else {
-                    continue;
-                };
-                let home = self.tasks[ti].home;
-                if let Some(pos) = self.queues[home].iter().position(|&x| x == ti) {
-                    self.queues[home].remove(pos);
-                }
-                self.launch(ti, target, false);
-                continue;
-            }
-            // One extra copy per crossing of the threshold by the *latest*
-            // launch: a copy that itself stalls (sent into a crash window)
-            // can be covered again, bounded by one copy per executor.
-            if self.tasks[ti].launches.len() >= self.execs.len() {
-                continue;
-            }
-            let last = self.tasks[ti].launches.last().expect("nonempty launches");
-            if now.saturating_sub(last.at_ns) <= threshold {
-                continue;
-            }
-            let ran_on: BTreeSet<usize> = self.tasks[ti].launches.iter().map(|l| l.slot).collect();
-            let Some(target) = pick_speculation_target(&self.free, &ran_on) else {
-                continue;
-            };
-            o.registry().counter(obs::keys::SPARK_SPECULATIVE_TASKS).inc();
-            o.event(
-                "spark.task.speculative",
-                obs::kv! {
-                    "part" => self.tasks[ti].part,
-                    "from" => self.execs[last.slot].exec_id,
-                    "to" => self.execs[target].exec_id,
-                },
-            );
-            self.launch(ti, target, true);
+    /// The executor at `slot` is lost: nothing more is dispatched to it, and
+    /// each of its unfinished tasks, launched or queued, counts as reported
+    /// with no output. Returns how many tasks that settles.
+    fn lose(&mut self, slot: usize) -> usize {
+        self.queues[slot].clear();
+        let mut settled = 0;
+        for task in self.tasks.iter_mut().filter(|t| t.home == slot && !t.done) {
+            task.done = true;
+            settled += 1;
         }
+        settled
     }
 }

@@ -69,9 +69,6 @@ pub struct TaskContext {
     pub partition: usize,
     /// Attempt number (0 on first try).
     pub attempt: u32,
-    /// True when this is a straggler-speculation duplicate; first finish
-    /// wins at the scheduler, so task code treats both copies identically.
-    pub speculative: bool,
     /// Per-task metrics registry. Task code records through typed handles
     /// under the `task.*` keys in [`obs::keys`]; the executor snapshots the
     /// registry when the task finishes and ships the
@@ -83,19 +80,7 @@ pub struct TaskContext {
 impl TaskContext {
     /// Build a context for `partition`.
     pub fn new(services: Arc<ExecutorServices>, partition: usize, attempt: u32) -> Self {
-        TaskContext {
-            services,
-            partition,
-            attempt,
-            speculative: false,
-            metrics: obs::Registry::new(),
-        }
-    }
-
-    /// Mark the context as a speculative duplicate (builder-style).
-    pub fn speculative(mut self, speculative: bool) -> Self {
-        self.speculative = speculative;
-        self
+        TaskContext { services, partition, attempt, metrics: obs::Registry::new() }
     }
 
     /// Charge `work_ns` of compute against the executor's node CPU.

@@ -1,7 +1,8 @@
 //! Fault injection: shuffle-service loss between the write and read stages
 //! triggers Spark's FetchFailed path — quarantine, lineage-based
 //! recomputation of the lost map outputs, and retry of the failed reduce
-//! partitions — and the job still produces correct results.
+//! partitions — and the job still produces correct results on each of the
+//! paper's four systems.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -10,6 +11,7 @@ use fabric::ClusterSpec;
 use sparklet::deploy::executor::KillShuffleService;
 use sparklet::deploy::{simulate, ClusterConfig, ProcessBuilderLauncher};
 use sparklet::{SparkConf, VanillaBackend};
+use workloads::System;
 
 fn small_cluster() -> (ClusterSpec, ClusterConfig) {
     let spec = ClusterSpec::test(5); // 3 workers
@@ -25,10 +27,13 @@ fn small_cluster() -> (ClusterSpec, ClusterConfig) {
 
 #[test]
 fn shuffle_service_loss_recovers_via_lineage() {
-    let (spec, cluster) = small_cluster();
-    let backend = Arc::new(VanillaBackend::with_conf(&cluster.conf));
-    let (result, metrics) =
-        simulate(&spec, cluster, backend, Arc::new(ProcessBuilderLauncher), |sc| {
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for i in 0..300u64 {
+        oracle.entry(i % 11).or_default().push(i);
+    }
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let (spec, cluster) = small_cluster();
+        let out = system.run(&spec, cluster, |sc| {
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 11, i)).collect();
             let grouped = sc.parallelize(pairs, 6).group_by_key(6);
             // Force the shuffle write to complete first.
@@ -46,26 +51,26 @@ fn shuffle_service_loss_recovers_via_lineage() {
             out.sort_by_key(|(k, _)| *k);
             out
         });
-    // Functional correctness after recovery.
-    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for i in 0..300u64 {
-        oracle.entry(i % 11).or_default().push(i);
+        // Functional correctness after recovery.
+        let label = system.label();
+        assert_eq!(out.result.len(), 11, "{label}");
+        for (k, mut vs) in out.result {
+            vs.sort_unstable();
+            assert_eq!(vs, oracle[&k], "{label}: key {k}");
+        }
+        // The recovery ran extra stages: the second job must show a retry
+        // map stage and more than one result-stage attempt.
+        let last = out.jobs.last().unwrap();
+        assert!(
+            last.stages.iter().any(|s| s.name.contains("retry")),
+            "{label}: expected a lineage-recompute stage, got {:?}",
+            last.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>()
+        );
+        let result_stages = last.stages.iter().filter(|s| s.name.contains("ResultStage")).count();
+        assert!(result_stages >= 2, "{label}: expected a retried result stage");
+        let resubmits = out.metrics.counter(obs::keys::SPARK_STAGE_RESUBMITS);
+        assert_eq!(resubmits, 1, "{label}: one FetchFailed recovery");
     }
-    assert_eq!(result.len(), 11);
-    for (k, mut vs) in result {
-        vs.sort_unstable();
-        assert_eq!(vs, oracle[&k]);
-    }
-    // The recovery ran extra stages: the second job must show a retry map
-    // stage and more than one result-stage attempt.
-    let last = metrics.last().unwrap();
-    assert!(
-        last.stages.iter().any(|s| s.name.contains("retry")),
-        "expected a lineage-recompute stage, got {:?}",
-        last.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>()
-    );
-    let result_stages = last.stages.iter().filter(|s| s.name.contains("ResultStage")).count();
-    assert!(result_stages >= 2, "expected a retried result stage");
 }
 
 #[test]

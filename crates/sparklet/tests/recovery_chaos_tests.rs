@@ -1,13 +1,15 @@
 //! Recovery chaos matrix: {executor crash during map, executor crash during
-//! reduce fetch, slowdown-induced speculation} × the paper's four systems.
+//! reduce fetch} × the paper's four systems.
 //!
 //! Unlike `chaos_tests.rs` (which exercises the per-block *fetch retry*
-//! layer), these cells force the scheduler's *stage machinery*: a node
-//! crash mid-map strands launched tasks whose completions never arrive, so
-//! the attempt's straggler speculation must re-run them elsewhere; a crash
-//! during the reduce's shuffle read exhausts the fetch-retry budget,
-//! surfaces `FetchFailed`, and drives quarantine + lineage recomputation +
-//! stage resubmission under a bumped map-output epoch.
+//! layer), these cells force the scheduler's *stage machinery*. A node
+//! crash resets every channel to the node, and the driver turns the reset
+//! into an executor loss: mid-map, the victim's tasks never report, so the
+//! attempt settles them as lost and the next attempt reruns them
+//! elsewhere; during the reduce's shuffle read, the reset fails the
+//! victim's fetches into `FetchFailed`, and recovery quarantines it,
+//! recomputes its map outputs by lineage and resubmits the stage under a
+//! bumped map-output epoch.
 //!
 //! Window discipline: `FaultPlan::crash_node` silently swallows every
 //! message to and from the node, including the teardown `StopWorker`, so
@@ -27,9 +29,9 @@ const MS: u64 = 1_000_000;
 /// `paper_layout`: workers on 0..3, master on 3, driver on 4).
 const VICTIM: usize = 1;
 
-/// Chaos-tuned conf with straggler speculation enabled. Timeouts and the
-/// retry budget are compressed so a crashed shuffle source exhausts its
-/// per-block retries within a few hundred virtual milliseconds.
+/// Chaos-tuned conf. Timeouts and the retry budget are compressed so a
+/// crashed shuffle source exhausts its per-block retries within a few
+/// hundred virtual milliseconds.
 fn recovery_conf() -> SparkConf {
     let mut conf = SparkConf::default();
     conf.executor_cores = 4;
@@ -41,7 +43,6 @@ fn recovery_conf() -> SparkConf {
     conf.fetch_max_retries = 1;
     conf.fetch_retry_base_ns = 20 * MS;
     conf.fetch_retry_max_ns = 100 * MS;
-    conf.speculation = true;
     conf
 }
 
@@ -81,6 +82,12 @@ fn measure_stage_start(system: System, spec: &ClusterSpec, fragment: &str) -> u6
         .start_ns
 }
 
+/// 50 µs into the reduce stage: the victim has written its map outputs and
+/// its peers are fetching them.
+fn reduce_crash_start(system: System, spec: &ClusterSpec) -> u64 {
+    measure_stage_start(system, spec, "Job0-ResultStage") + 50_000
+}
+
 /// Run `groupby` under `plan`, sleeping `linger_ns` after the job so the
 /// teardown happens with every crash window closed.
 fn run_recovery(
@@ -102,11 +109,12 @@ fn run_recovery(
 }
 
 #[test]
-fn executor_crash_during_map_is_covered_by_speculation_on_all_systems() {
+fn executor_crash_during_map_is_detected_and_rerun_on_all_systems() {
     // The victim node dies just as the map stage launches: its `LaunchTask`
-    // messages are swallowed, so its partitions never report. No map output
-    // is lost (none was produced), so recovery is pure speculation — the
-    // stranded tasks are re-run on healthy executors and first finish wins.
+    // messages are swallowed, so its partitions never report. The crash
+    // resets the driver's channels to the node, the stage loop loses the
+    // executor and settles its tasks, and the next attempt reruns them on
+    // the healthy executors.
     let spec = ClusterSpec::test(5);
     for system in all_systems() {
         let start = measure_stage_start(system, &spec, "Job0-ShuffleMapStage");
@@ -117,30 +125,24 @@ fn executor_crash_during_map_is_covered_by_speculation_on_all_systems() {
         assert_eq!(out.result, oracle(), "{}: wrong result after map-stage crash", system.label());
         let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
         assert!(dropped > 0, "{}: the crash window never bit", system.label());
-        let speculative = out.metrics.counter(keys::SPARK_SPECULATIVE_TASKS);
-        assert!(
-            speculative >= 1,
-            "{}: stranded map tasks were not speculated (dropped {})",
-            system.label(),
-            dropped
-        );
+        let lost = out.metrics.counter(keys::SPARK_EXECUTORS_LOST);
+        assert_eq!(lost, 1, "{}: the crashed executor was not lost once", system.label());
     }
 }
 
 #[test]
 fn executor_crash_during_reduce_fetch_resubmits_stages_on_all_systems() {
     // The victim dies after writing its map outputs, as the reduce stage
-    // starts fetching them. Per-block retries exhaust, `FetchFailed` blames
-    // the victim, and the scheduler must quarantine it, bump the epoch,
-    // recompute the lost map partitions by lineage (`-retry` stage), and
-    // resubmit the failed reduce partitions — fetch retries alone cannot
-    // finish this job.
+    // fetches them. Its fetches fail, `FetchFailed` blames the victim, the
+    // driver loses its executor, and the scheduler must quarantine it, bump
+    // the epoch, recompute the lost map partitions by lineage (`-retry`
+    // stage), and resubmit the failed reduce partitions — fetch retries
+    // alone cannot finish this job.
     let spec = ClusterSpec::test(5);
     for system in all_systems() {
-        let start = measure_stage_start(system, &spec, "Job0-ResultStage");
+        let start = reduce_crash_start(system, &spec);
         let window = 600 * MS;
-        let plan =
-            FaultPlan::seeded(22).crash_node(VICTIM, start.saturating_sub(50_000), window).build();
+        let plan = FaultPlan::seeded(22).crash_node(VICTIM, start, window).build();
         let out = run_recovery(system, &spec, plan, 2 * window, false);
         assert_eq!(out.result, oracle(), "{}: wrong result after reduce crash", system.label());
         let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
@@ -160,60 +162,23 @@ fn executor_crash_during_reduce_fetch_resubmits_stages_on_all_systems() {
             .flat_map(|j| j.stages.iter())
             .any(|s| s.name.contains("retry") || s.attempt > 0);
         assert!(retried, "{}: no lineage recompute or reattempt recorded", system.label());
-    }
-}
-
-#[test]
-fn slowdown_triggers_speculation_and_cuts_job_time_on_all_systems() {
-    // The victim's links turn slow for the whole job. Without speculation
-    // the job waits out every delayed launch, fetch, and completion; with
-    // it, the stragglers get duplicates on healthy executors and the fast
-    // copies win.
-    let spec = ClusterSpec::test(5);
-    for system in all_systems() {
-        let start = measure_stage_start(system, &spec, "Job0-ShuffleMapStage");
-        let plan = || {
-            FaultPlan::seeded(23)
-                .slow_node(VICTIM, start.saturating_sub(50_000), 10_000 * MS, 20 * MS)
-                .build()
-        };
-        let with_spec = run_recovery(system, &spec, plan(), 0, false);
-        assert_eq!(with_spec.result, oracle(), "{}: wrong result (spec on)", system.label());
-        let delayed = with_spec.metrics.counter(keys::NET_CHAOS_DELAYED_MSGS);
-        assert!(delayed > 0, "{}: the slowdown never bit", system.label());
-        let speculative = with_spec.metrics.counter(keys::SPARK_SPECULATIVE_TASKS);
-        assert!(speculative >= 1, "{}: the slowdown produced no speculative tasks", system.label());
-
-        let mut conf = recovery_conf();
-        conf.speculation = false;
-        let mut cluster = ClusterConfig::paper_layout(spec.len(), conf);
-        cluster.app_jar_bytes = 1 << 20;
-        let no_spec = system.run_with_chaos(&spec, cluster, plan(), groupby);
-        assert_eq!(no_spec.result, oracle(), "{}: wrong result (spec off)", system.label());
-        assert!(
-            2 * with_spec.total_ns() < no_spec.total_ns(),
-            "{}: speculation should measurably cut virtual job time ({} vs {} ns)",
-            system.label(),
-            with_spec.total_ns(),
-            no_spec.total_ns()
-        );
+        let lost = out.metrics.counter(keys::SPARK_EXECUTORS_LOST);
+        assert_eq!(lost, 1, "{}: the crashed executor was not lost once", system.label());
     }
 }
 
 #[test]
 fn same_seed_recovery_timeline_is_byte_identical_on_all_systems() {
     // The acceptance bar for determinism: the full recovery — crash window,
-    // retry exhaustion, speculation ticks, quarantine, epoch bump, stage
+    // channel resets, executor loss, quarantine, epoch bump, stage
     // resubmission — replays byte-for-byte from the same seed, asserted on
     // the exported trace timeline, not just on summary counters.
     let spec = ClusterSpec::test(5);
     for system in all_systems() {
-        let start = measure_stage_start(system, &spec, "Job0-ResultStage");
+        let start = reduce_crash_start(system, &spec);
         let window = 600 * MS;
         let run = || {
-            let plan = FaultPlan::seeded(24)
-                .crash_node(VICTIM, start.saturating_sub(50_000), window)
-                .build();
+            let plan = FaultPlan::seeded(24).crash_node(VICTIM, start, window).build();
             run_recovery(system, &spec, plan, 2 * window, true)
         };
         let a = run();

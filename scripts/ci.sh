@@ -81,7 +81,7 @@ cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
 }
 
 # The suites that run in seconds at full scale are gated at that scale too
-# (66 records): the figure cells at paper size, the recovery bench, the
+# (63 records): the figure cells at paper size, the recovery bench, the
 # traced cell with its engine counters, and the real-data cell.
 # The slow figure suites (fig09–fig12, ablation-batching) stay a manual gate.
 FAST_FULL="fig08 table4 recovery traced realdata"
