@@ -16,6 +16,7 @@ pub mod pingpong;
 pub mod record;
 mod suites;
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -102,13 +103,17 @@ pub struct Args {
     pub scale: Scale,
     /// `--trace-dir`.
     pub trace_dir: Option<PathBuf>,
+    /// `--host-profile`: the engine's host time per event label
+    /// ([`simt::take_host_profile`]), top entries as notes on the table.
+    pub host_profile: bool,
 }
 
 /// Parse `repro`'s arguments (without the program name). Unknown suites,
 /// scales and flags are errors that list the valid values.
 pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let names = || SUITES.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ");
-    let mut args = Args { suites: Vec::new(), scale: Scale::Full, trace_dir: None };
+    let mut args =
+        Args { suites: Vec::new(), scale: Scale::Full, trace_dir: None, host_profile: false };
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().ok_or(format!("{arg} needs a value"));
@@ -121,6 +126,7 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String
                 }
             }
             "--trace-dir" => args.trace_dir = Some(PathBuf::from(value()?)),
+            "--host-profile" => args.host_profile = true,
             "all" => args.suites.extend_from_slice(SUITES),
             name => match SUITES.iter().find(|(n, _)| *n == name) {
                 Some(suite) => args.suites.push(*suite),
@@ -130,7 +136,8 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String
     }
     if args.suites.is_empty() {
         return Err(format!(
-            "usage: repro <suite>… [--scale small|full] [--trace-dir DIR]; suites: {} all",
+            "usage: repro <suite>… [--scale small|full] [--trace-dir DIR] [--host-profile]; \
+             suites: {} all",
             names()
         ));
     }
@@ -143,6 +150,7 @@ impl Args {
     pub fn run(&self, ledger: &mut dyn Write, table: &mut dyn Write) -> Vec<Record> {
         let mut run = Run::new(self.scale, ledger, table);
         run.trace_dir = self.trace_dir.clone();
+        simt::set_host_profile(self.host_profile);
         for (name, suite) in &self.suites {
             run.suite = name;
             suite(&mut run);
@@ -163,7 +171,30 @@ impl Args {
         let census = workloads::spawn_census();
         let top: Vec<String> = census.iter().take(5).map(|(p, n)| format!("{p} {n}")).collect();
         run.note(&format!("green threads spawned by name, largest first: {}", top.join(", ")));
+        if self.host_profile {
+            simt::set_host_profile(false);
+            host_profile_notes(&mut run, simt::take_host_profile());
+        }
         run.records
+    }
+}
+
+/// The host profile's ten largest labels, one note each: events, host time,
+/// its share of the profiled total, and host ns per event.
+fn host_profile_notes(run: &mut Run<'_>, profile: BTreeMap<String, (u64, u64)>) {
+    let total: u64 = profile.values().map(|&(_, ns)| ns).sum();
+    let mut rows: Vec<(String, u64, u64)> =
+        profile.into_iter().map(|(label, (events, ns))| (label, events, ns)).collect();
+    rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+    run.suite = "host-profile";
+    run.note(&format!("{:.1} ms of host time over {} labels", total as f64 / 1e6, rows.len()));
+    for (label, events, ns) in rows.into_iter().take(10) {
+        run.note(&format!(
+            "{label}: {events} events, {:.1} ms ({:.1} %), {} ns/event",
+            ns as f64 / 1e6,
+            100.0 * ns as f64 / total as f64,
+            ns / events
+        ));
     }
 }
 
@@ -179,6 +210,12 @@ mod tests {
         let mut ledger = Vec::new();
         let records = parse(argv).unwrap().run(&mut ledger, &mut std::io::sink());
         (records, String::from_utf8(ledger).unwrap())
+    }
+
+    #[test]
+    fn the_host_profile_is_off_unless_asked_for() {
+        assert!(!parse(&["traced"]).unwrap().host_profile);
+        assert!(parse(&["traced", "--host-profile"]).unwrap().host_profile);
     }
 
     #[test]

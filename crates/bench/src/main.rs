@@ -1,4 +1,4 @@
-//! `repro <suite>… [--scale small|full] [--trace-dir DIR]`
+//! `repro <suite>… [--scale small|full] [--trace-dir DIR] [--host-profile]`
 //! — see the crate docs of `mpi4spark_bench`.
 
 #![forbid(unsafe_code)]

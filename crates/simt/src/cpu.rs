@@ -549,6 +549,7 @@ mod tests {
                         Cpu::advance(&mut s, at);
                         this.reschedule(&mut s, at);
                     }),
+                    std::panic::Location::caller(),
                 );
             }
         }

@@ -17,12 +17,13 @@
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::panic;
+use std::panic::{self, Location};
 use std::sync::{Arc, Weak};
 
 use crate::coro::{self, Coroutine, Payload, Step};
 use crate::local::{self, Locals};
 use crate::mutex::RawMutex;
+use crate::profile::Probe;
 
 /// Identifier of a green thread within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,9 +66,12 @@ impl ThreadSlot {
     }
 }
 
+/// Where a `Call` was scheduled from: its [`crate::profile`] label.
+type Site = &'static Location<'static>;
+
 enum EventKind {
     Wake { tid: TaskId, epoch: u64 },
-    Call(Box<dyn FnOnce() + Send>),
+    Call(Box<dyn FnOnce() + Send>, Site),
     // Never queued: `State::pop` makes one when a CPU's armed tick is next.
     Tick(usize),
 }
@@ -165,6 +169,17 @@ impl State {
             self.heap.push(Reverse(event));
         }
         self.note_pending();
+    }
+
+    /// The event's host-profile label (see [`crate::take_host_profile`]).
+    fn label(&self, kind: &EventKind) -> String {
+        match kind {
+            EventKind::Wake { tid, .. } => {
+                format!("wake {}", census_prefix(&self.threads[tid.0].name))
+            }
+            EventKind::Call(_, from) => format!("call {}:{}", from.file(), from.line()),
+            EventKind::Tick(_) => "tick".into(),
+        }
     }
 
     fn note_pending(&mut self) {
@@ -307,6 +322,11 @@ fn install_shutdown_quiet_hook() {
     });
 }
 
+/// A name up to its first digit or `:` (`netz-loop:shuffle:e-1` → `netz-loop`).
+fn census_prefix(name: &str) -> &str {
+    &name[..name.find(|c: char| c == ':' || c.is_ascii_digit()).unwrap_or(name.len())]
+}
+
 impl Inner {
     pub(crate) fn now(&self) -> u64 {
         self.state.lock().now
@@ -322,8 +342,8 @@ impl Inner {
     }
 
     /// Schedule a closure to run on the engine's stack at absolute time `at`.
-    pub(crate) fn schedule_call(&self, at: u64, f: Box<dyn FnOnce() + Send>) {
-        self.state.lock().push_event(at, EventKind::Call(f));
+    pub(crate) fn schedule_call(&self, at: u64, f: Box<dyn FnOnce() + Send>, from: Site) {
+        self.state.lock().push_event(at, EventKind::Call(f, from));
     }
 
     pub(crate) fn current_epoch(&self, tid: TaskId) -> u64 {
@@ -394,9 +414,7 @@ impl Inner {
         };
         let co = Coroutine::new(coro::STACK_SIZE, Box::new(body));
         let mut s = self.state.lock();
-        let prefix =
-            &name[..name.find(|c: char| c == ':' || c.is_ascii_digit()).unwrap_or(name.len())];
-        *s.census.entry(prefix.to_string()).or_default() += 1;
+        *s.census.entry(census_prefix(&name).to_string()).or_default() += 1;
         let tid = TaskId(s.threads.len());
         s.threads.push(ThreadSlot {
             name,
@@ -593,8 +611,7 @@ impl Sim {
         self.inner.state.lock().stats
     }
 
-    /// Green threads spawned so far per name prefix: the name up to its first
-    /// digit or `:` (`netz-loop:shuffle:executor-1` counts as `netz-loop`).
+    /// Green threads spawned so far per name prefix: the name up to its first digit or `:`.
     pub fn spawn_census(&self) -> BTreeMap<String, u64> {
         self.inner.state.lock().census.clone()
     }
@@ -603,6 +620,7 @@ impl Sim {
     /// here. May be called repeatedly (spawn more threads in between).
     pub fn run(&self) -> Result<SimReport, SimError> {
         let mut me = Arc::clone(&self.inner);
+        let profiling = crate::profile::enabled();
         loop {
             let mut s = self.inner.state.lock();
             if let Some(p) = s.panic_payload.take() {
@@ -613,8 +631,9 @@ impl Sim {
             let Some(event) = s.pop() else { break };
             s.now = event.time;
             s.stats.events_popped += 1;
+            let probe = profiling.then(|| Probe::start(s.label(&event.kind)));
             match event.kind {
-                EventKind::Call(f) => {
+                EventKind::Call(f, _) => {
                     s.stats.calls += 1;
                     drop(s);
                     let engine = Some((me.clone(), ENGINE));
@@ -642,6 +661,9 @@ impl Sim {
                     drop(s);
                     me = Inner::resume(me, tid, co, locals);
                 }
+            }
+            if let Some(probe) = probe {
+                probe.finish();
             }
         }
         let s = self.inner.state.lock();
@@ -744,11 +766,13 @@ impl WaitToken {
     }
 
     /// Wake the target at the current virtual time.
+    #[track_caller]
     pub(crate) fn wake(&self) {
         self.wake_at(self.inner.now());
     }
 
     /// Wake the target at absolute virtual time `at`.
+    #[track_caller]
     pub(crate) fn wake_at(&self, at: u64) {
         match &self.target {
             Target::Thread { tid, epoch } => self.inner.schedule_wake(*tid, *epoch, at),
@@ -758,7 +782,7 @@ impl WaitToken {
                     let next = step.lock().take(); // not held while the step runs
                     next.into_iter().for_each(|f| f());
                 };
-                self.inner.schedule_call(at, Box::new(next));
+                self.inner.schedule_call(at, Box::new(next), Location::caller());
             }
         }
     }
@@ -816,8 +840,10 @@ pub(crate) fn park() {
 
 /// Run `f` on the engine's stack at absolute virtual time `at`. The closure
 /// must not park; it may schedule wakes and further calls.
+#[track_caller]
 pub fn call_at(at: u64, f: impl FnOnce() + Send + 'static) {
-    with_current(|inner, _| inner.schedule_call(at, Box::new(f)));
+    let from = Location::caller();
+    with_current(|inner, _| inner.schedule_call(at, Box::new(f), from));
 }
 
 #[cfg(test)]
@@ -852,6 +878,36 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(*log.lock(), vec!["x", "y", "z"]);
+    }
+
+    /// Schedule a no-op `call_at` and return where the caller called this.
+    #[track_caller]
+    fn call_here(at: u64) -> Site {
+        call_at(at, || ());
+        Location::caller()
+    }
+
+    #[test]
+    fn the_host_profile_labels_wakes_by_name_prefix_and_calls_by_caller() {
+        crate::set_host_profile(true);
+        let sim = Sim::new();
+        let site = Arc::new(Mutex::new(None));
+        for n in 0..3 {
+            let site = site.clone();
+            sim.spawn(format!("profiled-sleeper-{n}"), move || {
+                crate::sleep(10);
+                *site.lock() = Some(call_here(20));
+            });
+        }
+        sim.run().unwrap();
+        crate::set_host_profile(false);
+        // Other tests may run while the profile is on: read only these labels.
+        let profile = crate::take_host_profile();
+        let site = site.lock().expect("the sleepers ran");
+        let call = format!("call {}:{}", site.file(), site.line());
+        assert!(call.starts_with("call crates/simt/src/engine.rs:"), "{call}");
+        assert_eq!(profile.get("wake profiled-sleeper-").map(|e| e.0), Some(6), "{profile:?}");
+        assert_eq!(profile.get(&call).map(|e| e.0), Some(3), "{profile:?}");
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub(crate) mod diag;
 pub mod engine;
 mod local;
 mod mutex;
+mod profile;
 pub mod queue;
 pub mod rng;
 pub mod sync;
@@ -70,6 +71,7 @@ pub use coro::{stack_stats, StackStats};
 pub use cpu::Cpu;
 pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};
 pub use local::with_local;
+pub use profile::{set_host_profile, take_host_profile};
 pub use rng::{for_each_case, SeededRng};
 pub use time::{Duration, Instant};
 

@@ -342,62 +342,13 @@ pub fn read_shuffle<T: Element>(
     let my_exec = ctx.services.exec_id;
     let bm = ctx.services.block_manager.clone();
 
-    // Split local vs remote, grouping remote blocks per serving executor.
-    let mut local: Vec<BlockId> = Vec::new();
-    let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
-    // Records to expect, as the map tasks reported them.
-    let mut expected = 0usize;
-    for st in statuses.iter() {
-        let size = st.sizes[reduce_id as usize];
-        if st.records[reduce_id as usize] == 0 && size == 0 {
-            continue; // empty bucket: Spark skips zero-size blocks
-        }
-        expected += st.records[reduce_id as usize] as usize;
-        let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
-        if st.exec_id == my_exec {
-            local.push(id);
-        } else {
-            remote
-                .entry(st.exec_id)
-                .or_insert_with(|| (st.shuffle_addr, Vec::new()))
-                .1
-                .push((id, size));
-        }
-    }
-
-    // Group each executor's blocks into requests of up to a fifth of
-    // `max_bytes_in_flight` (Spark's `targetRequestSize` rule inside
-    // ShuffleBlockFetcherIterator), so about five requests fly at once.
-    let request_target = conf.max_bytes_in_flight / 5;
-    struct Request {
-        addr: PortAddr,
-        blocks: Vec<BlockId>,
-        bytes: u64,
-    }
-    let mut requests: Vec<Request> = Vec::new();
-    // BTreeMap iteration is already ordered by executor id — deterministic.
-    for (addr, blocks) in remote.into_values() {
-        let mut cur = Request { addr, blocks: Vec::new(), bytes: 0 };
-        for (id, size) in blocks {
-            if cur.bytes > 0 && cur.bytes + size > request_target {
-                requests.push(std::mem::replace(
-                    &mut cur,
-                    Request { addr, blocks: Vec::new(), bytes: 0 },
-                ));
-            }
-            cur.blocks.push(id);
-            cur.bytes += size;
-        }
-        if !cur.blocks.is_empty() {
-            requests.push(cur);
-        }
-    }
+    // Requests of up to a fifth of the window, so about five fly at once.
+    let plan = plan_fetch(&statuses, shuffle_id, reduce_id, my_exec, conf.max_bytes_in_flight / 5);
 
     // The output vector, reserved in full.
-    let mut out: Vec<T> = Vec::with_capacity(expected);
+    let mut out: Vec<T> = Vec::with_capacity(plan.expected);
     let mut fetch_wait = 0u64;
     let mut remote_bytes = 0u64;
-    let mut local_bytes = 0u64;
 
     // Issue requests keeping at most max_bytes_in_flight outstanding. The
     // accounting is chunk-granular: each arriving chunk immediately frees
@@ -410,7 +361,7 @@ pub fn read_shuffle<T: Element>(
     let mut in_flight_bytes = 0u64;
     let mut open_reqs = 0usize;
     let transfer = ctx.services.transfer.clone();
-    let mut unsent = requests.iter().peekable();
+    let mut unsent = plan.requests.iter().peekable();
     // Send requests in order while they fit the in-flight budget; with
     // nothing in flight, the next one departs however large.
     let mut issue = |in_flight_bytes: &mut u64, open_reqs: &mut usize| {
@@ -426,11 +377,12 @@ pub fn read_shuffle<T: Element>(
     issue(&mut in_flight_bytes, &mut open_reqs);
 
     // Drain local blocks while remote fetches are in flight (Spark reads
-    // local blocks first for the same reason).
-    for id in local {
-        let b = bm.get(id).expect("local shuffle block present");
-        local_bytes += b.virtual_len;
-        ctx.charge(cost.deser(b.records, b.virtual_len));
+    // local blocks first for the same reason), as one CPU job.
+    let local: Vec<StoredBlock> =
+        plan.local.iter().map(|id| bm.get(*id).expect("local shuffle block present")).collect();
+    let local_bytes: u64 = local.iter().map(|b| b.virtual_len).sum();
+    ctx.charge(deser_ns(&cost, &local));
+    for b in &local {
         decode_batch_into(&b.data, &mut out);
     }
 
@@ -459,11 +411,11 @@ pub fn read_shuffle<T: Element>(
         if res.last {
             open_reqs -= 1;
         }
-        let mut freed = 0u64;
-        for b in blocks {
-            freed += b.virtual_len;
-            remote_bytes += b.virtual_len;
-            ctx.charge(cost.deser(b.records, b.virtual_len));
+        // One CPU job per landed chunk: a merged chunk carries many blocks.
+        let freed: u64 = blocks.iter().map(|b| b.virtual_len).sum();
+        remote_bytes += freed;
+        ctx.charge(deser_ns(&cost, &blocks));
+        for b in &blocks {
             decode_batch_into(&b.data, &mut out);
         }
         in_flight_bytes = in_flight_bytes.saturating_sub(freed);
@@ -474,6 +426,84 @@ pub fn read_shuffle<T: Element>(
     ctx.metrics.counter(obs::keys::TASK_REMOTE_BYTES).add(remote_bytes);
     ctx.metrics.counter(obs::keys::TASK_LOCAL_BYTES).add(local_bytes);
     Ok(out)
+}
+
+/// The deserialization charge for `blocks`: the sum of each block's own
+/// [`CostModel::deser`](crate::config::CostModel::deser), which truncates
+/// per block, so one charge for a batch costs what one charge per block did.
+fn deser_ns(cost: &crate::config::CostModel, blocks: &[StoredBlock]) -> u64 {
+    blocks.iter().map(|b| cost.deser(b.records, b.virtual_len)).sum()
+}
+
+/// One fetch request: a run of one executor's blocks, in map id order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FetchRequest {
+    addr: PortAddr,
+    blocks: Vec<BlockId>,
+    /// The blocks' virtual bytes, as their map statuses report them.
+    bytes: u64,
+}
+
+/// What one shuffle read fetches: see [`plan_fetch`].
+#[derive(Debug, PartialEq, Eq)]
+struct FetchPlan {
+    /// Blocks this executor serves itself, in map id order.
+    local: Vec<BlockId>,
+    /// Remote blocks, ordered by serving executor, then by map id.
+    requests: Vec<FetchRequest>,
+    /// Records the map statuses promise for the bucket.
+    expected: usize,
+}
+
+/// Plan the read of bucket `reduce_id` by executor `my_exec`: split its
+/// blocks into local ones and remote ones, and group each executor's remote
+/// blocks into requests of up to `request_target` bytes (Spark's
+/// `targetRequestSize` rule in `ShuffleBlockFetcherIterator`). A request
+/// exceeds the target only when it holds one block.
+///
+/// A block whose map status counts no records is not read at all, as Spark's
+/// `MapOutputTracker.convertMapStatuses` drops a size-0 block. Its size is
+/// not 0 here: every stored bucket leads with a 4-byte record count, so the
+/// record count is the test.
+fn plan_fetch(
+    statuses: &[MapStatus],
+    shuffle_id: u32,
+    reduce_id: u32,
+    my_exec: usize,
+    request_target: u64,
+) -> FetchPlan {
+    let r = reduce_id as usize;
+    let mut local = Vec::new();
+    let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
+    let mut expected = 0usize;
+    for st in statuses.iter().filter(|st| st.records[r] > 0) {
+        expected += st.records[r] as usize;
+        let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
+        if st.exec_id == my_exec {
+            local.push(id);
+        } else {
+            let (_, blocks) =
+                remote.entry(st.exec_id).or_insert_with(|| (st.shuffle_addr, Vec::new()));
+            blocks.push((id, st.sizes[r]));
+        }
+    }
+    let mut requests = Vec::new();
+    // BTreeMap iteration is already ordered by executor id — deterministic.
+    for (addr, blocks) in remote.into_values() {
+        let empty = || FetchRequest { addr, blocks: Vec::new(), bytes: 0 };
+        let mut cur = empty();
+        for (id, size) in blocks {
+            if cur.bytes > 0 && cur.bytes + size > request_target {
+                requests.push(std::mem::replace(&mut cur, empty()));
+            }
+            cur.blocks.push(id);
+            cur.bytes += size;
+        }
+        if !cur.blocks.is_empty() {
+            requests.push(cur);
+        }
+    }
+    FetchPlan { local, requests, expected }
 }
 
 /// Stably sort `pairs` by key. Keys that [`Element::rank`] go through an
@@ -744,6 +774,99 @@ mod tests {
             records: Arc::new(sizes.iter().map(|s| s / 8).collect()),
             sizes: Arc::new(sizes),
         }
+    }
+
+    /// Up to 12 map statuses over up to 4 executors and 5 buckets, most
+    /// buckets empty (4 bytes: the record count alone), the rest of 1 to 40
+    /// records of 1 to 64 bytes, and a request target of 1 to 600 bytes.
+    fn draw_statuses(rng: &mut SeededRng) -> (Vec<MapStatus>, usize, u64) {
+        let reduces = rng.next_range(1, 6) as usize;
+        let execs = rng.next_range(1, 5) as usize;
+        let statuses = (0..rng.next_range(0, 13) as u32)
+            .map(|map_id| {
+                let exec_id = rng.next_range(0, execs as u64) as usize;
+                let records: Vec<u64> = (0..reduces)
+                    .map(|_| if rng.next_range(0, 3) == 0 { rng.next_range(1, 41) } else { 0 })
+                    .collect();
+                let width = rng.next_range(1, 65);
+                MapStatus {
+                    map_id,
+                    exec_id,
+                    shuffle_addr: PortAddr { node: exec_id + 1, port: 9 },
+                    sizes: Arc::new(records.iter().map(|n| 4 + n * width).collect()),
+                    records: Arc::new(records),
+                }
+            })
+            .collect();
+        (statuses, reduces, rng.next_range(1, 601))
+    }
+
+    #[test]
+    fn fetch_plan_reads_each_non_empty_block_once_in_executor_then_map_order() {
+        for_each_case(300, |rng| {
+            let (statuses, reduces, target) = draw_statuses(rng);
+            let me = rng.next_range(0, 4) as usize;
+            for r in 0..reduces {
+                let plan = plan_fetch(&statuses, 3, r as u32, me, target);
+                // The status of a planned block, which must be one of bucket `r`.
+                let status = |id: &BlockId| match *id {
+                    BlockId::Shuffle { shuffle_id: 3, map_id, reduce_id }
+                        if reduce_id == r as u32 =>
+                    {
+                        &statuses[map_id as usize]
+                    }
+                    _ => panic!("not a block of bucket {r}: {id}"),
+                };
+                for id in plan.local.iter().chain(plan.requests.iter().flat_map(|q| &q.blocks)) {
+                    assert!(status(id).records[r] > 0, "an empty block planned: {id}");
+                }
+                assert!(plan.local.iter().all(|id| status(id).exec_id == me));
+                assert!(plan.local.iter().map(|id| status(id).map_id).is_sorted());
+                let mut order = Vec::new();
+                for req in &plan.requests {
+                    let first = status(req.blocks.first().expect("a request names a block"));
+                    assert_ne!(first.exec_id, me, "a remote request to the reader itself");
+                    assert_eq!(req.addr, first.shuffle_addr);
+                    assert!(
+                        req.bytes <= target || req.blocks.len() == 1,
+                        "{} bytes in {} blocks over a {target}-byte target",
+                        req.bytes,
+                        req.blocks.len(),
+                    );
+                    assert_eq!(req.bytes, req.blocks.iter().map(|id| status(id).sizes[r]).sum());
+                    for st in req.blocks.iter().map(status) {
+                        assert_eq!(st.exec_id, first.exec_id, "one executor per request");
+                        order.push((st.exec_id, st.map_id));
+                    }
+                }
+                assert!(order.is_sorted(), "requests out of executor, map order: {order:?}");
+                let mut planned: Vec<u32> = plan.local.iter().map(|id| status(id).map_id).collect();
+                planned.extend(order.iter().map(|&(_, m)| m));
+                planned.sort_unstable();
+                let want: Vec<u32> =
+                    statuses.iter().filter(|st| st.records[r] > 0).map(|st| st.map_id).collect();
+                assert_eq!(planned, want, "every non-empty block, once");
+                let total: u64 = statuses.iter().map(|st| st.records[r]).sum();
+                assert_eq!(plan.expected as u64, total);
+            }
+        });
+    }
+
+    #[test]
+    fn fetch_plan_for_an_all_empty_bucket_is_empty() {
+        for_each_case(100, |rng| {
+            let (mut statuses, reduces, target) = draw_statuses(rng);
+            let r = rng.next_range(0, reduces as u64) as usize;
+            for st in &mut statuses {
+                let (mut sizes, mut records) = ((*st.sizes).clone(), (*st.records).clone());
+                (sizes[r], records[r]) = (4, 0);
+                (st.sizes, st.records) = (Arc::new(sizes), Arc::new(records));
+            }
+            let want = FetchPlan { local: Vec::new(), requests: Vec::new(), expected: 0 };
+            for me in 0..4 {
+                assert_eq!(plan_fetch(&statuses, 3, r as u32, me, target), want);
+            }
+        });
     }
 
     #[test]

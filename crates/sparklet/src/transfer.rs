@@ -15,7 +15,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use fabric::{Net, Payload, PortAddr};
 use netz::buf::{ByteReader, ByteWriter};
-use netz::{ChannelCore, NetzError, RetryPolicy, StreamManager, TransportClient, TransportContext};
+use netz::{
+    ChannelCore, ChannelId, NetzError, RetryPolicy, StreamManager, TransportClient,
+    TransportContext,
+};
 use simt::queue::{Queue, RecvError};
 use simt::sync::Mutex;
 use simt::SeededRng;
@@ -146,6 +149,8 @@ pub fn decode_block_group(data: &Bytes) -> Result<Vec<StoredBlock>, String> {
 struct StreamState {
     chunks: Vec<Vec<BlockId>>,
     served: usize,
+    /// The channel whose `OpenBlocks` opened the stream.
+    channel: ChannelId,
 }
 
 /// The serving side of the shuffle plane: an RPC handler + stream manager
@@ -183,7 +188,7 @@ impl ShuffleService {
         (svc, ep)
     }
 
-    fn open(&self, blocks: Vec<BlockId>) -> StreamHandle {
+    fn open(&self, channel: ChannelId, blocks: Vec<BlockId>) -> StreamHandle {
         let chunks: Vec<Vec<BlockId>> = if self.conf.merge_chunks_per_request {
             vec![blocks]
         } else {
@@ -191,7 +196,7 @@ impl ShuffleService {
         };
         let id = self.next_stream.fetch_add(1, Ordering::Relaxed);
         let n = chunks.len() as u32;
-        self.streams.lock().insert(id, StreamState { chunks, served: 0 });
+        self.streams.lock().insert(id, StreamState { chunks, served: 0, channel });
         StreamHandle { stream_id: id, chunks: n }
     }
 }
@@ -205,7 +210,7 @@ struct SvcHandler {
 impl netz::RpcHandler for SvcHandler {
     fn receive(
         &self,
-        _chan: &Arc<ChannelCore>,
+        chan: &Arc<ChannelCore>,
         body: Payload,
         reply: netz::context::RpcResponseCallback,
     ) {
@@ -213,12 +218,20 @@ impl netz::RpcHandler for SvcHandler {
             reply(Err("shuffle service only accepts OpenBlocks".into()));
             return;
         };
-        let handle = self.svc.open(open.blocks.clone());
+        let handle = self.svc.open(chan.id, open.blocks.clone());
         reply(Ok(Payload::control(handle, 64)));
     }
 
     fn stream_manager(&self) -> Arc<dyn StreamManager> {
         self.svc.clone()
+    }
+
+    /// Drop the streams the channel opened, as Spark's
+    /// `OneForOneStreamManager.connectionTerminated` does: no one can ask
+    /// for their chunks any more (a lost reply or a timed-out attempt makes
+    /// the retry open a new stream).
+    fn channel_inactive(&self, chan: &Arc<ChannelCore>) {
+        self.svc.streams.lock().retain(|_, st| st.channel != chan.id);
     }
 }
 

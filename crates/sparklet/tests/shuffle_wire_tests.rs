@@ -23,13 +23,15 @@ use sparklet::{Blob, Element, SparkConf};
 const SHUFFLE: u32 = 7;
 
 /// Serves a fetch straight out of the addressed executor's block manager, as
-/// one chunk, before `fetch_blocks` returns.
+/// one chunk, before `fetch_blocks` returns, and logs where each request went.
 struct StoreTransfer {
     stores: Vec<(PortAddr, Arc<BlockManager>)>,
+    requests: Mutex<Vec<PortAddr>>,
 }
 
 impl BlockTransferService for StoreTransfer {
     fn fetch_blocks(&self, remote: PortAddr, blocks: Vec<BlockId>, sink: FetchSink) {
+        self.requests.lock().push(remote);
         let (_, store) = self.stores.iter().find(|(addr, _)| *addr == remote).expect("known peer");
         let stored = blocks.iter().map(|id| store.get(*id).expect("block written")).collect();
         sink.send(FetchResult { blocks, last: true, result: Ok(stored) });
@@ -39,8 +41,12 @@ impl BlockTransferService for StoreTransfer {
 }
 
 /// One task context per executor (`executors` of them, on nodes 1..), all
-/// resolving map outputs through one tracker on the driver (node 0).
-fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<TaskContext>) {
+/// resolving map outputs through one tracker on the driver (node 0), and the
+/// transfer service they share.
+fn executors(
+    net: &Net,
+    executors: usize,
+) -> (Arc<MapOutputTrackerMaster>, Vec<TaskContext>, Arc<StoreTransfer>) {
     let backend: Arc<dyn NetworkBackend> =
         Arc::new(VanillaBackend::with_conf(&SparkConf::default()));
     let driver = ProcIdentity::new(Role::Driver, 0, "driver");
@@ -51,8 +57,9 @@ fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<T
     let addr = |exec: usize| PortAddr { node: exec + 1, port: 9 };
     let stores: Vec<Arc<BlockManager>> =
         (0..executors).map(|_| Arc::new(BlockManager::default())).collect();
-    let transfer: Arc<dyn BlockTransferService> = Arc::new(StoreTransfer {
+    let transfer = Arc::new(StoreTransfer {
         stores: stores.iter().enumerate().map(|(e, s)| (addr(e), s.clone())).collect(),
+        requests: Mutex::default(),
     });
     let ctxs = (0..executors)
         .map(|exec| {
@@ -66,7 +73,7 @@ fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<T
                 cpu: net.cpu(exec + 1),
                 conf: SparkConf::default(),
                 block_manager: stores[exec].clone(),
-                transfer: transfer.clone(),
+                transfer: transfer.clone() as Arc<dyn BlockTransferService>,
                 map_outputs: MapOutputClient::new(tracker_ref),
                 shuffle_addr: addr(exec),
                 rpc_env: env.clone(),
@@ -76,7 +83,7 @@ fn executors(net: &Net, executors: usize) -> (Arc<MapOutputTrackerMaster>, Vec<T
             TaskContext::new(services, 0, 0)
         })
         .collect();
-    (tracker, ctxs)
+    (tracker, ctxs, transfer)
 }
 
 /// The records of `records` that `partition_of` sends to `bucket`, in order.
@@ -112,7 +119,7 @@ fn stored_blocks_are_byte_equal_to_encode_batch_of_their_bucket() {
     let sim = Sim::new();
     sim.spawn("main", || {
         let net = Net::new(&ClusterSpec::test(2));
-        let (_, ctxs) = executors(&net, 1);
+        let (_, ctxs, _) = executors(&net, 1);
         for seed in 0..40 {
             let mut rng = SeededRng::from_seed(seed);
             // Seed 0 writes an empty partition; few keys leave buckets empty.
@@ -142,7 +149,7 @@ fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
     let sim = Sim::new();
     sim.spawn("main", || {
         let net = Net::new(&ClusterSpec::test(4));
-        let (tracker, ctxs) = executors(&net, 3);
+        let (tracker, ctxs, _) = executors(&net, 3);
         let (maps, reduces) = (6u32, 4usize);
         let partition_of = |r: &(u64, u64)| r.0 as usize % reduces;
         // Map `m` runs on executor `m % 3` and tags its records `m * 1000 + i`.
@@ -179,6 +186,56 @@ fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
             assert_eq!(got.is_empty(), bucket == 2, "only bucket 2 is returned empty");
             assert_eq!(got.capacity(), got.len(), "bucket {bucket}: reserved exactly");
         }
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
+fn a_read_skips_empty_blocks_and_charges_only_the_non_empty_ones() {
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let net = Net::new(&ClusterSpec::test(4));
+        let (tracker, ctxs, transfer) = executors(&net, 3);
+        let (maps, reduces) = (9u32, 4usize);
+        let partition_of = |r: &(u64, u64)| r.0 as usize % reduces;
+        // Map `m` runs on executor `m % 3`; executor 2's maps never write a
+        // key of bucket 2, so each of its bucket-2 blocks is the 4-byte
+        // record count alone.
+        let mut rng = SeededRng::from_seed(42);
+        tracker.register_shuffle(SHUFFLE, maps as usize);
+        let mut statuses = Vec::new();
+        for m in 0..maps {
+            let keys: &[u64] = if m % 3 == 2 { &[0, 1, 3, 4, 7] } else { &[0, 1, 2, 3, 6] };
+            let records: Vec<(u64, u64)> = (0..rng.next_range(10, 50))
+                .map(|i| (keys[rng.next_range(0, keys.len() as u64) as usize], i))
+                .collect();
+            let status = write_and_check(&ctxs[m as usize % 3], m, reduces, &records, partition_of);
+            tracker.register_map_output(SHUFFLE, status.clone());
+            statuses.push(status);
+        }
+        let reader = &ctxs[0];
+        // A first read resolves and caches the map statuses over RPC.
+        read_shuffle::<(u64, u64)>(reader, SHUFFLE, 0).expect("every block served");
+        transfer.requests.lock().clear();
+
+        let start = simt::now();
+        let got = read_shuffle::<(u64, u64)>(reader, SHUFFLE, 2).expect("every block served");
+        let took = simt::now() - start;
+        let sent = transfer.requests.lock().clone();
+        let (holder, empty) = (ctxs[1].services.shuffle_addr, ctxs[2].services.shuffle_addr);
+        assert!(!sent.contains(&empty), "an executor with no bucket-2 record was asked: {sent:?}");
+        assert!(sent.contains(&holder), "executor 1 holds bucket-2 records");
+        let want: usize = statuses.iter().map(|st| st.records[2] as usize).sum();
+        assert_eq!(got.len(), want);
+        // The node is otherwise idle, so the read takes exactly its CPU work.
+        let cost = reader.cost();
+        let deser: u64 = statuses
+            .iter()
+            .filter(|st| st.records[2] > 0)
+            .map(|st| cost.deser(st.records[2], st.sizes[2]))
+            .sum();
+        assert_eq!(took, deser, "virtual ns of the read: one deser per non-empty block");
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();

@@ -10,17 +10,17 @@
 
 use std::sync::Arc;
 
-use fabric::{ClusterSpec, Net, PortAddr};
-use netz::NetzError;
+use fabric::{ClusterSpec, Net, Payload, PortAddr};
+use netz::{NetzError, NoOpRpcHandler, StreamManager};
 use simt::queue::Queue;
 use simt::sync::Mutex;
 use simt::Sim;
 use sparklet::data::encode_batch;
-use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
+use sparklet::net_backend::{NetworkBackend, Plane, ProcIdentity, Role, VanillaBackend};
 use sparklet::storage::{BlockId, BlockManager, StoredBlock};
 use sparklet::transfer::{
-    BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, RetryingBlockFetcher,
-    ShuffleService, PLANE_FAILURE_THRESHOLD,
+    BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, OpenBlocks,
+    RetryingBlockFetcher, ShuffleService, StreamHandle, PLANE_FAILURE_THRESHOLD,
 };
 use sparklet::SparkConf;
 
@@ -100,6 +100,38 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
         assert_eq!(err, vec![bid(1)], "only the bad chunk's block may fail");
 
         client.close();
+        server_ep.shutdown();
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
+fn a_closed_channel_takes_its_unserved_streams_with_it() {
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let conf = SparkConf::default();
+        let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&conf));
+        let server_id = ProcIdentity::new(Role::Executor(1), 1, "executor-1");
+        let bm = Arc::new(BlockManager::default());
+        bm.put_map_output(7, 0, vec![block_for(0)]);
+        let (svc, server_ep) = ShuffleService::start(&server_id, &net, &backend, bm, conf);
+
+        // A client that opens a stream and closes before asking for a chunk.
+        let client_id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
+        let ctx = backend.context(Plane::Shuffle, &client_id, &net, Arc::new(NoOpRpcHandler));
+        let client_ep = ctx.create_client_endpoint("raw", 0);
+        let client = client_ep.connect(server_ep.addr()).expect("server listening");
+        let open = Payload::control(OpenBlocks { blocks: vec![bid(0)] }, 64);
+        let reply = client.send_rpc(open).expect("stream opened");
+        let stream = *reply.value_as::<StreamHandle>().expect("a stream handle");
+        client.close();
+        simt::sleep(MS);
+        let chunk = svc.get_chunk(stream.stream_id, 0);
+        assert!(chunk.is_err(), "the closed channel's stream outlived it");
+
+        client_ep.shutdown();
         server_ep.shutdown();
     });
     sim.run().unwrap().assert_clean();

@@ -110,6 +110,22 @@ cmp "$CI_TMP/a/GroupByTest-MPI-2w.json" "$CI_TMP/b/GroupByTest-MPI-2w.json" || {
   exit 1
 }
 
+# The host profile measures the machine and must never reach the ledger: the
+# traced cell's record is the same with it on.
+echo "==> host profile (traced, with and without --host-profile, byte compare)"
+"$CARGO" run -q --release -p mpi4spark-bench "$@" -- traced --scale small \
+  > "$CI_TMP/traced.json" 2> /dev/null
+"$CARGO" run -q --release -p mpi4spark-bench "$@" -- traced --scale small --host-profile \
+  > "$CI_TMP/traced-profiled.json" 2> "$CI_TMP/profile.log"
+cmp "$CI_TMP/traced.json" "$CI_TMP/traced-profiled.json" || {
+  echo "error: --host-profile changed the traced record" >&2
+  exit 1
+}
+grep -q '^host-profile: wake ' "$CI_TMP/profile.log" || {
+  echo "error: --host-profile printed no profile" >&2
+  exit 1
+}
+
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
 # against these crates' public items and may not be edited to follow them:
 # an API change that breaks it must fail here, not in the pipeline.
