@@ -29,5 +29,5 @@ pub mod payload;
 pub use chaos::{FaultPlan, Verdict};
 pub use cluster::{ClusterSpec, NodeId, NodeSpec};
 pub use model::{FabricKind, Interconnect, StackModel, Wire};
-pub use net::{Net, Packet, PortAddr};
+pub use net::{Net, NextPacket, Packet, PortAddr};
 pub use payload::Payload;

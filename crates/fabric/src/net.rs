@@ -439,9 +439,117 @@ impl PortRx {
         Some(pkt)
     }
 
+    /// [`recv`](PortRx::recv) without parking: `then` runs on the engine once
+    /// a packet is taken and its receive CPU charged, under the `(time, seq)`
+    /// the receiving thread's wake would have taken.
+    pub fn recv_then(&self, then: impl FnOnce(Result<Packet, RecvError>) + Send + 'static) {
+        let cpu = self.net.cpu(self.addr.node);
+        self.queue.recv_then(move |r| match r {
+            Ok(pkt) => cpu.submit(pkt.recv_cpu_ns, Done::Call(Box::new(move || then(Ok(pkt))))),
+            Err(e) => then(Err(e)),
+        });
+    }
+
     /// Unbind and drain.
     pub fn close(&self) {
         self.net.unbind(self.addr);
+    }
+
+    /// Serve this port with a chain of engine continuations instead of a
+    /// thread: take a packet, charge its receive CPU, and hand it to `handle`
+    /// with the chain's [`NextPacket`]. The chain takes no other packet until
+    /// that is [taken](NextPacket::take), so the port handles one packet at a
+    /// time, as a thread looping over [`recv`](PortRx::recv) does. Dropping it
+    /// instead ends the chain and unbinds the port.
+    ///
+    /// The chain owns the port and `handle`, and whatever `handle` holds stays
+    /// alive while it waits for a packet: until `simt::Sim::shutdown` drops
+    /// it, as it unwinds a parked thread.
+    pub fn serve(self, handle: impl Fn(Packet, NextPacket) + Send + Sync + 'static) {
+        let chain = Arc::new(Chain { rx: self, handle, turn: Mutex::new(Turn::default()) });
+        NextPacket(chain).take();
+    }
+}
+
+/// What [`PortRx::serve`] hands its handler with each packet: the rest of the
+/// chain.
+pub struct NextPacket(Arc<dyn Serve>);
+
+impl NextPacket {
+    /// Let the port take its next packet: the one queued, or the first to
+    /// arrive.
+    pub fn take(self) {
+        self.0.take_next();
+    }
+}
+
+/// A served port: its receiver, its handler and whose turn it is.
+struct Chain<H> {
+    rx: PortRx,
+    handle: H,
+    turn: Mutex<Turn>,
+}
+
+/// A chain drains its queue in a loop, not by recursion: a packet that is
+/// already queued (`Shared::wait_then`), or costs no receive CPU
+/// (`Cpu::submit`), reaches the handler inline, and the handler may take the
+/// next one inline too.
+#[derive(Default)]
+struct Turn {
+    /// A loop of this chain is on the stack: an inline `take` only marks
+    /// `again` for it.
+    busy: bool,
+    again: bool,
+}
+
+trait Serve: Send + Sync {
+    fn take_next(self: Arc<Self>);
+}
+
+impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Serve for Chain<H> {
+    fn take_next(self: Arc<Self>) {
+        if std::mem::replace(&mut self.turn.lock().busy, true) {
+            self.turn.lock().again = true;
+            return;
+        }
+        self.receive();
+    }
+}
+
+impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Chain<H> {
+    /// With the turn taken: post receives until one has to wait, or the
+    /// handler keeps its packet past the receive that delivered it.
+    fn receive(self: Arc<Self>) {
+        loop {
+            let chain = self.clone();
+            self.rx.recv_then(move |r| {
+                if let Ok(pkt) = r {
+                    chain.land(pkt);
+                }
+            });
+            let mut turn = self.turn.lock();
+            if !std::mem::take(&mut turn.again) {
+                turn.busy = false;
+                return;
+            }
+        }
+    }
+
+    /// Hand a packet to the handler. Landing on an engine event of its own,
+    /// it takes the turn, and runs the loop if the handler took the next
+    /// packet inline.
+    fn land(self: Arc<Self>, pkt: Packet) {
+        let inline = std::mem::replace(&mut self.turn.lock().busy, true);
+        (self.handle)(pkt, NextPacket(self.clone()));
+        if inline {
+            return;
+        }
+        let again = std::mem::take(&mut self.turn.lock().again);
+        if again {
+            self.receive();
+        } else {
+            self.turn.lock().busy = false;
+        }
     }
 }
 
@@ -577,6 +685,102 @@ mod tests {
             assert!(!net2.is_bound(PortAddr { node: 1, port: 5 }));
         });
         sim.run().unwrap().assert_clean();
+    }
+
+    /// When each packet, a `u64`, reached a port's handler, which charges
+    /// 5 µs of CPU per packet and stops at `3`: a thread looping over `recv`
+    /// (`served == false`) or [`PortRx::serve`]'s chain.
+    fn handled(served: bool) -> (Vec<(u64, u64)>, simt::SimStats, bool) {
+        type Log = Arc<Mutex<Vec<(u64, u64)>>>;
+        let sim = Sim::new();
+        let net = two_node_net();
+        let rx = net.bind(1, 7);
+        let log = Log::default();
+        let log2 = log.clone();
+        let (net2, net3) = (net.clone(), net.clone());
+        let cpu = net.cpu(1);
+        sim.spawn("rx", move || {
+            let handle = move |pkt: Packet| {
+                let n = *pkt.payload.value_as::<u64>().expect("a number");
+                log2.lock().push((n, simt::now()));
+                n
+            };
+            if served {
+                rx.serve(move |pkt, next| {
+                    if handle(pkt) != 3 {
+                        cpu.submit(5_000, Done::Call(Box::new(|| next.take())));
+                    }
+                });
+                return;
+            }
+            while let Ok(pkt) = rx.recv() {
+                if handle(pkt) == 3 {
+                    break;
+                }
+                cpu.execute(5_000);
+            }
+        });
+        sim.spawn("tx", move || {
+            for (n, gap) in [(0u64, 0), (1, 0), (2, 20_000), (3, 0), (4, 0)] {
+                simt::sleep(gap);
+                let to = PortAddr { node: 1, port: 7 };
+                net2.send(&StackModel::native_mpi(), 0, to, Payload::control(n, 64));
+            }
+        });
+        sim.run().unwrap().assert_clean();
+        let log = log.lock().clone();
+        (log, sim.stats(), net3.is_bound(PortAddr { node: 1, port: 7 }))
+    }
+
+    #[test]
+    fn a_served_port_handles_packets_when_a_receiving_thread_would() {
+        let (thread, parked, _) = handled(false);
+        let (chain, called, bound) = handled(true);
+        assert_eq!(thread, chain);
+        assert_eq!(thread.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        // The second packet waits for the first one's CPU: one at a time.
+        assert_eq!(thread[1].1 - thread[0].1, 5_000 + 1_500);
+        // Each wake of the receiving thread after its first is a call of
+        // the chain: the engine pops the same events.
+        assert_eq!(parked.events_popped, called.events_popped);
+        assert_eq!(parked.heap_high_water, called.heap_high_water);
+        assert_eq!(parked.wakes - called.wakes, called.calls - parked.calls);
+        assert!(!bound, "a chain that drops its next packet unbinds the port");
+    }
+
+    #[test]
+    fn a_served_port_drains_a_backlog_in_order_without_recursing() {
+        // No CPU on either side: every queued packet reaches the handler
+        // inline, and the handler takes the next one inline too. A chain
+        // that recursed per packet would overflow the green thread's stack.
+        const N: u64 = 100_000;
+        let free = StackModel {
+            name: "free",
+            per_msg_send_cpu_ns: 0,
+            per_msg_recv_cpu_ns: 0,
+            per_byte_send_cpu: 0.0,
+            per_byte_recv_cpu: 0.0,
+            eff_bandwidth_bpns: 12.5,
+        };
+        let sim = Sim::new();
+        let net = two_node_net();
+        let rx = net.bind(1, 7);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log2 = log.clone();
+        sim.spawn("tx", move || {
+            for n in 0..N {
+                net.send(&free, 0, PortAddr { node: 1, port: 7 }, Payload::control(n, 8));
+            }
+            simt::sleep(simt::time::millis(10));
+            let start = simt::now();
+            rx.serve(move |pkt, next| {
+                log2.lock().push(*pkt.payload.value_as::<u64>().expect("a number"));
+                assert_eq!(simt::now(), start);
+                next.take();
+            });
+        });
+        sim.run().unwrap().assert_clean();
+        assert!(log.lock().iter().copied().eq(0..N), "arrival order");
     }
 
     #[test]

@@ -183,7 +183,9 @@ impl ChannelCore {
         self.write_with(msg, Some(Box::new(then)));
     }
 
-    fn write_with(self: &Arc<Self>, msg: Message, then: Option<Then>) {
+    /// [`write`](ChannelCore::write) with `None`, [`write_then`](ChannelCore::write_then)
+    /// with `Some`.
+    pub(crate) fn write_with(self: &Arc<Self>, msg: Message, then: Option<Then>) {
         if !self.is_open() {
             return then.map_or((), |then| then());
         }

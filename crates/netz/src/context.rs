@@ -15,10 +15,14 @@ use crate::transport::{NioTransport, Transport};
 pub type RpcResponseCallback = Box<dyn FnOnce(Result<Payload, String>) + Send>;
 
 /// Server-side RPC dispatch (Spark's `RpcHandler`).
+///
+/// Every method runs on the endpoint's event loop, a continuation on the
+/// engine (or on a Basic receiver thread), so none may block.
 pub trait RpcHandler: Send + Sync {
     /// Handle a two-way RPC; `reply` sends the `RpcResponse`/`RpcFailure`.
-    /// Invoked on the endpoint's event-loop thread — hand off to a worker
-    /// mailbox before doing anything that blocks on further RPCs.
+    /// Hand anything that blocks to a worker mailbox. A reply made before
+    /// this returns holds the endpoint's port until its write is booked; one
+    /// made later, from a green thread, is that thread's blocking write.
     fn receive(&self, chan: &Arc<ChannelCore>, body: Payload, reply: RpcResponseCallback);
 
     /// Handle a fire-and-forget RPC.
@@ -51,6 +55,8 @@ pub trait RpcHandler: Send + Sync {
 
 /// Serves chunk and stream data (Spark's `StreamManager`, registered by the
 /// shuffle service; one stream per `OpenBlocks` RPC, one chunk per block).
+/// Called on the endpoint's event loop, like [`RpcHandler`]: no method may
+/// block.
 pub trait StreamManager: Send + Sync {
     /// Fetch one chunk of a registered stream.
     fn get_chunk(&self, stream_id: u64, chunk_index: u32) -> Result<Payload, String>;

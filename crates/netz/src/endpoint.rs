@@ -2,15 +2,18 @@
 //! to one fabric port (paper Fig. 5).
 //!
 //! Netty's NIO selector blocks in `select()` until a registered channel has
-//! a state change, then dispatches it. Here the event loop blocks on the
-//! endpoint's port queue — the simulation equivalent of a `select()` over
-//! all of this endpoint's sockets — then decodes and dispatches the frame on
-//! the loop thread, exactly like a Netty event loop running its pipeline.
+//! a state change, then dispatches it. Here the event loop is the chain of
+//! engine continuations that serves the endpoint's port
+//! ([`fabric::net::PortRx::serve`]) — the simulation equivalent of a
+//! `select()` over all of this endpoint's sockets. It decodes and dispatches
+//! one frame at a time, exactly like a Netty event loop running its pipeline:
+//! the next frame waits until this one's work, its reply included, is booked.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
-use fabric::{Net, NodeId, Packet, Payload, PortAddr};
+use fabric::{Net, NextPacket, NodeId, Packet, Payload, PortAddr};
+use simt::cpu::Done;
 use simt::sync::{Mutex, OnceCell};
 
 use crate::channel::{ChannelCore, ChannelId};
@@ -18,7 +21,7 @@ use crate::client::TransportClient;
 use crate::context::{RpcHandler, TransportConf};
 use crate::error::NetzError;
 use crate::message::Message;
-use crate::pipeline::InboundAction;
+use crate::pipeline::{InboundAction, Then};
 use crate::transport::Transport;
 use crate::wire::{Frame, Handshake, WireEvent, CONTROL_EVENT_BYTES};
 
@@ -76,7 +79,7 @@ impl Endpoint {
         let data_rx = net.bind_auto(node);
         let data_addr = data_rx.addr();
         let inner = Arc::new(EndpointInner {
-            name: name.clone(),
+            name,
             net,
             node,
             addr,
@@ -88,15 +91,13 @@ impl Endpoint {
             pending_connects: Mutex::new(BTreeMap::new()),
             accepting: Mutex::new(true),
         });
-        let ep = Endpoint { inner: inner.clone() };
-        let boss_ep = ep.clone();
-        simt::spawn_daemon(format!("netz-boss:{name}"), move || {
-            boss_ep.event_loop(rx);
-        });
-        let worker_ep = ep.clone();
-        simt::spawn_daemon(format!("netz-loop:{name}"), move || {
-            worker_ep.event_loop(data_rx);
-        });
+        let ep = Endpoint { inner };
+        // Each loop holds the endpoint: it serves until `shutdown` poisons it,
+        // whoever else still holds a handle.
+        for rx in [rx, data_rx] {
+            let ep = ep.clone();
+            rx.serve(move |pkt, next| ep.handle_packet(pkt, next));
+        }
         ep.inner.transport.clone().start(&ep);
         let weak = ep.downgrade();
         ep.inner.net.on_node_down(move |node| {
@@ -236,7 +237,7 @@ impl Endpoint {
         for c in chans {
             c.close();
         }
-        // Poison both loops; their PortRx recv unblocks and they exit.
+        // Poison both loops: each drops its next packet, which unbinds its port.
         for addr in [self.inner.addr, self.inner.data_addr] {
             if self.inner.net.is_bound(addr) {
                 self.inner.net.send(
@@ -252,43 +253,30 @@ impl Endpoint {
         }
     }
 
-    fn event_loop(&self, rx: fabric::net::PortRx) {
-        loop {
-            let pkt = match rx.recv() {
-                Ok(p) => p,
-                Err(_) => break,
-            };
-            if !self.handle_packet(pkt) {
-                break;
-            }
-        }
-        rx.close();
-    }
-
-    /// Process one wire event; returns false to stop the loop.
-    fn handle_packet(&self, pkt: Packet) -> bool {
+    /// Process one wire event, then let the port take the next one; the
+    /// shutdown poison drops `next` instead, which ends the loop.
+    fn handle_packet(&self, pkt: Packet, next: NextPacket) {
         let Some(ev) = pkt.payload.value_as::<WireEvent>() else {
-            return true; // foreign traffic on our port: ignore
+            return next.take(); // foreign traffic on our port: ignore
         };
         match (*ev).clone() {
             WireEvent::Connect { channel, reply_to, handshake } => {
-                self.on_connect(channel, reply_to, handshake);
+                return self.on_connect(channel, reply_to, handshake, next);
             }
             WireEvent::Accept { channel, data_to, handshake } => {
                 self.on_accept(channel, data_to, handshake);
             }
             WireEvent::Reject { channel, reason } => {
                 if reason == "__shutdown" {
-                    return false;
+                    return;
                 }
                 if let Some(cell) = self.inner.pending_connects.lock().remove(&channel) {
                     cell.put(Err(NetzError::ConnectFailed(reason)));
                 }
             }
             WireEvent::Data { channel, frame } => {
-                let chan = self.channel(channel);
-                if let Some(chan) = chan {
-                    self.on_frame(&chan, frame);
+                if let Some(chan) = self.channel(channel) {
+                    return self.on_frame(&chan, frame, next);
                 }
             }
             WireEvent::Close { channel } => {
@@ -299,17 +287,18 @@ impl Endpoint {
                 }
             }
         }
-        true
+        next.take();
     }
 
-    fn on_connect(&self, id: ChannelId, reply_to: PortAddr, peer_hs: Handshake) {
+    fn on_connect(&self, id: ChannelId, reply_to: PortAddr, peer_hs: Handshake, next: NextPacket) {
         if !*self.inner.accepting.lock() {
             let ev = WireEvent::Reject { channel: id, reason: "endpoint shut down".into() };
-            self.inner.net.send(
+            self.inner.net.send_then(
                 &self.inner.conf.stack,
                 self.inner.node,
                 reply_to,
                 Payload::control(ev, CONTROL_EVENT_BYTES),
+                move || next.take(),
             );
             return;
         }
@@ -328,9 +317,10 @@ impl Endpoint {
         self.inner.transport.configure(&chan);
         self.inner.channels.lock().insert(id, chan.clone());
         self.inner.handler.channel_active(&chan);
-        chan.send_event(
+        chan.send_event_then(
             WireEvent::Accept { channel: id, data_to: self.inner.data_addr, handshake: local_hs },
             CONTROL_EVENT_BYTES,
+            move || next.take(),
         );
     }
 
@@ -358,18 +348,26 @@ impl Endpoint {
 
     /// Run the inbound pipeline on a frame, then dispatch the message.
     ///
-    /// When tracing is on, the whole receive (pipeline + decode + dispatch)
-    /// runs inside a `netz.msg.recv` span causally linked — via the span id
-    /// carried in the header — to the peer's `netz.msg.send` span.
-    fn on_frame(&self, chan: &Arc<ChannelCore>, frame: Frame) {
+    /// When tracing is on, the whole receive (pipeline + decode + dispatch,
+    /// until the port takes its next packet) runs inside a `netz.msg.recv`
+    /// span causally linked — via the span id carried in the header — to the
+    /// peer's `netz.msg.send` span. The packet's work may outlast this engine
+    /// event, so the span is detached: spans opened meanwhile do not nest in it.
+    fn on_frame(&self, chan: &Arc<ChannelCore>, frame: Frame, next: NextPacket) {
         let obs = self.inner.net.obs();
-        let _span = obs.is_traced().then(|| {
+        let span = obs.is_traced().then(|| {
             let link = Message::peek_span_id(&frame.header).unwrap_or(0);
-            obs.tracer().span_linked(
-                "netz.msg.recv",
-                link,
-                obs::kv! {"src" => chan.remote_node, "dst" => chan.local_node},
-            )
+            obs.tracer()
+                .span_linked(
+                    "netz.msg.recv",
+                    link,
+                    obs::kv! {"src" => chan.remote_node, "dst" => chan.local_node},
+                )
+                .detach()
+        });
+        let done: Then = Box::new(move || {
+            drop(span);
+            next.take();
         });
         let header_len = frame.header.len() as u64;
         let inbound = chan.pipeline.lock().inbound_handlers();
@@ -381,11 +379,12 @@ impl Endpoint {
             }
         }
         let InboundAction::Forward(frame) = action else {
-            return; // consumed by a handler
+            return done(); // consumed by a handler
         };
         // A malformed frame is dropped (Netty would fire exceptionCaught).
-        if let Ok(msg) = Message::decode(&frame.header, frame.body) {
-            self.dispatch_received(chan, msg, header_len);
+        match Message::decode(&frame.header, frame.body) {
+            Ok(msg) => self.dispatch(chan, msg, header_len, Some(done)),
+            Err(_) => done(),
         }
     }
 
@@ -396,12 +395,23 @@ impl Endpoint {
     /// Basic design's router threads for every message.
     ///
     /// Requests go to the handler / stream manager, responses to their
-    /// registered callbacks.
+    /// registered callbacks. A reply is written before this returns, with
+    /// blocking sends: call it from a green thread.
     pub fn dispatch_received(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64) {
+        self.dispatch(chan, msg, header_len, None);
+    }
+
+    /// [`dispatch_received`](Endpoint::dispatch_received), and with `Some(then)`
+    /// without parking: every blocking step takes its continuation form, and
+    /// `then` runs once the message's work is done — a reply the handler
+    /// makes inside `receive` once its write is booked. A reply made later,
+    /// from another thread, is that thread's blocking write.
+    fn dispatch(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64, then: Option<Then>) {
         chan.note_received(header_len + msg.body_virtual_len());
         match msg {
             Message::RpcRequest { request_id, body } => {
-                let reply_chan = chan.clone();
+                let inline = Arc::new(Mutex::new(then));
+                let (held, reply_chan) = (inline.clone(), chan.clone());
                 self.inner.handler.receive(
                     chan,
                     body,
@@ -410,21 +420,38 @@ impl Endpoint {
                             Ok(p) => Message::RpcResponse { request_id, body: p },
                             Err(e) => Message::RpcFailure { request_id, error: e },
                         };
-                        reply_chan.write(reply);
+                        let then = held.lock().take();
+                        reply_chan.write_with(reply, then);
                     }),
                 );
+                // No reply inside `receive`: the port moves on.
+                let rest = inline.lock().take();
+                if let Some(then) = rest {
+                    then();
+                }
+                return;
             }
-            Message::OneWayMessage { body } => {
-                self.inner.handler.receive_oneway(chan, body);
-            }
+            Message::OneWayMessage { body } => self.inner.handler.receive_oneway(chan, body),
             Message::ChunkFetchRequest { stream_id, chunk_index } => {
                 let sm = self.inner.handler.stream_manager();
-                self.inner.net.cpu(self.inner.node).execute(sm.chunk_fetch_cpu_ns());
-                let reply = match sm.get_chunk(stream_id, chunk_index) {
-                    Ok(body) => Message::ChunkFetchSuccess { stream_id, chunk_index, body },
-                    Err(error) => Message::ChunkFetchFailure { stream_id, chunk_index, error },
+                let (cpu, work_ns) = (self.inner.net.cpu(self.inner.node), sm.chunk_fetch_cpu_ns());
+                let reply_chan = chan.clone();
+                let serve = move |then| {
+                    let reply = match sm.get_chunk(stream_id, chunk_index) {
+                        Ok(body) => Message::ChunkFetchSuccess { stream_id, chunk_index, body },
+                        Err(error) => Message::ChunkFetchFailure { stream_id, chunk_index, error },
+                    };
+                    reply_chan.write_with(reply, then);
                 };
-                chan.write(reply);
+                return match then {
+                    None => {
+                        cpu.execute(work_ns);
+                        serve(None);
+                    }
+                    Some(then) => {
+                        cpu.submit(work_ns, Done::Call(Box::new(move || serve(Some(then)))))
+                    }
+                };
             }
             Message::StreamRequest { stream_id } => {
                 let sm = self.inner.handler.stream_manager();
@@ -434,7 +461,7 @@ impl Endpoint {
                     }
                     Err(error) => Message::StreamFailure { stream_id, error },
                 };
-                chan.write(reply);
+                return chan.write_with(reply, then);
             }
             Message::RpcResponse { request_id, body } => {
                 if let Some(cb) = chan.take_rpc(request_id) {
@@ -466,6 +493,10 @@ impl Endpoint {
                     cb(Err(NetzError::Remote(error)));
                 }
             }
+        }
+        // Any arm that hands `then` on has returned.
+        if let Some(then) = then {
+            then();
         }
     }
 }

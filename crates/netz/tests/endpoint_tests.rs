@@ -469,3 +469,110 @@ fn backoff_schedule_is_ordered_against_virtual_timestamps() {
     });
     sim.run().unwrap().assert_clean();
 }
+
+/// Logs the virtual time at which each request reaches the server, and
+/// answers it inside `receive`, or later from a green thread of its own.
+struct Timed {
+    log: Arc<Mutex<Vec<u64>>>,
+    reply_later: bool,
+}
+
+impl RpcHandler for Timed {
+    fn receive(
+        &self,
+        _c: &Arc<netz::ChannelCore>,
+        body: Payload,
+        reply: netz::context::RpcResponseCallback,
+    ) {
+        self.log.lock().push(simt::now());
+        if self.reply_later {
+            simt::spawn("replier", move || reply(Ok(body)));
+        } else {
+            reply(Ok(body));
+        }
+    }
+
+    fn stream_manager(&self) -> Arc<dyn StreamManager> {
+        Arc::new(TimedChunks(self.log.clone()))
+    }
+}
+
+struct TimedChunks(Arc<Mutex<Vec<u64>>>);
+
+impl StreamManager for TimedChunks {
+    fn get_chunk(&self, _stream_id: u64, _chunk_index: u32) -> Result<Payload, String> {
+        self.0.lock().push(simt::now());
+        Ok(Payload::bytes_scaled(Bytes::new(), 1 << 20))
+    }
+}
+
+/// Two requests written back to back to one server (two chunk fetches, or
+/// two RPCs); when each reached the server's handler or stream manager.
+fn two_requests(chunks: bool, reply_later: bool) -> Vec<u64> {
+    let (sim, net) = setup(2);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let handler = Arc::new(Timed { log: log.clone(), reply_later });
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let server =
+            TransportContext::new(net.clone(), conf, handler).create_server("server", 0, 100);
+        let ep = TransportContext::new(net.clone(), conf, Arc::new(NoOpRpcHandler))
+            .create_client_endpoint("client", 1);
+        let client = ep.connect(server.addr()).unwrap();
+        for i in 0..2 {
+            if chunks {
+                client.fetch_chunk_async(7, i, Box::new(|r| assert!(r.is_ok())), || ());
+            } else {
+                let body = Payload::bytes(Bytes::from_static(b"ping"));
+                client.send_rpc_then(body, |r| assert!(r.is_ok()));
+            }
+        }
+        simt::sleep(simt::time::millis(10));
+    });
+    sim.run().unwrap().assert_clean();
+    let log = log.lock().clone();
+    log
+}
+
+/// Receive plus send CPU of the socket stack for `msg`'s frame.
+fn frame_cpu_ns(msg: &netz::Message, recv: bool) -> u64 {
+    let stack = TransportConf::default_sockets().stack;
+    let len = msg.encode_header().len() as u64 + msg.body_virtual_len();
+    if recv {
+        stack.recv_cpu_ns(len)
+    } else {
+        stack.send_cpu_ns(len)
+    }
+}
+
+#[test]
+fn a_chunk_fetch_holds_the_port_until_its_reply_is_booked() {
+    use netz::Message;
+    let log = two_requests(true, false);
+    // The second request waited on the port while the first one's chunk CPU
+    // ran and its reply was written: its receive CPU and its own chunk CPU
+    // start only once that reply is booked.
+    let reply = Message::ChunkFetchSuccess {
+        stream_id: 7,
+        chunk_index: 0,
+        body: Payload::bytes_scaled(Bytes::new(), 1 << 20),
+    };
+    let request = Message::ChunkFetchRequest { stream_id: 7, chunk_index: 1 };
+    let held = frame_cpu_ns(&reply, false) + frame_cpu_ns(&request, true) + 2_000;
+    assert_eq!(log, [95_246, 95_246 + held]);
+    assert_eq!(held, 115_891);
+}
+
+#[test]
+fn a_reply_made_inside_receive_holds_the_port_and_a_later_one_does_not() {
+    use netz::Message;
+    let body = Payload::bytes(Bytes::from_static(b"ping"));
+    let reply = Message::RpcResponse { request_id: 0, body: body.clone() };
+    let request = Message::RpcRequest { request_id: 1, body };
+    let (write, read) = (frame_cpu_ns(&reply, false), frame_cpu_ns(&request, true));
+    // Inside `receive`, the reply's write is part of the packet's work.
+    assert_eq!(two_requests(false, false), [93_246, 93_246 + write + read]);
+    // From a thread of its own, the write runs beside the next receive.
+    assert_eq!(two_requests(false, true), [93_246, 93_246 + read]);
+    assert_eq!((write, read), (15_002, 15_002));
+}

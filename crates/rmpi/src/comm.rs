@@ -16,7 +16,8 @@ fn delivered(msg: MpiMsg) -> (Payload, Status) {
 
 /// A communicator handle bound to one calling process. Cheap to clone;
 /// clones may be used from any green thread belonging to that process
-/// (Netty event loops, executor task slots, ...).
+/// (executor task slots, RPC dispatchers, ...), and their non-blocking
+/// calls from its continuations (a netz event loop's handlers).
 #[derive(Clone)]
 pub struct Comm {
     uni: Universe,

@@ -8,7 +8,7 @@ use fabric::{Net, NodeId, StackModel};
 use simt::sync::Mutex;
 
 use crate::comm::Comm;
-use crate::proc::{spawn_pump, CommGroups, CommInfo, MsgStore, ProcState, UniverseState};
+use crate::proc::{start_pump, CommGroups, CommInfo, MsgStore, ProcState, UniverseState};
 use crate::types::{CommId, ProcId};
 
 /// Handle to a running MPI universe (one per `mpiexec` invocation).
@@ -46,7 +46,7 @@ impl Universe {
         let mailbox = rx.addr();
         let name = format!("{name}#{}", id.0);
         let store = MsgStore::named(&name);
-        spawn_pump(&name, rx, store.clone());
+        start_pump(rx, store.clone());
         let ps = Arc::new(ProcState {
             id,
             node,

@@ -1,12 +1,12 @@
 //! Per-process receive machinery: the posted-receive slots, the
 //! unexpected-message queue and the progress pump.
 //!
-//! Every MPI process owns one fabric mailbox port. A daemon *pump* green
-//! thread (the analog of an MPI progress engine) drains the port into a
-//! [`MsgStore`], where receives match on `(communicator, source, tag)` in the
-//! order they were posted — a blocking receive is a posted one waited for on
-//! the spot. Messages that arrive before a matching receive wait in the
-//! store, exactly like MPI's unexpected message queue.
+//! Every MPI process owns one fabric mailbox port. A *pump*, a chain of
+//! engine continuations (the analog of an MPI progress engine), drains the
+//! port into a [`MsgStore`], where receives match on `(communicator, source,
+//! tag)` in the order they were posted — a blocking receive is a posted one
+//! waited for on the spot. Messages that arrive before a matching receive
+//! wait in the store, exactly like MPI's unexpected message queue.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
@@ -286,17 +286,17 @@ pub struct ProcState {
     pub coll_seq: Mutex<BTreeMap<CommId, u64>>,
 }
 
-/// Spawn the progress pump for a process: drains its mailbox port into the
-/// store until the port closes. The pump charges receive-side CPU (the MPI
-/// progress engine's cost) as packets arrive.
-pub fn spawn_pump(name: &str, rx: fabric::net::PortRx, store: MsgStore) {
-    simt::spawn_daemon(format!("mpi-pump:{name}"), move || {
-        while let Ok(pkt) = rx.recv() {
-            if let Some(msg) = pkt.payload.value_as::<MpiMsg>() {
-                store.push((*msg).clone());
-            }
+/// Start the progress pump for a process: a chain of engine continuations
+/// that serves its mailbox port ([`fabric::net::PortRx::serve`]), charging
+/// receive-side CPU (the MPI progress engine's cost) as each packet arrives
+/// and pushing it into the store. No thread runs it; the chain owns the port,
+/// so it serves until the simulation shuts down.
+pub fn start_pump(rx: fabric::net::PortRx, store: MsgStore) {
+    rx.serve(move |pkt, next| {
+        if let Some(msg) = pkt.payload.value_as::<MpiMsg>() {
+            store.push((*msg).clone());
         }
-        store.close();
+        next.take();
     });
 }
 

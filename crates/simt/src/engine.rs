@@ -157,6 +157,10 @@ struct State {
     census: BTreeMap<String, u64>,
     panic_payload: Option<Payload>,
     shutting_down: bool,
+    /// The continuations parked on a wait list, which `Sim::shutdown` drops
+    /// as it unwinds parked threads; pruned of finished ones as it doubles.
+    parked: Vec<Weak<StepCell>>,
+    parked_prune_at: usize,
 }
 
 impl State {
@@ -290,6 +294,13 @@ pub(crate) fn with_thread<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
 /// Set while a `Call` runs: [`CURRENT`] is the engine, unless a green thread
 /// of an outer simulation already is. Dropping it (a panic included) clears it.
 struct OnEngine(bool);
+
+impl OnEngine {
+    fn enter(inner: &Arc<Inner>) -> OnEngine {
+        let engine = Some((inner.clone(), ENGINE));
+        OnEngine(CURRENT.with(|c| c.borrow().is_none() && c.replace(engine).is_none()))
+    }
+}
 
 impl Drop for OnEngine {
     fn drop(&mut self) {
@@ -573,6 +584,8 @@ impl Sim {
                     census: BTreeMap::new(),
                     panic_payload: None,
                     shutting_down: false,
+                    parked: Vec::new(),
+                    parked_prune_at: 64,
                 }),
                 diag: RawMutex::new(crate::diag::DiagState::default()),
                 observer: RawMutex::new(None),
@@ -636,10 +649,7 @@ impl Sim {
                 EventKind::Call(f, _) => {
                     s.stats.calls += 1;
                     drop(s);
-                    let engine = Some((me.clone(), ENGINE));
-                    let _engine = OnEngine(
-                        CURRENT.with(|c| c.borrow().is_none() && c.replace(engine).is_none()),
-                    );
+                    let _engine = OnEngine::enter(&me);
                     f();
                 }
                 EventKind::Tick(slot) => {
@@ -726,6 +736,40 @@ impl Sim {
             drop(s);
             me = Inner::resume(me, TaskId(next), co, locals);
         }
+        // A continuation parked on a wait list is dropped too: it may hold
+        // what holds the list (a served port's chain holds its port), a cycle
+        // through a token that would keep this engine alive. What a dropped
+        // one held may park more: repeat until none is left.
+        loop {
+            let parked = std::mem::take(&mut self.inner.state.lock().parked);
+            if parked.is_empty() {
+                break;
+            }
+            let steps: Vec<_> = (parked.iter().filter_map(Weak::upgrade))
+                .filter_map(|step| {
+                    let next = step.lock().take();
+                    next
+                })
+                .collect();
+            let _engine = OnEngine::enter(&self.inner);
+            drop(steps);
+        }
+    }
+
+    /// A handle that does not keep this simulation's engine alive: after
+    /// `shutdown` and the last drop, nothing should.
+    pub fn downgrade(&self) -> SimRef {
+        SimRef(Arc::downgrade(&self.inner))
+    }
+}
+
+/// See [`Sim::downgrade`].
+pub struct SimRef(Weak<Inner>);
+
+impl SimRef {
+    /// True while anything still holds the engine.
+    pub fn is_alive(&self) -> bool {
+        self.0.strong_count() > 0
     }
 }
 
@@ -753,16 +797,31 @@ pub struct WaitToken {
     target: Target,
 }
 
+/// A continuation's next step, taken by the first wake that runs it.
+type StepCell = RawMutex<Option<Box<dyn FnOnce() + Send>>>;
+
 #[derive(Clone)]
 enum Target {
     Thread { tid: TaskId, epoch: u64 },
-    Step(Arc<RawMutex<Option<Box<dyn FnOnce() + Send>>>>),
+    Step(Arc<StepCell>),
 }
 
 impl WaitToken {
     pub(crate) fn step(step: Box<dyn FnOnce() + Send>) -> WaitToken {
         let target = Target::Step(Arc::new(RawMutex::new(Some(step))));
         with_current(|inner, _| WaitToken { inner: inner.clone(), target })
+    }
+
+    /// Note that this token waits on a wait list: a step's continuation is
+    /// then dropped by `Sim::shutdown` if no wake ever runs it.
+    pub(crate) fn note_parked(&self) {
+        let Target::Step(step) = &self.target else { return };
+        let mut s = self.inner.state.lock();
+        s.parked.push(Arc::downgrade(step));
+        if s.parked.len() >= s.parked_prune_at {
+            s.parked.retain(|step| step.strong_count() > 0);
+            s.parked_prune_at = 64.max(2 * s.parked.len());
+        }
     }
 
     /// Wake the target at the current virtual time.

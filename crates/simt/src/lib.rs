@@ -1,8 +1,8 @@
 //! # simt — deterministic discrete-event simulation with green threads
 //!
 //! `simt` is the substrate under the whole MPI4Spark reproduction. Every
-//! simulated process (Spark master, worker, executor, driver, MPI rank, Netty
-//! event loop, task slot) is a *green thread*: a stackful coroutine that the
+//! simulated process (Spark master, worker, executor, driver, MPI rank, task
+//! slot) is a *green thread*: a stackful coroutine that the
 //! engine resumes from its event loop, on the OS thread that called
 //! [`Sim::run`], so that **exactly one simulated thread runs at any instant**,
 //! and whose notion of time is a **virtual clock** advanced only by the event
@@ -10,9 +10,10 @@
 //!
 //! This gives three properties the reproduction needs:
 //!
-//! 1. **Natural blocking code.** MPI `recv`, Netty selector loops, and Spark
-//!    RPC round-trips are written as ordinary blocking Rust; no hand-rolled
-//!    state machines.
+//! 1. **Natural blocking code.** MPI `recv` and Spark RPC round-trips are
+//!    written as ordinary blocking Rust. What must not hold a thread (a
+//!    shuffle fetch, a port's event loop) chains continuations on the same
+//!    primitives: `Cpu::submit`, the queues' `_then` receives.
 //! 2. **Determinism.** The event heap is totally ordered by
 //!    `(virtual_time, sequence_number)`. Identical seeds produce identical
 //!    schedules, timings, and results — asserted by tests.
@@ -69,7 +70,7 @@ pub mod wait;
 
 pub use coro::{stack_stats, StackStats};
 pub use cpu::Cpu;
-pub use engine::{Sim, SimError, SimReport, SimStats, TaskId, TaskObserver};
+pub use engine::{Sim, SimError, SimRef, SimReport, SimStats, TaskId, TaskObserver};
 pub use local::with_local;
 pub use profile::{set_host_profile, take_host_profile};
 pub use rng::{for_each_case, SeededRng};

@@ -101,6 +101,18 @@ impl<T> Queue<T> {
         self.0.waiters.wait_until(deadline, ready).unwrap_or(Err(RecvError::Timeout))
     }
 
+    /// [`recv`](Queue::recv) without parking: `then` runs with the next item
+    /// (at once if one is queued), or with `Closed` once the queue is closed
+    /// and drained.
+    pub fn recv_then(&self, then: impl FnOnce(Result<T, RecvError>) + Send + 'static)
+    where
+        T: Send + 'static,
+    {
+        let then =
+            move |r: Option<_>| then(r.expect("a wait without a deadline ends with a value"));
+        self.0.clone().wait_then(None, Self::pop, then);
+    }
+
     /// [`recv_deadline`](Queue::recv_deadline) without parking.
     pub fn recv_deadline_then(
         &self,
@@ -350,6 +362,51 @@ mod tests {
         assert_eq!(parked.events_popped, called.events_popped);
         assert_eq!(parked.heap_high_water, called.heap_high_water);
         assert_eq!(parked.wakes + parked.stale_wakes, called.wakes + called.stale_wakes + 5);
+    }
+
+    #[test]
+    fn recv_then_takes_what_is_queued_at_once_and_waits_for_the_rest() {
+        let sim = Sim::new();
+        let q = Queue::<u32>::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (q2, log2) = (q.clone(), log.clone());
+        sim.spawn("rx", move || {
+            q2.send(1);
+            for _ in 0..3 {
+                let log = log2.clone();
+                q2.recv_then(move |r| log.lock().push((r, crate::now())));
+            }
+        });
+        sim.spawn("tx", move || {
+            crate::sleep(10);
+            q.send(2);
+            crate::sleep(10);
+            q.close();
+        });
+        sim.run().unwrap().assert_clean();
+        // All three wait on one list: the send wakes both waiters, the first
+        // takes the item and the second goes back to wait for the close.
+        let want = [(Ok(1), 0), (Ok(2), 10), (Err(RecvError::Closed), 20)];
+        assert_eq!(*log.lock(), want);
+    }
+
+    #[test]
+    fn shutdown_drops_a_continuation_parked_on_the_queue_it_holds() {
+        // The receive holds its own queue, so the queue's wait list holds the
+        // receive: a cycle through the engine that only shutdown breaks.
+        let sim = Sim::new();
+        let held = Arc::new(());
+        let watch = Arc::downgrade(&held);
+        sim.spawn("rx", move || {
+            let q = Queue::<u32>::new();
+            q.clone().recv_then(move |_| drop((q, held)));
+        });
+        sim.run().unwrap().assert_clean();
+        assert!(watch.upgrade().is_some(), "parked until shutdown");
+        let engine = sim.downgrade();
+        drop(sim);
+        assert!(watch.upgrade().is_none(), "shutdown dropped the continuation");
+        assert!(!engine.is_alive(), "nothing holds the engine");
     }
 
     #[test]

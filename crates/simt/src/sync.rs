@@ -40,6 +40,7 @@ impl<S: Send + 'static> Shared<S> {
         if let Some(d) = deadline {
             token.wake_at(d);
         }
+        token.note_parked();
         self.waiters.tokens.lock().push(token);
     }
 }

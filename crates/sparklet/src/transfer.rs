@@ -64,7 +64,8 @@ pub struct FetchResult {
 }
 
 /// Where a fetch's results go: one call per chunk as it lands, made by
-/// whatever runs then (an event loop thread, a continuation on the engine).
+/// whatever runs then: an endpoint's event loop or another continuation on
+/// the engine, or a Basic receiver thread.
 #[derive(Clone)]
 pub struct FetchSink(Arc<dyn Fn(FetchResult) + Send + Sync>);
 

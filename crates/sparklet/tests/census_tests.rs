@@ -5,7 +5,8 @@
 //! shuffle blocks, every in-flight chunk and every task's records are gone
 //! with the cell. A cached partition is shared, not copied: neither its
 //! first computation nor a later hit constructs a record. A shuffle fetch is
-//! a chain of continuations: it spawns no thread.
+//! a chain of continuations: it spawns no thread, and no thread serves a
+//! fabric port. Nothing keeps a cell's engine alive once the cell is done.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -130,21 +131,28 @@ fn a_cache_hit_constructs_no_record() {
     }
 }
 
+/// The shuffle the thread census runs.
+const CLEAN: OhbConfig = OhbConfig {
+    partitions: 8,
+    records_per_partition: 24,
+    value_bytes: 1 << 14,
+    key_range: 40,
+    seed: 7,
+};
+
+/// A clean GroupBy cell on `system`.
+fn clean_group_by(system: System) -> workloads::RunOutcome<u64> {
+    let spec = ClusterSpec::test(4);
+    let mut conf = SparkConf::default();
+    conf.executor_cores = 4;
+    let cluster = ClusterConfig::paper_layout(spec.len(), conf);
+    system.run(&spec, cluster, move |sc| group_by_app(sc, CLEAN))
+}
+
 #[test]
 fn a_clean_shuffle_spawns_no_per_request_thread() {
-    let cfg = OhbConfig {
-        partitions: 8,
-        records_per_partition: 24,
-        value_bytes: 1 << 14,
-        key_range: 40,
-        seed: 7,
-    };
     for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
-        let spec = ClusterSpec::test(4);
-        let mut conf = SparkConf::default();
-        conf.executor_cores = 4;
-        let cluster = ClusterConfig::paper_layout(spec.len(), conf);
-        let out = system.run(&spec, cluster, move |sc| group_by_app(sc, cfg));
+        let out = clean_group_by(system);
         let remote_bytes: u64 = (out.jobs.iter().flat_map(|j| &j.stages))
             .map(|s| s.metrics.counter(obs::keys::TASK_REMOTE_BYTES))
             .sum();
@@ -154,6 +162,23 @@ fn a_clean_shuffle_spawns_no_per_request_thread() {
         let per_request: Vec<_> =
             out.spawned.keys().filter(|p| p.starts_with("fetch") || p.contains("body")).collect();
         assert!(per_request.is_empty(), "{}: requests spawned {per_request:?}", system.label());
+        // So are netz's event loops and rmpi's progress pumps
+        // (`fabric::net::PortRx::serve`): no thread serves a port.
+        let loops: Vec<_> = ["netz-boss", "netz-loop", "mpi-pump"]
+            .into_iter()
+            .filter(|p| out.spawned.contains_key(*p))
+            .collect();
+        assert!(loops.is_empty(), "{}: threads serve ports: {loops:?}", system.label());
         assert!(out.spawned.contains_key("task-e"), "{}: the census counts tasks", system.label());
+    }
+}
+
+#[test]
+fn nothing_holds_a_cells_engine_after_shutdown() {
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let out = clean_group_by(system);
+        let want = workloads::ohb::distinct_keys(CLEAN);
+        assert_eq!(out.result, want, "{}: one group per key", system.label());
+        assert!(!out.engine.is_alive(), "{}: the engine outlives its cell", system.label());
     }
 }

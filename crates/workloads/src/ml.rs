@@ -127,7 +127,9 @@ pub fn lr_app(sc: &SparkContext, cfg: MlConfig) -> MlResult {
                     for (g, xi) in out[..dim].iter_mut().zip(x) {
                         *g += (p - y) * xi;
                     }
-                    out[dim] -= y * p.max(1e-12).ln() + (1.0 - y) * (1.0 - p).max(1e-12).ln();
+                    // The 0/1 label selects one term; the other is ±0 × ln(…).
+                    let hit = if *y == 1.0 { p } else { 1.0 - p };
+                    out[dim] -= hit.max(1e-12).ln();
                     out[dim + 1] += 1.0;
                 }
                 out

@@ -64,6 +64,8 @@ pub struct RunOutcome<R> {
     /// Green threads the run spawned per name prefix
     /// ([`simt::Sim::spawn_census`]).
     pub spawned: BTreeMap<String, u64>,
+    /// The run's engine, which nothing may hold once the run has returned.
+    pub engine: simt::SimRef,
 }
 
 /// Every run's [`RunOutcome::spawned`], summed over this process.
@@ -178,7 +180,7 @@ impl System {
         }
         drop(total);
         sim.shutdown();
-        RunOutcome { result, jobs, metrics, timeline, spawned }
+        RunOutcome { result, jobs, metrics, timeline, spawned, engine: sim.downgrade() }
     }
 }
 

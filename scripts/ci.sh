@@ -126,6 +126,15 @@ grep -q '^host-profile: wake ' "$CI_TMP/profile.log" || {
   exit 1
 }
 
+# No thread serves a fabric port: netz's event loops and rmpi's progress pumps
+# are chains of engine continuations (`fabric::net::PortRx::serve`), so their
+# names never reach the traced cell's thread census.
+census="$(grep '^simt: green threads spawned by name' "$CI_TMP/profile.log")"
+if grep -qE '(netz-boss|netz-loop|mpi-pump) ' <<< "$census"; then
+  echo "error: a green thread serves a fabric port: $census" >&2
+  exit 1
+fi
+
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
 # against these crates' public items and may not be edited to follow them:
 # an API change that breaks it must fail here, not in the pipeline.
