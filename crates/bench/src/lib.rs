@@ -175,8 +175,23 @@ impl Args {
             simt::set_host_profile(false);
             host_profile_notes(&mut run, simt::take_host_profile());
         }
+        // The process's peak memory: a host measurement, never a ledger value.
+        run.suite = "host";
+        match peak_rss_kb() {
+            Some(kb) => {
+                run.note(&format!("peak resident set (VmHWM) {:.1} MB", kb as f64 / 1024.0))
+            }
+            None => run.note("peak resident set unknown: no VmHWM in /proc/self/status"),
+        }
         run.records
     }
+}
+
+/// The process's peak resident set in kB, from `/proc/self/status` (Linux).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    kb.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
 /// The host profile's ten largest labels, one note each: events, host time,

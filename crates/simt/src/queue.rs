@@ -144,11 +144,6 @@ impl<T> Queue<T> {
         self.0.waiters.notify_all();
     }
 
-    /// True if closed (items may still be pending).
-    pub fn is_closed(&self) -> bool {
-        self.0.state.lock().closed
-    }
-
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.0.state.lock().items.len()

@@ -202,6 +202,9 @@ pub fn encoded_len<T: Element>(x: &T) -> usize {
     w.len()
 }
 
+/// Bytes, real and virtual, of the batch format's leading record count.
+pub const BATCH_HEADER_LEN: u64 = 4;
+
 /// Record-at-a-time writer of the batch format: a `u32` record count, then
 /// the records. The count comes first, so it must be known up front.
 pub struct BatchEncoder {
@@ -215,7 +218,7 @@ impl BatchEncoder {
     pub fn new(records: usize, bytes: usize) -> Self {
         let mut w = ByteWriter::with_capacity(4 + bytes);
         w.put_u32(records as u32);
-        BatchEncoder { w, virt: 4 }
+        BatchEncoder { w, virt: BATCH_HEADER_LEN }
     }
 
     /// Append one record.

@@ -18,7 +18,9 @@ use crate::config::SparkConf;
 use crate::data::Element;
 use crate::rpc::AnyMsg;
 use crate::scheduler::DagScheduler;
-use crate::shuffle::{combine_pairs, group_pairs, sort_pairs, FetchFailed, MapStatus};
+use crate::shuffle::{
+    combine_by_key, combine_pairs, group_pairs, sort_pairs, FetchFailed, Landed, MapStatus,
+};
 use crate::task::TaskContext;
 
 use ops::*;
@@ -393,13 +395,20 @@ where
         f: impl Fn(V, V) -> V + Send + Sync + 'static,
     ) -> Rdd<(K, V)> {
         let f = Arc::new(f);
-        // One fold serves the map-side combine and the reduce side.
+        let g = f.clone();
+        // One fold on both sides: the map side charges from its pairs, the
+        // reduce side from the landed blocks.
+        let map_side: MapSideCombine<K, V> = Arc::new(move |ctx, pairs| {
+            let bytes = pairs.iter().map(|(_, v)| v.virtual_size()).sum();
+            ctx.charge(ctx.cost().group(pairs.len() as u64, bytes));
+            combine_by_key(pairs, |v| v, |a, b| g(a, b))
+        });
         let reduce: PostShuffle<K, V, (K, V)> =
-            Arc::new(move |ctx, pairs| combine_pairs(ctx, pairs, |v| v, |a, b| f(a, b)));
+            Arc::new(move |ctx, landed| combine_pairs(ctx, landed, |v| v, |a, b| f(a, b)));
         self.shuffle_to::<V, (K, V)>(
             self.ops.clone(),
             Arc::new(HashPartitioner::new(parts)),
-            Some(reduce.clone()),
+            Some(map_side),
             reduce,
         )
     }
@@ -411,7 +420,7 @@ where
             self.ops.clone(),
             partitioner,
             None,
-            Arc::new(|_ctx, pairs| pairs),
+            Arc::new(|_ctx, landed: Landed<(K, V)>| landed.decode()),
         )
     }
 
@@ -481,9 +490,9 @@ where
             self.ops.clone(),
             partitioner,
             None,
-            Arc::new(|ctx: &TaskContext, mut pairs: Vec<(K, V)>| {
-                let bytes: u64 = pairs.iter().map(crate::data::Element::virtual_size).sum();
-                ctx.charge(ctx.cost().sort(pairs.len() as u64, bytes));
+            Arc::new(|ctx: &TaskContext, landed: Landed<(K, V)>| {
+                ctx.charge(ctx.cost().sort(landed.records(), landed.record_bytes()));
+                let mut pairs = landed.decode();
                 sort_pairs(&mut pairs);
                 pairs
             }),

@@ -6,15 +6,16 @@ use std::sync::Arc;
 use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
 use crate::rdd::{Action, Part, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
-use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed};
+use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed, Landed};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
 
 /// Map-side combine hook (`reduceByKey` aggregation before the write).
 pub type MapSideCombine<K, M> = Arc<dyn Fn(&TaskContext, Vec<(K, M)>) -> Vec<(K, M)> + Send + Sync>;
 
-/// Reduce-side post-processing (grouping, reducing, sorting, identity).
-pub type PostShuffle<K, M, U> = Arc<dyn Fn(&TaskContext, Vec<(K, M)>) -> Vec<U> + Send + Sync>;
+/// Reduce-side post-processing (grouping, reducing, sorting, identity) of
+/// the landed bucket: it charges from the blocks' metadata, then decodes.
+pub type PostShuffle<K, M, U> = Arc<dyn Fn(&TaskContext, Landed<(K, M)>) -> Vec<U> + Send + Sync>;
 
 // --- sources ---------------------------------------------------------------
 
@@ -135,6 +136,7 @@ impl<T: Element> RddOps<T> for CachedRdd<T> {
                 data: bytes::Bytes::new(),
                 virtual_len: bytes,
                 records: data.len() as u64,
+                value_bytes: 0,
             },
         );
         Ok(Part::Shared(data))
@@ -225,6 +227,7 @@ where
             partitioner.num_partitions(),
             &records,
             move |(k, _): &(K, M)| partitioner.partition(k),
+            |(_, m): &(K, M)| m.virtual_size(),
         );
         TaskOutput::Map(status)
     }
@@ -280,8 +283,8 @@ where
         self.dep.partitioner.num_partitions()
     }
     fn compute(&self, part: usize, ctx: &TaskContext) -> Result<Part<U>, FetchFailed> {
-        let pairs = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, part as u32)?;
-        Ok(Part::Owned((self.post)(ctx, pairs)))
+        let landed = read_shuffle::<(K, M)>(ctx, self.dep.shuffle_id, part as u32)?;
+        Ok(Part::Owned((self.post)(ctx, landed)))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep.clone()]
@@ -322,8 +325,8 @@ where
     ) -> Result<Part<(K, (Vec<V>, Vec<W>))>, FetchFailed> {
         let a = read_shuffle::<(K, V)>(ctx, self.dep_a.shuffle_id, part as u32)?;
         let b = read_shuffle::<(K, W)>(ctx, self.dep_b.shuffle_id, part as u32)?;
-        ctx.charge(ctx.cost().group((a.len() + b.len()) as u64, 0));
-        Ok(Part::Owned(cogroup_pairs(a, b)))
+        ctx.charge(ctx.cost().group(a.records() + b.records(), 0));
+        Ok(Part::Owned(cogroup_pairs(a.decode(), b.decode())))
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepMeta>> {
         vec![self.dep_a.clone(), self.dep_b.clone()]

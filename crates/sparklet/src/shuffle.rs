@@ -8,6 +8,7 @@
 //! `BlockTransferService` with `maxBytesInFlight` batching.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use fabric::PortAddr;
 use simt::queue::Queue;
 use simt::sync::Mutex;
 
-use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element};
+use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element, BATCH_HEADER_LEN};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
@@ -262,8 +263,10 @@ impl MapOutputClient {
 // --- shuffle write ---------------------------------------------------------
 
 /// Partition, serialize, and store one map task's output; returns the
-/// `MapStatus`. `partition_of` maps each record to its reduce partition.
-/// The records are borrowed: a cached partition is encoded in place.
+/// `MapStatus`. `partition_of` maps each record to its reduce partition, and
+/// `value_size` gives the virtual bytes of its value, which each block keeps
+/// as [`StoredBlock::value_bytes`]. The records are borrowed: a cached
+/// partition is encoded in place.
 pub fn write_shuffle<T: Element>(
     ctx: &TaskContext,
     shuffle_id: u32,
@@ -271,11 +274,13 @@ pub fn write_shuffle<T: Element>(
     num_reduces: usize,
     records: &[T],
     partition_of: impl Fn(&T) -> usize,
+    value_size: impl Fn(&T) -> u64,
 ) -> MapStatus {
     // Count pass: the batch format leads with its record count, and a writer
     // sized up front never regrows. Fixed-width records (every numeric and
     // `Blob` tuple) make the first record's encoded length exact for all.
     let mut counts = vec![0u64; num_reduces];
+    let mut value_bytes = vec![0u64; num_reduces];
     let mut total_bytes = 0u64;
     let bucket_of: Vec<u32> = records
         .iter()
@@ -284,6 +289,7 @@ pub fn write_shuffle<T: Element>(
             let p = partition_of(r);
             debug_assert!(p < num_reduces, "partitioner out of range");
             counts[p] += 1;
+            value_bytes[p] += value_size(r);
             p as u32
         })
         .collect();
@@ -303,10 +309,10 @@ pub fn write_shuffle<T: Element>(
     drop(bucket_of);
     let blocks: Vec<StoredBlock> = buckets
         .into_iter()
-        .zip(&counts)
-        .map(|(bucket, &records)| {
+        .zip(counts.iter().zip(value_bytes))
+        .map(|(bucket, (&records, value_bytes))| {
             let (data, virtual_len) = bucket.finish();
-            StoredBlock { data, virtual_len, records }
+            StoredBlock { data, virtual_len, records, value_bytes }
         })
         .collect();
     let sizes = blocks.iter().map(|b| b.virtual_len).collect();
@@ -322,16 +328,58 @@ pub fn write_shuffle<T: Element>(
 
 // --- shuffle read ----------------------------------------------------------
 
+/// One reduce bucket as it landed, still encoded: its non-empty blocks,
+/// local ones first (ascending map id), then remote ones in the order their
+/// chunks arrived. A remote block shares the serving map output's bytes.
+///
+/// The blocks' metadata sizes every post-shuffle charge, so a reduce task
+/// charges first and decodes after: the decode, sort and fold that follow
+/// never yield, so one task's decoded records are alive at a time.
+#[derive(Debug)]
+pub struct Landed<T> {
+    blocks: Vec<StoredBlock>,
+    _records: PhantomData<fn() -> T>,
+}
+
+impl<T: Element> Landed<T> {
+    /// Records in the bucket.
+    pub fn records(&self) -> u64 {
+        self.blocks.iter().map(|b| b.records).sum()
+    }
+
+    /// Virtual bytes of the records: each block's size less its leading
+    /// record count.
+    pub fn record_bytes(&self) -> u64 {
+        self.blocks.iter().map(|b| b.virtual_len - BATCH_HEADER_LEN).sum()
+    }
+
+    /// Virtual bytes of the records' values ([`StoredBlock::value_bytes`]).
+    pub fn value_bytes(&self) -> u64 {
+        self.blocks.iter().map(|b| b.value_bytes).sum()
+    }
+
+    /// The records in landing order, every record of a block in the order its
+    /// map task wrote it. The output is reserved in full, and each block is
+    /// dropped once decoded.
+    pub fn decode(self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.records() as usize);
+        for b in self.blocks {
+            decode_batch_into(&b.data, &mut out);
+        }
+        out
+    }
+}
+
 /// The shuffle read: fetch reduce bucket `reduce_id` from every map output
 /// in *one* batched fetch pass — local blocks directly, remote blocks
-/// through the batched fetcher. Returns the bucket's records (empty when
-/// every map wrote it empty), or the [`FetchFailed`] that names what could
-/// not be fetched.
+/// through the batched fetcher. Returns the bucket's blocks undecoded (none
+/// when every map wrote it empty), or the [`FetchFailed`] that names what
+/// could not be fetched.
 pub fn read_shuffle<T: Element>(
     ctx: &TaskContext,
     shuffle_id: u32,
     reduce_id: u32,
-) -> Result<Vec<T>, FetchFailed> {
+) -> Result<Landed<T>, FetchFailed> {
     let obs = ctx.services.net.obs().clone();
     let _span = obs.is_traced().then(|| {
         obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce_id})
@@ -344,18 +392,15 @@ pub fn read_shuffle<T: Element>(
 
     // Requests of up to a fifth of the window, so about five fly at once.
     let plan = plan_fetch(&statuses, shuffle_id, reduce_id, my_exec, conf.max_bytes_in_flight / 5);
-
-    // The output vector, reserved in full.
-    let mut out: Vec<T> = Vec::with_capacity(plan.expected);
     let mut fetch_wait = 0u64;
     let mut remote_bytes = 0u64;
 
     // Issue requests keeping at most max_bytes_in_flight outstanding. The
     // accounting is chunk-granular: each arriving chunk immediately frees
-    // its decoded bytes from the budget, so follow-on requests depart while
-    // the rest of the same request's chunks are still on the wire — exactly
-    // Spark's ShuffleBlockFetcherIterator, which releases budget per landed
-    // buffer, not per request.
+    // its bytes from the budget, so follow-on requests depart while the rest
+    // of the same request's chunks are still on the wire — exactly Spark's
+    // ShuffleBlockFetcherIterator, which releases budget per landed buffer,
+    // not per request.
     let results: Queue<FetchResult> = Queue::new();
     let sink = FetchSink::from(results.clone());
     let mut in_flight_bytes = 0u64;
@@ -376,15 +421,12 @@ pub fn read_shuffle<T: Element>(
     };
     issue(&mut in_flight_bytes, &mut open_reqs);
 
-    // Drain local blocks while remote fetches are in flight (Spark reads
+    // Take local blocks while remote fetches are in flight (Spark reads
     // local blocks first for the same reason), as one CPU job.
-    let local: Vec<StoredBlock> =
+    let mut landed: Vec<StoredBlock> =
         plan.local.iter().map(|id| bm.get(*id).expect("local shuffle block present")).collect();
-    let local_bytes: u64 = local.iter().map(|b| b.virtual_len).sum();
-    ctx.charge(deser_ns(&cost, &local));
-    for b in &local {
-        decode_batch_into(&b.data, &mut out);
-    }
+    let local_bytes: u64 = landed.iter().map(|b| b.virtual_len).sum();
+    ctx.charge(deser_ns(&cost, &landed));
 
     while open_reqs > 0 {
         let t0 = simt::now();
@@ -415,9 +457,7 @@ pub fn read_shuffle<T: Element>(
         let freed: u64 = blocks.iter().map(|b| b.virtual_len).sum();
         remote_bytes += freed;
         ctx.charge(deser_ns(&cost, &blocks));
-        for b in &blocks {
-            decode_batch_into(&b.data, &mut out);
-        }
+        landed.extend(blocks);
         in_flight_bytes = in_flight_bytes.saturating_sub(freed);
         issue(&mut in_flight_bytes, &mut open_reqs);
     }
@@ -425,7 +465,7 @@ pub fn read_shuffle<T: Element>(
     ctx.metrics.counter(obs::keys::TASK_FETCH_WAIT_NS).add(fetch_wait);
     ctx.metrics.counter(obs::keys::TASK_REMOTE_BYTES).add(remote_bytes);
     ctx.metrics.counter(obs::keys::TASK_LOCAL_BYTES).add(local_bytes);
-    Ok(out)
+    Ok(Landed { blocks: landed, _records: PhantomData })
 }
 
 /// The deserialization charge for `blocks`: the sum of each block's own
@@ -451,8 +491,6 @@ struct FetchPlan {
     local: Vec<BlockId>,
     /// Remote blocks, ordered by serving executor, then by map id.
     requests: Vec<FetchRequest>,
-    /// Records the map statuses promise for the bucket.
-    expected: usize,
 }
 
 /// Plan the read of bucket `reduce_id` by executor `my_exec`: split its
@@ -475,9 +513,7 @@ fn plan_fetch(
     let r = reduce_id as usize;
     let mut local = Vec::new();
     let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
-    let mut expected = 0usize;
     for st in statuses.iter().filter(|st| st.records[r] > 0) {
-        expected += st.records[r] as usize;
         let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
         if st.exec_id == my_exec {
             local.push(id);
@@ -503,7 +539,7 @@ fn plan_fetch(
             requests.push(cur);
         }
     }
-    FetchPlan { local, requests, expected }
+    FetchPlan { local, requests }
 }
 
 /// Stably sort `pairs` by key. Keys that [`Element::rank`] go through an
@@ -564,24 +600,23 @@ pub fn combine_by_key<K: Element + Ord, V, C>(
     out
 }
 
-/// [`combine_by_key`] with hash-aggregation costs charged (the reduce side
-/// of `groupByKey` and both sides of `reduceByKey`).
+/// [`combine_by_key`] over a landed bucket, with the hash-aggregation cost
+/// charged from the blocks' metadata before a record is decoded (the reduce
+/// side of `groupByKey` and `reduceByKey`).
 pub fn combine_pairs<K: Element + Ord, V: Element, C>(
     ctx: &TaskContext,
-    pairs: Vec<(K, V)>,
+    landed: Landed<(K, V)>,
     create: impl Fn(V) -> C,
     merge: impl Fn(C, V) -> C,
 ) -> Vec<(K, C)> {
-    let n = pairs.len() as u64;
-    let bytes: u64 = pairs.iter().map(|p| p.1.virtual_size()).sum();
-    ctx.charge(ctx.cost().group(n, bytes));
-    combine_by_key(pairs, create, merge)
+    ctx.charge(ctx.cost().group(landed.records(), landed.value_bytes()));
+    combine_by_key(landed.decode(), create, merge)
 }
 
-/// Group `(K, V)` records into `(K, Vec<V>)` ([`combine_pairs`] into vectors).
+/// Group a landed bucket into `(K, Vec<V>)` ([`combine_pairs`] into vectors).
 pub fn group_pairs<K: Element + Ord, V: Element>(
     ctx: &TaskContext,
-    pairs: Vec<(K, V)>,
+    landed: Landed<(K, V)>,
 ) -> Vec<(K, Vec<V>)> {
     // Four slots up front: `vec![v]` reserves one and regrows at the second value.
     let create = |v| {
@@ -589,7 +624,7 @@ pub fn group_pairs<K: Element + Ord, V: Element>(
         group.push(v);
         group
     };
-    combine_pairs(ctx, pairs, create, |mut group, v| {
+    combine_pairs(ctx, landed, create, |mut group, v| {
         group.push(v);
         group
     })
@@ -846,8 +881,6 @@ mod tests {
                 let want: Vec<u32> =
                     statuses.iter().filter(|st| st.records[r] > 0).map(|st| st.map_id).collect();
                 assert_eq!(planned, want, "every non-empty block, once");
-                let total: u64 = statuses.iter().map(|st| st.records[r]).sum();
-                assert_eq!(plan.expected as u64, total);
             }
         });
     }
@@ -862,7 +895,7 @@ mod tests {
                 (sizes[r], records[r]) = (4, 0);
                 (st.sizes, st.records) = (Arc::new(sizes), Arc::new(records));
             }
-            let want = FetchPlan { local: Vec::new(), requests: Vec::new(), expected: 0 };
+            let want = FetchPlan { local: Vec::new(), requests: Vec::new() };
             for me in 0..4 {
                 assert_eq!(plan_fetch(&statuses, 3, r as u32, me, target), want);
             }

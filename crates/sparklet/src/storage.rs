@@ -56,6 +56,10 @@ pub struct StoredBlock {
     pub virtual_len: u64,
     /// Number of records encoded (metrics & cost accounting).
     pub records: u64,
+    /// Virtual bytes of the records' values, as the writer measured them
+    /// (`write_shuffle`'s `value_size`): the reduce side charges its
+    /// aggregation from it before it decodes a record. 0 for an RDD block.
+    pub value_bytes: u64,
 }
 
 /// Per-executor block store. Nothing is evicted and no capacity is
@@ -134,7 +138,7 @@ mod tests {
     use super::*;
 
     fn blk(v: u64) -> StoredBlock {
-        StoredBlock { data: Bytes::from_static(b"x"), virtual_len: v, records: 1 }
+        StoredBlock { data: Bytes::from_static(b"x"), virtual_len: v, records: 1, value_bytes: 0 }
     }
 
     #[test]

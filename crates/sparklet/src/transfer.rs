@@ -12,9 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use fabric::{Net, Payload, PortAddr};
-use netz::buf::{ByteReader, ByteWriter};
 use netz::{
     ChannelCore, ChannelId, NetzError, RetryPolicy, StreamManager, TransportClient,
     TransportContext,
@@ -109,40 +107,6 @@ pub trait BlockTransferService: Send + Sync + 'static {
 
     /// Close cached connections.
     fn close(&self);
-}
-
-// --- encoding of merged block groups -------------------------------------
-
-/// Encode a group of stored blocks into one chunk body.
-pub fn encode_block_group(blocks: &[StoredBlock]) -> (Bytes, u64) {
-    let mut w = ByteWriter::with_capacity(64 + blocks.iter().map(|b| b.data.len()).sum::<usize>());
-    w.put_u32(blocks.len() as u32);
-    let mut virt = 4u64;
-    for b in blocks {
-        w.put_u32(b.data.len() as u32);
-        w.put_u64(b.virtual_len);
-        w.put_u64(b.records);
-        w.put_slice(&b.data);
-        virt += b.virtual_len + 20;
-    }
-    (w.freeze(), virt)
-}
-
-/// Decode a chunk body produced by [`encode_block_group`]. Zero-copy: each
-/// block's `data` is a slice *sharing* the chunk body's allocation, so the
-/// buffer that arrived from the wire is never duplicated.
-pub fn decode_block_group(data: &Bytes) -> Result<Vec<StoredBlock>, String> {
-    let mut r = ByteReader::new(data.clone());
-    let n = r.get_u32().ok_or("truncated group header")? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.get_u32().ok_or("truncated block length")? as usize;
-        let virtual_len = r.get_u64().ok_or("truncated virtual length")?;
-        let records = r.get_u64().ok_or("truncated record count")?;
-        let data = r.get_bytes(len).ok_or("truncated block data")?;
-        out.push(StoredBlock { data, virtual_len, records });
-    }
-    Ok(out)
 }
 
 // --- server side ----------------------------------------------------------
@@ -252,7 +216,6 @@ impl StreamManager for ShuffleService {
             let b = self.block_manager.get(*id).ok_or_else(|| format!("block {id} not found"))?;
             blocks.push(b);
         }
-        let (bytes, virt) = encode_block_group(&blocks);
         // Stream bookkeeping: drop fully served streams.
         {
             let mut streams = self.streams.lock();
@@ -263,8 +226,14 @@ impl StreamManager for ShuffleService {
                 }
             }
         }
-        let real = bytes.len() as u64;
-        Ok(Payload::bytes_scaled(bytes, virt.max(real)))
+        // The body is the blocks themselves, carried by handle: each shares
+        // its bytes with the map output. It declares the wire size of their
+        // encoding as one group — a count, then per block a 20-byte header
+        // (length, virtual length, records) and the block — so it is never
+        // less than the real bytes it stands for.
+        let virt = 4 + blocks.iter().map(|b| b.virtual_len + 20).sum::<u64>();
+        let real = 4 + blocks.iter().map(|b| b.data.len() as u64 + 20).sum::<u64>();
+        Ok(Payload::control(blocks, virt.max(real)))
     }
 
     fn chunk_fetch_cpu_ns(&self) -> u64 {
@@ -355,8 +324,13 @@ fn request_chunks(
     let per_block = n_chunks == blocks.len();
     let (covered, sink2, landed2) = (blocks.clone(), sink.clone(), landed.clone());
     let on_chunk = Box::new(move |res: Result<Payload, NetzError>| {
-        let result =
-            res.and_then(|payload| decode_block_group(&payload.bytes).map_err(NetzError::Codec));
+        // The body is the served blocks themselves (see `get_chunk`).
+        let result = res.and_then(|payload| {
+            let blocks = payload.value.and_then(|v| v.downcast::<Vec<StoredBlock>>().ok());
+            blocks
+                .map(Arc::unwrap_or_clone)
+                .ok_or_else(|| NetzError::codec("chunk carries no blocks"))
+        });
         let covered = if per_block { vec![covered[i as usize]] } else { covered.as_ref().clone() };
         let last = landed2.fetch_add(1, Ordering::Relaxed) + 1 == n_chunks;
         sink2.send(FetchResult { blocks: covered, last, result });
@@ -678,56 +652,5 @@ impl BlockTransferService for RetryingBlockFetcher {
         if let Some(f) = &self.inner.fallback {
             f.close();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_group_roundtrip() {
-        let blocks = vec![
-            StoredBlock { data: Bytes::from_static(b"alpha"), virtual_len: 1000, records: 3 },
-            StoredBlock { data: Bytes::from_static(b""), virtual_len: 0, records: 0 },
-            StoredBlock { data: Bytes::from_static(b"z"), virtual_len: 1 << 20, records: 7 },
-        ];
-        let (bytes, virt) = encode_block_group(&blocks);
-        assert!(virt >= 1000 + (1 << 20));
-        let back = decode_block_group(&bytes).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(&back[0].data[..], b"alpha");
-        assert_eq!(back[0].records, 3);
-        assert_eq!(back[2].virtual_len, 1 << 20);
-    }
-
-    #[test]
-    fn decode_garbage_errors() {
-        assert!(decode_block_group(&Bytes::from_static(&[1, 2])).is_err());
-        // Claims 5 blocks but has no data.
-        let mut w = ByteWriter::new();
-        w.put_u32(5);
-        let b = w.freeze();
-        assert!(decode_block_group(&b).is_err());
-    }
-
-    #[test]
-    fn decoded_blocks_share_the_chunk_allocation() {
-        let blocks = vec![
-            StoredBlock { data: Bytes::from_static(b"first-block"), virtual_len: 11, records: 1 },
-            StoredBlock { data: Bytes::from_static(b"second"), virtual_len: 6, records: 1 },
-        ];
-        let (bytes, _) = encode_block_group(&blocks);
-        let lo = bytes.as_ptr() as usize;
-        let hi = lo + bytes.len();
-        let back = decode_block_group(&bytes).unwrap();
-        // Zero-copy: every decoded block's data points INSIDE the chunk
-        // body's allocation rather than into a fresh copy.
-        for b in &back {
-            let p = b.data.as_ptr() as usize;
-            assert!(p >= lo && p + b.data.len() <= hi, "block data was copied out of the chunk");
-        }
-        assert_eq!(&back[0].data[..], b"first-block");
-        assert_eq!(&back[1].data[..], b"second");
     }
 }

@@ -1,19 +1,24 @@
 //! The shuffle's wire format and record order, pinned from outside: what
 //! `write_shuffle` stores is byte for byte `encode_batch` of each bucket, and
-//! `read_shuffle` hands a bucket's records back in block order — local blocks
+//! `read_shuffle` hands a bucket's blocks back in block order — local blocks
 //! first (ascending map id), then remote blocks as they arrive — with every
-//! record of a block in the order its map task produced it.
+//! record of a block, once decoded, in the order its map task produced it.
+//! A block's metadata sizes the reduce side's charges exactly as its decoded
+//! records would.
 
 use std::sync::Arc;
 
 use fabric::{ClusterSpec, Net, PortAddr};
 use simt::sync::Mutex;
-use simt::{SeededRng, Sim};
-use sparklet::data::encode_batch;
+use simt::{for_each_case, SeededRng, Sim};
+use sparklet::data::{decode_batch, encode_batch};
 use sparklet::net_backend::{NetworkBackend, ProcIdentity, Role, VanillaBackend};
+use sparklet::rdd::ops::{ParallelizeRdd, ShuffleDep, ShuffleReadRdd};
+use sparklet::rdd::partitioner::{HashPartitioner, Partitioner};
+use sparklet::rdd::{RddOps, ShuffleDepMeta, TaskOutput};
 use sparklet::rpc::RpcEnv;
 use sparklet::shuffle::{
-    read_shuffle, write_shuffle, MapOutputClient, MapOutputTrackerMaster, MapStatus,
+    group_pairs, read_shuffle, write_shuffle, MapOutputClient, MapOutputTrackerMaster, MapStatus,
 };
 use sparklet::storage::{BlockId, BlockManager};
 use sparklet::task::{ExecutorServices, TaskContext};
@@ -92,15 +97,17 @@ fn bucket_of<T: Clone>(records: &[T], bucket: usize, partition_of: impl Fn(&T) -
 }
 
 /// Write `records` as map `map_id` on `ctx` and check every stored block and
-/// the returned status against `encode_batch` of the bucket.
-fn write_and_check<T: Element + PartialEq + std::fmt::Debug>(
+/// the returned status against `encode_batch` of the bucket, and each block's
+/// value bytes against the bucket's values.
+fn write_and_check<K: Element, V: Element>(
     ctx: &TaskContext,
     map_id: u32,
     reduces: usize,
-    records: &[T],
-    partition_of: impl Fn(&T) -> usize + Copy,
+    records: &[(K, V)],
+    partition_of: impl Fn(&(K, V)) -> usize + Copy,
 ) -> MapStatus {
-    let status = write_shuffle(ctx, SHUFFLE, map_id, reduces, records, partition_of);
+    let value_size = |(_, v): &(K, V)| v.virtual_size();
+    let status = write_shuffle(ctx, SHUFFLE, map_id, reduces, records, partition_of, value_size);
     assert_eq!((status.sizes.len(), status.records.len()), (reduces, reduces));
     for bucket in 0..reduces {
         let want = bucket_of(records, bucket, partition_of);
@@ -109,6 +116,7 @@ fn write_and_check<T: Element + PartialEq + std::fmt::Debug>(
         let block = ctx.services.block_manager.get(id).expect("one block per bucket, empty or not");
         assert_eq!(&block.data[..], &bytes[..], "map {map_id} bucket {bucket}: bytes");
         assert_eq!((block.virtual_len, block.records), (virt, want.len() as u64));
+        assert_eq!(block.value_bytes, want.iter().map(value_size).sum::<u64>());
         assert_eq!((status.sizes[bucket], status.records[bucket]), (virt, want.len() as u64));
     }
     status
@@ -176,8 +184,9 @@ fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
         // 1's (1, 4), then executor 2's (2, 5).
         let block_order = [0usize, 3, 1, 4, 2, 5];
         for bucket in [3u32, 2, 0] {
-            let got =
-                read_shuffle::<(u64, u64)>(&ctxs[0], SHUFFLE, bucket).expect("every block served");
+            let got = read_shuffle::<(u64, u64)>(&ctxs[0], SHUFFLE, bucket)
+                .expect("every block served")
+                .decode();
             let want: Vec<(u64, u64)> = block_order
                 .iter()
                 .flat_map(|&m| bucket_of(&written[m], bucket as usize, partition_of))
@@ -220,7 +229,8 @@ fn a_read_skips_empty_blocks_and_charges_only_the_non_empty_ones() {
         transfer.requests.lock().clear();
 
         let start = simt::now();
-        let got = read_shuffle::<(u64, u64)>(reader, SHUFFLE, 2).expect("every block served");
+        let got =
+            read_shuffle::<(u64, u64)>(reader, SHUFFLE, 2).expect("every block served").decode();
         let took = simt::now() - start;
         let sent = transfer.requests.lock().clone();
         let (holder, empty) = (ctxs[1].services.shuffle_addr, ctxs[2].services.shuffle_addr);
@@ -236,6 +246,128 @@ fn a_read_skips_empty_blocks_and_charges_only_the_non_empty_ones() {
             .map(|st| cost.deser(st.records[2], st.sizes[2]))
             .sum();
         assert_eq!(took, deser, "virtual ns of the read: one deser per non-empty block");
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+/// Write up to four maps of up to 150 records drawn by `record` over two
+/// executors, then check that each stored block's metadata, and each bucket's
+/// sums as executor 0 lands it, give exactly what the reduce side charged
+/// from the decoded records: their count, their values' virtual bytes
+/// (`group`) and their own virtual bytes (`sort`).
+fn check_block_metadata<K, V>(rng: &mut SeededRng, record: impl Fn(&mut SeededRng) -> (K, V))
+where
+    K: Element + std::hash::Hash + Eq,
+    V: Element,
+{
+    let maps = rng.next_range(1, 5) as u32;
+    let reduces = rng.next_range(1, 5) as usize;
+    let written: Vec<Vec<(K, V)>> =
+        (0..maps).map(|_| (0..rng.next_range(0, 150)).map(|_| record(rng)).collect()).collect();
+    let sim = Sim::new();
+    sim.spawn("main", move || {
+        let net = Net::new(&ClusterSpec::test(3));
+        let (tracker, ctxs, _) = executors(&net, 2);
+        let partitioner = HashPartitioner::new(reduces);
+        tracker.register_shuffle(SHUFFLE, maps as usize);
+        for (m, records) in written.iter().enumerate() {
+            let status = write_shuffle(
+                &ctxs[m % 2],
+                SHUFFLE,
+                m as u32,
+                reduces,
+                records,
+                |(k, _)| partitioner.partition(k),
+                |(_, v)| v.virtual_size(),
+            );
+            tracker.register_map_output(SHUFFLE, status);
+        }
+        for bucket in 0..reduces as u32 {
+            for m in 0..maps {
+                let id = BlockId::Shuffle { shuffle_id: SHUFFLE, map_id: m, reduce_id: bucket };
+                let b = ctxs[m as usize % 2].services.block_manager.get(id).expect("written");
+                let records: Vec<(K, V)> = decode_batch(&b.data);
+                let values: u64 = records.iter().map(|(_, v)| v.virtual_size()).sum();
+                let bytes: u64 = records.iter().map(Element::virtual_size).sum();
+                assert_eq!((b.records, b.value_bytes), (records.len() as u64, values));
+                assert_eq!(b.virtual_len - 4, bytes, "a block's size less its record count");
+            }
+            let landed = read_shuffle::<(K, V)>(&ctxs[0], SHUFFLE, bucket).expect("served");
+            let (n, values, bytes) =
+                (landed.records(), landed.value_bytes(), landed.record_bytes());
+            let records = landed.decode();
+            assert_eq!(n, records.len() as u64, "bucket {bucket}: records");
+            assert_eq!(values, records.iter().map(|(_, v)| v.virtual_size()).sum::<u64>());
+            assert_eq!(bytes, records.iter().map(Element::virtual_size).sum::<u64>());
+        }
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
+fn block_metadata_sizes_the_reduce_charges_as_the_decoded_records_do() {
+    let word = |rng: &mut SeededRng| "w".repeat(rng.next_range(0, 24) as usize);
+    let blob = |rng: &mut SeededRng| Blob::new(rng.next_u64(), rng.next_range(0, 1 << 20) as u32);
+    for_each_case(12, |rng| {
+        check_block_metadata(rng, |rng| (rng.next_range(0, 30), blob(rng)));
+        check_block_metadata(rng, |rng| (rng.next_range(0, 30), word(rng)));
+        check_block_metadata(rng, |rng| (format!("k{}", rng.next_range(0, 30)), blob(rng)));
+        check_block_metadata(rng, |rng| (word(rng), word(rng)));
+    });
+}
+
+/// A `group_by_key` reduce on an otherwise idle node takes exactly its CPU
+/// work: a deser job for its local blocks, one per landed chunk, then the
+/// group charge. Its end instants are pinned to the nanosecond: they are the
+/// ones the reduce reached when it still decoded every record before its
+/// group charge.
+#[test]
+fn a_group_by_key_reduce_ends_at_its_pinned_virtual_instants() {
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let net = Net::new(&ClusterSpec::test(4));
+        let (tracker, ctxs, _) = executors(&net, 3);
+        let (maps, reduces) = (6usize, 3usize);
+        let mut rng = SeededRng::from_seed(46);
+        let data: Vec<Arc<Vec<(u64, Blob)>>> = (0..maps as u64)
+            .map(|m| {
+                let n = rng.next_range(50, 200);
+                let blob = |i, rng: &mut SeededRng| {
+                    Blob::new(m * 1000 + i, rng.next_range(1, 1 << 16) as u32)
+                };
+                Arc::new((0..n).map(|i| (rng.next_range(0, 40), blob(i, &mut rng))).collect())
+            })
+            .collect();
+        let total: usize = data.iter().map(|d| d.len()).sum();
+        let dep = Arc::new(ShuffleDep {
+            shuffle_id: SHUFFLE,
+            parent: Arc::new(ParallelizeRdd { id: 1, data }),
+            partitioner: Arc::new(HashPartitioner::new(reduces)),
+            upstream: Vec::new(),
+            map_side_combine: None,
+        });
+        tracker.register_shuffle(SHUFFLE, maps);
+        for m in 0..maps {
+            let TaskOutput::Map(status) = dep.clone().make_map_task(m).run(&ctxs[m % 3]) else {
+                panic!("map {m} registered no output");
+            };
+            tracker.register_map_output(SHUFFLE, status);
+        }
+        let read = ShuffleReadRdd { id: 2, dep, post: Arc::new(group_pairs::<u64, Blob>) };
+        let (mut ends, mut grouped) = (Vec::new(), 0);
+        for r in 0..reduces {
+            let groups = read.compute(r, &ctxs[0]).expect("every block served");
+            grouped += groups.iter().map(|(_, vs)| vs.len()).sum::<usize>();
+            ends.push(simt::now());
+        }
+        assert_eq!(grouped, total, "every record grouped once");
+        assert_eq!(
+            ends,
+            [270_424_449, 277_069_949, 281_597_552],
+            "virtual ns each reduce ended at"
+        );
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();

@@ -65,7 +65,7 @@ impl ScriptedTransfer {
         let BlockId::Shuffle { map_id, .. } = id else { panic!("unexpected block {id}") };
         let (_, _, virtual_len) = self.maps.iter().find(|m| m.0 == map_id).expect("known map");
         let (data, _) = encode_batch(&[u64::from(map_id) * 100]);
-        StoredBlock { data, virtual_len: *virtual_len, records: 1 }
+        StoredBlock { data, virtual_len: *virtual_len, records: 1, value_bytes: 0 }
     }
 }
 
@@ -169,7 +169,7 @@ fn follow_on_request_departs_before_first_requests_last_chunk() {
         let transfer = ScriptedTransfer::new(&maps, vec![vec![MS, 10 * MS, 20 * MS], vec![MS]]);
         let ctx = harness(&net, conf, &maps, transfer.clone());
 
-        let mut out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched");
+        let mut out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched").decode();
         out.sort_unstable();
         assert_eq!(out, vec![0, 100, 200, 300], "all four remote blocks decoded");
 
@@ -212,7 +212,7 @@ fn oversized_request_departs_on_empty_budget() {
         let maps = [(0, 1, 20)];
         let transfer = ScriptedTransfer::new(&maps, vec![vec![MS]]);
         let ctx = harness(&net, conf, &maps, transfer.clone());
-        let out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched");
+        let out: Vec<u64> = read_shuffle(&ctx, 7, 0).expect("every block fetched").decode();
         assert_eq!(out, vec![0]);
         assert_eq!(transfer.calls.lock().len(), 1);
     });

@@ -32,7 +32,7 @@ fn bid(map_id: u32) -> BlockId {
 
 fn block_for(map_id: u32) -> StoredBlock {
     let (data, _) = encode_batch(&[u64::from(map_id) * 100]);
-    StoredBlock { data, virtual_len: 10, records: 1 }
+    StoredBlock { data, virtual_len: 10, records: 1, value_bytes: 0 }
 }
 
 fn conf() -> SparkConf {
