@@ -18,7 +18,7 @@ use simt::sync::Mutex;
 
 use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element, BATCH_HEADER_LEN};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};
-use crate::storage::{BlockId, StoredBlock};
+use crate::storage::{BlockId, KeptBlock, MapOutput, StoredBlock};
 use crate::task::TaskContext;
 use crate::transfer::{FetchResult, FetchSink};
 
@@ -298,31 +298,38 @@ pub fn write_shuffle<T: Element>(
     let cost = ctx.cost();
     ctx.charge(cost.group(n_records, 0) + cost.ser(n_records, total_bytes));
 
+    // Only a bucket with records gets an encoder: an empty one allocates
+    // nothing, and its size is the bare record count.
     let width = records.first().map_or(0, encoded_len);
-    let mut buckets: Vec<BatchEncoder> =
-        counts.iter().map(|&n| BatchEncoder::new(n as usize, n as usize * width)).collect();
+    let mut buckets: Vec<Option<BatchEncoder>> = counts
+        .iter()
+        .map(|&n| (n > 0).then(|| BatchEncoder::new(n as usize, n as usize * width)))
+        .collect();
     for (r, &p) in records.iter().zip(&bucket_of) {
-        buckets[p as usize].push(r);
+        buckets[p as usize].as_mut().expect("a counted bucket").push(r);
     }
     // Freed first: the frozen blocks below then reuse its pages instead of
     // faulting in fresh ones.
     drop(bucket_of);
-    let blocks: Vec<StoredBlock> = buckets
-        .into_iter()
-        .zip(counts.iter().zip(value_bytes))
-        .map(|(bucket, (&records, value_bytes))| {
+    let mut sizes = vec![BATCH_HEADER_LEN; num_reduces];
+    let mut blocks = Vec::with_capacity(counts.iter().filter(|&&n| n > 0).count());
+    for (reduce_id, bucket) in buckets.into_iter().enumerate() {
+        if let Some(bucket) = bucket {
             let (data, virtual_len) = bucket.finish();
-            StoredBlock { data, virtual_len, records, value_bytes }
-        })
-        .collect();
-    let sizes = blocks.iter().map(|b| b.virtual_len).collect();
-    ctx.services.block_manager.put_map_output(shuffle_id, map_id, blocks);
+            sizes[reduce_id] = virtual_len;
+            let value_bytes = value_bytes[reduce_id];
+            blocks.push(KeptBlock { reduce_id: reduce_id as u32, data, value_bytes });
+        }
+    }
+    let (sizes, records) = (Arc::new(sizes), Arc::new(counts));
+    let output = MapOutput::new(sizes.clone(), records.clone(), blocks);
+    ctx.services.block_manager.put_map_output(shuffle_id, map_id, output);
     MapStatus {
         map_id,
         exec_id: ctx.services.exec_id,
         shuffle_addr: ctx.services.shuffle_addr,
-        sizes: Arc::new(sizes),
-        records: Arc::new(counts),
+        sizes,
+        records,
     }
 }
 

@@ -14,6 +14,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use simt::sync::Mutex;
 
+use crate::data::encode_batch;
+
 /// Identifies a stored block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlockId {
@@ -62,18 +64,83 @@ pub struct StoredBlock {
     pub value_bytes: u64,
 }
 
+/// A map task's shuffle output, as Spark's `IndexShuffleBlockResolver` keeps
+/// one data file plus an index per map task: the per-reduce sizes and record
+/// counts its `MapStatus` carries, shared with that status, and the bytes and
+/// value bytes of its non-empty buckets only. An empty bucket has no entry
+/// and no allocation.
+#[derive(Debug)]
+pub struct MapOutput {
+    sizes: Arc<Vec<u64>>,
+    records: Arc<Vec<u64>>,
+    blocks: Vec<KeptBlock>,
+}
+
+/// One non-empty bucket of a [`MapOutput`].
+#[derive(Debug)]
+pub struct KeptBlock {
+    /// Reduce partition the bucket belongs to.
+    pub reduce_id: u32,
+    /// Encoded data.
+    pub data: Bytes,
+    /// Virtual bytes of the records' values ([`StoredBlock::value_bytes`]).
+    pub value_bytes: u64,
+}
+
+impl MapOutput {
+    /// The output whose bucket `r` has virtual size `sizes[r]` and
+    /// `records[r]` records: `blocks` holds exactly the buckets with records,
+    /// ascending by reduce id.
+    pub fn new(sizes: Arc<Vec<u64>>, records: Arc<Vec<u64>>, blocks: Vec<KeptBlock>) -> Self {
+        assert_eq!(sizes.len(), records.len(), "one size and one record count per bucket");
+        assert!(blocks.windows(2).all(|w| w[0].reduce_id < w[1].reduce_id), "kept blocks unsorted");
+        assert!(
+            blocks.len() == records.iter().filter(|&&n| n > 0).count()
+                && blocks.iter().all(|b| records[b.reduce_id as usize] > 0),
+            "a kept block for exactly each bucket with records"
+        );
+        MapOutput { sizes, records, blocks }
+    }
+
+    /// Virtual bytes per reduce partition (the `MapStatus`'s array).
+    pub fn sizes(&self) -> &Arc<Vec<u64>> {
+        &self.sizes
+    }
+
+    /// Records per reduce partition (the `MapStatus`'s array).
+    pub fn records(&self) -> &Arc<Vec<u64>> {
+        &self.records
+    }
+
+    /// The non-empty buckets, ascending by reduce id.
+    pub fn blocks(&self) -> &[KeptBlock] {
+        &self.blocks
+    }
+
+    /// Block `reduce_id`; an empty one is `empty`, the zero-count batch.
+    fn block(&self, reduce_id: u32, empty: &Bytes) -> Option<StoredBlock> {
+        let r = reduce_id as usize;
+        let (virtual_len, records) = (*self.sizes.get(r)?, self.records[r]);
+        let (data, value_bytes) =
+            match self.blocks.binary_search_by_key(&reduce_id, |b| b.reduce_id) {
+                Ok(i) => (self.blocks[i].data.clone(), self.blocks[i].value_bytes),
+                Err(_) => (empty.clone(), 0),
+            };
+        Some(StoredBlock { data, virtual_len, records, value_bytes })
+    }
+}
+
 /// Per-executor block store. Nothing is evicted and no capacity is
 /// modelled: the paper's executors hold 120 GB (§VII-C), which no benchmark
 /// run comes near.
 ///
-/// A map task's shuffle output is one entry, its blocks in reduce order, as
-/// Spark's `IndexShuffleBlockResolver` keeps one data file plus an index per
-/// map task: a shuffle block is found by its map output, then by position.
-#[derive(Default)]
+/// A map task's shuffle output is one [`MapOutput`]: a shuffle block is found
+/// by its map output, then by reduce id.
 pub struct BlockManager {
-    /// Shuffle map outputs by `(shuffle_id, map_id)`; block `reduce_id` of
-    /// an output is its element `reduce_id`.
-    map_outputs: Mutex<BTreeMap<(u32, u32), Vec<StoredBlock>>>,
+    /// Shuffle map outputs by `(shuffle_id, map_id)`.
+    map_outputs: Mutex<BTreeMap<(u32, u32), Arc<MapOutput>>>,
+    /// The zero-count batch every empty shuffle block reads as, held once.
+    empty_block: Bytes,
     /// RDD blocks by `(rdd_id, partition)`.
     rdd_blocks: Mutex<BTreeMap<(u64, u32), StoredBlock>>,
     /// Typed in-memory cache for `Rdd::cache()` partitions: values are
@@ -81,12 +148,27 @@ pub struct BlockManager {
     cache: Mutex<BTreeMap<(u64, u32), Arc<dyn Any + Send + Sync>>>,
 }
 
+impl Default for BlockManager {
+    fn default() -> Self {
+        BlockManager {
+            map_outputs: Mutex::default(),
+            empty_block: encode_batch::<u64>(&[]).0,
+            rdd_blocks: Mutex::default(),
+            cache: Mutex::default(),
+        }
+    }
+}
+
 impl BlockManager {
-    /// Store map task `map_id`'s output of shuffle `shuffle_id`, one block
-    /// per reduce partition in reduce order, replacing any earlier output of
-    /// the same task.
-    pub fn put_map_output(&self, shuffle_id: u32, map_id: u32, blocks: Vec<StoredBlock>) {
-        self.map_outputs.lock().insert((shuffle_id, map_id), blocks);
+    /// Store map task `map_id`'s output of shuffle `shuffle_id`, replacing
+    /// any earlier output of the same task.
+    pub fn put_map_output(&self, shuffle_id: u32, map_id: u32, output: MapOutput) {
+        self.map_outputs.lock().insert((shuffle_id, map_id), Arc::new(output));
+    }
+
+    /// Map task `map_id`'s stored output of shuffle `shuffle_id`.
+    pub fn map_output(&self, shuffle_id: u32, map_id: u32) -> Option<Arc<MapOutput>> {
+        self.map_outputs.lock().get(&(shuffle_id, map_id)).cloned()
     }
 
     /// Store an RDD block, replacing any previous content under the same id.
@@ -94,15 +176,15 @@ impl BlockManager {
         self.rdd_blocks.lock().insert((rdd_id, partition), block);
     }
 
-    /// Fetch a block.
+    /// Fetch a block. An empty shuffle block is the zero-count batch, one
+    /// buffer shared by every empty block of this manager.
     pub fn get(&self, id: BlockId) -> Option<StoredBlock> {
         match id {
             BlockId::Shuffle { shuffle_id, map_id, reduce_id } => self
                 .map_outputs
                 .lock()
                 .get(&(shuffle_id, map_id))
-                .and_then(|blocks| blocks.get(reduce_id as usize))
-                .cloned(),
+                .and_then(|output| output.block(reduce_id, &self.empty_block)),
             BlockId::Rdd { rdd_id, partition } => {
                 self.rdd_blocks.lock().get(&(rdd_id, partition)).cloned()
             }
@@ -154,14 +236,30 @@ mod tests {
         assert_eq!(bm.get(id).unwrap().virtual_len, 40);
     }
 
+    /// A map output whose bucket `r` holds `sizes[r]` virtual bytes and
+    /// `records[r]` records; each non-empty bucket's data is one byte.
+    fn output(sizes: &[u64], records: &[u64]) -> MapOutput {
+        let blocks = (0..records.len() as u32)
+            .filter(|&r| records[r as usize] > 0)
+            .map(|reduce_id| KeptBlock {
+                reduce_id,
+                data: Bytes::from(vec![reduce_id as u8]),
+                value_bytes: 2 * u64::from(reduce_id),
+            })
+            .collect();
+        MapOutput::new(Arc::new(sizes.to_vec()), Arc::new(records.to_vec()), blocks)
+    }
+
     #[test]
     fn a_map_output_serves_its_blocks_by_reduce_id() {
         let bm = BlockManager::default();
-        bm.put_map_output(3, 1, vec![blk(10), blk(11), blk(12)]);
-        bm.put_map_output(3, 2, vec![blk(20)]);
+        bm.put_map_output(3, 1, output(&[10, 11, 12], &[1, 1, 1]));
+        bm.put_map_output(3, 2, output(&[20], &[1]));
         let shuffle = |map_id, reduce_id| BlockId::Shuffle { shuffle_id: 3, map_id, reduce_id };
         for (reduce_id, want) in [10, 11, 12].into_iter().enumerate() {
-            assert_eq!(bm.get(shuffle(1, reduce_id as u32)).unwrap().virtual_len, want);
+            let block = bm.get(shuffle(1, reduce_id as u32)).unwrap();
+            assert_eq!((block.virtual_len, block.value_bytes), (want, 2 * reduce_id as u64));
+            assert_eq!(&block.data[..], &[reduce_id as u8]);
         }
         assert_eq!(bm.get(shuffle(2, 0)).unwrap().virtual_len, 20);
         // A reduce id past the output's end, a map output never stored, and
@@ -171,6 +269,33 @@ mod tests {
         assert!(bm.get(BlockId::Shuffle { shuffle_id: 4, map_id: 1, reduce_id: 0 }).is_none());
         // Nor does a shuffle output answer for an RDD block, or the reverse.
         assert!(bm.get(BlockId::Rdd { rdd_id: 3, partition: 1 }).is_none());
+    }
+
+    #[test]
+    fn a_map_output_keeps_only_its_non_empty_buckets() {
+        const BUCKETS: usize = 224;
+        let mut sizes = vec![4u64; BUCKETS];
+        let mut records = vec![0u64; BUCKETS];
+        for (r, n) in [(5, 3), (100, 1), (223, 7)] {
+            (sizes[r], records[r]) = (4 + 8 * n, n);
+        }
+        let bm = BlockManager::default();
+        bm.put_map_output(0, 0, output(&sizes, &records));
+        let stored = bm.map_output(0, 0).unwrap();
+        assert_eq!(stored.blocks().len(), 3);
+        let get = |reduce_id| bm.get(BlockId::Shuffle { shuffle_id: 0, map_id: 0, reduce_id });
+        // Two empty blocks: a zero-count header, one buffer for both.
+        let (a, b) = (get(0).unwrap(), get(222).unwrap());
+        for empty in [&a, &b] {
+            assert_eq!((empty.records, empty.virtual_len, empty.value_bytes), (0, 4, 0));
+            assert_eq!(&empty.data[..], &[0; 4]);
+        }
+        assert_eq!(a.data.as_ptr(), b.data.as_ptr(), "one shared header");
+        // A non-empty block is the stored allocation, with its own counts.
+        let kept = get(100).unwrap();
+        assert_eq!(kept.data.as_ptr(), stored.blocks()[1].data.as_ptr());
+        assert_eq!((kept.records, kept.virtual_len, kept.value_bytes), (1, 12, 200));
+        assert!(get(BUCKETS as u32).is_none());
     }
 
     #[test]

@@ -153,6 +153,38 @@ fn stored_blocks_are_byte_equal_to_encode_batch_of_their_bucket() {
 }
 
 #[test]
+fn a_map_output_shares_its_status_arrays_and_keeps_only_non_empty_buckets() {
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let (_, ctxs, _) = executors(&net, 1);
+        let reduces = 224;
+        // Five keys over 224 buckets, then an empty map task: most buckets
+        // of the first output, and all of the second's, are empty.
+        let records: Vec<(u64, u64)> = (0..300).map(|i| (i % 5 * 37, i)).collect();
+        for (map_id, records) in [(0, &records[..]), (1, &[][..])] {
+            let status = write_shuffle(
+                &ctxs[0],
+                SHUFFLE,
+                map_id,
+                reduces,
+                records,
+                |r| r.0 as usize % reduces,
+                |_| 8,
+            );
+            let stored = ctxs[0].services.block_manager.map_output(SHUFFLE, map_id).unwrap();
+            assert!(Arc::ptr_eq(&status.sizes, stored.sizes()), "map {map_id}: sizes copied");
+            assert!(Arc::ptr_eq(&status.records, stored.records()), "map {map_id}: counts copied");
+            let non_empty = status.records.iter().filter(|&&n| n > 0).count();
+            assert_eq!(stored.blocks().len(), non_empty, "map {map_id}: kept blocks");
+            assert_eq!(non_empty, if map_id == 0 { 5 } else { 0 });
+        }
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
 fn round_trip_returns_each_bucket_in_block_then_arrival_order() {
     let sim = Sim::new();
     sim.spawn("main", || {

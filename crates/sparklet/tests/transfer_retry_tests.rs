@@ -17,7 +17,7 @@ use simt::sync::Mutex;
 use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, Plane, ProcIdentity, Role, VanillaBackend};
-use sparklet::storage::{BlockId, BlockManager, StoredBlock};
+use sparklet::storage::{BlockId, BlockManager, KeptBlock, MapOutput, StoredBlock};
 use sparklet::transfer::{
     BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, OpenBlocks,
     RetryingBlockFetcher, ShuffleService, StreamHandle, PLANE_FAILURE_THRESHOLD,
@@ -33,6 +33,13 @@ fn bid(map_id: u32) -> BlockId {
 fn block_for(map_id: u32) -> StoredBlock {
     let (data, _) = encode_batch(&[u64::from(map_id) * 100]);
     StoredBlock { data, virtual_len: 10, records: 1, value_bytes: 0 }
+}
+
+/// Map `map_id`'s output: one reduce bucket, holding `block_for(map_id)`.
+fn output_for(map_id: u32) -> MapOutput {
+    let StoredBlock { data, virtual_len, records, value_bytes } = block_for(map_id);
+    let block = KeptBlock { reduce_id: 0, data, value_bytes };
+    MapOutput::new(Arc::new(vec![virtual_len]), Arc::new(vec![records]), vec![block])
 }
 
 fn conf() -> SparkConf {
@@ -85,8 +92,8 @@ fn one_bad_chunk_does_not_fail_sibling_blocks_on_the_real_wire() {
 
         let server_id = ProcIdentity::new(Role::Executor(1), 1, "executor-1");
         let bm = Arc::new(BlockManager::default());
-        bm.put_map_output(7, 0, vec![block_for(0)]);
-        bm.put_map_output(7, 2, vec![block_for(2)]); // bid(1) intentionally absent
+        bm.put_map_output(7, 0, output_for(0));
+        bm.put_map_output(7, 2, output_for(2)); // bid(1) intentionally absent
         let (_svc, server_ep) = ShuffleService::start(&server_id, &net, &backend, bm, conf);
 
         let client_id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
@@ -115,7 +122,7 @@ fn a_closed_channel_takes_its_unserved_streams_with_it() {
         let backend: Arc<dyn NetworkBackend> = Arc::new(VanillaBackend::with_conf(&conf));
         let server_id = ProcIdentity::new(Role::Executor(1), 1, "executor-1");
         let bm = Arc::new(BlockManager::default());
-        bm.put_map_output(7, 0, vec![block_for(0)]);
+        bm.put_map_output(7, 0, output_for(0));
         let (svc, server_ep) = ShuffleService::start(&server_id, &net, &backend, bm, conf);
 
         // A client that opens a stream and closes before asking for a chunk.
