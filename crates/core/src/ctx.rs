@@ -6,7 +6,6 @@ use std::sync::Arc;
 use netz::CommKind;
 use rmpi::Comm;
 use simt::sync::Mutex;
-use simt::wait::WaitList;
 
 /// MPI identity of one Spark process: its primary intracommunicator (the
 /// wrapper `MPI_COMM_WORLD` for master/driver/workers; the child world —
@@ -18,8 +17,6 @@ pub struct MpiProcCtx {
     /// Primary intracommunicator.
     pub world: Comm,
     inter: Mutex<Option<Comm>>,
-    /// Notified when `inter` is set.
-    inter_set: WaitList,
     router: Mutex<Option<Arc<crate::transport::BasicRouter>>>,
 }
 
@@ -30,7 +27,6 @@ impl MpiProcCtx {
             kind: CommKind::World,
             world,
             inter: Mutex::new(None),
-            inter_set: WaitList::new("mpi-inter"),
             router: Mutex::new(None),
         })
     }
@@ -41,7 +37,6 @@ impl MpiProcCtx {
             kind: CommKind::Dpm,
             world: child_world,
             inter: Mutex::new(Some(parent)),
-            inter_set: WaitList::new("mpi-inter"),
             router: Mutex::new(None),
         })
     }
@@ -50,19 +45,11 @@ impl MpiProcCtx {
     /// `spawn_multiple` returns).
     pub fn set_inter(&self, inter: Comm) {
         *self.inter.lock() = Some(inter);
-        self.inter_set.notify_all();
     }
 
     /// The intercommunicator, when already established.
     pub fn inter(&self) -> Option<Comm> {
         self.inter.lock().clone()
-    }
-
-    /// Block (in virtual time) until the intercommunicator exists. Only
-    /// reachable before the DPM spawn completes, which cannot happen on any
-    /// path that also has an executor peer — the wait is a safety net.
-    pub fn inter_blocking(&self) -> Comm {
-        self.inter_set.wait_until(None, || self.inter()).expect("no deadline, so a value")
     }
 
     /// My rank within my primary communicator (what the handshake carries).
@@ -79,8 +66,10 @@ impl MpiProcCtx {
         } else {
             // Cross-group: the intercommunicator addresses the remote
             // group, where a peer's rank equals its own-world rank (group A
-            // = WORLD in rank order; group B = children in spawn order).
-            (self.inter_blocking(), peer_rank)
+            // = WORLD in rank order; group B = children in spawn order). A
+            // cross-group peer exists only once the DPM spawn has returned,
+            // and the wrapper sets the intercommunicator right then.
+            (self.inter().expect("a cross-group peer implies the DPM spawn set `inter`"), peer_rank)
         }
     }
 

@@ -425,20 +425,6 @@ impl PortRx {
         Ok(pkt)
     }
 
-    /// Blocking receive with a relative timeout (ns).
-    pub fn recv_timeout(&self, timeout: u64) -> Result<Packet, RecvError> {
-        let pkt = self.queue.recv_timeout(timeout)?;
-        self.net.cpu(self.addr.node).execute(pkt.recv_cpu_ns);
-        Ok(pkt)
-    }
-
-    /// Non-blocking receive. Charges receive CPU when a packet is returned.
-    pub fn try_recv(&self) -> Option<Packet> {
-        let pkt = self.queue.try_recv()?;
-        self.net.cpu(self.addr.node).execute(pkt.recv_cpu_ns);
-        Some(pkt)
-    }
-
     /// [`recv`](PortRx::recv) without parking: `then` runs on the engine once
     /// a packet is taken and its receive CPU charged, under the `(time, seq)`
     /// the receiving thread's wake would have taken.

@@ -112,7 +112,6 @@ pub struct ChannelCore {
     pub(crate) stats: ChanStats,
     pub(crate) pending: Mutex<PendingResponses>,
     open: Mutex<bool>,
-    next_seq: AtomicU64,
 }
 
 impl ChannelCore {
@@ -149,18 +148,12 @@ impl ChannelCore {
             stats,
             pending: Mutex::new(PendingResponses::default()),
             open: Mutex::new(true),
-            next_seq: AtomicU64::new(0),
         })
     }
 
     /// True until either side closed the channel.
     pub fn is_open(&self) -> bool {
         *self.open.lock()
-    }
-
-    /// Next per-channel sequence number (MPI transports use it as a tag).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Write a message: run the outbound pipeline; unless a handler takes
@@ -364,25 +357,6 @@ mod tests {
         let b = ChannelId::fresh();
         assert_ne!(a, b);
         assert!(a.to_string().starts_with("ch-"));
-    }
-
-    #[test]
-    fn seq_numbers_increment() {
-        let net = Net::new(&fabric::ClusterSpec::test(2));
-        let ch = ChannelCore::new(
-            ChannelId::fresh(),
-            0,
-            1,
-            PortAddr { node: 1, port: 1 },
-            PortAddr { node: 0, port: 1 },
-            StackModel::native_mpi(),
-            net,
-            Handshake::default(),
-            Handshake::default(),
-        );
-        assert_eq!(ch.next_seq(), 0);
-        assert_eq!(ch.next_seq(), 1);
-        assert_eq!(ch.next_seq(), 2);
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub(crate) struct EndpointInner {
     pub handler: Arc<dyn RpcHandler>,
     pub transport: Arc<dyn Transport>,
     channels: Mutex<BTreeMap<ChannelId, Arc<ChannelCore>>>,
+    /// One client per remote address (Spark's `TransportClientFactory` pool).
+    clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
     pending_connects: Mutex<BTreeMap<ChannelId, OnceCell<Result<Arc<ChannelCore>, NetzError>>>>,
     accepting: Mutex<bool>,
 }
@@ -88,6 +90,7 @@ impl Endpoint {
             handler,
             transport,
             channels: Mutex::new(BTreeMap::new()),
+            clients: Mutex::new(BTreeMap::new()),
             pending_connects: Mutex::new(BTreeMap::new()),
             accepting: Mutex::new(true),
         });
@@ -199,6 +202,42 @@ impl Endpoint {
         );
     }
 
+    /// The cached client for `remote` while its channel is open, else a new
+    /// connection ([`connect`](Endpoint::connect)) that is then cached.
+    pub fn client(&self, remote: PortAddr) -> Result<TransportClient, NetzError> {
+        if let Some(c) = self.cached_client(remote) {
+            return Ok(c);
+        }
+        let c = self.connect(remote)?;
+        self.inner.clients.lock().insert(remote, c.clone());
+        Ok(c)
+    }
+
+    /// [`client`](Endpoint::client) without parking: `then` gets the cached
+    /// client at once, or the new connection once it is made. Two calls that
+    /// miss the cache together both connect, and the later client replaces
+    /// the earlier in the cache.
+    pub fn client_then(
+        &self,
+        remote: PortAddr,
+        then: impl FnOnce(Result<TransportClient, NetzError>) + Send + 'static,
+    ) {
+        if let Some(c) = self.cached_client(remote) {
+            return then(Ok(c));
+        }
+        let ep = self.clone();
+        self.connect_then(remote, move |client| {
+            if let Ok(c) = &client {
+                ep.inner.clients.lock().insert(remote, c.clone());
+            }
+            then(client);
+        });
+    }
+
+    fn cached_client(&self, remote: PortAddr) -> Option<TransportClient> {
+        self.inner.clients.lock().get(&remote).filter(|c| c.is_active()).cloned()
+    }
+
     /// A fresh channel id, the cell its accept lands in, and the `Connect`
     /// request to send for it.
     fn post_connect(&self) -> (ChannelId, OnceCell<Result<Arc<ChannelCore>, NetzError>>, Payload) {
@@ -228,9 +267,17 @@ impl Endpoint {
         }
     }
 
-    /// Stop accepting, close every channel, and unbind the port (stops the
-    /// event loop).
+    /// Close the cached clients (in address order), stop accepting, close
+    /// every other channel, and unbind the port (stops the event loop).
     pub fn shutdown(&self) {
+        // Snapshot under the lock, close outside it: `close` charges the
+        // `Close` frame on the virtual clock, and a task still running on a
+        // lost executor may take a client through this cache meanwhile.
+        let clients: Vec<_> =
+            std::mem::take(&mut *self.inner.clients.lock()).into_values().collect();
+        for c in clients {
+            c.close();
+        }
         *self.inner.accepting.lock() = false;
         let chans: Vec<_> =
             std::mem::take(&mut *self.inner.channels.lock()).into_values().collect();

@@ -576,3 +576,146 @@ fn a_reply_made_inside_receive_holds_the_port_and_a_later_one_does_not() {
     assert_eq!(two_requests(false, true), [93_246, 93_246 + read]);
     assert_eq!((write, read), (15_002, 15_002));
 }
+
+/// A server on node 0 answering with `handler`, and a client endpoint on
+/// node 1.
+fn server_and_client(
+    net: &Net,
+    conf: TransportConf,
+    handler: Arc<dyn RpcHandler>,
+) -> (netz::Endpoint, netz::Endpoint) {
+    let server = TransportContext::new(net.clone(), conf, handler).create_server("server", 0, 100);
+    let ep = TransportContext::new(net.clone(), conf, Arc::new(NoOpRpcHandler))
+        .create_client_endpoint("client", 1);
+    (server, ep)
+}
+
+fn channels_opened(net: &Net) -> u64 {
+    net.obs().registry().snapshot().counter(obs::keys::NETZ_CHANNELS_OPENED)
+}
+
+#[test]
+fn client_calls_share_one_channel() {
+    let (sim, net) = setup(2);
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let (server, ep) = server_and_client(&net, conf, Arc::new(EchoHandler));
+        let a = ep.client(server.addr()).unwrap();
+        let b = ep.client(server.addr()).unwrap();
+        assert_eq!(a.channel().id, b.channel().id);
+        assert_eq!(ep.channels().len(), 1);
+        assert_eq!(channels_opened(&net), 2, "one connection, one channel per side");
+        let reply = b.send_rpc(Payload::bytes(Bytes::from_static(b"ping"))).unwrap();
+        assert_eq!(&reply.bytes[..], b"ping");
+    });
+    sim.run().unwrap().assert_clean();
+}
+
+#[test]
+fn client_connects_again_once_its_channel_closes() {
+    let (sim, net) = setup(2);
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let (server, ep) = server_and_client(&net, conf, Arc::new(EchoHandler));
+        let first = ep.client(server.addr()).unwrap();
+        first.close();
+        let second = ep.client(server.addr()).unwrap();
+        assert!(!first.is_active());
+        assert!(second.is_active());
+        assert_ne!(first.channel().id, second.channel().id);
+        assert_eq!(channels_opened(&net), 4, "two connections, one channel per side each");
+        let reply = second.send_rpc(Payload::bytes(Bytes::from_static(b"again"))).unwrap();
+        assert_eq!(&reply.bytes[..], b"again");
+    });
+    sim.run().unwrap().assert_clean();
+}
+
+#[test]
+fn client_then_from_a_continuation_returns_the_cached_client_without_a_connect() {
+    let (sim, net) = setup(2);
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let (server, ep) = server_and_client(&net, conf, Arc::new(EchoHandler));
+        let cached = ep.client(server.addr()).unwrap().channel().id;
+        let seen = Arc::new(Mutex::new(None));
+        let (seen2, remote, net2) = (seen.clone(), server.addr(), net.clone());
+        simt::engine::call_at(simt::now(), move || {
+            let before = channels_opened(&net2);
+            let got = Arc::new(Mutex::new(None));
+            let got2 = got.clone();
+            ep.client_then(remote, move |c| *got2.lock() = Some(c.map(|c| c.channel().id)));
+            // At once: a connect would need a round trip on the wire.
+            let id = got.lock().take().expect("the cached client, at once");
+            *seen2.lock() = Some((id, channels_opened(&net2) - before));
+        });
+        simt::sleep(simt::time::millis(1));
+        let (id, opened) = seen.lock().take().expect("the continuation ran");
+        assert_eq!(id.unwrap(), cached);
+        assert_eq!(opened, 0, "no channel opened");
+        assert_eq!(channels_opened(&net), 2, "no `Connect` reached the server");
+    });
+    sim.run().unwrap().assert_clean();
+}
+
+#[test]
+fn shutdown_closes_the_cached_clients() {
+    let (sim, net) = setup(2);
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let (server, ep) = server_and_client(&net, conf, Arc::new(BlackHole));
+        let client = ep.client(server.addr()).unwrap();
+        let ep2 = ep.clone();
+        simt::spawn("shutdown", move || {
+            simt::sleep(simt::time::millis(2));
+            ep2.shutdown();
+        });
+        let r = client.send_rpc(Payload::bytes(Bytes::from_static(b"never")));
+        assert!(matches!(r, Err(NetzError::ChannelClosed)), "{r:?}");
+        assert!(simt::now() < conf.request_timeout_ns, "failed at the shutdown, not the timeout");
+        assert!(!client.is_active());
+    });
+    sim.run().unwrap().assert_clean();
+}
+
+#[test]
+fn shutdown_closes_the_cached_clients_first_in_address_order() {
+    /// Logs when a channel to this server goes down.
+    struct Downs(&'static str, Arc<Mutex<Vec<(&'static str, u64)>>>);
+    impl RpcHandler for Downs {
+        fn receive(
+            &self,
+            _c: &Arc<netz::ChannelCore>,
+            body: Payload,
+            reply: netz::context::RpcResponseCallback,
+        ) {
+            reply(Ok(body));
+        }
+        fn channel_inactive(&self, _chan: &Arc<netz::ChannelCore>) {
+            self.1.lock().push((self.0, simt::now()));
+        }
+    }
+    let (sim, net) = setup(3);
+    let downs = Arc::new(Mutex::new(Vec::new()));
+    let downs2 = downs.clone();
+    sim.spawn("main", move || {
+        let conf = TransportConf::default_sockets();
+        let server = |name, node| {
+            TransportContext::new(net.clone(), conf, Arc::new(Downs(name, downs2.clone())))
+                .create_server(name, node, 100)
+        };
+        let (low, high) = (server("low", 0), server("high", 2));
+        assert!(low.addr() < high.addr());
+        let ep = TransportContext::new(net.clone(), conf, Arc::new(NoOpRpcHandler))
+            .create_client_endpoint("client", 1);
+        // Connect to the higher address first, so its channel is the older.
+        ep.client(high.addr()).unwrap();
+        ep.client(low.addr()).unwrap();
+        ep.shutdown();
+        simt::sleep(simt::time::millis(1));
+    });
+    sim.run().unwrap().assert_clean();
+    let downs = downs.lock().clone();
+    let order: Vec<_> = downs.iter().map(|(name, _)| *name).collect();
+    assert_eq!(order, ["low", "high"], "cached clients close in address order: {downs:?}");
+    assert!(downs[0].1 < downs[1].1, "one `Close` after the other: {downs:?}");
+}

@@ -187,10 +187,9 @@ impl std::fmt::Debug for Comm {
 ///
 /// Receive requests own a posted slot in the process's message store: the
 /// match is *reserved* at post/arrival time, so no later receive can take it
-/// away before [`wait`](Request::wait). A request dropped without a wait or
-/// `cancel` releases its slot (without a drain); any pinned message is
-/// discarded.
-#[must_use = "a dropped receive request is cancelled: `wait` or `cancel` it"]
+/// away before [`wait`](Request::wait). A request dropped unwaited releases
+/// its slot (without a drain); any pinned message is discarded.
+#[must_use = "a dropped receive request is cancelled: `wait` it"]
 pub struct Request {
     kind: RequestKind,
 }
@@ -200,7 +199,7 @@ enum RequestKind {
     Recv {
         comm: Comm,
         id: ReqId,
-        /// Slot already consumed (waited for or cancelled)?
+        /// Slot already consumed (waited for)?
         done: bool,
     },
 }
@@ -261,16 +260,6 @@ impl Request {
                 comm.me().store.req_wait_then(*id, deadline, then);
                 *done = true;
             }
-        }
-    }
-
-    /// Abandon the operation. For a still-pending receive, `drain` installs
-    /// a one-shot absorber so the in-flight message is dropped on arrival
-    /// rather than stored forever.
-    pub fn cancel(mut self, drain: bool) {
-        if let RequestKind::Recv { comm, id, done } = &mut self.kind {
-            comm.me().store.cancel_recv(*id, drain);
-            *done = true;
         }
     }
 }

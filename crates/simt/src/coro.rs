@@ -55,7 +55,7 @@ const MIN_STACK: usize = 16 * 1024;
 pub(crate) const STACK_SIZE: usize = 512 * 1024;
 /// Most stacks kept idle. Thread churn is short-lived tasks and fetches, so a small
 /// list carries the gain; an idle stack keeps the pages its threads touched, which
-/// shows in peak RSS (EXPERIMENTS.md, "Host cost of the thread lifecycle").
+/// shows in peak RSS (the stack-recycling entry of CHANGES.md).
 const MAX_IDLE: usize = 128;
 
 extern "C" {

@@ -132,11 +132,6 @@ impl<T> Queue<T> {
         item.map(Ok).or(s.closed.then_some(Err(RecvError::Closed)))
     }
 
-    /// Blocking receive with a relative timeout in nanoseconds.
-    pub fn recv_timeout(&self, timeout: u64) -> Result<T, RecvError> {
-        self.recv_deadline(crate::now().saturating_add(timeout))
-    }
-
     /// Close the queue: pending items stay receivable, future sends drop, and
     /// blocked receivers observe `Closed` once drained.
     pub fn close(&self) {
@@ -219,7 +214,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("rx", || {
             let q = Queue::<u32>::new();
-            let r = q.recv_timeout(1_000);
+            let r = q.recv_deadline(1_000);
             assert_eq!(r, Err(RecvError::Timeout));
             assert_eq!(crate::now(), 1_000);
         });
@@ -232,7 +227,7 @@ mod tests {
         let q = Queue::<u32>::new();
         let q2 = q.clone();
         sim.spawn("rx", move || {
-            let r = q2.recv_timeout(1_000);
+            let r = q2.recv_deadline(1_000);
             assert_eq!(r, Ok(4));
             assert_eq!(crate::now(), 100);
         });
@@ -252,7 +247,7 @@ mod tests {
         let q = Queue::<u32>::new();
         let q2 = q.clone();
         sim.spawn("rx", move || {
-            assert_eq!(q2.recv_timeout(10), Err(RecvError::Timeout));
+            assert_eq!(q2.recv_deadline(10), Err(RecvError::Timeout));
             assert_eq!(q2.recv().unwrap(), 5);
         });
         sim.spawn("tx", move || {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use fabric::{Net, NodeId, Payload, PortAddr};
-use netz::{ChannelCore, NetzError, TransportClient, TransportConf, TransportContext};
+use netz::{ChannelCore, NetzError, TransportConf, TransportContext};
 use simt::queue::Queue;
 use simt::sync::Mutex;
 
@@ -104,7 +104,6 @@ pub struct RpcEnv {
     endpoints: Arc<Mutex<BTreeMap<String, Queue<Inbound>>>>,
     streams: Arc<Mutex<Option<Arc<dyn netz::StreamManager>>>>,
     peer_lost: Arc<OnceLock<PeerLostFn>>,
-    clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
     conf: TransportConf,
     name: String,
 }
@@ -134,15 +133,7 @@ impl RpcEnv {
             Some(p) => ctx.create_server(name.clone(), identity.node, p),
             None => ctx.create_client_endpoint(name.clone(), identity.node),
         };
-        Arc::new(RpcEnv {
-            server,
-            endpoints,
-            streams,
-            peer_lost,
-            clients: Mutex::new(BTreeMap::new()),
-            conf,
-            name,
-        })
+        Arc::new(RpcEnv { server, endpoints, streams, peer_lost, conf, name })
     }
 
     /// Address other processes reach this environment at.
@@ -179,7 +170,7 @@ impl RpcEnv {
     /// Fetch a named stream from a remote environment (blocks for the
     /// data).
     pub fn fetch_stream(&self, addr: PortAddr, name: &str) -> Result<Payload, NetzError> {
-        let client = self.client(addr)?;
+        let client = self.server.client(addr)?;
         client.open_stream(name)
     }
 
@@ -208,33 +199,9 @@ impl RpcEnv {
         RpcRef { env: self.clone(), addr, endpoint: name.into() }
     }
 
-    fn client(&self, addr: PortAddr) -> Result<TransportClient, NetzError> {
-        {
-            let cache = self.clients.lock();
-            if let Some(c) = cache.get(&addr) {
-                if c.is_active() {
-                    return Ok(c.clone());
-                }
-            }
-        }
-        let c = self.server.connect(addr)?;
-        self.clients.lock().insert(addr, c.clone());
-        Ok(c)
-    }
-
-    /// Tear down outgoing connections and the server endpoint.
+    /// Stop the local endpoints, then tear down the netz endpoint (its
+    /// outgoing connections first).
     pub fn shutdown(&self) {
-        // Snapshot under the lock, close outside it. `close()` charges
-        // virtual send time for the FIN frame — a simt wait point — and
-        // writing `for c in ...lock()...` would hold the guard across it
-        // (the iterator expression's temporary lives for the whole loop).
-        // A task on a lost executor can still be running here, and its
-        // completion send must be able to take this lock meanwhile.
-        let clients: Vec<TransportClient> =
-            std::mem::take(&mut *self.clients.lock()).into_values().collect();
-        for c in clients {
-            c.close();
-        }
         let names: Vec<String> = self.endpoints.lock().keys().cloned().collect();
         for n in names {
             self.unregister(&n);
@@ -276,7 +243,7 @@ impl RpcRef {
         msg: impl Any + Send + Sync,
         wire: u64,
     ) -> Result<Arc<R>, NetzError> {
-        let client = self.env.client(self.addr)?;
+        let client = self.env.server.client(self.addr)?;
         let envelope = Envelope { endpoint: self.endpoint.clone(), msg: Arc::new(msg) };
         let reply = client.send_rpc(Payload::control(envelope, wire))?;
         reply
@@ -293,7 +260,7 @@ impl RpcRef {
 
     /// One-way send with an explicit virtual wire size.
     pub fn send_sized(&self, msg: impl Any + Send + Sync, wire: u64) -> Result<(), NetzError> {
-        let client = self.env.client(self.addr)?;
+        let client = self.env.server.client(self.addr)?;
         let envelope = Envelope { endpoint: self.endpoint.clone(), msg: Arc::new(msg) };
         client.send_oneway(Payload::control(envelope, wire));
         Ok(())

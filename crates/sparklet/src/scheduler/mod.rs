@@ -271,38 +271,29 @@ impl DagScheduler {
         self.env.get().map(|e| e.obs().clone()).unwrap_or_else(obs::Obs::disabled)
     }
 
-    /// Run a job to completion; returns its per-partition results in
-    /// partition order.
-    pub fn submit_job(self: &Arc<Self>, job: JobSpec) -> Vec<AnyMsg> {
+    /// Run a job to completion on the calling (driver) thread; returns its
+    /// per-partition results in partition order.
+    pub fn submit_job(&self, job: JobSpec) -> Vec<AnyMsg> {
         assert!(
             !self.job_running.swap(true, Ordering::SeqCst),
             "concurrent jobs are not supported; run jobs sequentially from one driver thread"
         );
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        let done = simt::sync::OnceCell::new();
-        let sched = self.clone();
-        let results = done.clone();
-        // Each job runs on its own green thread driving the stage engine
-        // while the submitting thread waits for the results. Spawning and
-        // the hand-off charge no virtual time.
-        simt::spawn(format!("job-{job_id}-driver"), move || {
-            let obs = sched.obs();
-            let _span = obs.is_traced().then(|| {
-                obs.span("spark.job", obs::kv! {"job_id" => job_id, "action" => &job.action})
-            });
-            let start_ns = simt::now();
-            let (results, stages) = stage::run_job(&sched, &job, job_id);
-            sched.metrics.lock().push(JobMetrics {
-                job_id,
-                action: job.action,
-                start_ns,
-                end_ns: simt::now(),
-                stages,
-            });
-            sched.job_running.store(false, Ordering::SeqCst);
-            done.put(results);
+        let obs = self.obs();
+        let _span = obs
+            .is_traced()
+            .then(|| obs.span("spark.job", obs::kv! {"job_id" => job_id, "action" => &job.action}));
+        let start_ns = simt::now();
+        let (results, stages) = stage::run_job(self, &job, job_id);
+        self.metrics.lock().push(JobMetrics {
+            job_id,
+            action: job.action,
+            start_ns,
+            end_ns: simt::now(),
+            stages,
         });
-        results.take()
+        self.job_running.store(false, Ordering::SeqCst);
+        results
     }
 }
 

@@ -246,7 +246,6 @@ impl StreamManager for ShuffleService {
 /// Default shuffle-plane client: netz channels to remote shuffle services.
 pub struct NettyBlockTransferService {
     endpoint: netz::Endpoint,
-    clients: Arc<Mutex<BTreeMap<PortAddr, TransportClient>>>,
 }
 
 impl NettyBlockTransferService {
@@ -263,28 +262,7 @@ impl NettyBlockTransferService {
     pub fn with_context(ctx: TransportContext, identity: &ProcIdentity, label: &str) -> Arc<Self> {
         let endpoint =
             ctx.create_client_endpoint(format!("{label}:{}", identity.name), identity.node);
-        Arc::new(NettyBlockTransferService { endpoint, clients: Arc::default() })
-    }
-
-    /// The cached client for `addr` (at once), or a new connection to it.
-    /// Two fetches that miss the cache together both connect, and the later
-    /// client replaces the earlier in the cache.
-    fn client_then(
-        &self,
-        addr: PortAddr,
-        then: impl FnOnce(Result<TransportClient, NetzError>) + Send + 'static,
-    ) {
-        let cached = self.clients.lock().get(&addr).filter(|c| c.is_active()).cloned();
-        if let Some(c) = cached {
-            return then(Ok(c));
-        }
-        let clients = self.clients.clone();
-        self.endpoint.connect_then(addr, move |client| {
-            if let Ok(c) = &client {
-                clients.lock().insert(addr, c.clone());
-            }
-            then(client);
-        });
+        Arc::new(NettyBlockTransferService { endpoint })
     }
 }
 
@@ -356,7 +334,7 @@ impl BlockTransferService for NettyBlockTransferService {
         sink: FetchSink,
         issued: Box<dyn FnOnce() + Send>,
     ) {
-        self.client_then(remote, move |client| {
+        self.endpoint.client_then(remote, move |client| {
             let client = match client {
                 Ok(c) => c,
                 Err(e) => return fail_request(&sink, blocks, e, issued),
@@ -381,14 +359,6 @@ impl BlockTransferService for NettyBlockTransferService {
     }
 
     fn close(&self) {
-        // Snapshot under the lock, close outside it: `close()` blocks on the
-        // virtual clock to ship the FIN frame, and a reduce task on a lost
-        // executor can still fetch through this cache during teardown.
-        let clients: Vec<TransportClient> =
-            std::mem::take(&mut *self.clients.lock()).into_values().collect();
-        for c in clients {
-            c.close();
-        }
         self.endpoint.shutdown();
     }
 }

@@ -169,6 +169,9 @@ fn a_clean_shuffle_spawns_no_per_request_thread() {
             .filter(|p| out.spawned.contains_key(*p))
             .collect();
         assert!(loops.is_empty(), "{}: threads serve ports: {loops:?}", system.label());
+        // A job runs on the driver thread that submits it.
+        let jobs: Vec<_> = out.spawned.keys().filter(|p| p.starts_with("job-")).collect();
+        assert!(jobs.is_empty(), "{}: jobs spawned {jobs:?}", system.label());
         assert!(out.spawned.contains_key("task-e"), "{}: the census counts tasks", system.label());
     }
 }

@@ -126,12 +126,14 @@ grep -q '^host-profile: wake ' "$CI_TMP/profile.log" || {
   exit 1
 }
 
-# No thread serves a fabric port: netz's event loops and rmpi's progress pumps
-# are chains of engine continuations (`fabric::net::PortRx::serve`), so their
-# names never reach the traced cell's thread census.
+# Green threads model processes, not requests. No thread serves a fabric port:
+# netz's event loops and rmpi's progress pumps are chains of engine
+# continuations (`fabric::net::PortRx::serve`), and so are shuffle fetch retries
+# and Optimized body receives; a job runs on the driver thread that submits it.
+# None of these names may reach the traced cell's thread census.
 census="$(grep '^simt: green threads spawned by name' "$CI_TMP/profile.log")"
-if grep -qE '(netz-boss|netz-loop|mpi-pump) ' <<< "$census"; then
-  echo "error: a green thread serves a fabric port: $census" >&2
+if grep -qE '(netz-boss|netz-loop|mpi-pump|job-|fetch-retry|mpi-opt-body-pump) ' <<< "$census"; then
+  echo "error: a retired per-request or per-port thread is back: $census" >&2
   exit 1
 fi
 
