@@ -169,8 +169,8 @@ impl Args {
             s.unmapped
         ));
         let census = workloads::spawn_census();
-        let top: Vec<String> = census.iter().take(5).map(|(p, n)| format!("{p} {n}")).collect();
-        run.note(&format!("green threads spawned by name, largest first: {}", top.join(", ")));
+        let all: Vec<String> = census.iter().map(|(p, n)| format!("{p} {n}")).collect();
+        run.note(&format!("green threads spawned by name, largest first: {}", all.join(", ")));
         if self.host_profile {
             simt::set_host_profile(false);
             host_profile_notes(&mut run, simt::take_host_profile());

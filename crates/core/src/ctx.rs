@@ -17,7 +17,8 @@ pub struct MpiProcCtx {
     /// Primary intracommunicator.
     pub world: Comm,
     inter: Mutex<Option<Comm>>,
-    router: Mutex<Option<Arc<crate::transport::BasicRouter>>>,
+    /// The Basic design's demultiplexer (idle under any other transport).
+    pub(crate) router: Arc<crate::transport::BasicRouter>,
 }
 
 impl MpiProcCtx {
@@ -27,7 +28,7 @@ impl MpiProcCtx {
             kind: CommKind::World,
             world,
             inter: Mutex::new(None),
-            router: Mutex::new(None),
+            router: Arc::default(),
         })
     }
 
@@ -37,7 +38,7 @@ impl MpiProcCtx {
             kind: CommKind::Dpm,
             world: child_world,
             inter: Mutex::new(Some(parent)),
-            router: Mutex::new(None),
+            router: Arc::default(),
         })
     }
 
@@ -71,17 +72,6 @@ impl MpiProcCtx {
             // and the wrapper sets the intercommunicator right then.
             (self.inter().expect("a cross-group peer implies the DPM spawn set `inter`"), peer_rank)
         }
-    }
-
-    /// The per-process Basic-design router (lazily created).
-    pub(crate) fn basic_router(self: &Arc<Self>) -> Arc<crate::transport::BasicRouter> {
-        let mut r = self.router.lock();
-        if let Some(router) = r.as_ref() {
-            return router.clone();
-        }
-        let router = crate::transport::BasicRouter::new();
-        *r = Some(router.clone());
-        router
     }
 }
 

@@ -8,7 +8,8 @@
 //!   selector loop — non-blocking `select()` plus `MPI_Iprobe` spun
 //!   continuously — as per-endpoint background CPU load plus per-message
 //!   polling charges; this is precisely the overhead the paper identifies
-//!   as Basic's downfall (§VII-B, Fig. 9).
+//!   as Basic's downfall (§VII-B, Fig. 9). Each landed envelope enters its
+//!   endpoint as a frame, through the path socket frames take.
 //! * **Optimized**: only the bodies of `ChunkFetchSuccess` and
 //!   `StreamResponse`. Headers travel on the socket; an inbound channel
 //!   handler parses each header and, for the eligible types, posts the
@@ -16,7 +17,6 @@
 //!   headers of shuffle messages inside of ChannelHandlers" design.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use fabric::Payload;
@@ -24,6 +24,7 @@ use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
     OutboundAction, OutboundHandler, Then, Transport, WeakEndpoint, WireEvent,
 };
+use simt::cpu::Done;
 use simt::sync::Mutex;
 
 use crate::ctx::MpiProcCtx;
@@ -197,8 +198,8 @@ impl InboundHandler for OptInbound {
 }
 
 /// Decode a landed body against its saved header and hand the message to the
-/// endpoint, with the receive span causally linked to the sender (same
-/// convention as the Basic router's receiver threads).
+/// endpoint, with the receive span causally linked to the sender (the
+/// convention of `netz.msg.recv` on the frame path).
 fn deliver_body(
     endpoint: &Endpoint,
     chan: &Arc<ChannelCore>,
@@ -215,7 +216,7 @@ fn deliver_body(
         )
     });
     if let Ok(msg) = Message::decode(header, body) {
-        endpoint.dispatch_received(chan, msg, header.len() as u64);
+        endpoint.dispatch(chan, msg, header.len() as u64, Box::new(|| ()));
     }
 }
 
@@ -234,83 +235,73 @@ const POLL_LATENCY_NS: u64 = 5_000;
 /// Envelope for Basic-design messages (everything over MPI).
 struct BasicMsg {
     channel: ChannelId,
-    header: bytes::Bytes,
-    body: Payload,
+    frame: Frame,
 }
 
-/// Per-process demultiplexer for Basic-design traffic: receiver threads per
-/// communicator pull `BASIC_TAG` messages and dispatch them to the owning
-/// channel's endpoint. Endpoints are held weakly: each owns its transport,
-/// which owns the process context and with it this router.
+/// Per-process demultiplexer for Basic-design traffic: one receive loop per
+/// communicator pulls `BASIC_TAG` envelopes and hands each frame to the
+/// owning channel's endpoint. Endpoints are held weakly: each owns its
+/// transport, which owns the process context and with it this router.
+#[derive(Default)]
 pub struct BasicRouter {
     channels: Mutex<BTreeMap<ChannelId, (WeakEndpoint, Arc<ChannelCore>)>>,
-    world_started: AtomicBool,
-    inter_started: AtomicBool,
+    world_started: OnceLock<()>,
+    inter_started: OnceLock<()>,
 }
 
 impl BasicRouter {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(BasicRouter {
-            channels: Mutex::new(BTreeMap::new()),
-            world_started: AtomicBool::new(false),
-            inter_started: AtomicBool::new(false),
-        })
-    }
-
-    fn ensure_receivers(self: &Arc<Self>, ctx: &Arc<MpiProcCtx>) {
-        if !self.world_started.swap(true, Ordering::SeqCst) {
-            self.spawn_receiver(ctx.world.clone(), "world");
-        }
-        if !self.inter_started.load(Ordering::SeqCst) {
-            if let Some(inter) = ctx.inter() {
-                if !self.inter_started.swap(true, Ordering::SeqCst) {
-                    self.spawn_receiver(inter, "inter");
-                }
-            }
+    /// Start the modified selector loop's receive side (§VI-D) on the world
+    /// communicator, and on the intercommunicator once it exists: a chain of
+    /// engine continuations each, from this instant until shutdown.
+    fn ensure_receivers(&self, ctx: &Arc<MpiProcCtx>) {
+        let start = |inter| {
+            let proc = Arc::downgrade(ctx);
+            simt::engine::call_at(simt::now(), move || receive(proc, inter));
+        };
+        self.world_started.get_or_init(|| start(false));
+        if ctx.inter().is_some() {
+            self.inter_started.get_or_init(|| start(true));
         }
     }
+}
 
-    fn spawn_receiver(self: &Arc<Self>, comm: rmpi::Comm, label: &str) {
-        let router = self.clone();
-        let obs = comm.universe().net().obs().clone();
-        simt::spawn_daemon(format!("mpi-basic-rx:{label}:r{}", comm.rank()), move || loop {
-            // This `recv` is unbounded on purpose: the daemon is the demux
-            // loop itself, not a retry-covered request path. Fetch timeouts
-            // are enforced at the requester, and finalize closes the store,
-            // which errors this recv and exits.
-            let Ok((payload, _status)) = comm.recv(None, Some(BASIC_TAG)) else {
-                break;
-            };
-            let Some(msg) = payload.value_as::<BasicMsg>() else {
-                continue;
-            };
-            // Model the polling selector: the message sat for half a poll
-            // interval and cost iprobe sweeps to discover (§VI-D).
-            simt::sleep(POLL_LATENCY_NS);
-            comm.universe().net().cpu(comm.node()).execute(PER_MESSAGE_POLL_NS);
-            let target = router.channels.lock().get(&msg.channel).cloned();
-            let Some((endpoint, chan)) = target else {
-                continue;
-            };
-            let Some(endpoint) = endpoint.upgrade() else {
-                continue; // endpoint shut down and dropped
-            };
-            // The Basic path bypasses the endpoint's frame pipeline, so the
-            // recv span (linked to the sender's span id from the header) is
-            // opened here instead of in `Endpoint::on_frame`.
-            let _recv_span = obs.is_traced().then(|| {
-                let link = Message::peek_span_id(&msg.header).unwrap_or(0);
-                obs.tracer().span_linked(
-                    "netz.msg.recv",
-                    link,
-                    obs::kv! {"src" => chan.remote_node, "dst" => chan.local_node},
-                )
-            });
-            match Message::decode(&msg.header, msg.body.clone()) {
-                Ok(decoded) => endpoint.dispatch_received(&chan, decoded, msg.header.len() as u64),
-                Err(_) => continue,
-            }
+/// One pass of a Basic receive loop: post a receive; once an envelope lands,
+/// charge the polling selector's cost for it and hand its frame to the frame
+/// path, whose continuation posts the next receive. The receive is unbounded
+/// on purpose: this is the demux loop itself, not a retry-covered request
+/// path, and fetch timeouts are enforced at the requester. The posted
+/// receive holds its process only weakly (the communicator's universe owns
+/// the store that holds it); the loop ends once the process is gone.
+fn receive(proc: Weak<MpiProcCtx>, inter: bool) {
+    let comm = match proc.upgrade() {
+        Some(ctx) if inter => ctx.inter().expect("the inter loop starts once `inter` is set"),
+        Some(ctx) => ctx.world.clone(),
+        None => return,
+    };
+    comm.irecv(None, Some(BASIC_TAG)).wait_then(move |r| {
+        let (Ok(Some((payload, _status))), Some(ctx)) = (r, proc.upgrade()) else { return };
+        let Some(msg) = payload.value_as::<BasicMsg>() else { return receive(proc, inter) };
+        // The message sat for half a poll interval and cost iprobe sweeps to
+        // discover. Both communicators share this process's node.
+        simt::engine::call_at(simt::now() + POLL_LATENCY_NS, move || {
+            let cpu = ctx.world.universe().net().cpu(ctx.world.node());
+            let deliver = move || deliver(&ctx, inter, &msg);
+            cpu.submit(PER_MESSAGE_POLL_NS, Done::Call(Box::new(deliver)));
         });
+    });
+}
+
+/// Hand a discovered envelope's frame to its channel's endpoint. A channel
+/// the router never saw, or whose endpoint shut down and was dropped, loses
+/// it.
+fn deliver(ctx: &Arc<MpiProcCtx>, inter: bool, msg: &BasicMsg) {
+    let proc = Arc::downgrade(ctx);
+    let target = ctx.router.channels.lock().get(&msg.channel).cloned();
+    match target.and_then(|(endpoint, chan)| Some((endpoint.upgrade()?, chan))) {
+        Some((endpoint, chan)) => {
+            endpoint.on_frame(&chan, msg.frame.clone(), Box::new(move || receive(proc, inter)))
+        }
+        None => receive(proc, inter),
     }
 }
 
@@ -348,7 +339,7 @@ impl Transport for MpiTransportBasic {
         if chan.peer_handshake.mpi_rank.is_none() {
             return;
         }
-        let router = self.ctx.basic_router();
+        let router = &self.ctx.router;
         let endpoint = self.endpoint.get().expect("transport started").clone();
         router.channels.lock().insert(chan.id, (endpoint, chan.clone()));
         router.ensure_receivers(&self.ctx);
@@ -383,7 +374,8 @@ impl OutboundHandler for BasicOutbound {
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let total = header.len() as u64 + body.virtual_len;
         let (comm, dest) = ctx.route(peer_rank, peer.comm);
-        let envelope = Payload::control(BasicMsg { channel: chan.id, header, body }, total);
+        let frame = Frame { header, body };
+        let envelope = Payload::control(BasicMsg { channel: chan.id, frame }, total);
         match then {
             None => comm.send(dest, BASIC_TAG, envelope),
             Some(then) => comm.send_then(dest, BASIC_TAG, envelope, then),

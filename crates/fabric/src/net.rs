@@ -185,26 +185,20 @@ impl Net {
     }
 
     /// Run `hook(node)` at the start of each crash window of the installed
-    /// plan, on a daemon green thread that sleeps until then (a hook may
-    /// park: failing a channel's pending requests runs their callbacks).
-    /// Windows that started before the call are skipped. Without a plan, or
-    /// with a plan that crashes no node, nothing is spawned.
+    /// plan, as a chain of engine calls (a hook may not park: failing a
+    /// channel's pending requests runs their callbacks, continuations too).
+    /// Windows that started before the call are skipped. Without a window
+    /// still to come, nothing is scheduled.
     pub fn on_node_down(&self, hook: impl Fn(NodeId) + Send + 'static) {
         let Some(plan) = self.inner.chaos.lock().clone() else { return };
-        let mut crashes: Vec<(NodeId, u64)> = plan.crashes().collect();
+        let now = simt::now();
+        let mut crashes: Vec<_> = plan.crashes().filter(|&(_, start)| start >= now).collect();
         if crashes.is_empty() {
             return;
         }
         crashes.sort_by_key(|&(node, start)| (start, node));
-        simt::spawn_daemon("fabric-node-down", move || {
-            for (node, start) in crashes {
-                let now = simt::now();
-                if start >= now {
-                    simt::sleep(start - now);
-                    hook(node);
-                }
-            }
-        });
+        let crashes = crashes.into_iter();
+        simt::engine::call_at(now, move || next_node_down(crashes, hook));
     }
 
     /// The shared CPU resource of `node`.
@@ -542,6 +536,23 @@ impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Chain<H> {
 impl Drop for PortRx {
     fn drop(&mut self) {
         self.net.unbind(self.addr);
+    }
+}
+
+/// Run `hook` for the crash windows in `crashes` (in start order, none
+/// before now) that start now, then for the next one at its start.
+fn next_node_down(
+    mut crashes: std::vec::IntoIter<(NodeId, u64)>,
+    hook: impl Fn(NodeId) + Send + 'static,
+) {
+    while let Some((node, start)) = crashes.next() {
+        if start > simt::now() {
+            return simt::engine::call_at(start, move || {
+                hook(node);
+                next_node_down(crashes, hook);
+            });
+        }
+        hook(node);
     }
 }
 
@@ -962,15 +973,15 @@ mod tests {
                 simt::sleep(10_000_000);
             });
             sim.run().unwrap().assert_clean();
-            let hooks = sim.spawn_census().get("fabric-node-down").copied().unwrap_or(0);
+            let threads = sim.stats().threads_spawned - 1; // all but `main`
             let fired = fired.lock().clone();
-            (fired, hooks)
+            (fired, threads)
         };
         assert_eq!(run(None), (vec![], 0), "no plan");
         let no_crash = crate::FaultPlan::seeded(1).drop_link(0, 1, 0, 1_000).build();
         assert_eq!(run(Some(no_crash)), (vec![], 0), "a plan without a crash window");
         let crash = crate::FaultPlan::seeded(1).crash_node(1, 3_000_000, 1_000).build();
-        assert_eq!(run(Some(crash)), (vec![(1, 3_000_000)], 1), "one crash window");
+        assert_eq!(run(Some(crash)), (vec![(1, 3_000_000)], 0), "one crash window");
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub type RpcResponseCallback = Box<dyn FnOnce(Result<Payload, String>) + Send>;
 
 /// Server-side RPC dispatch (Spark's `RpcHandler`).
 ///
-/// Every method runs on the endpoint's event loop, a continuation on the
-/// engine (or on a Basic receiver thread), so none may block.
+/// Every method runs on the endpoint's event loop (or the Basic design's MPI
+/// receive loop), a continuation on the engine, so none may block.
 pub trait RpcHandler: Send + Sync {
     /// Handle a two-way RPC; `reply` sends the `RpcResponse`/`RpcFailure`.
     /// Hand anything that blocks to a worker mailbox. A reply made before

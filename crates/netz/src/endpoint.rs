@@ -323,7 +323,7 @@ impl Endpoint {
             }
             WireEvent::Data { channel, frame } => {
                 if let Some(chan) = self.channel(channel) {
-                    return self.on_frame(&chan, frame, next);
+                    return self.on_frame(&chan, frame, Box::new(move || next.take()));
                 }
             }
             WireEvent::Close { channel } => {
@@ -393,14 +393,15 @@ impl Endpoint {
         cell.put(Ok(chan));
     }
 
-    /// Run the inbound pipeline on a frame, then dispatch the message.
+    /// Run the inbound pipeline on a frame (from the port, or a Basic MPI
+    /// envelope), then dispatch the message; `then` runs once its work is booked.
     ///
     /// When tracing is on, the whole receive (pipeline + decode + dispatch,
-    /// until the port takes its next packet) runs inside a `netz.msg.recv`
-    /// span causally linked — via the span id carried in the header — to the
-    /// peer's `netz.msg.send` span. The packet's work may outlast this engine
-    /// event, so the span is detached: spans opened meanwhile do not nest in it.
-    fn on_frame(&self, chan: &Arc<ChannelCore>, frame: Frame, next: NextPacket) {
+    /// until `then`) runs inside a `netz.msg.recv` span causally linked — via
+    /// the span id carried in the header — to the peer's `netz.msg.send`
+    /// span. The frame's work may outlast this engine event, so the span is
+    /// detached: spans opened meanwhile do not nest in it.
+    pub fn on_frame(&self, chan: &Arc<ChannelCore>, frame: Frame, then: Then) {
         let obs = self.inner.net.obs();
         let span = obs.is_traced().then(|| {
             let link = Message::peek_span_id(&frame.header).unwrap_or(0);
@@ -414,7 +415,7 @@ impl Endpoint {
         });
         let done: Then = Box::new(move || {
             drop(span);
-            next.take();
+            then();
         });
         let header_len = frame.header.len() as u64;
         let inbound = chan.pipeline.lock().inbound_handlers();
@@ -430,34 +431,25 @@ impl Endpoint {
         };
         // A malformed frame is dropped (Netty would fire exceptionCaught).
         match Message::decode(&frame.header, frame.body) {
-            Ok(msg) => self.dispatch(chan, msg, header_len, Some(done)),
+            Ok(msg) => self.dispatch(chan, msg, header_len, done),
             Err(_) => done(),
         }
     }
 
-    /// Account a received message, then dispatch it — the one way a decoded
-    /// message enters an endpoint. The socket frame path ends here, and so
-    /// do the MPI transports' receive paths, which decode outside it: the
-    /// Optimized design's body continuation once the MPI body lands, the
-    /// Basic design's router threads for every message.
+    /// Account a received message, then dispatch it without parking — the
+    /// one way a decoded message enters an endpoint: the frame path ends
+    /// here, and so does the Optimized design's body continuation, which
+    /// decodes a body once it lands on MPI.
     ///
     /// Requests go to the handler / stream manager, responses to their
-    /// registered callbacks. A reply is written before this returns, with
-    /// blocking sends: call it from a green thread.
-    pub fn dispatch_received(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64) {
-        self.dispatch(chan, msg, header_len, None);
-    }
-
-    /// [`dispatch_received`](Endpoint::dispatch_received), and with `Some(then)`
-    /// without parking: every blocking step takes its continuation form, and
-    /// `then` runs once the message's work is done — a reply the handler
-    /// makes inside `receive` once its write is booked. A reply made later,
-    /// from another thread, is that thread's blocking write.
-    fn dispatch(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64, then: Option<Then>) {
+    /// registered callbacks; `then` runs once the message's work is done — a
+    /// reply the handler makes inside `receive` once its write is booked. A
+    /// reply made later, from a green thread, is that thread's blocking write.
+    pub fn dispatch(&self, chan: &Arc<ChannelCore>, msg: Message, header_len: u64, then: Then) {
         chan.note_received(header_len + msg.body_virtual_len());
         match msg {
             Message::RpcRequest { request_id, body } => {
-                let inline = Arc::new(Mutex::new(then));
+                let inline = Arc::new(Mutex::new(Some(then)));
                 let (held, reply_chan) = (inline.clone(), chan.clone());
                 self.inner.handler.receive(
                     chan,
@@ -483,22 +475,14 @@ impl Endpoint {
                 let sm = self.inner.handler.stream_manager();
                 let (cpu, work_ns) = (self.inner.net.cpu(self.inner.node), sm.chunk_fetch_cpu_ns());
                 let reply_chan = chan.clone();
-                let serve = move |then| {
+                let serve = move || {
                     let reply = match sm.get_chunk(stream_id, chunk_index) {
                         Ok(body) => Message::ChunkFetchSuccess { stream_id, chunk_index, body },
                         Err(error) => Message::ChunkFetchFailure { stream_id, chunk_index, error },
                     };
-                    reply_chan.write_with(reply, then);
+                    reply_chan.write_with(reply, Some(then));
                 };
-                return match then {
-                    None => {
-                        cpu.execute(work_ns);
-                        serve(None);
-                    }
-                    Some(then) => {
-                        cpu.submit(work_ns, Done::Call(Box::new(move || serve(Some(then)))))
-                    }
-                };
+                return cpu.submit(work_ns, Done::Call(Box::new(serve)));
             }
             Message::StreamRequest { stream_id } => {
                 let sm = self.inner.handler.stream_manager();
@@ -508,7 +492,7 @@ impl Endpoint {
                     }
                     Err(error) => Message::StreamFailure { stream_id, error },
                 };
-                return chan.write_with(reply, then);
+                return chan.write_with(reply, Some(then));
             }
             Message::RpcResponse { request_id, body } => {
                 if let Some(cb) = chan.take_rpc(request_id) {
@@ -542,8 +526,6 @@ impl Endpoint {
             }
         }
         // Any arm that hands `then` on has returned.
-        if let Some(then) = then {
-            then();
-        }
+        then();
     }
 }

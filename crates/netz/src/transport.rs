@@ -6,7 +6,7 @@
 //! bindings"). Here the seam is the [`Transport`] trait: the default
 //! [`NioTransport`] leaves the default socket encode/decode paths in place,
 //! while `mpi4spark::transport::{MpiTransportBasic, MpiTransportOptimized}`
-//! install pipeline handlers and auxiliary receiver threads.
+//! install pipeline handlers and, for Basic, a receive loop per communicator.
 
 use fabric::NodeId;
 

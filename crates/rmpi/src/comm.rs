@@ -204,6 +204,9 @@ enum RequestKind {
     },
 }
 
+/// What completing a [`Request`] yields: `None` for a send.
+type Received = Result<Option<(Payload, Status)>, MpiError>;
+
 impl Request {
     fn complete() -> Request {
         Request { kind: RequestKind::Complete }
@@ -215,18 +218,18 @@ impl Request {
 
     /// Block until the operation completes; receives return their payload.
     /// Event-driven (woken by arrival): blocking here charges no polling CPU.
-    pub fn wait(self) -> Result<Option<(Payload, Status)>, MpiError> {
+    pub fn wait(self) -> Received {
         self.wait_until(None)
     }
 
     /// [`wait`](Request::wait) bounded by a relative timeout. On timeout the
     /// receive is cancelled *with a drain*: if the message later arrives it
     /// is absorbed instead of leaking into the unexpected-message queue.
-    pub fn wait_timeout(self, timeout: u64) -> Result<Option<(Payload, Status)>, MpiError> {
+    pub fn wait_timeout(self, timeout: u64) -> Received {
         self.wait_until(Some(simt::now().saturating_add(timeout)))
     }
 
-    fn wait_until(mut self, deadline: Option<u64>) -> Result<Option<(Payload, Status)>, MpiError> {
+    fn wait_until(mut self, deadline: Option<u64>) -> Received {
         match &mut self.kind {
             RequestKind::Complete => Ok(None),
             RequestKind::Recv { comm, id, done } => {
@@ -241,20 +244,30 @@ impl Request {
         }
     }
 
+    /// [`wait`](Request::wait) without parking: `then` runs on the engine
+    /// once the message is pinned to this receive (at once if it already
+    /// is). A process that finalizes first drops `then` unrun.
+    pub fn wait_then(self, then: impl FnOnce(Received) + Send + 'static) {
+        self.wait_until_then(None, then);
+    }
+
     /// [`wait_timeout`](Request::wait_timeout) without parking: `then` runs
     /// on the engine once the message is pinned to this receive (at once if
     /// it already is), or with `Err(Timeout)` when `timeout` passes, the
     /// receive then cancelled with a drain. A process that finalizes first
     /// drops `then` unrun.
-    pub fn wait_timeout_then(
+    pub fn wait_timeout_then(self, timeout: u64, then: impl FnOnce(Received) + Send + 'static) {
+        self.wait_until_then(Some(simt::now().saturating_add(timeout)), then);
+    }
+
+    fn wait_until_then(
         mut self,
-        timeout: u64,
-        then: impl FnOnce(Result<Option<(Payload, Status)>, MpiError>) + Send + 'static,
+        deadline: Option<u64>,
+        then: impl FnOnce(Received) + Send + 'static,
     ) {
         match &mut self.kind {
             RequestKind::Complete => simt::engine::call_at(simt::now(), move || then(Ok(None))),
             RequestKind::Recv { comm, id, done } => {
-                let deadline = simt::now().saturating_add(timeout);
                 let then =
                     Box::new(move |r: Result<MpiMsg, _>| then(r.map(|m| Some(delivered(m)))));
                 comm.me().store.req_wait_then(*id, deadline, then);

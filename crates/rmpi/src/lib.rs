@@ -9,10 +9,10 @@
 //! * **Point-to-point** — `send`/`recv`/`isend`/`irecv` with `(communicator,
 //!   source, tag)` matching in post order and an unexpected-message queue;
 //!   a [`Request`] is completed by `wait`, `wait_timeout` (a bounded
-//!   receive), `cancel`, [`waitall`], or `wait_timeout_then`, the bounded
-//!   receive as a continuation: no thread waits, the message is handed to a
-//!   closure on the engine (the Optimized design's header-triggered body
-//!   receives, §VI-E).
+//!   receive), [`waitall`], or their continuation forms `wait_then` and
+//!   `wait_timeout_then`: no thread waits, the message is handed to a
+//!   closure on the engine (the Basic design's receive loop and the Optimized
+//!   design's header-triggered body receives, §VI-D/E).
 //! * **Collectives** — `bcast`, `gather`, `allgather` (used to
 //!   exchange executor launch specifications, §V), `allreduce`.
 //! * **Dynamic Process Management** — [`Comm::spawn_multiple`] mirrors

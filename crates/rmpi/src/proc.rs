@@ -184,17 +184,21 @@ impl MsgStore {
 
     /// [`req_wait`](MsgStore::req_wait) without parking: `then` runs on the
     /// engine with the message pinned to the slot — at once if one already
-    /// is — or with `Timeout` at `deadline`, the slot then cancelled with a
-    /// drain. The slot is consumed either way; a closed store drops `then`.
-    pub(crate) fn req_wait_then(&self, id: ReqId, deadline: u64, then: RecvThen) {
+    /// is — or with `Timeout` at the `deadline`, if any, the slot then
+    /// cancelled with a drain. The slot is consumed either way; a closed
+    /// store drops `then`.
+    pub(crate) fn req_wait_then(&self, id: ReqId, deadline: Option<u64>, then: RecvThen) {
         let ready = {
             let s = &mut *self.0.state.lock();
             let p =
                 s.posted.get_mut(&id.0).unwrap_or_else(|| panic!("request {id:?} waited twice"));
             if p.ready.is_none() && !s.closed {
                 p.then = Some(then);
-                let store = Arc::downgrade(&self.0);
-                return simt::engine::call_at(deadline, move || Self::expire(&store, id));
+                if let Some(deadline) = deadline {
+                    let store = Arc::downgrade(&self.0);
+                    simt::engine::call_at(deadline, move || Self::expire(&store, id));
+                }
+                return;
             }
             s.posted.remove(&id.0).and_then(|p| p.ready)
         };
@@ -579,7 +583,7 @@ mod tests {
             };
             let post = |tag, deadline, label| {
                 let id = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(tag) });
-                s2.req_wait_then(id, deadline, on(label));
+                s2.req_wait_then(id, Some(deadline), on(label));
             };
             post(1, 50_000, "a");
             post(2, 50_000, "b");
@@ -612,6 +616,41 @@ mod tests {
             ("a", Ok(1), 20_000),
         ];
         assert_eq!(*log.lock(), want);
+        assert_eq!(Arc::strong_count(&kept), 1);
+    }
+
+    #[test]
+    fn a_deadline_free_continuation_takes_a_stored_message_at_once_and_a_close_drops_it_unrun() {
+        let sim = simt::Sim::new();
+        let store = MsgStore::default();
+        let log: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+        let kept = Arc::new(());
+        let (s2, log2, kept2) = (store.clone(), log.clone(), kept.clone());
+        sim.spawn("poster", move || {
+            let post = |tag| {
+                let (log, kept) = (log2.clone(), kept2.clone());
+                let id = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(tag) });
+                let then: RecvThen = Box::new(move |r: Result<MpiMsg, MpiError>| {
+                    log.lock().push((r.expect("a message").tag, simt::now()));
+                    drop(kept);
+                });
+                s2.req_wait_then(id, None, then);
+            };
+            s2.push(msg(1, 0, 1));
+            post(1);
+            assert!(log2.lock().is_empty(), "handed over from a new engine event");
+            post(2);
+            post(3);
+            simt::sleep(1_000);
+            assert_eq!(*log2.lock(), [(1, 0)], "at the instant it was posted");
+            s2.push(msg(1, 0, 2));
+            simt::sleep(1_000);
+            s2.close();
+            assert_eq!(s2.posted_len(), 0);
+        });
+        sim.run().unwrap().assert_clean();
+        // No deadline ever fires; the one nothing matched is gone unrun.
+        assert_eq!(*log.lock(), [(1, 0), (2, 1_000)]);
         assert_eq!(Arc::strong_count(&kept), 1);
     }
 

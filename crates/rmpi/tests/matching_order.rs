@@ -1,6 +1,6 @@
 //! Differential test of receive matching. Whatever mix of `recv`,
-//! `irecv().wait()`, `waitall` and `irecv().wait_timeout_then()` posts the
-//! receives of a process, and from however many of its threads, they match
+//! `irecv().wait()`, `waitall`, `irecv().wait_then()` and
+//! `irecv().wait_timeout_then()` posts the receives of a process, and from however many of its threads, they match
 //! as MPI prescribes: receives in post order, messages in arrival order
 //! (FIFO per `(comm, src, tag)`).
 //! Payloads and virtual completion times must equal the reference matcher's
@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use fabric::{ClusterSpec, Net};
-use rmpi::{mpiexec, waitall, Comm};
+use fabric::{ClusterSpec, Net, Payload};
+use rmpi::{mpiexec, waitall, Comm, MpiError, Status};
 use simt::sync::Mutex;
 use simt::{for_each_case, SeededRng, Sim};
 
@@ -31,6 +31,8 @@ enum Op {
     Waitall(Vec<Matcher>),
     /// A continuation receive: no thread waits for it.
     IrecvThen(Matcher),
+    /// A continuation receive without a deadline.
+    IrecvWaitThen(Matcher),
 }
 
 /// The continuation receives' timeout: far past the last send, so that only
@@ -67,10 +69,11 @@ fn draw_case(rng: &mut SeededRng) -> Case {
     };
     let mut ops: Vec<(u64, Op)> = (0..rng.next_range(2, 8))
         .map(|i| {
-            let op = match rng.next_range(0, 4) {
+            let op = match rng.next_range(0, 5) {
                 0 => Op::Recv(matcher(rng)),
                 1 => Op::IrecvWait(matcher(rng)),
                 2 => Op::IrecvThen(matcher(rng)),
+                3 => Op::IrecvWaitThen(matcher(rng)),
                 _ => Op::Waitall((0..rng.next_range(1, 4)).map(|_| matcher(rng)).collect()),
             };
             (rng.next_range(0, 25_000) * 8 + i, op)
@@ -107,15 +110,21 @@ fn run(case: &Arc<Case>, probe: bool) -> Vec<Seen> {
                     let (comm, seen) = (comm.clone(), seen2.clone());
                     simt::spawn(format!("rx{slot}"), move || {
                         simt::sleep(at);
+                        let seen2 = seen.clone();
+                        let record = move |r: Result<Option<(Payload, Status)>, MpiError>| {
+                            if let Ok(Some((p, _))) = r {
+                                let value = *p.value_as::<u64>().unwrap();
+                                seen2.lock()[slot] = Some((vec![value], simt::now()));
+                            }
+                        };
                         let done = match op {
                             Op::IrecvThen((src, tag)) => {
-                                let req = comm.irecv(src, tag);
-                                return req.wait_timeout_then(THEN_TIMEOUT, move |r| {
-                                    if let Ok(Some((p, _))) = r {
-                                        let value = *p.value_as::<u64>().unwrap();
-                                        seen.lock()[slot] = Some((vec![value], simt::now()));
-                                    }
-                                });
+                                return comm
+                                    .irecv(src, tag)
+                                    .wait_timeout_then(THEN_TIMEOUT, record);
+                            }
+                            Op::IrecvWaitThen((src, tag)) => {
+                                return comm.irecv(src, tag).wait_then(record);
                             }
                             Op::Recv((src, tag)) => vec![comm.recv(src, tag).unwrap()],
                             Op::IrecvWait((src, tag)) => {
@@ -149,7 +158,9 @@ fn reference(case: &Case, arrivals: &[(u64, u64)]) -> Option<Vec<Seen>> {
     let posts: Vec<(u64, usize, Matcher)> = (case.ops.iter().enumerate())
         .flat_map(|(slot, (at, op))| {
             let matchers = match op {
-                Op::Recv(m) | Op::IrecvWait(m) | Op::IrecvThen(m) => vec![*m],
+                Op::Recv(m) | Op::IrecvWait(m) | Op::IrecvThen(m) | Op::IrecvWaitThen(m) => {
+                    vec![*m]
+                }
                 Op::Waitall(ms) => ms.clone(),
             };
             matchers.into_iter().map(move |m| (*at, slot, m))

@@ -62,8 +62,8 @@ pub struct FetchResult {
 }
 
 /// Where a fetch's results go: one call per chunk as it lands, made by
-/// whatever runs then: an endpoint's event loop or another continuation on
-/// the engine, or a Basic receiver thread.
+/// whatever runs then: an endpoint's event loop, the Basic design's MPI
+/// receive loop or another continuation on the engine.
 #[derive(Clone)]
 pub struct FetchSink(Arc<dyn Fn(FetchResult) + Send + Sync>);
 

@@ -6,7 +6,8 @@
 //! with the cell. A cached partition is shared, not copied: neither its
 //! first computation nor a later hit constructs a record. A shuffle fetch is
 //! a chain of continuations: it spawns no thread, and no thread serves a
-//! fabric port. Nothing keeps a cell's engine alive once the cell is done.
+//! fabric port or a Basic communicator. Nothing keeps a cell's engine alive
+//! once the cell is done.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -163,8 +164,9 @@ fn a_clean_shuffle_spawns_no_per_request_thread() {
             out.spawned.keys().filter(|p| p.starts_with("fetch") || p.contains("body")).collect();
         assert!(per_request.is_empty(), "{}: requests spawned {per_request:?}", system.label());
         // So are netz's event loops and rmpi's progress pumps
-        // (`fabric::net::PortRx::serve`): no thread serves a port.
-        let loops: Vec<_> = ["netz-boss", "netz-loop", "mpi-pump"]
+        // (`fabric::net::PortRx::serve`), and the Basic design's MPI receive
+        // loops: no thread serves a port or a communicator.
+        let loops: Vec<_> = ["netz-boss", "netz-loop", "mpi-pump", "mpi-basic-rx"]
             .into_iter()
             .filter(|p| out.spawned.contains_key(*p))
             .collect();

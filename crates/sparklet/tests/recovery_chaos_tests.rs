@@ -127,6 +127,9 @@ fn executor_crash_during_map_is_detected_and_rerun_on_all_systems() {
         assert!(dropped > 0, "{}: the crash window never bit", system.label());
         let lost = out.metrics.counter(keys::SPARK_EXECUTORS_LOST);
         assert_eq!(lost, 1, "{}: the crashed executor was not lost once", system.label());
+        // The crash hooks run on the engine: no thread waits for the window.
+        let hook = out.spawned.get("fabric-node-down");
+        assert_eq!(hook, None, "{}: a thread waited for the crash", system.label());
     }
 }
 
