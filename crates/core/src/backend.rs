@@ -37,7 +37,7 @@ impl MpiBackend {
     /// Backend for `design` honoring the engine configuration's timeouts:
     /// connection establishment, requests and the Optimized design's
     /// bounded body wait (its endpoint's request timeout) all follow
-    /// `spark`'s settings, on the MPI planes and the socket fallback alike.
+    /// `spark`'s settings, on both planes.
     pub fn with_conf(design: Design, spark: &SparkConf) -> Self {
         let conf = TransportConf {
             request_timeout_ns: spark.request_timeout_ns,
@@ -85,14 +85,6 @@ impl NetworkBackend for MpiBackend {
         };
         PlaneDesc { conf: self.conf, transport }
     }
-
-    fn fallback_plane(&self, _plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
-        // Degraded mode: plain Netty-over-sockets, nothing diverted to MPI.
-        // Interop with healthy MPI peers works because their transports skip
-        // pipeline handlers for channels whose peer handshake carries no MPI
-        // rank — the server answers such channels entirely on sockets.
-        Some(PlaneDesc { conf: self.conf, transport: Arc::new(netz::NioTransport) })
-    }
 }
 
 #[cfg(test)]
@@ -125,11 +117,9 @@ mod tests {
                     let b = MpiBackend::with_conf(design, &spark);
                     b.register(Role::Driver, MpiProcCtx::world_proc(world.clone()));
                     for plane in [Plane::Rpc, Plane::Shuffle] {
-                        let fallback = b.fallback_plane(plane, &id).expect("a socket fallback");
-                        for desc in [b.plane(plane, &id), fallback] {
-                            assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
-                            assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
-                        }
+                        let desc = b.plane(plane, &id);
+                        assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
+                        assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
                     }
                 }
             });

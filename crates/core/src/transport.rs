@@ -42,6 +42,14 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The channel's peer's MPI rank, and the communicator it is valid in. Every
+/// process of an MPI4Spark run runs the MPI transport on both planes, so every
+/// peer's handshake carries a rank: a channel to a rank-less peer is a bug.
+fn peer_rank(chan: &ChannelCore) -> (u32, netz::CommKind) {
+    let peer = chan.peer_handshake;
+    (peer.mpi_rank.expect("an MPI4Spark channel's peer handshakes with its MPI rank"), peer.comm)
+}
+
 /// Tag for an Optimized-design body identified by `key` on channel `chan`.
 ///
 /// The key is *content-addressed*: [`Message::peek_body_key`] derives it
@@ -91,9 +99,7 @@ impl Transport for MpiTransportOptimized {
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
-        if chan.peer_handshake.mpi_rank.is_none() {
-            return; // non-MPI peer: stay on the socket path
-        }
+        peer_rank(chan); // before the channel serves anything
         let mut p = chan.pipeline.lock();
         p.add_outbound("mpi-body-send", Arc::new(OptOutbound { ctx: self.ctx.clone() }));
         let (endpoint, body_timeout_ns) = self.endpoint.get().expect("transport started").clone();
@@ -119,16 +125,13 @@ impl OutboundHandler for OptOutbound {
         if !diverts_body(msg.type_id()) {
             return OutboundAction::Forward(msg, then);
         }
-        let peer = chan.peer_handshake;
-        let Some(peer_rank) = peer.mpi_rank else {
-            return OutboundAction::Forward(msg, then);
-        };
         let header = msg.encode_header();
         let key = Message::peek_body_key(&header).expect("a shuffle body has a content key");
         let tag = opt_tag(chan.id, key);
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let body_virtual = body.virtual_len;
-        let (comm, dest) = self.ctx.route(peer_rank, peer.comm);
+        let (rank, kind) = peer_rank(chan);
+        let (comm, dest) = self.ctx.route(rank, kind);
         // Header-only frame on the socket path (Fig. 6: header carries the
         // type and body size the receiver needs to post its MPI_Recv).
         let header_len = header.len() as u64;
@@ -175,13 +178,10 @@ impl InboundHandler for OptInbound {
         if !eligible || !frame.body.is_empty() {
             return InboundAction::Forward(frame);
         }
-        let peer = chan.peer_handshake;
-        let Some(peer_rank) = peer.mpi_rank else {
-            return InboundAction::Forward(frame);
-        };
         let key = Message::peek_body_key(&frame.header).expect("a shuffle body has a content key");
         let tag = opt_tag(chan.id, key);
-        let (comm, src) = self.ctx.route(peer_rank, peer.comm);
+        let (rank, kind) = peer_rank(chan);
+        let (comm, src) = self.ctx.route(rank, kind);
 
         // Post the receive and return immediately — the event loop goes
         // back to parsing headers, and each body is delivered on the engine
@@ -336,9 +336,7 @@ impl Transport for MpiTransportBasic {
     }
 
     fn configure(&self, chan: &Arc<ChannelCore>) {
-        if chan.peer_handshake.mpi_rank.is_none() {
-            return;
-        }
+        peer_rank(chan); // before the channel serves anything
         let router = &self.ctx.router;
         let endpoint = self.endpoint.get().expect("transport started").clone();
         router.channels.lock().insert(chan.id, (endpoint, chan.clone()));
@@ -366,14 +364,14 @@ impl OutboundHandler for BasicOutbound {
         msg: Message,
         then: Option<Then>,
     ) -> OutboundAction {
-        let peer = chan.peer_handshake;
-        let (Some(peer_rank), Some(ctx)) = (peer.mpi_rank, self.ctx.upgrade()) else {
+        let Some(ctx) = self.ctx.upgrade() else {
             return OutboundAction::Forward(msg, then);
         };
         let header = msg.encode_header();
         let body = msg.body().cloned().unwrap_or_else(Payload::empty);
         let total = header.len() as u64 + body.virtual_len;
-        let (comm, dest) = ctx.route(peer_rank, peer.comm);
+        let (rank, kind) = peer_rank(chan);
+        let (comm, dest) = ctx.route(rank, kind);
         let frame = Frame { header, body };
         let envelope = Payload::control(BasicMsg { channel: chan.id, frame }, total);
         match then {

@@ -172,9 +172,8 @@ impl FaultPlanBuilder {
     }
 
     /// Drop only messages whose software-stack name contains `stack`
-    /// (e.g. `"MPI"`), both directions. Models a plane-selective outage —
-    /// the MPI/RDMA data plane dying while the socket plane stays healthy —
-    /// which is what backend plane-fallback degrades around.
+    /// (e.g. `"MPI"`), both directions. Models a plane-selective outage:
+    /// the MPI/RDMA data plane dying while the socket plane stays healthy.
     pub fn drop_link_stack(
         mut self,
         a: NodeId,

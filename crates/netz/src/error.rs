@@ -21,14 +21,6 @@ impl NetzError {
     pub fn codec(msg: impl Into<String>) -> Self {
         NetzError::Codec(msg.into())
     }
-
-    /// True when the error indicts the *communication plane* (the transport
-    /// under the channel) rather than the specific request: failed connects,
-    /// dead channels, and silent timeouts. Consecutive plane failures are
-    /// what triggers fallback from an MPI/RDMA plane to sockets.
-    pub fn is_plane_failure(&self) -> bool {
-        matches!(self, NetzError::ConnectFailed(_) | NetzError::ChannelClosed | NetzError::Timeout)
-    }
 }
 
 impl std::fmt::Display for NetzError {
@@ -55,14 +47,5 @@ mod tests {
         assert_eq!(NetzError::Timeout.to_string(), "request timed out");
         assert_eq!(NetzError::codec("bad").to_string(), "codec error: bad");
         assert_eq!(NetzError::Remote("x".into()).to_string(), "remote failure: x");
-    }
-
-    #[test]
-    fn taxonomy_splits_plane_from_request_failures() {
-        assert!(NetzError::ConnectFailed("refused".into()).is_plane_failure());
-        assert!(NetzError::ChannelClosed.is_plane_failure());
-        assert!(NetzError::Timeout.is_plane_failure());
-        assert!(!NetzError::Remote("app error".into()).is_plane_failure());
-        assert!(!NetzError::codec("bad").is_plane_failure());
     }
 }

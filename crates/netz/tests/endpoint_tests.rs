@@ -389,8 +389,8 @@ fn metrics_count_traffic() {
 #[test]
 fn connect_timeout_is_bounded_by_the_virtual_clock() {
     // The failed connect must consume exactly the configured timeout of
-    // virtual time (no hidden polling slop), and classify as a plane-level
-    // failure so the layers above retry / degrade correctly.
+    // virtual time (no hidden polling slop), and report a failed connect so
+    // the fetch layer above retries it.
     let (sim, net) = setup(2);
     sim.spawn("main", move || {
         let mut conf = TransportConf::default_sockets();
@@ -404,7 +404,7 @@ fn connect_timeout_is_bounded_by_the_virtual_clock() {
         let waited = simt::now() - t0;
         assert!(waited >= simt::time::millis(5), "gave up early: {waited} ns");
         assert!(waited < simt::time::millis(6), "overshot the timeout: {waited} ns");
-        assert!(e.is_plane_failure());
+        assert!(matches!(e, NetzError::ConnectFailed(_)), "{e:?}");
     });
     sim.run().unwrap().assert_clean();
 }
@@ -412,8 +412,8 @@ fn connect_timeout_is_bounded_by_the_virtual_clock() {
 #[test]
 fn mid_stream_disconnect_is_a_plane_failure() {
     // First chunk lands; the server dies mid-stream; the next chunk fetch
-    // must fail with a plane-classified error (the signal the fetch retry
-    // layer counts toward transport degradation), not hang or mislabel.
+    // must fail with a dead-channel error (which the fetch retry layer
+    // re-requests), not hang or report a remote failure.
     let (sim, net) = setup(2);
     sim.spawn("main", move || {
         let mut conf = TransportConf::default_sockets();
@@ -430,7 +430,7 @@ fn mid_stream_disconnect_is_a_plane_failure() {
         let Err(e) = client.fetch_chunk(1, 1) else {
             panic!("chunk fetch from a dead server cannot succeed");
         };
-        assert!(e.is_plane_failure(), "mid-stream disconnect misclassified: {e:?}");
+        assert_eq!(e, NetzError::ChannelClosed, "mid-stream disconnect misclassified");
     });
     sim.run().unwrap().assert_clean();
 }

@@ -39,7 +39,7 @@ pub struct RdmaBackend {
 
 impl RdmaBackend {
     /// Backend for a cluster whose interconnect is InfiniBand, honoring the
-    /// engine configuration's timeouts on both planes and the fallback.
+    /// engine configuration's timeouts on both planes.
     ///
     /// # Panics
     /// When the interconnect's [`FabricKind`] is not
@@ -80,18 +80,6 @@ impl NetworkBackend for RdmaBackend {
             }
         }
     }
-
-    fn fallback_plane(&self, plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
-        match plane {
-            // RPC already runs on sockets: no separate degraded mode.
-            Plane::Rpc => None,
-            // Degraded shuffle: drop from verbs to the socket stack — the
-            // same path RDMA-Spark's IPoIB fallback takes when UCR fails.
-            Plane::Shuffle => {
-                Some(PlaneDesc { conf: self.rpc_conf, transport: Arc::new(NioTransport) })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,9 +112,7 @@ mod tests {
         };
         let b = RdmaBackend::with_conf(&Interconnect::ib_hdr100(), &spark);
         let id = ProcIdentity::new(Role::Executor(0), 0, "executor-0");
-        let fallback = b.fallback_plane(Plane::Shuffle, &id).expect("a socket fallback");
-        assert!(b.fallback_plane(Plane::Rpc, &id).is_none());
-        for desc in [b.plane(Plane::Rpc, &id), b.plane(Plane::Shuffle, &id), fallback] {
+        for desc in [b.plane(Plane::Rpc, &id), b.plane(Plane::Shuffle, &id)] {
             assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
             assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
         }

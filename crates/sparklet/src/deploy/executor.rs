@@ -8,7 +8,7 @@ use simt::sync::{Mutex, Notify};
 
 use crate::config::SparkConf;
 use crate::deploy::messages::ExecutorSpec;
-use crate::net_backend::{NetworkBackend, Plane, ProcIdentity, Role};
+use crate::net_backend::{NetworkBackend, ProcIdentity, Role};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcEnv, RpcRef};
 use crate::scheduler::{
     InvalidateShuffle, LaunchTask, RegisterExecutor, StopExecutor, TaskFinishedMsg,
@@ -129,20 +129,8 @@ pub fn executor_main(args: ExecutorArgs) {
         block_manager.clone(),
         args.conf,
     );
-    let primary: Arc<dyn BlockTransferService> =
-        NettyBlockTransferService::new(&identity, &args.net, &args.backend);
-    // Degraded-mode sibling on the backend's fallback plane (plain
-    // sockets), engaged by the retry layer after consecutive plane-level
-    // failures; backends without a separate fallback (Vanilla) get none.
-    let fallback: Option<Arc<dyn BlockTransferService>> =
-        args.backend.fallback_plane(Plane::Shuffle, &identity).map(|desc| {
-            let ctx = desc.context(&args.net, Arc::new(netz::NoOpRpcHandler));
-            NettyBlockTransferService::with_context(ctx, &identity, "fetch-fallback")
-                as Arc<dyn BlockTransferService>
-        });
     let transfer = RetryingBlockFetcher::new(
-        primary,
-        fallback,
+        NettyBlockTransferService::new(&identity, &args.net, &args.backend),
         &args.conf,
         args.spec.exec_id as u64 + 1,
         args.net.obs().clone(),

@@ -70,20 +70,11 @@ pub struct PlaneDesc {
     pub transport: Arc<dyn Transport>,
 }
 
-impl PlaneDesc {
-    /// The transport context this descriptor declares, on `net`, serving
-    /// `handler`.
-    pub fn context(self, net: &Net, handler: Arc<dyn RpcHandler>) -> TransportContext {
-        TransportContext::with_transport(net.clone(), self.conf, handler, self.transport)
-    }
-}
-
 /// Factory for each process's transport contexts.
 ///
-/// Backends implement [`NetworkBackend::plane`] (and optionally
-/// [`NetworkBackend::fallback_plane`]) only; context construction is
+/// Backends implement [`NetworkBackend::plane`] only; context construction is
 /// provided. This is the seam the three evaluated systems differ at — each
-/// declares its per-plane stacks in one method.
+/// declares its per-plane stacks in one method, one stack per plane.
 pub trait NetworkBackend: Send + Sync + 'static {
     /// Name used in reports (`vanilla`, `rdma`, `mpi-optimized`, ...).
     fn name(&self) -> &'static str;
@@ -91,7 +82,8 @@ pub trait NetworkBackend: Send + Sync + 'static {
     /// Declare `plane`'s stack for the process `identity`.
     fn plane(&self, plane: Plane, identity: &ProcIdentity) -> PlaneDesc;
 
-    /// Build the transport context for `plane` from its descriptor.
+    /// Build the transport context for `plane` from its descriptor, on
+    /// `net`, serving `handler`.
     fn context(
         &self,
         plane: Plane,
@@ -99,19 +91,8 @@ pub trait NetworkBackend: Send + Sync + 'static {
         net: &Net,
         handler: Arc<dyn RpcHandler>,
     ) -> TransportContext {
-        self.plane(plane, identity).context(net, handler)
-    }
-
-    /// Degraded-mode descriptor for `plane`, if the backend has one.
-    ///
-    /// Backends whose primary plane runs an accelerated transport
-    /// (MPI, RDMA verbs) can declare a plain-sockets descriptor here; the
-    /// retry layer switches to it after
-    /// [`PLANE_FAILURE_THRESHOLD`](crate::transfer::PLANE_FAILURE_THRESHOLD)
-    /// consecutive plane-level failures. `None` (the default) means the
-    /// plane has no separate fallback — Vanilla already runs on sockets.
-    fn fallback_plane(&self, _plane: Plane, _identity: &ProcIdentity) -> Option<PlaneDesc> {
-        None
+        let PlaneDesc { conf, transport } = self.plane(plane, identity);
+        TransportContext::with_transport(net.clone(), conf, handler, transport)
     }
 }
 
@@ -161,7 +142,6 @@ mod tests {
             assert_eq!(desc.conf.stack.name, "JavaSockets/IPoIB");
             assert_eq!(desc.conf.request_timeout_ns, spark.request_timeout_ns);
             assert_eq!(desc.conf.connect_timeout_ns, spark.connect_timeout_ns);
-            assert!(backend.fallback_plane(plane, &id).is_none());
         }
     }
 

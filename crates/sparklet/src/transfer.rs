@@ -9,7 +9,7 @@
 //! message type whose body MPI4Spark-Optimized routes over MPI.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fabric::{Net, Payload, PortAddr};
@@ -55,9 +55,8 @@ pub struct FetchResult {
     pub blocks: Vec<BlockId>,
     /// True on the final result of the originating `fetch_blocks` call.
     pub last: bool,
-    /// Decoded per-block data, ordered as `blocks`. The retry layer reads
-    /// [`NetzError::is_plane_failure`] to tell a failing plane from a bad
-    /// request.
+    /// Decoded per-block data, ordered as `blocks`; on `Err`, the retry
+    /// layer re-requests the blocks.
     pub result: Result<Vec<StoredBlock>, NetzError>,
 }
 
@@ -253,15 +252,8 @@ impl NettyBlockTransferService {
     /// shuffle-plane transport.
     pub fn new(identity: &ProcIdentity, net: &Net, backend: &Arc<dyn NetworkBackend>) -> Arc<Self> {
         let ctx = backend.context(Plane::Shuffle, identity, net, Arc::new(netz::NoOpRpcHandler));
-        Self::with_context(ctx, identity, "fetch")
-    }
-
-    /// Build the client side from an already-constructed transport context
-    /// (used to stand up the degraded-mode fallback service next to the
-    /// primary one).
-    pub fn with_context(ctx: TransportContext, identity: &ProcIdentity, label: &str) -> Arc<Self> {
         let endpoint =
-            ctx.create_client_endpoint(format!("{label}:{}", identity.name), identity.node);
+            ctx.create_client_endpoint(format!("fetch:{}", identity.name), identity.node);
         Arc::new(NettyBlockTransferService { endpoint })
     }
 }
@@ -365,13 +357,8 @@ impl BlockTransferService for NettyBlockTransferService {
 
 // --- retrying layer ---------------------------------------------------------
 
-/// Consecutive plane-level fetch failures (connect, timeout, closed channel)
-/// before an accelerated data plane falls back to sockets.
-pub const PLANE_FAILURE_THRESHOLD: u32 = 3;
-
 struct RetryInner {
-    primary: Arc<dyn BlockTransferService>,
-    fallback: Option<Arc<dyn BlockTransferService>>,
+    service: Arc<dyn BlockTransferService>,
     /// Re-requests per fetch after the first attempt.
     max_retries: u32,
     /// Exponential backoff between attempts.
@@ -379,10 +366,6 @@ struct RetryInner {
     /// Progress timeout: an attempt that delivers nothing for this long is
     /// abandoned and its missing blocks re-requested.
     fetch_timeout_ns: u64,
-    /// Sticky: once the plane is declared degraded every later fetch uses
-    /// the fallback service.
-    degraded: AtomicBool,
-    consecutive_plane_failures: AtomicU32,
     obs: obs::Obs,
     retries: obs::Counter,
     rng: Mutex<SeededRng>,
@@ -390,24 +373,23 @@ struct RetryInner {
 
 /// Spark's `RetryingBlockTransferor` analog: wraps a
 /// [`BlockTransferService`] with per-block retry, exponential backoff with
-/// seeded jitter, progress timeouts that re-request only the still-missing
-/// blocks, and graceful degradation to a fallback (socket-plane) service
-/// after consecutive plane-level failures.
+/// seeded jitter, and progress timeouts that re-request only the
+/// still-missing blocks. A fetch that exhausts its retries reports every
+/// missing block as failed, and the reader raises `FetchFailed` to the
+/// scheduler, which reruns the map stage.
 pub struct RetryingBlockFetcher {
     inner: Arc<RetryInner>,
 }
 
 impl RetryingBlockFetcher {
-    /// Wrap `primary`, retrying on `conf`'s `fetch_*` schedule with 20 %
-    /// backoff jitter. `fallback`, when present, is an independent service
-    /// on the degraded plane (plain sockets); `salt` decorrelates this
-    /// process's jitter stream from its peers' without breaking seed replay.
+    /// Wrap `service`, retrying on `conf`'s `fetch_*` schedule with 20 %
+    /// backoff jitter; `salt` decorrelates this process's jitter stream from
+    /// its peers' without breaking seed replay.
     /// Re-requests are counted on `obs`'s registry under
     /// [`obs::keys::SPARK_FETCH_RETRIES`] (and traced as
     /// `spark.fetch.retry` events).
     pub fn new(
-        primary: Arc<dyn BlockTransferService>,
-        fallback: Option<Arc<dyn BlockTransferService>>,
+        service: Arc<dyn BlockTransferService>,
         conf: &SparkConf,
         salt: u64,
         obs: obs::Obs,
@@ -418,8 +400,7 @@ impl RetryingBlockFetcher {
         let retries = obs.registry().counter(obs::keys::SPARK_FETCH_RETRIES);
         Arc::new(RetryingBlockFetcher {
             inner: Arc::new(RetryInner {
-                primary,
-                fallback,
+                service,
                 max_retries: conf.fetch_max_retries,
                 policy: RetryPolicy {
                     base_delay_ns: conf.fetch_retry_base_ns,
@@ -427,35 +408,11 @@ impl RetryingBlockFetcher {
                     jitter_frac: 0.2,
                 },
                 fetch_timeout_ns: conf.fetch_timeout_ns,
-                degraded: AtomicBool::new(false),
-                consecutive_plane_failures: AtomicU32::new(0),
                 obs,
                 retries,
                 rng: Mutex::new(rng),
             }),
         })
-    }
-
-    /// True once the primary plane has been abandoned for the fallback.
-    pub fn degraded(&self) -> bool {
-        self.inner.degraded.load(Ordering::Relaxed)
-    }
-}
-
-impl RetryInner {
-    fn service(&self) -> &Arc<dyn BlockTransferService> {
-        if self.degraded.load(Ordering::Relaxed) {
-            self.fallback.as_ref().unwrap_or(&self.primary)
-        } else {
-            &self.primary
-        }
-    }
-
-    fn note_plane_failure(&self) {
-        let n = self.consecutive_plane_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= PLANE_FAILURE_THRESHOLD && self.fallback.is_some() {
-            self.degraded.store(true, Ordering::Relaxed);
-        }
     }
 }
 
@@ -472,19 +429,14 @@ struct Fetch {
     /// Re-requests so far.
     retries: u32,
     last_error: NetzError,
-    /// The current attempt delivered a block.
-    progressed: bool,
-    /// The current attempt failed on the plane (connect, timeout, closed).
-    plane_failed: bool,
 }
 
 impl Fetch {
     /// Request what is missing. The attempt's results queue up until its
     /// requests are all out; then they drive the fetch.
-    fn attempt(mut self) {
-        (self.progressed, self.plane_failed) = (false, false);
+    fn attempt(self) {
         let results: Queue<FetchResult> = Queue::new();
-        let (service, remote) = (self.inner.service().clone(), self.remote);
+        let (service, remote) = (self.inner.service.clone(), self.remote);
         let (blocks, sink) = (self.missing.clone(), results.clone().into());
         service.fetch_blocks_then(remote, blocks, sink, Box::new(move || self.next(results)));
     }
@@ -512,7 +464,6 @@ impl Fetch {
         let res = match res {
             Ok(r) => r,
             Err(RecvError::Timeout) => {
-                self.plane_failed = true;
                 self.last_error = NetzError::Timeout;
                 return self.end_attempt();
             }
@@ -521,7 +472,6 @@ impl Fetch {
         let attempt_done = res.last;
         match res.result {
             Ok(data) => {
-                self.progressed = true;
                 self.missing.retain(|b| !res.blocks.contains(b));
                 let finished = self.missing.is_empty();
                 self.sink.send(FetchResult {
@@ -530,14 +480,10 @@ impl Fetch {
                     result: Ok(data),
                 });
                 if finished {
-                    self.inner.consecutive_plane_failures.store(0, Ordering::Relaxed);
                     return None;
                 }
             }
-            Err(e) => {
-                self.plane_failed |= e.is_plane_failure();
-                self.last_error = e;
-            }
+            Err(e) => self.last_error = e,
         }
         if attempt_done {
             return self.end_attempt();
@@ -549,12 +495,6 @@ impl Fetch {
     /// and try again. Returns `None`: the attempt is over either way.
     fn end_attempt(mut self) -> Option<Fetch> {
         let inner = self.inner.clone();
-        if self.progressed {
-            inner.consecutive_plane_failures.store(0, Ordering::Relaxed);
-        }
-        if self.plane_failed {
-            inner.note_plane_failure();
-        }
         if self.retries >= inner.max_retries {
             // Budget exhausted: every still-missing block surfaces a
             // terminal error to the reader, which raises FetchFailed to
@@ -588,8 +528,7 @@ impl Fetch {
                 "spark.fetch.retry",
                 obs::kv! {"remote" => self.remote.node,
                 "attempt" => self.retries,
-                "missing" => self.missing.len(),
-                "degraded" => inner.degraded.load(Ordering::Relaxed)},
+                "missing" => self.missing.len()},
             );
             self.attempt();
         };
@@ -611,16 +550,11 @@ impl BlockTransferService for RetryingBlockFetcher {
             missing: blocks,
             retries: 0,
             last_error: NetzError::Remote("fetch failed".into()),
-            progressed: false,
-            plane_failed: false,
         };
         simt::engine::call_at(simt::now(), move || fetch.attempt());
     }
 
     fn close(&self) {
-        self.inner.primary.close();
-        if let Some(f) = &self.inner.fallback {
-            f.close();
-        }
+        self.inner.service.close();
     }
 }

@@ -20,7 +20,6 @@ use obs::keys;
 use simt::SeededRng;
 use sparklet::deploy::ClusterConfig;
 use sparklet::scheduler::SparkContext;
-use sparklet::transfer::PLANE_FAILURE_THRESHOLD;
 use sparklet::SparkConf;
 use workloads::System;
 
@@ -215,31 +214,30 @@ fn same_seed_reproduces_the_run_bit_for_bit() {
 }
 
 #[test]
-fn mpi_plane_outage_degrades_to_sockets_and_completes() {
-    // Fallback-degradation ablation: kill only the MPI software stack on
-    // every worker link, permanently, mid-shuffle. The socket plane stays
-    // healthy, so after `PLANE_FAILURE_THRESHOLD` consecutive plane-level
-    // failures the retry layer must switch the fetch path to the backend's
-    // socket fallback plane and finish the job.
+fn a_bounded_mpi_plane_outage_is_ridden_out_by_fetch_retries() {
+    // Kill only the MPI software stack on every worker link for 100 ms,
+    // mid-shuffle, while sockets stay healthy. Fetches that stall on the
+    // one shuffle plane time out and are retried on it; the outage is over
+    // before any fetch spends its retry budget, so no stage reruns.
     let spec = ClusterSpec::test(5);
-    let (start, _) = measure_result_stage(System::Mpi4Spark, &spec);
-    let mut b = FaultPlan::seeded(15);
-    for (i, &a) in WORKERS.iter().enumerate() {
-        for &c in &WORKERS[i + 1..] {
-            b = b.drop_link_stack(a, c, start, u64::MAX / 2, "MPI");
+    for system in [System::Mpi4Spark, System::Mpi4SparkBasic] {
+        let (start, _) = measure_result_stage(system, &spec);
+        let mut b = FaultPlan::seeded(15);
+        for (i, &a) in WORKERS.iter().enumerate() {
+            for &c in &WORKERS[i + 1..] {
+                b = b.drop_link_stack(a, c, start, 100 * MS, "MPI");
+            }
         }
+        let out = run_chaos(system, &spec, b.build());
+        let name = system.label();
+        assert_eq!(out.result, oracle(), "{name}: wrong result under an MPI-stack outage");
+        let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
+        assert!(dropped > 0, "{name}: the MPI-stack outage never bit");
+        let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
+        assert!(retries > 0, "{name}: the outage was survived without a fetch retry");
+        let resubmits = out.metrics.counter(keys::SPARK_STAGE_RESUBMITS);
+        assert_eq!(resubmits, 0, "{name}: fetch retries alone must ride the outage out");
     }
-    let out = run_chaos(System::Mpi4Spark, &spec, b.build());
-    assert_eq!(out.result, oracle(), "job must complete on the socket fallback plane");
-    let dropped = out.metrics.counter(keys::NET_CHAOS_DROPPED_MSGS);
-    assert!(dropped > 0, "the MPI-stack outage never bit");
-    let threshold = u64::from(PLANE_FAILURE_THRESHOLD);
-    let retries = out.metrics.counter(keys::SPARK_FETCH_RETRIES);
-    assert!(
-        retries >= threshold,
-        "degradation needs >= {threshold} plane failures; saw {} retries",
-        retries
-    );
 }
 
 /// Randomized-seed smoke run (ignored by default; CI runs it in `--release`

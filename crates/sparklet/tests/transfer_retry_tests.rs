@@ -4,9 +4,8 @@
 //!   `NettyBlockTransferService` over the fabric), the per-block failure
 //!   granularity regression — one bad chunk must not fail sibling blocks;
 //! * against scripted transfer services, the retry controller's contract:
-//!   missing-only re-requests, stall detection, retry accounting, plane
-//!   degradation to the fallback service, and per-block error emission on
-//!   exhaustion.
+//!   missing-only re-requests, stall detection, retry accounting, and
+//!   per-block error emission on exhaustion.
 
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use sparklet::net_backend::{NetworkBackend, Plane, ProcIdentity, Role, VanillaBa
 use sparklet::storage::{BlockId, BlockManager, KeptBlock, MapOutput, StoredBlock};
 use sparklet::transfer::{
     BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, OpenBlocks,
-    RetryingBlockFetcher, ShuffleService, StreamHandle, PLANE_FAILURE_THRESHOLD,
+    RetryingBlockFetcher, ShuffleService, StreamHandle,
 };
 use sparklet::SparkConf;
 
@@ -210,7 +209,7 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
             }
         });
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), &conf(), 1, obs.clone());
         let sink = Queue::new();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
@@ -218,7 +217,6 @@ fn transient_failure_is_retried_for_the_missing_block_only() {
         assert_eq!(ok, vec![bid(0), bid(1), bid(2)], "every block recovers");
         assert!(err.is_empty());
         assert_eq!(retries_on(&obs), 1, "the registry reports the fetch's retry count");
-        assert!(!fetcher.degraded(), "request-scoped failures must not degrade the plane");
         let calls = primary.calls.lock().clone();
         assert_eq!(calls[0], vec![bid(0), bid(1), bid(2)]);
         assert_eq!(calls[1], vec![bid(1)], "the re-request covers only the missing block");
@@ -246,7 +244,7 @@ fn stalled_attempt_times_out_and_reissues_missing_chunks() {
             }
         });
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &conf(), 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), &conf(), 1, obs.clone());
         let sink = Queue::new();
         let t0 = simt::now();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
@@ -260,60 +258,6 @@ fn stalled_attempt_times_out_and_reissues_missing_chunks() {
             "recovery must have waited out the stall"
         );
         assert_eq!(primary.calls.lock()[1], vec![bid(1)]);
-    });
-    sim.run().unwrap().assert_clean();
-    sim.shutdown();
-}
-
-#[test]
-fn consecutive_plane_failures_degrade_to_the_fallback_service() {
-    let sim = Sim::new();
-    sim.spawn("main", || {
-        // The primary plane is dead: every attempt fails with a plane-level
-        // error. After `PLANE_FAILURE_THRESHOLD` consecutive failures the
-        // fetch must switch to the fallback service and stay there.
-        let primary = Scripted::new(|_, blocks, sink| {
-            sink.send(FetchResult {
-                blocks: blocks.to_vec(),
-                last: true,
-                result: Err(NetzError::ConnectFailed("plane down".into())),
-            });
-        });
-        let fallback = Scripted::new(|_, blocks, sink| {
-            for i in 0..blocks.len() {
-                sink.send(ok_result(blocks, i, i + 1 == blocks.len()));
-            }
-        });
-        let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(
-            primary.clone(),
-            Some(fallback.clone()),
-            &conf(),
-            1,
-            obs.clone(),
-        );
-        let sink = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(0), bid(1)], sink.clone().into());
-        let (mut ok, err) = drain(&sink);
-        ok.sort();
-        assert_eq!(ok, vec![bid(0), bid(1)], "the fallback plane completes the fetch");
-        assert!(err.is_empty());
-        assert!(fetcher.degraded(), "the primary plane must be abandoned");
-        let threshold = PLANE_FAILURE_THRESHOLD;
-        assert_eq!(primary.calls.lock().len() as u32, threshold, "primary dropped at threshold");
-        assert_eq!(fallback.calls.lock().len(), 1);
-        assert_eq!(
-            retries_on(&obs),
-            u64::from(threshold),
-            "each failed primary attempt counts as a retry"
-        );
-
-        // Sticky: the next fetch goes straight to the fallback.
-        let sink2 = Queue::new();
-        fetcher.fetch_blocks(remote(), vec![bid(2)], sink2.clone().into());
-        let (ok2, _) = drain(&sink2);
-        assert_eq!(ok2, vec![bid(2)]);
-        assert_eq!(primary.calls.lock().len() as u32, threshold, "primary never consulted again");
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();
@@ -342,7 +286,7 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
         });
         let c = SparkConf { fetch_max_retries: 1, ..conf() };
         let obs = obs::Obs::disabled();
-        let fetcher = RetryingBlockFetcher::new(primary.clone(), None, &c, 1, obs.clone());
+        let fetcher = RetryingBlockFetcher::new(primary.clone(), &c, 1, obs.clone());
         let sink = Queue::new();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1), bid(2)], sink.clone().into());
         let (mut ok, err) = drain(&sink);
@@ -350,7 +294,6 @@ fn exhausted_retries_fail_only_the_still_missing_blocks() {
         assert_eq!(ok, vec![bid(0), bid(2)], "siblings delivered despite exhaustion");
         assert_eq!(err, vec![bid(1)], "the terminal error covers only the lost block");
         assert_eq!(retries_on(&obs), 1, "budget fully spent before giving up");
-        assert!(!fetcher.degraded());
         assert_eq!(primary.calls.lock().len(), 2);
     });
     sim.run().unwrap().assert_clean();
@@ -377,7 +320,7 @@ fn a_stalled_attempt_times_out_backs_off_and_redelivers_at_pinned_instants() {
                 sink.send(ok_result(blocks, i, call > 0 && i + 1 == blocks.len()));
             }
         });
-        let fetcher = RetryingBlockFetcher::new(primary, None, &conf(), 1, obs::Obs::disabled());
+        let fetcher = RetryingBlockFetcher::new(primary, &conf(), 1, obs::Obs::disabled());
         simt::sleep(MS);
         let sink = Queue::new();
         fetcher.fetch_blocks(remote(), vec![bid(0), bid(1)], sink.clone().into());

@@ -50,5 +50,5 @@ fn an_iter_ml_cell_drops_messages_only_at_teardown() {
     let dropped = obs.registry().snapshot().counter(obs::keys::NET_DROPPED_MSGS);
     sim.shutdown();
     assert_eq!(during_app.try_take(), Some(0), "a message was dropped while the app ran");
-    assert_eq!(dropped, 10, "messages dropped at teardown");
+    assert_eq!(dropped, 12, "messages dropped at teardown");
 }

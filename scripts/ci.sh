@@ -130,7 +130,10 @@ grep -q '^host-profile: wake ' "$CI_TMP/profile.log" || {
 # netz's event loops and rmpi's progress pumps are chains of engine
 # continuations (`fabric::net::PortRx::serve`), and so are shuffle fetch retries
 # and Optimized body receives; a job runs on the driver thread that submits it.
-# None of these names may reach the traced cell's thread census.
+# None of these names may reach the traced cell's thread census. That cell is
+# Optimized with no fault plan, so it can never show Basic's receive loop
+# (`mpi-basic-rx`) or a crash hook (`fabric-node-down`): `census_tests` and
+# `recovery_chaos_tests` are the guards for those two.
 census="$(grep '^simt: green threads spawned by name' "$CI_TMP/profile.log")"
 if grep -qE '(netz-boss|netz-loop|mpi-pump|job-|fetch-retry|mpi-opt-body-pump) ' <<< "$census"; then
   echo "error: a retired per-request or per-port thread is back: $census" >&2
