@@ -132,7 +132,10 @@ impl ChannelCore {
     ) -> Arc<Self> {
         let obs = net.obs().clone();
         obs.registry().counter(obs::keys::NETZ_CHANNELS_OPENED).inc();
-        obs.event("netz.channel.open", obs::kv! {"local" => local_node, "remote" => remote_node});
+        if obs.is_traced() {
+            let kvs = obs::kv! {"local" => local_node, "remote" => remote_node};
+            obs.event("netz.channel.open", kvs);
+        }
         let stats = ChanStats::new(obs.registry());
         Arc::new(ChannelCore {
             id,
@@ -301,10 +304,7 @@ impl ChannelCore {
         if !self.mark_closed() {
             return;
         }
-        self.net.obs().event(
-            "netz.channel.close",
-            obs::kv! {"local" => self.local_node, "remote" => self.remote_node},
-        );
+        self.trace_close();
         self.send_event(WireEvent::Close { channel: self.id }, CONTROL_EVENT_BYTES);
         self.fail_pending();
     }
@@ -314,11 +314,16 @@ impl ChannelCore {
         if !self.mark_closed() {
             return;
         }
-        self.net.obs().event(
-            "netz.channel.close",
-            obs::kv! {"local" => self.local_node, "remote" => self.remote_node},
-        );
+        self.trace_close();
         self.fail_pending();
+    }
+
+    fn trace_close(&self) {
+        let obs = self.net.obs();
+        if obs.is_traced() {
+            let kvs = obs::kv! {"local" => self.local_node, "remote" => self.remote_node};
+            obs.event("netz.channel.close", kvs);
+        }
     }
 
     fn mark_closed(&self) -> bool {

@@ -117,8 +117,10 @@ pub mod keys {
     pub const SIMT_PEAK_LIVE_THREADS: &str = "simt.peak_live_threads";
     /// Most events waiting in the engine's heap at one time.
     pub const SIMT_HEAP_HIGH_WATER: &str = "simt.heap_high_water";
+    /// Deadlines the engine removed unfired because their wait ended first.
+    pub const SIMT_DEADLINES_CANCELLED: &str = "simt.deadlines_cancelled";
     /// The engine's counters, in the order of `simt::SimStats`'s fields.
-    pub const SIMT_STATS: [&str; 7] = [
+    pub const SIMT_STATS: [&str; 8] = [
         SIMT_EVENTS_POPPED,
         SIMT_WAKES,
         SIMT_STALE_WAKES,
@@ -126,6 +128,7 @@ pub mod keys {
         SIMT_THREADS_SPAWNED,
         SIMT_PEAK_LIVE_THREADS,
         SIMT_HEAP_HIGH_WATER,
+        SIMT_DEADLINES_CANCELLED,
     ];
 }
 
@@ -201,6 +204,7 @@ impl Obs {
             stats.threads_spawned,
             stats.peak_live_threads,
             stats.heap_high_water,
+            stats.deadlines_cancelled,
         ];
         for (key, value) in keys::SIMT_STATS.into_iter().zip(values) {
             self.inner.registry.counter(key).add(value);

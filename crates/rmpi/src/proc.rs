@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 use fabric::{Net, NodeId, Payload, PortAddr};
+use simt::engine::Deadline;
 use simt::sync::Mutex;
 use simt::wait::WaitList;
 
@@ -50,6 +51,8 @@ struct PostedRecv {
     /// A continuation's receive: the message that matches it is handed to
     /// this on the engine instead, and the slot goes with it.
     then: Option<RecvThen>,
+    /// The continuation's deadline, cancelled when the slot goes another way.
+    deadline: Option<Deadline>,
 }
 
 #[derive(Default)]
@@ -122,7 +125,8 @@ impl MsgStore {
     /// interchangeable — whichever arrives first completes the live posted
     /// receive, and the drain left by the timed-out attempt absorbs the
     /// duplicate. A continuation receive is not woken but scheduled: its
-    /// slot goes, and its continuation runs on the engine at this instant.
+    /// slot and its deadline go, and its continuation runs on the engine at
+    /// this instant.
     pub fn push(&self, msg: MpiMsg) {
         {
             let s = &mut *self.0.state.lock();
@@ -135,7 +139,11 @@ impl MsgStore {
                 if p.then.is_none() {
                     p.ready = Some(msg);
                 } else {
-                    let then = s.posted.remove(&id).and_then(|p| p.then).expect("a continuation");
+                    let p = s.posted.remove(&id).expect("a posted receive");
+                    if let Some(deadline) = p.deadline {
+                        deadline.cancel();
+                    }
+                    let then = p.then.expect("a continuation");
                     simt::engine::call_at(simt::now(), move || then(Ok(msg)));
                     return;
                 }
@@ -161,7 +169,7 @@ impl MsgStore {
         let id = s.next_req;
         s.next_req += 1;
         let ready = s.msgs.iter().position(|x| m.matches(x)).map(|pos| s.msgs.remove(pos));
-        s.posted.insert(id, PostedRecv { matcher: m, ready, then: None });
+        s.posted.insert(id, PostedRecv { matcher: m, ready, then: None, deadline: None });
         ReqId(id)
     }
 
@@ -186,7 +194,8 @@ impl MsgStore {
     /// engine with the message pinned to the slot — at once if one already
     /// is — or with `Timeout` at the `deadline`, if any, the slot then
     /// cancelled with a drain. The slot is consumed either way; a closed
-    /// store drops `then`.
+    /// store drops `then`. The deadline is a [`Deadline`]: a message that
+    /// lands first cancels it, so the engine never pops it.
     pub(crate) fn req_wait_then(&self, id: ReqId, deadline: Option<u64>, then: RecvThen) {
         let ready = {
             let s = &mut *self.0.state.lock();
@@ -194,10 +203,10 @@ impl MsgStore {
                 s.posted.get_mut(&id.0).unwrap_or_else(|| panic!("request {id:?} waited twice"));
             if p.ready.is_none() && !s.closed {
                 p.then = Some(then);
-                if let Some(deadline) = deadline {
+                p.deadline = deadline.map(|deadline| {
                     let store = Arc::downgrade(&self.0);
-                    simt::engine::call_at(deadline, move || Self::expire(&store, id));
-                }
+                    simt::engine::deadline_at(deadline, move || Self::expire(&store, id))
+                });
                 return;
             }
             s.posted.remove(&id.0).and_then(|p| p.ready)
@@ -253,13 +262,14 @@ impl MsgStore {
     }
 
     /// Stop accepting messages and wake everyone (they observe `Finalized`).
-    /// Pending continuation receives are dropped unrun.
+    /// Pending continuation receives are dropped unrun, with their deadlines.
     pub fn close(&self) {
         let dropped: Vec<_> = {
             let mut s = self.0.state.lock();
             s.closed = true;
             s.posted.extract_if(.., |_, p| p.then.is_some()).collect()
         };
+        dropped.iter().filter_map(|(_, p)| p.deadline).for_each(Deadline::cancel);
         drop(dropped); // outside the lock: what a continuation captured is dropped with it
         self.0.waiters.notify_all();
     }
@@ -606,7 +616,10 @@ mod tests {
             store.close();
             assert_eq!(store.posted_len(), 0);
         });
-        sim.run().unwrap().assert_clean();
+        let report = sim.run().unwrap();
+        report.assert_clean();
+        // The close took the closed one's deadline (100 µs) with it.
+        assert_eq!(report.now, 60_000);
         // Arrival order, not post order; the stored message at once; the
         // lost one at its deadline; the closed one never, its closure gone.
         let want = vec![
@@ -617,6 +630,47 @@ mod tests {
         ];
         assert_eq!(*log.lock(), want);
         assert_eq!(Arc::strong_count(&kept), 1);
+    }
+
+    /// A continuation receive under a 50 µs deadline, its message pushed at
+    /// `land_at`: what it got and when, the run's end, the store's
+    /// `(posted, drains, stored)` after the run, and the cancelled deadlines.
+    fn timed_receive(
+        land_at: u64,
+    ) -> ((Result<u64, MpiError>, u64), u64, (usize, usize, usize), u64) {
+        let sim = simt::Sim::new();
+        let store = MsgStore::default();
+        let got = Arc::new(Mutex::new(None));
+        let (s2, g2) = (store.clone(), got.clone());
+        sim.spawn("poster", move || {
+            let id = s2.post_recv(Matcher { comm: CommId(1), src: None, tag: Some(9) });
+            let then: RecvThen = Box::new(move |r: Result<MpiMsg, MpiError>| {
+                *g2.lock() = Some((r.map(|m| m.tag), simt::now()));
+            });
+            s2.req_wait_then(id, Some(50_000), then);
+        });
+        let s3 = store.clone();
+        sim.spawn("sender", move || {
+            simt::sleep(land_at);
+            s3.push(msg(1, 0, 9));
+        });
+        let end = sim.run().unwrap().now;
+        let got = got.lock().clone().expect("the receive ended");
+        (
+            got,
+            end,
+            (store.posted_len(), store.drain_len(), store.len()),
+            sim.stats().deadlines_cancelled,
+        )
+    }
+
+    #[test]
+    fn a_continuation_receive_cancels_its_deadline_when_the_message_lands_first() {
+        // The run ends when the message lands, not at the deadline.
+        assert_eq!(timed_receive(1_000), ((Ok(9), 1_000), 1_000, (0, 0, 0), 1));
+        // The deadline first: `Timeout` at it, and the late body is drained.
+        let late = timed_receive(80_000);
+        assert_eq!(late, ((Err(MpiError::Timeout), 50_000), 80_000, (0, 0, 0), 0));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! CPU's one engine tick for the next completion in place, so each change
 //! costs O(live jobs) and leaves no stale event behind.
 
+use std::panic::Location;
 use std::sync::Arc;
 
 use crate::engine::{wait_token, EngineHandle, Tick, WaitToken};
@@ -40,7 +41,9 @@ struct Job {
     /// Unique per `execute` on this CPU: slots are reused, tickets are not.
     ticket: u64,
     remaining: f64,
-    token: WaitToken,
+    done: Done,
+    /// Where the job was submitted: a `Call`'s host-profile label.
+    from: &'static Location<'static>,
 }
 
 struct CpuState {
@@ -112,19 +115,21 @@ impl Cpu {
             match s.jobs.iter_mut().find(|j| j.ticket == ticket) {
                 None => return,
                 // Spurious wake: refresh our token so a future tick can reach us.
-                Some(job) => job.token = wait_token(),
+                Some(job) => job.done = Done::Wake(wait_token()),
             }
         }
     }
 
     /// Charge `work_ns` like [`execute`](Cpu::execute), but end the job with
-    /// `done` instead of parking. A `Call` for no work runs at once.
+    /// `done` instead of parking. A `Call` for no work runs at once; any
+    /// other is labelled with the caller's site in the host profile.
+    #[track_caller]
     pub fn submit(&self, work_ns: u64, done: Done) {
-        let token = match done {
+        let done = match done {
             Done::Call(f) if work_ns == 0 => return f(),
-            Done::Call(f) => WaitToken::step(f),
-            Done::Wake(token) => token,
+            done => done,
         };
+        let from = Location::caller();
         let mut s = self.state.lock();
         s.handle.get_or_insert_with(|| EngineHandle::register(&self.state));
         let now = crate::now();
@@ -134,7 +139,7 @@ impl Cpu {
         // The first position whose job holds a higher slot is the lowest free slot.
         let slot = s.jobs.iter().enumerate().position(|(i, j)| j.slot != i);
         let slot = slot.unwrap_or(s.jobs.len());
-        s.jobs.insert(slot, Job { slot, ticket, remaining: work_ns as f64, token });
+        s.jobs.insert(slot, Job { slot, ticket, remaining: work_ns as f64, done, from });
         Self::reschedule(&mut s, now);
     }
 
@@ -179,16 +184,18 @@ impl Cpu {
         s.last_update = now;
     }
 
-    /// Wake the finished jobs, in slot order, and re-arm the tick for the
+    /// End the finished jobs, in slot order, and re-arm the tick for the
     /// next completion (or disarm it when no job is left).
     fn reschedule(s: &mut CpuState, now: u64) {
-        s.jobs.retain(|job| {
-            let finished = job.remaining <= EPS;
-            if finished {
-                job.token.wake();
+        let CpuState { jobs, handle, .. } = s;
+        for job in jobs.extract_if(.., |job| job.remaining <= EPS) {
+            match job.done {
+                Done::Wake(token) => token.wake(),
+                Done::Call(f) => {
+                    handle.as_ref().expect("a job was submitted").call_now(f, job.from)
+                }
             }
-            !finished
-        });
+        }
         let next = (!s.jobs.is_empty()).then(|| {
             let rate = Self::rate(s);
             let min_rem = s.jobs.iter().map(|j| j.remaining).fold(f64::INFINITY, f64::min);

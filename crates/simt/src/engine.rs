@@ -5,19 +5,24 @@
 //! thread that called [`Sim::run`] — takes events in `(virtual_time,
 //! sequence)` order: a `Wake` resumes a blocked green thread's coroutine and
 //! gets control back when that thread parks or finishes; a `Call` runs a
-//! closure on the engine's own stack (message delivery, deadlines); a `Tick`
-//! runs a [`crate::Cpu`]'s completion step there.
+//! closure on the engine's own stack (message delivery, deadlines); a `Step`
+//! runs a continuation's next step there, unless an earlier event has; a
+//! `Tick` runs a [`crate::Cpu`]'s completion step there.
 //!
-//! The loop takes the smallest key among three fronts: a heap of events
+//! The loop takes the smallest key among four fronts: a heap of events
 //! pushed for a later instant, a FIFO of those pushed for the current one
-//! (the due-now queue, already in sequence order), and the earliest CPU tick.
-//! Each CPU has at most one tick; re-arming replaces it in place under a
-//! fresh sequence number, so a superseded tick is never queued or popped.
+//! (the due-now queue, already in sequence order), the earliest CPU tick, and
+//! the earliest deadline. Each CPU has at most one tick; re-arming replaces it
+//! in place under a fresh sequence number, so a superseded tick is never
+//! queued or popped. A deadline is the wake or call that ends a wait when
+//! nothing else does first; when something does, the deadline is removed
+//! from its ordered map at once, so a finished wait leaves no event behind.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{self, Location};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use crate::coro::{self, Coroutine, Payload, Step};
@@ -72,6 +77,8 @@ type Site = &'static Location<'static>;
 enum EventKind {
     Wake { tid: TaskId, epoch: u64 },
     Call(Box<dyn FnOnce() + Send>, Site),
+    // A continuation's next step: the first of its events runs it.
+    Step(Arc<StepCell>, Site),
     // Never queued: `State::pop` makes one when a CPU's armed tick is next.
     Tick(usize),
 }
@@ -150,6 +157,8 @@ struct State {
     /// Events pushed for the current instant, in sequence order.
     due: VecDeque<Event>,
     ticks: Ticks,
+    /// The armed deadlines by `(time, seq)`; see [`Deadline`].
+    deadlines: BTreeMap<(u64, u64), EventKind>,
     threads: Vec<ThreadSlot>,
     live: u64,
     stats: SimStats,
@@ -164,9 +173,15 @@ struct State {
 }
 
 impl State {
-    fn push_event(&mut self, at: u64, kind: EventKind) {
-        let event = Event { time: at.max(self.now), seq: self.next_seq, kind };
+    /// The `(time, seq)` the next event pushed for `at` takes.
+    fn next_key(&mut self, at: u64) -> (u64, u64) {
         self.next_seq += 1;
+        (at.max(self.now), self.next_seq - 1)
+    }
+
+    fn push_event(&mut self, at: u64, kind: EventKind) {
+        let (time, seq) = self.next_key(at);
+        let event = Event { time, seq, kind };
         if event.time == self.now {
             self.due.push_back(event);
         } else {
@@ -175,35 +190,60 @@ impl State {
         self.note_pending();
     }
 
+    fn arm_deadline(&mut self, at: u64, kind: EventKind) -> Deadline {
+        let key = self.next_key(at);
+        self.deadlines.insert(key, kind);
+        self.note_pending();
+        Deadline(key)
+    }
+
+    /// Remove a deadline that has not fired; `None` if it has. What it would
+    /// have run is the caller's to drop, outside the lock.
+    #[must_use]
+    fn cancel(&mut self, deadline: Deadline) -> Option<EventKind> {
+        let cancelled = self.deadlines.remove(&deadline.0);
+        self.stats.deadlines_cancelled += u64::from(cancelled.is_some());
+        cancelled
+    }
+
     /// The event's host-profile label (see [`crate::take_host_profile`]).
     fn label(&self, kind: &EventKind) -> String {
         match kind {
             EventKind::Wake { tid, .. } => {
                 format!("wake {}", census_prefix(&self.threads[tid.0].name))
             }
-            EventKind::Call(_, from) => format!("call {}:{}", from.file(), from.line()),
+            EventKind::Call(_, from) | EventKind::Step(_, from) => {
+                format!("call {}:{}", from.file(), from.line())
+            }
             EventKind::Tick(_) => "tick".into(),
         }
     }
 
     fn note_pending(&mut self) {
-        let pending = self.heap.len() + self.due.len() + self.ticks.armed;
+        let pending = self.heap.len() + self.due.len() + self.ticks.armed + self.deadlines.len();
         self.stats.heap_high_water = self.stats.heap_high_water.max(pending as u64);
     }
 
     /// The smallest `(time, seq)` of the heap's top, the due-now queue's
-    /// front and the earliest tick, which popping disarms.
+    /// front, the earliest tick, which popping disarms, and the earliest
+    /// deadline.
     fn pop(&mut self) -> Option<Event> {
         let heap = self.heap.peek().map(|Reverse(e)| (e.time, e.seq));
         let due = self.due.front().map(|e| (e.time, e.seq));
-        let queued = if due.is_some_and(|d| heap.is_none_or(|h| d < h)) { due } else { heap };
-        match self.ticks.earliest() {
-            Some((time, seq, slot)) if queued.is_none_or(|q| (time, seq) < q) => {
-                self.ticks.set(slot, None);
-                Some(Event { time, seq, kind: EventKind::Tick(slot) })
-            }
-            _ if queued == due => self.due.pop_front(),
-            _ => self.heap.pop().map(|Reverse(e)| e),
+        let tick = self.ticks.earliest().map(|(time, seq, _)| (time, seq));
+        let deadline = self.deadlines.first_key_value().map(|(&key, _)| key);
+        let first = [heap, due, tick, deadline].into_iter().flatten().min()?;
+        if Some(first) == due {
+            self.due.pop_front()
+        } else if Some(first) == heap {
+            self.heap.pop().map(|Reverse(e)| e)
+        } else if Some(first) == tick {
+            let (time, seq, slot) = self.ticks.earliest()?;
+            self.ticks.set(slot, None);
+            Some(Event { time, seq, kind: EventKind::Tick(slot) })
+        } else {
+            let ((time, seq), kind) = self.deadlines.pop_first()?;
+            Some(Event { time, seq, kind })
         }
     }
 }
@@ -227,13 +267,20 @@ pub struct SimStats {
     pub threads_spawned: u64,
     /// Most green threads alive (spawned, not finished) at one time.
     pub peak_live_threads: u64,
-    /// Most events pending at one time: heap, due-now queue and armed ticks.
+    /// Most events pending at one time: heap, due-now queue, armed ticks and
+    /// armed deadlines.
     pub heap_high_water: u64,
+    /// Deadlines removed unfired because their wait ended another way.
+    pub deadlines_cancelled: u64,
 }
 
 /// Shared engine internals; green threads hold an `Arc` to this.
 pub struct Inner {
     state: RawMutex<State>,
+    /// `State::now`, for [`crate::now`] to read without the lock. `Relaxed`:
+    /// only the OS thread running the simulation reads and writes it, and a
+    /// `Sim` moved to another OS thread is synchronized by that move.
+    clock: AtomicU64,
     /// Wait-graph bookkeeping fed by the sync primitives; never locked while
     /// `state` is held (and vice versa) so the two cannot deadlock.
     pub(crate) diag: RawMutex<crate::diag::DiagState>,
@@ -267,6 +314,8 @@ thread_local! {
 /// What a continuation runs as: the engine, which has no thread to park.
 pub(crate) const ENGINE: TaskId = TaskId(usize::MAX);
 
+const OUTSIDE: &str = "simt: called a simulation primitive outside a green thread";
+
 // Never inlined, so that a green thread resumed by another OS thread than the
 // one it parked on reads that thread's cell (see `coro::active`).
 #[inline(never)]
@@ -274,21 +323,26 @@ pub(crate) fn current_handle() -> Option<(Arc<Inner>, TaskId)> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Run `f` with the caller's simulation and task ([`ENGINE`] in a continuation).
+/// Run `f` with the caller's simulation and task ([`ENGINE`] in a
+/// continuation), lent from the thread-local cell: `f` must not park.
+// Never inlined, for the reason `current_handle` is not.
+#[inline(never)]
 pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
-    let (inner, tid) =
-        current_handle().expect("simt: called a simulation primitive outside a green thread");
-    f(&inner, tid)
+    CURRENT.with(|c| {
+        let current = c.borrow();
+        let (inner, tid) = current.as_ref().expect(OUTSIDE);
+        f(inner, *tid)
+    })
 }
 
-/// [`with_current`] for what only a green thread may do: park.
+/// [`with_current`] for what only a green thread may do: park. The handle is
+/// cloned, since the thread may resume on another OS thread.
 pub(crate) fn with_thread<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
-    with_current(|inner, tid| {
-        let msg = "simt: a continuation cannot park; it chains its next step with \
-                   `Cpu::submit` or `call_at`";
-        assert_ne!(tid, ENGINE, "{msg}");
-        f(inner, tid)
-    })
+    let (inner, tid) = current_handle().expect(OUTSIDE);
+    let msg = "simt: a continuation cannot park; it chains its next step with \
+               `Cpu::submit` or `call_at`";
+    assert_ne!(tid, ENGINE, "{msg}");
+    f(&inner, tid)
 }
 
 /// Set while a `Call` runs: [`CURRENT`] is the engine, unless a green thread
@@ -340,16 +394,20 @@ fn census_prefix(name: &str) -> &str {
 
 impl Inner {
     pub(crate) fn now(&self) -> u64 {
-        self.state.lock().now
+        self.clock.load(Ordering::Relaxed)
     }
 
     pub(crate) fn thread_name(&self, tid: TaskId) -> String {
         self.state.lock().threads[tid.0].name.clone()
     }
 
-    /// Schedule a wake for `(tid, epoch)` at absolute virtual time `at`.
+    /// Schedule a wake for `(tid, epoch)` at absolute virtual time `at`; none
+    /// if the thread has already resumed since that epoch.
     pub(crate) fn schedule_wake(&self, tid: TaskId, epoch: u64, at: u64) {
-        self.state.lock().push_event(at, EventKind::Wake { tid, epoch });
+        let mut s = self.state.lock();
+        if s.threads[tid.0].epoch == epoch {
+            s.push_event(at, EventKind::Wake { tid, epoch });
+        }
     }
 
     /// Schedule a closure to run on the engine's stack at absolute time `at`.
@@ -578,6 +636,7 @@ impl Sim {
                     heap: BinaryHeap::new(),
                     due: VecDeque::new(),
                     ticks: Ticks::default(),
+                    deadlines: BTreeMap::new(),
                     threads: Vec::new(),
                     live: 0,
                     stats: SimStats::default(),
@@ -587,6 +646,7 @@ impl Sim {
                     parked: Vec::new(),
                     parked_prune_at: 64,
                 }),
+                clock: AtomicU64::new(0),
                 diag: RawMutex::new(crate::diag::DiagState::default()),
                 observer: RawMutex::new(None),
             }),
@@ -643,6 +703,7 @@ impl Sim {
             }
             let Some(event) = s.pop() else { break };
             s.now = event.time;
+            self.inner.clock.store(event.time, Ordering::Relaxed);
             s.stats.events_popped += 1;
             let probe = profiling.then(|| Probe::start(s.label(&event.kind)));
             match event.kind {
@@ -651,6 +712,15 @@ impl Sim {
                     drop(s);
                     let _engine = OnEngine::enter(&me);
                     f();
+                }
+                EventKind::Step(step, _) => {
+                    s.stats.calls += 1;
+                    let next = step.take(&mut s);
+                    drop(s);
+                    if let Some(f) = next {
+                        let _engine = OnEngine::enter(&me);
+                        f();
+                    }
                 }
                 EventKind::Tick(slot) => {
                     s.stats.calls += 1;
@@ -746,10 +816,7 @@ impl Sim {
                 break;
             }
             let steps: Vec<_> = (parked.iter().filter_map(Weak::upgrade))
-                .filter_map(|step| {
-                    let next = step.lock().take();
-                    next
-                })
+                .filter_map(|step| step.take(&mut self.inner.state.lock()))
                 .collect();
             let _engine = OnEngine::enter(&self.inner);
             drop(steps);
@@ -797,8 +864,23 @@ pub struct WaitToken {
     target: Target,
 }
 
-/// A continuation's next step, taken by the first wake that runs it.
-type StepCell = RawMutex<Option<Box<dyn FnOnce() + Send>>>;
+/// A continuation's next step, taken by the first wake that runs it, and the
+/// deadline armed for it, which taking the step cancels.
+struct StepCell {
+    next: RawMutex<Option<Box<dyn FnOnce() + Send>>>,
+    deadline: RawMutex<Option<Deadline>>,
+}
+
+impl StepCell {
+    /// Take the step, if no wake has yet, and cancel its deadline in `s`
+    /// (an event that holds only this cell).
+    fn take(&self, s: &mut State) -> Option<Box<dyn FnOnce() + Send>> {
+        if let Some(deadline) = self.deadline.lock().take() {
+            drop(s.cancel(deadline));
+        }
+        self.next.lock().take()
+    }
+}
 
 #[derive(Clone)]
 enum Target {
@@ -808,7 +890,8 @@ enum Target {
 
 impl WaitToken {
     pub(crate) fn step(step: Box<dyn FnOnce() + Send>) -> WaitToken {
-        let target = Target::Step(Arc::new(RawMutex::new(Some(step))));
+        let step = StepCell { next: RawMutex::new(Some(step)), deadline: RawMutex::new(None) };
+        let target = Target::Step(Arc::new(step));
         with_current(|inner, _| WaitToken { inner: inner.clone(), target })
     }
 
@@ -830,20 +913,52 @@ impl WaitToken {
         self.wake_at(self.inner.now());
     }
 
-    /// Wake the target at absolute virtual time `at`.
+    /// Wake the target at absolute virtual time `at`; no event if its wait
+    /// has already ended.
     #[track_caller]
     pub(crate) fn wake_at(&self, at: u64) {
         match &self.target {
             Target::Thread { tid, epoch } => self.inner.schedule_wake(*tid, *epoch, at),
             Target::Step(step) => {
-                let step = step.clone();
-                let next = move || {
-                    let next = step.lock().take(); // not held while the step runs
-                    next.into_iter().for_each(|f| f());
-                };
-                self.inner.schedule_call(at, Box::new(next), Location::caller());
+                let mut s = self.inner.state.lock();
+                if step.next.lock().is_some() {
+                    s.push_event(at, EventKind::Step(step.clone(), Location::caller()));
+                }
             }
         }
+    }
+
+    /// Wake the target at absolute virtual time `at` unless its wait ends
+    /// first. A step's deadline goes when the step is taken; a thread's
+    /// when the thread cancels the returned one on resuming.
+    #[track_caller]
+    pub(crate) fn wake_by(&self, at: u64) -> Deadline {
+        let mut s = self.inner.state.lock();
+        match &self.target {
+            Target::Thread { tid, epoch } => {
+                s.arm_deadline(at, EventKind::Wake { tid: *tid, epoch: *epoch })
+            }
+            Target::Step(step) => {
+                let deadline =
+                    s.arm_deadline(at, EventKind::Step(step.clone(), Location::caller()));
+                *step.deadline.lock() = Some(deadline);
+                deadline
+            }
+        }
+    }
+}
+
+/// An armed deadline, by the `(time, seq)` it runs at: an event that
+/// [`Deadline::cancel`] removes unrun, which it may do at any time before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline((u64, u64));
+
+impl Deadline {
+    /// Remove this deadline from the caller's simulation unrun, unless it
+    /// has already run or been cancelled.
+    pub fn cancel(self) {
+        let unrun = with_current(|inner, _| inner.state.lock().cancel(self));
+        drop(unrun); // outside the engine's lock
     }
 }
 
@@ -873,12 +988,17 @@ impl EngineHandle {
     /// would take it, replacing the pending one; `None` disarms it.
     pub(crate) fn arm(&self, at: Option<u64>) {
         let mut s = self.inner.state.lock();
-        let key = at.map(|at| {
-            s.next_seq += 1;
-            (at.max(s.now), s.next_seq - 1)
-        });
+        let key = at.map(|at| s.next_key(at));
         s.ticks.set(self.slot, key);
         s.note_pending();
+    }
+
+    /// Run `f` on the engine's stack at the current instant, under the next
+    /// sequence number; `from` labels it in the host profile.
+    pub(crate) fn call_now(&self, f: Box<dyn FnOnce() + Send>, from: Site) {
+        let mut s = self.inner.state.lock();
+        let now = s.now;
+        s.push_event(now, EventKind::Call(f, from));
     }
 }
 
@@ -903,6 +1023,14 @@ pub(crate) fn park() {
 pub fn call_at(at: u64, f: impl FnOnce() + Send + 'static) {
     let from = Location::caller();
     with_current(|inner, _| inner.schedule_call(at, Box::new(f), from));
+}
+
+/// [`call_at`] for a deadline: `f` runs at `at` unless the returned
+/// [`Deadline`] is cancelled first, and then it is dropped unrun at once.
+#[track_caller]
+pub fn deadline_at(at: u64, f: impl FnOnce() + Send + 'static) -> Deadline {
+    let from = Location::caller();
+    with_current(|inner, _| inner.state.lock().arm_deadline(at, EventKind::Call(Box::new(f), from)))
 }
 
 #[cfg(test)]
@@ -1406,6 +1534,57 @@ mod tests {
         assert_eq!((st.wakes, st.stale_wakes, st.calls), (5, 1, 1));
         assert_eq!((st.threads_spawned, st.peak_live_threads), (2, 2));
         assert_eq!(st.heap_high_water, 3);
+    }
+
+    #[test]
+    fn a_cancelled_deadline_leaves_the_order_of_its_instant_as_it_was() {
+        // Deadlines, calls and a thread's wake at one instant run in the
+        // order they were armed, whichever front holds them, with or without
+        // a cancelled deadline among them.
+        fn order(cancel: bool) -> Vec<&'static str> {
+            let sim = Sim::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let l = log.clone();
+            sim.spawn("arming", move || {
+                let at = |name| {
+                    let l = l.clone();
+                    move || l.lock().push(name)
+                };
+                let first = deadline_at(100, at("deadline-1"));
+                call_at(100, at("call-1"));
+                let dropped = deadline_at(100, at("deadline-2"));
+                call_at(100, at("call-2"));
+                let _last = deadline_at(100, at("deadline-3"));
+                if cancel {
+                    dropped.cancel();
+                    dropped.cancel(); // a second cancel finds nothing
+                }
+                crate::sleep(100); // armed after all of them
+                l.lock().push("sleeper");
+                // The first has run: nothing to cancel.
+                first.cancel();
+                // Armed for the current instant: beside the due-now queue.
+                let _now = deadline_at(100, at("deadline-now"));
+                call_at(100, at("call-now"));
+            });
+            sim.run().unwrap().assert_clean();
+            assert_eq!(sim.stats().deadlines_cancelled, u64::from(cancel));
+            let order = log.lock().clone();
+            order
+        }
+        let all = [
+            "deadline-1",
+            "call-1",
+            "deadline-2",
+            "call-2",
+            "deadline-3",
+            "sleeper",
+            "deadline-now",
+            "call-now",
+        ];
+        assert_eq!(order(false), all);
+        let kept: Vec<_> = all.into_iter().filter(|&e| e != "deadline-2").collect();
+        assert_eq!(order(true), kept);
     }
 
     /// A tick owner that logs each firing.

@@ -347,11 +347,14 @@ mod tests {
         let (chain, called) = receive(true);
         let want = [(Ok(1), 10), (Ok(2), 10), (Ok(3), 60), (Err(RecvError::Timeout), 160)];
         assert_eq!((thread, chain), (want.to_vec(), want.to_vec()));
-        // Each wake of the receiving thread, stale deadlines included, is one
-        // call of the chain at the same instant.
+        // Each wake of the receiving thread after its first is one call of
+        // the chain at the same instant. The two deadlines a message beat were
+        // cancelled unpopped, so neither side pops a stale one.
         assert_eq!(parked.events_popped, called.events_popped);
         assert_eq!(parked.heap_high_water, called.heap_high_water);
-        assert_eq!(parked.wakes + parked.stale_wakes, called.wakes + called.stale_wakes + 5);
+        assert_eq!(parked.wakes + parked.stale_wakes, called.wakes + called.stale_wakes + 3);
+        assert_eq!((parked.stale_wakes, called.stale_wakes), (0, 0));
+        assert_eq!((parked.deadlines_cancelled, called.deadlines_cancelled), (2, 2));
     }
 
     #[test]

@@ -22,7 +22,8 @@ impl<S> Shared<S> {
 impl<S: Send + 'static> Shared<S> {
     /// [`WaitList::wait_until`] for a continuation: a pass that finds nothing
     /// registers a step token where a thread would park, and returns; the
-    /// first of its wakes runs the next pass, and the last runs `then`.
+    /// first of its wakes runs the next pass (and cancels the pass's
+    /// deadline), and the last runs `then`.
     pub(crate) fn wait_then<R: Send + 'static>(
         self: Arc<Self>,
         deadline: Option<u64>,
@@ -38,7 +39,7 @@ impl<S: Send + 'static> Shared<S> {
         let this = self.clone();
         let token = WaitToken::step(Box::new(move || this.wait_then(deadline, ready, then)));
         if let Some(d) = deadline {
-            token.wake_at(d);
+            token.wake_by(d);
         }
         token.note_parked();
         self.waiters.tokens.lock().push(token);
@@ -260,6 +261,59 @@ mod tests {
             c.put("hello".to_string());
         });
         sim.run().unwrap().assert_clean();
+    }
+
+    /// `(value, when)` as a thread (`cont == false`) or a continuation took
+    /// it from a cell under a 1 000 ns timeout, the value put at `put_at`
+    /// (never, if `None`), with the run's end and its engine counters.
+    fn timed_take(cont: bool, put_at: Option<u64>) -> ((Option<u32>, u64), u64, crate::SimStats) {
+        let sim = Sim::new();
+        let cell = OnceCell::<u32>::new();
+        let got = Arc::new(Mutex::new(None));
+        let (c, g) = (cell.clone(), got.clone());
+        sim.spawn("taker", move || {
+            if cont {
+                let g2 = g.clone();
+                return c.take_timeout_then(1_000, move |v| *g2.lock() = Some((v, crate::now())));
+            }
+            let v = c.take_timeout(1_000);
+            *g.lock() = Some((v, crate::now()));
+        });
+        if let Some(at) = put_at {
+            sim.spawn("putter", move || {
+                crate::sleep(at);
+                cell.put(7);
+            });
+        }
+        let report = sim.run().unwrap();
+        report.assert_clean();
+        let got = got.lock().expect("the take ended");
+        (got, report.now, sim.stats())
+    }
+
+    #[test]
+    fn a_wait_ended_by_a_notify_leaves_nothing_pending() {
+        for cont in [false, true] {
+            let (got, end, stats) = timed_take(cont, Some(10));
+            // The run ends at the put, not at the cancelled deadline.
+            assert_eq!((got, end), ((Some(7), 10), 10), "continuation: {cont}");
+            assert_eq!((stats.deadlines_cancelled, stats.stale_wakes), (1, 0));
+        }
+    }
+
+    #[test]
+    fn a_timed_out_wait_still_ends_at_exactly_its_deadline() {
+        for cont in [false, true] {
+            let (got, end, stats) = timed_take(cont, None);
+            assert_eq!((got, end), ((None, 1_000), 1_000), "continuation: {cont}");
+            assert_eq!(stats.deadlines_cancelled, 0);
+        }
+        // A put after the deadline finds the taker gone and wakes nothing.
+        for cont in [false, true] {
+            let (got, end, stats) = timed_take(cont, Some(5_000));
+            assert_eq!((got, end), ((None, 1_000), 5_000), "continuation: {cont}");
+            assert_eq!((stats.deadlines_cancelled, stats.stale_wakes), (0, 0));
+        }
     }
 
     #[test]

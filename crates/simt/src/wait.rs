@@ -9,10 +9,11 @@
 //! 2. past the deadline, the wait ends without one;
 //! 3. put a token for this park on the list. No other green thread runs
 //!    between the check and the registration, so a change cannot be missed;
-//! 4. under a deadline, schedule one wake of that token at it;
-//! 5. park. `notify_all` wakes every registered thread and each runs its check
+//! 4. under a deadline, arm one wake of that token at it;
+//! 5. park, and on resuming cancel that deadline if it has not fired.
+//!    `notify_all` wakes every registered thread and each runs its check
 //!    again; a token whose thread has moved on (it timed out, or was woken
-//!    through another list) is stale and costs one dropped event.
+//!    through another list) is stale and schedules nothing.
 //!
 //! The first park books the wait under the list's label, which is what
 //! [`SimReport::blocked_on`](crate::SimReport::blocked_on) shows for a thread
@@ -71,15 +72,16 @@ impl WaitList {
                 break None;
             }
             let token = wait_token();
-            if let Some(d) = deadline {
-                token.wake_at(d);
-            }
+            let armed = deadline.map(|d| token.wake_by(d));
             self.tokens.lock().push(token);
             if !booked {
                 diag::on_wait(&self.res);
                 booked = true;
             }
             park();
+            if let Some(armed) = armed {
+                armed.cancel();
+            }
         };
         if booked {
             diag::on_wait_end();

@@ -160,14 +160,16 @@ impl JobEngine<'_> {
             lost.extend(sched.tracker.remove_executor(*e));
         }
         obs.registry().counter(obs::keys::SPARK_STAGE_RESUBMITS).inc();
-        obs.event(
-            "spark.stage.resubmit",
-            obs::kv! {
-                "stage" => stage,
-                "failed_parts" => failures.len(),
-                "failed_execs" => failed_execs.len(),
-            },
-        );
+        if obs.is_traced() {
+            obs.event(
+                "spark.stage.resubmit",
+                obs::kv! {
+                    "stage" => stage,
+                    "failed_parts" => failures.len(),
+                    "failed_execs" => failed_execs.len(),
+                },
+            );
+        }
         if failed_execs.is_empty() {
             // Pure metadata failures: locations did not change, just retry.
             return;
@@ -247,10 +249,12 @@ impl JobEngine<'_> {
                     lost.push(exec_id);
                     done += att.lose(slot);
                     obs.registry().counter(obs::keys::SPARK_EXECUTORS_LOST).inc();
-                    obs.event(
-                        "spark.executor.lost",
-                        obs::kv! {"stage" => name, "exec" => exec_id, "reason" => reason},
-                    );
+                    if obs.is_traced() {
+                        obs.event(
+                            "spark.executor.lost",
+                            obs::kv! {"stage" => name, "exec" => exec_id, "reason" => reason},
+                        );
+                    }
                     continue;
                 }
             };

@@ -179,6 +179,19 @@ fn a_clean_shuffle_spawns_no_per_request_thread() {
 }
 
 #[test]
+fn a_clean_run_ends_with_its_last_job() {
+    // Every fetch, RPC and body receive arms a deadline (120 s under the
+    // default conf) that its reply beats: cancelled, none of them outlives
+    // the application and stretches the run past it.
+    for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
+        let out = clean_group_by(system);
+        let last_job_end = out.jobs.iter().map(|j| j.end_ns).max().expect("the app ran a job");
+        let tail = out.end_ns - last_job_end;
+        assert!(tail < 1_000_000_000, "{}: the run ends {tail} ns after its app", system.label());
+    }
+}
+
+#[test]
 fn nothing_holds_a_cells_engine_after_shutdown() {
     for system in [System::Vanilla, System::RdmaSpark, System::Mpi4SparkBasic, System::Mpi4Spark] {
         let out = clean_group_by(system);

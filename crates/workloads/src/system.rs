@@ -58,6 +58,9 @@ pub struct RunOutcome<R> {
     /// process-wide spark counters; per-task counters live in
     /// [`JobMetrics`] stage snapshots).
     pub metrics: obs::MetricsSnapshot,
+    /// Virtual time when the simulation went quiet ([`simt::SimReport::now`]):
+    /// the application's end plus its processes' shutdown.
+    pub end_ns: u64,
     /// Chrome-trace timeline JSON, present when the run's `SparkConf` set
     /// `trace_timeline`. Byte-identical across re-runs of the same seed.
     pub timeline: Option<String>,
@@ -166,7 +169,8 @@ impl System {
             };
             out2.put(r);
         });
-        sim.run().expect("simulation completes").assert_clean();
+        let report = sim.run().expect("simulation completes");
+        report.assert_clean();
         let (result, jobs) = out.try_take().expect("workload finished");
         // The timeline's bytes cover the registry and are pinned, so the
         // engine's counters join the snapshot after the export.
@@ -180,7 +184,8 @@ impl System {
         }
         drop(total);
         sim.shutdown();
-        RunOutcome { result, jobs, metrics, timeline, spawned, engine: sim.downgrade() }
+        let end_ns = report.now;
+        RunOutcome { result, jobs, metrics, end_ns, timeline, spawned, engine: sim.downgrade() }
     }
 }
 
