@@ -15,7 +15,7 @@ use simt::sync::OnceCell;
 use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, Plane, PlaneDesc, ProcIdentity, Role};
-use sparklet::storage::{BlockId, BlockManager, KeptBlock, MapOutput};
+use sparklet::storage::{BlockId, BlockManager, BlockSize, KeptBlock, MapOutput};
 use sparklet::transfer::{BlockTransferService, NettyBlockTransferService, ShuffleService};
 use sparklet::SparkConf;
 
@@ -62,11 +62,10 @@ fn lands_the_stored_allocation(path: Path, merge: bool) {
         let store = Arc::new(BlockManager::default());
         for m in 0..3u32 {
             let records: Vec<u64> = (0..u64::from(m) + 2).collect();
-            let (data, virtual_len) = encode_batch(&records);
-            let records = records.len() as u64;
-            let block = KeptBlock { reduce_id: 0, data, value_bytes: 0 };
-            let (sizes, records) = (Arc::new(vec![virtual_len]), Arc::new(vec![records]));
-            store.put_map_output(7, m, MapOutput::new(sizes, records, vec![block]));
+            let (data, size) = encode_batch(&records);
+            let sizes = Arc::new([BlockSize { reduce_id: 0, records: records.len() as u32, size }]);
+            let block = KeptBlock { data, value_bytes: 0 };
+            store.put_map_output(7, m, MapOutput::new(1, sizes, vec![block]));
         }
         let (addr, done) = (OnceCell::<PortAddr>::new(), OnceCell::<()>::new());
         let net2 = net.clone();

@@ -68,6 +68,13 @@ impl ByteWriter {
         self.put_slice(v.as_bytes());
     }
 
+    /// Overwrite the 8 bytes at `at` with big-endian `v` (a length written
+    /// ahead of what it counts). Panics unless those bytes were written.
+    #[inline]
+    pub fn set_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_be_bytes());
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -198,6 +205,9 @@ mod tests {
         let mut want = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
         want.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE, 0xFF]);
         want.extend([0, 0, 0, 2, b'h', b'i']);
+        // Overwriting the `u64` in place leaves the length and the rest alone.
+        w.set_u64(4, 0x1112_1314_1516_1718);
+        want[4..12].copy_from_slice(&[0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18]);
         assert_eq!(w.len(), want.len());
         assert_eq!(&w.freeze()[..], &want[..]);
     }

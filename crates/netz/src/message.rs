@@ -216,10 +216,8 @@ impl Message {
             }
         }
         w.put_u64(self.body_virtual_len());
-        let mut header = w.freeze().to_vec();
-        let frame_len = header.len() as u64 + self.body_virtual_len();
-        header[..8].copy_from_slice(&frame_len.to_be_bytes());
-        Bytes::from(header)
+        w.set_u64(0, w.len() as u64 + self.body_virtual_len());
+        w.freeze()
     }
 
     /// Decode a header produced by [`Message::encode_header`] and attach

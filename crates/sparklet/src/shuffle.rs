@@ -18,7 +18,7 @@ use simt::sync::Mutex;
 
 use crate::data::{decode_batch_into, encoded_len, BatchEncoder, Element, BATCH_HEADER_LEN};
 use crate::rpc::{AnyMsg, ReplyFn, RpcEndpoint, RpcRef};
-use crate::storage::{BlockId, KeptBlock, MapOutput, StoredBlock};
+use crate::storage::{BlockId, BlockSize, KeptBlock, MapOutput, StoredBlock};
 use crate::task::TaskContext;
 use crate::transfer::{FetchResult, FetchSink};
 
@@ -48,10 +48,9 @@ pub struct MapStatus {
     pub exec_id: usize,
     /// Address of that executor's shuffle service.
     pub shuffle_addr: PortAddr,
-    /// Virtual bytes per reduce partition.
-    pub sizes: Arc<Vec<u64>>,
-    /// Records per reduce partition.
-    pub records: Arc<Vec<u64>>,
+    /// The non-empty reduce partitions, ascending by reduce id, shared with
+    /// the stored [`MapOutput`]. A partition with no entry holds no record.
+    pub sizes: Arc<[BlockSize]>,
 }
 
 /// Tracker request: map statuses for one shuffle.
@@ -60,13 +59,80 @@ pub struct GetMapOutputs {
     pub shuffle_id: u32,
 }
 
-/// Tracker reply: the statuses plus the epoch they were read under, so
+/// Tracker reply: the shuffle's table plus the epoch it was read under, so
 /// executor caches can order their contents against invalidations.
 pub struct MapOutputsReply {
     /// Tracker epoch at read time.
     pub epoch: u64,
-    /// One status per map partition.
-    pub statuses: Arc<Vec<MapStatus>>,
+    /// The shuffle's map statuses.
+    pub table: Arc<ShuffleTable>,
+}
+
+/// A complete shuffle's map statuses, built once by the tracker and shared by
+/// every reply and every executor's cache until a slot changes. Besides the
+/// statuses it indexes the non-empty blocks reduce-major, so a reduce task
+/// reads its own row only.
+#[derive(Debug)]
+pub struct ShuffleTable {
+    /// One status per map partition; `statuses[i].map_id == i`.
+    statuses: Vec<MapStatus>,
+    /// Row `r` is `entries[rows[r]..rows[r + 1]]`.
+    rows: Vec<u32>,
+    /// Per non-empty block, by reduce id, then map id: the index of its
+    /// status and its virtual bytes.
+    entries: Vec<(u32, u64)>,
+}
+
+impl ShuffleTable {
+    fn new(statuses: Vec<MapStatus>) -> Self {
+        let reduces = statuses
+            .iter()
+            .filter_map(|st| st.sizes.last())
+            .map(|b| b.reduce_id as usize + 1)
+            .max()
+            .unwrap_or(0);
+        // Count each row into the slot after it, sum the counts into row
+        // starts, then fill each row in map id order from its start.
+        let mut rows = vec![0u32; reduces + 1];
+        for b in statuses.iter().flat_map(|st| st.sizes.iter()) {
+            rows[b.reduce_id as usize + 1] += 1;
+        }
+        for r in 0..reduces {
+            rows[r + 1] += rows[r];
+        }
+        let mut next = rows.clone();
+        let mut entries = vec![(0, 0); rows[reduces] as usize];
+        for (i, st) in statuses.iter().enumerate() {
+            for b in st.sizes.iter() {
+                let slot = &mut next[b.reduce_id as usize];
+                entries[*slot as usize] = (i as u32, b.size);
+                *slot += 1;
+            }
+        }
+        ShuffleTable { statuses, rows, entries }
+    }
+
+    /// The status of map partition `map_id`.
+    fn status(&self, map_id: u32) -> Option<&MapStatus> {
+        self.statuses.get(map_id as usize)
+    }
+
+    /// Bucket `reduce_id`'s non-empty blocks in map id order: the index of
+    /// each one's status and its virtual bytes.
+    fn row(&self, reduce_id: u32) -> &[(u32, u64)] {
+        let r = reduce_id as usize;
+        match self.rows.get(r..r + 2) {
+            Some(&[start, end]) => &self.entries[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// One shuffle's map slots and, once complete and read, its table.
+struct ShuffleSlots {
+    slots: Vec<Option<MapStatus>>,
+    /// Dropped whenever a slot changes.
+    table: Option<Arc<ShuffleTable>>,
 }
 
 /// Driver-side map output registry (Spark's `MapOutputTrackerMaster`).
@@ -77,22 +143,24 @@ pub struct MapOutputsReply {
 /// an older epoch are discarded by the scheduler.
 #[derive(Default)]
 pub struct MapOutputTrackerMaster {
-    outputs: Mutex<BTreeMap<u32, Vec<Option<MapStatus>>>>,
+    outputs: Mutex<BTreeMap<u32, ShuffleSlots>>,
     epoch: AtomicU64,
 }
 
 impl MapOutputTrackerMaster {
     /// Prepare a shuffle with `num_maps` slots.
     pub fn register_shuffle(&self, shuffle_id: u32, num_maps: usize) {
-        self.outputs.lock().entry(shuffle_id).or_insert_with(|| vec![None; num_maps]);
+        let slots = || ShuffleSlots { slots: vec![None; num_maps], table: None };
+        self.outputs.lock().entry(shuffle_id).or_insert_with(slots);
     }
 
     /// Record one finished map task's status.
     pub fn register_map_output(&self, shuffle_id: u32, status: MapStatus) {
         let mut o = self.outputs.lock();
-        let slots = o.get_mut(&shuffle_id).expect("shuffle registered before outputs");
+        let shuffle = o.get_mut(&shuffle_id).expect("shuffle registered before outputs");
         let idx = status.map_id as usize;
-        slots[idx] = Some(status);
+        shuffle.slots[idx] = Some(status);
+        shuffle.table = None;
     }
 
     /// Current epoch.
@@ -110,7 +178,7 @@ impl MapOutputTrackerMaster {
     /// epoch when anything was lost.
     pub fn remove_executor(&self, exec_id: usize) -> Vec<(u32, Vec<u32>)> {
         let mut lost = Vec::new();
-        for (shuffle, slots) in self.outputs.lock().iter_mut() {
+        for (shuffle, ShuffleSlots { slots, table }) in self.outputs.lock().iter_mut() {
             let mut maps = Vec::new();
             for s in slots.iter_mut() {
                 if let Some(st) = s {
@@ -121,6 +189,7 @@ impl MapOutputTrackerMaster {
                 }
             }
             if !maps.is_empty() {
+                *table = None;
                 lost.push((*shuffle, maps));
             }
         }
@@ -132,26 +201,30 @@ impl MapOutputTrackerMaster {
 
     /// True when every map slot is filled.
     pub fn is_complete(&self, shuffle_id: u32) -> bool {
-        self.outputs.lock().get(&shuffle_id).is_some_and(|slots| slots.iter().all(Option::is_some))
+        self.outputs.lock().get(&shuffle_id).is_some_and(|s| s.slots.iter().all(Option::is_some))
     }
 
     /// Map ids of `shuffle_id` with no registered output (empty when
     /// complete; all of them right after registration).
     pub fn missing_maps(&self, shuffle_id: u32) -> Vec<u32> {
         let o = self.outputs.lock();
-        let slots = o.get(&shuffle_id).expect("shuffle registered");
+        let slots = &o.get(&shuffle_id).expect("shuffle registered").slots;
         slots.iter().enumerate().filter_map(|(i, s)| s.is_none().then_some(i as u32)).collect()
     }
 
-    fn statuses(&self, shuffle_id: u32) -> Arc<Vec<MapStatus>> {
-        let o = self.outputs.lock();
-        let slots = o.get(&shuffle_id).expect("shuffle registered");
-        Arc::new(
-            slots
+    /// The shuffle's table: built on the first read after a slot changed,
+    /// then shared by every read until the next change.
+    fn table(&self, shuffle_id: u32) -> Arc<ShuffleTable> {
+        let mut o = self.outputs.lock();
+        let ShuffleSlots { slots, table } = o.get_mut(&shuffle_id).expect("shuffle registered");
+        let build = || {
+            let statuses = slots
                 .iter()
                 .map(|s| s.clone().expect("all map outputs registered before reads"))
-                .collect(),
-        )
+                .collect();
+            Arc::new(ShuffleTable::new(statuses))
+        };
+        table.get_or_insert_with(build).clone()
     }
 }
 
@@ -161,11 +234,11 @@ impl RpcEndpoint for MapOutputTrackerMaster {
             return;
         };
         if let Some(reply) = reply {
-            // Read the epoch before the statuses: a concurrent bump then
-            // yields a stale epoch with fresh statuses, which only makes the
-            // client re-fetch — never serve stale locations as current.
+            // Read the epoch before the table: a concurrent bump then yields
+            // a stale epoch with a fresh table, which only makes the client
+            // re-fetch — never serve stale locations as current.
             let epoch = self.epoch();
-            reply(Arc::new(MapOutputsReply { epoch, statuses: self.statuses(req.shuffle_id) }));
+            reply(Arc::new(MapOutputsReply { epoch, table: self.table(req.shuffle_id) }));
         }
     }
 }
@@ -173,7 +246,7 @@ impl RpcEndpoint for MapOutputTrackerMaster {
 /// One cached map-output table with the epoch it was fetched under.
 struct CachedOutputs {
     epoch: u64,
-    statuses: Arc<Vec<MapStatus>>,
+    table: Arc<ShuffleTable>,
 }
 
 /// Executor-side tracker client with an epoch-aware per-shuffle cache.
@@ -203,18 +276,18 @@ impl MapOutputClient {
         }
     }
 
-    /// Statuses for `shuffle_id` (cached after the first fetch — Spark
+    /// The table of `shuffle_id` (cached after the first fetch — Spark
     /// executors do the same, which matters because every reduce task on
     /// the executor needs the same table). Entries fetched under an epoch
     /// older than the executor's observed one are refreshed. An unreachable
     /// tracker is retried a few times, then reported as a metadata fetch
     /// failure (`exec_id: None`) so the scheduler retries the partition
     /// without quarantining anyone.
-    pub fn get(&self, shuffle_id: u32) -> Result<Arc<Vec<MapStatus>>, FetchFailed> {
+    pub fn get(&self, shuffle_id: u32) -> Result<Arc<ShuffleTable>, FetchFailed> {
         let floor = self.seen_epoch.load(Ordering::SeqCst);
         if let Some(c) = self.cache.lock().get(&shuffle_id) {
             if c.epoch >= floor {
-                return Ok(c.statuses.clone());
+                return Ok(c.table.clone());
             }
         }
         let mut attempt = 0;
@@ -230,11 +303,11 @@ impl MapOutputClient {
                 }
             }
         };
-        let statuses = reply.statuses.clone();
+        let table = reply.table.clone();
         self.cache
             .lock()
-            .insert(shuffle_id, CachedOutputs { epoch: reply.epoch, statuses: statuses.clone() });
-        Ok(statuses)
+            .insert(shuffle_id, CachedOutputs { epoch: reply.epoch, table: table.clone() });
+        Ok(table)
     }
 
     /// Raise the observed epoch (from a task launch or an invalidation
@@ -279,7 +352,7 @@ pub fn write_shuffle<T: Element>(
     // Count pass: the batch format leads with its record count, and a writer
     // sized up front never regrows. Fixed-width records (every numeric and
     // `Blob` tuple) make the first record's encoded length exact for all.
-    let mut counts = vec![0u64; num_reduces];
+    let mut counts = vec![0u32; num_reduces];
     let mut value_bytes = vec![0u64; num_reduces];
     let mut total_bytes = 0u64;
     let bucket_of: Vec<u32> = records
@@ -311,25 +384,24 @@ pub fn write_shuffle<T: Element>(
     // Freed first: the frozen blocks below then reuse its pages instead of
     // faulting in fresh ones.
     drop(bucket_of);
-    let mut sizes = vec![BATCH_HEADER_LEN; num_reduces];
-    let mut blocks = Vec::with_capacity(counts.iter().filter(|&&n| n > 0).count());
+    let non_empty = counts.iter().filter(|&&n| n > 0).count();
+    let (mut sizes, mut blocks) = (Vec::with_capacity(non_empty), Vec::with_capacity(non_empty));
     for (reduce_id, bucket) in buckets.into_iter().enumerate() {
         if let Some(bucket) = bucket {
-            let (data, virtual_len) = bucket.finish();
-            sizes[reduce_id] = virtual_len;
-            let value_bytes = value_bytes[reduce_id];
-            blocks.push(KeptBlock { reduce_id: reduce_id as u32, data, value_bytes });
+            let (data, size) = bucket.finish();
+            let records = counts[reduce_id];
+            sizes.push(BlockSize { reduce_id: reduce_id as u32, records, size });
+            blocks.push(KeptBlock { data, value_bytes: value_bytes[reduce_id] });
         }
     }
-    let (sizes, records) = (Arc::new(sizes), Arc::new(counts));
-    let output = MapOutput::new(sizes.clone(), records.clone(), blocks);
+    let sizes: Arc<[BlockSize]> = sizes.into();
+    let output = MapOutput::new(num_reduces, sizes.clone(), blocks);
     ctx.services.block_manager.put_map_output(shuffle_id, map_id, output);
     MapStatus {
         map_id,
         exec_id: ctx.services.exec_id,
         shuffle_addr: ctx.services.shuffle_addr,
         sizes,
-        records,
     }
 }
 
@@ -391,14 +463,14 @@ pub fn read_shuffle<T: Element>(
     let _span = obs.is_traced().then(|| {
         obs.span("spark.shuffle.fetch", obs::kv! {"shuffle" => shuffle_id, "reduce" => reduce_id})
     });
-    let statuses = ctx.services.map_outputs.get(shuffle_id)?;
+    let table = ctx.services.map_outputs.get(shuffle_id)?;
     let conf = &ctx.services.conf;
     let cost = ctx.cost();
     let my_exec = ctx.services.exec_id;
     let bm = ctx.services.block_manager.clone();
 
     // Requests of up to a fifth of the window, so about five fly at once.
-    let plan = plan_fetch(&statuses, shuffle_id, reduce_id, my_exec, conf.max_bytes_in_flight / 5);
+    let plan = plan_fetch(&table, shuffle_id, reduce_id, my_exec, conf.max_bytes_in_flight / 5);
     let mut fetch_wait = 0u64;
     let mut remote_bytes = 0u64;
 
@@ -448,9 +520,7 @@ pub fn read_shuffle<T: Element>(
                     BlockId::Shuffle { map_id, .. } => Some(*map_id),
                     BlockId::Rdd { .. } => None,
                 });
-                let exec_id = map_id
-                    .and_then(|m| statuses.iter().find(|st| st.map_id == m))
-                    .map(|st| st.exec_id);
+                let exec_id = map_id.and_then(|m| table.status(m)).map(|st| st.exec_id);
                 // Invalidate the cached map-output table so the retry sees
                 // the recomputed locations.
                 ctx.services.map_outputs.invalidate(shuffle_id);
@@ -506,28 +576,27 @@ struct FetchPlan {
 /// `targetRequestSize` rule in `ShuffleBlockFetcherIterator`). A request
 /// exceeds the target only when it holds one block.
 ///
-/// A block whose map status counts no records is not read at all, as Spark's
-/// `MapOutputTracker.convertMapStatuses` drops a size-0 block. Its size is
-/// not 0 here: every stored bucket leads with a 4-byte record count, so the
-/// record count is the test.
+/// Only the bucket's row of the table is read: a block whose map status
+/// lists no records for the bucket is not read at all, as Spark's
+/// `MapOutputTracker.convertMapStatuses` drops a size-0 block.
 fn plan_fetch(
-    statuses: &[MapStatus],
+    table: &ShuffleTable,
     shuffle_id: u32,
     reduce_id: u32,
     my_exec: usize,
     request_target: u64,
 ) -> FetchPlan {
-    let r = reduce_id as usize;
     let mut local = Vec::new();
     let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
-    for st in statuses.iter().filter(|st| st.records[r] > 0) {
+    for &(i, size) in table.row(reduce_id) {
+        let st = &table.statuses[i as usize];
         let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
         if st.exec_id == my_exec {
             local.push(id);
         } else {
             let (_, blocks) =
                 remote.entry(st.exec_id).or_insert_with(|| (st.shuffle_addr, Vec::new()));
-            blocks.push((id, st.sizes[r]));
+            blocks.push((id, size));
         }
     }
     let mut requests = Vec::new();
@@ -808,48 +877,145 @@ mod tests {
         });
     }
 
-    fn status(map_id: u32, exec: usize, sizes: Vec<u64>) -> MapStatus {
+    /// Map `map_id`'s status on executor `exec`: bucket `r` of each
+    /// `(r, n)` in `non_empty` holds `n` records of 8 bytes.
+    fn status(map_id: u32, exec: usize, non_empty: &[(u32, u32)]) -> MapStatus {
+        let size = |n| 4 + 8 * u64::from(n);
         MapStatus {
             map_id,
             exec_id: exec,
             shuffle_addr: PortAddr { node: exec, port: 1 },
-            records: Arc::new(sizes.iter().map(|s| s / 8).collect()),
-            sizes: Arc::new(sizes),
+            sizes: non_empty
+                .iter()
+                .map(|&(reduce_id, records)| BlockSize { reduce_id, records, size: size(records) })
+                .collect(),
         }
+    }
+
+    /// A map status as it was before statuses went sparse: a size and a
+    /// record count for every bucket, empty ones included.
+    struct DenseStatus {
+        map_id: u32,
+        exec_id: usize,
+        shuffle_addr: PortAddr,
+        sizes: Vec<u64>,
+        records: Vec<u64>,
+    }
+
+    impl DenseStatus {
+        /// The sparse status: the buckets with records only.
+        fn sparse(&self) -> MapStatus {
+            let sizes = (0..self.records.len())
+                .filter(|&r| self.records[r] > 0)
+                .map(|r| BlockSize {
+                    reduce_id: r as u32,
+                    records: self.records[r] as u32,
+                    size: self.sizes[r],
+                })
+                .collect();
+            MapStatus {
+                map_id: self.map_id,
+                exec_id: self.exec_id,
+                shuffle_addr: self.shuffle_addr,
+                sizes,
+            }
+        }
+    }
+
+    /// The planner the table's rows replaced, kept as their oracle: it scans
+    /// every dense status for bucket `reduce_id` and skips the ones with no
+    /// records.
+    fn dense_plan(
+        statuses: &[DenseStatus],
+        shuffle_id: u32,
+        reduce_id: u32,
+        my_exec: usize,
+        request_target: u64,
+    ) -> FetchPlan {
+        let r = reduce_id as usize;
+        let mut local = Vec::new();
+        let mut remote: BTreeMap<usize, (PortAddr, Vec<(BlockId, u64)>)> = BTreeMap::new();
+        for st in statuses.iter().filter(|st| st.records.get(r).is_some_and(|&n| n > 0)) {
+            let id = BlockId::Shuffle { shuffle_id, map_id: st.map_id, reduce_id };
+            if st.exec_id == my_exec {
+                local.push(id);
+            } else {
+                let (_, blocks) =
+                    remote.entry(st.exec_id).or_insert_with(|| (st.shuffle_addr, Vec::new()));
+                blocks.push((id, st.sizes[r]));
+            }
+        }
+        let mut requests = Vec::new();
+        for (addr, blocks) in remote.into_values() {
+            let mut cur = FetchRequest { addr, blocks: Vec::new(), bytes: 0 };
+            for (id, size) in blocks {
+                if cur.bytes > 0 && cur.bytes + size > request_target {
+                    let next = FetchRequest { addr, blocks: Vec::new(), bytes: 0 };
+                    requests.push(std::mem::replace(&mut cur, next));
+                }
+                cur.blocks.push(id);
+                cur.bytes += size;
+            }
+            if !cur.blocks.is_empty() {
+                requests.push(cur);
+            }
+        }
+        FetchPlan { local, requests }
     }
 
     /// Up to 12 map statuses over up to 4 executors and 5 buckets, most
     /// buckets empty (4 bytes: the record count alone), the rest of 1 to 40
     /// records of 1 to 64 bytes, and a request target of 1 to 600 bytes.
-    fn draw_statuses(rng: &mut SeededRng) -> (Vec<MapStatus>, usize, u64) {
+    /// Returns the dense statuses, the table of their sparse ones, the
+    /// bucket count and the target.
+    fn draw_statuses(rng: &mut SeededRng) -> (Vec<DenseStatus>, ShuffleTable, usize, u64) {
         let reduces = rng.next_range(1, 6) as usize;
         let execs = rng.next_range(1, 5) as usize;
-        let statuses = (0..rng.next_range(0, 13) as u32)
+        let dense: Vec<DenseStatus> = (0..rng.next_range(0, 13) as u32)
             .map(|map_id| {
                 let exec_id = rng.next_range(0, execs as u64) as usize;
                 let records: Vec<u64> = (0..reduces)
                     .map(|_| if rng.next_range(0, 3) == 0 { rng.next_range(1, 41) } else { 0 })
                     .collect();
                 let width = rng.next_range(1, 65);
-                MapStatus {
+                DenseStatus {
                     map_id,
                     exec_id,
                     shuffle_addr: PortAddr { node: exec_id + 1, port: 9 },
-                    sizes: Arc::new(records.iter().map(|n| 4 + n * width).collect()),
-                    records: Arc::new(records),
+                    sizes: records.iter().map(|n| 4 + n * width).collect(),
+                    records,
                 }
             })
             .collect();
-        (statuses, reduces, rng.next_range(1, 601))
+        let table = ShuffleTable::new(dense.iter().map(DenseStatus::sparse).collect());
+        (dense, table, reduces, rng.next_range(1, 601))
+    }
+
+    #[test]
+    fn fetch_plan_from_a_row_equals_the_dense_reference_plan() {
+        for_each_case(300, |rng| {
+            let (dense, table, reduces, target) = draw_statuses(rng);
+            // One bucket past the last: a row no status reaches.
+            for r in 0..=reduces as u32 {
+                for me in 0..4 {
+                    let want = dense_plan(&dense, 3, r, me, target);
+                    assert_eq!(
+                        plan_fetch(&table, 3, r, me, target),
+                        want,
+                        "bucket {r}, reader {me}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]
     fn fetch_plan_reads_each_non_empty_block_once_in_executor_then_map_order() {
         for_each_case(300, |rng| {
-            let (statuses, reduces, target) = draw_statuses(rng);
+            let (statuses, table, reduces, target) = draw_statuses(rng);
             let me = rng.next_range(0, 4) as usize;
             for r in 0..reduces {
-                let plan = plan_fetch(&statuses, 3, r as u32, me, target);
+                let plan = plan_fetch(&table, 3, r as u32, me, target);
                 // The status of a planned block, which must be one of bucket `r`.
                 let status = |id: &BlockId| match *id {
                     BlockId::Shuffle { shuffle_id: 3, map_id, reduce_id }
@@ -895,16 +1061,15 @@ mod tests {
     #[test]
     fn fetch_plan_for_an_all_empty_bucket_is_empty() {
         for_each_case(100, |rng| {
-            let (mut statuses, reduces, target) = draw_statuses(rng);
+            let (mut statuses, _, reduces, target) = draw_statuses(rng);
             let r = rng.next_range(0, reduces as u64) as usize;
             for st in &mut statuses {
-                let (mut sizes, mut records) = ((*st.sizes).clone(), (*st.records).clone());
-                (sizes[r], records[r]) = (4, 0);
-                (st.sizes, st.records) = (Arc::new(sizes), Arc::new(records));
+                (st.sizes[r], st.records[r]) = (4, 0);
             }
+            let table = ShuffleTable::new(statuses.iter().map(DenseStatus::sparse).collect());
             let want = FetchPlan { local: Vec::new(), requests: Vec::new() };
             for me in 0..4 {
-                assert_eq!(plan_fetch(&statuses, 3, r as u32, me, target), want);
+                assert_eq!(plan_fetch(&table, 3, r as u32, me, target), want);
             }
         });
     }
@@ -914,21 +1079,54 @@ mod tests {
         let t = MapOutputTrackerMaster::default();
         t.register_shuffle(1, 2);
         assert!(!t.is_complete(1));
-        t.register_map_output(1, status(0, 0, vec![8, 16]));
-        t.register_map_output(1, status(1, 1, vec![24, 0]));
+        t.register_map_output(1, status(0, 0, &[(0, 1), (1, 2)]));
+        t.register_map_output(1, status(1, 1, &[(0, 3)]));
         assert!(t.is_complete(1));
-        let s = t.statuses(1);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[1].exec_id, 1);
+        let s = t.table(1);
+        assert_eq!(s.statuses.len(), 2);
+        assert_eq!(s.status(1).unwrap().exec_id, 1);
+        assert!(s.status(2).is_none());
+        // Bucket 0 lists both maps in map order, bucket 1 map 0 only.
+        assert_eq!(
+            (s.row(0), s.row(1), s.row(2)),
+            (&[(0, 12), (1, 28)][..], &[(0, 20)][..], &[][..])
+        );
+    }
+
+    #[test]
+    fn a_shuffle_table_is_shared_until_a_slot_changes() {
+        let t = MapOutputTrackerMaster::default();
+        for shuffle in [1, 2] {
+            t.register_shuffle(shuffle, 2);
+            t.register_map_output(shuffle, status(0, 0, &[(0, 1)]));
+            t.register_map_output(shuffle, status(1, shuffle as usize, &[(1, 1)]));
+        }
+        let first = t.table(1);
+        assert!(Arc::ptr_eq(&first, &t.table(1)), "a second read builds no new table");
+        // Registering map 1 again, even with the same status, changes a slot.
+        t.register_map_output(1, status(1, 1, &[(1, 1)]));
+        let second = t.table(1);
+        assert!(!Arc::ptr_eq(&first, &second), "a read after a registration sees a new table");
+        assert!(Arc::ptr_eq(&second, &t.table(1)));
+        // Losing executor 1 empties a slot of shuffle 1 only: its table goes,
+        // shuffle 2's stays.
+        let other = t.table(2);
+        assert_eq!(t.remove_executor(1), vec![(1, vec![1])]);
+        assert!(t.outputs.lock()[&1].table.is_none(), "a removal keeps a stale table");
+        assert!(Arc::ptr_eq(&other, &t.table(2)));
+        t.register_map_output(1, status(1, 2, &[(1, 1)]));
+        let third = t.table(1);
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(third.status(1).unwrap().exec_id, 2);
     }
 
     #[test]
     fn remove_executor_clears_its_outputs() {
         let t = MapOutputTrackerMaster::default();
         t.register_shuffle(1, 3);
-        t.register_map_output(1, status(0, 0, vec![8]));
-        t.register_map_output(1, status(1, 1, vec![8]));
-        t.register_map_output(1, status(2, 0, vec![8]));
+        t.register_map_output(1, status(0, 0, &[(0, 1)]));
+        t.register_map_output(1, status(1, 1, &[(0, 1)]));
+        t.register_map_output(1, status(2, 0, &[(0, 1)]));
         let lost = t.remove_executor(0);
         assert_eq!(lost, vec![(1, vec![0, 2])]);
         assert!(!t.is_complete(1));

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use simt::sync::Mutex;
 
-use crate::data::encode_batch;
+use crate::data::{encode_batch, BATCH_HEADER_LEN};
 
 /// Identifies a stored block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,23 +64,34 @@ pub struct StoredBlock {
     pub value_bytes: u64,
 }
 
+/// One non-empty bucket of a map task's output: what its `MapStatus` reports
+/// and its [`MapOutput`] serves, one shared allocation for both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSize {
+    /// Reduce partition the bucket belongs to.
+    pub reduce_id: u32,
+    /// Records in the bucket, never 0 (the batch format counts them in a
+    /// `u32`).
+    pub records: u32,
+    /// Virtual bytes of the bucket.
+    pub size: u64,
+}
+
 /// A map task's shuffle output, as Spark's `IndexShuffleBlockResolver` keeps
-/// one data file plus an index per map task: the per-reduce sizes and record
-/// counts its `MapStatus` carries, shared with that status, and the bytes and
-/// value bytes of its non-empty buckets only. An empty bucket has no entry
-/// and no allocation.
+/// one data file plus an index per map task: the sizes of its non-empty
+/// buckets, shared with its `MapStatus`, and their bytes and value bytes. An
+/// empty bucket has no entry and no allocation.
 #[derive(Debug)]
 pub struct MapOutput {
-    sizes: Arc<Vec<u64>>,
-    records: Arc<Vec<u64>>,
+    num_reduces: u32,
+    sizes: Arc<[BlockSize]>,
+    /// `blocks[i]` holds bucket `sizes[i]`.
     blocks: Vec<KeptBlock>,
 }
 
-/// One non-empty bucket of a [`MapOutput`].
+/// The stored bytes of one non-empty bucket of a [`MapOutput`].
 #[derive(Debug)]
 pub struct KeptBlock {
-    /// Reduce partition the bucket belongs to.
-    pub reduce_id: u32,
     /// Encoded data.
     pub data: Bytes,
     /// Virtual bytes of the records' values ([`StoredBlock::value_bytes`]).
@@ -88,45 +99,48 @@ pub struct KeptBlock {
 }
 
 impl MapOutput {
-    /// The output whose bucket `r` has virtual size `sizes[r]` and
-    /// `records[r]` records: `blocks` holds exactly the buckets with records,
-    /// ascending by reduce id.
-    pub fn new(sizes: Arc<Vec<u64>>, records: Arc<Vec<u64>>, blocks: Vec<KeptBlock>) -> Self {
-        assert_eq!(sizes.len(), records.len(), "one size and one record count per bucket");
-        assert!(blocks.windows(2).all(|w| w[0].reduce_id < w[1].reduce_id), "kept blocks unsorted");
+    /// The output of `num_reduces` buckets whose non-empty ones are `sizes`,
+    /// ascending by reduce id, and `blocks[i]` holds bucket `sizes[i]`.
+    pub fn new(num_reduces: usize, sizes: Arc<[BlockSize]>, blocks: Vec<KeptBlock>) -> Self {
+        assert_eq!(sizes.len(), blocks.len(), "one kept block per non-empty bucket");
+        assert!(sizes.windows(2).all(|w| w[0].reduce_id < w[1].reduce_id), "buckets unsorted");
         assert!(
-            blocks.len() == records.iter().filter(|&&n| n > 0).count()
-                && blocks.iter().all(|b| records[b.reduce_id as usize] > 0),
-            "a kept block for exactly each bucket with records"
+            sizes.iter().all(|b| b.records > 0 && (b.reduce_id as usize) < num_reduces),
+            "a listed bucket is in range and holds records"
         );
-        MapOutput { sizes, records, blocks }
+        MapOutput { num_reduces: num_reduces as u32, sizes, blocks }
     }
 
-    /// Virtual bytes per reduce partition (the `MapStatus`'s array).
-    pub fn sizes(&self) -> &Arc<Vec<u64>> {
+    /// The non-empty buckets, ascending by reduce id (the `MapStatus`'s list).
+    pub fn sizes(&self) -> &Arc<[BlockSize]> {
         &self.sizes
     }
 
-    /// Records per reduce partition (the `MapStatus`'s array).
-    pub fn records(&self) -> &Arc<Vec<u64>> {
-        &self.records
-    }
-
-    /// The non-empty buckets, ascending by reduce id.
+    /// The non-empty buckets' bytes, in the order of [`MapOutput::sizes`].
     pub fn blocks(&self) -> &[KeptBlock] {
         &self.blocks
     }
 
     /// Block `reduce_id`; an empty one is `empty`, the zero-count batch.
     fn block(&self, reduce_id: u32, empty: &Bytes) -> Option<StoredBlock> {
-        let r = reduce_id as usize;
-        let (virtual_len, records) = (*self.sizes.get(r)?, self.records[r]);
-        let (data, value_bytes) =
-            match self.blocks.binary_search_by_key(&reduce_id, |b| b.reduce_id) {
-                Ok(i) => (self.blocks[i].data.clone(), self.blocks[i].value_bytes),
-                Err(_) => (empty.clone(), 0),
-            };
-        Some(StoredBlock { data, virtual_len, records, value_bytes })
+        if reduce_id >= self.num_reduces {
+            return None;
+        }
+        let block = match self.sizes.binary_search_by_key(&reduce_id, |b| b.reduce_id) {
+            Ok(i) => StoredBlock {
+                data: self.blocks[i].data.clone(),
+                virtual_len: self.sizes[i].size,
+                records: self.sizes[i].records.into(),
+                value_bytes: self.blocks[i].value_bytes,
+            },
+            Err(_) => StoredBlock {
+                data: empty.clone(),
+                virtual_len: BATCH_HEADER_LEN,
+                records: 0,
+                value_bytes: 0,
+            },
+        };
+        Some(block)
     }
 }
 
@@ -236,32 +250,40 @@ mod tests {
         assert_eq!(bm.get(id).unwrap().virtual_len, 40);
     }
 
-    /// A map output whose bucket `r` holds `sizes[r]` virtual bytes and
-    /// `records[r]` records; each non-empty bucket's data is one byte.
-    fn output(sizes: &[u64], records: &[u64]) -> MapOutput {
-        let blocks = (0..records.len() as u32)
-            .filter(|&r| records[r as usize] > 0)
-            .map(|reduce_id| KeptBlock {
+    /// A map output of `reduces` buckets, of which bucket `r` in `non_empty`
+    /// holds `n` records of 8 bytes; each non-empty bucket's data is one byte.
+    fn output(reduces: usize, non_empty: &[(u32, u32)]) -> MapOutput {
+        let sizes: Vec<BlockSize> = non_empty
+            .iter()
+            .map(|&(reduce_id, records)| BlockSize {
                 reduce_id,
-                data: Bytes::from(vec![reduce_id as u8]),
-                value_bytes: 2 * u64::from(reduce_id),
+                records,
+                size: 4 + 8 * u64::from(records),
             })
             .collect();
-        MapOutput::new(Arc::new(sizes.to_vec()), Arc::new(records.to_vec()), blocks)
+        let blocks = sizes
+            .iter()
+            .map(|b| KeptBlock {
+                data: Bytes::from(vec![b.reduce_id as u8]),
+                value_bytes: 2 * u64::from(b.reduce_id),
+            })
+            .collect();
+        MapOutput::new(reduces, sizes.into(), blocks)
     }
 
     #[test]
     fn a_map_output_serves_its_blocks_by_reduce_id() {
         let bm = BlockManager::default();
-        bm.put_map_output(3, 1, output(&[10, 11, 12], &[1, 1, 1]));
-        bm.put_map_output(3, 2, output(&[20], &[1]));
+        bm.put_map_output(3, 1, output(3, &[(0, 1), (1, 2), (2, 3)]));
+        bm.put_map_output(3, 2, output(1, &[(0, 4)]));
         let shuffle = |map_id, reduce_id| BlockId::Shuffle { shuffle_id: 3, map_id, reduce_id };
-        for (reduce_id, want) in [10, 11, 12].into_iter().enumerate() {
+        for (reduce_id, want) in [12, 20, 28].into_iter().enumerate() {
             let block = bm.get(shuffle(1, reduce_id as u32)).unwrap();
             assert_eq!((block.virtual_len, block.value_bytes), (want, 2 * reduce_id as u64));
+            assert_eq!(block.records, reduce_id as u64 + 1);
             assert_eq!(&block.data[..], &[reduce_id as u8]);
         }
-        assert_eq!(bm.get(shuffle(2, 0)).unwrap().virtual_len, 20);
+        assert_eq!(bm.get(shuffle(2, 0)).unwrap().virtual_len, 36);
         // A reduce id past the output's end, a map output never stored, and
         // another shuffle's id are all absent.
         assert!(bm.get(shuffle(1, 3)).is_none());
@@ -273,16 +295,14 @@ mod tests {
 
     #[test]
     fn a_map_output_keeps_only_its_non_empty_buckets() {
-        const BUCKETS: usize = 224;
-        let mut sizes = vec![4u64; BUCKETS];
-        let mut records = vec![0u64; BUCKETS];
-        for (r, n) in [(5, 3), (100, 1), (223, 7)] {
-            (sizes[r], records[r]) = (4 + 8 * n, n);
-        }
+        const BUCKETS: u32 = 224;
         let bm = BlockManager::default();
-        bm.put_map_output(0, 0, output(&sizes, &records));
+        let written = output(BUCKETS as usize, &[(5, 3), (100, 1), (223, 7)]);
+        let status = written.sizes().clone();
+        bm.put_map_output(0, 0, written);
         let stored = bm.map_output(0, 0).unwrap();
-        assert_eq!(stored.blocks().len(), 3);
+        assert_eq!((stored.sizes().len(), stored.blocks().len()), (3, 3));
+        assert!(Arc::ptr_eq(stored.sizes(), &status), "the status's list, not a copy");
         let get = |reduce_id| bm.get(BlockId::Shuffle { shuffle_id: 0, map_id: 0, reduce_id });
         // Two empty blocks: a zero-count header, one buffer for both.
         let (a, b) = (get(0).unwrap(), get(222).unwrap());
@@ -295,7 +315,8 @@ mod tests {
         let kept = get(100).unwrap();
         assert_eq!(kept.data.as_ptr(), stored.blocks()[1].data.as_ptr());
         assert_eq!((kept.records, kept.virtual_len, kept.value_bytes), (1, 12, 200));
-        assert!(get(BUCKETS as u32).is_none());
+        assert_eq!(get(223).unwrap().records, 7, "the last bucket");
+        assert!(get(BUCKETS).is_none());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use sparklet::rpc::RpcEnv;
 use sparklet::shuffle::{
     group_pairs, read_shuffle, write_shuffle, MapOutputClient, MapOutputTrackerMaster, MapStatus,
 };
-use sparklet::storage::{BlockId, BlockManager};
+use sparklet::storage::{BlockId, BlockManager, BlockSize};
 use sparklet::task::{ExecutorServices, TaskContext};
 use sparklet::transfer::{BlockTransferService, FetchResult, FetchSink};
 use sparklet::{Blob, Element, SparkConf};
@@ -91,6 +91,11 @@ fn executors(
     (tracker, ctxs, transfer)
 }
 
+/// What `status` lists for bucket `reduce_id`: nothing when it is empty.
+fn listed(status: &MapStatus, reduce_id: u32) -> Option<BlockSize> {
+    status.sizes.iter().find(|b| b.reduce_id == reduce_id).copied()
+}
+
 /// The records of `records` that `partition_of` sends to `bucket`, in order.
 fn bucket_of<T: Clone>(records: &[T], bucket: usize, partition_of: impl Fn(&T) -> usize) -> Vec<T> {
     records.iter().filter(|r| partition_of(r) == bucket).cloned().collect()
@@ -108,7 +113,11 @@ fn write_and_check<K: Element, V: Element>(
 ) -> MapStatus {
     let value_size = |(_, v): &(K, V)| v.virtual_size();
     let status = write_shuffle(ctx, SHUFFLE, map_id, reduces, records, partition_of, value_size);
-    assert_eq!((status.sizes.len(), status.records.len()), (reduces, reduces));
+    assert!(
+        status.sizes.windows(2).all(|w| w[0].reduce_id < w[1].reduce_id),
+        "listed out of order"
+    );
+    assert!(status.sizes.iter().all(|b| (b.reduce_id as usize) < reduces), "a bucket out of range");
     for bucket in 0..reduces {
         let want = bucket_of(records, bucket, partition_of);
         let (bytes, virt) = encode_batch(&want);
@@ -117,7 +126,12 @@ fn write_and_check<K: Element, V: Element>(
         assert_eq!(&block.data[..], &bytes[..], "map {map_id} bucket {bucket}: bytes");
         assert_eq!((block.virtual_len, block.records), (virt, want.len() as u64));
         assert_eq!(block.value_bytes, want.iter().map(value_size).sum::<u64>());
-        assert_eq!((status.sizes[bucket], status.records[bucket]), (virt, want.len() as u64));
+        let entry = (!want.is_empty()).then_some(BlockSize {
+            reduce_id: bucket as u32,
+            records: want.len() as u32,
+            size: virt,
+        });
+        assert_eq!(listed(&status, bucket as u32), entry, "map {map_id} bucket {bucket}: status");
     }
     status
 }
@@ -159,9 +173,9 @@ fn a_map_output_shares_its_status_arrays_and_keeps_only_non_empty_buckets() {
         let net = Net::new(&ClusterSpec::test(2));
         let (_, ctxs, _) = executors(&net, 1);
         let reduces = 224;
-        // Five keys over 224 buckets, then an empty map task: most buckets
-        // of the first output, and all of the second's, are empty.
-        let records: Vec<(u64, u64)> = (0..300).map(|i| (i % 5 * 37, i)).collect();
+        // Three keys over 224 buckets, then an empty map task: all but three
+        // buckets of the first output, and all of the second's, are empty.
+        let records: Vec<(u64, u64)> = (0..300).map(|i| (i % 3 * 37, i)).collect();
         for (map_id, records) in [(0, &records[..]), (1, &[][..])] {
             let status = write_shuffle(
                 &ctxs[0],
@@ -172,13 +186,48 @@ fn a_map_output_shares_its_status_arrays_and_keeps_only_non_empty_buckets() {
                 |r| r.0 as usize % reduces,
                 |_| 8,
             );
-            let stored = ctxs[0].services.block_manager.map_output(SHUFFLE, map_id).unwrap();
+            let bm = &ctxs[0].services.block_manager;
+            let stored = bm.map_output(SHUFFLE, map_id).unwrap();
             assert!(Arc::ptr_eq(&status.sizes, stored.sizes()), "map {map_id}: sizes copied");
-            assert!(Arc::ptr_eq(&status.records, stored.records()), "map {map_id}: counts copied");
-            let non_empty = status.records.iter().filter(|&&n| n > 0).count();
-            assert_eq!(stored.blocks().len(), non_empty, "map {map_id}: kept blocks");
-            assert_eq!(non_empty, if map_id == 0 { 5 } else { 0 });
+            let non_empty = if map_id == 0 { 3 } else { 0 };
+            assert_eq!((status.sizes.len(), stored.blocks().len()), (non_empty, non_empty));
+            let past_end = BlockId::Shuffle { shuffle_id: SHUFFLE, map_id, reduce_id: 224 };
+            assert!(bm.get(past_end).is_none(), "map {map_id}: a block past the last bucket");
         }
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+}
+
+#[test]
+fn every_executor_reads_one_shared_table_until_a_slot_changes() {
+    let sim = Sim::new();
+    sim.spawn("main", || {
+        let net = Net::new(&ClusterSpec::test(3));
+        let (tracker, ctxs, _) = executors(&net, 2);
+        tracker.register_shuffle(SHUFFLE, 2);
+        let records: Vec<(u64, u64)> = (0..40).map(|i| (i % 7, i)).collect();
+        let write = |ctx, map_id| {
+            let status =
+                write_shuffle(ctx, SHUFFLE, map_id, 3, &records, |r| r.0 as usize % 3, |_| 8);
+            tracker.register_map_output(SHUFFLE, status);
+        };
+        for (map_id, ctx) in ctxs.iter().enumerate() {
+            write(ctx, map_id as u32);
+        }
+        let (a, b) = (&ctxs[0].services.map_outputs, &ctxs[1].services.map_outputs);
+        let first = a.get(SHUFFLE).expect("tracker reachable");
+        assert!(
+            Arc::ptr_eq(&first, &b.get(SHUFFLE).expect("tracker reachable")),
+            "one table, two replies"
+        );
+        // Map 1 runs again: a read after it gets a new table, shared again.
+        write(&ctxs[1], 1);
+        a.invalidate(SHUFFLE);
+        b.invalidate(SHUFFLE);
+        let second = a.get(SHUFFLE).expect("tracker reachable");
+        assert!(!Arc::ptr_eq(&first, &second), "a registration leaves the old table in use");
+        assert!(Arc::ptr_eq(&second, &b.get(SHUFFLE).expect("tracker reachable")));
     });
     sim.run().unwrap().assert_clean();
     sim.shutdown();
@@ -268,14 +317,15 @@ fn a_read_skips_empty_blocks_and_charges_only_the_non_empty_ones() {
         let (holder, empty) = (ctxs[1].services.shuffle_addr, ctxs[2].services.shuffle_addr);
         assert!(!sent.contains(&empty), "an executor with no bucket-2 record was asked: {sent:?}");
         assert!(sent.contains(&holder), "executor 1 holds bucket-2 records");
-        let want: usize = statuses.iter().map(|st| st.records[2] as usize).sum();
+        let want: usize =
+            statuses.iter().filter_map(|st| listed(st, 2)).map(|b| b.records as usize).sum();
         assert_eq!(got.len(), want);
         // The node is otherwise idle, so the read takes exactly its CPU work.
         let cost = reader.cost();
         let deser: u64 = statuses
             .iter()
-            .filter(|st| st.records[2] > 0)
-            .map(|st| cost.deser(st.records[2], st.sizes[2]))
+            .filter_map(|st| listed(st, 2))
+            .map(|b| cost.deser(b.records.into(), b.size))
             .sum();
         assert_eq!(took, deser, "virtual ns of the read: one deser per non-empty block");
     });

@@ -23,7 +23,7 @@ use sparklet::rpc::{AnyMsg, RpcEnv};
 use sparklet::shuffle::{
     read_shuffle, FetchFailed, MapOutputClient, MapOutputTrackerMaster, MapStatus,
 };
-use sparklet::storage::{BlockId, BlockManager, StoredBlock};
+use sparklet::storage::{BlockId, BlockManager, BlockSize, StoredBlock};
 use sparklet::task::{ExecutorServices, TaskContext};
 use sparklet::transfer::{BlockTransferService, FetchResult, FetchSink};
 use sparklet::SparkConf;
@@ -123,8 +123,7 @@ fn harness(
                 map_id,
                 exec_id,
                 shuffle_addr: PortAddr { node: exec_id, port: 1 },
-                sizes: Arc::new(vec![bytes]),
-                records: Arc::new(vec![1]),
+                sizes: Arc::new([BlockSize { reduce_id: 0, records: 1, size: bytes }]),
             },
         );
     }

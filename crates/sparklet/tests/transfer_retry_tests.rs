@@ -16,7 +16,7 @@ use simt::sync::Mutex;
 use simt::Sim;
 use sparklet::data::encode_batch;
 use sparklet::net_backend::{NetworkBackend, Plane, ProcIdentity, Role, VanillaBackend};
-use sparklet::storage::{BlockId, BlockManager, KeptBlock, MapOutput, StoredBlock};
+use sparklet::storage::{BlockId, BlockManager, BlockSize, KeptBlock, MapOutput, StoredBlock};
 use sparklet::transfer::{
     BlockTransferService, FetchResult, FetchSink, NettyBlockTransferService, OpenBlocks,
     RetryingBlockFetcher, ShuffleService, StreamHandle,
@@ -37,8 +37,8 @@ fn block_for(map_id: u32) -> StoredBlock {
 /// Map `map_id`'s output: one reduce bucket, holding `block_for(map_id)`.
 fn output_for(map_id: u32) -> MapOutput {
     let StoredBlock { data, virtual_len, records, value_bytes } = block_for(map_id);
-    let block = KeptBlock { reduce_id: 0, data, value_bytes };
-    MapOutput::new(Arc::new(vec![virtual_len]), Arc::new(vec![records]), vec![block])
+    let sizes = Arc::new([BlockSize { reduce_id: 0, records: records as u32, size: virtual_len }]);
+    MapOutput::new(1, sizes, vec![KeptBlock { data, value_bytes }])
 }
 
 fn conf() -> SparkConf {

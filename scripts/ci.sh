@@ -82,10 +82,11 @@ cmp -s "$CI_TMP/committed.json" "$CI_TMP/ledger.json" || {
 }
 
 # The suites that run in seconds at full scale are gated at that scale too
-# (63 records): the figure cells at paper size, the recovery bench, the
-# traced cell with its engine counters, and the real-data cell.
-# The slow figure suites (fig09–fig12, ablation-batching) stay a manual gate.
-FAST_FULL="fig08 table4 recovery traced realdata"
+# (75 records): the figure cells at paper size, fig09's 224 x 224 shuffle
+# (about 2 s), the recovery bench, the traced cell with its engine counters,
+# and the real-data cell. The slow suites (fig10–fig12, ablation-batching)
+# stay a manual gate.
+FAST_FULL="fig08 fig09 table4 recovery traced realdata"
 echo "==> ledger (repro $FAST_FULL --scale full, cmp against results/ledger.json)"
 # shellcheck disable=SC2086 # the suite list is split on purpose
 "$CARGO" run -q --release -p mpi4spark-bench "$@" -- $FAST_FULL --scale full > "$CI_TMP/ledger-full.json"
