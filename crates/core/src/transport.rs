@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use fabric::Payload;
 use netz::{
     ChannelCore, ChannelId, Endpoint, Frame, Handshake, InboundAction, InboundHandler, Message,
-    OutboundAction, OutboundHandler, Then, Transport, WeakEndpoint, WireEvent,
+    OutboundAction, OutboundHandler, Pipeline, Then, Transport, WeakEndpoint, WireEvent,
 };
 use simt::cpu::Done;
 use simt::sync::Mutex;
@@ -74,14 +74,12 @@ fn opt_tag(chan: ChannelId, key: u64) -> u64 {
 /// The MPI4Spark-Optimized transport (§VI-E).
 pub struct MpiTransportOptimized {
     ctx: Arc<MpiProcCtx>,
-    /// The endpoint a body is delivered to, and how long it may take.
-    endpoint: OnceLock<(WeakEndpoint, u64)>,
 }
 
 impl MpiTransportOptimized {
     /// Transport for the process described by `ctx`.
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        MpiTransportOptimized { ctx, endpoint: OnceLock::new() }
+        MpiTransportOptimized { ctx }
     }
 }
 
@@ -94,19 +92,19 @@ impl Transport for MpiTransportOptimized {
         Handshake { node, mpi_rank: Some(self.ctx.rank()), comm: self.ctx.kind }
     }
 
-    fn start(&self, endpoint: &Endpoint) {
-        self.endpoint.get_or_init(|| (endpoint.downgrade(), endpoint.request_timeout_ns()));
-    }
-
-    fn configure(&self, chan: &Arc<ChannelCore>) {
-        peer_rank(chan); // before the channel serves anything
-        let mut p = chan.pipeline.lock();
-        p.add_outbound("mpi-body-send", Arc::new(OptOutbound { ctx: self.ctx.clone() }));
-        let (endpoint, body_timeout_ns) = self.endpoint.get().expect("transport started").clone();
+    fn start(&self, endpoint: &Endpoint) -> Pipeline {
+        let mut p = Pipeline::new();
+        p.add_outbound("mpi-body-send", OptOutbound { ctx: self.ctx.clone() });
+        let (ctx, body_timeout_ns) = (self.ctx.clone(), endpoint.request_timeout_ns());
         p.add_inbound(
             "mpi-body-fetch",
-            Arc::new(OptInbound { ctx: self.ctx.clone(), endpoint, body_timeout_ns }),
+            OptInbound { ctx, endpoint: endpoint.downgrade(), body_timeout_ns },
         );
+        p
+    }
+
+    fn configure(&self, _endpoint: &Endpoint, chan: &Arc<ChannelCore>) {
+        peer_rank(chan); // before the channel serves anything
     }
 }
 
@@ -160,10 +158,9 @@ impl OutboundHandler for OptOutbound {
 /// receive is cancelled with a drain, which absorbs the late body if it ever
 /// lands, and the fetch surfaces as a missing chunk to the retry layer.
 ///
-/// The handler holds its endpoint weakly: the endpoint owns its channels,
-/// whose pipelines own this handler, so a strong handle would close an `Arc`
-/// cycle and keep the endpoint (and its handler's block manager) alive past
-/// shutdown.
+/// The handler holds its endpoint weakly: the endpoint owns its pipeline,
+/// which owns this handler, so a strong handle would close an `Arc` cycle and
+/// keep the endpoint (and its handler's block manager) alive past shutdown.
 struct OptInbound {
     ctx: Arc<MpiProcCtx>,
     endpoint: WeakEndpoint,
@@ -308,14 +305,13 @@ fn deliver(ctx: &Arc<MpiProcCtx>, inter: bool, msg: &BasicMsg) {
 /// The MPI4Spark-Basic transport (§VI-D).
 pub struct MpiTransportBasic {
     ctx: Arc<MpiProcCtx>,
-    endpoint: OnceLock<WeakEndpoint>,
 }
 
 impl MpiTransportBasic {
     /// Transport for the process described by `ctx`: every message crosses
     /// MPI (§VI-D).
     pub fn new(ctx: Arc<MpiProcCtx>) -> Self {
-        MpiTransportBasic { ctx, endpoint: OnceLock::new() }
+        MpiTransportBasic { ctx }
     }
 }
 
@@ -328,31 +324,28 @@ impl Transport for MpiTransportBasic {
         Handshake { node, mpi_rank: Some(self.ctx.rank()), comm: self.ctx.kind }
     }
 
-    fn start(&self, endpoint: &Endpoint) {
-        self.endpoint.get_or_init(|| endpoint.downgrade());
+    fn start(&self, endpoint: &Endpoint) -> Pipeline {
         // The endpoint's selector loop now spins (non-blocking select +
         // iprobe) instead of blocking: continuous background CPU load.
         endpoint.net().cpu(endpoint.node()).add_background_load(POLL_LOAD_PER_ENDPOINT);
+        let mut p = Pipeline::new();
+        p.add_outbound("mpi-all-send", BasicOutbound { ctx: Arc::downgrade(&self.ctx) });
+        p
     }
 
-    fn configure(&self, chan: &Arc<ChannelCore>) {
+    fn configure(&self, endpoint: &Endpoint, chan: &Arc<ChannelCore>) {
         peer_rank(chan); // before the channel serves anything
         let router = &self.ctx.router;
-        let endpoint = self.endpoint.get().expect("transport started").clone();
-        router.channels.lock().insert(chan.id, (endpoint, chan.clone()));
+        router.channels.lock().insert(chan.id, (endpoint.downgrade(), chan.clone()));
         router.ensure_receivers(&self.ctx);
-        chan.pipeline.lock().add_outbound(
-            "mpi-all-send",
-            Arc::new(BasicOutbound { ctx: Arc::downgrade(&self.ctx) }),
-        );
     }
 }
 
 /// Outbound: every message crosses MPI as one `(header, body)` envelope.
 ///
 /// The context is held weakly: it owns the router, whose channel table owns
-/// this handler's channel. Once the context is gone, messages stay on the
-/// socket path.
+/// the channels and with them the pipeline that owns this handler. Once the
+/// context is gone, messages stay on the socket path.
 struct BasicOutbound {
     ctx: Weak<MpiProcCtx>,
 }

@@ -120,3 +120,71 @@ fn backend_is_freed_at_shutdown_on_both_designs() {
         assert!(backend_freed_at_shutdown(design), "{design:?}: the backend outlives the run");
     }
 }
+
+/// Rank 1 opens two channels to rank 0 over `transport` and fetches a chunk
+/// on each. Returns, for the client endpoint and then the server endpoint,
+/// whether its two channels hold the same pipeline (`Arc::ptr_eq`), and the
+/// pipeline's handler names.
+fn channel_pipelines(
+    transport: fn(Arc<MpiProcCtx>) -> Arc<dyn Transport>,
+) -> Vec<(bool, Vec<String>)> {
+    let seen: Arc<Mutex<Vec<(bool, Vec<String>)>>> = Arc::default();
+    let sim = Sim::new();
+    let out = seen.clone();
+    sim.spawn("launcher", move || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let (net2, fetched, closed) = (net.clone(), OnceCell::<()>::new(), OnceCell::<()>::new());
+        rmpi::mpiexec(&net, &[0, 1], move |world| {
+            let rank = world.rank();
+            let ctx = TransportContext::with_transport(
+                net2.clone(),
+                TransportConf::default_sockets(),
+                Arc::new(Chunks),
+                transport(MpiProcCtx::world_proc(world)),
+            );
+            let shared = |chans: &[Arc<ChannelCore>]| {
+                let [a, b] = chans else { panic!("two channels, got {}", chans.len()) };
+                (Arc::ptr_eq(&a.pipeline, &b.pipeline), a.pipeline.handler_names())
+            };
+            if rank == 0 {
+                let server = ctx.create_server("server", 0, 500);
+                fetched.take();
+                out.lock().push(shared(&server.channels()));
+                server.shutdown();
+                closed.put(());
+            } else {
+                simt::sleep(simt::time::millis(1)); // the server binds first
+                let ep = ctx.create_client_endpoint("client", 1);
+                let clients: Vec<_> = (0..2)
+                    .map(|_| ep.connect(fabric::PortAddr { node: 0, port: 500 }).expect("connect"))
+                    .collect();
+                for c in &clients {
+                    assert_eq!(c.fetch_chunk(1, 0).expect("chunk").virtual_len, 1 << 20);
+                }
+                let chans: Vec<_> = clients.iter().map(|c| c.channel().clone()).collect();
+                out.lock().push(shared(&chans));
+                fetched.put(());
+                closed.take();
+                ep.shutdown();
+            }
+        });
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+    let seen = seen.lock().clone();
+    seen
+}
+
+#[test]
+fn optimized_channels_share_their_endpoint_pipeline() {
+    let names = vec!["in:mpi-body-fetch".to_string(), "out:mpi-body-send".to_string()];
+    let want = vec![(true, names.clone()), (true, names)];
+    assert_eq!(channel_pipelines(|ctx| Arc::new(MpiTransportOptimized::new(ctx))), want);
+}
+
+#[test]
+fn basic_channels_share_their_endpoint_pipeline() {
+    let names = vec!["out:mpi-all-send".to_string()];
+    let want = vec![(true, names.clone()), (true, names)];
+    assert_eq!(channel_pipelines(|ctx| Arc::new(MpiTransportBasic::new(ctx))), want);
+}

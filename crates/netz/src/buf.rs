@@ -6,7 +6,7 @@
 //! Every `put_*`/`get_*` is `#[inline]`, so an element codec in another
 //! crate compiles each one down to a store or load of its big-endian bytes.
 //!
-//! [`ByteReader`] owns a [`Bytes`] handle so that [`ByteReader::get_bytes`]
+//! [`ByteReader`] borrows a [`Bytes`] handle so that [`ByteReader::get_bytes`]
 //! can hand out sub-ranges that *share* the original allocation (Netty's
 //! `ByteBuf.retainedSlice`): decoding a shuffle chunk into blocks never
 //! copies the block payloads, it only bumps the refcount on the one buffer
@@ -91,53 +91,60 @@ impl ByteWriter {
     }
 }
 
-/// Forward-scanning decoder over an owned [`Bytes`] handle. All methods
+/// Forward-scanning decoder borrowing a [`Bytes`] handle. All methods
 /// return `None` on underrun rather than panicking, so malformed frames
 /// surface as codec errors.
-pub struct ByteReader {
-    data: Bytes,
-    pos: usize,
+///
+/// The buffer is dereferenced once, at construction: each read is one
+/// bounds-checked split of the unread slice.
+pub struct ByteReader<'a> {
+    data: &'a Bytes,
+    rest: &'a [u8],
 }
 
-impl ByteReader {
-    /// Read from the start of `data`. `Bytes::clone` is a refcount bump, so
-    /// callers holding a `&Bytes` pass `data.clone()` without copying.
-    pub fn new(data: Bytes) -> Self {
-        ByteReader { data, pos: 0 }
+impl<'a> ByteReader<'a> {
+    /// Read from the start of `data`.
+    pub fn new(data: &'a Bytes) -> Self {
+        ByteReader { data, rest: data }
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.rest.split_first_chunk::<N>()?;
+        self.rest = rest;
+        Some(*head)
     }
 
     #[inline]
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        if self.pos + n > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
     }
 
     /// Read a `u8`.
     #[inline]
     pub fn get_u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.array().map(u8::from_be_bytes)
     }
 
     /// Read a big-endian `u32`.
     #[inline]
     pub fn get_u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_be_bytes(s.try_into().unwrap()))
+        self.array().map(u32::from_be_bytes)
     }
 
     /// Read a big-endian `u64`.
     #[inline]
     pub fn get_u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_be_bytes(s.try_into().unwrap()))
+        self.array().map(u64::from_be_bytes)
     }
 
     /// Read a big-endian `i64`.
     #[inline]
     pub fn get_i64(&mut self) -> Option<i64> {
-        self.take(8).map(|s| i64::from_be_bytes(s.try_into().unwrap()))
+        self.array().map(i64::from_be_bytes)
     }
 
     /// Read `len` raw bytes as a *view* into the underlying buffer: the
@@ -145,18 +152,15 @@ impl ByteReader {
     /// without consuming on underrun.
     #[inline]
     pub fn get_bytes(&mut self, len: usize) -> Option<Bytes> {
-        if self.pos + len > self.data.len() {
-            return None;
-        }
-        let s = self.data.slice(self.pos..self.pos + len);
-        self.pos += len;
-        Some(s)
+        let at = self.data.len() - self.rest.len();
+        self.take(len)?;
+        Some(self.data.slice(at..at + len))
     }
 
     /// Read `len` raw bytes as a borrowed slice (no copy, no refcount
     /// traffic; for transient scans). Fails without consuming on underrun.
     #[inline]
-    pub fn get_slice(&mut self, len: usize) -> Option<&[u8]> {
+    pub fn get_slice(&mut self, len: usize) -> Option<&'a [u8]> {
         self.take(len)
     }
 
@@ -170,7 +174,7 @@ impl ByteReader {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.rest.len()
     }
 }
 
@@ -186,7 +190,7 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_i64(-42);
         let b = w.freeze();
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_u8(), Some(7));
         assert_eq!(r.get_u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Some(u64::MAX - 3));
@@ -219,7 +223,7 @@ mod tests {
         w.put_string("");
         w.put_string("ünïcödé");
         let b = w.freeze();
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_string().as_deref(), Some("shuffle_0_1_2"));
         assert_eq!(r.get_string().as_deref(), Some(""));
         assert_eq!(r.get_string().as_deref(), Some("ünïcödé"));
@@ -228,7 +232,7 @@ mod tests {
     #[test]
     fn underrun_returns_none() {
         let b = Bytes::from_static(&[1, 2, 3]);
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_u32(), None);
         // Failed read must not consume.
         assert_eq!(r.get_u8(), Some(1));
@@ -240,7 +244,7 @@ mod tests {
         w.put_u32(1_000_000); // claims a huge string
         w.put_slice(b"tiny");
         let b = w.freeze();
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_string(), None);
     }
 
@@ -251,7 +255,7 @@ mod tests {
         w.put_slice(b"payload-bytes");
         let b = w.freeze();
         let base = b.as_ptr() as usize;
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_u8(), Some(0xAA));
         let view = r.get_bytes(7).unwrap();
         assert_eq!(&view[..], b"payload");
@@ -266,7 +270,7 @@ mod tests {
     #[test]
     fn get_slice_advances_without_copying() {
         let b = Bytes::from_static(b"abcdef");
-        let mut r = ByteReader::new(b);
+        let mut r = ByteReader::new(&b);
         assert_eq!(r.get_slice(3), Some(&b"abc"[..]));
         assert_eq!(r.get_slice(4), None);
         assert_eq!(r.get_slice(3), Some(&b"def"[..]));

@@ -8,7 +8,7 @@
 //! connection establishment exactly as the paper does.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::{Net, NodeId, Payload, PortAddr, StackModel};
@@ -41,9 +41,10 @@ impl ChannelId {
 
 /// Registry-backed traffic counters (shared across all channels on one
 /// `Net`; read them via `net.obs().registry().snapshot()` under the
-/// `netz.*` keys). Handles are cached per channel because `write` is the
-/// hot path of every message.
+/// `netz.*` keys). An endpoint resolves the handles once and its channels
+/// share them, because `write` is the hot path of every message.
 pub(crate) struct ChanStats {
+    channels_opened: obs::Counter,
     msgs_sent: obs::Counter,
     bytes_sent: obs::Counter,
     msgs_received: obs::Counter,
@@ -51,8 +52,9 @@ pub(crate) struct ChanStats {
 }
 
 impl ChanStats {
-    fn new(reg: &obs::Registry) -> ChanStats {
+    pub(crate) fn new(reg: &obs::Registry) -> ChanStats {
         ChanStats {
+            channels_opened: reg.counter(obs::keys::NETZ_CHANNELS_OPENED),
             msgs_sent: reg.counter(obs::keys::NETZ_MSGS_SENT),
             bytes_sent: reg.counter(obs::keys::NETZ_BYTES_SENT),
             msgs_received: reg.counter(obs::keys::NETZ_MSGS_RECEIVED),
@@ -106,18 +108,20 @@ pub struct ChannelCore {
     pub local_handshake: Handshake,
     /// Identity the peer presented at establishment (rank ↔ channel map).
     pub peer_handshake: Handshake,
-    /// Handler pipeline (paper Fig. 7); transports install handlers here.
-    pub pipeline: Mutex<Pipeline>,
-    /// Registry-backed traffic counters.
-    pub(crate) stats: ChanStats,
+    /// Handler pipeline (paper Fig. 7): its endpoint's, shared by all of
+    /// the endpoint's channels.
+    pub pipeline: Arc<Pipeline>,
+    /// Registry-backed traffic counters, shared the same way.
+    pub(crate) stats: Arc<ChanStats>,
     pub(crate) pending: Mutex<PendingResponses>,
-    open: Mutex<bool>,
+    open: AtomicBool,
 }
 
 impl ChannelCore {
     #[allow(
         clippy::too_many_arguments,
-        reason = "a channel is its two ends, the stack, the net and both handshakes"
+        reason = "a channel is its two ends, the stack, the net, both handshakes and its \
+                  endpoint's pipeline and counters"
     )]
     pub(crate) fn new(
         id: ChannelId,
@@ -129,14 +133,15 @@ impl ChannelCore {
         net: Net,
         local_handshake: Handshake,
         peer_handshake: Handshake,
+        pipeline: Arc<Pipeline>,
+        stats: Arc<ChanStats>,
     ) -> Arc<Self> {
-        let obs = net.obs().clone();
-        obs.registry().counter(obs::keys::NETZ_CHANNELS_OPENED).inc();
+        stats.channels_opened.inc();
+        let obs = net.obs();
         if obs.is_traced() {
             let kvs = obs::kv! {"local" => local_node, "remote" => remote_node};
             obs.event("netz.channel.open", kvs);
         }
-        let stats = ChanStats::new(obs.registry());
         Arc::new(ChannelCore {
             id,
             local_node,
@@ -147,16 +152,16 @@ impl ChannelCore {
             net,
             local_handshake,
             peer_handshake,
-            pipeline: Mutex::new(Pipeline::new()),
+            pipeline,
             stats,
             pending: Mutex::new(PendingResponses::default()),
-            open: Mutex::new(true),
+            open: AtomicBool::new(true),
         })
     }
 
     /// True until either side closed the channel.
     pub fn is_open(&self) -> bool {
-        *self.open.lock()
+        self.open.load(Ordering::Relaxed)
     }
 
     /// Write a message: run the outbound pipeline; unless a handler takes
@@ -202,9 +207,8 @@ impl ChannelCore {
                 then();
             })
         });
-        let outbound = self.pipeline.lock().outbound_handlers();
         let mut current = msg;
-        for handler in outbound {
+        for handler in self.pipeline.outbound() {
             match handler.on_write(self, current, then) {
                 OutboundAction::Forward(m, t) => (current, then) = (m, t),
                 OutboundAction::Sent { virtual_bytes } => {
@@ -327,10 +331,7 @@ impl ChannelCore {
     }
 
     fn mark_closed(&self) -> bool {
-        let mut open = self.open.lock();
-        let was = *open;
-        *open = false;
-        was
+        self.open.swap(false, Ordering::Relaxed)
     }
 
     fn fail_pending(&self) {
@@ -356,6 +357,25 @@ impl std::fmt::Debug for ChannelCore {
 mod tests {
     use super::*;
 
+    /// A channel from node 0 to node 1 with an empty pipeline.
+    fn channel() -> Arc<ChannelCore> {
+        let net = Net::new(&fabric::ClusterSpec::test(2));
+        let stats = Arc::new(ChanStats::new(net.obs().registry()));
+        ChannelCore::new(
+            ChannelId::fresh(),
+            0,
+            1,
+            PortAddr { node: 1, port: 1 },
+            PortAddr { node: 0, port: 1 },
+            StackModel::native_mpi(),
+            net,
+            Handshake::default(),
+            Handshake::default(),
+            Arc::default(),
+            stats,
+        )
+    }
+
     #[test]
     fn channel_ids_are_unique_and_displayable() {
         let a = ChannelId::fresh();
@@ -366,18 +386,7 @@ mod tests {
 
     #[test]
     fn registering_on_closed_channel_fails_immediately() {
-        let net = Net::new(&fabric::ClusterSpec::test(2));
-        let ch = ChannelCore::new(
-            ChannelId::fresh(),
-            0,
-            1,
-            PortAddr { node: 1, port: 1 },
-            PortAddr { node: 0, port: 1 },
-            StackModel::native_mpi(),
-            net,
-            Handshake::default(),
-            Handshake::default(),
-        );
+        let ch = channel();
         ch.closed_by_peer();
         let hit = Arc::new(Mutex::new(None));
         let hit2 = hit.clone();
@@ -389,18 +398,7 @@ mod tests {
     fn close_fails_outstanding_requests() {
         let sim = simt::Sim::new();
         sim.spawn("t", || {
-            let net = Net::new(&fabric::ClusterSpec::test(2));
-            let ch = ChannelCore::new(
-                ChannelId::fresh(),
-                0,
-                1,
-                PortAddr { node: 1, port: 1 },
-                PortAddr { node: 0, port: 1 },
-                StackModel::native_mpi(),
-                net,
-                Handshake::default(),
-                Handshake::default(),
-            );
+            let ch = channel();
             let hit = Arc::new(Mutex::new(Vec::new()));
             for id in 0..3u64 {
                 let hit = hit.clone();

@@ -10,18 +10,18 @@
 //! the next frame waits until this one's work, its reply included, is booked.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use fabric::{Net, NextPacket, NodeId, Packet, Payload, PortAddr};
 use simt::cpu::Done;
 use simt::sync::{Mutex, OnceCell};
 
-use crate::channel::{ChannelCore, ChannelId};
+use crate::channel::{ChanStats, ChannelCore, ChannelId};
 use crate::client::TransportClient;
 use crate::context::{RpcHandler, TransportConf};
 use crate::error::NetzError;
 use crate::message::Message;
-use crate::pipeline::{InboundAction, Then};
+use crate::pipeline::{InboundAction, Pipeline, Then};
 use crate::transport::Transport;
 use crate::wire::{Frame, Handshake, WireEvent, CONTROL_EVENT_BYTES};
 
@@ -36,6 +36,10 @@ pub(crate) struct EndpointInner {
     pub conf: TransportConf,
     pub handler: Arc<dyn RpcHandler>,
     pub transport: Arc<dyn Transport>,
+    /// The pipeline the transport built at start, shared by every channel.
+    pipeline: OnceLock<Arc<Pipeline>>,
+    /// Traffic counters, resolved once and shared by every channel.
+    stats: Arc<ChanStats>,
     channels: Mutex<BTreeMap<ChannelId, Arc<ChannelCore>>>,
     /// One client per remote address (Spark's `TransportClientFactory` pool).
     clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
@@ -80,6 +84,7 @@ impl Endpoint {
         // its own loop so accepts never queue behind bulk data frames.
         let data_rx = net.bind_auto(node);
         let data_addr = data_rx.addr();
+        let stats = Arc::new(ChanStats::new(net.obs().registry()));
         let inner = Arc::new(EndpointInner {
             name,
             net,
@@ -89,6 +94,8 @@ impl Endpoint {
             conf,
             handler,
             transport,
+            pipeline: OnceLock::new(),
+            stats,
             channels: Mutex::new(BTreeMap::new()),
             clients: Mutex::new(BTreeMap::new()),
             pending_connects: Mutex::new(BTreeMap::new()),
@@ -101,7 +108,7 @@ impl Endpoint {
             let ep = ep.clone();
             rx.serve(move |pkt, next| ep.handle_packet(pkt, next));
         }
-        ep.inner.transport.clone().start(&ep);
+        ep.inner.pipeline.get_or_init(|| Arc::new(ep.inner.transport.start(&ep)));
         let weak = ep.downgrade();
         ep.inner.net.on_node_down(move |node| {
             if let Some(ep) = weak.upgrade() {
@@ -349,21 +356,8 @@ impl Endpoint {
             );
             return;
         }
-        let local_hs = self.inner.transport.handshake(self.inner.node);
-        let chan = ChannelCore::new(
-            id,
-            self.inner.node,
-            peer_hs.node,
-            reply_to,
-            self.inner.data_addr,
-            self.inner.conf.stack,
-            self.inner.net.clone(),
-            local_hs,
-            peer_hs,
-        );
-        self.inner.transport.configure(&chan);
-        self.inner.channels.lock().insert(id, chan.clone());
-        self.inner.handler.channel_active(&chan);
+        let chan = self.open_channel(id, reply_to, peer_hs);
+        let local_hs = chan.local_handshake;
         chan.send_event_then(
             WireEvent::Accept { channel: id, data_to: self.inner.data_addr, handshake: local_hs },
             CONTROL_EVENT_BYTES,
@@ -375,22 +369,36 @@ impl Endpoint {
         let Some(cell) = self.inner.pending_connects.lock().remove(&id) else {
             return; // late accept after timeout
         };
-        let local_hs = self.inner.transport.handshake(self.inner.node);
+        cell.put(Ok(self.open_channel(id, data_to, peer_hs)));
+    }
+
+    /// Establish this side of channel `id`, whose frames go to the peer's
+    /// port `remote`: on the endpoint's shared pipeline and counters,
+    /// admitted by the transport, registered, and announced to the handler.
+    fn open_channel(
+        &self,
+        id: ChannelId,
+        remote: PortAddr,
+        peer_hs: Handshake,
+    ) -> Arc<ChannelCore> {
+        let inner = &self.inner;
         let chan = ChannelCore::new(
             id,
-            self.inner.node,
+            inner.node,
             peer_hs.node,
-            data_to,
-            self.inner.data_addr,
-            self.inner.conf.stack,
-            self.inner.net.clone(),
-            local_hs,
+            remote,
+            inner.data_addr,
+            inner.conf.stack,
+            inner.net.clone(),
+            inner.transport.handshake(inner.node),
             peer_hs,
+            inner.pipeline.get().expect("transport started").clone(),
+            inner.stats.clone(),
         );
-        self.inner.transport.configure(&chan);
-        self.inner.channels.lock().insert(id, chan.clone());
-        self.inner.handler.channel_active(&chan);
-        cell.put(Ok(chan));
+        inner.transport.configure(self, &chan);
+        inner.channels.lock().insert(id, chan.clone());
+        inner.handler.channel_active(&chan);
+        chan
     }
 
     /// Run the inbound pipeline on a frame (from the port, or a Basic MPI
@@ -418,17 +426,13 @@ impl Endpoint {
             then();
         });
         let header_len = frame.header.len() as u64;
-        let inbound = chan.pipeline.lock().inbound_handlers();
-        let mut action = InboundAction::Forward(frame);
-        for h in inbound {
-            match action {
-                InboundAction::Forward(f) => action = h.on_frame(chan, f),
-                _ => break,
+        let mut frame = frame;
+        for h in chan.pipeline.inbound() {
+            match h.on_frame(chan, frame) {
+                InboundAction::Forward(f) => frame = f,
+                InboundAction::Consume => return done(),
             }
         }
-        let InboundAction::Forward(frame) = action else {
-            return done(); // consumed by a handler
-        };
         // A malformed frame is dropped (Netty would fire exceptionCaught).
         match Message::decode(&frame.header, frame.body) {
             Ok(msg) => self.dispatch(chan, msg, header_len, done),

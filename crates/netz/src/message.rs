@@ -223,7 +223,7 @@ impl Message {
     /// Decode a header produced by [`Message::encode_header`] and attach
     /// `body`.
     pub fn decode(header: &Bytes, body: Payload) -> Result<Message, NetzError> {
-        let mut r = ByteReader::new(header.clone());
+        let mut r = ByteReader::new(header);
         let _frame_len = r.get_u64().ok_or_else(|| NetzError::codec("truncated frame length"))?;
         let ty = r
             .get_u8()
@@ -319,7 +319,7 @@ impl Message {
             z ^ (z >> 31)
         }
         let ty = Message::peek_type(header)?;
-        let mut r = ByteReader::new(header.clone());
+        let mut r = ByteReader::new(header);
         r.get_u64()?; // frame length
         r.get_u8()?; // type tag
         r.get_u64()?; // span id (trace-dependent: must not key the body)
@@ -421,7 +421,7 @@ mod tests {
             body: Payload::bytes_scaled(Bytes::from_static(b"ab"), 1000),
         };
         let header = msg.encode_header();
-        let mut r = ByteReader::new(header.clone());
+        let mut r = ByteReader::new(&header);
         let frame_len = r.get_u64().unwrap();
         assert_eq!(frame_len, header.len() as u64 + 1000);
     }

@@ -7,6 +7,12 @@
 //! [`InboundHandler`] that intercepts a header-only frame and reattaches the
 //! body it pulls from MPI; the outbound mirror diverts eligible bodies to
 //! MPI instead of the socket.
+//!
+//! A pipeline is built once per endpoint, by its transport's
+//! [`Transport::start`](crate::Transport::start), and every channel of the
+//! endpoint shares it (`Arc<Pipeline>`) — Netty's `@Sharable` handlers: no
+//! handler keeps per-channel state, each takes its channel as an argument. A
+//! frame or a write walks the borrowed handler list, with no lock and no copy.
 
 use std::sync::Arc;
 
@@ -56,11 +62,11 @@ pub trait OutboundHandler: Send + Sync {
         -> OutboundAction;
 }
 
-/// An ordered set of named handlers attached to one channel.
+/// An ordered set of named handlers, shared by every channel of an endpoint.
 #[derive(Default)]
 pub struct Pipeline {
-    inbound: Vec<(String, Arc<dyn InboundHandler>)>,
-    outbound: Vec<(String, Arc<dyn OutboundHandler>)>,
+    inbound: Vec<(&'static str, Box<dyn InboundHandler>)>,
+    outbound: Vec<(&'static str, Box<dyn OutboundHandler>)>,
 }
 
 impl Pipeline {
@@ -70,23 +76,23 @@ impl Pipeline {
     }
 
     /// Append an inbound handler.
-    pub fn add_inbound(&mut self, name: impl Into<String>, h: Arc<dyn InboundHandler>) {
-        self.inbound.push((name.into(), h));
+    pub fn add_inbound(&mut self, name: &'static str, h: impl InboundHandler + 'static) {
+        self.inbound.push((name, Box::new(h)));
     }
 
     /// Append an outbound handler.
-    pub fn add_outbound(&mut self, name: impl Into<String>, h: Arc<dyn OutboundHandler>) {
-        self.outbound.push((name.into(), h));
+    pub fn add_outbound(&mut self, name: &'static str, h: impl OutboundHandler + 'static) {
+        self.outbound.push((name, Box::new(h)));
     }
 
-    /// Snapshot of inbound handlers in order.
-    pub fn inbound_handlers(&self) -> Vec<Arc<dyn InboundHandler>> {
-        self.inbound.iter().map(|(_, h)| h.clone()).collect()
+    /// Inbound handlers in order.
+    pub(crate) fn inbound(&self) -> impl Iterator<Item = &dyn InboundHandler> {
+        self.inbound.iter().map(|(_, h)| &**h)
     }
 
-    /// Snapshot of outbound handlers in order.
-    pub fn outbound_handlers(&self) -> Vec<Arc<dyn OutboundHandler>> {
-        self.outbound.iter().map(|(_, h)| h.clone()).collect()
+    /// Outbound handlers in order.
+    pub(crate) fn outbound(&self) -> impl Iterator<Item = &dyn OutboundHandler> {
+        self.outbound.iter().map(|(_, h)| &**h)
     }
 
     /// Handler names, inbound then outbound (diagnostics).
@@ -120,12 +126,12 @@ mod tests {
     #[test]
     fn pipeline_registers_in_order() {
         let mut p = Pipeline::new();
-        p.add_inbound("decoder", Arc::new(Tag));
-        p.add_inbound("mpi-body-fetch", Arc::new(Tag));
-        p.add_outbound("mpi-body-send", Arc::new(Drop_));
+        p.add_inbound("decoder", Tag);
+        p.add_inbound("mpi-body-fetch", Tag);
+        p.add_outbound("mpi-body-send", Drop_);
         assert_eq!(p.handler_names(), vec!["in:decoder", "in:mpi-body-fetch", "out:mpi-body-send"]);
-        assert_eq!(p.inbound_handlers().len(), 2);
-        assert_eq!(p.outbound_handlers().len(), 1);
+        assert_eq!(p.inbound().count(), 2);
+        assert_eq!(p.outbound().count(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! bindings"). Here the seam is the [`Transport`] trait: the default
 //! [`NioTransport`] leaves the default socket encode/decode paths in place,
 //! while `mpi4spark::transport::{MpiTransportBasic, MpiTransportOptimized}`
-//! install pipeline handlers and, for Basic, a receive loop per communicator.
+//! build a pipeline of handlers and, for Basic, a receive loop per
+//! communicator.
 
 use fabric::NodeId;
 
@@ -14,6 +15,7 @@ use std::sync::Arc;
 
 use crate::channel::ChannelCore;
 use crate::endpoint::Endpoint;
+use crate::pipeline::Pipeline;
 use crate::wire::{CommKind, Handshake};
 
 /// A transport implementation.
@@ -28,15 +30,20 @@ pub trait Transport: Send + Sync + 'static {
         Handshake { node, mpi_rank: None, comm: CommKind::None }
     }
 
-    /// Install pipeline handlers on a newly established channel.
-    fn configure(&self, chan: &Arc<ChannelCore>) {
-        let _ = chan;
+    /// Called once when an endpoint starts: returns the handler pipeline
+    /// that every channel of the endpoint shares (its handlers keep no
+    /// per-channel state). MPI transports also start their polling model
+    /// here.
+    fn start(&self, endpoint: &Endpoint) -> Pipeline {
+        let _ = endpoint;
+        Pipeline::new()
     }
 
-    /// Called once when an endpoint starts; MPI transports spawn their
-    /// receive-progress threads here.
-    fn start(&self, endpoint: &Endpoint) {
-        let _ = endpoint;
+    /// Admit a newly established channel of `endpoint` before it serves
+    /// anything (MPI transports check the peer's rank; Basic routes the
+    /// channel's MPI envelopes).
+    fn configure(&self, endpoint: &Endpoint, chan: &Arc<ChannelCore>) {
+        let _ = (endpoint, chan);
     }
 }
 

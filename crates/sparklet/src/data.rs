@@ -14,7 +14,7 @@ pub trait Element: Send + Sync + Clone + 'static {
     /// Append the encoded form.
     fn encode(&self, w: &mut ByteWriter);
     /// Decode one element (must consume exactly what `encode` wrote).
-    fn decode(r: &mut ByteReader) -> Self;
+    fn decode(r: &mut ByteReader<'_>) -> Self;
     /// Bytes this element *represents* (virtual size; ≥ real encoded size
     /// only matters for cost realism, not correctness).
     fn virtual_size(&self) -> u64;
@@ -30,7 +30,7 @@ impl Element for u64 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(*self);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         r.get_u64().expect("u64 element")
     }
     fn virtual_size(&self) -> u64 {
@@ -45,7 +45,7 @@ impl Element for u8 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u8(*self);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         r.get_u8().expect("u8 element")
     }
     fn virtual_size(&self) -> u64 {
@@ -60,7 +60,7 @@ impl Element for u32 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(*self);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         r.get_u32().expect("u32 element")
     }
     fn virtual_size(&self) -> u64 {
@@ -75,7 +75,7 @@ impl Element for i64 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_i64(*self);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         r.get_i64().expect("i64 element")
     }
     fn virtual_size(&self) -> u64 {
@@ -90,7 +90,7 @@ impl Element for f64 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.to_bits());
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         f64::from_bits(r.get_u64().expect("f64 element"))
     }
     fn virtual_size(&self) -> u64 {
@@ -102,7 +102,7 @@ impl Element for String {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_string(self);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         r.get_string().expect("string element")
     }
     fn virtual_size(&self) -> u64 {
@@ -115,7 +115,7 @@ impl<A: Element, B: Element> Element for (A, B) {
         self.0.encode(w);
         self.1.encode(w);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         let a = A::decode(r);
         let b = B::decode(r);
         (a, b)
@@ -132,7 +132,7 @@ impl<T: Element> Element for Vec<T> {
             x.encode(w);
         }
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         let n = r.get_u32().expect("vec length") as usize;
         (0..n).map(|_| T::decode(r)).collect()
     }
@@ -151,7 +151,7 @@ impl<T: Element> Element for Option<T> {
             }
         }
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         match r.get_u8().expect("option tag") {
             0 => None,
             _ => Some(T::decode(r)),
@@ -185,7 +185,7 @@ impl Element for Blob {
         w.put_u64(self.seed);
         w.put_u32(self.len);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         let seed = r.get_u64().expect("blob seed");
         let len = r.get_u32().expect("blob len");
         Blob { seed, len }
@@ -240,11 +240,11 @@ pub fn encode_batch<T: Element>(items: &[T]) -> (bytes::Bytes, u64) {
     batch.finish()
 }
 
-/// Decode a batch written by [`encode_batch`] onto the end of `out`. Takes
-/// the `Bytes` handle (cloned, not copied) so element decoders can slice out
-/// zero-copy views.
+/// Decode a batch written by [`encode_batch`] onto the end of `out`. Reads
+/// through the `Bytes` handle so element decoders can slice out zero-copy
+/// views.
 pub fn decode_batch_into<T: Element>(data: &bytes::Bytes, out: &mut Vec<T>) {
-    let mut r = ByteReader::new(data.clone());
+    let mut r = ByteReader::new(data);
     let n = r.get_u32().expect("batch length") as usize;
     out.extend((0..n).map(|_| T::decode(&mut r)));
 }

@@ -50,7 +50,7 @@ impl<const C: usize> Element for Counted<C> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.0);
     }
-    fn decode(r: &mut ByteReader) -> Self {
+    fn decode(r: &mut ByteReader<'_>) -> Self {
         Counted::new(r.get_u64().expect("counted element"))
     }
     fn virtual_size(&self) -> u64 {

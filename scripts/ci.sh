@@ -144,8 +144,11 @@ fi
 
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that builds
 # against these crates' public items and may not be edited to follow them:
-# an API change that breaks it must fail here, not in the pipeline.
-echo "==> benchmark harness (builds against the public API, 12 tests)"
+# an API change that breaks it must fail here, not in the pipeline. It is
+# built as `benchmark/run.py` builds it, from `benchmark/`, so that its own
+# `.cargo/config.toml` applies, then its tests run.
+echo "==> benchmark harness (cargo build --release from benchmark/, then 12 tests)"
+(cd benchmark && "$CARGO" build --release --offline --quiet)
 (cd benchmark && "$CARGO" test -q --release --offline)
 # Its Cargo.lock is frozen with it and still lists `parking_lot` under the
 # crates that dropped it, so cargo rewrites the file on every build there: put
