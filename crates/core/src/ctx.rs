@@ -53,6 +53,12 @@ impl MpiProcCtx {
         self.inter.lock().clone()
     }
 
+    /// The Basic design's routed channels: each open channel end of this
+    /// process (none under any other transport).
+    pub fn routed_channels(&self) -> Vec<Arc<netz::ChannelCore>> {
+        self.router.channels.lock().values().map(|(_, chan)| chan.clone()).collect()
+    }
+
     /// My rank within my primary communicator (what the handshake carries).
     pub fn rank(&self) -> u32 {
         self.world.rank()

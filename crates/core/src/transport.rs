@@ -241,7 +241,7 @@ struct BasicMsg {
 /// transport, which owns the process context and with it this router.
 #[derive(Default)]
 pub struct BasicRouter {
-    channels: Mutex<BTreeMap<ChannelId, (WeakEndpoint, Arc<ChannelCore>)>>,
+    pub(crate) channels: Mutex<BTreeMap<ChannelId, (WeakEndpoint, Arc<ChannelCore>)>>,
     world_started: OnceLock<()>,
     inter_started: OnceLock<()>,
 }
@@ -373,6 +373,15 @@ impl OutboundHandler for BasicOutbound {
         }
         .expect("MPI send");
         OutboundAction::Sent { virtual_bytes: total }
+    }
+
+    /// A closed channel leaves the router: a frame still in flight to it is
+    /// dropped, as the socket path drops one for a channel its peer closed.
+    fn on_close(&self, chan: &ChannelCore) {
+        if let Some(ctx) = self.ctx.upgrade() {
+            let gone = ctx.router.channels.lock().remove(&chan.id);
+            drop(gone); // outside the lock
+        }
     }
 }
 

@@ -188,3 +188,61 @@ fn basic_channels_share_their_endpoint_pipeline() {
     let want = vec![(true, names.clone()), (true, names)];
     assert_eq!(channel_pipelines(|ctx| Arc::new(MpiTransportBasic::new(ctx))), want);
 }
+
+/// Rank 1 opens two Basic channels to rank 0, fetches a chunk on each and
+/// closes both. Returns, per rank, how many channels its router held while
+/// they were open, and how many closed ones it still held once they closed.
+fn basic_router_channels() -> Vec<(u32, usize, usize)> {
+    let seen: Arc<Mutex<Vec<(u32, usize, usize)>>> = Arc::default();
+    let sim = Sim::new();
+    let out = seen.clone();
+    sim.spawn("launcher", move || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let (net2, fetched, closed) = (net.clone(), OnceCell::<()>::new(), OnceCell::<()>::new());
+        rmpi::mpiexec(&net, &[0, 1], move |world| {
+            let rank = world.rank();
+            let proc_ctx = MpiProcCtx::world_proc(world);
+            let ctx = TransportContext::with_transport(
+                net2.clone(),
+                TransportConf::default_sockets(),
+                Arc::new(Chunks),
+                Arc::new(MpiTransportBasic::new(proc_ctx.clone())),
+            );
+            let stale = || proc_ctx.routed_channels().iter().filter(|c| !c.is_open()).count();
+            if rank == 0 {
+                let server = ctx.create_server("server", 0, 500);
+                fetched.take();
+                let open = proc_ctx.routed_channels().len();
+                closed.take();
+                simt::sleep(simt::time::millis(1)); // the client's `Close` frames land
+                out.lock().push((rank, open, stale()));
+                server.shutdown();
+            } else {
+                simt::sleep(simt::time::millis(1)); // the server binds first
+                let ep = ctx.create_client_endpoint("client", 1);
+                let clients: Vec<_> = (0..2)
+                    .map(|_| ep.connect(fabric::PortAddr { node: 0, port: 500 }).expect("connect"))
+                    .collect();
+                for c in &clients {
+                    assert_eq!(c.fetch_chunk(1, 0).expect("chunk").virtual_len, 1 << 20);
+                }
+                let open = proc_ctx.routed_channels().len();
+                fetched.put(());
+                clients.iter().for_each(|c| c.close());
+                out.lock().push((rank, open, stale()));
+                closed.put(());
+                ep.shutdown();
+            }
+        });
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+    let mut seen = seen.lock().clone();
+    seen.sort_unstable();
+    seen
+}
+
+#[test]
+fn a_closed_basic_channel_leaves_its_router() {
+    assert_eq!(basic_router_channels(), [(0, 2, 0), (1, 2, 0)]);
+}

@@ -6,8 +6,8 @@
 //! serialization regardless of which transport issues it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use simt::cpu::Done;
 use simt::queue::{Queue, RecvError};
@@ -51,35 +51,41 @@ pub struct Packet {
 /// a message waits out the backlog present at its arrival, then occupies
 /// the link for its own serialization time. No future windows are reserved,
 /// so the link never develops unusable holes under bursty all-to-all load.
+///
+/// No lock, for the reason a served port's flags need none (see `Turn`): a
+/// link is booked on its simulation's one OS thread, one booking at a time,
+/// so each field is a plain atomic `load` and `store`.
 #[derive(Default)]
 struct LinkState {
-    backlog_ns: f64,
-    last_update: u64,
-    busy_ns: u64,
+    /// An `f64`'s bits.
+    backlog_ns: AtomicU64,
+    last_update: AtomicU64,
+    busy_ns: AtomicU64,
 }
 
 impl LinkState {
     /// Account a `tx_ns` transmission arriving at `now`; returns the wait
-    /// before it starts draining.
-    fn book(&mut self, now: u64, tx_ns: u64) -> u64 {
-        let dt = now.saturating_sub(self.last_update);
-        self.backlog_ns = (self.backlog_ns - dt as f64).max(0.0);
-        self.last_update = now;
-        let wait = self.backlog_ns as u64;
-        self.backlog_ns += tx_ns as f64;
-        self.busy_ns += tx_ns;
-        wait
+    /// before it starts draining, and the link's busy time so far.
+    fn book(&self, now: u64, tx_ns: u64) -> (u64, u64) {
+        let dt = now.saturating_sub(self.last_update.load(Ordering::Relaxed));
+        let backlog = f64::from_bits(self.backlog_ns.load(Ordering::Relaxed));
+        let backlog = (backlog - dt as f64).max(0.0);
+        self.last_update.store(now, Ordering::Relaxed);
+        self.backlog_ns.store((backlog + tx_ns as f64).to_bits(), Ordering::Relaxed);
+        let busy_ns = self.busy_ns.load(Ordering::Relaxed) + tx_ns;
+        self.busy_ns.store(busy_ns, Ordering::Relaxed);
+        (backlog as u64, busy_ns)
     }
 }
 
 struct NodeRt {
     cpu: Cpu,
     /// NIC egress queue.
-    egress: Mutex<LinkState>,
+    egress: LinkState,
     /// NIC ingress queue.
-    ingress: Mutex<LinkState>,
+    ingress: LinkState,
     /// Local storage (HDFS-style output writes; see [`Net::disk_write`]).
-    disk: Mutex<LinkState>,
+    disk: LinkState,
     /// Cumulative egress serialization time, mirrored into the registry.
     egress_busy: obs::Gauge,
     /// Cumulative ingress serialization time, mirrored into the registry.
@@ -115,8 +121,8 @@ struct NetInner {
     next_auto_port: AtomicU64,
     obs: obs::Obs,
     counters: NetCounters,
-    /// Fault-injection schedule consulted on every send (None = healthy).
-    chaos: Mutex<Option<Arc<FaultPlan>>>,
+    /// Fault-injection schedule consulted on every send (unset = healthy).
+    chaos: OnceLock<FaultPlan>,
 }
 
 /// The simulated cluster network. Cheap to clone; all clones share state.
@@ -150,9 +156,9 @@ impl Net {
             .enumerate()
             .map(|(i, spec)| NodeRt {
                 cpu: Cpu::with_hyperthreading(spec.cores(), spec.threads_per_core),
-                egress: Mutex::new(LinkState::default()),
-                ingress: Mutex::new(LinkState::default()),
-                disk: Mutex::new(LinkState::default()),
+                egress: LinkState::default(),
+                ingress: LinkState::default(),
+                disk: LinkState::default(),
                 egress_busy: reg.gauge(&format!("fabric.link.n{i}.egress_busy_ns")),
                 ingress_busy: reg.gauge(&format!("fabric.link.n{i}.ingress_busy_ns")),
             })
@@ -166,7 +172,7 @@ impl Net {
                 next_auto_port: AtomicU64::new(AUTO_PORT_BASE),
                 obs,
                 counters,
-                chaos: Mutex::new(None),
+                chaos: OnceLock::new(),
             }),
         }
     }
@@ -177,11 +183,12 @@ impl Net {
     }
 
     /// Install a fault-injection plan. Every subsequent [`Net::send`]
-    /// consults it; installing `None`-equivalent behaviour again requires a
-    /// fresh `Net`. Call before the simulation's processes start so the
-    /// schedule covers the whole run.
+    /// consults it. A `Net` takes one plan, for good. Call before the
+    /// simulation's processes start so the schedule covers the whole run.
     pub fn install_chaos(&self, plan: FaultPlan) {
-        *self.inner.chaos.lock() = Some(Arc::new(plan));
+        if self.inner.chaos.set(plan).is_err() {
+            panic!("a Net takes one fault plan");
+        }
     }
 
     /// Run `hook(node)` at the start of each crash window of the installed
@@ -190,7 +197,7 @@ impl Net {
     /// Windows that started before the call are skipped. Without a window
     /// still to come, nothing is scheduled.
     pub fn on_node_down(&self, hook: impl Fn(NodeId) + Send + 'static) {
-        let Some(plan) = self.inner.chaos.lock().clone() else { return };
+        let Some(plan) = self.inner.chaos.get() else { return };
         let now = simt::now();
         let mut crashes: Vec<_> = plan.crashes().filter(|&(_, start)| start >= now).collect();
         if crashes.is_empty() {
@@ -222,7 +229,7 @@ impl Net {
         }
         let tx = (bytes as f64 / DISK_RATE_BPNS).ceil() as u64;
         let now = simt::now();
-        let wait = self.inner.nodes[node].disk.lock().book(now, tx);
+        let (wait, _) = self.inner.nodes[node].disk.book(now, tx);
         simt::sleep(wait + tx);
     }
 
@@ -310,7 +317,7 @@ impl Net {
         // instant, before any link bandwidth is booked — a message a dead
         // link drops never occupies the NIC.
         let chaos_extra_ns = {
-            let plan = self.inner.chaos.lock().clone();
+            let plan = self.inner.chaos.get();
             match plan.map(|p| p.verdict(now, from_node, to.node, eff_stack.name)) {
                 Some(Verdict::Drop) => {
                     self.inner.counters.chaos_dropped_msgs.inc();
@@ -337,20 +344,11 @@ impl Net {
             now + 300 + eff_stack.tx_time_ns(n, &self.inner.wire).min(n / 10)
         } else {
             let tx = eff_stack.tx_time_ns(n, &self.inner.wire);
-            let wait_e = {
-                let rt = &self.inner.nodes[from_node];
-                let mut link = rt.egress.lock();
-                let wait = link.book(now, tx);
-                rt.egress_busy.set(link.busy_ns);
-                wait
-            };
-            let wait_i = {
-                let rt = &self.inner.nodes[to.node];
-                let mut link = rt.ingress.lock();
-                let wait = link.book(now, tx);
-                rt.ingress_busy.set(link.busy_ns);
-                wait
-            };
+            let (from, dest) = (&self.inner.nodes[from_node], &self.inner.nodes[to.node]);
+            let (wait_e, busy_e) = from.egress.book(now, tx);
+            from.egress_busy.set(busy_e);
+            let (wait_i, busy_i) = dest.ingress.book(now, tx);
+            dest.ingress_busy.set(busy_i);
             // The slower of the two queues gates the transfer; both drain
             // concurrently (sender pushes while receiver pulls).
             now + wait_e.max(wait_i) + tx + self.inner.wire.latency_ns
@@ -446,7 +444,7 @@ impl PortRx {
     /// alive while it waits for a packet: until `simt::Sim::shutdown` drops
     /// it, as it unwinds a parked thread.
     pub fn serve(self, handle: impl Fn(Packet, NextPacket) + Send + Sync + 'static) {
-        let chain = Arc::new(Chain { rx: self, handle, turn: Mutex::new(Turn::default()) });
+        let chain = Arc::new(Chain { rx: self, handle, turn: Turn::default() });
         NextPacket(chain).take();
     }
 }
@@ -467,19 +465,31 @@ impl NextPacket {
 struct Chain<H> {
     rx: PortRx,
     handle: H,
-    turn: Mutex<Turn>,
+    turn: Turn,
 }
 
 /// A chain drains its queue in a loop, not by recursion: a packet that is
 /// already queued (`Shared::wait_then`), or costs no receive CPU
 /// (`Cpu::submit`), reaches the handler inline, and the handler may take the
 /// next one inline too.
+///
+/// The flags are not a lock. A chain runs only on its simulation's one OS
+/// thread, one engine event or green thread at a time, so they guard against
+/// re-entry, not against another thread: a plain `load` and `store` each
+/// (`Relaxed`; a `Sim` moved to another OS thread is synchronized by the move).
 #[derive(Default)]
 struct Turn {
     /// A loop of this chain is on the stack: an inline `take` only marks
     /// `again` for it.
-    busy: bool,
-    again: bool,
+    busy: AtomicBool,
+    again: AtomicBool,
+}
+
+/// Set `flag` to `to`, returning what it was.
+fn flip(flag: &AtomicBool, to: bool) -> bool {
+    let was = flag.load(Ordering::Relaxed);
+    flag.store(to, Ordering::Relaxed);
+    was
 }
 
 trait Serve: Send + Sync {
@@ -488,8 +498,8 @@ trait Serve: Send + Sync {
 
 impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Serve for Chain<H> {
     fn take_next(self: Arc<Self>) {
-        if std::mem::replace(&mut self.turn.lock().busy, true) {
-            self.turn.lock().again = true;
+        if flip(&self.turn.busy, true) {
+            self.turn.again.store(true, Ordering::Relaxed);
             return;
         }
         self.receive();
@@ -507,9 +517,8 @@ impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Chain<H> {
                     chain.land(pkt);
                 }
             });
-            let mut turn = self.turn.lock();
-            if !std::mem::take(&mut turn.again) {
-                turn.busy = false;
+            if !flip(&self.turn.again, false) {
+                self.turn.busy.store(false, Ordering::Relaxed);
                 return;
             }
         }
@@ -519,16 +528,15 @@ impl<H: Fn(Packet, NextPacket) + Send + Sync + 'static> Chain<H> {
     /// it takes the turn, and runs the loop if the handler took the next
     /// packet inline.
     fn land(self: Arc<Self>, pkt: Packet) {
-        let inline = std::mem::replace(&mut self.turn.lock().busy, true);
+        let inline = flip(&self.turn.busy, true);
         (self.handle)(pkt, NextPacket(self.clone()));
         if inline {
             return;
         }
-        let again = std::mem::take(&mut self.turn.lock().again);
-        if again {
+        if flip(&self.turn.again, false) {
             self.receive();
         } else {
-            self.turn.lock().busy = false;
+            self.turn.busy.store(false, Ordering::Relaxed);
         }
     }
 }

@@ -331,7 +331,11 @@ impl ChannelCore {
     }
 
     fn mark_closed(&self) -> bool {
-        self.open.swap(false, Ordering::Relaxed)
+        let was_open = self.open.swap(false, Ordering::Relaxed);
+        if was_open {
+            self.pipeline.outbound().for_each(|h| h.on_close(self));
+        }
+        was_open
     }
 
     fn fail_pending(&self) {

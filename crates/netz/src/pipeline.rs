@@ -60,6 +60,10 @@ pub trait OutboundHandler: Send + Sync {
     /// the `_then` forms and runs `then` when the last send is booked.
     fn on_write(&self, chan: &Arc<ChannelCore>, msg: Message, then: Option<Then>)
         -> OutboundAction;
+
+    /// The channel has just closed, from either side (Netty's outbound
+    /// `close`): forget what the handler keeps about it. Must not park.
+    fn on_close(&self, _chan: &ChannelCore) {}
 }
 
 /// An ordered set of named handlers, shared by every channel of an endpoint.

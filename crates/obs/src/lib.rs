@@ -115,7 +115,9 @@ pub mod keys {
     pub const SIMT_THREADS_SPAWNED: &str = "simt.threads_spawned";
     /// Most green threads alive at one time.
     pub const SIMT_PEAK_LIVE_THREADS: &str = "simt.peak_live_threads";
-    /// Most events waiting in the engine's heap at one time.
+    /// Most events pending in the engine at one time, over all four fronts:
+    /// the heap, the due-now queue, the armed CPU ticks and the armed
+    /// deadlines (`simt::SimStats::heap_high_water`).
     pub const SIMT_HEAP_HIGH_WATER: &str = "simt.heap_high_water";
     /// Deadlines the engine removed unfired because their wait ended first.
     pub const SIMT_DEADLINES_CANCELLED: &str = "simt.deadlines_cancelled";

@@ -19,7 +19,7 @@
 use std::panic::Location;
 use std::sync::Arc;
 
-use crate::engine::{wait_token, EngineHandle, Tick, WaitToken};
+use crate::engine::{wait_token, EngineHandle, State, Tick, WaitToken};
 use crate::sync::Mutex;
 
 /// Completion threshold for floating-point work accounting (nanoseconds).
@@ -69,10 +69,10 @@ impl Clone for Cpu {
 }
 
 impl Tick for Mutex<CpuState> {
-    fn fire(&self, at: u64) {
+    fn fire(&self, at: u64, engine: &mut State) {
         let mut s = self.lock();
         Cpu::advance(&mut s, at);
-        Cpu::reschedule(&mut s, at);
+        Cpu::reschedule(&mut s, at, Some(engine));
     }
 }
 
@@ -140,7 +140,7 @@ impl Cpu {
         let slot = s.jobs.iter().enumerate().position(|(i, j)| j.slot != i);
         let slot = slot.unwrap_or(s.jobs.len());
         s.jobs.insert(slot, Job { slot, ticket, remaining: work_ns as f64, done, from });
-        Self::reschedule(&mut s, now);
+        Self::reschedule(&mut s, now, None);
     }
 
     /// Add (or remove, with a negative delta) always-on background load,
@@ -156,12 +156,12 @@ impl Cpu {
         };
         Self::advance(&mut s, now);
         s.background_load = (s.background_load + delta).max(0.0);
-        Self::reschedule(&mut s, now);
+        Self::reschedule(&mut s, now, None);
     }
 
-    /// Per-job service rate under the current load.
-    fn rate(s: &CpuState) -> f64 {
-        let n = s.jobs.len() as f64 + s.background_load;
+    /// Per-job service rate with `jobs` jobs live under the current load.
+    fn rate(s: &CpuState, jobs: usize) -> f64 {
+        let n = jobs as f64 + s.background_load;
         if n <= 0.0 {
             return 1.0;
         }
@@ -174,7 +174,7 @@ impl Cpu {
             return;
         }
         let dt = (now - s.last_update) as f64;
-        let rate = Self::rate(s);
+        let rate = Self::rate(s, s.jobs.len());
         if rate > 0.0 {
             for job in &mut s.jobs {
                 let burn = (rate * dt).min(job.remaining);
@@ -185,24 +185,17 @@ impl Cpu {
     }
 
     /// End the finished jobs, in slot order, and re-arm the tick for the
-    /// next completion (or disarm it when no job is left).
-    fn reschedule(s: &mut CpuState, now: u64) {
-        let CpuState { jobs, handle, .. } = s;
-        for job in jobs.extract_if(.., |job| job.remaining <= EPS) {
-            match job.done {
-                Done::Wake(token) => token.wake(),
-                Done::Call(f) => {
-                    handle.as_ref().expect("a job was submitted").call_now(f, job.from)
-                }
-            }
-        }
-        let next = (!s.jobs.is_empty()).then(|| {
-            let rate = Self::rate(s);
-            let min_rem = s.jobs.iter().map(|j| j.remaining).fold(f64::INFINITY, f64::min);
-            now + (min_rem / rate).ceil().max(1.0) as u64
-        });
+    /// next completion of the jobs left (or disarm it when none is), all in
+    /// one engine call (under `engine`, the lock a tick fires under).
+    fn reschedule(s: &mut CpuState, now: u64, engine: Option<&mut State>) {
+        let finished = |job: &Job| job.remaining <= EPS;
+        let (left, min_rem) = (s.jobs.iter().filter(|j| !finished(j)))
+            .fold((0, f64::INFINITY), |(n, min), j| (n + 1, min.min(j.remaining)));
+        let next = (left > 0).then(|| now + (min_rem / Self::rate(s, left)).ceil().max(1.0) as u64);
+        // No handle yet: no job was ever submitted, so none can finish.
         if let Some(handle) = &s.handle {
-            handle.arm(next);
+            let ended = s.jobs.extract_if(.., |job| finished(job));
+            handle.settle(engine, ended.map(|job| (job.done, job.from)), next);
         }
     }
 }

@@ -22,13 +22,14 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{self, Location};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use crate::coro::{self, Coroutine, Payload, Step};
+use crate::cpu::Done;
 use crate::local::{self, Locals};
 use crate::mutex::RawMutex;
-use crate::profile::Probe;
+use crate::profile::{Label, Probe};
 
 /// Identifier of a green thread within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,17 +107,20 @@ impl Ord for Event {
     }
 }
 
-/// A disarmed tick's `(time, seq, slot)`: later than any armed one.
-const IDLE: (u64, u64, usize) = (u64::MAX, u64::MAX, usize::MAX);
+/// A disarmed slot's key: later than any armed one.
+const IDLE: (u64, u64) = (u64::MAX, u64::MAX);
 
-/// The CPU ticks, one slot per [`Tick`] owner, as a tournament tree: leaf
-/// `cap + i` holds slot `i`'s `(time, seq, i)`, inner node `n` the smaller of
-/// nodes `2n` and `2n + 1`; node 1 is the earliest tick, arming is O(log CPUs).
+/// The CPU ticks, one slot per [`Tick`] owner, as a tournament tree over
+/// `keys.len()` leaves (a power of two): `keys[i]` is slot `i`'s `(time,
+/// seq)`, node `keys.len() + i` is leaf `i`, and inner node `n` keeps in
+/// `wins[n]` the slot whose key is the smaller of nodes `2n` and `2n + 1`.
+/// Node 1 wins the earliest tick; arming is O(log CPUs) key comparisons.
 #[derive(Default)]
 struct Ticks {
     /// Held weakly: a pending tick must not keep its CPU alive.
     owners: Vec<Weak<dyn Tick>>,
-    tree: Vec<(u64, u64, usize)>,
+    keys: Vec<(u64, u64)>,
+    wins: Vec<u32>,
     armed: usize,
 }
 
@@ -124,33 +128,52 @@ impl Ticks {
     fn register(&mut self, owner: Weak<dyn Tick>) -> usize {
         let slot = self.owners.len();
         self.owners.push(owner);
-        if slot == self.tree.len() / 2 {
-            // Full: double the leaves and re-arm what was pending.
-            let old = std::mem::replace(&mut self.tree, vec![IDLE; 4 * slot.max(1)]);
-            self.armed = 0;
-            for &(time, seq, i) in old[slot..].iter().filter(|&&leaf| leaf != IDLE) {
-                self.set(i, Some((time, seq)));
+        if slot == self.keys.len() {
+            // Full: double the leaves and replay every match.
+            let cap = (2 * slot).max(1);
+            self.keys.resize(cap, IDLE);
+            self.wins = vec![0; cap];
+            for n in (1..cap).rev() {
+                let (a, b) = (self.winner(2 * n), self.winner(2 * n + 1));
+                self.wins[n] = (if self.keys[b] < self.keys[a] { b } else { a }) as u32;
             }
         }
         slot
     }
 
+    /// The slot that won node `n`.
+    fn winner(&self, n: usize) -> usize {
+        n.checked_sub(self.keys.len()).unwrap_or_else(|| self.wins[n] as usize)
+    }
+
     fn earliest(&self) -> Option<(u64, u64, usize)> {
-        self.tree.get(1).copied().filter(|&root| root != IDLE)
+        let slot = (!self.keys.is_empty()).then(|| self.winner(1))?;
+        let (time, seq) = self.keys[slot];
+        (self.keys[slot] != IDLE).then_some((time, seq, slot))
     }
 
     fn set(&mut self, slot: usize, key: Option<(u64, u64)>) {
-        let mut n = self.tree.len() / 2 + slot;
-        self.armed = self.armed + usize::from(key.is_some()) - usize::from(self.tree[n] != IDLE);
-        self.tree[n] = key.map_or(IDLE, |(time, seq)| (time, seq, slot));
+        let key = key.unwrap_or(IDLE);
+        self.armed = self.armed + usize::from(key != IDLE) - usize::from(self.keys[slot] != IDLE);
+        self.keys[slot] = key;
+        // Climb with the winner so far: each match is one comparison.
+        let (mut n, mut won) = (self.keys.len() + slot, slot);
         while n > 1 {
+            let rival = self.winner(n ^ 1);
+            if self.keys[rival] < self.keys[won] {
+                won = rival;
+            }
             n /= 2;
-            self.tree[n] = self.tree[2 * n].min(self.tree[2 * n + 1]);
+            // Another slot kept this node: nothing above it changes.
+            if won != slot && self.wins[n] as usize == won {
+                break;
+            }
+            self.wins[n] = won as u32;
         }
     }
 }
 
-struct State {
+pub(crate) struct State {
     now: u64,
     next_seq: u64,
     heap: BinaryHeap<Reverse<Event>>,
@@ -165,7 +188,6 @@ struct State {
     /// See [`Sim::spawn_census`].
     census: BTreeMap<String, u64>,
     panic_payload: Option<Payload>,
-    shutting_down: bool,
     /// The continuations parked on a wait list, which `Sim::shutdown` drops
     /// as it unwinds parked threads; pruned of finished ones as it doubles.
     parked: Vec<Weak<StepCell>>,
@@ -207,15 +229,15 @@ impl State {
     }
 
     /// The event's host-profile label (see [`crate::take_host_profile`]).
-    fn label(&self, kind: &EventKind) -> String {
+    fn label(&self, kind: &EventKind) -> Label {
         match kind {
             EventKind::Wake { tid, .. } => {
-                format!("wake {}", census_prefix(&self.threads[tid.0].name))
+                Label::Wake(census_prefix(&self.threads[tid.0].name).to_string())
             }
             EventKind::Call(_, from) | EventKind::Step(_, from) => {
-                format!("call {}:{}", from.file(), from.line())
+                Label::Call(from.file(), from.line())
             }
-            EventKind::Tick(_) => "tick".into(),
+            EventKind::Tick(_) => Label::Tick,
         }
     }
 
@@ -281,6 +303,9 @@ pub struct Inner {
     /// only the OS thread running the simulation reads and writes it, and a
     /// `Sim` moved to another OS thread is synchronized by that move.
     clock: AtomicU64,
+    /// Set once by `Sim::shutdown`, read as a parked thread resumes; `Relaxed`
+    /// for the reason `clock` is.
+    shutting_down: AtomicBool,
     /// Wait-graph bookkeeping fed by the sync primitives; never locked while
     /// `state` is held (and vice versa) so the two cannot deadlock.
     pub(crate) diag: RawMutex<crate::diag::DiagState>,
@@ -345,8 +370,9 @@ pub(crate) fn with_thread<R>(f: impl FnOnce(&Arc<Inner>, TaskId) -> R) -> R {
     f(&inner, tid)
 }
 
-/// Set while a `Call` runs: [`CURRENT`] is the engine, unless a green thread
-/// of an outer simulation already is. Dropping it (a panic included) clears it.
+/// Set while a [`Sim::run`] runs (or `Sim::shutdown` drops parked steps):
+/// [`CURRENT`] is the engine, unless a green thread of an outer simulation
+/// already is. Dropping it (a panic included) clears it.
 struct OnEngine(bool);
 
 impl OnEngine {
@@ -401,15 +427,6 @@ impl Inner {
         self.state.lock().threads[tid.0].name.clone()
     }
 
-    /// Schedule a wake for `(tid, epoch)` at absolute virtual time `at`; none
-    /// if the thread has already resumed since that epoch.
-    pub(crate) fn schedule_wake(&self, tid: TaskId, epoch: u64, at: u64) {
-        let mut s = self.state.lock();
-        if s.threads[tid.0].epoch == epoch {
-            s.push_event(at, EventKind::Wake { tid, epoch });
-        }
-    }
-
     /// Schedule a closure to run on the engine's stack at absolute time `at`.
     pub(crate) fn schedule_call(&self, at: u64, f: Box<dyn FnOnce() + Send>, from: Site) {
         self.state.lock().push_event(at, EventKind::Call(f, from));
@@ -434,14 +451,9 @@ impl Inner {
                 at.line()
             );
         }
-        {
-            let mut s = self.state.lock();
-            let slot = &mut s.threads[tid.0];
-            debug_assert_eq!(slot.status, Status::Running);
-            slot.status = Status::Blocked;
-        }
+        // `Inner::resume` marks the thread blocked once it has switched back.
         coro::suspend();
-        if self.state.lock().shutting_down {
+        if self.shutting_down.load(Ordering::Relaxed) {
             panic::panic_any(ShutdownSignal);
         }
     }
@@ -470,7 +482,7 @@ impl Inner {
         // the stack can be mapped before the state lock is taken.
         let body = move || {
             let (inner, tid) = current_handle().expect("a green thread's body runs on it");
-            if inner.state.lock().shutting_down {
+            if inner.shutting_down.load(Ordering::Relaxed) {
                 return; // never started: nothing to unwind
             }
             let observer = inner.observer.lock().clone();
@@ -517,7 +529,7 @@ impl Inner {
             let slot = &mut s.threads[tid.0];
             match step {
                 Step::Suspended => {
-                    debug_assert_eq!(slot.status, Status::Blocked);
+                    slot.status = Status::Blocked;
                     slot.co = Some(co);
                     slot.locals = locals;
                     None
@@ -642,11 +654,11 @@ impl Sim {
                     stats: SimStats::default(),
                     census: BTreeMap::new(),
                     panic_payload: None,
-                    shutting_down: false,
                     parked: Vec::new(),
                     parked_prune_at: 64,
                 }),
                 clock: AtomicU64::new(0),
+                shutting_down: AtomicBool::new(false),
                 diag: RawMutex::new(crate::diag::DiagState::default()),
                 observer: RawMutex::new(None),
             }),
@@ -694,6 +706,7 @@ impl Sim {
     pub fn run(&self) -> Result<SimReport, SimError> {
         let mut me = Arc::clone(&self.inner);
         let profiling = crate::profile::enabled();
+        let engine = OnEngine::enter(&me);
         loop {
             let mut s = self.inner.state.lock();
             if let Some(p) = s.panic_payload.take() {
@@ -710,7 +723,6 @@ impl Sim {
                 EventKind::Call(f, _) => {
                     s.stats.calls += 1;
                     drop(s);
-                    let _engine = OnEngine::enter(&me);
                     f();
                 }
                 EventKind::Step(step, _) => {
@@ -718,17 +730,17 @@ impl Sim {
                     let next = step.take(&mut s);
                     drop(s);
                     if let Some(f) = next {
-                        let _engine = OnEngine::enter(&me);
                         f();
                     }
                 }
                 EventKind::Tick(slot) => {
                     s.stats.calls += 1;
                     let owner = s.ticks.owners[slot].upgrade();
-                    drop(s);
-                    if let Some(owner) = owner {
-                        owner.fire(event.time);
+                    if let Some(owner) = &owner {
+                        owner.fire(event.time, &mut s);
                     }
+                    drop(s);
+                    drop(owner); // outside the lock: the last handle's drop may reach the engine
                 }
                 EventKind::Wake { tid, epoch } => {
                     let slot = &mut s.threads[tid.0];
@@ -746,6 +758,7 @@ impl Sim {
                 probe.finish();
             }
         }
+        drop(engine);
         let s = self.inner.state.lock();
         let names: Vec<String> = s.threads.iter().map(|t| t.name.clone()).collect();
         let blocked_tids: Vec<usize> = s
@@ -782,12 +795,8 @@ impl Sim {
     /// Unwind every remaining green thread and release its stack. Called
     /// automatically on drop; idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut s = self.inner.state.lock();
-            if s.shutting_down {
-                return;
-            }
-            s.shutting_down = true;
+        if self.inner.shutting_down.swap(true, Ordering::Relaxed) {
+            return;
         }
         // One forward pass. A resumed thread unwinds to its root and dies, so
         // every slot behind `next` is dead for good; a slot is looked at again
@@ -866,19 +875,17 @@ pub struct WaitToken {
 
 /// A continuation's next step, taken by the first wake that runs it, and the
 /// deadline armed for it, which taking the step cancels.
-struct StepCell {
-    next: RawMutex<Option<Box<dyn FnOnce() + Send>>>,
-    deadline: RawMutex<Option<Deadline>>,
-}
+struct StepCell(RawMutex<(Option<Box<dyn FnOnce() + Send>>, Option<Deadline>)>);
 
 impl StepCell {
     /// Take the step, if no wake has yet, and cancel its deadline in `s`
     /// (an event that holds only this cell).
     fn take(&self, s: &mut State) -> Option<Box<dyn FnOnce() + Send>> {
-        if let Some(deadline) = self.deadline.lock().take() {
+        let (next, deadline) = std::mem::take(&mut *self.0.lock());
+        if let Some(deadline) = deadline {
             drop(s.cancel(deadline));
         }
-        self.next.lock().take()
+        next
     }
 }
 
@@ -890,8 +897,7 @@ enum Target {
 
 impl WaitToken {
     pub(crate) fn step(step: Box<dyn FnOnce() + Send>) -> WaitToken {
-        let step = StepCell { next: RawMutex::new(Some(step)), deadline: RawMutex::new(None) };
-        let target = Target::Step(Arc::new(step));
+        let target = Target::Step(Arc::new(StepCell(RawMutex::new((Some(step), None)))));
         with_current(|inner, _| WaitToken { inner: inner.clone(), target })
     }
 
@@ -917,12 +923,21 @@ impl WaitToken {
     /// has already ended.
     #[track_caller]
     pub(crate) fn wake_at(&self, at: u64) {
+        self.wake_in(&mut self.inner.state.lock(), at, Location::caller());
+    }
+
+    /// [`wake_at`](WaitToken::wake_at) under the caller's lock on its engine;
+    /// `from` labels a step's event in the host profile.
+    fn wake_in(&self, s: &mut State, at: u64, from: Site) {
         match &self.target {
-            Target::Thread { tid, epoch } => self.inner.schedule_wake(*tid, *epoch, at),
+            Target::Thread { tid, epoch } => {
+                if s.threads[tid.0].epoch == *epoch {
+                    s.push_event(at, EventKind::Wake { tid: *tid, epoch: *epoch });
+                }
+            }
             Target::Step(step) => {
-                let mut s = self.inner.state.lock();
-                if step.next.lock().is_some() {
-                    s.push_event(at, EventKind::Step(step.clone(), Location::caller()));
+                if step.0.lock().0.is_some() {
+                    s.push_event(at, EventKind::Step(step.clone(), from));
                 }
             }
         }
@@ -941,7 +956,7 @@ impl WaitToken {
             Target::Step(step) => {
                 let deadline =
                     s.arm_deadline(at, EventKind::Step(step.clone(), Location::caller()));
-                *step.deadline.lock() = Some(deadline);
+                step.0.lock().1 = Some(deadline);
                 deadline
             }
         }
@@ -962,9 +977,10 @@ impl Deadline {
     }
 }
 
-/// What a CPU model's tick runs, on the engine's stack at the armed time.
+/// What a CPU model's tick runs, on the engine's stack at the armed time and
+/// under the engine's lock, which it settles in ([`EngineHandle::settle`]).
 pub(crate) trait Tick: Send + Sync {
-    fn fire(&self, at: u64);
+    fn fire(&self, at: u64, engine: &mut State);
 }
 
 /// A CPU model's one re-armable tick in the engine of the simulation that
@@ -984,21 +1000,38 @@ impl EngineHandle {
         })
     }
 
-    /// Arm the tick for time `at` under the next sequence number, as a push
-    /// would take it, replacing the pending one; `None` disarms it.
-    pub(crate) fn arm(&self, at: Option<u64>) {
-        let mut s = self.inner.state.lock();
-        let key = at.map(|at| s.next_key(at));
+    /// End a CPU's finished jobs and re-arm its tick for `next` (`None`
+    /// disarms it), under one lock (`locked`, a tick's, or one taken here):
+    /// each job's wake or call takes the next sequence number in turn, as a
+    /// push would, then the tick takes one and replaces the pending tick in
+    /// place.
+    pub(crate) fn settle(
+        &self,
+        locked: Option<&mut State>,
+        finished: impl Iterator<Item = (Done, Site)>,
+        next: Option<u64>,
+    ) {
+        let mut guard;
+        let s = match locked {
+            Some(s) => s,
+            None => {
+                guard = self.inner.state.lock();
+                &mut *guard
+            }
+        };
+        let now = s.now;
+        for (done, from) in finished {
+            match done {
+                Done::Wake(token) => {
+                    debug_assert!(Arc::ptr_eq(&token.inner, &self.inner), "one engine per CPU");
+                    token.wake_in(s, now, from);
+                }
+                Done::Call(f) => s.push_event(now, EventKind::Call(f, from)),
+            }
+        }
+        let key = next.map(|at| s.next_key(at));
         s.ticks.set(self.slot, key);
         s.note_pending();
-    }
-
-    /// Run `f` on the engine's stack at the current instant, under the next
-    /// sequence number; `from` labels it in the host profile.
-    pub(crate) fn call_now(&self, f: Box<dyn FnOnce() + Send>, from: Site) {
-        let mut s = self.inner.state.lock();
-        let now = s.now;
-        s.push_event(now, EventKind::Call(f, from));
     }
 }
 
@@ -1591,8 +1624,15 @@ mod tests {
     struct Logged(Arc<Mutex<Vec<&'static str>>>);
 
     impl Tick for Logged {
-        fn fire(&self, _at: u64) {
+        fn fire(&self, _at: u64, _engine: &mut State) {
             self.0.lock().push("tick");
+        }
+    }
+
+    impl EngineHandle {
+        /// Re-arm the tick with no job finished.
+        fn arm(&self, at: Option<u64>) {
+            self.settle(None, std::iter::empty(), at);
         }
     }
 
@@ -1609,6 +1649,38 @@ mod tests {
         sim.run().unwrap().assert_clean();
         let fired = log.lock().clone();
         (sim, fired)
+    }
+
+    #[test]
+    fn the_tick_tree_finds_what_a_linear_scan_finds() {
+        // Register, arm, re-arm and disarm at random, growing the tree past
+        // several doublings with ticks pending; few instants, so that keys
+        // often tie on time and the sequence number decides.
+        let mut grown = 0;
+        crate::for_each_case(300, |rng| {
+            let (mut ticks, mut scan, mut seq) = (Ticks::default(), Vec::new(), 0);
+            for _ in 0..rng.next_range(1, 400) {
+                match rng.next_range(0, 8) {
+                    0 if scan.len() < 40 => {
+                        assert_eq!(ticks.register(Weak::<Logged>::new()), scan.len());
+                        scan.push(None);
+                    }
+                    _ if scan.is_empty() => continue,
+                    n => {
+                        let slot = rng.next_range(0, scan.len() as u64) as usize;
+                        seq += 1;
+                        let key = (n > 1).then(|| (rng.next_range(0, 6), seq));
+                        ticks.set(slot, key);
+                        scan[slot] = key;
+                    }
+                }
+                let armed = scan.iter().enumerate().filter_map(|(i, k)| Some((k.as_ref()?, i)));
+                let want = armed.clone().min().map(|(&(time, seq), i)| (time, seq, i));
+                assert_eq!((ticks.earliest(), ticks.armed), (want, armed.count()));
+            }
+            grown += usize::from(scan.len() > 16);
+        });
+        assert!(grown > 100, "only {grown} cases grew the tree past 16 slots");
     }
 
     #[test]

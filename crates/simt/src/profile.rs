@@ -16,8 +16,16 @@ type HostClock = std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// What an event's host time is summed under; named by [`take_host_profile`].
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Label {
+    Wake(String),
+    Call(&'static str, u32),
+    Tick,
+}
+
 /// Events and host nanoseconds per label.
-static PROFILE: RawMutex<BTreeMap<String, (u64, u64)>> = RawMutex::new(BTreeMap::new());
+static PROFILE: RawMutex<BTreeMap<Label, (u64, u64)>> = RawMutex::new(BTreeMap::new());
 
 /// Profile the [`Sim::run`](crate::Sim::run) calls that start from now on.
 pub fn set_host_profile(on: bool) {
@@ -31,14 +39,20 @@ pub(crate) fn enabled() -> bool {
 /// name up to a digit or :>`, `call <file:line>` (who called `call_at`, or the
 /// wake that ran a continuation) or `tick` (a CPU model's tick).
 pub fn take_host_profile() -> BTreeMap<String, (u64, u64)> {
-    std::mem::take(&mut *PROFILE.lock())
+    let name = |label| match label {
+        Label::Wake(prefix) => format!("wake {prefix}"),
+        Label::Call(file, line) => format!("call {file}:{line}"),
+        Label::Tick => "tick".into(),
+    };
+    let table = std::mem::take(&mut *PROFILE.lock());
+    table.into_iter().map(|(label, sums)| (name(label), sums)).collect()
 }
 
 /// One event being profiled: its label and the host instant it began.
-pub(crate) struct Probe(String, HostClock);
+pub(crate) struct Probe(Label, HostClock);
 
 impl Probe {
-    pub(crate) fn start(label: String) -> Probe {
+    pub(crate) fn start(label: Label) -> Probe {
         Probe(label, HostClock::now())
     }
 

@@ -35,9 +35,10 @@ echo "==> cargo test -q"
 # `simt::coro` is the workspace's one `unsafe` module, and what it must survive
 # is the optimiser: register allocation around `simt_switch`, frames landing on
 # a stack the previous green thread left as it was. rmpi's continuation
-# receives ride on the engine's cancellable deadlines, so its tests run here too.
-echo "==> cargo test -q --release -p simt -p rmpi"
-"$CARGO" test -q --release -p simt -p rmpi "$@"
+# receives ride on the engine's cancellable deadlines, and fabric's served-port
+# chain takes packets inline and re-entrantly, so their tests run here too.
+echo "==> cargo test -q --release -p simt -p rmpi -p fabric"
+"$CARGO" test -q --release -p simt -p rmpi -p fabric "$@"
 
 # Randomized-seed smoke: every run exercises a fresh fault schedule. The
 # seed is printed up front — replaying a failure is
