@@ -287,8 +287,11 @@ pub fn traced(run: &mut Run<'_>) {
     }
     dump_timeline(run, bench, system, workers, &cell);
     let mut values = vec![("check", cell.check as i64), ("timeline_bytes", json.len() as i64)];
-    // The engine's own counters: deterministic, so the ledger pins them too.
+    // The engine's own counters: deterministic, so the ledger pins them too,
+    // and the channels opened: one connection per peer pair, so a return of
+    // racing connects moves this line.
     values.extend(counters(&cell.metrics, &keys::SIMT_STATS));
+    values.extend(counters(&cell.metrics, &[keys::NETZ_CHANNELS_OPENED]));
     run.emit(&[("bench", bench.name().to_string())], cell.total_ns, values);
 }
 

@@ -246,3 +246,70 @@ fn basic_router_channels() -> Vec<(u32, usize, usize)> {
 fn a_closed_basic_channel_leaves_its_router() {
     assert_eq!(basic_router_channels(), [(0, 2, 0), (1, 2, 0)]);
 }
+
+/// Rank 1 opens two channels to rank 0 over `transport`, fetches a chunk on
+/// each and closes both. Returns, per rank, how many channels its endpoint
+/// held while they were open, and how many closed ones it still held once
+/// they closed.
+fn endpoint_channels(
+    transport: fn(Arc<MpiProcCtx>) -> Arc<dyn Transport>,
+) -> Vec<(u32, usize, usize)> {
+    let seen: Arc<Mutex<Vec<(u32, usize, usize)>>> = Arc::default();
+    let sim = Sim::new();
+    let out = seen.clone();
+    sim.spawn("launcher", move || {
+        let net = Net::new(&ClusterSpec::test(2));
+        let (net2, fetched, closed) = (net.clone(), OnceCell::<()>::new(), OnceCell::<()>::new());
+        rmpi::mpiexec(&net, &[0, 1], move |world| {
+            let rank = world.rank();
+            let ctx = TransportContext::with_transport(
+                net2.clone(),
+                TransportConf::default_sockets(),
+                Arc::new(Chunks),
+                transport(MpiProcCtx::world_proc(world)),
+            );
+            let stale = |ep: &netz::Endpoint| ep.channels().iter().filter(|c| !c.is_open()).count();
+            if rank == 0 {
+                let server = ctx.create_server("server", 0, 500);
+                fetched.take();
+                let open = server.channels().len();
+                closed.take();
+                simt::sleep(simt::time::millis(1)); // the client's `Close` frames land
+                out.lock().push((rank, open, stale(&server)));
+                server.shutdown();
+            } else {
+                simt::sleep(simt::time::millis(1)); // the server binds first
+                let ep = ctx.create_client_endpoint("client", 1);
+                let clients: Vec<_> = (0..2)
+                    .map(|_| ep.connect(fabric::PortAddr { node: 0, port: 500 }).expect("connect"))
+                    .collect();
+                for c in &clients {
+                    assert_eq!(c.fetch_chunk(1, 0).expect("chunk").virtual_len, 1 << 20);
+                }
+                let open = ep.channels().len();
+                fetched.put(());
+                clients.iter().for_each(|c| c.close());
+                out.lock().push((rank, open, stale(&ep)));
+                closed.put(());
+                ep.shutdown();
+            }
+        });
+    });
+    sim.run().unwrap().assert_clean();
+    sim.shutdown();
+    let mut seen = seen.lock().clone();
+    seen.sort_unstable();
+    seen
+}
+
+#[test]
+fn a_closed_channel_leaves_its_endpoint_from_either_side() {
+    let transports: [(&str, fn(Arc<MpiProcCtx>) -> Arc<dyn Transport>); 3] = [
+        ("nio", |_| Arc::new(netz::NioTransport)),
+        ("basic", |ctx| Arc::new(MpiTransportBasic::new(ctx))),
+        ("optimized", |ctx| Arc::new(MpiTransportOptimized::new(ctx))),
+    ];
+    for (name, transport) in transports {
+        assert_eq!(endpoint_channels(transport), [(0, 2, 0), (1, 2, 0)], "{name}");
+    }
+}

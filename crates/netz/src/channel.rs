@@ -15,6 +15,7 @@ use fabric::{Net, NodeId, Payload, PortAddr, StackModel};
 use obs::Span;
 use simt::sync::Mutex;
 
+use crate::endpoint::WeakEndpoint;
 use crate::error::NetzError;
 use crate::message::Message;
 use crate::pipeline::{OutboundAction, Pipeline, Then};
@@ -114,14 +115,16 @@ pub struct ChannelCore {
     /// Registry-backed traffic counters, shared the same way.
     pub(crate) stats: Arc<ChanStats>,
     pub(crate) pending: Mutex<PendingResponses>,
+    /// The endpoint whose tables hold this channel until it closes.
+    endpoint: WeakEndpoint,
     open: AtomicBool,
 }
 
 impl ChannelCore {
     #[allow(
         clippy::too_many_arguments,
-        reason = "a channel is its two ends, the stack, the net, both handshakes and its \
-                  endpoint's pipeline and counters"
+        reason = "a channel is its two ends, the stack, the net, both handshakes, its \
+                  endpoint and that endpoint's pipeline and counters"
     )]
     pub(crate) fn new(
         id: ChannelId,
@@ -135,6 +138,7 @@ impl ChannelCore {
         peer_handshake: Handshake,
         pipeline: Arc<Pipeline>,
         stats: Arc<ChanStats>,
+        endpoint: WeakEndpoint,
     ) -> Arc<Self> {
         stats.channels_opened.inc();
         let obs = net.obs();
@@ -155,6 +159,7 @@ impl ChannelCore {
             pipeline,
             stats,
             pending: Mutex::new(PendingResponses::default()),
+            endpoint,
             open: AtomicBool::new(true),
         })
     }
@@ -334,6 +339,9 @@ impl ChannelCore {
         let was_open = self.open.swap(false, Ordering::Relaxed);
         if was_open {
             self.pipeline.outbound().for_each(|h| h.on_close(self));
+            if let Some(ep) = self.endpoint.upgrade() {
+                ep.forget(self);
+            }
         }
         was_open
     }
@@ -377,6 +385,7 @@ mod tests {
             Handshake::default(),
             Arc::default(),
             stats,
+            WeakEndpoint::default(),
         )
     }
 

@@ -41,10 +41,23 @@ pub(crate) struct EndpointInner {
     /// Traffic counters, resolved once and shared by every channel.
     stats: Arc<ChanStats>,
     channels: Mutex<BTreeMap<ChannelId, Arc<ChannelCore>>>,
-    /// One client per remote address (Spark's `TransportClientFactory` pool).
-    clients: Mutex<BTreeMap<PortAddr, TransportClient>>,
+    /// One client per remote address (Spark's `TransportClientFactory` pool,
+    /// `numConnectionsPerPeer` = 1).
+    clients: Mutex<BTreeMap<PortAddr, Pooled>>,
     pending_connects: Mutex<BTreeMap<ChannelId, OnceCell<Result<Arc<ChannelCore>, NetzError>>>>,
     accepting: Mutex<bool>,
+}
+
+/// A caller waiting for the pooled client to one remote.
+type Waiter = Box<dyn FnOnce(Result<TransportClient, NetzError>) + Send>;
+
+/// A client pool entry.
+enum Pooled {
+    /// The remote's client, until its channel closes.
+    Ready(TransportClient),
+    /// The one connect in flight to the remote, and who waits for it, in
+    /// arrival order.
+    Connecting(Vec<Waiter>),
 }
 
 /// A bound endpoint: either a server (well-known port) or a client factory
@@ -56,8 +69,9 @@ pub struct Endpoint {
 
 /// A handle that does not keep the endpoint alive. An endpoint owns its
 /// transport, so anything the transport (or state it shares per process)
-/// stores about the endpoint must be weak, or neither is ever freed.
-#[derive(Clone)]
+/// stores about the endpoint must be weak, or neither is ever freed. The
+/// default handle upgrades to nothing.
+#[derive(Clone, Default)]
 pub struct WeakEndpoint {
     inner: Weak<EndpointInner>,
 }
@@ -209,40 +223,86 @@ impl Endpoint {
         );
     }
 
-    /// The cached client for `remote` while its channel is open, else a new
-    /// connection ([`connect`](Endpoint::connect)) that is then cached.
+    /// The pooled client for `remote` while its channel is open, else a new
+    /// connection ([`connect`](Endpoint::connect)) that is then pooled. A
+    /// call that arrives while a connect to `remote` is in flight waits for
+    /// that one instead of making its own.
     pub fn client(&self, remote: PortAddr) -> Result<TransportClient, NetzError> {
-        if let Some(c) = self.cached_client(remote) {
+        if let Some(c) = self.pooled(remote) {
             return Ok(c);
         }
-        let c = self.connect(remote)?;
-        self.inner.clients.lock().insert(remote, c.clone());
-        Ok(c)
+        let cell = OnceCell::new();
+        let put = cell.clone();
+        if self.join(remote, Box::new(move |r| put.put(r))) {
+            let connected = self.connect(remote);
+            self.settle(remote, connected);
+        }
+        cell.take()
     }
 
-    /// [`client`](Endpoint::client) without parking: `then` gets the cached
-    /// client at once, or the new connection once it is made. Two calls that
-    /// miss the cache together both connect, and the later client replaces
-    /// the earlier in the cache.
+    /// [`client`](Endpoint::client) without parking: `then` gets the pooled
+    /// client at once, or the outcome of the one connect to `remote` in
+    /// flight, which every caller that missed the pool meanwhile shares.
     pub fn client_then(
         &self,
         remote: PortAddr,
         then: impl FnOnce(Result<TransportClient, NetzError>) + Send + 'static,
     ) {
-        if let Some(c) = self.cached_client(remote) {
+        if let Some(c) = self.pooled(remote) {
             return then(Ok(c));
         }
-        let ep = self.clone();
-        self.connect_then(remote, move |client| {
-            if let Ok(c) = &client {
-                ep.inner.clients.lock().insert(remote, c.clone());
-            }
-            then(client);
-        });
+        if self.join(remote, Box::new(then)) {
+            let ep = self.clone();
+            self.connect_then(remote, move |connected| ep.settle(remote, connected));
+        }
     }
 
-    fn cached_client(&self, remote: PortAddr) -> Option<TransportClient> {
-        self.inner.clients.lock().get(&remote).filter(|c| c.is_active()).cloned()
+    fn pooled(&self, remote: PortAddr) -> Option<TransportClient> {
+        match self.inner.clients.lock().get(&remote) {
+            Some(Pooled::Ready(c)) => Some(c.clone()),
+            _ => None,
+        }
+    }
+
+    /// Queue `waiter` on the connect in flight to `remote`. True when there
+    /// is none: the caller makes it, and then [`settle`](Endpoint::settle)s.
+    fn join(&self, remote: PortAddr, waiter: Waiter) -> bool {
+        let mut pool = self.inner.clients.lock();
+        if let Some(Pooled::Connecting(waiters)) = pool.get_mut(&remote) {
+            waiters.push(waiter);
+            return false;
+        }
+        pool.insert(remote, Pooled::Connecting(vec![waiter]));
+        true
+    }
+
+    /// The connect to `remote` ended: pool its client, or forget the failed
+    /// attempt (so that a waiter's retry connects afresh), then hand the
+    /// outcome to every waiter in arrival order.
+    fn settle(&self, remote: PortAddr, connected: Result<TransportClient, NetzError>) {
+        let entry = {
+            let mut pool = self.inner.clients.lock();
+            match &connected {
+                Ok(c) => pool.insert(remote, Pooled::Ready(c.clone())),
+                Err(_) => pool.remove(&remote),
+            }
+        };
+        let Some(Pooled::Connecting(waiters)) = entry else {
+            unreachable!("{}: a connect to {remote} settled that was not pooled", self.name())
+        };
+        for waiter in waiters {
+            waiter(connected.clone());
+        }
+    }
+
+    /// A channel of this endpoint closed, from either side: it leaves the
+    /// channel table and, as a pooled client, the pool.
+    pub(crate) fn forget(&self, chan: &ChannelCore) {
+        self.inner.channels.lock().remove(&chan.id);
+        self.inner
+            .clients
+            .lock()
+            .retain(|_, entry| !matches!(entry, Pooled::Ready(c) if c.channel().id == chan.id));
     }
 
     /// A fresh channel id, the cell its accept lands in, and the `Connect`
@@ -274,14 +334,22 @@ impl Endpoint {
         }
     }
 
-    /// Close the cached clients (in address order), stop accepting, close
+    /// Close the pooled clients (in address order), stop accepting, close
     /// every other channel, and unbind the port (stops the event loop).
     pub fn shutdown(&self) {
         // Snapshot under the lock, close outside it: `close` charges the
         // `Close` frame on the virtual clock, and a task still running on a
-        // lost executor may take a client through this cache meanwhile.
-        let clients: Vec<_> =
-            std::mem::take(&mut *self.inner.clients.lock()).into_values().collect();
+        // lost executor may take a client through this pool meanwhile. A
+        // connect in flight keeps its entry, so its waiters still get its
+        // outcome.
+        let mut clients = Vec::new();
+        self.inner.clients.lock().retain(|_, entry| match entry {
+            Pooled::Ready(c) => {
+                clients.push(c.clone());
+                false
+            }
+            Pooled::Connecting(_) => true,
+        });
         for c in clients {
             c.close();
         }
@@ -334,8 +402,7 @@ impl Endpoint {
                 }
             }
             WireEvent::Close { channel } => {
-                let chan = self.inner.channels.lock().remove(&channel);
-                if let Some(chan) = chan {
+                if let Some(chan) = self.channel(channel) {
                     chan.closed_by_peer();
                     self.inner.handler.channel_inactive(&chan);
                 }
@@ -394,6 +461,7 @@ impl Endpoint {
             peer_hs,
             inner.pipeline.get().expect("transport started").clone(),
             inner.stats.clone(),
+            self.downgrade(),
         );
         inner.transport.configure(self, &chan);
         inner.channels.lock().insert(id, chan.clone());

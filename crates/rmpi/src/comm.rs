@@ -23,23 +23,17 @@ pub struct Comm {
     uni: Universe,
     comm: CommId,
     proc: ProcId,
+    /// The communicator and the calling process, resolved once: the
+    /// universe's tables only ever gain entries.
+    pub(crate) info: Arc<CommInfo>,
+    me: Arc<ProcState>,
 }
 
 impl Comm {
     pub(crate) fn new(uni: Universe, comm: CommId, proc: ProcId) -> Comm {
-        Comm { uni, comm, proc }
-    }
-
-    fn info(&self) -> Arc<CommInfo> {
-        self.uni.state.comms.lock().get(&self.comm).expect("communicator exists").clone()
-    }
-
-    fn me(&self) -> Arc<ProcState> {
-        self.uni.state.procs.lock().get(&self.proc).expect("process exists").clone()
-    }
-
-    fn proc_state(&self, p: ProcId) -> Arc<ProcState> {
-        self.uni.state.procs.lock().get(&p).expect("process exists").clone()
+        let info = uni.state.comms.lock().get(&comm).expect("communicator exists").clone();
+        let me = uni.proc_state(proc);
+        Comm { uni, comm, proc, info, me }
     }
 
     /// The universe this communicator belongs to.
@@ -59,27 +53,27 @@ impl Comm {
 
     /// Node the calling process runs on.
     pub fn node(&self) -> fabric::NodeId {
-        self.me().node
+        self.me.node
     }
 
     /// Rank of the calling process (within its group, for intercomms).
     pub fn rank(&self) -> u32 {
-        self.info().local_rank(self.proc).expect("caller is a member")
+        self.info.local_rank(self.proc).expect("caller is a member")
     }
 
     /// Local group size.
     pub fn size(&self) -> u32 {
-        self.info().local_size(self.proc) as u32
+        self.info.local_size(self.proc) as u32
     }
 
     /// Remote group size (== `size()` for intracommunicators).
     pub fn remote_size(&self) -> u32 {
-        self.info().remote_size(self.proc) as u32
+        self.info.remote_size(self.proc) as u32
     }
 
     /// True when this is an intercommunicator.
     pub fn is_inter(&self) -> bool {
-        matches!(self.info().groups, crate::proc::CommGroups::Inter { .. })
+        matches!(self.info.groups, crate::proc::CommGroups::Inter { .. })
     }
 
     /// Blocking (buffered) send to `dest` with `tag`.
@@ -113,11 +107,11 @@ impl Comm {
         tag: u64,
         payload: Payload,
     ) -> Result<(fabric::NodeId, fabric::PortAddr, Payload), MpiError> {
-        let dest_proc = self.info().resolve_dest(self.proc, dest)?;
-        let target = self.proc_state(dest_proc);
+        let dest_proc = self.info.resolve_dest(self.proc, dest)?;
+        let target = self.uni.proc_state(dest_proc);
         let virtual_len = payload.virtual_len;
         let msg = MpiMsg { comm: self.comm, src_rank: self.rank(), tag, payload };
-        Ok((self.me().node, target.mailbox, Payload::control(msg, virtual_len)))
+        Ok((self.me.node, target.mailbox, Payload::control(msg, virtual_len)))
     }
 
     /// Nonblocking send. With the fabric's buffered semantics it completes
@@ -130,7 +124,7 @@ impl Comm {
     /// Blocking matched receive. For a bounded one, [`irecv`](Comm::irecv)
     /// and [`Request::wait_timeout`].
     pub fn recv(&self, src: Option<u32>, tag: Option<u64>) -> Result<(Payload, Status), MpiError> {
-        self.me().store.recv(Matcher { comm: self.comm, src, tag }).map(delivered)
+        self.me.store.recv(Matcher { comm: self.comm, src, tag }).map(delivered)
     }
 
     /// Nonblocking receive: posts a slot in the process's message store and
@@ -138,7 +132,7 @@ impl Comm {
     /// matches (at post time or on arrival), it is pinned to this request:
     /// invisible to other receives, guaranteed to be what `wait` returns.
     pub fn irecv(&self, src: Option<u32>, tag: Option<u64>) -> Request {
-        let id = self.me().store.post_recv(Matcher { comm: self.comm, src, tag });
+        let id = self.me.store.post_recv(Matcher { comm: self.comm, src, tag });
         Request::recv(self.clone(), id)
     }
 
@@ -168,8 +162,7 @@ impl Comm {
 
     /// Allocate the next collective sequence number for this communicator.
     pub(crate) fn next_coll_seq(&self) -> u64 {
-        let me = self.me();
-        let mut m = me.coll_seq.lock();
+        let mut m = self.me.coll_seq.lock();
         let c = m.entry(self.comm).or_insert(0);
         let v = *c;
         *c += 1;
@@ -233,7 +226,7 @@ impl Request {
         match &mut self.kind {
             RequestKind::Complete => Ok(None),
             RequestKind::Recv { comm, id, done } => {
-                let store = comm.me().store.clone();
+                let store = comm.me.store.clone();
                 let r = store.req_wait(*id, deadline);
                 if matches!(r, Err(MpiError::Timeout)) {
                     store.cancel_recv(*id, true);
@@ -270,7 +263,7 @@ impl Request {
             RequestKind::Recv { comm, id, done } => {
                 let then =
                     Box::new(move |r: Result<MpiMsg, _>| then(r.map(|m| Some(delivered(m)))));
-                comm.me().store.req_wait_then(*id, deadline, then);
+                comm.me.store.req_wait_then(*id, deadline, then);
                 *done = true;
             }
         }
@@ -280,7 +273,7 @@ impl Request {
 impl Drop for Request {
     fn drop(&mut self) {
         if let RequestKind::Recv { comm, id, done: false } = &self.kind {
-            comm.me().store.cancel_recv(*id, false);
+            comm.me.store.cancel_recv(*id, false);
         }
     }
 }
@@ -312,7 +305,7 @@ mod tests {
     }
 
     fn store_of(comm: &Comm) -> crate::proc::MsgStore {
-        comm.me().store.clone()
+        comm.me.store.clone()
     }
 
     /// Reservation: the message a wildcard `irecv` matched is pinned to it. A

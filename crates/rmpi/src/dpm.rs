@@ -99,8 +99,7 @@ impl Comm {
 
     /// Members of an intracommunicator (rank order).
     pub(crate) fn members(&self) -> Vec<ProcId> {
-        let info = self.universe().state.comms.lock().get(&self.id()).unwrap().clone();
-        match &info.groups {
+        match &self.info.groups {
             CommGroups::Intra(g) => g.clone(),
             CommGroups::Inter { .. } => panic!("members() on intercommunicator"),
         }

@@ -58,6 +58,11 @@ impl Universe {
         id
     }
 
+    /// The state of process `id`.
+    pub(crate) fn proc_state(&self, id: ProcId) -> Arc<ProcState> {
+        self.state.procs.lock().get(&id).expect("process exists").clone()
+    }
+
     /// Register a communicator over existing processes.
     pub(crate) fn register_comm(&self, groups: CommGroups) -> CommId {
         let id = CommId(self.state.next_comm.fetch_add(1, Ordering::Relaxed));

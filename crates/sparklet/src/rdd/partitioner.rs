@@ -28,6 +28,7 @@ impl<K: Hash> Partitioner<K> for HashPartitioner {
         self.parts
     }
 
+    #[inline]
     fn partition(&self, key: &K) -> usize {
         let mut h = SipHasher13::default();
         key.hash(&mut h);
@@ -98,6 +99,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 }
 
 impl Hasher for SipHasher13 {
+    #[inline]
     fn write(&mut self, mut msg: &[u8]) {
         self.length += msg.len() as u64;
         if self.ntail > 0 {
@@ -126,18 +128,26 @@ impl Hasher for SipHasher13 {
         self.write(&i.to_le_bytes());
     }
 
+    /// A whole word at once when no tail is pending (every `u64` key).
+    #[inline]
     fn write_u64(&mut self, i: u64) {
-        self.write(&i.to_le_bytes());
+        if self.ntail > 0 {
+            return self.write(&i.to_le_bytes());
+        }
+        self.length += 8;
+        self.compress(i);
     }
 
     fn write_u128(&mut self, i: u128) {
         self.write(&i.to_le_bytes());
     }
 
+    #[inline]
     fn write_usize(&mut self, i: usize) {
         self.write_u64(i as u64);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         let mut h = self.clone();
         let b = (self.length & 0xff) << 56 | self.tail;
