@@ -369,22 +369,18 @@ impl Net {
         let recv_cpu_ns = eff_stack.recv_cpu_ns(n);
         let inner = self.inner.clone();
         simt::engine::call_at(deliver_at, move || {
-            let q = inner.ports.lock().get(&to).cloned();
-            match q {
-                Some(q) => {
-                    inner.counters.delivered_msgs.inc();
-                    inner.counters.delivered_bytes.add(n);
-                    q.send(Packet {
-                        src_node: from_node,
-                        payload,
-                        recv_cpu_ns,
-                        delivered_at: deliver_at,
-                    });
-                }
-                None => {
-                    inner.counters.dropped_msgs.inc();
-                }
-            }
+            // The port is looked up at delivery, so one unbound in flight
+            // drops the message. A bound port's queue is open (unbinding
+            // closes it after removing it), so it queues the packet under the
+            // table's lock and drops nothing there.
+            let ports = inner.ports.lock();
+            let Some(q) = ports.get(&to) else {
+                inner.counters.dropped_msgs.inc();
+                return;
+            };
+            inner.counters.delivered_msgs.inc();
+            inner.counters.delivered_bytes.add(n);
+            q.send(Packet { src_node: from_node, payload, recv_cpu_ns, delivered_at: deliver_at });
         });
         deliver_at
     }

@@ -16,7 +16,7 @@
 //! runs of the same seed.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::engine::current_handle;
 
@@ -32,11 +32,26 @@ pub struct DiagRes {
     rid: u64,
     kind: &'static str,
     name: Option<String>,
+    /// Set when a simulation first labels it: only then has its drop
+    /// bookkeeping to remove.
+    labelled: AtomicBool,
 }
 
 impl DiagRes {
     pub(crate) fn new(kind: &'static str, name: Option<String>) -> Self {
-        DiagRes { rid: NEXT_RID.fetch_add(1, Ordering::Relaxed), kind, name }
+        let rid = NEXT_RID.fetch_add(1, Ordering::Relaxed);
+        DiagRes { rid, kind, name, labelled: AtomicBool::new(false) }
+    }
+}
+
+impl Drop for DiagRes {
+    /// A dropped resource has no waiter and no holder left to report: its
+    /// label and holder counts go with it, so the bookkeeping follows the
+    /// live resources, not every resource ever waited on.
+    fn drop(&mut self) {
+        if *self.labelled.get_mut() {
+            with_diag(|d, _| d.forget(self.rid));
+        }
     }
 }
 
@@ -65,6 +80,19 @@ impl DiagState {
         };
         self.next_local += 1;
         self.labels.insert(res.rid, l);
+        res.labelled.store(true, Ordering::Relaxed);
+    }
+
+    /// Resources with a label.
+    #[cfg(test)]
+    pub(crate) fn labelled(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Drop what is kept about resource `rid`, which no longer exists.
+    fn forget(&mut self, rid: u64) {
+        self.labels.remove(&rid);
+        self.holders.remove(&rid);
     }
 
     fn on_wait(&mut self, tid: usize, res: &DiagRes) {

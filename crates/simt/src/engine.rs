@@ -45,32 +45,60 @@ enum Status {
     Dead,
 }
 
+/// One green thread's entry in the thread table, indexed by [`TaskId`]. A
+/// finished thread keeps its slot, so ids stay dense, but only its epoch and
+/// the fact that it finished: a cell that has spawned many thousand threads
+/// holds 16 bytes for each finished one.
 struct ThreadSlot {
-    name: String,
-    daemon: bool,
-    status: Status,
     /// Bumped every time the thread resumes; wake events carry the epoch they
     /// were scheduled against and are ignored when stale.
     epoch: u64,
-    /// The thread's stack and saved context. The engine takes it out for the
-    /// length of a resume and puts it back if the thread parked; a finished
-    /// thread's is dropped on the spot, which frees the stack for the next.
+    /// Everything else; `None` once the thread has finished.
+    live: Option<Box<LiveThread>>,
+}
+
+/// What a thread needs only while it has not finished. It is dropped when the
+/// thread finishes, which frees its stack for the next thread on the spot.
+struct LiveThread {
+    name: String,
+    daemon: bool,
+    /// The thread's stack and saved context while it is blocked. The engine
+    /// takes it out for the length of a resume and puts it back if the
+    /// thread parked.
     co: Option<Coroutine>,
     /// The thread's [`crate::with_local`] values while it is not running.
     locals: Locals,
 }
 
 impl ThreadSlot {
+    fn status(&self) -> Status {
+        match &self.live {
+            None => Status::Dead,
+            Some(t) if t.co.is_some() => Status::Blocked,
+            Some(_) => Status::Running,
+        }
+    }
+
+    /// The state of a thread that has not finished.
+    fn live(&mut self) -> &mut LiveThread {
+        self.live.as_mut().expect("a green thread that has not finished")
+    }
+
     /// Blocked → Running: hand the thread's coroutine and locals to the caller,
     /// who owes them to [`Inner::resume`].
     fn start_running(&mut self) -> (Coroutine, Locals) {
-        debug_assert_eq!(self.status, Status::Blocked);
-        self.status = Status::Running;
+        debug_assert_eq!(self.status(), Status::Blocked);
         self.epoch += 1;
-        let co = self.co.take().expect("a blocked green thread has a coroutine");
-        (co, std::mem::take(&mut self.locals))
+        let live = self.live();
+        let co = live.co.take().expect("a blocked green thread has a coroutine");
+        (co, std::mem::take(&mut live.locals))
     }
 }
+
+/// Slots the thread table grows by: it only grows, and a fixed step keeps its
+/// spare capacity at most this many slots where doubling would leave as many
+/// as it holds.
+const THREAD_TABLE_STEP: usize = 1024;
 
 /// Where a `Call` was scheduled from: its [`crate::profile`] label.
 type Site = &'static Location<'static>;
@@ -232,7 +260,8 @@ impl State {
     fn label(&self, kind: &EventKind) -> Label {
         match kind {
             EventKind::Wake { tid, .. } => {
-                Label::Wake(census_prefix(&self.threads[tid.0].name).to_string())
+                let name = self.threads[tid.0].live.as_ref().map_or("(finished)", |t| &t.name);
+                Label::Wake(census_prefix(name).to_string())
             }
             EventKind::Call(_, from) | EventKind::Step(_, from) => {
                 Label::Call(from.file(), from.line())
@@ -424,7 +453,7 @@ impl Inner {
     }
 
     pub(crate) fn thread_name(&self, tid: TaskId) -> String {
-        self.state.lock().threads[tid.0].name.clone()
+        self.state.lock().threads[tid.0].live().name.clone()
     }
 
     /// Schedule a closure to run on the engine's stack at absolute time `at`.
@@ -497,13 +526,12 @@ impl Inner {
         let mut s = self.state.lock();
         *s.census.entry(census_prefix(&name).to_string()).or_default() += 1;
         let tid = TaskId(s.threads.len());
+        if s.threads.len() == s.threads.capacity() {
+            s.threads.reserve_exact(THREAD_TABLE_STEP);
+        }
         s.threads.push(ThreadSlot {
-            name,
-            daemon,
-            status: Status::Blocked,
             epoch: 0,
-            co: Some(co),
-            locals: Locals::new(),
+            live: Some(Box::new(LiveThread { name, daemon, co: Some(co), locals: Locals::new() })),
         });
         s.live += 1;
         s.stats.threads_spawned += 1;
@@ -529,20 +557,20 @@ impl Inner {
             let slot = &mut s.threads[tid.0];
             match step {
                 Step::Suspended => {
-                    slot.status = Status::Blocked;
-                    slot.co = Some(co);
-                    slot.locals = locals;
+                    let live = slot.live();
+                    live.co = Some(co);
+                    live.locals = locals;
                     None
                 }
                 Step::Finished(payload) => {
-                    slot.status = Status::Dead;
+                    let dead = slot.live.take();
                     s.live -= 1;
                     if let Some(p) = payload {
                         if !p.is::<ShutdownSignal>() && s.panic_payload.is_none() {
                             s.panic_payload = Some(p);
                         }
                     }
-                    Some(co)
+                    Some((co, locals, dead))
                 }
             }
         };
@@ -744,7 +772,7 @@ impl Sim {
                 }
                 EventKind::Wake { tid, epoch } => {
                     let slot = &mut s.threads[tid.0];
-                    if slot.status != Status::Blocked || slot.epoch != epoch {
+                    if slot.status() != Status::Blocked || slot.epoch != epoch {
                         s.stats.stale_wakes += 1;
                         continue;
                     }
@@ -759,35 +787,31 @@ impl Sim {
             }
         }
         drop(engine);
+        // Only a blocked thread is named in the report, so only its name is
+        // copied out of the table.
         let s = self.inner.state.lock();
-        let names: Vec<String> = s.threads.iter().map(|t| t.name.clone()).collect();
-        let blocked_tids: Vec<usize> = s
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == Status::Blocked && !t.daemon)
-            .map(|(i, _)| i)
-            .collect();
-        let all_blocked: std::collections::BTreeSet<usize> = s
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == Status::Blocked)
-            .map(|(i, _)| i)
+        let parked: BTreeMap<usize, (String, bool)> = (s.threads.iter().enumerate())
+            .filter(|(_, t)| t.status() == Status::Blocked)
+            .map(|(i, t)| {
+                let t = t.live.as_deref().expect("a blocked thread has not finished");
+                (i, (t.name.clone(), t.daemon))
+            })
             .collect();
         let now = s.now;
         drop(s);
+        let name = |t: usize| parked[&t].0.clone();
+        let blocked_tids: Vec<usize> =
+            parked.iter().filter(|(_, (_, daemon))| !daemon).map(|(&t, _)| t).collect();
+        let all_blocked: std::collections::BTreeSet<usize> = parked.keys().copied().collect();
 
         let diag = self.inner.diag.lock();
-        let blocked: Vec<String> = blocked_tids.iter().map(|&t| names[t].clone()).collect();
+        let blocked: Vec<String> = blocked_tids.iter().map(|&t| name(t)).collect();
         let blocked_on: Vec<(String, Option<String>)> =
-            blocked_tids.iter().map(|&t| (names[t].clone(), diag.waiting_label(t))).collect();
+            blocked_tids.iter().map(|&t| (name(t), diag.waiting_label(t))).collect();
         let deadlocks: Vec<Vec<(String, String)>> = diag
             .find_cycles(&all_blocked)
             .into_iter()
-            .map(|cyc| {
-                cyc.into_iter().map(|(t, rid)| (names[t].clone(), diag.label_of(rid))).collect()
-            })
+            .map(|cyc| cyc.into_iter().map(|(t, rid)| (name(t), diag.label_of(rid))).collect())
             .collect();
         Ok(SimReport { now, blocked, blocked_on, deadlocks })
     }
@@ -807,7 +831,7 @@ impl Sim {
         loop {
             let mut s = self.inner.state.lock();
             let Some(slot) = s.threads.get_mut(next) else { break };
-            if slot.status != Status::Blocked {
+            if slot.status() != Status::Blocked {
                 next += 1;
                 continue;
             }
@@ -1257,6 +1281,33 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_resource_leaves_no_diagnostic_label_behind() {
+        let sim = Sim::new();
+        sim.spawn("churn", || {
+            for i in 0..100u32 {
+                let q = crate::queue::Queue::<u32>::new();
+                let tx = q.clone();
+                crate::spawn("tx", move || {
+                    crate::sleep(1);
+                    tx.send(i);
+                });
+                assert_eq!(q.recv().unwrap(), i, "a wait on a fresh queue, labelled");
+            }
+        });
+        let q = crate::queue::Queue::<u32>::named("inbox");
+        sim.spawn("mail-guy", move || {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "nobody sends: the receive never returns"
+            )]
+            let _ = q.recv();
+        });
+        let r = sim.run().unwrap();
+        assert_eq!(r.blocked_on, vec![("mail-guy".to_string(), Some("inbox".to_string()))]);
+        assert_eq!(sim.inner.diag.lock().labelled(), 1, "only the live queue keeps its label");
+    }
+
+    #[test]
     fn two_task_abba_deadlock_reported_as_named_cycle() {
         let sim = Sim::new();
         let a = crate::sync::Semaphore::named("A", 1);
@@ -1408,7 +1459,49 @@ mod tests {
         assert_eq!(stats.threads_spawned, N + 1);
         assert_eq!(stats.peak_live_threads, N + 1);
         let s = sim.inner.state.lock();
-        assert!(s.threads.iter().all(|t| t.status == Status::Dead && t.co.is_none()));
+        assert!(s.threads.iter().all(|t| t.status() == Status::Dead));
+    }
+
+    #[test]
+    fn a_finished_thread_keeps_only_its_epoch_and_status() {
+        assert_eq!(std::mem::size_of::<ThreadSlot>(), 16);
+        const N: u64 = 4_000;
+        let sim = Sim::new();
+        // The last of the short threads hands out a token for its own current
+        // epoch and finishes; the waker aims it at the finished thread.
+        let token = Arc::new(Mutex::new(None::<WaitToken>));
+        for i in 0..N {
+            let token = token.clone();
+            sim.spawn(format!("short-{i}"), move || {
+                crate::sleep(i % 7);
+                if i == N - 1 {
+                    *token.lock() = Some(wait_token());
+                }
+            });
+        }
+        sim.spawn("waker", move || {
+            crate::sleep(100);
+            token.lock().take().expect("the last short thread ran").wake();
+        });
+        sim.spawn("stuck", park);
+        sim.spawn_daemon("server", park);
+        let report = sim.run().unwrap();
+        assert_eq!(report.blocked, vec!["stuck".to_string()]);
+        assert_eq!(report.blocked_on, vec![("stuck".to_string(), None)]);
+        assert!(report.deadlocks.is_empty());
+        let stats = sim.stats();
+        assert_eq!(stats.stale_wakes, 1, "the wake aimed at a finished thread is dropped");
+        assert_eq!(stats.wakes + stats.stale_wakes + stats.calls, stats.events_popped);
+        let s = sim.inner.state.lock();
+        assert_eq!(s.threads.len() as u64, N + 3);
+        let (short, rest) = s.threads.split_at(N as usize);
+        for slot in short {
+            assert!(slot.live.is_none(), "a finished slot holds its epoch alone");
+            assert!(slot.epoch >= 1);
+        }
+        let status: Vec<Status> = rest.iter().map(ThreadSlot::status).collect();
+        assert_eq!(status, [Status::Dead, Status::Blocked, Status::Blocked]);
+        assert!(s.threads.capacity() - s.threads.len() < THREAD_TABLE_STEP);
     }
 
     #[test]
@@ -1458,7 +1551,7 @@ mod tests {
             .expect_err("the green thread's panic is re-raised by run()");
         assert_eq!(payload.downcast_ref::<Bespoke>(), Some(&Bespoke(42)));
         // run() shut the simulation down on the way out: the bystander is gone.
-        assert!(sim.inner.state.lock().threads.iter().all(|t| t.status == Status::Dead));
+        assert!(sim.inner.state.lock().threads.iter().all(|t| t.status() == Status::Dead));
     }
 
     #[test]

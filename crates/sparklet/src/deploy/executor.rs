@@ -61,6 +61,10 @@ impl RpcEndpoint for ExecutorEndpoint {
             // under; observing it ages out location tables cached before a
             // recovery (Spark's `updateEpoch` on task launch).
             self.services.map_outputs.observe_epoch(task.epoch);
+            if !task.cleaned_shuffles.is_empty() {
+                self.services.block_manager.remove_shuffles(&task.cleaned_shuffles);
+                self.services.map_outputs.forget(&task.cleaned_shuffles);
+            }
             simt::spawn_daemon(name, move || {
                 let obs = services.net.obs().clone();
                 let _span = obs.is_traced().then(|| {

@@ -369,6 +369,7 @@ where
             partitioner: partitioner.clone(),
             upstream: topo_shuffle_deps(parent.shuffle_deps()),
             map_side_combine: map_side,
+            dropped: self.core.sched.dropped.clone(),
         });
         Rdd {
             core: self.core.clone(),
@@ -437,6 +438,7 @@ where
             partitioner: partitioner.clone(),
             upstream: topo_shuffle_deps(self.ops.shuffle_deps()),
             map_side_combine: None,
+            dropped: self.core.sched.dropped.clone(),
         });
         let dep_b = Arc::new(ShuffleDep {
             shuffle_id: self.core.new_shuffle_id(),
@@ -444,6 +446,7 @@ where
             partitioner: partitioner.clone(),
             upstream: topo_shuffle_deps(other.ops.shuffle_deps()),
             map_side_combine: None,
+            dropped: self.core.sched.dropped.clone(),
         });
         Rdd {
             core: self.core.clone(),

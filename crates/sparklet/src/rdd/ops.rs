@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::data::Element;
 use crate::rdd::partitioner::Partitioner;
 use crate::rdd::{Action, Part, RddOps, ShuffleDepMeta, TaskOutput, TaskRunner};
+use crate::scheduler::DroppedShuffles;
 use crate::shuffle::{cogroup_pairs, read_shuffle, write_shuffle, FetchFailed, Landed};
 use crate::storage::{BlockId, StoredBlock};
 use crate::task::TaskContext;
@@ -194,6 +195,22 @@ where
     pub upstream: Vec<Arc<dyn ShuffleDepMeta>>,
     /// Optional map-side combine.
     pub map_side_combine: Option<MapSideCombine<K, M>>,
+    /// Where the last handle's drop reports the shuffle for cleanup (the
+    /// scheduler's list; a dependency built outside an application may
+    /// report to a list of its own).
+    pub dropped: Arc<DroppedShuffles>,
+}
+
+impl<K, M> Drop for ShuffleDep<K, M>
+where
+    K: Element + Hash + Eq + Ord,
+    M: Element,
+{
+    /// Nothing can read the shuffle any more: hand it to the driver's
+    /// cleanup, which runs when the next job starts.
+    fn drop(&mut self) {
+        self.dropped.push(self.shuffle_id);
+    }
 }
 
 /// Map task for one `ShuffleDep` partition.

@@ -16,7 +16,7 @@
 
 mod stage;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -127,6 +127,10 @@ pub struct LaunchTask {
     /// [`TaskFinishedMsg`] for stale-attempt discard and used by executors
     /// to age their location caches.
     pub epoch: u64,
+    /// Shuffles the driver cleaned since this executor's previous launch:
+    /// the executor drops their map outputs and cached tables before the
+    /// task runs (Spark's `RemoveShuffle`, here carried by the launch).
+    pub cleaned_shuffles: Vec<u32>,
     /// The work.
     pub runner: Arc<dyn TaskRunner>,
 }
@@ -166,6 +170,20 @@ enum Completion {
     ExecutorLost { exec_id: usize, reason: String },
 }
 
+/// Ids of the shuffles whose dependency has dropped and that the driver has
+/// not cleaned yet (the reference queue of Spark's `ContextCleaner`). The
+/// last `ShuffleDep` handle pushes its id from whichever thread drops it, an
+/// executor's task thread included, so a push never blocks; the scheduler
+/// takes the list when the next job starts.
+#[derive(Default)]
+pub struct DroppedShuffles(Mutex<Vec<u32>>);
+
+impl DroppedShuffles {
+    pub(crate) fn push(&self, shuffle_id: u32) {
+        self.0.lock().push(shuffle_id);
+    }
+}
+
 /// A registered executor.
 #[derive(Clone)]
 pub struct ExecutorHandle {
@@ -191,6 +209,10 @@ pub struct DagScheduler {
     next_job: AtomicU32,
     next_stage_seq: AtomicU64,
     computed_shuffles: Mutex<BTreeSet<u32>>,
+    /// Shuffles dropped since the last job started.
+    pub(crate) dropped: Arc<DroppedShuffles>,
+    /// Per executor id, the cleaned shuffles its next launch carries.
+    cleaned: Mutex<BTreeMap<usize, Vec<u32>>>,
     /// Executors that were lost or whose shuffle service failed a fetch;
     /// excluded from task placement so recomputed map outputs land on
     /// healthy executors.
@@ -210,6 +232,8 @@ impl Default for DagScheduler {
             next_job: AtomicU32::new(0),
             next_stage_seq: AtomicU64::new(0),
             computed_shuffles: Mutex::new(BTreeSet::new()),
+            dropped: Arc::default(),
+            cleaned: Mutex::default(),
             quarantined: Mutex::new(BTreeSet::new()),
             job_running: AtomicBool::new(false),
         }
@@ -278,6 +302,7 @@ impl DagScheduler {
             !self.job_running.swap(true, Ordering::SeqCst),
             "concurrent jobs are not supported; run jobs sequentially from one driver thread"
         );
+        self.clean_dropped_shuffles();
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
         let _span = obs
@@ -294,6 +319,26 @@ impl DagScheduler {
         });
         self.job_running.store(false, Ordering::SeqCst);
         results
+    }
+
+    /// Clean every shuffle whose dependency dropped since the last job
+    /// started (Spark's `ContextCleaner.doCleanupShuffle`): forget its map
+    /// statuses here, and queue its id for each executor's next launch,
+    /// which drops its map outputs and cached table there. Nothing still
+    /// reachable is cleaned: a live RDD holds its dependency. Host-side
+    /// bookkeeping: no message, wire byte or CPU time is charged for it.
+    fn clean_dropped_shuffles(&self) {
+        let ids = std::mem::take(&mut *self.dropped.0.lock());
+        if ids.is_empty() {
+            return;
+        }
+        self.tracker.unregister_shuffles(&ids);
+        self.computed_shuffles.lock().retain(|id| !ids.contains(id));
+        let execs = self.in_service();
+        let mut cleaned = self.cleaned.lock();
+        for e in execs {
+            cleaned.entry(e.exec_id).or_default().extend_from_slice(&ids);
+        }
     }
 }
 

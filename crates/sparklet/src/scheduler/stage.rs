@@ -17,6 +17,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use simt::sync::Mutex;
+
 use crate::rdd::{JobSpec, ShuffleDepMeta, TaskOutput, TaskRunner};
 use crate::rpc::AnyMsg;
 use crate::shuffle::FetchFailed;
@@ -229,7 +231,7 @@ impl JobEngine<'_> {
         for &part in parts {
             att.add_task(part, runners[part].clone());
         }
-        att.dispatch_all();
+        att.dispatch_all(&sched.cleaned);
 
         let n = parts.len();
         let mut done = 0usize;
@@ -311,6 +313,8 @@ struct Attempt {
     epoch: u64,
     free: Vec<u32>,
     queues: Vec<VecDeque<usize>>,
+    /// Per slot, the cleaned shuffles its next launch carries.
+    cleaned: Vec<Vec<u32>>,
     tasks: Vec<TaskState>,
     by_part: BTreeMap<usize, usize>,
 }
@@ -326,6 +330,7 @@ impl Attempt {
             epoch,
             free,
             queues: (0..n_exec).map(|_| VecDeque::new()).collect(),
+            cleaned: Vec::new(),
             tasks: Vec::new(),
             by_part: BTreeMap::new(),
         }
@@ -361,6 +366,7 @@ impl Attempt {
             part: self.tasks[ti].part,
             attempt: self.attempt,
             epoch: self.epoch,
+            cleaned_shuffles: std::mem::take(&mut self.cleaned[slot]),
             runner: self.tasks[ti].runner.clone(),
         });
     }
@@ -372,7 +378,21 @@ impl Attempt {
         }
     }
 
-    fn dispatch_all(&mut self) {
+    /// Launch what every slot has room for. Each slot with a queued task
+    /// launches one here, and that launch carries the shuffles `cleaned`
+    /// holds for its executor.
+    fn dispatch_all(&mut self, cleaned: &Mutex<BTreeMap<usize, Vec<u32>>>) {
+        let mut cleaned = cleaned.lock();
+        self.cleaned = (self.execs.iter().zip(&self.queues))
+            .map(|(e, queue)| {
+                if queue.is_empty() {
+                    Vec::new()
+                } else {
+                    cleaned.remove(&e.exec_id).unwrap_or_default()
+                }
+            })
+            .collect();
+        drop(cleaned);
         for slot in 0..self.execs.len() {
             self.dispatch(slot);
         }

@@ -64,8 +64,10 @@ pub struct GetMapOutputs {
 pub struct MapOutputsReply {
     /// Tracker epoch at read time.
     pub epoch: u64,
-    /// The shuffle's map statuses.
-    pub table: Arc<ShuffleTable>,
+    /// The shuffle's map statuses; `None` for a shuffle the driver does not
+    /// track (already cleaned), which the asker reports as a metadata
+    /// fetch failure, as Spark's `MetadataFetchFailedException`.
+    pub table: Option<Arc<ShuffleTable>>,
 }
 
 /// A complete shuffle's map statuses, built once by the tracker and shared by
@@ -154,6 +156,16 @@ impl MapOutputTrackerMaster {
         self.outputs.lock().entry(shuffle_id).or_insert_with(slots);
     }
 
+    /// Forget shuffles `ids` (cleaned by the driver): their slots and table.
+    pub fn unregister_shuffles(&self, ids: &[u32]) {
+        self.outputs.lock().retain(|id, _| !ids.contains(id));
+    }
+
+    /// The shuffles registered and not yet cleaned, ascending.
+    pub fn shuffle_ids(&self) -> Vec<u32> {
+        self.outputs.lock().keys().copied().collect()
+    }
+
     /// Record one finished map task's status.
     pub fn register_map_output(&self, shuffle_id: u32, status: MapStatus) {
         let mut o = self.outputs.lock();
@@ -213,10 +225,11 @@ impl MapOutputTrackerMaster {
     }
 
     /// The shuffle's table: built on the first read after a slot changed,
-    /// then shared by every read until the next change.
-    fn table(&self, shuffle_id: u32) -> Arc<ShuffleTable> {
+    /// then shared by every read until the next change. `None` once the
+    /// shuffle was cleaned.
+    fn table(&self, shuffle_id: u32) -> Option<Arc<ShuffleTable>> {
         let mut o = self.outputs.lock();
-        let ShuffleSlots { slots, table } = o.get_mut(&shuffle_id).expect("shuffle registered");
+        let ShuffleSlots { slots, table } = o.get_mut(&shuffle_id)?;
         let build = || {
             let statuses = slots
                 .iter()
@@ -224,7 +237,7 @@ impl MapOutputTrackerMaster {
                 .collect();
             Arc::new(ShuffleTable::new(statuses))
         };
-        table.get_or_insert_with(build).clone()
+        Some(table.get_or_insert_with(build).clone())
     }
 }
 
@@ -303,7 +316,9 @@ impl MapOutputClient {
                 }
             }
         };
-        let table = reply.table.clone();
+        let Some(table) = reply.table.clone() else {
+            return Err(FetchFailed { shuffle_id, exec_id: None, map_id: None });
+        };
         self.cache
             .lock()
             .insert(shuffle_id, CachedOutputs { epoch: reply.epoch, table: table.clone() });
@@ -330,6 +345,16 @@ impl MapOutputClient {
     /// retry must re-resolve locations whatever the epoch).
     pub fn invalidate(&self, shuffle_id: u32) {
         self.cache.lock().remove(&shuffle_id);
+    }
+
+    /// Drop the cached tables of shuffles `ids`, which the driver cleaned.
+    pub fn forget(&self, ids: &[u32]) {
+        self.cache.lock().retain(|id, _| !ids.contains(id));
+    }
+
+    /// The shuffles whose table is cached here, ascending.
+    pub fn cached_shuffle_ids(&self) -> Vec<u32> {
+        self.cache.lock().keys().copied().collect()
     }
 }
 
@@ -618,21 +643,52 @@ fn plan_fetch(
     FetchPlan { local, requests }
 }
 
-/// Stably sort `pairs` by key. Keys that [`Element::rank`] go through an
-/// LSD radix sort over their ranks: 11-bit digits, one pass per digit the
-/// largest rank needs, each pass a stable scatter into bucket vectors. Other
-/// keys take the standard library's stable comparison sort. Both are stable
-/// and `rank` preserves order, so the result is the same either way.
+/// Radix digit width of [`sort_pairs`]: each pass scatters into this many
+/// buckets.
+const DIGIT_BITS: u32 = 11;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// Inputs below this many pairs are insertion-sorted: a radix pass zeroes and
+/// fills [`BUCKETS`] buckets whatever the input's size, and insertion's
+/// quadratic moves overtake that near 256 pairs of `u64` keys.
+const INSERTION_MAX: usize = 256;
+
+/// Stably sort `pairs` by key. A small input takes a binary insertion sort,
+/// keys that [`Element::rank`] an LSD radix sort over their ranks, and other
+/// keys the standard library's stable comparison sort. All three are stable
+/// and `rank` preserves order, so the result is the same whichever runs.
 pub fn sort_pairs<K: Element + Ord, V>(pairs: &mut Vec<(K, V)>) {
-    const DIGIT_BITS: u32 = 11;
-    const BUCKETS: usize = 1 << DIGIT_BITS;
-    // A type ranks all of its values or none, so the first `None` decides.
-    let Some(max) = pairs.iter().try_fold(0, |max, (k, _)| Some(k.rank()?.max(max))) else {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    if pairs.len() < INSERTION_MAX {
+        insertion_sort(pairs);
         return;
-    };
-    let passes = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
-    for shift in (0..passes).map(|pass| pass * DIGIT_BITS) {
+    }
+    // A type ranks all of its values or none, so the first `None` decides.
+    match pairs.iter().try_fold(0, |max, (k, _)| Some(k.rank()?.max(max))) {
+        Some(max) => radix_sort(pairs, max),
+        None => pairs.sort_by(|a, b| a.0.cmp(&b.0)),
+    }
+}
+
+/// [`sort_pairs`] for a small input: each pair moves in after the last one
+/// with a key no greater than its own. Unlike `sort_by`, it allocates nothing
+/// and puts no scratch buffer on the stack, which on a task's green-thread
+/// stack would keep one more page resident for every stack.
+fn insertion_sort<K: Ord, V>(pairs: &mut [(K, V)]) {
+    for i in 1..pairs.len() {
+        let at = pairs[..i].partition_point(|p| p.0 <= pairs[i].0);
+        pairs[at..=i].rotate_right(1);
+    }
+}
+
+/// The 11-bit digits a rank up to `max` has.
+fn radix_passes(max: u64) -> u32 {
+    (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS)
+}
+
+/// [`sort_pairs`]'s LSD radix sort over ranks no larger than `max`: one pass
+/// per digit, each a stable scatter into bucket vectors.
+fn radix_sort<K: Element, V>(pairs: &mut Vec<(K, V)>, max: u64) {
+    for shift in (0..radix_passes(max)).map(|pass| pass * DIGIT_BITS) {
         let digit = |(k, _): &(K, V)| {
             (k.rank().expect("a type ranks all of its values") >> shift) as usize & (BUCKETS - 1)
         };
@@ -649,9 +705,9 @@ pub fn sort_pairs<K: Element + Ord, V>(pairs: &mut Vec<(K, V)>) {
 
 /// The one aggregation kernel: fold `pairs` per key. Keys come out ascending;
 /// each key's values are folded left to right in arrival order, starting
-/// from `create(first value)`. [`sort_pairs`] brings equal keys together (a
-/// radix sort for integer keys, a comparison sort otherwise; both stable, so
-/// the groups and every fold's order are the same), and the fold then runs
+/// from `create(first value)`. [`sort_pairs`] brings equal keys together (stably,
+/// so the groups and every fold's order are the same whichever sort it
+/// picks), and the fold then runs
 /// over adjacent records: nothing is allocated per key that `create` does
 /// not allocate.
 pub fn combine_by_key<K: Element + Ord, V, C>(
@@ -823,18 +879,20 @@ mod tests {
         });
     }
 
-    /// Up to 600 `(key, arrival index)` pairs: empty input, one pair, or
-    /// keys mixing `edges`, eight small values (many duplicates), values
-    /// below 2^22 (two radix digits) and values over the whole type. `key`
-    /// turns 64 random bits into a key.
+    /// Up to 3 000 `(key, arrival index)` pairs: empty input, one pair, or a
+    /// count on either side of [`INSERTION_MAX`], with keys mixing `edges`,
+    /// eight small values (many duplicates), values below 2^22 (two radix
+    /// digits) and values over the whole type. `key` turns 64 random bits
+    /// into a key.
     fn draw_ranked<K>(rng: &mut SeededRng, edges: &[K], key: impl Fn(u64) -> K) -> Vec<(K, u64)>
     where
         K: Copy,
     {
-        let n = match rng.next_range(0, 4) {
+        let n = match rng.next_range(0, 5) {
             0 => 0,
             1 => 1,
-            _ => rng.next_range(2, 600),
+            2 => rng.next_range(INSERTION_MAX as u64, 3_000),
+            _ => rng.next_range(2, INSERTION_MAX as u64),
         };
         (0..n)
             .map(|i| {
@@ -849,31 +907,38 @@ mod tests {
             .collect()
     }
 
-    /// The radix path against the comparison sort it replaces: the same
-    /// order, and a fold over that order gives the same groups.
-    fn check_radix_path<K: Element + Ord + Copy + std::fmt::Debug>(pairs: Vec<(K, u64)>) {
-        assert!(pairs.iter().all(|(k, _)| k.rank().is_some()), "the key type ranks");
+    /// The insertion and the radix path of [`sort_pairs`] against the
+    /// references, whatever the input's size: each gives the stable order by
+    /// key, and a fold over either order gives the BTreeMap's groups.
+    fn check_sort_paths<K: Element + Ord + Copy + std::fmt::Debug>(pairs: Vec<(K, u64)>) {
+        let ranks: Option<Vec<u64>> = pairs.iter().map(|(k, _)| k.rank()).collect();
+        let max = ranks.expect("the key type ranks").into_iter().max().unwrap_or(0);
         let mut want = pairs.clone();
         want.sort_by_key(|a| a.0);
-        let mut got = pairs.clone();
-        sort_pairs(&mut got);
-        assert_eq!(got, want);
-        let mut folded: Vec<(K, Vec<u64>)> = Vec::new();
-        for (k, i) in want {
-            match folded.last_mut() {
-                Some((last, group)) if *last == k => group.push(i),
-                _ => folded.push((k, vec![i])),
+        let groups = btree_groups(pairs.clone());
+        let (mut radix, mut inserted) = (pairs.clone(), pairs.clone());
+        radix_sort(&mut radix, max);
+        insertion_sort(&mut inserted);
+        for sorted in [radix, inserted] {
+            assert_eq!(sorted, want);
+            let mut folded: Vec<(K, Vec<u64>)> = Vec::new();
+            for (k, i) in sorted {
+                match folded.last_mut() {
+                    Some((last, group)) if *last == k => group.push(i),
+                    _ => folded.push((k, vec![i])),
+                }
             }
+            assert_eq!(folded, groups);
         }
-        assert_eq!(kernel_groups(pairs), folded);
+        assert_eq!(kernel_groups(pairs), groups);
     }
 
     #[test]
     fn radix_path_sorts_and_folds_like_sort_by() {
         for_each_case(200, |rng| {
-            check_radix_path(draw_ranked(rng, &[0, 1, 2047, 2048, u64::MAX], |b| b));
-            check_radix_path(draw_ranked(rng, &[0, 1, u32::MAX], |b| b as u32));
-            check_radix_path(draw_ranked(rng, &[i64::MIN, -1, 0, 1, i64::MAX], |b| b as i64));
+            check_sort_paths(draw_ranked(rng, &[0, 1, 2047, 2048, u64::MAX], |b| b));
+            check_sort_paths(draw_ranked(rng, &[0, 1, u32::MAX], |b| b as u32));
+            check_sort_paths(draw_ranked(rng, &[i64::MIN, -1, 0, 1, i64::MAX], |b| b as i64));
         });
     }
 
@@ -1082,7 +1147,7 @@ mod tests {
         t.register_map_output(1, status(0, 0, &[(0, 1), (1, 2)]));
         t.register_map_output(1, status(1, 1, &[(0, 3)]));
         assert!(t.is_complete(1));
-        let s = t.table(1);
+        let s = t.table(1).unwrap();
         assert_eq!(s.statuses.len(), 2);
         assert_eq!(s.status(1).unwrap().exec_id, 1);
         assert!(s.status(2).is_none());
@@ -1101,23 +1166,38 @@ mod tests {
             t.register_map_output(shuffle, status(0, 0, &[(0, 1)]));
             t.register_map_output(shuffle, status(1, shuffle as usize, &[(1, 1)]));
         }
-        let first = t.table(1);
-        assert!(Arc::ptr_eq(&first, &t.table(1)), "a second read builds no new table");
+        let table = |id| t.table(id).expect("a registered shuffle");
+        let first = table(1);
+        assert!(Arc::ptr_eq(&first, &table(1)), "a second read builds no new table");
         // Registering map 1 again, even with the same status, changes a slot.
         t.register_map_output(1, status(1, 1, &[(1, 1)]));
-        let second = t.table(1);
+        let second = table(1);
         assert!(!Arc::ptr_eq(&first, &second), "a read after a registration sees a new table");
-        assert!(Arc::ptr_eq(&second, &t.table(1)));
+        assert!(Arc::ptr_eq(&second, &table(1)));
         // Losing executor 1 empties a slot of shuffle 1 only: its table goes,
         // shuffle 2's stays.
-        let other = t.table(2);
+        let other = table(2);
         assert_eq!(t.remove_executor(1), vec![(1, vec![1])]);
         assert!(t.outputs.lock()[&1].table.is_none(), "a removal keeps a stale table");
-        assert!(Arc::ptr_eq(&other, &t.table(2)));
+        assert!(Arc::ptr_eq(&other, &table(2)));
         t.register_map_output(1, status(1, 2, &[(1, 1)]));
-        let third = t.table(1);
+        let third = table(1);
         assert!(!Arc::ptr_eq(&second, &third));
         assert_eq!(third.status(1).unwrap().exec_id, 2);
+    }
+
+    #[test]
+    fn a_cleaned_shuffle_is_forgotten() {
+        let t = MapOutputTrackerMaster::default();
+        for shuffle in [1, 2, 3] {
+            t.register_shuffle(shuffle, 1);
+            t.register_map_output(shuffle, status(0, 0, &[(0, 1)]));
+        }
+        assert!(t.table(2).is_some());
+        t.unregister_shuffles(&[1, 2]);
+        assert_eq!(t.shuffle_ids(), vec![3]);
+        assert!(t.table(2).is_none(), "a cleaned shuffle has no table to serve");
+        assert!(t.is_complete(3));
     }
 
     #[test]

@@ -180,6 +180,18 @@ impl BlockManager {
         self.map_outputs.lock().insert((shuffle_id, map_id), Arc::new(output));
     }
 
+    /// Drop every map output of shuffles `ids`, which the driver cleaned.
+    pub fn remove_shuffles(&self, ids: &[u32]) {
+        self.map_outputs.lock().retain(|(shuffle_id, _), _| !ids.contains(shuffle_id));
+    }
+
+    /// The shuffles with a map output stored here, ascending.
+    pub fn shuffle_ids(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.map_outputs.lock().keys().map(|&(s, _)| s).collect();
+        ids.dedup();
+        ids
+    }
+
     /// Map task `map_id`'s stored output of shuffle `shuffle_id`.
     pub fn map_output(&self, shuffle_id: u32, map_id: u32) -> Option<Arc<MapOutput>> {
         self.map_outputs.lock().get(&(shuffle_id, map_id)).cloned()
@@ -317,6 +329,19 @@ mod tests {
         assert_eq!((kept.records, kept.virtual_len, kept.value_bytes), (1, 12, 200));
         assert_eq!(get(223).unwrap().records, 7, "the last bucket");
         assert!(get(BUCKETS).is_none());
+    }
+
+    #[test]
+    fn removing_a_shuffle_drops_all_its_map_outputs_and_no_other() {
+        let bm = BlockManager::default();
+        for (shuffle, map) in [(1, 0), (2, 0), (2, 5), (3, 1)] {
+            bm.put_map_output(shuffle, map, output(2, &[(0, 1)]));
+        }
+        assert_eq!(bm.shuffle_ids(), vec![1, 2, 3]);
+        bm.remove_shuffles(&[2, 7]);
+        assert_eq!(bm.shuffle_ids(), vec![1, 3]);
+        assert!(bm.map_output(2, 5).is_none());
+        assert!(bm.map_output(3, 1).is_some());
     }
 
     #[test]

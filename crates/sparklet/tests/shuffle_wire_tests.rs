@@ -429,6 +429,7 @@ fn a_group_by_key_reduce_ends_at_its_pinned_virtual_instants() {
             partitioner: Arc::new(HashPartitioner::new(reduces)),
             upstream: Vec::new(),
             map_side_combine: None,
+            dropped: Arc::default(),
         });
         tracker.register_shuffle(SHUFFLE, maps);
         for m in 0..maps {
